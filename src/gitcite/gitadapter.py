@@ -13,14 +13,11 @@ are safe to run concurrently.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import re
 import shutil
 import subprocess
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -164,6 +161,11 @@ def merge_citation_files(
 
 def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
     """GET ``url`` and parse the body as a citation-file document."""
+    # Imported here: urllib.request pulls in ssl, http.client and email,
+    # which only this command needs.
+    import urllib.error
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:
             body = response.read()
@@ -252,23 +254,29 @@ def repo_metadata(path: Path | str) -> RepositoryMetadata:
 
 
 def snapshot_worktree(worktree_root: Path | str) -> TreeSnapshot:
-    """Snapshot the working tree; ``.git`` and the citation file are not part
-    of the cited tree. File digests are SHA-1 of content."""
+    """Snapshot the working tree's structure; ``.git`` and the citation file
+    are not part of the cited tree.
+
+    No file is opened, so every file digest is ``""``: callers compare the
+    worktree by structure only. Directories are taken from the walk itself,
+    so a symlink to a directory is not descended into and is left out.
+    """
     root = Path(worktree_root)
-    skip = {citation_file_name()}
-    snap = TreeSnapshot()
+    skip = citation_file_name()
+    files: list[CanonicalPath] = []
+    dirs: list[CanonicalPath] = []
     for current, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d != ".git")
+        dirnames[:] = [d for d in dirnames if d != ".git"]
         rel = Path(current).relative_to(root)
         parts = () if rel == Path(".") else rel.parts
         if parts:
-            snap = snap.with_dir(CanonicalPath(parts, PathKind.DIRECTORY))
-        for filename in sorted(filenames):
-            if not parts and filename in skip:
-                continue
-            digest = hashlib.sha1((Path(current) / filename).read_bytes()).hexdigest()
-            snap = snap.with_file(CanonicalPath(parts + (filename,), PathKind.FILE), digest)
-    return snap
+            dirs.append(CanonicalPath(parts, PathKind.DIRECTORY))
+        files.extend(
+            CanonicalPath(parts + (filename,), PathKind.FILE)
+            for filename in filenames
+            if parts or filename != skip
+        )
+    return TreeSnapshot.from_files(files, dirs)
 
 
 def _tree_from_listing(lines: Iterable[tuple[str, str]]) -> TreeSnapshot:
@@ -351,17 +359,17 @@ def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]
             i += 2
             if code == "D":
                 deleted.append(from_rendered("/" + path_text))
-    staged_files = {
+    occupied = _dirs_holding(
         from_rendered("/" + t) for t in _git(root, "ls-files", "-z").stdout.split("\0") if t
-    }
-    dir_moves = _infer_directory_moves(renames, staged_files, deleted)
-    gone_dirs = _infer_deleted_dirs(renames, staged_files, deleted)
+    )
+    dir_moves = _infer_directory_moves(renames, occupied, deleted)
+    gone_dirs = _infer_deleted_dirs(renames, occupied, deleted)
     return dir_moves + renames, deleted + gone_dirs
 
 
 def _infer_deleted_dirs(
     renames: Sequence[Rename],
-    staged_files: set[CanonicalPath],
+    occupied: set[tuple[str, ...]],
     deleted: Sequence[CanonicalPath],
 ) -> list[CanonicalPath]:
     candidates: set[CanonicalPath] = set()
@@ -369,12 +377,12 @@ def _infer_deleted_dirs(
         for ancestor in path.ancestors():
             if not ancestor.is_root:
                 candidates.add(ancestor)
-    return sorted(d for d in candidates if not any(f.is_within(d) for f in staged_files))
+    return sorted(d for d in candidates if d.segments not in occupied)
 
 
 def _infer_directory_moves(
     renames: Sequence[Rename],
-    staged_files: set[CanonicalPath],
+    occupied: set[tuple[str, ...]],
     deleted: Sequence[CanonicalPath],
 ) -> list[Rename]:
     candidates: list[Rename] = []
@@ -398,10 +406,12 @@ def _infer_directory_moves(
             seen.add(tag)
             candidates.append(pair)
 
+    emptied = _dirs_holding(deleted)
+
     def complete_move(old_dir: CanonicalPath, new_dir: CanonicalPath) -> bool:
-        if any(f.is_within(old_dir) for f in staged_files):
+        if old_dir.segments in occupied:
             return False  # something still lives under the old prefix
-        if any(d.is_within(old_dir) for d in deleted):
+        if old_dir.segments in emptied:
             return False  # mixed move and delete; stay file-by-file
         return all(
             new == old.rebased(old_dir, new_dir)
@@ -410,6 +420,11 @@ def _infer_directory_moves(
         )
 
     return [pair for pair in candidates if complete_move(*pair)]
+
+
+def _dirs_holding(files: Iterable[CanonicalPath]) -> set[tuple[str, ...]]:
+    """Segments of every non-root directory that has one of ``files`` below it."""
+    return {f.segments[:i] for f in files for i in range(1, len(f.segments))}
 
 
 # --- Higher-level worktree operations (used by the CLI) ---------------------

@@ -99,14 +99,33 @@ class TreeSnapshot:
         files: Mapping[str | CanonicalPath, str] | Iterable[str | CanonicalPath] = (),
         dirs: Iterable[str | CanonicalPath] = (),
     ) -> "TreeSnapshot":
-        """Build a snapshot from file paths (optionally path -> digest) plus extra directories."""
-        snap = cls()
+        """Build a snapshot from file paths (optionally path -> digest) plus extra directories.
+
+        The result and the errors are those of folding :meth:`with_file` over
+        ``files`` and then :meth:`with_dir` over ``dirs``: a later digest for
+        the same file wins. Directories are collected as plain dicts first
+        (a ``dict`` value is a subdirectory, any other a file's digest) and
+        each is frozen into a :class:`DirNode` once, so the build is linear
+        in the number of path segments apart from one sort per directory.
+        """
+        root: dict = {}
         pairs = files.items() if isinstance(files, Mapping) else ((p, "") for p in files)
         for raw, digest in pairs:
-            snap = snap.with_file(_as_path(raw), digest)
+            path = _as_path(raw)
+            if not path.is_file:
+                raise EditConflict(f"{path} is not a file path")
+            parent = _plain_dir(root, path.segments[:-1])
+            if isinstance(parent.get(path.name), dict):
+                raise EditConflict(f"a directory already exists at {path}")
+            parent[path.name] = digest
         for raw in dirs:
-            snap = snap.with_dir(_as_path(raw))
-        return snap
+            path = _as_path(raw)
+            if not path.is_dir or path.is_root:
+                raise EditConflict(f"{path} is not a directory path")
+            parent = _plain_dir(root, path.segments[:-1])
+            if not isinstance(parent.setdefault(path.name, {}), dict):
+                raise EditConflict(f"a file already exists at {path}")
+        return cls(_freeze("", root))
 
     def node_by_name(self, segments: tuple[str, ...]) -> TreeNode | None:
         """Walk by name only, ignoring the query's kind."""
@@ -271,6 +290,24 @@ def _rebuild(node: DirNode, segments: tuple[str, ...], update, create: bool) -> 
     children = dict(node.children)
     children[name] = _rebuild(child, rest, update, create)
     return DirNode(node.name, children)
+
+
+def _plain_dir(root: dict, segments: tuple[str, ...]) -> dict:
+    """The plain directory at ``segments`` under ``root``, created as needed."""
+    node = root
+    for name in segments:
+        node = node.setdefault(name, {})
+        if not isinstance(node, dict):
+            raise EditConflict(f"{name!r} is a file, not a directory")
+    return node
+
+
+def _freeze(name: str, plain: dict) -> DirNode:
+    return DirNode(
+        name,
+        [_freeze(child, value) if isinstance(value, dict) else FileNode(child, value)
+         for child, value in plain.items()],
+    )
 
 
 def _as_path(raw: str | CanonicalPath) -> CanonicalPath:

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gitcite
 from gitcite import CitationFile, Repository
 from gitcite.cli import main
 from gitcite.fileformat import record_from_obj, serialize
@@ -152,6 +156,15 @@ class TestGen:
         assert out.startswith("@software{")
         assert f"title = {{{record('root').repo_name}}}" in out
         assert "year = {2021}" in out
+
+    def test_dangling_symlink_in_the_worktree(self, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        seed(root, {"a.c": "x", "sub/b.c": "y"}, {"/sub/": "sub"})
+        (root / "sub" / "broken").symlink_to(root / "sub" / "no-such-target")
+        monkeypatch.chdir(root)
+        assert main(["gen", "sub/broken", "--format", "json"]) == 0
+        assert record_from_obj(json.loads(capsys.readouterr().out)) == record("sub")
+        assert main(["validate"]) == 0
 
     def test_gen_missing_path(self, git_repo, monkeypatch):
         root = git_repo()
@@ -366,6 +379,18 @@ class TestCliPlumbing:
         with pytest.raises(SystemExit) as err:
             main(["definitely-not-a-command"])
         assert err.value.code == 2
+
+    def test_importing_the_cli_leaves_urllib_unloaded(self):
+        # Only ``gen --remote`` needs urllib.request, which drags in ssl and http.client.
+        src = str(Path(gitcite.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, gitcite.cli; print('urllib.request' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_missing_citation_file_is_an_environment_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

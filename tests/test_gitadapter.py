@@ -153,6 +153,14 @@ class TestStagedChanges:
         rendered = [(str(a), str(b)) for a, b in renames]
         assert rendered == [("/pkg/a.c", "/a-moved.c")]
 
+    def test_emptied_directory_beside_a_sibling_that_keeps_files(self, git_repo):
+        root = git_repo()
+        seed(root, {"lib/a/x.c": "x", "lib/a/y.c": "y", "lib/b/z.c": "z"}, {})
+        git(root, "rm", "-r", "-q", "lib/a")
+        renames, deleted = staged_changes(root)
+        assert renames == []
+        assert [str(d) for d in deleted] == ["/lib/a/x.c", "/lib/a/y.c", "/lib/a/"]
+
 
 class TestWorktreeAndHistory:
     def test_snapshot_skips_git_dir_and_citation_file(self, git_repo):
@@ -160,6 +168,7 @@ class TestWorktreeAndHistory:
         seed(root, {"src/a.c": "a"}, {})
         snap = snapshot_worktree(root)
         assert [str(p) for p in snap.paths()] == ["/", "/src/", "/src/a.c"]
+        assert snap.digest_at(from_rendered("/src/a.c")) == ""  # contents are never read
 
     def test_tree_and_citation_file_at_a_revision(self, git_repo):
         root = git_repo()

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from gitcite import CitationFile, CitationRecord, TreeSnapshot, resolve, validate
 from gitcite.errors import EditConflict, MissingRoot, PathNotInTree
 from gitcite.model import DANGLING_KEY, KIND_MISMATCH, MISSING_ROOT, DirNode, FileNode
-from gitcite.paths import ROOT, from_rendered
+from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 
 import randgen
 from support import record, resolve_by_walking, tree
@@ -74,6 +74,69 @@ class TestTreeSnapshot:
         snap = tree("/a.c", "/b.c")
         with pytest.raises(EditConflict):
             snap.with_renamed(from_rendered("/a.c"), from_rendered("/b.c"))
+
+
+def _fold_single_edits(files, dirs) -> TreeSnapshot:
+    snap = TreeSnapshot()
+    for path, digest in files:
+        snap = snap.with_file(path, digest)
+    for path in dirs:
+        snap = snap.with_dir(path)
+    return snap
+
+
+_segments = st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(tuple)
+
+
+@given(
+    st.lists(st.tuples(_segments, st.sampled_from(["", "d1", "d2"])), max_size=12),
+    st.lists(_segments, max_size=5),
+)
+def test_bulk_build_matches_folding_single_edits(file_entries, dir_segments):
+    files = [(CanonicalPath(segs, PathKind.FILE), digest) for segs, digest in file_entries]
+    dirs = [CanonicalPath(segs, PathKind.DIRECTORY) for segs in dir_segments]
+    try:
+        expected = _fold_single_edits(files, dirs)
+    except EditConflict:
+        with pytest.raises(EditConflict):
+            TreeSnapshot.from_files(dict(files), dirs)
+        return
+    built = TreeSnapshot.from_files(dict(files), dirs)
+    assert built.root == expected.root
+    assert built.paths() == expected.paths()
+    for path in expected.file_paths():
+        assert built.digest_at(path) == expected.digest_at(path)
+
+
+class TestBulkBuild:
+    def test_a_later_digest_for_the_same_file_wins(self):
+        snap = TreeSnapshot.from_files({"/a/x.c": "old", from_rendered("/a/x.c"): "new"})
+        assert snap.digest_at(from_rendered("/a/x.c")) == "new"
+        assert [str(p) for p in snap.paths()] == ["/", "/a/", "/a/x.c"]
+
+    @pytest.mark.parametrize(
+        "files, dirs",
+        [
+            (["/a", "/a/b.c"], ()),  # file, then a file below it
+            (["/a/b.c", "/a"], ()),  # directory, then a file in its place
+            (["/a"], ["/a/"]),
+            (["/a"], ["/a/b/"]),
+            (["/"], ()),  # the root given as a file
+            (["/a/"], ()),  # a directory given as a file
+            ((), ["/"]),
+            ((), ["/a.c"]),  # a file given as a directory
+        ],
+    )
+    def test_clashes_and_wrong_kinds_are_edit_conflicts(self, files, dirs):
+        with pytest.raises(EditConflict):
+            TreeSnapshot.from_files(files, dirs)
+
+    def test_wide_directory(self):
+        names = [f"f{i:05d}.c" for i in range(5000)]
+        snap = TreeSnapshot.from_files({f"/wide/{n}": n for n in reversed(names)}, dirs=["/wide/"])
+        wide = snap.subtree(from_rendered("/wide/"))
+        assert list(wide.children) == names
+        assert snap.digest_at(from_rendered("/wide/f04321.c")) == "f04321.c"
 
 
 class TestResolve:
