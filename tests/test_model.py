@@ -131,12 +131,20 @@ class TestBulkBuild:
         with pytest.raises(EditConflict):
             TreeSnapshot.from_files(files, dirs)
 
-    def test_wide_directory(self):
-        names = [f"f{i:05d}.c" for i in range(5000)]
-        snap = TreeSnapshot.from_files({f"/wide/{n}": n for n in reversed(names)}, dirs=["/wide/"])
-        wide = snap.subtree(from_rendered("/wide/"))
-        assert list(wide.children) == names
-        assert snap.digest_at(from_rendered("/wide/f04321.c")) == "f04321.c"
+    def test_each_directory_is_built_once(self, monkeypatch):
+        # DirNode sorts its children on construction, so one construction per
+        # directory is one sort per directory and no per-insert sibling copy.
+        built = []
+        sort_children = DirNode.__post_init__
+
+        def counting(node):
+            built.append(node.name)
+            sort_children(node)
+
+        monkeypatch.setattr(DirNode, "__post_init__", counting)
+        files = [f"/wide/f{i:04d}.c" for i in range(5000)] + ["/wide/sub/x.c", "/y.c"]
+        TreeSnapshot.from_files(files, dirs=["/wide/", "/empty/"])
+        assert sorted(built) == ["", "empty", "sub", "wide"]
 
 
 class TestResolve:
