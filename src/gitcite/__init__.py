@@ -20,27 +20,21 @@ from .model import (
 )
 from .ops import (
     CiteEdit,
+    ConflictReport,
     RepositoryMetadata,
     Role,
     RoleContext,
     add_cite,
+    choose_left,
+    choose_right,
     default_root_citation,
     del_cite,
     gen_cite,
     modify_cite,
-)
-from .paths import ROOT, CanonicalPath, PathKind, canonicalize, from_rendered
-from .store import (
-    ConflictReport,
-    Repository,
-    TreeEdit,
-    Version,
-    choose_left,
-    choose_right,
-    copy_cite,
-    fork_cite,
     scripted_resolver,
 )
+from .paths import ROOT, CanonicalPath, PathKind, canonicalize, from_rendered
+from .store import Repository, TreeEdit, Version, copy_cite, fork_cite
 
 __version__ = "0.1.0"
 

@@ -27,9 +27,16 @@ from .errors import (
     NotCited,
 )
 from .model import CitationFile, CitationRecord, resolve, resolve_from_entries, validate
-from .ops import apply_add, apply_delete, apply_modify, default_root_citation
+from .ops import (
+    ConflictReport,
+    apply_add,
+    apply_delete,
+    apply_modify,
+    choose_left,
+    choose_right,
+    default_root_citation,
+)
 from .paths import CanonicalPath, PathKind, canonicalize
-from .store import ConflictReport, choose_left, choose_right
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -185,8 +192,7 @@ def cmd_copy(args: argparse.Namespace) -> int:
             gitadapter._git(Path.cwd(), "clone", "--depth", "1", args.src, str(src_root))
         else:
             src_root = Path(os.path.normpath(os.path.join(os.getcwd(), args.src)))
-        src_tree = gitadapter.snapshot_worktree(src_root)
-        src_subtree = canonicalize(args.src_subtree, kind_hint=PathKind.DIRECTORY, tree=src_tree)
+        src_subtree = canonicalize(args.src_subtree, kind_hint=PathKind.DIRECTORY)
         dst_path = _repo_relative(root, args.dst_path, kind_hint=PathKind.DIRECTORY)
         _, added = gitadapter.run_copy(root, src_root, src_subtree, dst_path)
     print(f"copied {src_subtree} -> {dst_path}; migrated {len(added)} citation entries:")

@@ -4,7 +4,10 @@ The citation file lives at the worktree root (``citation.cite`` unless the
 ``GITCITE_FILE`` environment variable overrides the name) and is always
 written in canonical form. Git is driven as a subprocess; the commands used
 are listed in the README. The citation file is never merged by Git's own
-line-based rules: merges go through :func:`merge_citation_files`.
+line-based rules: merges go through :func:`gitcite.ops.merge_citation_files`.
+Every change to the citation file is one of the operations in
+:mod:`gitcite.ops`; this module only works out from git which of them to
+apply.
 
 Use one adapter flow per working tree: nothing here locks against
 concurrent mutation of the same checkout. Network fetches and local reads
@@ -18,27 +21,30 @@ import os
 import re
 import shutil
 import subprocess
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import (
-    DestinationCollision,
-    EditConflict,
     FileMissing,
     HttpStatus,
     IoFailure,
     NetworkFailure,
     NoCommonAncestor,
     NotARepository,
-    SubtreeMissing,
     UnknownVersion,
-    UnresolvedConflict,
 )
 from .fileformat import parse, serialize
-from .model import CitationFile, CitationRecord, TreeSnapshot, resolve
-from .ops import RepositoryMetadata
+from .model import CitationFile, TreeSnapshot
+from .ops import (
+    ConflictReport,
+    RepositoryMetadata,
+    Resolver,
+    apply_copy,
+    merge_citation_files,
+    rewrite_keys,
+)
 from .paths import CanonicalPath, PathKind, from_rendered
-from .store import ConflictReport, Resolver
 
 logger = logging.getLogger(__name__)
 
@@ -92,11 +98,12 @@ def sync_on_commit(
     change detection (see :func:`staged_changes`). Keys under a renamed path
     are rewritten by prefix substitution, then keys under deleted paths are
     pruned; the root entry always survives. The rewritten file is stored and
-    returned.
+    returned. A rename onto an existing key raises
+    :class:`~gitcite.errors.InvariantBroken` and leaves the file as it was.
     """
     cf = load_citation_file(worktree_root)
     for old, new in rename_map:
-        cf = CitationFile({_rewrite_key(key, old, new): record for key, record in cf.items()})
+        cf = rewrite_keys(cf, old, new)
     if deleted:
         cf = CitationFile(
             {
@@ -107,56 +114,6 @@ def sync_on_commit(
         )
     store_citation_file(worktree_root, cf)
     return cf
-
-
-def _rewrite_key(key: CanonicalPath, old: CanonicalPath, new: CanonicalPath) -> CanonicalPath:
-    if old.is_file:
-        return new if key == old else key
-    if key.is_within(old):
-        return key.rebased(old, new)
-    return key
-
-
-def merge_citation_files(
-    base: CitationFile,
-    left: CitationFile,
-    right: CitationFile,
-    merged_tree: TreeSnapshot,
-    resolver: Resolver | None = None,
-) -> tuple[CitationFile, list[ConflictReport]]:
-    """Three-way union of two branches' citation files.
-
-    Keys on one side only are taken as-is. For keys on both sides, equal
-    records merge silently; when exactly one side changed the record
-    relative to ``base`` the changed side wins without a conflict; when both
-    changed it the resolver decides. Entries whose paths are absent from
-    ``merged_tree`` are pruned, the root excepted.
-    """
-    merged: dict[CanonicalPath, CitationRecord] = {}
-    conflicts: list[ConflictReport] = []
-    for key in sorted(set(left.keys()) | set(right.keys())):
-        from_left, from_right = left.get(key), right.get(key)
-        if from_left is None:
-            merged[key] = from_right
-            continue
-        if from_right is None or from_left == from_right:
-            merged[key] = from_left
-            continue
-        from_base = base.get(key)
-        if from_base == from_left:
-            merged[key] = from_right
-        elif from_base == from_right:
-            merged[key] = from_left
-        else:
-            report = ConflictReport(key=key, left=from_left, right=from_right)
-            choice = resolver(report) if resolver is not None else None
-            if choice is None:
-                raise UnresolvedConflict(f"unresolved citation conflict at {key}")
-            report.mark_resolved(choice)
-            conflicts.append(report)
-            merged[key] = choice
-    pruned = {k: v for k, v in merged.items() if k.is_root or merged_tree.contains(k)}
-    return CitationFile(pruned), conflicts
 
 
 def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
@@ -279,26 +236,24 @@ def snapshot_worktree(worktree_root: Path | str) -> TreeSnapshot:
     return TreeSnapshot.from_files(files, dirs)
 
 
-def _tree_from_listing(lines: Iterable[tuple[str, str]]) -> TreeSnapshot:
+def _tree_from_listing(listing: str, blob_field: int) -> TreeSnapshot:
+    """The tree of a ``-z`` listing whose entries are ``<meta>``, a tab and
+    a path; the blob id is whitespace field ``blob_field`` of ``<meta>``.
+    The citation file is left out."""
+    skip = citation_file_name()
     files = {}
-    for rendered, digest in lines:
-        if rendered == "/" + citation_file_name():
+    for token in listing.split("\0"):
+        if not token:
             continue
-        files[rendered] = digest
+        meta, path_text = token.split("\t", 1)
+        if path_text != skip:
+            files["/" + path_text] = meta.split()[blob_field]
     return TreeSnapshot.from_files(files)
 
 
 def tree_from_index(root: Path | str) -> TreeSnapshot:
     """The staged file set, via ``git ls-files -s -z``; digests are blob ids."""
-    out = _git(root, "ls-files", "-s", "-z").stdout
-    entries = []
-    for token in out.split("\0"):
-        if not token:
-            continue
-        meta, path_text = token.split("\t", 1)
-        blob = meta.split()[1]
-        entries.append(("/" + path_text, blob))
-    return _tree_from_listing(entries)
+    return _tree_from_listing(_git(root, "ls-files", "-s", "-z").stdout, 1)
 
 
 def tree_at_revision(root: Path | str, rev: str) -> TreeSnapshot:
@@ -306,14 +261,7 @@ def tree_at_revision(root: Path | str, rev: str) -> TreeSnapshot:
     proc = _git(root, "ls-tree", "-r", "-z", rev, check=False)
     if proc.returncode != 0:
         raise UnknownVersion(f"unknown revision {rev!r}")
-    entries = []
-    for token in proc.stdout.split("\0"):
-        if not token:
-            continue
-        meta, path_text = token.split("\t", 1)
-        blob = meta.split()[2]
-        entries.append(("/" + path_text, blob))
-    return _tree_from_listing(entries)
+    return _tree_from_listing(proc.stdout, 2)
 
 
 def citation_file_at_revision(root: Path | str, rev: str) -> CitationFile:
@@ -331,10 +279,11 @@ def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]
     Uses ``git diff --cached --name-status -M -z``. Git reports files only,
     so two directory-level facts are inferred on top. A complete, consistent
     directory move becomes a directory rename, letting directory citation
-    keys follow by prefix (a partially moved directory stays file-by-file
-    and a leftover directory key will show up in ``validate`` output).
-    A directory with no staged files left under it counts as deleted, since
-    the version-control system has no notion of an empty directory.
+    keys follow by prefix (see :func:`_infer_directory_moves`; a partially
+    moved directory stays file-by-file and a leftover directory key will
+    show up in ``validate`` output). A directory with no staged files left
+    under it counts as deleted, since the version-control system has no
+    notion of an empty directory.
     """
     if not _has_head(root):
         return [], []
@@ -342,6 +291,7 @@ def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]
     tokens = [t for t in out.split("\0")]
     renames: list[Rename] = []
     deleted: list[CanonicalPath] = []
+    added: list[tuple[str, ...]] = []
     i = 0
     while i < len(tokens):
         status = tokens[i]
@@ -359,17 +309,19 @@ def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]
             i += 2
             if code == "D":
                 deleted.append(from_rendered("/" + path_text))
-    occupied = _dirs_holding(
-        from_rendered("/" + t) for t in _git(root, "ls-files", "-z").stdout.split("\0") if t
+            elif code == "A":
+                added.append(tuple(path_text.split("/")))
+    held = _count_dirs(tuple(t.split("/")) for t in _git(root, "ls-files", "-z").stdout.split("\0") if t)
+    dir_moves = _infer_directory_moves(
+        renames, held, _count_dirs(added), _count_dirs(d.segments for d in deleted)
     )
-    dir_moves = _infer_directory_moves(renames, occupied, deleted)
-    gone_dirs = _infer_deleted_dirs(renames, occupied, deleted)
+    gone_dirs = _infer_deleted_dirs(renames, held, deleted)
     return dir_moves + renames, deleted + gone_dirs
 
 
 def _infer_deleted_dirs(
     renames: Sequence[Rename],
-    occupied: set[tuple[str, ...]],
+    held: Counter,
     deleted: Sequence[CanonicalPath],
 ) -> list[CanonicalPath]:
     candidates: set[CanonicalPath] = set()
@@ -377,54 +329,51 @@ def _infer_deleted_dirs(
         for ancestor in path.ancestors():
             if not ancestor.is_root:
                 candidates.add(ancestor)
-    return sorted(d for d in candidates if d.segments not in occupied)
+    return sorted(d for d in candidates if d.segments not in held)
 
 
 def _infer_directory_moves(
     renames: Sequence[Rename],
-    occupied: set[tuple[str, ...]],
-    deleted: Sequence[CanonicalPath],
+    held: Counter,
+    added: Counter,
+    deleted: Counter,
 ) -> list[Rename]:
-    candidates: list[Rename] = []
-    seen: set[tuple[str, str]] = set()
+    """Directory moves implied by the file renames, in first-seen order.
+
+    Each rename nominates the directory pair left once the longest common
+    run of trailing names is cut from both ends. ``old_dir -> new_dir`` is a
+    move when no staged file is left or deleted under ``old_dir``, every
+    rename out of ``old_dir`` lands at its rebased path under ``new_dir``,
+    and every staged file under ``new_dir`` is one of those renames or a new
+    file. A ``new_dir`` that already held files is a merge of two
+    directories, and stays file-by-file. The counters give, per directory
+    segments, the staged, added and deleted files below it.
+    """
+    moved_out = _count_dirs(old.segments for old, _ in renames)
+    agreeing: Counter = Counter()  # renames consistent with each (old_dir, new_dir) pair
+    candidates: dict[tuple[tuple[str, ...], tuple[str, ...]], None] = {}
     for old, new in renames:
+        o, n = old.segments, new.segments
         k = 0
-        limit = min(len(old.segments), len(new.segments)) - 1
-        while k < limit and old.segments[-(k + 1)] == new.segments[-(k + 1)]:
+        limit = min(len(o), len(n)) - 1
+        while k < limit and o[-(k + 1)] == n[-(k + 1)]:
             k += 1
-        if k == 0:
-            continue
-        old_prefix, new_prefix = old.segments[:-k], new.segments[:-k]
-        if not old_prefix or not new_prefix or old_prefix == new_prefix:
-            continue
-        pair = (
-            CanonicalPath(old_prefix, PathKind.DIRECTORY),
-            CanonicalPath(new_prefix, PathKind.DIRECTORY),
-        )
-        tag = (str(pair[0]), str(pair[1]))
-        if tag not in seen:
-            seen.add(tag)
-            candidates.append(pair)
-
-    emptied = _dirs_holding(deleted)
-
-    def complete_move(old_dir: CanonicalPath, new_dir: CanonicalPath) -> bool:
-        if old_dir.segments in occupied:
-            return False  # something still lives under the old prefix
-        if old_dir.segments in emptied:
-            return False  # mixed move and delete; stay file-by-file
-        return all(
-            new == old.rebased(old_dir, new_dir)
-            for old, new in renames
-            if old.is_within(old_dir)
-        )
-
-    return [pair for pair in candidates if complete_move(*pair)]
+            agreeing[o[:-k], n[:-k]] += 1
+        if k:
+            candidates.setdefault((o[:-k], n[:-k]))
+    return [
+        (CanonicalPath(o, PathKind.DIRECTORY), CanonicalPath(n, PathKind.DIRECTORY))
+        for o, n in candidates
+        if not held[o]
+        and not deleted[o]
+        and agreeing[o, n] == moved_out[o]
+        and agreeing[o, n] + added[n] == held[n]
+    ]
 
 
-def _dirs_holding(files: Iterable[CanonicalPath]) -> set[tuple[str, ...]]:
-    """Segments of every non-root directory that has one of ``files`` below it."""
-    return {f.segments[:i] for f in files for i in range(1, len(f.segments))}
+def _count_dirs(files: Iterable[tuple[str, ...]]) -> Counter:
+    """How many of ``files`` (given as segments) lie below each non-root directory."""
+    return Counter(f[:i] for f in files for i in range(1, len(f)))
 
 
 # --- Higher-level worktree operations (used by the CLI) ---------------------
@@ -503,42 +452,23 @@ def run_copy(
 ) -> tuple[CitationFile, list[CanonicalPath]]:
     """Copy a directory from another checkout and migrate its citations.
 
-    Files are copied on disk; every explicit entry under the source subtree
-    is added with its key rebased to the destination, and the destination
-    directory gains the source subtree's resolved citation. Returns the new
-    citation file and the added keys.
+    The citations migrate by :func:`gitcite.ops.apply_copy`, whose checks
+    run before any file is copied on disk. Returns the new citation file and
+    the added keys.
     """
     root, src_root = Path(root), Path(src_root)
-    src_cf = load_citation_file(src_root)
-    src_tree = snapshot_worktree(src_root)
-    if not src_subtree.is_dir or not src_tree.contains(src_subtree):
-        raise SubtreeMissing(f"{src_subtree} is not a directory of the source")
-    if not dst_path.is_dir or dst_path.is_root:
-        raise DestinationCollision(f"{dst_path} is not a valid destination directory")
-    local_cf = load_citation_file(root)
-    local_tree = snapshot_worktree(root)
-    if local_tree.node_by_name(dst_path.segments) is not None:
-        raise DestinationCollision(f"{dst_path} already exists")
-    parent = dst_path.parent()
-    if not local_tree.contains(parent):
-        raise EditConflict(f"destination parent {parent} does not exist")
-
+    merged, added = apply_copy(
+        load_citation_file(root),
+        snapshot_worktree(root),
+        load_citation_file(src_root),
+        snapshot_worktree(src_root),
+        src_subtree,
+        dst_path,
+    )
     src_fs = src_root / Path(*src_subtree.segments) if src_subtree.segments else src_root
     _copy_files(src_fs, root / Path(*dst_path.segments))
-
-    entries = local_cf.as_dict()
-    added: list[CanonicalPath] = []
-    for key, record in src_cf.items():
-        if key.is_within(src_subtree):
-            moved = key.rebased(src_subtree, dst_path)
-            entries[moved] = record
-            added.append(moved)
-    entries[dst_path] = resolve(src_cf, src_tree, src_subtree)
-    if dst_path not in added:
-        added.append(dst_path)
-    merged = CitationFile(entries)
     store_citation_file(root, merged)
-    return merged, sorted(added)
+    return merged, added
 
 
 def _copy_files(src_dir: Path, dst_dir: Path) -> None:

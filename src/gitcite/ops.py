@@ -4,22 +4,34 @@ Project members add, delete, and modify citation entries; citers only read
 resolved citations. Edits are staged against a branch head and become
 durable when that branch commits. Mutating operations need exclusive access
 to the repository; reads (gen_cite) may run concurrently with other reads.
+
+This module also holds the one implementation of each way a citation file
+travels with the code: staged edits (:func:`apply_cite_edits`), key rewrite
+on rename (:func:`rewrite_keys`), pruning to a tree (:func:`prune_to_tree`),
+subtree migration on copy (:func:`apply_copy`) and the three-way merge union
+(:func:`merge_citation_files`). The in-memory store and the git adapter both
+call them; none of them touches a repository.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .errors import (
     AlreadyCited,
+    DestinationCollision,
+    EditConflict,
+    InvariantBroken,
     MissingMetadata,
     NotCited,
     NotLatestVersion,
     PathNotInTree,
     RoleForbidden,
     RootUndeletable,
+    SubtreeMissing,
+    UnresolvedConflict,
 )
 from .model import CitationFile, CitationRecord, TreeSnapshot, resolve
 from .paths import CanonicalPath
@@ -102,6 +114,171 @@ def apply_modify(cf: CitationFile, path: CanonicalPath, record: CitationRecord) 
     return cf.with_entry(path, record)
 
 
+def apply_cite_edits(cf: CitationFile, edits: Iterable[CiteEdit]) -> CitationFile:
+    """Apply staged edits in order; deleting an absent key is a no-op."""
+    entries = cf.as_dict()
+    for edit in edits:
+        if edit.kind is CiteEditKind.DELETE:
+            entries.pop(edit.path, None)
+        else:
+            entries[edit.path] = edit.record
+    return CitationFile(entries)
+
+
+def rewrite_keys(cf: CitationFile, old: CanonicalPath, new: CanonicalPath) -> CitationFile:
+    """Substitute the ``old`` path prefix with ``new`` in every affected key.
+
+    A rewritten key that lands on an existing key raises
+    :class:`InvariantBroken`; nothing is overwritten.
+    """
+    entries: dict[CanonicalPath, CitationRecord] = {}
+    for key, record in cf.items():
+        if old.is_file:
+            entries[new if key == old else key] = record
+        elif key.is_within(old):
+            entries[key.rebased(old, new)] = record
+        else:
+            entries[key] = record
+    if len(entries) != len(cf):
+        raise InvariantBroken(f"key rewrite {old} -> {new} collided with existing entries")
+    return CitationFile(entries)
+
+
+def prune_to_tree(cf: CitationFile, tree: TreeSnapshot) -> CitationFile:
+    """Drop every entry whose path is not in ``tree``; the root entry stays."""
+    return CitationFile({k: v for k, v in cf.items() if k.is_root or tree.contains(k)})
+
+
+def apply_copy(
+    cf: CitationFile,
+    tree: TreeSnapshot,
+    src_cf: CitationFile,
+    src_tree: TreeSnapshot,
+    src_subtree: CanonicalPath,
+    dst_path: CanonicalPath,
+) -> tuple[CitationFile, list[CanonicalPath]]:
+    """Migrate the citations of a directory copied to the new ``dst_path``.
+
+    Every explicit entry inside the source subtree is carried over with its
+    key prefix rewritten to the destination, and the destination directory
+    itself gains an explicit entry holding the source subtree's resolved
+    citation, so every copied node keeps the citation it had at the source.
+    ``tree`` is the destination before the copy. Returns the new citation
+    file and the added keys, sorted.
+    """
+    if not src_subtree.is_dir or not src_tree.contains(src_subtree):
+        raise SubtreeMissing(f"{src_subtree} is not a directory of the source")
+    if not dst_path.is_dir or dst_path.is_root:
+        raise DestinationCollision(f"{dst_path} is not a valid destination directory")
+    if tree.node_by_name(dst_path.segments) is not None:
+        raise DestinationCollision(f"{dst_path} already exists")
+    parent = dst_path.parent()
+    if not tree.contains(parent):
+        raise EditConflict(f"destination parent {parent} does not exist")
+    entries = cf.as_dict()
+    added = {dst_path}
+    for key, record in src_cf.items():
+        if key.is_within(src_subtree):
+            moved = key.rebased(src_subtree, dst_path)
+            entries[moved] = record
+            added.add(moved)
+    entries[dst_path] = resolve(src_cf, src_tree, src_subtree)
+    return CitationFile(entries), sorted(added)
+
+
+@dataclass
+class ConflictReport:
+    """Two branches cite the same key with different records."""
+
+    key: CanonicalPath
+    left: CitationRecord
+    right: CitationRecord
+    resolution: str = "pending"  # pending | chose_left | chose_right | replaced
+    record: CitationRecord | None = None
+
+    def __post_init__(self) -> None:
+        if self.left == self.right:
+            raise ValueError("a conflict needs two differing records")
+
+    def mark_resolved(self, record: CitationRecord) -> None:
+        self.record = record
+        if record == self.left:
+            self.resolution = "chose_left"
+        elif record == self.right:
+            self.resolution = "chose_right"
+        else:
+            self.resolution = "replaced"
+
+
+Resolver = Callable[[ConflictReport], "CitationRecord | None"]
+
+
+def choose_left(report: ConflictReport) -> CitationRecord:
+    return report.left
+
+
+def choose_right(report: ConflictReport) -> CitationRecord:
+    return report.right
+
+
+def scripted_resolver(choices: Mapping[str, "str | CitationRecord"]) -> Resolver:
+    """Resolver driven by a rendered-path -> "left" | "right" | record table."""
+
+    def _resolve(report: ConflictReport) -> CitationRecord | None:
+        choice = choices.get(str(report.key))
+        if choice == "left":
+            return report.left
+        if choice == "right":
+            return report.right
+        if isinstance(choice, CitationRecord):
+            return choice
+        return None
+
+    return _resolve
+
+
+def merge_citation_files(
+    base: CitationFile,
+    left: CitationFile,
+    right: CitationFile,
+    merged_tree: TreeSnapshot,
+    resolver: Resolver | None = None,
+) -> tuple[CitationFile, list[ConflictReport]]:
+    """Three-way union of two branches' citation files.
+
+    Keys on one side only are taken as-is. For keys on both sides, equal
+    records merge silently; when exactly one side changed the record
+    relative to ``base`` the changed side wins without a conflict; when both
+    changed it the resolver decides, and no answer raises
+    :class:`UnresolvedConflict`. Entries whose paths are absent from
+    ``merged_tree`` are pruned, the root excepted.
+    """
+    merged: dict[CanonicalPath, CitationRecord] = {}
+    conflicts: list[ConflictReport] = []
+    for key in sorted(set(left.keys()) | set(right.keys())):
+        from_left, from_right = left.get(key), right.get(key)
+        if from_left is None:
+            merged[key] = from_right
+            continue
+        if from_right is None or from_left == from_right:
+            merged[key] = from_left
+            continue
+        from_base = base.get(key)
+        if from_base == from_left:
+            merged[key] = from_right
+        elif from_base == from_right:
+            merged[key] = from_left
+        else:
+            report = ConflictReport(key=key, left=from_left, right=from_right)
+            choice = resolver(report) if resolver is not None else None
+            if choice is None:
+                raise UnresolvedConflict(f"unresolved citation conflict at {key}")
+            report.mark_resolved(choice)
+            conflicts.append(report)
+            merged[key] = choice
+    return prune_to_tree(CitationFile(merged), merged_tree), conflicts
+
+
 def _require_member(ctx: RoleContext) -> None:
     if ctx.role is not Role.PROJECT_MEMBER:
         raise RoleForbidden(f"{ctx.actor} ({ctx.role.value}) may not edit citations")
@@ -117,13 +294,7 @@ def _require_latest(repo: "Repository", branch: str, at_version: str | None) -> 
 
 def staged_citation_file(repo: "Repository", branch: str) -> CitationFile:
     """The head citation file with the branch's staged edits applied."""
-    cf = repo.head(branch).cf
-    for edit in repo.staged.get(branch, ()):
-        if edit.kind is CiteEditKind.DELETE:
-            cf = cf.without(edit.path) if edit.path in cf else cf
-        else:
-            cf = cf.with_entry(edit.path, edit.record)
-    return cf
+    return apply_cite_edits(repo.head(branch).cf, repo.staged.get(branch, ()))
 
 
 def add_cite(

@@ -4,6 +4,12 @@ This is the reference semantics for how citation files travel through
 commits, branches, copies between repositories, merges, and forks. History
 is append-only: versions are immutable once created, and every operation
 leaves the head citation file consistent with the head tree.
+
+The citation-file algebra itself (edits, key rewrite, pruning, copy
+migration, merge union) lives in :mod:`gitcite.ops` and is shared with the
+git adapter. What the store computes on its own are the tree-level facts:
+explicit :class:`TreeEdit` renames and deletes, and the merged file set,
+which the adapter instead learns from git.
 """
 
 from __future__ import annotations
@@ -11,22 +17,28 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
 
 from .errors import (
     BranchExists,
-    DestinationCollision,
     EditConflict,
     InvariantBroken,
     NoCommonAncestor,
     SourceVersionUnknown,
-    SubtreeMissing,
     UnknownBranch,
     UnknownVersion,
-    UnresolvedConflict,
 )
-from .model import CitationFile, CitationRecord, TreeSnapshot, resolve, validate
-from .ops import CiteEdit, CiteEditKind
+from .model import CitationFile, CitationRecord, TreeSnapshot, validate
+from .ops import (
+    CiteEdit,
+    ConflictReport,
+    Resolver,
+    apply_cite_edits,
+    apply_copy,
+    merge_citation_files,
+    prune_to_tree,
+    rewrite_keys,
+)
 from .paths import CanonicalPath
 
 logger = logging.getLogger(__name__)
@@ -90,57 +102,6 @@ class TreeEdit:
     @classmethod
     def modify(cls, path: CanonicalPath, digest: str) -> "TreeEdit":
         return cls(TreeEditKind.MODIFY_CONTENT, path, digest=digest)
-
-
-@dataclass
-class ConflictReport:
-    """Two branches cite the same key with different records."""
-
-    key: CanonicalPath
-    left: CitationRecord
-    right: CitationRecord
-    resolution: str = "pending"  # pending | chose_left | chose_right | replaced
-    record: CitationRecord | None = None
-
-    def __post_init__(self) -> None:
-        if self.left == self.right:
-            raise ValueError("a conflict needs two differing records")
-
-    def mark_resolved(self, record: CitationRecord) -> None:
-        self.record = record
-        if record == self.left:
-            self.resolution = "chose_left"
-        elif record == self.right:
-            self.resolution = "chose_right"
-        else:
-            self.resolution = "replaced"
-
-
-Resolver = Callable[[ConflictReport], "CitationRecord | None"]
-
-
-def choose_left(report: ConflictReport) -> CitationRecord:
-    return report.left
-
-
-def choose_right(report: ConflictReport) -> CitationRecord:
-    return report.right
-
-
-def scripted_resolver(choices: Mapping[str, "str | CitationRecord"]) -> Resolver:
-    """Resolver driven by a rendered-path -> "left" | "right" | record table."""
-
-    def _resolve(report: ConflictReport) -> CitationRecord | None:
-        choice = choices.get(str(report.key))
-        if choice == "left":
-            return report.left
-        if choice == "right":
-            return report.right
-        if isinstance(choice, CitationRecord):
-            return choice
-        return None
-
-    return _resolve
 
 
 class Repository:
@@ -215,17 +176,11 @@ class Repository:
         tree = head.tree
         for edit in tree_edits:
             tree = _apply_tree_edit(tree, edit)
-        entries = head.cf.as_dict()
-        for edit in cite_edits:
-            if edit.kind is CiteEditKind.DELETE:
-                entries.pop(edit.path, None)
-            else:
-                entries[edit.path] = edit.record
-        cf = CitationFile(entries)
+        cf = apply_cite_edits(head.cf, cite_edits)
         for edit in tree_edits:
             if edit.kind is TreeEditKind.RENAME:
                 cf = rewrite_keys(cf, edit.path, edit.to)
-        cf = CitationFile({k: v for k, v in cf.items() if k.is_root or tree.contains(k)})
+        cf = prune_to_tree(cf, tree)
         version = self._new_version((head.id,), tree, cf)
         self.branches[branch] = version.id
         return version
@@ -271,11 +226,9 @@ class Repository:
         """Merge ``from_branch`` into ``into_branch``, citations included.
 
         Trees merge by simplified three-way rules (a both-sides content
-        conflict keeps the into-branch's state, with a warning). The merged
-        citation file is the union of both heads' entries: a key changed on
-        one side only takes the changed record; a key changed on both sides
-        to different records is reported to the resolver; entries whose paths
-        left the merged tree are pruned.
+        conflict keeps the into-branch's state, with a warning). The citation
+        files merge by :func:`gitcite.ops.merge_citation_files` against the
+        merged tree.
         """
         into_id = self.head_id(into_branch)
         from_id = self.head_id(from_branch)
@@ -295,25 +248,10 @@ class Repository:
         tree, warnings = _merge_trees(base.tree, left.tree, right.tree)
         for message in warnings:
             logger.warning("%s", message)
-        cf, conflicts = _merge_entries(base.cf, left.cf, right.cf, tree, resolver)
+        cf, conflicts = merge_citation_files(base.cf, left.cf, right.cf, tree, resolver)
         version = self._new_version((into_id, from_id), tree, cf)
         self.branches[into_branch] = version.id
         return version, conflicts
-
-
-def rewrite_keys(cf: CitationFile, old: CanonicalPath, new: CanonicalPath) -> CitationFile:
-    """Substitute the ``old`` path prefix with ``new`` in every affected key."""
-    entries: dict[CanonicalPath, CitationRecord] = {}
-    for key, record in cf.items():
-        if old.is_file:
-            entries[new if key == old else key] = record
-        elif key.is_within(old):
-            entries[key.rebased(old, new)] = record
-        else:
-            entries[key] = record
-    if len(entries) != len(cf):
-        raise InvariantBroken(f"key rewrite {old} -> {new} collided with existing entries")
-    return CitationFile(entries)
 
 
 def _apply_tree_edit(tree: TreeSnapshot, edit: TreeEdit) -> TreeSnapshot:
@@ -372,40 +310,6 @@ def _merge_trees(
     return TreeSnapshot.from_files(merged_files, dirs=sorted(merged_dirs)), warnings
 
 
-def _merge_entries(
-    base_cf: CitationFile,
-    left_cf: CitationFile,
-    right_cf: CitationFile,
-    merged_tree: TreeSnapshot,
-    resolver: Resolver | None,
-) -> tuple[CitationFile, list[ConflictReport]]:
-    merged: dict[CanonicalPath, CitationRecord] = {}
-    conflicts: list[ConflictReport] = []
-    for key in sorted(set(left_cf.keys()) | set(right_cf.keys())):
-        lrec, rrec = left_cf.get(key), right_cf.get(key)
-        if lrec is None or rrec is None:
-            record = lrec if lrec is not None else rrec
-        elif lrec == rrec:
-            record = lrec
-        else:
-            brec = base_cf.get(key)
-            if brec == lrec:
-                record = rrec
-            elif brec == rrec:
-                record = lrec
-            else:
-                report = ConflictReport(key=key, left=lrec, right=rrec)
-                choice = resolver(report) if resolver is not None else None
-                if choice is None:
-                    raise UnresolvedConflict(f"unresolved citation conflict at {key}")
-                report.mark_resolved(choice)
-                conflicts.append(report)
-                record = choice
-        merged[key] = record
-    kept = {k: v for k, v in merged.items() if k.is_root or merged_tree.contains(k)}
-    return CitationFile(kept), conflicts
-
-
 def copy_cite(
     src_repo: Repository,
     src_version_id: str,
@@ -414,36 +318,17 @@ def copy_cite(
     dst_branch: str,
     dst_path: CanonicalPath,
 ) -> Version:
-    """Copy a directory subtree between repositories, migrating its citations.
-
-    Every explicit entry inside the source subtree is carried over with its
-    key prefix rewritten to the destination, and the destination directory
-    itself gains an explicit entry holding the source subtree's resolved
-    citation, so every copied node keeps the citation it had at the source.
-    """
+    """Copy a directory subtree between repositories, migrating its citations
+    by :func:`gitcite.ops.apply_copy`."""
     try:
         src_version = src_repo.versions[src_version_id]
     except KeyError:
         raise SourceVersionUnknown(f"no version {src_version_id!r} in {src_repo.id}") from None
-    if not src_subtree.is_dir or not src_version.tree.contains(src_subtree):
-        raise SubtreeMissing(f"{src_subtree} is not a directory of {src_version_id}")
-    if not dst_path.is_dir or dst_path.is_root:
-        raise DestinationCollision(f"{dst_path} is not a valid destination directory")
     head = dst_repo.head(dst_branch)
-    if head.tree.node_by_name(dst_path.segments) is not None:
-        raise DestinationCollision(f"{dst_path} already exists in {dst_repo.id}")
-    parent = dst_path.parent()
-    if not head.tree.contains(parent):
-        raise EditConflict(f"destination parent {parent} does not exist")
-
+    cf, _ = apply_copy(head.cf, head.tree, src_version.cf, src_version.tree, src_subtree, dst_path)
     subtree = src_version.tree.subtree(src_subtree) if not src_subtree.is_root else src_version.tree.root
     tree = head.tree.with_subtree(dst_path, subtree)
-    entries = head.cf.as_dict()
-    for key, record in src_version.cf.items():
-        if key.is_within(src_subtree):
-            entries[key.rebased(src_subtree, dst_path)] = record
-    entries[dst_path] = resolve(src_version.cf, src_version.tree, src_subtree)
-    version = dst_repo._new_version((head.id,), tree, CitationFile(entries))
+    version = dst_repo._new_version((head.id,), tree, cf)
     dst_repo.branches[dst_branch] = version.id
     return version
 

@@ -19,19 +19,18 @@ from gitcite import (
     validate,
 )
 from gitcite.fileformat import parse, serialize
-from gitcite.gitadapter import merge_citation_files
 from gitcite.ops import (
     CiteEdit,
     CiteEditKind,
     Role,
     RoleContext,
     add_cite,
+    choose_left,
     del_cite,
     gen_cite,
     modify_cite,
 )
 from gitcite.paths import ROOT, from_rendered
-from gitcite.store import choose_left, scripted_resolver
 
 import randgen
 from gitdriver import run_scenario
@@ -171,8 +170,20 @@ def _expected_conflict_keys(base: CitationFile, left: CitationFile, right: Citat
     return out
 
 
+def _expected_merge_record(base: CitationFile, left: CitationFile, right: CitationFile, key, choices):
+    """The documented union rule for one key, written out independently."""
+    l, r = left.get(key), right.get(key)
+    if l is None or r is None or l == r:
+        return r if l is None else l  # one side only, or both sides agree
+    if base.get(key) == l:
+        return r  # only the right side changed it
+    if base.get(key) == r:
+        return l  # only the left side changed it
+    return l if choices[str(key)] == "left" else r  # both changed: the scripted choice
+
+
 def test_merge_key_algebra_and_adapter_agreement():
-    """300 random divergent branch pairs; key-set law, conflict law, byte agreement."""
+    """300 random divergent branch pairs; key-set law, conflict law, record law."""
     for i in range(300):
         rng = random.Random(7000 + i)
         base_tree = randgen.rand_tree(rng, max_nodes=18)
@@ -216,12 +227,11 @@ def test_merge_key_algebra_and_adapter_agreement():
 
         assert {str(c.key) for c in conflicts} == _expected_conflict_keys(base.cf, left.cf, right.cf)
 
-        adapter_cf, adapter_conflicts = merge_citation_files(
-            base.cf, left.cf, right.cf, merged.tree, scripted_resolver(choices)
+        expected = CitationFile(
+            {k: _expected_merge_record(base.cf, left.cf, right.cf, k, choices) for k in expected_keys}
         )
-        assert serialize(adapter_cf) == serialize(merged.cf)
-        assert [str(c.key) for c in adapter_conflicts] == [str(c.key) for c in conflicts]
-    _ok("merge algebra and adapter/reference byte agreement held on 300/300 pairs")
+        assert serialize(merged.cf) == serialize(expected)
+    _ok("merge key, conflict and record laws held on 300/300 pairs")
 
 
 def test_random_operation_sequences_stay_consistent():

@@ -15,9 +15,8 @@ from gitcite.cli import main
 from gitcite.fileformat import record_from_obj, serialize
 from gitcite.gitadapter import load_citation_file, snapshot_worktree, store_citation_file
 from gitcite.model import resolve
-from gitcite.ops import CiteEdit
+from gitcite.ops import CiteEdit, scripted_resolver
 from gitcite.paths import ROOT, from_rendered
-from gitcite.store import scripted_resolver
 
 from conftest import git
 from support import record, resolve_by_walking

@@ -7,14 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from gitcite import CitationFile, Repository
-from gitcite.errors import FileMissing, HttpStatus, MalformedDocument, NetworkFailure, UnknownVersion
+from gitcite import CitationFile, Repository, resolve
+from gitcite.errors import (
+    FileMissing,
+    HttpStatus,
+    InvariantBroken,
+    MalformedDocument,
+    NetworkFailure,
+    UnknownVersion,
+)
 from gitcite.fileformat import serialize
 from gitcite.gitadapter import (
     citation_file_at_revision,
     fetch_remote_citation_file,
     load_citation_file,
-    merge_citation_files,
     repo_metadata,
     snapshot_worktree,
     staged_changes,
@@ -22,9 +28,9 @@ from gitcite.gitadapter import (
     sync_on_commit,
     tree_at_revision,
 )
-from gitcite.ops import CiteEdit, default_root_citation
+from gitcite.ops import CiteEdit, choose_right, default_root_citation, merge_citation_files
 from gitcite.paths import ROOT, from_rendered
-from gitcite.store import TreeEdit, choose_right
+from gitcite.store import TreeEdit
 
 from conftest import git
 from support import record, tree
@@ -119,6 +125,15 @@ class TestSyncOnCommit:
         sync_on_commit(tmp_path, [], [])
         assert (tmp_path / "citation.cite").read_bytes() == before
 
+    def test_rename_onto_a_cited_key_raises_and_leaves_the_file(self, tmp_path):
+        store_citation_file(tmp_path, CitationFile(
+            {ROOT: record("root"), from_rendered("/a.c"): record("a"), from_rendered("/b.c"): record("b")}
+        ))
+        before = (tmp_path / "citation.cite").read_bytes()
+        with pytest.raises(InvariantBroken):
+            sync_on_commit(tmp_path, [(from_rendered("/a.c"), from_rendered("/b.c"))], [])
+        assert (tmp_path / "citation.cite").read_bytes() == before
+
     def test_deleting_the_only_cited_file_leaves_the_root(self, tmp_path):
         store_citation_file(tmp_path, CitationFile(
             {ROOT: record("root"), from_rendered("/a.c"): record("a")}
@@ -152,6 +167,17 @@ class TestStagedChanges:
         renames, _ = staged_changes(root)
         rendered = [(str(a), str(b)) for a, b in renames]
         assert rendered == [("/pkg/a.c", "/a-moved.c")]
+
+    def test_moving_files_into_an_existing_directory_is_no_directory_move(self, git_repo):
+        root = git_repo()
+        seed(root, {"alpha/y.c": "y", "zeta/x.c": "x"}, {"/alpha/": "A", "/zeta/": "Z"})
+        git(root, "mv", "zeta/x.c", "alpha/x.c")
+        renames, deleted = staged_changes(root)
+        assert [(str(a), str(b)) for a, b in renames] == [("/zeta/x.c", "/alpha/x.c")]
+        assert [str(d) for d in deleted] == ["/zeta/"]
+        synced = sync_on_commit(root, renames, deleted)
+        assert [str(k) for k in synced.keys()] == ["/", "/alpha/"]
+        assert resolve(synced, snapshot_worktree(root), from_rendered("/alpha/y.c")) == record("A")
 
     def test_emptied_directory_beside_a_sibling_that_keeps_files(self, git_repo):
         root = git_repo()

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from gitcite import Repository, resolve
+import gitcite
+from gitcite import CitationFile, Repository, resolve
 from gitcite.errors import (
     AlreadyCited,
+    InvariantBroken,
     MissingMetadata,
     NotCited,
     NotLatestVersion,
@@ -25,6 +29,7 @@ from gitcite.ops import (
     del_cite,
     gen_cite,
     modify_cite,
+    rewrite_keys,
     staged_citation_file,
 )
 from gitcite.paths import ROOT, from_rendered
@@ -212,6 +217,29 @@ class TestStagingInvariants:
         assert validate(staged_citation_file(repo, "main"), head.tree) == []
         del_cite(repo, MEMBER, "main", from_rendered("/sub/"))
         assert validate(staged_citation_file(repo, "main"), head.tree) == []
+
+
+@pytest.mark.parametrize("old, new", [("/a.c", "/b.c"), ("/lib/", "/vendor/")])
+def test_rewrite_onto_an_existing_key_raises(old, new):
+    cf = CitationFile({from_rendered(k): record(k) for k in ("/", "/a.c", "/b.c", "/lib/", "/vendor/")})
+    with pytest.raises(InvariantBroken):
+        rewrite_keys(cf, from_rendered(old), from_rendered(new))
+
+
+def test_adapter_and_cli_do_not_import_the_store():
+    """The git adapter and the CLI take every citation operation from ops, so
+    a second copy of one cannot grow back beside the store's."""
+    package = Path(gitcite.__file__).parent
+    for name in ("gitadapter.py", "cli.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                base = node.module if not node.level else ".".join(filter(None, ("gitcite", node.module)))
+                imported.add(base)
+                imported.update(f"{base}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert "gitcite.store" not in imported, f"{name} imports gitcite.store"
 
 
 class TestDefaultRootCitation:

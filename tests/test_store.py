@@ -17,7 +17,8 @@ from gitcite.errors import (
 )
 from gitcite.ops import CiteEdit
 from gitcite.paths import ROOT, from_rendered
-from gitcite.store import ConflictReport, TreeEdit, choose_left, scripted_resolver
+from gitcite.ops import ConflictReport, choose_left, scripted_resolver
+from gitcite.store import TreeEdit
 
 import randgen
 from support import record, resolve_by_walking, tree
