@@ -34,9 +34,20 @@ from .ops import (
     scripted_resolver,
 )
 from .paths import ROOT, CanonicalPath, PathKind, canonicalize, from_rendered
-from .store import Repository, TreeEdit, Version, copy_cite, fork_cite
 
 __version__ = "0.1.0"
+
+# The in-memory store is the reference model; no CLI command uses it, so it
+# is imported on first access instead of with the package (PEP 562).
+_STORE_NAMES = frozenset({"Repository", "TreeEdit", "Version", "copy_cite", "fork_cite"})
+
+
+def __getattr__(name: str):
+    if name in _STORE_NAMES:
+        from . import store
+
+        return getattr(store, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CanonicalPath",

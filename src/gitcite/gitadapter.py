@@ -7,7 +7,8 @@ are listed in the README. The citation file is never merged by Git's own
 line-based rules: merges go through :func:`gitcite.ops.merge_citation_files`.
 Every change to the citation file is one of the operations in
 :mod:`gitcite.ops`; this module only works out from git which of them to
-apply.
+apply. At commit time that is one simultaneous key rewrite for every rename
+git reports between HEAD and the index, then one prune of the deleted paths.
 
 Use one adapter flow per working tree: nothing here locks against
 concurrent mutation of the same checkout. Network fetches and local reads
@@ -42,6 +43,7 @@ from .ops import (
     Resolver,
     apply_copy,
     merge_citation_files,
+    prune_deleted,
     rewrite_keys,
 )
 from .paths import CanonicalPath, PathKind, from_rendered
@@ -95,23 +97,14 @@ def sync_on_commit(
     """Carry the on-disk citation file through renames and deletions.
 
     ``rename_map`` and ``deleted`` come from the version-control system's
-    change detection (see :func:`staged_changes`). Keys under a renamed path
-    are rewritten by prefix substitution, then keys under deleted paths are
-    pruned; the root entry always survives. The rewritten file is stored and
-    returned. A rename onto an existing key raises
-    :class:`~gitcite.errors.InvariantBroken` and leaves the file as it was.
+    change detection (see :func:`staged_changes`). The renames are applied
+    all at once by :func:`gitcite.ops.rewrite_keys`, then keys under deleted
+    paths are pruned by :func:`gitcite.ops.prune_deleted`; the root entry
+    always survives. The rewritten file is stored and returned. A rename
+    onto an existing key raises :class:`~gitcite.errors.InvariantBroken` and
+    leaves the file as it was.
     """
-    cf = load_citation_file(worktree_root)
-    for old, new in rename_map:
-        cf = rewrite_keys(cf, old, new)
-    if deleted:
-        cf = CitationFile(
-            {
-                key: record
-                for key, record in cf.items()
-                if key.is_root or not any(gone.covers(key) for gone in deleted)
-            }
-        )
+    cf = prune_deleted(rewrite_keys(load_citation_file(worktree_root), rename_map), deleted)
     store_citation_file(worktree_root, cf)
     return cf
 
@@ -276,18 +269,23 @@ def citation_file_at_revision(root: Path | str, rev: str) -> CitationFile:
 def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]:
     """Rename and delete lists for the staged state vs HEAD.
 
-    Uses ``git diff --cached --name-status -M -z``. Git reports files only,
-    so two directory-level facts are inferred on top. A complete, consistent
-    directory move becomes a directory rename, letting directory citation
-    keys follow by prefix (see :func:`_infer_directory_moves`; a partially
-    moved directory stays file-by-file and a leftover directory key will
-    show up in ``validate`` output). A directory with no staged files left
-    under it counts as deleted, since the version-control system has no
-    notion of an empty directory.
+    Uses ``git diff --cached --name-status -B1%/1% -M -z``. The break option
+    lets any modified file be a rename source, so swapping two files (``git
+    mv a.c b.c; git mv c.c a.c``) comes out as the renames ``c.c -> a.c`` and
+    ``a.c -> b.c`` instead of ``M a.c``, ``A b.c``, ``D c.c``; the README
+    says why these thresholds and where git still misses a swap. Git reports
+    files only, so two directory-level facts are inferred on top. A
+    complete, consistent directory move becomes a directory rename, letting
+    directory citation keys follow by prefix (see
+    :func:`_infer_directory_moves`; a partially moved directory stays
+    file-by-file and a leftover directory key will show up in ``validate``
+    output). A directory with no staged files left under it counts as
+    deleted, since the version-control system has no notion of an empty
+    directory.
     """
     if not _has_head(root):
         return [], []
-    out = _git(root, "diff", "--cached", "--name-status", "-M", "-z").stdout
+    out = _git(root, "diff", "--cached", "--name-status", "-B1%/1%", "-M", "-z").stdout
     tokens = [t for t in out.split("\0")]
     renames: list[Rename] = []
     deleted: list[CanonicalPath] = []

@@ -396,16 +396,18 @@ def resolve_from_entries(cf: CitationFile, path: CanonicalPath) -> CitationRecor
     """Longest-prefix resolution over the explicit entries alone.
 
     Picks the deepest entry whose key is the path itself or an ancestor
-    directory of it. Total whenever the root entry is present.
+    directory of it, looking up the path and then each ancestor, nearest
+    first, so the cost is the path's depth. Total whenever the root entry is
+    present.
     """
-    best_key: CanonicalPath | None = None
-    best_record: CitationRecord | None = None
-    for key, record in cf.items():
-        if key.covers(path) and (best_key is None or len(key.segments) > len(best_key.segments)):
-            best_key, best_record = key, record
-    if best_record is None:
-        raise MissingRoot(f"no entry covers {path}; the root entry is required")
-    return best_record
+    record = cf.get(path)
+    if record is not None:
+        return record
+    for ancestor in path.ancestors():
+        record = cf.get(ancestor)
+        if record is not None:
+            return record
+    raise MissingRoot(f"no entry covers {path}; the root entry is required")
 
 
 def resolve(cf: CitationFile, tree: TreeSnapshot, path: CanonicalPath) -> CitationRecord:

@@ -7,17 +7,22 @@ to the repository; reads (gen_cite) may run concurrently with other reads.
 
 This module also holds the one implementation of each way a citation file
 travels with the code: staged edits (:func:`apply_cite_edits`), key rewrite
-on rename (:func:`rewrite_keys`), pruning to a tree (:func:`prune_to_tree`),
-subtree migration on copy (:func:`apply_copy`) and the three-way merge union
+on rename (:func:`rewrite_keys`), pruning to a tree (:func:`prune_to_tree`)
+or of deleted paths (:func:`prune_deleted`), subtree migration on copy
+(:func:`apply_copy`) and the three-way merge union
 (:func:`merge_citation_files`). The in-memory store and the git adapter both
-call them; none of them touches a repository.
+call them; none of them touches a repository. The key rewrite takes a whole
+list of renames and applies them simultaneously in one pass over the keys,
+so a commit that renames a thousand files costs one rebuild of the citation
+file, not one per rename; the store, whose tree edits are sequential, calls
+it once per edit.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     AlreadyCited,
@@ -125,28 +130,71 @@ def apply_cite_edits(cf: CitationFile, edits: Iterable[CiteEdit]) -> CitationFil
     return CitationFile(entries)
 
 
-def rewrite_keys(cf: CitationFile, old: CanonicalPath, new: CanonicalPath) -> CitationFile:
-    """Substitute the ``old`` path prefix with ``new`` in every affected key.
+def _covering_dirs(key: CanonicalPath) -> Iterator[tuple[str, ...]]:
+    """Segments of every directory whose entry would cover ``key``, deepest
+    first: the key itself when it is a directory, then its ancestors up to
+    the root's ``()``."""
+    segments = key.segments
+    top = len(segments) if key.is_dir else len(segments) - 1
+    return (segments[:n] for n in range(top, -1, -1))
 
-    A rewritten key that lands on an existing key raises
-    :class:`InvariantBroken`; nothing is overwritten.
+
+def rewrite_keys(cf: CitationFile, renames: Iterable[tuple[CanonicalPath, CanonicalPath]]) -> CitationFile:
+    """Apply every ``(old, new)`` rename to the keys at once.
+
+    The renames are simultaneous, as git reports them: every ``old`` is a
+    path before the change and every ``new`` a path after it. Each key is
+    rewritten at most once: by its exact file rename if it has one, else by
+    the renamed directory with the deepest ``old`` prefix covering it, else
+    it is kept. Two keys that end up equal raise :class:`InvariantBroken`;
+    nothing is overwritten. The cost is one pass over the keys, each walking
+    its own depth, and one sort.
     """
+    file_moves: dict[CanonicalPath, CanonicalPath] = {}
+    dir_moves: dict[tuple[str, ...], tuple[CanonicalPath, CanonicalPath]] = {}
+    for old, new in renames:
+        if old.is_file:
+            file_moves[old] = new
+        else:
+            dir_moves[old.segments] = (old, new)
     entries: dict[CanonicalPath, CitationRecord] = {}
     for key, record in cf.items():
-        if old.is_file:
-            entries[new if key == old else key] = record
-        elif key.is_within(old):
-            entries[key.rebased(old, new)] = record
-        else:
-            entries[key] = record
-    if len(entries) != len(cf):
-        raise InvariantBroken(f"key rewrite {old} -> {new} collided with existing entries")
+        moved = file_moves.get(key) if key.is_file else None
+        if moved is None:
+            moved = key
+            for prefix in _covering_dirs(key):
+                if prefix in dir_moves:
+                    moved = key.rebased(*dir_moves[prefix])
+                    break
+        if moved in entries:
+            raise InvariantBroken(f"key rewrite puts two entries at {moved}")
+        entries[moved] = record
     return CitationFile(entries)
 
 
 def prune_to_tree(cf: CitationFile, tree: TreeSnapshot) -> CitationFile:
     """Drop every entry whose path is not in ``tree``; the root entry stays."""
     return CitationFile({k: v for k, v in cf.items() if k.is_root or tree.contains(k)})
+
+
+def prune_deleted(cf: CitationFile, deleted: Iterable[CanonicalPath]) -> CitationFile:
+    """Drop every entry that a deleted path covers; the root entry stays.
+
+    A deleted file removes its own key, a deleted directory every key at or
+    below it. Each key looks itself and its ancestors up in a set of the
+    deleted paths, so the cost is keys × depth.
+    """
+    deleted = list(deleted)
+    gone_files = {path for path in deleted if path.is_file}
+    gone_dirs = {path.segments for path in deleted if path.is_dir}
+    return CitationFile(
+        {
+            key: record
+            for key, record in cf.items()
+            if key.is_root
+            or not (key in gone_files or any(prefix in gone_dirs for prefix in _covering_dirs(key)))
+        }
+    )
 
 
 def apply_copy(

@@ -179,7 +179,7 @@ class Repository:
         cf = apply_cite_edits(head.cf, cite_edits)
         for edit in tree_edits:
             if edit.kind is TreeEditKind.RENAME:
-                cf = rewrite_keys(cf, edit.path, edit.to)
+                cf = rewrite_keys(cf, [(edit.path, edit.to)])
         cf = prune_to_tree(cf, tree)
         version = self._new_version((head.id,), tree, cf)
         self.branches[branch] = version.id

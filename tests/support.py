@@ -23,7 +23,8 @@ def record(tag: str, **overrides) -> CitationRecord:
 def resolve_by_walking(cf: CitationFile, path: CanonicalPath) -> CitationRecord:
     """Oracle: walk from the node upward, stopping at the first explicit entry.
 
-    Deliberately independent of the longest-prefix scan the package uses.
+    The package looks up ancestors too; ``test_model`` checks it against a
+    scan of every key as well.
     """
     node: CanonicalPath | None = path
     while node is not None:

@@ -379,17 +379,30 @@ class TestCliPlumbing:
             main(["definitely-not-a-command"])
         assert err.value.code == 2
 
-    def test_importing_the_cli_leaves_urllib_unloaded(self):
-        # Only ``gen --remote`` needs urllib.request, which drags in ssl and http.client.
+    @staticmethod
+    def _loaded_by_importing_the_cli(module: str) -> bool:
         src = str(Path(gitcite.__file__).resolve().parent.parent)
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, gitcite.cli; print('urllib.request' in sys.modules)"],
+            [sys.executable, "-c", f"import sys, gitcite.cli; print({module!r} in sys.modules)"],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip() == "True"
+
+    def test_importing_the_cli_leaves_urllib_unloaded(self):
+        # Only ``gen --remote`` needs urllib.request, which drags in ssl and http.client.
+        assert not self._loaded_by_importing_the_cli("urllib.request")
+
+    def test_importing_the_cli_leaves_the_store_unloaded(self):
+        # No command uses the in-memory reference store; ``from gitcite import
+        # Repository`` still loads it on first access.
+        assert not self._loaded_by_importing_the_cli("gitcite.store")
+        from gitcite import Repository
+        from gitcite.store import Repository as stored
+
+        assert Repository is stored
 
     def test_missing_citation_file_is_an_environment_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -50,6 +50,13 @@ def seed(root: Path, files: dict[str, str], cites: dict[str, str]) -> CitationFi
     return cf
 
 
+def _source(tag: str) -> str:
+    """A file that shares most of its lines with every other one. Git never
+    splits a modification of a file under 400 bytes into a rename source."""
+    header = "".join(f"#include <common{i}.h>\n" for i in range(30))
+    return header + "".join(f"{tag} line {i}\n" for i in range(12))
+
+
 class TestLoadStore:
     def test_store_then_load_is_identity(self, tmp_path):
         cf = CitationFile.single(record("r"))
@@ -178,6 +185,29 @@ class TestStagedChanges:
         synced = sync_on_commit(root, renames, deleted)
         assert [str(k) for k in synced.keys()] == ["/", "/alpha/"]
         assert resolve(synced, snapshot_worktree(root), from_rendered("/alpha/y.c")) == record("A")
+
+    def test_a_swap_of_two_cited_files_moves_both_records(self, git_repo):
+        root = git_repo()
+        seed(root, {"a.c": _source("alpha"), "c.c": _source("gamma")}, {"/a.c": "a", "/c.c": "c"})
+        git(root, "mv", "a.c", "b.c")
+        git(root, "mv", "c.c", "a.c")
+        renames, deleted = staged_changes(root)
+        assert sorted((str(a), str(b)) for a, b in renames) == [("/a.c", "/b.c"), ("/c.c", "/a.c")]
+        assert deleted == []
+        synced = sync_on_commit(root, renames, deleted)
+        snap = snapshot_worktree(root)
+        assert resolve(synced, snap, from_rendered("/b.c")) == record("a")
+        assert resolve(synced, snap, from_rendered("/a.c")) == record("c")
+
+    def test_edits_of_cited_files_keep_their_keys(self, git_repo):
+        root = git_repo()
+        cf = seed(root, {"a.c": _source("alpha"), "b.c": _source("beta")}, {"/a.c": "a", "/b.c": "b"})
+        (root / "a.c").write_text(_source("alpha") + "one more line\n")
+        (root / "b.c").write_text("rewritten from scratch\n" * 40)
+        git(root, "add", "-A")
+        renames, deleted = staged_changes(root)
+        assert (renames, deleted) == ([], [])
+        assert sync_on_commit(root, renames, deleted) == cf
 
     def test_emptied_directory_beside_a_sibling_that_keeps_files(self, git_repo):
         root = git_repo()

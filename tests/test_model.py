@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from gitcite import CitationFile, CitationRecord, TreeSnapshot, resolve, validate
 from gitcite.errors import EditConflict, MissingRoot, PathNotInTree
-from gitcite.model import DANGLING_KEY, KIND_MISMATCH, MISSING_ROOT, DirNode, FileNode
+from gitcite.model import DANGLING_KEY, KIND_MISMATCH, MISSING_ROOT, DirNode, FileNode, resolve_from_entries
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 
 import randgen
@@ -106,6 +106,31 @@ def test_bulk_build_matches_folding_single_edits(file_entries, dir_segments):
     assert built.paths() == expected.paths()
     for path in expected.file_paths():
         assert built.digest_at(path) == expected.digest_at(path)
+
+
+def _resolve_by_scanning(cf: CitationFile, path: CanonicalPath) -> CitationRecord:
+    """Reference: the deepest of all keys that cover ``path``."""
+    covering = [key for key in cf if key.covers(path)]
+    if not covering:
+        raise MissingRoot(str(path))
+    return cf.get(max(covering, key=lambda key: len(key.segments)))
+
+
+_kinded_path = st.tuples(_segments, st.sampled_from([PathKind.FILE, PathKind.DIRECTORY])).map(
+    lambda t: CanonicalPath(*t)
+)
+
+
+@given(st.lists(_kinded_path, max_size=10), st.booleans(), st.one_of(st.just(ROOT), _kinded_path))
+def test_ancestor_lookup_matches_scanning_every_key(keys, with_root, path):
+    cf = CitationFile({key: record(str(key)) for key in keys + ([ROOT] if with_root else [])})
+    try:
+        expected = _resolve_by_scanning(cf, path)
+    except MissingRoot:
+        with pytest.raises(MissingRoot):
+            resolve_from_entries(cf, path)
+        return
+    assert resolve_from_entries(cf, path) == expected
 
 
 class TestBulkBuild:

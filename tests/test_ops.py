@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import gitcite
 from gitcite import CitationFile, Repository, resolve
@@ -29,10 +30,12 @@ from gitcite.ops import (
     del_cite,
     gen_cite,
     modify_cite,
+    prune_deleted,
     rewrite_keys,
     staged_citation_file,
 )
-from gitcite.paths import ROOT, from_rendered
+from gitcite.gitadapter import store_citation_file, sync_on_commit
+from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 
 import randgen
 from support import record, resolve_by_walking, tree
@@ -223,7 +226,89 @@ class TestStagingInvariants:
 def test_rewrite_onto_an_existing_key_raises(old, new):
     cf = CitationFile({from_rendered(k): record(k) for k in ("/", "/a.c", "/b.c", "/lib/", "/vendor/")})
     with pytest.raises(InvariantBroken):
-        rewrite_keys(cf, from_rendered(old), from_rendered(new))
+        rewrite_keys(cf, [(from_rendered(old), from_rendered(new))])
+
+
+def _overlap(p: CanonicalPath, q: CanonicalPath) -> bool:
+    return p.covers(q) or q.covers(p)
+
+
+_path = st.tuples(
+    st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(tuple),
+    st.sampled_from([PathKind.FILE, PathKind.DIRECTORY]),
+).map(lambda t: CanonicalPath(*t))
+
+
+@given(
+    st.lists(_path, max_size=10),
+    st.lists(st.tuples(_path, st.lists(st.sampled_from("abcd"), min_size=1, max_size=3)), max_size=5),
+)
+def test_simultaneous_rewrite_matches_folding_one_pair_calls(keys, moves):
+    """On chain-free rename sets the simultaneous rewrite is the sequential
+    fold: same file, or both raise."""
+    cf = CitationFile({ROOT: record("root"), **{key: record(str(key)) for key in keys}})
+    renames: list[tuple[CanonicalPath, CanonicalPath]] = []
+    for old, segments in moves:
+        pair = (old, CanonicalPath(tuple(segments), old.kind))
+        # Chain-free: no old path overlaps another rename's old or new path.
+        if all(not _overlap(pair[0], o) and not _overlap(pair[0], n) and not _overlap(o, pair[1])
+               for o, n in renames):
+            renames.append(pair)
+    try:
+        folded = cf
+        for pair in renames:
+            folded = rewrite_keys(folded, [pair])
+    except InvariantBroken:
+        with pytest.raises(InvariantBroken):
+            rewrite_keys(cf, renames)
+        return
+    assert rewrite_keys(cf, renames) == folded
+
+
+@pytest.mark.parametrize(
+    "a, b, c", [("/a.c", "/b.c", "/c.c"), ("/lib/", "/vendor/", "/third/")]
+)
+def test_a_rotation_gives_the_same_file_in_either_order(a, b, c):
+    a, b, c = from_rendered(a), from_rendered(b), from_rendered(c)
+    inner = a.child("x.c", PathKind.FILE) if a.is_dir else a
+    cf = CitationFile({ROOT: record("root"), a: record("a"), b: record("b"), inner: record("inner")})
+    forward = rewrite_keys(cf, [(a, b), (b, c)])
+    assert forward == rewrite_keys(cf, [(b, c), (a, b)])
+    moved_inner = inner.rebased(a, b)
+    assert forward == CitationFile({ROOT: record("root"), b: record("a"), c: record("b"), moved_inner: record("inner")})
+
+
+def test_a_deep_file_rename_beats_its_renamed_directory():
+    cf = CitationFile({ROOT: record("root"), **{from_rendered(k): record(k) for k in ("/d/", "/d/e/x.c", "/d/y.c")}})
+    renames = [(from_rendered(o), from_rendered(n)) for o, n in
+               [("/d/", "/m/"), ("/d/e/", "/m/f/"), ("/d/e/x.c", "/z.c")]]
+    assert [str(k) for k in rewrite_keys(cf, renames)] == ["/", "/m/", "/m/y.c", "/z.c"]
+
+
+def test_prune_deleted_drops_covered_keys_and_keeps_the_root():
+    cf = CitationFile({from_rendered(k): record(k) for k in ("/", "/a.c", "/a/", "/a/b/x.c", "/ab.c", "/keep/")})
+    pruned = prune_deleted(cf, [from_rendered("/a/"), from_rendered("/ab.c"), from_rendered("/ghost")])
+    assert [str(k) for k in pruned] == ["/", "/a.c", "/keep/"]
+
+
+def test_sync_builds_a_bounded_number_of_citation_files(tmp_path, monkeypatch):
+    # Each CitationFile construction sorts every key, so a rebuild per rename
+    # would make commit-time sync renames x keys.
+    cites = {from_rendered(f"/pkg/f{i:03d}.c"): record(str(i)) for i in range(0, 500, 3)}
+    store_citation_file(tmp_path, CitationFile({ROOT: record("root"), **cites}))
+    renames = [(from_rendered(f"/pkg/f{i:03d}.c"), from_rendered(f"/lib/f{i:03d}.c")) for i in range(500)]
+    built = []
+    init = CitationFile.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CitationFile, "__init__", counting)
+    synced = sync_on_commit(tmp_path, renames, [from_rendered("/pkg/")])
+    assert len(built) <= 4
+    assert [str(k) for k in synced][:2] == ["/", "/lib/f000.c"]
+    assert len(synced) == len(cites) + 1
 
 
 def test_adapter_and_cli_do_not_import_the_store():
