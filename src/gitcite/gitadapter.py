@@ -8,7 +8,8 @@ line-based rules: merges go through :func:`gitcite.ops.merge_citation_files`.
 Every change to the citation file is one of the operations in
 :mod:`gitcite.ops`; this module only works out from git which of them to
 apply. At commit time that is one simultaneous key rewrite for every rename
-git reports between HEAD and the index, then one prune of the deleted paths.
+git reports between HEAD and the index, then one prune of the deleted paths;
+a cited file that a rename overwrote loses its entry before the rewrite.
 
 Use one adapter flow per working tree: nothing here locks against
 concurrent mutation of the same checkout. Network fetches and local reads
@@ -97,16 +98,51 @@ def sync_on_commit(
     """Carry the on-disk citation file through renames and deletions.
 
     ``rename_map`` and ``deleted`` come from the version-control system's
-    change detection (see :func:`staged_changes`). The renames are applied
-    all at once by :func:`gitcite.ops.rewrite_keys`, then keys under deleted
-    paths are pruned by :func:`gitcite.ops.prune_deleted`; the root entry
-    always survives. The rewritten file is stored and returned. A rename
+    change detection (see :func:`staged_changes`). A cited file that a
+    rename overwrote (see :func:`_overwritten_keys`) loses its entry first.
+    The renames are then applied all at once by
+    :func:`gitcite.ops.rewrite_keys`, and keys under deleted paths are
+    pruned by :func:`gitcite.ops.prune_deleted`; the root entry always
+    survives. The rewritten file is stored and returned. Any other rename
     onto an existing key raises :class:`~gitcite.errors.InvariantBroken` and
     leaves the file as it was.
     """
-    cf = prune_deleted(rewrite_keys(load_citation_file(worktree_root), rename_map), deleted)
+    cf = load_citation_file(worktree_root)
+    overwritten = _overwritten_keys(worktree_root, cf, rename_map)
+    if overwritten:
+        cf = prune_deleted(cf, overwritten)
+    cf = prune_deleted(rewrite_keys(cf, rename_map), deleted)
     store_citation_file(worktree_root, cf)
     return cf
+
+
+def _overwritten_keys(
+    root: Path | str, cf: CitationFile, renames: Sequence[Rename]
+) -> list[CanonicalPath]:
+    """Cited files whose ``HEAD`` content a rename replaced.
+
+    After ``git mv -f a.c b.c`` git reports only ``R a.c b.c``: with break
+    detection the deletion of the old ``b.c`` is folded into the rename. That
+    old content has no destination, so its citation goes with it. A rename
+    target counts when it is a cited file, no rename takes it away, and
+    ``HEAD`` has a file there; a cited key with no file in ``HEAD`` (a stale
+    key) does not, and renaming onto it still raises. Git is asked only
+    when some rename lands on a cited key. The query is one path per line,
+    so a path with a newline in it is never counted as overwritten.
+    """
+    sources = {old for old, _ in renames}
+    targets = [
+        new
+        for _, new in renames
+        if new.is_file and new in cf and new not in sources and "\n" not in str(new)
+    ]
+    if not targets:
+        return []
+    query = "".join(f"HEAD:{'/'.join(t.segments)}\n" for t in targets)
+    proc = _git(root, "cat-file", "--batch-check=%(objecttype)", input=query, check=False)
+    if proc.returncode != 0:
+        return []
+    return [t for t, line in zip(targets, proc.stdout.splitlines()) if line == "blob"]
 
 
 def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
@@ -129,11 +165,14 @@ def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
 # --- Git plumbing -----------------------------------------------------------
 
 
-def _git(root: Path | str, *args: str, check: bool = True) -> subprocess.CompletedProcess:
+def _git(
+    root: Path | str, *args: str, check: bool = True, input: str | None = None
+) -> subprocess.CompletedProcess:
     proc = subprocess.run(
         ["git", "-C", str(root), *args],
         capture_output=True,
         text=True,
+        input=input,
     )
     if check and proc.returncode != 0:
         raise IoFailure(f"git {' '.join(args)} failed: {proc.stderr.strip()}")

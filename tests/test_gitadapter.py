@@ -209,6 +209,44 @@ class TestStagedChanges:
         assert (renames, deleted) == ([], [])
         assert sync_on_commit(root, renames, deleted) == cf
 
+    def test_a_copy_then_edit_keeps_the_original_key(self, git_repo):
+        # Git reports a rename whose source is still staged as a copy, which
+        # the sync ignores, so the edited original keeps its citation.
+        root = git_repo()
+        cf = seed(root, {"a.c": _source("alpha")}, {"/a.c": "a"})
+        (root / "a2.c").write_text(_source("alpha"))
+        lines = _source("alpha").splitlines(keepends=True)
+        (root / "a.c").write_text("".join(lines[:3] + lines[6:]))
+        git(root, "add", "-A")
+        renames, deleted = staged_changes(root)
+        assert (renames, deleted) == ([], [])
+        synced = sync_on_commit(root, renames, deleted)
+        assert synced == cf
+        assert resolve(synced, snapshot_worktree(root), from_rendered("/a.c")) == record("a")
+
+    @pytest.mark.parametrize("source_cited", [True, False])
+    def test_overwriting_a_cited_file_drops_its_old_record(self, git_repo, source_cited):
+        root = git_repo()
+        cites = {"/a.c": "a", "/b.c": "b"} if source_cited else {"/b.c": "b"}
+        seed(root, {"a.c": _source("alpha"), "b.c": _source("beta")}, cites)
+        git(root, "mv", "-f", "a.c", "b.c")
+        renames, deleted = staged_changes(root)
+        assert [(str(a), str(b)) for a, b in renames] == [("/a.c", "/b.c")]
+        assert deleted == []
+        synced = sync_on_commit(root, renames, deleted)
+        assert [str(k) for k in synced] == (["/", "/b.c"] if source_cited else ["/"])
+        expected = record("a") if source_cited else record("root")
+        assert resolve(synced, snapshot_worktree(root), from_rendered("/b.c")) == expected
+
+    def test_renaming_onto_a_stale_key_still_raises(self, git_repo):
+        root = git_repo()
+        seed(root, {"a.c": _source("alpha")}, {"/a.c": "a", "/b.c": "stale"})
+        git(root, "mv", "a.c", "b.c")
+        before = (root / "citation.cite").read_bytes()
+        with pytest.raises(InvariantBroken):
+            sync_on_commit(root, *staged_changes(root))
+        assert (root / "citation.cite").read_bytes() == before
+
     def test_emptied_directory_beside_a_sibling_that_keeps_files(self, git_repo):
         root = git_repo()
         seed(root, {"lib/a/x.c": "x", "lib/a/y.c": "y", "lib/b/z.c": "z"}, {})
