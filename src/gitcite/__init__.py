@@ -10,8 +10,6 @@ from .errors import GitCiteError
 from .model import (
     CitationFile,
     CitationRecord,
-    DirNode,
-    FileNode,
     Inconsistency,
     TreeSnapshot,
     resolve,
@@ -55,8 +53,6 @@ __all__ = [
     "CitationRecord",
     "CiteEdit",
     "ConflictReport",
-    "DirNode",
-    "FileNode",
     "GitCiteError",
     "Inconsistency",
     "PathKind",

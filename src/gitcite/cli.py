@@ -43,7 +43,10 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_ENV = 3
 
-_ENV_ERRORS = (IoFailure, NetworkFailure, HttpStatus, NotARepository, FileMissing)
+# UnicodeDecodeError is a ValueError, so this tuple is caught first.
+_ENV_ERRORS = (
+    IoFailure, NetworkFailure, HttpStatus, NotARepository, FileMissing, OSError, UnicodeDecodeError
+)
 _REGENERABLE = ("version_id", "date")
 
 

@@ -156,6 +156,7 @@ def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
         with urllib.request.urlopen(url, timeout=timeout) as response:
             body = response.read()
     except urllib.error.HTTPError as exc:
+        exc.close()  # an HTTPError holds the response and its socket open
         raise HttpStatus(exc.code, url) from exc
     except (urllib.error.URLError, OSError, ValueError) as exc:
         raise NetworkFailure(f"cannot fetch {url}: {exc}") from exc
@@ -427,7 +428,9 @@ def run_merge(
     Content files merge through ``git merge --no-commit --no-ff`` with
     leftover content conflicts resolved toward the current branch; the
     citation file is rebuilt from the base/ours/theirs documents instead of
-    being text-merged, then the merge is committed.
+    being text-merged, then the merge is committed. If anything fails after
+    ``git merge`` has started, ``git merge --abort`` restores the checkout
+    before the error propagates.
     """
     root = Path(root)
     other_proc = _git(root, "rev-parse", "--verify", "-q", other, check=False)
@@ -449,12 +452,16 @@ def run_merge(
     left_cf = citation_file_at_revision(root, head_rev)
     right_cf = citation_file_at_revision(root, other_rev)
     _git(root, "merge", "--no-commit", "--no-ff", other_rev, check=False)
-    _resolve_content_conflicts(root)
-    merged_tree = tree_from_index(root)
-    merged_cf, conflicts = merge_citation_files(base_cf, left_cf, right_cf, merged_tree, resolver)
-    store_citation_file(root, merged_cf)
-    _git(root, "add", "-A")
-    _git(root, "commit", "-m", message or f"Merge {other}")
+    try:
+        _resolve_content_conflicts(root)
+        merged_tree = tree_from_index(root)
+        merged_cf, conflicts = merge_citation_files(base_cf, left_cf, right_cf, merged_tree, resolver)
+        store_citation_file(root, merged_cf)
+        _git(root, "add", "-A")
+        _git(root, "commit", "-m", message or f"Merge {other}")
+    except BaseException:
+        _git(root, "merge", "--abort", check=False)  # leave no pending merge or conflict markers
+        raise
     return merged_cf, conflicts
 
 

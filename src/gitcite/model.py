@@ -9,7 +9,7 @@ of its closest ancestor directory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Union
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import EditConflict, MissingRoot, PathNotInTree
 from .paths import ROOT, CanonicalPath, PathKind, from_rendered
@@ -54,44 +54,21 @@ class CitationRecord:
         object.__setattr__(self, "extras", extras)
 
 
-@dataclass(frozen=True)
-class FileNode:
-    name: str
-    digest: str = ""
-
-
-@dataclass(frozen=True)
-class DirNode:
-    name: str
-    children: Mapping[str, Union["DirNode", FileNode]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        nodes = self.children.values() if isinstance(self.children, Mapping) else self.children
-        ordered: dict[str, DirNode | FileNode] = {}
-        for node in sorted(nodes, key=lambda n: n.name):
-            if not node.name or node.name in (".", "..") or "/" in node.name or "\\" in node.name:
-                raise ValueError(f"bad node name {node.name!r}")
-            if node.name in ordered:
-                raise ValueError(f"duplicate sibling name {node.name!r}")
-            ordered[node.name] = node
-        object.__setattr__(self, "children", ordered)
-
-    def child(self, name: str) -> "DirNode | FileNode | None":
-        return self.children.get(name)
-
-
-TreeNode = Union[DirNode, FileNode]
+Segments = tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class TreeSnapshot:
     """An immutable snapshot of one version's directory tree.
 
-    Interior nodes are directories, leaves are files with an opaque content
-    digest. All structural edits return a new snapshot.
+    ``files`` maps each file's segments to an opaque content digest, and
+    ``dirs`` holds the segments of every directory, the root's ``()``
+    included. Every ancestor of a file or directory is in ``dirs``, and no
+    segments are both. All structural edits return a new snapshot.
     """
 
-    root: DirNode = field(default_factory=lambda: DirNode(""))
+    files: Mapping[Segments, str] = field(default_factory=dict)
+    dirs: frozenset[Segments] = frozenset({()})
 
     @classmethod
     def from_files(
@@ -103,83 +80,46 @@ class TreeSnapshot:
 
         The result and the errors are those of folding :meth:`with_file` over
         ``files`` and then :meth:`with_dir` over ``dirs``: a later digest for
-        the same file wins. Directories are collected as plain dicts first
-        (a ``dict`` value is a subdirectory, any other a file's digest) and
-        each is frozen into a :class:`DirNode` once, so the build is linear
-        in the number of path segments apart from one sort per directory.
+        the same file wins. Each path adds its ancestors until it meets one
+        already present, so the build is linear in the number of path segments.
         """
-        root: dict = {}
+        file_map: dict[Segments, str] = {}
+        dir_set: set[Segments] = {()}
         pairs = files.items() if isinstance(files, Mapping) else ((p, "") for p in files)
         for raw, digest in pairs:
             path = _as_path(raw)
             if not path.is_file:
                 raise EditConflict(f"{path} is not a file path")
-            parent = _plain_dir(root, path.segments[:-1])
-            if isinstance(parent.get(path.name), dict):
+            if path.segments in dir_set:
                 raise EditConflict(f"a directory already exists at {path}")
-            parent[path.name] = digest
+            dir_set.update(_missing_dirs(file_map, dir_set, path.segments[:-1]))
+            file_map[path.segments] = digest
         for raw in dirs:
             path = _as_path(raw)
             if not path.is_dir or path.is_root:
                 raise EditConflict(f"{path} is not a directory path")
-            parent = _plain_dir(root, path.segments[:-1])
-            if not isinstance(parent.setdefault(path.name, {}), dict):
-                raise EditConflict(f"a file already exists at {path}")
-        return cls(_freeze("", root))
+            dir_set.update(_missing_dirs(file_map, dir_set, path.segments))
+        return cls(file_map, frozenset(dir_set))
 
-    def node_by_name(self, segments: tuple[str, ...]) -> TreeNode | None:
-        """Walk by name only, ignoring the query's kind."""
-        node: TreeNode = self.root
-        for segment in segments:
-            if not isinstance(node, DirNode):
-                return None
-            nxt = node.child(segment)
-            if nxt is None:
-                return None
-            node = nxt
-        return node
-
-    def kind_of(self, segments: tuple[str, ...]) -> PathKind | None:
-        node = self.node_by_name(segments)
-        if node is None:
-            return None
-        if not segments:
-            return PathKind.ROOT
-        return PathKind.DIRECTORY if isinstance(node, DirNode) else PathKind.FILE
+    def kind_of(self, segments: Segments) -> PathKind | None:
+        if segments in self.dirs:
+            return PathKind.DIRECTORY if segments else PathKind.ROOT
+        return PathKind.FILE if segments in self.files else None
 
     def contains(self, path: CanonicalPath) -> bool:
-        node = self.node_by_name(path.segments)
-        if node is None:
-            return False
-        return isinstance(node, DirNode) == path.is_dir
-
-    def node_at(self, path: CanonicalPath) -> TreeNode | None:
-        node = self.node_by_name(path.segments)
-        if node is None or isinstance(node, DirNode) != path.is_dir:
-            return None
-        return node
+        return path.segments in (self.dirs if path.is_dir else self.files)
 
     def digest_at(self, path: CanonicalPath) -> str:
-        node = self.node_at(path)
-        if not isinstance(node, FileNode):
+        digest = self.files.get(path.segments) if path.is_file else None
+        if digest is None:
             raise PathNotInTree(str(path))
-        return node.digest
+        return digest
 
     def paths(self) -> list[CanonicalPath]:
         """Every node of the tree, root included, in rendered order."""
-        out = [ROOT]
-
-        def walk(node: DirNode, prefix: tuple[str, ...]) -> None:
-            for name, child in node.children.items():
-                segments = prefix + (name,)
-                if isinstance(child, DirNode):
-                    out.append(CanonicalPath(segments, PathKind.DIRECTORY))
-                    walk(child, segments)
-                else:
-                    out.append(CanonicalPath(segments, PathKind.FILE))
-
-        walk(self.root, ())
-        return sorted(out)
+        nodes = [CanonicalPath(s, PathKind.DIRECTORY) if s else ROOT for s in self.dirs]
+        nodes += (CanonicalPath(s, PathKind.FILE) for s in self.files)
+        return sorted(nodes, key=str)
 
     def file_paths(self) -> list[CanonicalPath]:
         return [p for p in self.paths() if p.is_file]
@@ -191,123 +131,77 @@ class TreeSnapshot:
         """Set the file at ``path``, creating intermediate directories."""
         if not path.is_file:
             raise EditConflict(f"{path} is not a file path")
-
-        def update(parent: DirNode) -> DirNode:
-            existing = parent.child(path.name)
-            if isinstance(existing, DirNode):
-                raise EditConflict(f"a directory already exists at {path}")
-            children = dict(parent.children)
-            children[path.name] = FileNode(path.name, digest)
-            return DirNode(parent.name, children)
-
-        return TreeSnapshot(_rebuild(self.root, path.segments[:-1], update, create=True))
+        if path.segments in self.dirs:
+            raise EditConflict(f"a directory already exists at {path}")
+        missing = _missing_dirs(self.files, self.dirs, path.segments[:-1])
+        return TreeSnapshot({**self.files, path.segments: digest}, self.dirs.union(missing))
 
     def with_dir(self, path: CanonicalPath) -> "TreeSnapshot":
         if not path.is_dir or path.is_root:
             raise EditConflict(f"{path} is not a directory path")
-
-        def update(parent: DirNode) -> DirNode:
-            existing = parent.child(path.name)
-            if isinstance(existing, FileNode):
-                raise EditConflict(f"a file already exists at {path}")
-            if isinstance(existing, DirNode):
-                return parent
-            children = dict(parent.children)
-            children[path.name] = DirNode(path.name)
-            return DirNode(parent.name, children)
-
-        return TreeSnapshot(_rebuild(self.root, path.segments[:-1], update, create=True))
+        missing = _missing_dirs(self.files, self.dirs, path.segments)
+        return TreeSnapshot(self.files, self.dirs.union(missing))
 
     def with_modified(self, path: CanonicalPath, digest: str) -> "TreeSnapshot":
-        if self.node_at(path) is None or not path.is_file:
+        if not path.is_file or path.segments not in self.files:
             raise EditConflict(f"no file at {path}")
-        return self.with_file(path, digest)
+        return TreeSnapshot({**self.files, path.segments: digest}, self.dirs)
 
     def without(self, path: CanonicalPath) -> "TreeSnapshot":
         """Remove the node at ``path`` (a directory is removed with its subtree)."""
         if path.is_root:
             raise EditConflict("cannot remove the root")
-
-        def update(parent: DirNode) -> DirNode:
-            node = parent.child(path.name)
-            if node is None or isinstance(node, DirNode) != path.is_dir:
-                raise EditConflict(f"no {path.kind.value} at {path}")
-            children = dict(parent.children)
-            del children[path.name]
-            return DirNode(parent.name, children)
-
-        return TreeSnapshot(_rebuild(self.root, path.segments[:-1], update, create=False))
+        if not self.contains(path):
+            raise EditConflict(f"no {path.kind.value} at {path}")
+        n, gone = len(path.segments), path.segments
+        return TreeSnapshot(
+            {s: digest for s, digest in self.files.items() if s[:n] != gone},
+            frozenset(s for s in self.dirs if s[:n] != gone),
+        )
 
     def with_renamed(self, old: CanonicalPath, new: CanonicalPath) -> "TreeSnapshot":
-        node = self.node_at(old)
-        if node is None:
+        if not self.contains(old):
             raise EditConflict(f"no {old.kind.value} at {old}")
-        if self.node_by_name(new.segments) is not None:
+        if self.kind_of(new.segments) is not None:
             raise EditConflict(f"{new} already exists")
-        if old.is_dir and new.is_within(old):
+        if new.is_within(old):
             raise EditConflict(f"cannot move {old} inside itself")
-        if isinstance(node, DirNode):
-            renamed: TreeNode = DirNode(new.name, node.children)
-        else:
-            renamed = FileNode(new.name, node.digest)
-        return self.without(old)._with_node(new, renamed)
+        return self.without(old)._grafted(new, self, old)
 
-    def subtree(self, path: CanonicalPath) -> DirNode:
-        node = self.node_at(path)
-        if not isinstance(node, DirNode):
-            raise PathNotInTree(str(path))
-        return node
-
-    def with_subtree(self, path: CanonicalPath, subtree: DirNode) -> "TreeSnapshot":
-        """Insert a copy of ``subtree`` at the directory path ``path``."""
+    def with_subtree(
+        self, path: CanonicalPath, src_tree: "TreeSnapshot", src_dir: CanonicalPath
+    ) -> "TreeSnapshot":
+        """Insert a copy of ``src_tree``'s directory ``src_dir`` at the new directory ``path``."""
         if not path.is_dir or path.is_root:
             raise EditConflict(f"{path} is not a valid destination")
-        return self._with_node(path, DirNode(path.name, subtree.children))
+        if not src_dir.is_dir or not src_tree.contains(src_dir):
+            raise PathNotInTree(str(src_dir))
+        return self._grafted(path, src_tree, src_dir)
 
-    def _with_node(self, path: CanonicalPath, node: TreeNode) -> "TreeSnapshot":
-        def update(parent: DirNode) -> DirNode:
-            if parent.child(path.name) is not None:
-                raise EditConflict(f"{path} already exists")
-            children = dict(parent.children)
-            children[path.name] = node
-            return DirNode(parent.name, children)
-
-        return TreeSnapshot(_rebuild(self.root, path.segments[:-1], update, create=True))
-
-
-def _rebuild(node: DirNode, segments: tuple[str, ...], update, create: bool) -> DirNode:
-    """Apply ``update`` to the directory at ``segments``, rebuilding the spine."""
-    if not segments:
-        return update(node)
-    name, rest = segments[0], segments[1:]
-    child = node.child(name)
-    if child is None:
-        if not create:
-            raise EditConflict(f"missing directory {name!r}")
-        child = DirNode(name)
-    if not isinstance(child, DirNode):
-        raise EditConflict(f"{name!r} is a file, not a directory")
-    children = dict(node.children)
-    children[name] = _rebuild(child, rest, update, create)
-    return DirNode(node.name, children)
+    def _grafted(self, path: CanonicalPath, src_tree: "TreeSnapshot", src: CanonicalPath) -> "TreeSnapshot":
+        """Place ``src_tree``'s node ``src`` and everything under it at the new ``path``."""
+        if self.kind_of(path.segments) is not None:
+            raise EditConflict(f"{path} already exists")
+        missing = _missing_dirs(self.files, self.dirs, path.segments[:-1])
+        n, at = len(src.segments), path.segments
+        files = dict(self.files)
+        files.update((at + s[n:], digest) for s, digest in src_tree.files.items() if s[:n] == src.segments)
+        dirs = {at + s[n:] for s in src_tree.dirs if s[:n] == src.segments}
+        return TreeSnapshot(files, self.dirs.union(missing, dirs))
 
 
-def _plain_dir(root: dict, segments: tuple[str, ...]) -> dict:
-    """The plain directory at ``segments`` under ``root``, created as needed."""
-    node = root
-    for name in segments:
-        node = node.setdefault(name, {})
-        if not isinstance(node, dict):
-            raise EditConflict(f"{name!r} is a file, not a directory")
-    return node
-
-
-def _freeze(name: str, plain: dict) -> DirNode:
-    return DirNode(
-        name,
-        [_freeze(child, value) if isinstance(value, dict) else FileNode(child, value)
-         for child, value in plain.items()],
-    )
+def _missing_dirs(
+    files: Mapping[Segments, str], dirs: AbstractSet[Segments], segments: Segments
+) -> list[Segments]:
+    """The directory ``segments`` and those of its ancestors that ``dirs``
+    lacks, nearest first; an :class:`EditConflict` if one of them is a file."""
+    missing = []
+    while segments not in dirs:
+        if segments in files:
+            raise EditConflict(f"/{'/'.join(segments)} is a file, not a directory")
+        missing.append(segments)
+        segments = segments[:-1]
+    return missing
 
 
 def _as_path(raw: str | CanonicalPath) -> CanonicalPath:
@@ -430,10 +324,9 @@ def validate(cf: CitationFile, tree: TreeSnapshot) -> list[Inconsistency]:
     for key in cf:
         if key.is_root:
             continue
-        node = tree.node_by_name(key.segments)
-        if node is None:
+        kind = tree.kind_of(key.segments)
+        if kind is None:
             issues.append(Inconsistency(DANGLING_KEY, key, "no such path in the tree"))
-        elif isinstance(node, DirNode) != key.is_dir:
-            found = "directory" if isinstance(node, DirNode) else "file"
-            issues.append(Inconsistency(KIND_MISMATCH, key, f"key is a {key.kind.value}, tree has a {found}"))
+        elif kind is not key.kind:
+            issues.append(Inconsistency(KIND_MISMATCH, key, f"key is a {key.kind.value}, tree has a {kind.value}"))
     return issues

@@ -218,7 +218,7 @@ def apply_copy(
         raise SubtreeMissing(f"{src_subtree} is not a directory of the source")
     if not dst_path.is_dir or dst_path.is_root:
         raise DestinationCollision(f"{dst_path} is not a valid destination directory")
-    if tree.node_by_name(dst_path.segments) is not None:
+    if tree.kind_of(dst_path.segments) is not None:
         raise DestinationCollision(f"{dst_path} already exists")
     parent = dst_path.parent()
     if not tree.contains(parent):

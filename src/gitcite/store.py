@@ -39,7 +39,7 @@ from .ops import (
     prune_to_tree,
     rewrite_keys,
 )
-from .paths import CanonicalPath
+from .paths import CanonicalPath, PathKind
 
 logger = logging.getLogger(__name__)
 
@@ -256,7 +256,7 @@ class Repository:
 
 def _apply_tree_edit(tree: TreeSnapshot, edit: TreeEdit) -> TreeSnapshot:
     if edit.kind is TreeEditKind.CREATE_FILE:
-        if tree.node_by_name(edit.path.segments) is not None:
+        if tree.kind_of(edit.path.segments) is not None:
             raise EditConflict(f"{edit.path} already exists")
         return tree.with_file(edit.path, edit.digest)
     if edit.kind is TreeEditKind.DELETE:
@@ -271,43 +271,31 @@ def _merge_trees(
 ) -> tuple[TreeSnapshot, list[str]]:
     """Three-way file-set merge; on a true content conflict the left (into)
     side wins and a warning is recorded."""
-    warnings: list[str] = []
-
-    def digests(tree: TreeSnapshot) -> dict[str, str]:
-        return {str(p): tree.digest_at(p) for p in tree.file_paths()}
-
-    b, l, r = digests(base), digests(left), digests(right)
-    merged_files: dict[str, str] = {}
-    for rendered in sorted(set(b) | set(l) | set(r)):
-        db, dl, dr = b.get(rendered), l.get(rendered), r.get(rendered)
-        if dl == dr:
-            keep = dl
-        elif db == dl:
-            keep = dr
-        elif db == dr:
-            keep = dl
-        else:
-            keep = dl
-            warnings.append(f"both branches changed {rendered}; keeping the current branch's state")
+    files: dict[CanonicalPath, str] = {}
+    changed_on_both: list[CanonicalPath] = []
+    for segments in base.files.keys() | left.files.keys() | right.files.keys():
+        db, dl, dr = (tree.files.get(segments) for tree in (base, left, right))
+        path = CanonicalPath(segments, PathKind.FILE)
+        if len({db, dl, dr}) == 3:
+            changed_on_both.append(path)
+        keep = _three_way(db, dl, dr)
         if keep is not None:
-            merged_files[rendered] = keep
+            files[path] = keep
+    dirs = [
+        CanonicalPath(segments, PathKind.DIRECTORY)
+        for segments in (base.dirs | left.dirs | right.dirs) - {()}
+        if _three_way(*(segments in tree.dirs for tree in (base, left, right)))
+    ]
+    warnings = [
+        f"both branches changed {path}; keeping the current branch's state"
+        for path in sorted(changed_on_both, key=str)
+    ]
+    return TreeSnapshot.from_files(files, dirs), warnings
 
-    def dir_set(tree: TreeSnapshot) -> set[str]:
-        return {str(p) for p in tree.dir_paths()}
 
-    sb, sl, sr = dir_set(base), dir_set(left), dir_set(right)
-    merged_dirs: set[str] = set()
-    for rendered in sb | sl | sr:
-        eb, el, er = rendered in sb, rendered in sl, rendered in sr
-        if el == er:
-            keep_dir = el
-        elif eb == el:
-            keep_dir = er
-        else:
-            keep_dir = el
-        if keep_dir:
-            merged_dirs.add(rendered)
-    return TreeSnapshot.from_files(merged_files, dirs=sorted(merged_dirs)), warnings
+def _three_way(base, left, right):
+    """The left (into) side's state, unless only the right side changed it."""
+    return right if base == left else left
 
 
 def copy_cite(
@@ -326,8 +314,7 @@ def copy_cite(
         raise SourceVersionUnknown(f"no version {src_version_id!r} in {src_repo.id}") from None
     head = dst_repo.head(dst_branch)
     cf, _ = apply_copy(head.cf, head.tree, src_version.cf, src_version.tree, src_subtree, dst_path)
-    subtree = src_version.tree.subtree(src_subtree) if not src_subtree.is_root else src_version.tree.root
-    tree = head.tree.with_subtree(dst_path, subtree)
+    tree = head.tree.with_subtree(dst_path, src_version.tree, src_subtree)
     version = dst_repo._new_version((head.id,), tree, cf)
     dst_repo.branches[dst_branch] = version.id
     return version

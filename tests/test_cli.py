@@ -214,6 +214,7 @@ class TestGen:
             assert json.loads(capsys.readouterr().out)["owner"] == record("remote").owner
         finally:
             server.shutdown()
+            server.server_close()
 
 
 class TestCopy:
@@ -330,6 +331,11 @@ class TestMerge:
         monkeypatch.chdir(root)
         monkeypatch.setattr("sys.stdin", io.StringIO("q\n"))
         assert main(["merge", "side", "--interactive"]) == 1
+        # The half-done merge is aborted: no pending merge, no conflict markers.
+        assert not (root / ".git" / "MERGE_HEAD").exists()
+        assert (root / "citation.cite").read_text() == git(root, "show", "HEAD:citation.cite").stdout
+        assert git(root, "status", "--porcelain").stdout == ""
+        assert main(["gen", "shared.c"]) == 0
 
     def test_no_conflict_merge_needs_no_answers(self, git_repo, monkeypatch):
         root = git_repo("clean")
@@ -407,6 +413,35 @@ class TestCliPlumbing:
     def test_missing_citation_file_is_an_environment_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["gen", "."]) == 3
+
+    @staticmethod
+    def _assert_one_line_error(capsys) -> None:
+        err = capsys.readouterr().err
+        assert err.startswith("gitcite: ") and err.count("\n") == 1, err
+
+    def test_copy_onto_a_directory_symlink_is_an_environment_error(self, git_repo, monkeypatch, capsys):
+        # The worktree snapshot leaves directory symlinks out, so the
+        # destination check passes and the copy fails on disk instead.
+        src = git_repo("src")
+        seed(src, {"sub/f.c": "f"}, {})
+        dst = git_repo("dst")
+        seed(dst, {"app.c": "a"}, {})
+        (dst / "target").mkdir()
+        (dst / "linkdir").symlink_to(dst / "target", target_is_directory=True)
+        before = (dst / "citation.cite").read_text()
+        monkeypatch.chdir(dst)
+        assert main(["copy", "../src", "sub/", "linkdir/"]) == 3
+        self._assert_one_line_error(capsys)
+        assert (dst / "citation.cite").read_text() == before
+
+    @pytest.mark.parametrize("argv", [["gen", "a.c"], ["validate"]])
+    def test_a_citation_file_that_is_not_utf8_is_an_environment_error(self, argv, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        seed(root, {"a.c": "a"}, {})
+        (root / "citation.cite").write_bytes(b'{"/": "\xff"}')
+        monkeypatch.chdir(root)
+        assert main(argv) == 3
+        self._assert_one_line_error(capsys)
 
     def test_citation_file_name_override(self, git_repo, monkeypatch):
         root = git_repo(origin="https://example.com/alice/proj.git")

@@ -343,6 +343,7 @@ def http_root(tmp_path):
     thread.start()
     yield served, f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 class TestFetch:

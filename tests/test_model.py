@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from gitcite import CitationFile, CitationRecord, TreeSnapshot, resolve, validate
 from gitcite.errors import EditConflict, MissingRoot, PathNotInTree
-from gitcite.model import DANGLING_KEY, KIND_MISMATCH, MISSING_ROOT, DirNode, FileNode, resolve_from_entries
+from gitcite.model import DANGLING_KEY, KIND_MISMATCH, MISSING_ROOT, resolve_from_entries
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 
 import randgen
@@ -48,10 +48,6 @@ class TestTreeSnapshot:
         assert not snap.contains(from_rendered("/src"))  # directory, asked as file
         assert not snap.contains(from_rendered("/src/main.c/"))
         assert not snap.contains(from_rendered("/ghost"))
-
-    def test_sibling_names_unique(self):
-        with pytest.raises(ValueError):
-            DirNode("d", [FileNode("a"), FileNode("a")])
 
     def test_paths_are_sorted_and_complete(self):
         snap = tree("/b/x.c", "/a.c")
@@ -101,11 +97,80 @@ def test_bulk_build_matches_folding_single_edits(file_entries, dir_segments):
         with pytest.raises(EditConflict):
             TreeSnapshot.from_files(dict(files), dirs)
         return
-    built = TreeSnapshot.from_files(dict(files), dirs)
-    assert built.root == expected.root
-    assert built.paths() == expected.paths()
-    for path in expected.file_paths():
-        assert built.digest_at(path) == expected.digest_at(path)
+    assert TreeSnapshot.from_files(dict(files), dirs) == expected
+
+
+@st.composite
+def _trees(draw) -> TreeSnapshot:
+    """A valid tree: random files and directories, less those that clash."""
+    files = draw(st.dictionaries(_segments, st.sampled_from(["", "d1", "d2"]), max_size=8))
+    files = {s: d for s, d in files.items() if not any(f != s and s[: len(f)] == f for f in files)}
+    dirs = [s for s in draw(st.lists(_segments, max_size=4)) if not any(s[: len(f)] == f for f in files)]
+    return TreeSnapshot.from_files(
+        {CanonicalPath(s, PathKind.FILE): d for s, d in files.items()},
+        [CanonicalPath(s, PathKind.DIRECTORY) for s in dirs],
+    )
+
+
+def _moved(segments_map, src: tuple[str, ...], dst: tuple[str, ...]):
+    """The entries of ``segments_map`` at or under ``src``, re-rooted at ``dst``."""
+    n = len(src)
+    return {dst + s[n:]: v for s, v in segments_map.items() if s[:n] == src}
+
+
+def _outside(segments_map, path: CanonicalPath):
+    """The entries of ``segments_map`` neither at nor under ``path``."""
+    n = len(path.segments)
+    return {s: v for s, v in segments_map.items() if s[:n] != path.segments}
+
+
+@given(st.data())
+def test_single_edits_match_building_the_edited_path_list(data):
+    snap = data.draw(_trees())
+    path = data.draw(st.one_of(st.sampled_from(snap.paths()), st.just(ROOT), _kinded_path))
+    # The edited path list; directories are dict keys too, for _moved and _outside.
+    files, dirs = dict(snap.files), dict.fromkeys(s for s in snap.dirs if s)
+    present = snap.contains(path)
+    edit = data.draw(st.sampled_from(["with_file", "with_dir", "without", "with_renamed", "with_subtree"]))
+    if edit == "with_file":
+        digest = data.draw(st.sampled_from(["", "d3"]))
+        invalid = not path.is_file
+        files[path.segments] = digest
+        apply = lambda: snap.with_file(path, digest)  # noqa: E731
+    elif edit == "with_dir":
+        invalid = not path.is_dir or path.is_root
+        dirs[path.segments] = None
+        apply = lambda: snap.with_dir(path)  # noqa: E731
+    elif edit == "without":
+        invalid = path.is_root or not present
+        files, dirs = _outside(files, path), _outside(dirs, path)
+        apply = lambda: snap.without(path)  # noqa: E731
+    elif edit == "with_renamed":
+        new = data.draw(_kinded_path)
+        invalid = not present or snap.kind_of(new.segments) is not None or new.is_within(path)
+        files = {**_outside(files, path), **_moved(files, path.segments, new.segments)}
+        dirs = {**_outside(dirs, path), **_moved(dirs, path.segments, new.segments)}
+        apply = lambda: snap.with_renamed(path, new)  # noqa: E731
+    else:
+        src_tree = data.draw(_trees())
+        src_dir = data.draw(st.sampled_from([p for p in src_tree.paths() if p.is_dir]))
+        invalid = not path.is_dir or path.is_root or snap.kind_of(path.segments) is not None
+        files.update(_moved(src_tree.files, src_dir.segments, path.segments))
+        dirs.update(_moved(dict.fromkeys(src_tree.dirs), src_dir.segments, path.segments))
+        apply = lambda: snap.with_subtree(path, src_tree, src_dir)  # noqa: E731
+    if not invalid:
+        try:
+            expected = TreeSnapshot.from_files(
+                {CanonicalPath(s, PathKind.FILE): d for s, d in files.items()},
+                [CanonicalPath(s, PathKind.DIRECTORY) for s in dirs if s],
+            )
+        except EditConflict:
+            invalid = True  # the edited path list clashes: a file where a directory must be
+    if invalid:
+        with pytest.raises(EditConflict):
+            apply()
+    else:
+        assert apply() == expected
 
 
 def _resolve_by_scanning(cf: CitationFile, path: CanonicalPath) -> CitationRecord:
@@ -155,21 +220,6 @@ class TestBulkBuild:
     def test_clashes_and_wrong_kinds_are_edit_conflicts(self, files, dirs):
         with pytest.raises(EditConflict):
             TreeSnapshot.from_files(files, dirs)
-
-    def test_each_directory_is_built_once(self, monkeypatch):
-        # DirNode sorts its children on construction, so one construction per
-        # directory is one sort per directory and no per-insert sibling copy.
-        built = []
-        sort_children = DirNode.__post_init__
-
-        def counting(node):
-            built.append(node.name)
-            sort_children(node)
-
-        monkeypatch.setattr(DirNode, "__post_init__", counting)
-        files = [f"/wide/f{i:04d}.c" for i in range(5000)] + ["/wide/sub/x.c", "/y.c"]
-        TreeSnapshot.from_files(files, dirs=["/wide/", "/empty/"])
-        assert sorted(built) == ["", "empty", "sub", "wide"]
 
 
 class TestResolve:
