@@ -121,7 +121,7 @@ def cmd_init(args: argparse.Namespace) -> int:
 
 def cmd_add(args: argparse.Namespace) -> int:
     root = find_root()
-    tree = gitadapter.snapshot_worktree(root)
+    tree = gitadapter.WorktreeLookup(root)
     cf = gitadapter.load_citation_file(root)
     path = _repo_relative(root, args.path, tree=tree)
     template = resolve(cf, tree, path)  # closest ancestor's record as the draft
@@ -134,7 +134,7 @@ def cmd_add(args: argparse.Namespace) -> int:
 
 def cmd_del(args: argparse.Namespace) -> int:
     root = find_root()
-    tree = gitadapter.snapshot_worktree(root)
+    tree = gitadapter.WorktreeLookup(root)
     cf = gitadapter.load_citation_file(root)
     path = _repo_relative(root, args.path, tree=tree)
     gitadapter.store_citation_file(root, apply_delete(cf, path))
@@ -144,7 +144,7 @@ def cmd_del(args: argparse.Namespace) -> int:
 
 def cmd_modify(args: argparse.Namespace) -> int:
     root = find_root()
-    tree = gitadapter.snapshot_worktree(root)
+    tree = gitadapter.WorktreeLookup(root)
     cf = gitadapter.load_citation_file(root)
     path = _repo_relative(root, args.path, tree=tree)
     current = cf.get(path)
@@ -173,13 +173,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
         top = gitadapter.git_toplevel(Path.cwd())
         if top is None:
             raise NotARepository("--version needs a git repository")
-        tree = gitadapter.tree_at_revision(top, args.version)
+        tree = gitadapter.RevisionLookup(top, args.version)
         cf = gitadapter.citation_file_at_revision(top, args.version)
         path = _repo_relative(top, args.path, tree=tree)
         record = resolve(cf, tree, path)
     else:
         root = find_root()
-        tree = gitadapter.snapshot_worktree(root)
+        tree = gitadapter.WorktreeLookup(root)
         cf = gitadapter.load_citation_file(root)
         path = _repo_relative(root, args.path, tree=tree)
         record = resolve(cf, tree, path)
@@ -254,9 +254,12 @@ def _interactive_resolver():
 
 def cmd_validate(args: argparse.Namespace) -> int:
     root = find_root()
-    text = gitadapter.citation_file_path(root).read_text(encoding="utf-8")
+    text = gitadapter.citation_file_text(root)
     cf = fileformat.parse(text, require_root=False)
-    issues = validate(cf, gitadapter.snapshot_worktree(root))
+    if fileformat.serialize(cf) != text:
+        path = gitadapter.citation_file_path(root)
+        print(f"{path} is not in canonical form; was it edited by hand?", file=sys.stderr)
+    issues = validate(cf, gitadapter.WorktreeLookup(root))
     for issue in issues:
         print(issue)
     if issues:

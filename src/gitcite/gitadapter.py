@@ -18,16 +18,17 @@ are safe to run concurrently.
 
 from __future__ import annotations
 
-import logging
 import os
 import re
 import shutil
+import stat
 import subprocess
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import (
+    DestinationCollision,
     FileMissing,
     HttpStatus,
     IoFailure,
@@ -37,7 +38,7 @@ from .errors import (
     UnknownVersion,
 )
 from .fileformat import parse, serialize
-from .model import CitationFile, TreeSnapshot
+from .model import CitationFile, Segments, TreeSnapshot
 from .ops import (
     ConflictReport,
     RepositoryMetadata,
@@ -48,8 +49,6 @@ from .ops import (
     rewrite_keys,
 )
 from .paths import CanonicalPath, PathKind, from_rendered
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_CITATION_FILE = "citation.cite"
 CITATION_FILE_ENV = "GITCITE_FILE"
@@ -65,21 +64,25 @@ def citation_file_path(worktree_root: Path | str) -> Path:
     return Path(worktree_root) / citation_file_name()
 
 
-def load_citation_file(worktree_root: Path | str) -> CitationFile:
-    """Parse the worktree's citation file.
-
-    The file is maintained by the tool, not edited by hand; a document that
-    parses but is not in canonical form is accepted with a warning, since it
-    usually means someone modified it directly.
-    """
+def citation_file_text(worktree_root: Path | str) -> str:
+    """The worktree's citation file as text; an error names the file when it
+    is missing or not UTF-8."""
     path = citation_file_path(worktree_root)
     if not path.is_file():
         raise FileMissing(f"no {citation_file_name()} at {worktree_root}")
-    text = path.read_text(encoding="utf-8")
-    cf = parse(text)
-    if serialize(cf) != text:
-        logger.warning("%s is not in canonical form; was it edited by hand?", path)
-    return cf
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def load_citation_file(worktree_root: Path | str) -> CitationFile:
+    """Parse the worktree's citation file.
+
+    A document that parses but is not in canonical form is accepted as it
+    is; ``gitcite validate`` is the command that warns about it.
+    """
+    return parse(citation_file_text(worktree_root))
 
 
 def store_citation_file(worktree_root: Path | str, cf: CitationFile) -> None:
@@ -243,58 +246,99 @@ def repo_metadata(path: Path | str) -> RepositoryMetadata:
     )
 
 
-def snapshot_worktree(worktree_root: Path | str) -> TreeSnapshot:
-    """Snapshot the working tree's structure; ``.git`` and the citation file
-    are not part of the cited tree.
+class _PathLookup:
+    """``kind_of`` and ``contains`` of one version's tree, as
+    :class:`~gitcite.model.TreeSnapshot` answers them, worked out one path at
+    a time and memoized. A command that names one path pays for that path,
+    not for the size of the tree."""
 
-    No file is opened, so every file digest is ``""``: callers compare the
-    worktree by structure only. Directories are taken from the walk itself,
-    so a symlink to a directory is not descended into and is left out.
+    def __init__(self) -> None:
+        self._kinds: dict[Segments, PathKind | None] = {}
+
+    def kind_of(self, segments: Segments) -> PathKind | None:
+        try:
+            return self._kinds[segments]
+        except KeyError:
+            kind = self._kinds[segments] = self._lookup(segments)
+            return kind
+
+    def contains(self, path: CanonicalPath) -> bool:
+        kind = self.kind_of(path.segments)
+        return kind is not None and (kind is PathKind.FILE) == path.is_file
+
+    def _lookup(self, segments: Segments) -> PathKind | None:
+        raise NotImplementedError
+
+
+class WorktreeLookup(_PathLookup):
+    """The working tree, looked up with ``os.lstat`` on a path and its ancestors.
+
+    ``.git`` directories and the root's citation file are not part of the
+    cited tree. A symlink to a directory is left out, and nothing is found
+    through it; any other symlink, broken or not, counts as a file. A path
+    through a file or a missing entry has no kind. No git command runs.
     """
-    root = Path(worktree_root)
-    skip = citation_file_name()
-    files: list[CanonicalPath] = []
-    dirs: list[CanonicalPath] = []
-    for current, dirnames, filenames in os.walk(root):
-        dirnames[:] = [d for d in dirnames if d != ".git"]
-        rel = Path(current).relative_to(root)
-        parts = () if rel == Path(".") else rel.parts
-        if parts:
-            dirs.append(CanonicalPath(parts, PathKind.DIRECTORY))
-        files.extend(
-            CanonicalPath(parts + (filename,), PathKind.FILE)
-            for filename in filenames
-            if parts or filename != skip
-        )
-    return TreeSnapshot.from_files(files, dirs)
+
+    def __init__(self, worktree_root: Path | str) -> None:
+        super().__init__()
+        self._root = os.fspath(worktree_root)
+
+    def _lookup(self, segments: Segments) -> PathKind | None:
+        if not segments:
+            return PathKind.ROOT
+        for depth in range(1, len(segments)):  # each ancestor must be a real directory
+            if self.kind_of(segments[:depth]) is not PathKind.DIRECTORY:
+                return None
+        full = os.path.join(self._root, *segments)
+        try:
+            mode = os.lstat(full).st_mode
+        except (OSError, ValueError):  # missing, unreadable, or a name no file can have
+            return None
+        if stat.S_ISDIR(mode):
+            return None if segments[-1] == ".git" else PathKind.DIRECTORY
+        if stat.S_ISLNK(mode) and os.path.isdir(full):
+            return None
+        return None if segments == (citation_file_name(),) else PathKind.FILE
 
 
-def _tree_from_listing(listing: str, blob_field: int) -> TreeSnapshot:
-    """The tree of a ``-z`` listing whose entries are ``<meta>``, a tab and
-    a path; the blob id is whitespace field ``blob_field`` of ``<meta>``.
+class RevisionLookup(_PathLookup):
+    """The tree committed at ``rev``, one ``git cat-file -t <rev>:<path>`` per path.
+
+    A tree is a directory; a blob (symlinks included) or a commit (a
+    submodule) is a file. The root's citation file is left out. A revision
+    git cannot resolve raises :class:`~gitcite.errors.UnknownVersion`.
+    """
+
+    def __init__(self, root: Path | str, rev: str) -> None:
+        super().__init__()
+        self._root, self._rev = root, rev
+
+    def _lookup(self, segments: Segments) -> PathKind | None:
+        if segments == (citation_file_name(),):
+            return None
+        proc = _git(self._root, "cat-file", "-t", f"{self._rev}:{'/'.join(segments)}", check=False)
+        kind = proc.stdout.strip() if proc.returncode == 0 else None
+        if kind == "tree":
+            return PathKind.DIRECTORY if segments else PathKind.ROOT
+        if kind in ("blob", "commit"):
+            return PathKind.FILE
+        if _git(self._root, "rev-parse", "--verify", "-q", f"{self._rev}^{{tree}}", check=False).returncode:
+            raise UnknownVersion(f"unknown revision {self._rev!r}")
+        return None
+
+
+def tree_from_index(root: Path | str) -> TreeSnapshot:
+    """The staged file set, via ``git ls-files -s -z``; digests are blob ids.
     The citation file is left out."""
     skip = citation_file_name()
     files = {}
-    for token in listing.split("\0"):
+    for token in _git(root, "ls-files", "-s", "-z").stdout.split("\0"):
         if not token:
             continue
         meta, path_text = token.split("\t", 1)
         if path_text != skip:
-            files["/" + path_text] = meta.split()[blob_field]
+            files["/" + path_text] = meta.split()[1]
     return TreeSnapshot.from_files(files)
-
-
-def tree_from_index(root: Path | str) -> TreeSnapshot:
-    """The staged file set, via ``git ls-files -s -z``; digests are blob ids."""
-    return _tree_from_listing(_git(root, "ls-files", "-s", "-z").stdout, 1)
-
-
-def tree_at_revision(root: Path | str, rev: str) -> TreeSnapshot:
-    """The committed file set at ``rev``, via ``git ls-tree -r -z``."""
-    proc = _git(root, "ls-tree", "-r", "-z", rev, check=False)
-    if proc.returncode != 0:
-        raise UnknownVersion(f"unknown revision {rev!r}")
-    return _tree_from_listing(proc.stdout, 2)
 
 
 def citation_file_at_revision(root: Path | str, rev: str) -> CitationFile:
@@ -503,14 +547,17 @@ def run_copy(
     root, src_root = Path(root), Path(src_root)
     merged, added = apply_copy(
         load_citation_file(root),
-        snapshot_worktree(root),
+        WorktreeLookup(root),
         load_citation_file(src_root),
-        snapshot_worktree(src_root),
+        WorktreeLookup(src_root),
         src_subtree,
         dst_path,
     )
+    dst_fs = root / Path(*dst_path.segments)
+    if os.path.lexists(dst_fs):  # such as a directory symlink, which the cited tree leaves out
+        raise DestinationCollision(f"{dst_path} already exists")
     src_fs = src_root / Path(*src_subtree.segments) if src_subtree.segments else src_root
-    _copy_files(src_fs, root / Path(*dst_path.segments))
+    _copy_files(src_fs, dst_fs)
     store_citation_file(root, merged)
     return merged, added
 

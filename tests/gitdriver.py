@@ -14,11 +14,11 @@ from pathlib import Path
 from gitcite import CitationFile, Repository, copy_cite, validate
 from gitcite.fileformat import parse, serialize
 from gitcite.gitadapter import (
+    WorktreeLookup,
     citation_file_name,
     load_citation_file,
     run_copy,
     run_merge,
-    snapshot_worktree,
     staged_changes,
     store_citation_file,
     sync_on_commit,
@@ -28,7 +28,7 @@ from gitcite.paths import from_rendered
 from gitcite.store import TreeEdit
 
 from conftest import git, init_repo
-from support import record
+from support import record, snapshot_worktree
 
 
 def _sha(content: str) -> str:
@@ -68,7 +68,7 @@ class Project:
             f"{self.name}@{self.current_branch}: adapter and reference disagree\n"
             f"--- adapter ---\n{disk}\n--- reference ---\n{expected}"
         )
-        assert validate(parse(disk), snapshot_worktree(self.root)) == []
+        assert validate(parse(disk), WorktreeLookup(self.root)) == []
 
     # -- steps ---------------------------------------------------------------
 
@@ -100,7 +100,7 @@ class Project:
     def cite_add(self, rendered: str, tag: str) -> None:
         path = from_rendered(rendered)
         cf = load_citation_file(self.root)
-        store_citation_file(self.root, apply_add(cf, snapshot_worktree(self.root), path, record(tag)))
+        store_citation_file(self.root, apply_add(cf, WorktreeLookup(self.root), path, record(tag)))
         self.pending_cite.append(CiteEdit.add(path, record(tag)))
 
     def cite_del(self, rendered: str) -> None:

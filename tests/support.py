@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 from gitcite import CitationFile, CitationRecord, TreeSnapshot
-from gitcite.paths import CanonicalPath
+from gitcite.gitadapter import citation_file_name
+from gitcite.paths import CanonicalPath, PathKind
 
 
 def record(tag: str, **overrides) -> CitationRecord:
@@ -37,3 +41,30 @@ def resolve_by_walking(cf: CitationFile, path: CanonicalPath) -> CitationRecord:
 
 def tree(*files: str, dirs: tuple[str, ...] = ()) -> TreeSnapshot:
     return TreeSnapshot.from_files({f: f"digest:{f}" for f in files}, dirs=dirs)
+
+
+def snapshot_worktree(worktree_root: Path | str) -> TreeSnapshot:
+    """Oracle: the whole working tree from one ``os.walk``.
+
+    ``.git`` directories and the root's citation file are left out. Every
+    file digest is ``""``. Directories are taken from the walk itself, so a
+    symlink to a directory is not descended into and is left out.
+    ``gitadapter.WorktreeLookup`` must answer ``kind_of`` exactly as this
+    snapshot does.
+    """
+    root = Path(worktree_root)
+    skip = citation_file_name()
+    files: list[CanonicalPath] = []
+    dirs: list[CanonicalPath] = []
+    for current, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if d != ".git"]
+        rel = Path(current).relative_to(root)
+        parts = () if rel == Path(".") else rel.parts
+        if parts:
+            dirs.append(CanonicalPath(parts, PathKind.DIRECTORY))
+        files.extend(
+            CanonicalPath(parts + (filename,), PathKind.FILE)
+            for filename in filenames
+            if parts or filename != skip
+        )
+    return TreeSnapshot.from_files(files, dirs)

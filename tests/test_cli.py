@@ -13,13 +13,13 @@ import gitcite
 from gitcite import CitationFile, Repository
 from gitcite.cli import main
 from gitcite.fileformat import record_from_obj, serialize
-from gitcite.gitadapter import load_citation_file, snapshot_worktree, store_citation_file
+from gitcite.gitadapter import load_citation_file, store_citation_file
 from gitcite.model import resolve
 from gitcite.ops import CiteEdit, scripted_resolver
 from gitcite.paths import ROOT, from_rendered
 
 from conftest import git
-from support import record, resolve_by_walking
+from support import record, resolve_by_walking, snapshot_worktree
 
 
 def seed(root: Path, files: dict[str, str], cites: dict[str, str]) -> CitationFile:
@@ -415,13 +415,14 @@ class TestCliPlumbing:
         assert main(["gen", "."]) == 3
 
     @staticmethod
-    def _assert_one_line_error(capsys) -> None:
+    def _assert_one_line_error(capsys) -> str:
         err = capsys.readouterr().err
         assert err.startswith("gitcite: ") and err.count("\n") == 1, err
+        return err
 
-    def test_copy_onto_a_directory_symlink_is_an_environment_error(self, git_repo, monkeypatch, capsys):
-        # The worktree snapshot leaves directory symlinks out, so the
-        # destination check passes and the copy fails on disk instead.
+    def test_copy_onto_a_directory_symlink_is_a_destination_collision(self, git_repo, monkeypatch, capsys):
+        # The cited tree leaves directory symlinks out, so only the check of
+        # the filesystem entry at the destination catches this one.
         src = git_repo("src")
         seed(src, {"sub/f.c": "f"}, {})
         dst = git_repo("dst")
@@ -430,9 +431,10 @@ class TestCliPlumbing:
         (dst / "linkdir").symlink_to(dst / "target", target_is_directory=True)
         before = (dst / "citation.cite").read_text()
         monkeypatch.chdir(dst)
-        assert main(["copy", "../src", "sub/", "linkdir/"]) == 3
+        assert main(["copy", "../src", "sub/", "linkdir/"]) == 1
         self._assert_one_line_error(capsys)
         assert (dst / "citation.cite").read_text() == before
+        assert not (dst / "target" / "f.c").exists()
 
     @pytest.mark.parametrize("argv", [["gen", "a.c"], ["validate"]])
     def test_a_citation_file_that_is_not_utf8_is_an_environment_error(self, argv, git_repo, monkeypatch, capsys):
@@ -441,7 +443,7 @@ class TestCliPlumbing:
         (root / "citation.cite").write_bytes(b'{"/": "\xff"}')
         monkeypatch.chdir(root)
         assert main(argv) == 3
-        self._assert_one_line_error(capsys)
+        assert str(root / "citation.cite") in self._assert_one_line_error(capsys)
 
     def test_citation_file_name_override(self, git_repo, monkeypatch):
         root = git_repo(origin="https://example.com/alice/proj.git")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gitcite import CitationFile, Repository, resolve
+from gitcite.cli import main
 from gitcite.errors import (
     FileMissing,
     HttpStatus,
@@ -18,22 +19,22 @@ from gitcite.errors import (
 )
 from gitcite.fileformat import serialize
 from gitcite.gitadapter import (
+    RevisionLookup,
+    WorktreeLookup,
     citation_file_at_revision,
     fetch_remote_citation_file,
     load_citation_file,
     repo_metadata,
-    snapshot_worktree,
     staged_changes,
     store_citation_file,
     sync_on_commit,
-    tree_at_revision,
 )
 from gitcite.ops import CiteEdit, choose_right, default_root_citation, merge_citation_files
-from gitcite.paths import ROOT, from_rendered
+from gitcite.paths import ROOT, PathKind, from_rendered
 from gitcite.store import TreeEdit
 
 from conftest import git
-from support import record, tree
+from support import record, snapshot_worktree, tree
 
 
 def seed(root: Path, files: dict[str, str], cites: dict[str, str]) -> CitationFile:
@@ -93,13 +94,16 @@ class TestLoadStore:
         with pytest.raises(IoFailure):
             store_citation_file(tmp_path, CitationFile.single(record("r")))
 
-    def test_hand_edited_file_warns_but_loads(self, tmp_path, caplog):
-        store_citation_file(tmp_path, CitationFile.single(record("r")))
+    def test_hand_edited_file_warns_but_loads(self, tmp_path, monkeypatch, capsys):
+        cf = CitationFile.single(record("r"))
+        store_citation_file(tmp_path, cf)
         text = (tmp_path / "citation.cite").read_text()
         (tmp_path / "citation.cite").write_text(text.replace("\n", "\n "))
-        with caplog.at_level("WARNING", logger="gitcite.gitadapter"):
-            load_citation_file(tmp_path)
-        assert any("canonical form" in message for message in caplog.messages)
+        assert load_citation_file(tmp_path) == cf
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate"]) == 0
+        err = capsys.readouterr().err
+        assert err == f"{tmp_path / 'citation.cite'} is not in canonical form; was it edited by hand?\n"
 
 
 class TestSyncOnCommit:
@@ -260,8 +264,18 @@ class TestWorktreeAndHistory:
     def test_snapshot_skips_git_dir_and_citation_file(self, git_repo):
         root = git_repo()
         seed(root, {"src/a.c": "a"}, {})
+        lookup = WorktreeLookup(root)
+        kinds = {s: lookup.kind_of(s) for s in [(), ("src",), ("src", "a.c"), (".git",), ("citation.cite",)]}
+        assert kinds == {
+            (): PathKind.ROOT,
+            ("src",): PathKind.DIRECTORY,
+            ("src", "a.c"): PathKind.FILE,
+            (".git",): None,
+            ("citation.cite",): None,
+        }
         snap = snapshot_worktree(root)
         assert [str(p) for p in snap.paths()] == ["/", "/src/", "/src/a.c"]
+        assert all(lookup.contains(p) for p in snap.paths())
         assert snap.digest_at(from_rendered("/src/a.c")) == ""  # contents are never read
 
     def test_tree_and_citation_file_at_a_revision(self, git_repo):
@@ -272,12 +286,13 @@ class TestWorktreeAndHistory:
         store_citation_file(root, first_cf.with_entry(from_rendered("/b.c"), record("b")))
         git(root, "add", "-A")
         git(root, "commit", "-q", "-m", "second")
-        old_tree = tree_at_revision(root, first_rev)
-        assert [str(p) for p in old_tree.paths()] == ["/", "/a.c"]
+        old_tree = RevisionLookup(root, first_rev)
+        candidates = [ROOT, *map(from_rendered, ["/a.c", "/a.c/", "/b.c", "/citation.cite"])]
+        assert [str(p) for p in candidates if old_tree.contains(p)] == ["/", "/a.c"]
         assert citation_file_at_revision(root, first_rev) == first_cf
         assert from_rendered("/b.c") in citation_file_at_revision(root, "HEAD")
         with pytest.raises(UnknownVersion):
-            tree_at_revision(root, "not-a-rev")
+            RevisionLookup(root, "not-a-rev").kind_of(("a.c",))
         with pytest.raises(UnknownVersion):
             citation_file_at_revision(root, "not-a-rev")
 
