@@ -302,11 +302,13 @@ class WorktreeLookup(_PathLookup):
 
 
 class RevisionLookup(_PathLookup):
-    """The tree committed at ``rev``, one ``git cat-file -t <rev>:<path>`` per path.
+    """The tree committed at ``rev``, one ``git ls-tree <rev> -- <path>`` per path.
 
+    The kind comes from the entry in its parent tree, so the object itself is
+    never read: a submodule's commit lives in its own repository, not here.
     A tree is a directory; a blob (symlinks included) or a commit (a
     submodule) is a file. The root's citation file is left out. A revision
-    git cannot resolve raises :class:`~gitcite.errors.UnknownVersion`.
+    git cannot resolve to a tree raises :class:`~gitcite.errors.UnknownVersion`.
     """
 
     def __init__(self, root: Path | str, rev: str) -> None:
@@ -314,17 +316,28 @@ class RevisionLookup(_PathLookup):
         self._root, self._rev = root, rev
 
     def _lookup(self, segments: Segments) -> PathKind | None:
+        if not segments:
+            self._require_tree()
+            return PathKind.ROOT
         if segments == (citation_file_name(),):
             return None
-        proc = _git(self._root, "cat-file", "-t", f"{self._rev}:{'/'.join(segments)}", check=False)
-        kind = proc.stdout.strip() if proc.returncode == 0 else None
-        if kind == "tree":
-            return PathKind.DIRECTORY if segments else PathKind.ROOT
-        if kind in ("blob", "commit"):
-            return PathKind.FILE
+        path_text = "/".join(segments)
+        proc = _git(
+            self._root, "--literal-pathspecs", "ls-tree", "--full-tree", "-z",
+            self._rev, "--", path_text, check=False,
+        )
+        if proc.returncode != 0:
+            self._require_tree()
+            raise IoFailure(f"git ls-tree {self._rev} failed: {proc.stderr.strip()}")
+        for entry in proc.stdout.split("\0"):
+            meta, _, name = entry.partition("\t")
+            if name == path_text:
+                return PathKind.DIRECTORY if meta.split()[1] == "tree" else PathKind.FILE
+        return None
+
+    def _require_tree(self) -> None:
         if _git(self._root, "rev-parse", "--verify", "-q", f"{self._rev}^{{tree}}", check=False).returncode:
             raise UnknownVersion(f"unknown revision {self._rev!r}")
-        return None
 
 
 def tree_from_index(root: Path | str) -> TreeSnapshot:

@@ -86,8 +86,15 @@ def _tree_from_ls_tree(root: Path, rev: str) -> TreeSnapshot:
     return TreeSnapshot.from_files(files)
 
 
-def test_revision_lookup_matches_the_ls_tree_listing(git_repo):
+def test_revision_lookup_matches_the_ls_tree_listing(git_repo, monkeypatch, capsys):
     root = git_repo()
+    # A submodule's commit lives in the submodule's own repository, not in
+    # the superproject's object store.
+    other = git_repo("other")
+    (other / "f").write_text("f")
+    git(other, "add", "f")
+    git(other, "commit", "-q", "-m", "other")
+    foreign = git(other, "rev-parse", "HEAD").stdout.strip()
     for rel in ["a.c", "src/b.c", "src/deep/c.c", "src/citation.cite", "doc/x:y.md"]:
         (root / rel).parent.mkdir(parents=True, exist_ok=True)
         (root / rel).write_text(rel)
@@ -96,19 +103,25 @@ def test_revision_lookup_matches_the_ls_tree_listing(git_repo):
     git(root, "add", "-A")
     git(root, "commit", "-q", "-m", "first")
     head = git(root, "rev-parse", "HEAD").stdout.strip()
-    git(root, "update-index", "--add", "--cacheinfo", f"160000,{head},vendor/sub")  # a submodule
+    git(root, "update-index", "--add", "--cacheinfo", f"160000,{foreign},vendor/sub")
+    assert git(root, "cat-file", "-e", foreign, check=False).returncode != 0
     git(root, "rm", "-q", "-r", "src/deep")
     git(root, "mv", "a.c", "src/a.c")
     git(root, "commit", "-q", "-m", "second")
     revs = [head, "HEAD"]
     oracles = {rev: _tree_from_ls_tree(root, rev) for rev in revs}
     made = {p.segments for tree in oracles.values() for p in tree.paths()}
-    queries = _queries(sorted(made), [("citation.cite",), ("nope",), ("link", "b.c"), ("a.c", "x")])
+    extra = [("citation.cite",), ("nope",), ("link", "b.c"), ("a.c", "x"), ("vendor", "sub", "f")]
+    queries = _queries(sorted(made), extra)
     for rev in revs:
         lookup = RevisionLookup(root, rev)
         for segments in sorted(queries):
             assert lookup.kind_of(segments) is oracles[rev].kind_of(segments), (rev, segments)
     assert RevisionLookup(root, "HEAD").kind_of(("vendor", "sub")) is PathKind.FILE
+    assert RevisionLookup(root, "HEAD").kind_of(("vendor",)) is PathKind.DIRECTORY
+    monkeypatch.chdir(root)
+    assert main(["gen", "vendor/sub", "--version", "HEAD"]) == 0
+    assert "owner-root" in capsys.readouterr().out
     for segments in [(), ("a.c",)]:
         with pytest.raises(UnknownVersion):
             RevisionLookup(root, "no-such-rev").kind_of(segments)
@@ -175,16 +188,17 @@ def test_gen_file_costs_the_same_lstats_on_both_sizes(checkouts, monkeypatch):
 
 
 @pytest.mark.parametrize("size", ["small", "large"])
-def test_gen_at_a_revision_runs_one_cat_file(checkouts, size, monkeypatch):
+def test_gen_at_a_revision_runs_one_ls_tree(checkouts, size, monkeypatch):
     monkeypatch.chdir(checkouts[size])
     _no_walking(monkeypatch)
     real_git, commands = gitadapter._git, []
 
     def counting_git(root, *args, **kwargs):
-        commands.append(args[0])
+        commands.append(args)
         return real_git(root, *args, **kwargs)
 
     monkeypatch.setattr(gitadapter, "_git", counting_git)
     assert main(["gen", "d3/f7.c", "--version", "HEAD"]) == 0
-    assert commands.count("cat-file") == 1
-    assert "ls-tree" not in commands
+    listings = [args for args in commands if "ls-tree" in args]
+    assert len(listings) == 1
+    assert "-r" not in listings[0]
