@@ -17,27 +17,26 @@ from .model import (
     validate,
 )
 from .ops import (
-    CiteEdit,
     ConflictReport,
     RepositoryMetadata,
-    Role,
-    RoleContext,
-    add_cite,
     choose_left,
     choose_right,
     default_root_citation,
-    del_cite,
-    gen_cite,
-    modify_cite,
     scripted_resolver,
 )
 from .paths import ROOT, CanonicalPath, PathKind, canonicalize, from_rendered
 
 __version__ = "0.1.0"
 
-# The in-memory store is the reference model; no CLI command uses it, so it
-# is imported on first access instead of with the package (PEP 562).
-_STORE_NAMES = frozenset({"Repository", "TreeEdit", "Version", "copy_cite", "fork_cite"})
+# The in-memory store is the reference model, roles and staged edits
+# included; no CLI command uses it, so it is imported on first access
+# instead of with the package (PEP 562).
+_STORE_NAMES = frozenset(
+    {
+        "CiteEdit", "Repository", "Role", "RoleContext", "TreeEdit", "Version",
+        "add_cite", "copy_cite", "del_cite", "fork_cite", "gen_cite", "modify_cite",
+    }
+)
 
 
 def __getattr__(name: str):

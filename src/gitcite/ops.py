@@ -1,28 +1,24 @@
-"""Citation editing operations, with role and latest-version guards.
+"""The citation-file algebra, its merge resolvers and the default root citation.
 
-Project members add, delete, and modify citation entries; citers only read
-resolved citations. Edits are staged against a branch head and become
-durable when that branch commits. Mutating operations need exclusive access
-to the repository; reads (gen_cite) may run concurrently with other reads.
-
-This module also holds the one implementation of each way a citation file
-travels with the code: staged edits (:func:`apply_cite_edits`), key rewrite
-on rename (:func:`rewrite_keys`), pruning to a tree (:func:`prune_to_tree`)
-or of deleted paths (:func:`prune_deleted`), subtree migration on copy
+This module holds the one implementation of each way a citation file
+changes: a checked add, delete or modify (:func:`apply_add`,
+:func:`apply_delete`, :func:`apply_modify`), key rewrite on rename
+(:func:`rewrite_keys`), pruning to a tree (:func:`prune_to_tree`) or of
+deleted paths (:func:`prune_deleted`), subtree migration on copy
 (:func:`apply_copy`) and the three-way merge union
 (:func:`merge_citation_files`). The in-memory store and the git adapter both
 call them; none of them touches a repository. The key rewrite takes a whole
 list of renames and applies them simultaneously in one pass over the keys,
 so a commit that renames a thousand files costs one rebuild of the citation
 file, not one per rename; the store, whose tree edits are sequential, calls
-it once per edit.
+it once per edit. Roles and staged edits belong to the store
+(:mod:`gitcite.store`).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     AlreadyCited,
@@ -31,67 +27,13 @@ from .errors import (
     InvariantBroken,
     MissingMetadata,
     NotCited,
-    NotLatestVersion,
     PathNotInTree,
-    RoleForbidden,
     RootUndeletable,
     SubtreeMissing,
     UnresolvedConflict,
 )
 from .model import CitationFile, CitationRecord, TreeSnapshot, resolve
 from .paths import CanonicalPath
-
-if TYPE_CHECKING:
-    from .store import Repository
-
-
-class Role(enum.Enum):
-    PROJECT_MEMBER = "project_member"
-    CITER = "citer"
-
-
-@dataclass(frozen=True)
-class RoleContext:
-    """Who is acting. Citers may only invoke read operations."""
-
-    role: Role
-    actor: str
-
-
-class CiteEditKind(enum.Enum):
-    ADD = "add"
-    DELETE = "delete"
-    MODIFY = "modify"
-
-
-@dataclass(frozen=True)
-class CiteEdit:
-    """One staged citation-file edit. Delete edits never target the root."""
-
-    kind: CiteEditKind
-    path: CanonicalPath
-    record: CitationRecord | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is CiteEditKind.DELETE:
-            if self.record is not None:
-                raise ValueError("delete edits carry no record")
-            if self.path.is_root:
-                raise ValueError("delete edits never target the root")
-        elif self.record is None:
-            raise ValueError(f"{self.kind.value} edits need a record")
-
-    @classmethod
-    def add(cls, path: CanonicalPath, record: CitationRecord) -> "CiteEdit":
-        return cls(CiteEditKind.ADD, path, record)
-
-    @classmethod
-    def delete(cls, path: CanonicalPath) -> "CiteEdit":
-        return cls(CiteEditKind.DELETE, path)
-
-    @classmethod
-    def modify(cls, path: CanonicalPath, record: CitationRecord) -> "CiteEdit":
-        return cls(CiteEditKind.MODIFY, path, record)
 
 
 def apply_add(cf: CitationFile, tree: TreeSnapshot, path: CanonicalPath, record: CitationRecord) -> CitationFile:
@@ -117,17 +59,6 @@ def apply_modify(cf: CitationFile, path: CanonicalPath, record: CitationRecord) 
     if path not in cf:
         raise NotCited(f"{path} has no citation")
     return cf.with_entry(path, record)
-
-
-def apply_cite_edits(cf: CitationFile, edits: Iterable[CiteEdit]) -> CitationFile:
-    """Apply staged edits in order; deleting an absent key is a no-op."""
-    entries = cf.as_dict()
-    for edit in edits:
-        if edit.kind is CiteEditKind.DELETE:
-            entries.pop(edit.path, None)
-        else:
-            entries[edit.path] = edit.record
-    return CitationFile(entries)
 
 
 def _covering_dirs(key: CanonicalPath) -> Iterator[tuple[str, ...]]:
@@ -325,75 +256,6 @@ def merge_citation_files(
             conflicts.append(report)
             merged[key] = choice
     return prune_to_tree(CitationFile(merged), merged_tree), conflicts
-
-
-def _require_member(ctx: RoleContext) -> None:
-    if ctx.role is not Role.PROJECT_MEMBER:
-        raise RoleForbidden(f"{ctx.actor} ({ctx.role.value}) may not edit citations")
-
-
-def _require_latest(repo: "Repository", branch: str, at_version: str | None) -> None:
-    head = repo.head_id(branch)
-    if at_version is not None and at_version != head:
-        raise NotLatestVersion(
-            f"{at_version} is not the head of {branch!r} ({head}); citations update only on the latest version"
-        )
-
-
-def staged_citation_file(repo: "Repository", branch: str) -> CitationFile:
-    """The head citation file with the branch's staged edits applied."""
-    return apply_cite_edits(repo.head(branch).cf, repo.staged.get(branch, ()))
-
-
-def add_cite(
-    repo: "Repository",
-    ctx: RoleContext,
-    branch: str,
-    path: CanonicalPath,
-    record: CitationRecord,
-    at_version: str | None = None,
-) -> CitationFile:
-    _require_member(ctx)
-    _require_latest(repo, branch, at_version)
-    head = repo.head(branch)
-    staged = apply_add(staged_citation_file(repo, branch), head.tree, path, record)
-    repo.staged.setdefault(branch, []).append(CiteEdit.add(path, record))
-    return staged
-
-
-def del_cite(
-    repo: "Repository",
-    ctx: RoleContext,
-    branch: str,
-    path: CanonicalPath,
-    at_version: str | None = None,
-) -> CitationFile:
-    _require_member(ctx)
-    _require_latest(repo, branch, at_version)
-    staged = apply_delete(staged_citation_file(repo, branch), path)
-    repo.staged.setdefault(branch, []).append(CiteEdit.delete(path))
-    return staged
-
-
-def modify_cite(
-    repo: "Repository",
-    ctx: RoleContext,
-    branch: str,
-    path: CanonicalPath,
-    record: CitationRecord,
-    at_version: str | None = None,
-) -> CitationFile:
-    _require_member(ctx)
-    _require_latest(repo, branch, at_version)
-    staged = apply_modify(staged_citation_file(repo, branch), path, record)
-    repo.staged.setdefault(branch, []).append(CiteEdit.modify(path, record))
-    return staged
-
-
-def gen_cite(repo: "Repository", version_id: str, path: CanonicalPath) -> CitationRecord:
-    """Resolved citation of ``path`` at any stored version. Read-only."""
-    version = repo.version(version_id)
-    return resolve(version.cf, version.tree, path)
 
 
 @dataclass(frozen=True)

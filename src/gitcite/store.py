@@ -1,11 +1,17 @@
-"""In-memory version DAG with citation-carrying operators.
+"""In-memory version DAG with roles, staged edits and citation-carrying operators.
 
 This is the reference semantics for how citation files travel through
 commits, branches, copies between repositories, merges, and forks. History
 is append-only: versions are immutable once created, and every operation
 leaves the head citation file consistent with the head tree.
 
-The citation-file algebra itself (edits, key rewrite, pruning, copy
+Project members add, delete, and modify citation entries; citers only read
+resolved citations (:func:`gen_cite`). Edits are staged against a branch
+head and become durable when that branch commits. Mutating operations need
+exclusive access to the repository; reads may run concurrently with other
+reads.
+
+The citation-file algebra itself (checked edits, key rewrite, pruning, copy
 migration, merge union) lives in :mod:`gitcite.ops` and is shared with the
 git adapter. What the store computes on its own are the tree-level facts:
 explicit :class:`TreeEdit` renames and deletes, and the merged file set,
@@ -24,17 +30,20 @@ from .errors import (
     EditConflict,
     InvariantBroken,
     NoCommonAncestor,
+    NotLatestVersion,
+    RoleForbidden,
     SourceVersionUnknown,
     UnknownBranch,
     UnknownVersion,
 )
-from .model import CitationFile, CitationRecord, TreeSnapshot, validate
+from .model import CitationFile, CitationRecord, TreeSnapshot, resolve, validate
 from .ops import (
-    CiteEdit,
     ConflictReport,
     Resolver,
-    apply_cite_edits,
+    apply_add,
     apply_copy,
+    apply_delete,
+    apply_modify,
     merge_citation_files,
     prune_to_tree,
     rewrite_keys,
@@ -42,6 +51,67 @@ from .ops import (
 from .paths import CanonicalPath, PathKind
 
 logger = logging.getLogger(__name__)
+
+
+class Role(enum.Enum):
+    PROJECT_MEMBER = "project_member"
+    CITER = "citer"
+
+
+@dataclass(frozen=True)
+class RoleContext:
+    """Who is acting. Citers may only invoke read operations."""
+
+    role: Role
+    actor: str
+
+
+class CiteEditKind(enum.Enum):
+    ADD = "add"
+    DELETE = "delete"
+    MODIFY = "modify"
+
+
+@dataclass(frozen=True)
+class CiteEdit:
+    """One staged citation-file edit. Delete edits never target the root."""
+
+    kind: CiteEditKind
+    path: CanonicalPath
+    record: CitationRecord | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind is CiteEditKind.DELETE:
+            if self.record is not None:
+                raise ValueError("delete edits carry no record")
+            if self.path.is_root:
+                raise ValueError("delete edits never target the root")
+        elif self.record is None:
+            raise ValueError(f"{self.kind.value} edits need a record")
+
+    @classmethod
+    def add(cls, path: CanonicalPath, record: CitationRecord) -> "CiteEdit":
+        return cls(CiteEditKind.ADD, path, record)
+
+    @classmethod
+    def delete(cls, path: CanonicalPath) -> "CiteEdit":
+        return cls(CiteEditKind.DELETE, path)
+
+    @classmethod
+    def modify(cls, path: CanonicalPath, record: CitationRecord) -> "CiteEdit":
+        return cls(CiteEditKind.MODIFY, path, record)
+
+
+def apply_cite_edits(cf: CitationFile, edits: Iterable[CiteEdit]) -> CitationFile:
+    """Apply staged edits in order; deleting an absent key is a no-op."""
+    entries = cf.as_dict()
+    for edit in edits:
+        if edit.kind is CiteEditKind.DELETE:
+            entries.pop(edit.path, None)
+        else:
+            entries[edit.path] = edit.record
+    return CitationFile(entries)
+
 
 
 @dataclass(frozen=True)
@@ -252,6 +322,78 @@ class Repository:
         version = self._new_version((into_id, from_id), tree, cf)
         self.branches[into_branch] = version.id
         return version, conflicts
+
+
+def staged_citation_file(repo: Repository, branch: str) -> CitationFile:
+    """The head citation file with the branch's staged edits applied."""
+    return apply_cite_edits(repo.head(branch).cf, repo.staged.get(branch, ()))
+
+
+def add_cite(
+    repo: Repository,
+    ctx: RoleContext,
+    branch: str,
+    path: CanonicalPath,
+    record: CitationRecord,
+    at_version: str | None = None,
+) -> CitationFile:
+    return _stage(repo, ctx, branch, at_version, CiteEditKind.ADD, path, record)
+
+
+def del_cite(
+    repo: Repository,
+    ctx: RoleContext,
+    branch: str,
+    path: CanonicalPath,
+    at_version: str | None = None,
+) -> CitationFile:
+    return _stage(repo, ctx, branch, at_version, CiteEditKind.DELETE, path, None)
+
+
+def modify_cite(
+    repo: Repository,
+    ctx: RoleContext,
+    branch: str,
+    path: CanonicalPath,
+    record: CitationRecord,
+    at_version: str | None = None,
+) -> CitationFile:
+    return _stage(repo, ctx, branch, at_version, CiteEditKind.MODIFY, path, record)
+
+
+def _stage(
+    repo: Repository,
+    ctx: RoleContext,
+    branch: str,
+    at_version: str | None,
+    kind: CiteEditKind,
+    path: CanonicalPath,
+    record: CitationRecord | None,
+) -> CitationFile:
+    """Check the role and the version, apply the edit to the staged file by
+    its :mod:`gitcite.ops` operation, then stage it. Returns the staged file."""
+    if ctx.role is not Role.PROJECT_MEMBER:
+        raise RoleForbidden(f"{ctx.actor} ({ctx.role.value}) may not edit citations")
+    head = repo.head_id(branch)
+    if at_version is not None and at_version != head:
+        raise NotLatestVersion(
+            f"{at_version} is not the head of {branch!r} ({head}); citations update only on the latest version"
+        )
+    cf = staged_citation_file(repo, branch)
+    if kind is CiteEditKind.ADD:
+        staged = apply_add(cf, repo.head(branch).tree, path, record)
+    elif kind is CiteEditKind.DELETE:
+        staged = apply_delete(cf, path)
+    else:
+        staged = apply_modify(cf, path, record)
+    repo.staged.setdefault(branch, []).append(CiteEdit(kind, path, record))
+    return staged
+
+
+def gen_cite(repo: Repository, version_id: str, path: CanonicalPath) -> CitationRecord:
+    """Resolved citation of ``path`` at any stored version. Read-only."""
+    version = repo.version(version_id)
+    return resolve(version.cf, version.tree, path)
 
 
 def _apply_tree_edit(tree: TreeSnapshot, edit: TreeEdit) -> TreeSnapshot:

@@ -23,9 +23,9 @@ from gitcite.gitadapter import (
     store_citation_file,
     sync_on_commit,
 )
-from gitcite.ops import CiteEdit, apply_add, apply_delete, apply_modify, scripted_resolver
+from gitcite.ops import apply_add, apply_delete, apply_modify, scripted_resolver
 from gitcite.paths import from_rendered
-from gitcite.store import TreeEdit
+from gitcite.store import CiteEdit, TreeEdit
 
 from conftest import git, init_repo
 from support import record, snapshot_worktree

@@ -6,8 +6,8 @@ import random
 import string
 
 from gitcite import CitationFile, CitationRecord, Repository, TreeSnapshot
-from gitcite.ops import CiteEdit
 from gitcite.paths import ROOT, CanonicalPath, PathKind
+from gitcite.store import CiteEdit
 from gitcite.store import TreeEdit
 
 _NAMES = string.ascii_lowercase

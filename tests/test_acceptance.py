@@ -19,18 +19,18 @@ from gitcite import (
     validate,
 )
 from gitcite.fileformat import parse, serialize
-from gitcite.ops import (
+from gitcite.ops import choose_left
+from gitcite.paths import ROOT, from_rendered
+from gitcite.store import (
     CiteEdit,
     CiteEditKind,
     Role,
     RoleContext,
     add_cite,
-    choose_left,
     del_cite,
     gen_cite,
     modify_cite,
 )
-from gitcite.paths import ROOT, from_rendered
 
 import randgen
 from gitdriver import run_scenario

@@ -15,8 +15,9 @@ from gitcite.cli import main
 from gitcite.fileformat import record_from_obj, serialize
 from gitcite.gitadapter import load_citation_file, store_citation_file
 from gitcite.model import resolve
-from gitcite.ops import CiteEdit, scripted_resolver
+from gitcite.ops import scripted_resolver
 from gitcite.paths import ROOT, from_rendered
+from gitcite.store import CiteEdit
 
 from conftest import git
 from support import record, resolve_by_walking, snapshot_worktree

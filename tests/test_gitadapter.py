@@ -29,9 +29,9 @@ from gitcite.gitadapter import (
     store_citation_file,
     sync_on_commit,
 )
-from gitcite.ops import CiteEdit, choose_right, default_root_citation, merge_citation_files
+from gitcite.ops import choose_right, default_root_citation, merge_citation_files
 from gitcite.paths import ROOT, PathKind, from_rendered
-from gitcite.store import TreeEdit
+from gitcite.store import CiteEdit, TreeEdit
 
 from conftest import git
 from support import record, snapshot_worktree, tree

@@ -20,22 +20,19 @@ from gitcite.errors import (
     RootUndeletable,
     UnknownVersion,
 )
-from gitcite.ops import (
+from gitcite.ops import RepositoryMetadata, default_root_citation, prune_deleted, rewrite_keys
+from gitcite.gitadapter import store_citation_file, sync_on_commit
+from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
+from gitcite.store import (
     CiteEdit,
-    RepositoryMetadata,
     Role,
     RoleContext,
     add_cite,
-    default_root_citation,
     del_cite,
     gen_cite,
     modify_cite,
-    prune_deleted,
-    rewrite_keys,
     staged_citation_file,
 )
-from gitcite.gitadapter import store_citation_file, sync_on_commit
-from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 
 import randgen
 from support import record, resolve_by_walking, tree
@@ -312,10 +309,11 @@ def test_sync_builds_a_bounded_number_of_citation_files(tmp_path, monkeypatch):
 
 
 def test_adapter_and_cli_do_not_import_the_store():
-    """The git adapter and the CLI take every citation operation from ops, so
-    a second copy of one cannot grow back beside the store's."""
+    """The git adapter and the CLI take every citation operation from ops, and
+    ops needs nothing of the store, so a second copy of one cannot grow back
+    beside the store's and the CLI never loads the store."""
     package = Path(gitcite.__file__).parent
-    for name in ("gitadapter.py", "cli.py"):
+    for name in ("gitadapter.py", "cli.py", "ops.py"):
         imported = set()
         for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom):

@@ -15,10 +15,9 @@ from gitcite.errors import (
     UnknownVersion,
     UnresolvedConflict,
 )
-from gitcite.ops import CiteEdit
 from gitcite.paths import ROOT, from_rendered
 from gitcite.ops import ConflictReport, choose_left, scripted_resolver
-from gitcite.store import TreeEdit
+from gitcite.store import CiteEdit, TreeEdit, gen_cite
 
 import randgen
 from support import record, resolve_by_walking, tree
@@ -100,8 +99,6 @@ class TestBranch:
         head = repo.head_id("main")
         repo.add_branch("side", head)
         assert repo.head_id("side") == head
-        from gitcite.ops import gen_cite
-
         for path in repo.head("main").tree.paths():
             assert gen_cite(repo, repo.head_id("side"), path) == gen_cite(repo, head, path)
 
@@ -323,8 +320,6 @@ class TestConflictReport:
 
 class TestForkCite:
     def test_fork_copies_history_and_resolution(self):
-        from gitcite.ops import gen_cite
-
         repo = repo_with(("/a.c", "/b/x.c"), {"/b/": "b"})
         repo.commit("main", [TreeEdit.create(from_rendered("/c.c"), "c")])
         fork = fork_cite(repo)
