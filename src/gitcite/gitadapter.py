@@ -350,7 +350,7 @@ def tree_from_index(root: Path | str) -> TreeSnapshot:
             continue
         meta, path_text = token.split("\t", 1)
         if path_text != skip:
-            files["/" + path_text] = meta.split()[1]
+            files[tuple(path_text.split("/"))] = meta.split()[1]
     return TreeSnapshot.from_files(files)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import EditConflict, MissingRoot, PathNotInTree
-from .paths import ROOT, CanonicalPath, PathKind, from_rendered
+from .paths import ROOT, CanonicalPath, PathKind
 
 RECORD_FIELDS = ("owner", "repo_name", "locator", "version_id", "date", "author_list", "extras")
 
@@ -71,34 +71,23 @@ class TreeSnapshot:
     dirs: frozenset[Segments] = frozenset({()})
 
     @classmethod
-    def from_files(
-        cls,
-        files: Mapping[str | CanonicalPath, str] | Iterable[str | CanonicalPath] = (),
-        dirs: Iterable[str | CanonicalPath] = (),
-    ) -> "TreeSnapshot":
-        """Build a snapshot from file paths (optionally path -> digest) plus extra directories.
+    def from_files(cls, files: Mapping[Segments, str], dirs: Iterable[Segments] = ()) -> "TreeSnapshot":
+        """Build a snapshot from file segments -> digest plus extra directory segments.
 
         The result and the errors are those of folding :meth:`with_file` over
-        ``files`` and then :meth:`with_dir` over ``dirs``: a later digest for
-        the same file wins. Each path adds its ancestors until it meets one
-        already present, so the build is linear in the number of path segments.
+        ``files`` and then :meth:`with_dir` over ``dirs``: a file may not sit
+        where another file needs a directory, nor at the root. Each path adds
+        its ancestors until it meets one already present, so the build is
+        linear in the number of path segments.
         """
-        file_map: dict[Segments, str] = {}
+        file_map = dict(files)
+        if () in file_map:
+            raise EditConflict("a directory already exists at /")
         dir_set: set[Segments] = {()}
-        pairs = files.items() if isinstance(files, Mapping) else ((p, "") for p in files)
-        for raw, digest in pairs:
-            path = _as_path(raw)
-            if not path.is_file:
-                raise EditConflict(f"{path} is not a file path")
-            if path.segments in dir_set:
-                raise EditConflict(f"a directory already exists at {path}")
-            dir_set.update(_missing_dirs(file_map, dir_set, path.segments[:-1]))
-            file_map[path.segments] = digest
-        for raw in dirs:
-            path = _as_path(raw)
-            if not path.is_dir or path.is_root:
-                raise EditConflict(f"{path} is not a directory path")
-            dir_set.update(_missing_dirs(file_map, dir_set, path.segments))
+        for segments in file_map:
+            dir_set.update(_missing_dirs(file_map, dir_set, segments[:-1]))
+        for segments in dirs:
+            dir_set.update(_missing_dirs(file_map, dir_set, segments))
         return cls(file_map, frozenset(dir_set))
 
     def kind_of(self, segments: Segments) -> PathKind | None:
@@ -123,9 +112,6 @@ class TreeSnapshot:
 
     def file_paths(self) -> list[CanonicalPath]:
         return [p for p in self.paths() if p.is_file]
-
-    def dir_paths(self) -> list[CanonicalPath]:
-        return [p for p in self.paths() if p.kind is PathKind.DIRECTORY]
 
     def with_file(self, path: CanonicalPath, digest: str = "") -> "TreeSnapshot":
         """Set the file at ``path``, creating intermediate directories."""
@@ -202,10 +188,6 @@ def _missing_dirs(
         missing.append(segments)
         segments = segments[:-1]
     return missing
-
-
-def _as_path(raw: str | CanonicalPath) -> CanonicalPath:
-    return raw if isinstance(raw, CanonicalPath) else from_rendered(raw)
 
 
 class CitationFile:

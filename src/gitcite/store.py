@@ -36,7 +36,7 @@ from .errors import (
     UnknownBranch,
     UnknownVersion,
 )
-from .model import CitationFile, CitationRecord, TreeSnapshot, resolve, validate
+from .model import CitationFile, CitationRecord, Segments, TreeSnapshot, resolve, validate
 from .ops import (
     ConflictReport,
     Resolver,
@@ -413,19 +413,18 @@ def _merge_trees(
 ) -> tuple[TreeSnapshot, list[str]]:
     """Three-way file-set merge; on a true content conflict the left (into)
     side wins and a warning is recorded."""
-    files: dict[CanonicalPath, str] = {}
+    files: dict[Segments, str] = {}
     changed_on_both: list[CanonicalPath] = []
     for segments in base.files.keys() | left.files.keys() | right.files.keys():
         db, dl, dr = (tree.files.get(segments) for tree in (base, left, right))
-        path = CanonicalPath(segments, PathKind.FILE)
         if len({db, dl, dr}) == 3:
-            changed_on_both.append(path)
+            changed_on_both.append(CanonicalPath(segments, PathKind.FILE))
         keep = _three_way(db, dl, dr)
         if keep is not None:
-            files[path] = keep
+            files[segments] = keep
     dirs = [
-        CanonicalPath(segments, PathKind.DIRECTORY)
-        for segments in (base.dirs | left.dirs | right.dirs) - {()}
+        segments
+        for segments in base.dirs | left.dirs | right.dirs
         if _three_way(*(segments in tree.dirs for tree in (base, left, right)))
     ]
     warnings = [

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from gitcite import CitationFile, CitationRecord, TreeSnapshot
 from gitcite.gitadapter import citation_file_name
-from gitcite.paths import CanonicalPath, PathKind
+from gitcite.paths import CanonicalPath, from_rendered
 
 
 def record(tag: str, **overrides) -> CitationRecord:
@@ -40,7 +40,10 @@ def resolve_by_walking(cf: CitationFile, path: CanonicalPath) -> CitationRecord:
 
 
 def tree(*files: str, dirs: tuple[str, ...] = ()) -> TreeSnapshot:
-    return TreeSnapshot.from_files({f: f"digest:{f}" for f in files}, dirs=dirs)
+    """A snapshot of the rendered ``files`` and ``dirs``; each file's digest names it."""
+    return TreeSnapshot.from_files(
+        {from_rendered(f).segments: f"digest:{f}" for f in files}, [from_rendered(d).segments for d in dirs]
+    )
 
 
 def snapshot_worktree(worktree_root: Path | str) -> TreeSnapshot:
@@ -54,17 +57,12 @@ def snapshot_worktree(worktree_root: Path | str) -> TreeSnapshot:
     """
     root = Path(worktree_root)
     skip = citation_file_name()
-    files: list[CanonicalPath] = []
-    dirs: list[CanonicalPath] = []
+    files: dict[tuple[str, ...], str] = {}
+    dirs: list[tuple[str, ...]] = []
     for current, dirnames, filenames in os.walk(root):
         dirnames[:] = [d for d in dirnames if d != ".git"]
         rel = Path(current).relative_to(root)
         parts = () if rel == Path(".") else rel.parts
-        if parts:
-            dirs.append(CanonicalPath(parts, PathKind.DIRECTORY))
-        files.extend(
-            CanonicalPath(parts + (filename,), PathKind.FILE)
-            for filename in filenames
-            if parts or filename != skip
-        )
+        dirs.append(parts)
+        files.update((parts + (filename,), "") for filename in filenames if parts or filename != skip)
     return TreeSnapshot.from_files(files, dirs)

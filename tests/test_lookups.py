@@ -77,12 +77,12 @@ def test_worktree_lookup_matches_the_walk(layout, extra):
 
 def _tree_from_ls_tree(root: Path, rev: str) -> TreeSnapshot:
     """Oracle: the committed tree from one ``git ls-tree -r -z`` listing."""
-    files = []
+    files = {}
     for token in git(root, "ls-tree", "-r", "-z", rev).stdout.split("\0"):
         if token:
             path_text = token.split("\t", 1)[1]
             if path_text != "citation.cite":
-                files.append("/" + path_text)
+                files[tuple(path_text.split("/"))] = ""
     return TreeSnapshot.from_files(files)
 
 

@@ -95,9 +95,9 @@ def test_bulk_build_matches_folding_single_edits(file_entries, dir_segments):
         expected = _fold_single_edits(files, dirs)
     except EditConflict:
         with pytest.raises(EditConflict):
-            TreeSnapshot.from_files(dict(files), dirs)
+            TreeSnapshot.from_files(dict(file_entries), dir_segments)
         return
-    assert TreeSnapshot.from_files(dict(files), dirs) == expected
+    assert TreeSnapshot.from_files(dict(file_entries), dir_segments) == expected
 
 
 @st.composite
@@ -106,10 +106,7 @@ def _trees(draw) -> TreeSnapshot:
     files = draw(st.dictionaries(_segments, st.sampled_from(["", "d1", "d2"]), max_size=8))
     files = {s: d for s, d in files.items() if not any(f != s and s[: len(f)] == f for f in files)}
     dirs = [s for s in draw(st.lists(_segments, max_size=4)) if not any(s[: len(f)] == f for f in files)]
-    return TreeSnapshot.from_files(
-        {CanonicalPath(s, PathKind.FILE): d for s, d in files.items()},
-        [CanonicalPath(s, PathKind.DIRECTORY) for s in dirs],
-    )
+    return TreeSnapshot.from_files(files, dirs)
 
 
 def _moved(segments_map, src: tuple[str, ...], dst: tuple[str, ...]):
@@ -160,10 +157,7 @@ def test_single_edits_match_building_the_edited_path_list(data):
         apply = lambda: snap.with_subtree(path, src_tree, src_dir)  # noqa: E731
     if not invalid:
         try:
-            expected = TreeSnapshot.from_files(
-                {CanonicalPath(s, PathKind.FILE): d for s, d in files.items()},
-                [CanonicalPath(s, PathKind.DIRECTORY) for s in dirs if s],
-            )
+            expected = TreeSnapshot.from_files(files, dirs)
         except EditConflict:
             invalid = True  # the edited path list clashes: a file where a directory must be
     if invalid:
@@ -199,27 +193,19 @@ def test_ancestor_lookup_matches_scanning_every_key(keys, with_root, path):
 
 
 class TestBulkBuild:
-    def test_a_later_digest_for_the_same_file_wins(self):
-        snap = TreeSnapshot.from_files({"/a/x.c": "old", from_rendered("/a/x.c"): "new"})
-        assert snap.digest_at(from_rendered("/a/x.c")) == "new"
-        assert [str(p) for p in snap.paths()] == ["/", "/a/", "/a/x.c"]
-
     @pytest.mark.parametrize(
         "files, dirs",
         [
-            (["/a", "/a/b.c"], ()),  # file, then a file below it
-            (["/a/b.c", "/a"], ()),  # directory, then a file in its place
-            (["/a"], ["/a/"]),
-            (["/a"], ["/a/b/"]),
-            (["/"], ()),  # the root given as a file
-            (["/a/"], ()),  # a directory given as a file
-            ((), ["/"]),
-            ((), ["/a.c"]),  # a file given as a directory
+            ([("a",), ("a", "b.c")], ()),  # file, then a file below it
+            ([("a", "b.c"), ("a",)], ()),  # directory, then a file in its place
+            ([("a",)], [("a",)]),
+            ([("a",)], [("a", "b")]),
+            ([()], ()),  # the root given as a file
         ],
     )
     def test_clashes_and_wrong_kinds_are_edit_conflicts(self, files, dirs):
         with pytest.raises(EditConflict):
-            TreeSnapshot.from_files(files, dirs)
+            TreeSnapshot.from_files(dict.fromkeys(files, ""), dirs)
 
 
 class TestResolve:
