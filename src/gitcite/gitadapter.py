@@ -172,10 +172,14 @@ def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
 def _git(
     root: Path | str, *args: str, check: bool = True, input: str | None = None
 ) -> subprocess.CompletedProcess:
+    """Run git. Its output is decoded as Python decodes file names: a byte
+    that is not UTF-8 becomes a lone surrogate, which encodes back to the
+    same byte when the text is handed to git or the file system again."""
     proc = subprocess.run(
         ["git", "-C", str(root), *args],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
+        errors="surrogateescape",
         input=input,
     )
     if check and proc.returncode != 0:
@@ -360,7 +364,7 @@ def citation_file_at_revision(root: Path | str, rev: str) -> CitationFile:
         if _git(root, "rev-parse", "--verify", "-q", rev, check=False).returncode != 0:
             raise UnknownVersion(f"unknown revision {rev!r}")
         raise FileMissing(f"no {citation_file_name()} at revision {rev!r}")
-    return parse(proc.stdout)
+    return parse(proc.stdout.encode("utf-8", "surrogateescape").decode("utf-8"))  # contents must be UTF-8
 
 
 def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]:
@@ -475,19 +479,19 @@ def _count_dirs(files: Iterable[tuple[str, ...]]) -> Counter:
 
 
 def run_merge(
-    root: Path | str,
-    other: str,
-    resolver: Resolver | None,
-    message: str | None = None,
+    root: Path | str, other: str, resolver: Resolver | None
 ) -> tuple[CitationFile, list[ConflictReport]]:
     """Citation-aware branch merge in a real worktree.
 
     Content files merge through ``git merge --no-commit --no-ff`` with
     leftover content conflicts resolved toward the current branch; the
     citation file is rebuilt from the base/ours/theirs documents instead of
-    being text-merged, then the merge is committed. If anything fails after
-    ``git merge`` has started, ``git merge --abort`` restores the checkout
-    before the error propagates.
+    being text-merged, then the merge is committed. A merge that git refuses
+    to start (it leaves no ``MERGE_HEAD``, as when it would overwrite an
+    untracked file or a local edit) raises :class:`~gitcite.errors.IoFailure`
+    with git's message and touches nothing. If anything fails after ``git
+    merge`` has started, ``git merge --abort`` restores the checkout before
+    the error propagates.
     """
     root = Path(root)
     other_proc = _git(root, "rev-parse", "--verify", "-q", other, check=False)
@@ -508,14 +512,17 @@ def run_merge(
     base_cf = citation_file_at_revision(root, base_rev)
     left_cf = citation_file_at_revision(root, head_rev)
     right_cf = citation_file_at_revision(root, other_rev)
-    _git(root, "merge", "--no-commit", "--no-ff", other_rev, check=False)
+    merge = _git(root, "merge", "--no-commit", "--no-ff", other_rev, check=False)
+    if merge.returncode != 0:  # a conflict leaves MERGE_HEAD set; a refusal leaves nothing
+        if _git(root, "rev-parse", "-q", "--verify", "MERGE_HEAD", check=False).returncode != 0:
+            raise IoFailure(f"git merge {other} refused: {merge.stderr.strip()}")
     try:
         _resolve_content_conflicts(root)
         merged_tree = tree_from_index(root)
         merged_cf, conflicts = merge_citation_files(base_cf, left_cf, right_cf, merged_tree, resolver)
         store_citation_file(root, merged_cf)
         _git(root, "add", "-A")
-        _git(root, "commit", "-m", message or f"Merge {other}")
+        _git(root, "commit", "-m", f"Merge {other}")
     except BaseException:
         _git(root, "merge", "--abort", check=False)  # leave no pending merge or conflict markers
         raise

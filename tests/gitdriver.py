@@ -137,9 +137,7 @@ class Project:
     def merge(self, other: str, choices: dict[str, str] | None = None) -> None:
         self._clean()
         choices = choices or {}
-        _, adapter_conflicts = run_merge(
-            self.root, other, scripted_resolver(choices), message=f"merge {other}"
-        )
+        _, adapter_conflicts = run_merge(self.root, other, scripted_resolver(choices))
         version, model_conflicts = self.model.merge(self.current_branch, other, scripted_resolver(choices))
         assert [(str(c.key), c.resolution) for c in adapter_conflicts] == [
             (str(c.key), c.resolution) for c in model_conflicts

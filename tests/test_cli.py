@@ -297,6 +297,20 @@ def model_mirror() -> Repository:
     return repo
 
 
+def diverge(root: Path, side_file: str, main_file: str) -> None:
+    """Commit ``side_file``, cited, on a new branch ``side`` and ``main_file``
+    on ``main``, which is left checked out."""
+    git(root, "checkout", "-q", "-b", "side")
+    (root / side_file).write_text("side")
+    store_citation_file(root, load_citation_file(root).with_entry(from_rendered("/" + side_file), record("side")))
+    git(root, "add", "-A")
+    git(root, "commit", "-q", "-m", "side")
+    git(root, "checkout", "-q", "main")
+    (root / main_file).write_text("main")
+    git(root, "add", "-A")
+    git(root, "commit", "-q", "-m", "main")
+
+
 class TestMerge:
     def test_ours_keeps_the_current_branch_record(self, git_repo, monkeypatch):
         root = build_conflicted_repo(git_repo)
@@ -356,6 +370,34 @@ class TestMerge:
         cf = load_citation_file(root)
         assert cf.get(from_rendered("/b.c")) == record("b")
         assert (root / "c.c").is_file() and (root / "b.c").is_file()
+
+    def test_a_merge_git_refuses_writes_nothing(self, git_repo, monkeypatch, capsys):
+        root = git_repo("refused")
+        seed(root, {"a.c": "a"}, {})
+        diverge(root, "new.c", "c.c")
+        (root / "new.c").write_text("untracked")  # git will not overwrite it
+        head = git(root, "rev-parse", "HEAD").stdout
+        cite = (root / "citation.cite").read_bytes()
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == 3
+        assert "new.c" in capsys.readouterr().err
+        assert git(root, "rev-parse", "HEAD").stdout == head
+        assert not (root / ".git" / "MERGE_HEAD").exists()
+        assert (root / "new.c").read_text() == "untracked"
+        assert (root / "citation.cite").read_bytes() == cite
+        assert git(root, "status", "--porcelain").stdout == "?? new.c\n"
+
+    @pytest.mark.parametrize("name", ["we\\ird.c", os.fsdecode(b"bad\xff.c")], ids=["backslash", "non-utf8"])
+    def test_an_uncited_odd_name_does_not_stop_a_merge(self, git_repo, monkeypatch, name):
+        root = git_repo("odd-name")
+        seed(root, {"a.c": "a", name: "odd"}, {})
+        diverge(root, "b.c", "c.c")
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == 0
+        assert load_citation_file(root).get(from_rendered("/b.c")) == record("side")
+        assert (root / name).read_text() == "odd"
+        assert git(root, "status", "--porcelain").stdout == ""
+        assert len(git(root, "log", "-1", "--format=%P").stdout.split()) == 2
 
 
 class TestValidate:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import http.server
 import json
+import os
 import threading
 from pathlib import Path
 
@@ -250,6 +251,17 @@ class TestStagedChanges:
         with pytest.raises(InvariantBroken):
             sync_on_commit(root, *staged_changes(root))
         assert (root / "citation.cite").read_bytes() == before
+
+    def test_a_tracked_non_utf8_name_does_not_stop_a_rename(self, git_repo):
+        root = git_repo()
+        seed(root, {"a.c": _source("alpha"), os.fsdecode(b"bad\xff.c"): "odd"}, {"/a.c": "a"})
+        git(root, "mv", "a.c", "b.c")
+        renames, deleted = staged_changes(root)
+        assert [(str(a), str(b)) for a, b in renames] == [("/a.c", "/b.c")]
+        assert deleted == []
+        synced = sync_on_commit(root, renames, deleted)
+        assert [str(k) for k in synced] == ["/", "/b.c"]
+        assert synced.get(from_rendered("/b.c")) == record("a")
 
     def test_emptied_directory_beside_a_sibling_that_keeps_files(self, git_repo):
         root = git_repo()
