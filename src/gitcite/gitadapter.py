@@ -364,7 +364,11 @@ def citation_file_at_revision(root: Path | str, rev: str) -> CitationFile:
         if _git(root, "rev-parse", "--verify", "-q", rev, check=False).returncode != 0:
             raise UnknownVersion(f"unknown revision {rev!r}")
         raise FileMissing(f"no {citation_file_name()} at revision {rev!r}")
-    return parse(proc.stdout.encode("utf-8", "surrogateescape").decode("utf-8"))  # contents must be UTF-8
+    try:  # _git let bytes that are not UTF-8 through; a citation file must be UTF-8
+        text = proc.stdout.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"cannot read {citation_file_name()} at revision {rev!r}: {exc}") from exc
+    return parse(text)
 
 
 def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]:

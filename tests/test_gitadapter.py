@@ -14,6 +14,7 @@ from gitcite.errors import (
     FileMissing,
     HttpStatus,
     InvariantBroken,
+    IoFailure,
     MalformedDocument,
     NetworkFailure,
     UnknownVersion,
@@ -307,6 +308,15 @@ class TestWorktreeAndHistory:
             RevisionLookup(root, "not-a-rev").kind_of(("a.c",))
         with pytest.raises(UnknownVersion):
             citation_file_at_revision(root, "not-a-rev")
+
+    def test_a_citation_file_at_a_revision_must_be_utf8(self, git_repo):
+        root = git_repo()
+        seed(root, {"a.c": "a"}, {})
+        cite = root / "citation.cite"
+        cite.write_bytes(cite.read_bytes().replace(b"owner-root", b"owner-\xff"))
+        git(root, "commit", "-q", "-a", "-m", "not UTF-8")
+        with pytest.raises(IoFailure, match="citation.cite at revision 'HEAD'"):
+            citation_file_at_revision(root, "HEAD")
 
     def test_repo_metadata_matches_direct_git_queries(self, git_repo):
         root = git_repo(origin="https://example.com/carol/widget.git")
