@@ -10,8 +10,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from . import fileformat, gitadapter, render
@@ -26,7 +24,7 @@ from .errors import (
     NotARepository,
     NotCited,
 )
-from .model import CitationFile, CitationRecord, resolve, resolve_from_entries, validate
+from .model import RECORD_FIELDS, CitationFile, CitationRecord, resolve, resolve_from_entries, validate
 from .ops import (
     ConflictReport,
     apply_add,
@@ -89,11 +87,11 @@ def _field_pair(text: str) -> tuple[str, str]:
 
 
 def _build_record(template: CitationRecord, fields: list[tuple[str, str]], authors: str | None) -> CitationRecord:
-    updates: dict[str, object] = {}
-    extras = dict(template.extras)
+    values = {name: getattr(template, name) for name in RECORD_FIELDS}
+    values["extras"] = extras = dict(template.extras)
     for key, value in fields or []:
         if key in ("owner", "repo_name", "locator", "version_id", "date"):
-            updates[key] = value
+            values[key] = value
         elif key in ("author_list", "authors"):
             raise ValueError("set authors with --authors, not --field")
         elif key == "extras":
@@ -101,8 +99,8 @@ def _build_record(template: CitationRecord, fields: list[tuple[str, str]], autho
         else:
             extras[key] = value
     if authors is not None:
-        updates["author_list"] = tuple(a.strip() for a in authors.split(",") if a.strip())
-    return replace(template, extras=extras, **updates)
+        values["author_list"] = tuple(a.strip() for a in authors.split(",") if a.strip())
+    return CitationRecord(**values)
 
 
 def cmd_init(args: argparse.Namespace) -> int:
@@ -188,6 +186,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_copy(args: argparse.Namespace) -> int:
+    import tempfile  # only copy needs a scratch directory
+
     root = find_root()
     with tempfile.TemporaryDirectory(prefix="gitcite-copy-") as scratch:
         if _looks_remote(args.src):

@@ -20,17 +20,16 @@ from __future__ import annotations
 
 import os
 import re
-import shutil
 import stat
-import subprocess
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     DestinationCollision,
     FileMissing,
     HttpStatus,
+    InvalidPath,
     IoFailure,
     NetworkFailure,
     NoCommonAncestor,
@@ -48,7 +47,10 @@ from .ops import (
     prune_deleted,
     rewrite_keys,
 )
-from .paths import CanonicalPath, PathKind, from_rendered
+from .paths import CanonicalPath, PathKind
+
+if TYPE_CHECKING:
+    import subprocess
 
 DEFAULT_CITATION_FILE = "citation.cite"
 CITATION_FILE_ENV = "GITCITE_FILE"
@@ -86,9 +88,25 @@ def load_citation_file(worktree_root: Path | str) -> CitationFile:
 
 
 def store_citation_file(worktree_root: Path | str, cf: CitationFile) -> None:
-    """Write exactly the canonical bytes; equal inputs give identical files."""
+    """Write exactly the canonical bytes; equal inputs give identical files.
+
+    The bytes go to a new file beside it, which then replaces it with the old
+    file's permission bits (``os.replace``). On any error the old file stays
+    as it was and the new one is removed.
+    """
+    data = serialize(cf).encode("utf-8")
+    path = citation_file_path(worktree_root)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        citation_file_path(worktree_root).write_text(serialize(cf), encoding="utf-8")
+        try:
+            with open(temp, "xb") as out:  # exclusive: never writes through a planted link
+                out.write(data)
+                if path.exists():
+                    os.fchmod(out.fileno(), stat.S_IMODE(path.stat().st_mode))
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise IoFailure(f"cannot write {citation_file_name()}: {exc}") from exc
 
@@ -174,7 +192,10 @@ def _git(
 ) -> subprocess.CompletedProcess:
     """Run git. Its output is decoded as Python decodes file names: a byte
     that is not UTF-8 becomes a lone surrogate, which encodes back to the
-    same byte when the text is handed to git or the file system again."""
+    same byte when the text is handed to git or the file system again.
+    ``subprocess`` is imported on the first call: most commands run no git."""
+    import subprocess
+
     proc = subprocess.run(
         ["git", "-C", str(root), *args],
         capture_output=True,
@@ -386,61 +407,58 @@ def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]
     file-by-file and a leftover directory key will show up in ``validate``
     output). A directory with no staged files left under it counts as
     deleted, since the version-control system has no notion of an empty
-    directory.
+    directory. The inference runs on path segments, so a tracked name that
+    cannot be a citation key still counts in it; such a name is then left
+    out of both lists, and a rename onto one deletes its source.
     """
     if not _has_head(root):
         return [], []
     out = _git(root, "diff", "--cached", "--name-status", "-B1%/1%", "-M", "-z").stdout
-    tokens = [t for t in out.split("\0")]
-    renames: list[Rename] = []
-    deleted: list[CanonicalPath] = []
-    added: list[tuple[str, ...]] = []
-    i = 0
-    while i < len(tokens):
-        status = tokens[i]
-        if not status:
-            i += 1
-            continue
-        code = status[0]
-        if code in ("R", "C"):
-            old, new = tokens[i + 1], tokens[i + 2]
-            i += 3
-            if code == "R":
-                renames.append((from_rendered("/" + old), from_rendered("/" + new)))
-        else:
-            path_text = tokens[i + 1]
-            i += 2
-            if code == "D":
-                deleted.append(from_rendered("/" + path_text))
-            elif code == "A":
-                added.append(tuple(path_text.split("/")))
+    renames: list[tuple[Segments, Segments]] = []
+    deleted: list[Segments] = []
+    added: list[Segments] = []
+    tokens = iter(out.split("\0"))
+    for status in filter(None, tokens):  # a status, then one path, or two for a rename or copy
+        paths = [tuple(next(tokens).split("/")) for _ in range(2 if status[0] in "RC" else 1)]
+        if status[0] == "R":
+            renames.append(tuple(paths))
+        elif status[0] == "D":
+            deleted.append(paths[0])
+        elif status[0] == "A":
+            added.append(paths[0])
     held = _count_dirs(tuple(t.split("/")) for t in _git(root, "ls-files", "-z").stdout.split("\0") if t)
-    dir_moves = _infer_directory_moves(
-        renames, held, _count_dirs(added), _count_dirs(d.segments for d in deleted)
-    )
-    gone_dirs = _infer_deleted_dirs(renames, held, deleted)
-    return dir_moves + renames, deleted + gone_dirs
+    dir_moves = _infer_directory_moves(renames, held, _count_dirs(added), _count_dirs(deleted))
+    gone_dirs = {  # directories left with no staged file
+        path[:n] for path in [*deleted, *(old for old, _ in renames)] for n in range(1, len(path))
+        if path[:n] not in held
+    }
+    key_renames: list[Rename] = []
+    key_deleted = [key for path in deleted if (key := _key(path, PathKind.FILE))]
+    for kind, moves in ((PathKind.DIRECTORY, dir_moves), (PathKind.FILE, renames)):
+        for old, new in moves:
+            old_key, new_key = _key(old, kind), _key(new, kind)
+            if old_key and new_key:
+                key_renames.append((old_key, new_key))
+            elif old_key:  # moved to a name no key can have
+                key_deleted.append(old_key)
+    key_deleted += sorted(key for path in gone_dirs if (key := _key(path, PathKind.DIRECTORY)))
+    return key_renames, key_deleted
 
 
-def _infer_deleted_dirs(
-    renames: Sequence[Rename],
-    held: Counter,
-    deleted: Sequence[CanonicalPath],
-) -> list[CanonicalPath]:
-    candidates: set[CanonicalPath] = set()
-    for path in [*deleted, *(old for old, _ in renames)]:
-        for ancestor in path.ancestors():
-            if not ancestor.is_root:
-                candidates.add(ancestor)
-    return sorted(d for d in candidates if d.segments not in held)
+def _key(segments: Segments, kind: PathKind) -> CanonicalPath | None:
+    """``segments`` as a citation key, or None for a name no key can have, such as ``we\\ird.c``."""
+    try:
+        return CanonicalPath(segments, kind)
+    except InvalidPath:
+        return None
 
 
 def _infer_directory_moves(
-    renames: Sequence[Rename],
+    renames: Sequence[tuple[Segments, Segments]],
     held: Counter,
     added: Counter,
     deleted: Counter,
-) -> list[Rename]:
+) -> list[tuple[Segments, Segments]]:
     """Directory moves implied by the file renames, in first-seen order.
 
     Each rename nominates the directory pair left once the longest common
@@ -452,11 +470,10 @@ def _infer_directory_moves(
     directories, and stays file-by-file. The counters give, per directory
     segments, the staged, added and deleted files below it.
     """
-    moved_out = _count_dirs(old.segments for old, _ in renames)
+    moved_out = _count_dirs(old for old, _ in renames)
     agreeing: Counter = Counter()  # renames consistent with each (old_dir, new_dir) pair
-    candidates: dict[tuple[tuple[str, ...], tuple[str, ...]], None] = {}
-    for old, new in renames:
-        o, n = old.segments, new.segments
+    candidates: dict[tuple[Segments, Segments], None] = {}
+    for o, n in renames:
         k = 0
         limit = min(len(o), len(n)) - 1
         while k < limit and o[-(k + 1)] == n[-(k + 1)]:
@@ -465,7 +482,7 @@ def _infer_directory_moves(
         if k:
             candidates.setdefault((o[:-k], n[:-k]))
     return [
-        (CanonicalPath(o, PathKind.DIRECTORY), CanonicalPath(n, PathKind.DIRECTORY))
+        (o, n)
         for o, n in candidates
         if not held[o]
         and not deleted[o]
@@ -525,7 +542,7 @@ def run_merge(
         merged_tree = tree_from_index(root)
         merged_cf, conflicts = merge_citation_files(base_cf, left_cf, right_cf, merged_tree, resolver)
         store_citation_file(root, merged_cf)
-        _git(root, "add", "-A")
+        _git(root, "--literal-pathspecs", "add", "--", citation_file_name())  # git merge staged the rest
         _git(root, "commit", "-m", f"Merge {other}")
     except BaseException:
         _git(root, "merge", "--abort", check=False)  # leave no pending merge or conflict markers
@@ -534,26 +551,21 @@ def run_merge(
 
 
 def _resolve_content_conflicts(root: Path) -> None:
-    """Settle unmerged index entries by keeping the current branch's state."""
-    tokens = _git(root, "status", "--porcelain", "-z").stdout.split("\0")
-    i = 0
-    while i < len(tokens):
-        token = tokens[i]
-        i += 1
-        if len(token) < 4:
-            continue
-        status, path_text = token[:2], token[3:]
-        if status and status[0] in ("R", "C"):
-            i += 1  # rename/copy entries carry the original path as an extra token
-            continue
-        if "U" not in status and status not in ("AA", "DD"):
-            continue
-        if path_text == citation_file_name():
-            continue  # rebuilt from the base/ours/theirs documents instead
-        if _git(root, "checkout", "--ours", "--", path_text, check=False).returncode == 0:
-            _git(root, "add", "--", path_text)
-        else:  # no "ours" stage: the current branch had deleted it
-            _git(root, "rm", "-f", "-q", "--ignore-unmatch", "--", path_text)
+    """Settle unmerged index entries by keeping the current branch's state:
+    a path with an "ours" stage (2) takes it, any other is removed."""
+    stages: dict[str, set[str]] = {}
+    for entry in _git(root, "ls-files", "-u", "-z").stdout.split("\0"):
+        if entry:
+            meta, path_text = entry.split("\t", 1)
+            stages.setdefault(path_text, set()).add(meta.split()[2])
+    stages.pop(citation_file_name(), None)  # rebuilt from the base/ours/theirs documents instead
+    ours = [path_text for path_text, found in stages.items() if "2" in found]
+    gone = [path_text for path_text, found in stages.items() if "2" not in found]
+    if ours:
+        _git(root, "--literal-pathspecs", "checkout", "--ours", "--", *ours)
+        _git(root, "--literal-pathspecs", "add", "--", *ours)
+    if gone:
+        _git(root, "--literal-pathspecs", "rm", "-f", "-q", "--", *gone)
 
 
 def run_copy(
@@ -587,6 +599,8 @@ def run_copy(
 
 
 def _copy_files(src_dir: Path, dst_dir: Path) -> None:
+    import shutil  # only copy walks a tree
+
     def ignore(directory: str, names: list[str]) -> set[str]:
         ignored = {".git"}
         if Path(directory) == src_dir:

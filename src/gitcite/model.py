@@ -8,11 +8,11 @@ of its closest ancestor directory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import EditConflict, MissingRoot, PathNotInTree
 from .paths import ROOT, CanonicalPath, PathKind
+from .value import Value
 
 RECORD_FIELDS = ("owner", "repo_name", "locator", "version_id", "date", "author_list", "extras")
 
@@ -22,8 +22,7 @@ DANGLING_KEY = "dangling_key"
 KIND_MISMATCH = "kind_mismatch"
 
 
-@dataclass(frozen=True)
-class CitationRecord:
+class CitationRecord(Value):
     """One citation: the snippets a reader needs to credit and locate code.
 
     ``owner``, ``repo_name`` and ``locator`` (URL or DOI) are required.
@@ -32,33 +31,28 @@ class CitationRecord:
     serialize identically.
     """
 
-    owner: str
-    repo_name: str
-    locator: str
-    version_id: str = ""
-    date: str = ""
-    author_list: tuple[str, ...] = ()
-    extras: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = RECORD_FIELDS
 
-    def __post_init__(self) -> None:
-        for name in ("owner", "repo_name", "locator"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
-        object.__setattr__(self, "author_list", tuple(self.author_list))
-        extras = dict(sorted(self.extras.items()))
+    def __init__(
+        self, owner: str, repo_name: str, locator: str, version_id: str = "", date: str = "",
+        author_list: Iterable[str] = (), extras: Mapping[str, str] | None = None,
+    ) -> None:
+        if not (owner and repo_name and locator):
+            name = "owner" if not owner else "repo_name" if not repo_name else "locator"
+            raise ValueError(f"{name} must be non-empty")
+        extras = dict(sorted(extras.items())) if extras else {}
         for key, value in extras.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise ValueError("extras must map strings to strings")
             if key in RECORD_FIELDS:
                 raise ValueError(f"extras key {key!r} shadows a named field")
-        object.__setattr__(self, "extras", extras)
+        self._init(owner, repo_name, locator, version_id, date, tuple(author_list), extras)
 
 
 Segments = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TreeSnapshot:
+class TreeSnapshot(Value):
     """An immutable snapshot of one version's directory tree.
 
     ``files`` maps each file's segments to an opaque content digest, and
@@ -67,8 +61,12 @@ class TreeSnapshot:
     segments are both. All structural edits return a new snapshot.
     """
 
-    files: Mapping[Segments, str] = field(default_factory=dict)
-    dirs: frozenset[Segments] = frozenset({()})
+    __slots__ = ("files", "dirs")
+
+    def __init__(
+        self, files: Mapping[Segments, str] | None = None, dirs: frozenset[Segments] = frozenset({()})
+    ) -> None:
+        self._init({} if files is None else files, dirs)
 
     @classmethod
     def from_files(cls, files: Mapping[Segments, str], dirs: Iterable[Segments] = ()) -> "TreeSnapshot":
@@ -256,13 +254,13 @@ class CitationFile:
         return f"CitationFile([{keys}])"
 
 
-@dataclass(frozen=True)
-class Inconsistency:
+class Inconsistency(Value):
     """One violated consistency rule, naming the key and the rule broken."""
 
-    rule: str
-    path: CanonicalPath
-    detail: str
+    __slots__ = ("rule", "path", "detail")
+
+    def __init__(self, rule: str, path: CanonicalPath, detail: str) -> None:
+        self._init(rule, path, detail)
 
     def __str__(self) -> str:
         return f"{self.rule}: {self.path} ({self.detail})"

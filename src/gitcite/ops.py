@@ -17,7 +17,6 @@ it once per edit. Roles and staged edits belong to the store
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -34,6 +33,7 @@ from .errors import (
 )
 from .model import CitationFile, CitationRecord, TreeSnapshot, resolve
 from .paths import CanonicalPath
+from .value import Value
 
 
 def apply_add(cf: CitationFile, tree: TreeSnapshot, path: CanonicalPath, record: CitationRecord) -> CitationFile:
@@ -165,19 +165,22 @@ def apply_copy(
     return CitationFile(entries), sorted(added)
 
 
-@dataclass
-class ConflictReport:
-    """Two branches cite the same key with different records."""
+class ConflictReport(Value):
+    """Two branches cite the same key with different records. The one mutable
+    value: :meth:`mark_resolved` records the answer, so it has no hash."""
 
-    key: CanonicalPath
-    left: CitationRecord
-    right: CitationRecord
-    resolution: str = "pending"  # pending | chose_left | chose_right | replaced
-    record: CitationRecord | None = None
+    __slots__ = ("key", "left", "right", "resolution", "record")
+    __setattr__ = object.__setattr__
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        if self.left == self.right:
+    def __init__(
+        self, key: CanonicalPath, left: CitationRecord, right: CitationRecord,
+        resolution: str = "pending",  # pending | chose_left | chose_right | replaced
+        record: CitationRecord | None = None,
+    ) -> None:
+        if left == right:
             raise ValueError("a conflict needs two differing records")
+        self._init(key, left, right, resolution, record)
 
     def mark_resolved(self, record: CitationRecord) -> None:
         self.record = record
@@ -258,16 +261,16 @@ def merge_citation_files(
     return prune_to_tree(CitationFile(merged), merged_tree), conflicts
 
 
-@dataclass(frozen=True)
-class RepositoryMetadata:
+class RepositoryMetadata(Value):
     """Repository facts a default root citation is synthesized from."""
 
-    owner: str
-    repo_name: str
-    locator: str
-    head_commit_id: str = ""
-    head_commit_date: str = ""
-    contributors: tuple[str, ...] = ()
+    __slots__ = ("owner", "repo_name", "locator", "head_commit_id", "head_commit_date", "contributors")
+
+    def __init__(
+        self, owner: str, repo_name: str, locator: str,
+        head_commit_id: str = "", head_commit_date: str = "", contributors: tuple[str, ...] = (),
+    ) -> None:
+        self._init(owner, repo_name, locator, head_commit_id, head_commit_date, contributors)
 
 
 def default_root_citation(meta: RepositoryMetadata) -> CitationRecord:

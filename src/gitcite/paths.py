@@ -8,10 +8,10 @@ Equality, hashing, and ordering all follow the rendered form byte-for-byte.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import InvalidPath, UnknownKind
+from .value import Value
 
 if TYPE_CHECKING:
     from .model import TreeSnapshot
@@ -23,26 +23,35 @@ class PathKind(enum.Enum):
     ROOT = "root"
 
 
-@dataclass(frozen=True)
-class CanonicalPath:
+class CanonicalPath(Value):
     """An absolute repository path: non-empty segments plus a node kind."""
 
-    segments: tuple[str, ...]
-    kind: PathKind
+    __slots__ = ("segments", "kind")
 
-    def __post_init__(self) -> None:
-        if self.kind is PathKind.ROOT:
-            if self.segments:
+    def __init__(self, segments: tuple[str, ...], kind: PathKind) -> None:
+        if kind is PathKind.ROOT:
+            if segments:
                 raise InvalidPath("the root path carries no segments")
-        elif not self.segments:
-            raise InvalidPath(f"a {self.kind.value} path needs at least one segment")
-        for segment in self.segments:
+        elif not segments:
+            raise InvalidPath(f"a {kind.value} path needs at least one segment")
+        for segment in segments:
             if not segment:
                 raise InvalidPath("empty path segment")
             if segment in (".", ".."):
                 raise InvalidPath(f"segment {segment!r} is not allowed in canonical form")
             if "/" in segment or "\\" in segment:
                 raise InvalidPath(f"segment {segment!r} contains a separator")
+        object.__setattr__(self, "segments", segments)  # not _init: parse builds one path per key
+        object.__setattr__(self, "kind", kind)
+
+    # Every citation-file lookup runs these two, so they skip the generic field tuple.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CanonicalPath:
+            return NotImplemented
+        return self.segments == other.segments and self.kind is other.kind
+
+    def __hash__(self) -> int:
+        return hash(self.segments)
 
     def render(self) -> str:
         if self.kind is PathKind.ROOT:

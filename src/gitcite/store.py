@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
@@ -49,6 +48,7 @@ from .ops import (
     rewrite_keys,
 )
 from .paths import CanonicalPath, PathKind
+from .value import Value
 
 logger = logging.getLogger(__name__)
 
@@ -58,12 +58,13 @@ class Role(enum.Enum):
     CITER = "citer"
 
 
-@dataclass(frozen=True)
-class RoleContext:
+class RoleContext(Value):
     """Who is acting. Citers may only invoke read operations."""
 
-    role: Role
-    actor: str
+    __slots__ = ("role", "actor")
+
+    def __init__(self, role: Role, actor: str) -> None:
+        self._init(role, actor)
 
 
 class CiteEditKind(enum.Enum):
@@ -72,22 +73,20 @@ class CiteEditKind(enum.Enum):
     MODIFY = "modify"
 
 
-@dataclass(frozen=True)
-class CiteEdit:
+class CiteEdit(Value):
     """One staged citation-file edit. Delete edits never target the root."""
 
-    kind: CiteEditKind
-    path: CanonicalPath
-    record: CitationRecord | None = None
+    __slots__ = ("kind", "path", "record")
 
-    def __post_init__(self) -> None:
-        if self.kind is CiteEditKind.DELETE:
-            if self.record is not None:
+    def __init__(self, kind: CiteEditKind, path: CanonicalPath, record: CitationRecord | None = None) -> None:
+        if kind is CiteEditKind.DELETE:
+            if record is not None:
                 raise ValueError("delete edits carry no record")
-            if self.path.is_root:
+            if path.is_root:
                 raise ValueError("delete edits never target the root")
-        elif self.record is None:
-            raise ValueError(f"{self.kind.value} edits need a record")
+        elif record is None:
+            raise ValueError(f"{kind.value} edits need a record")
+        self._init(kind, path, record)
 
     @classmethod
     def add(cls, path: CanonicalPath, record: CitationRecord) -> "CiteEdit":
@@ -114,15 +113,15 @@ def apply_cite_edits(cf: CitationFile, edits: Iterable[CiteEdit]) -> CitationFil
 
 
 
-@dataclass(frozen=True)
-class Version:
+class Version(Value):
     """One commit node: at most two parents, a tree, and a citation file."""
 
-    id: str
-    parents: tuple[str, ...]
-    tree: TreeSnapshot
-    cf: CitationFile
-    timestamp: int
+    __slots__ = ("id", "parents", "tree", "cf", "timestamp")
+
+    def __init__(
+        self, id: str, parents: tuple[str, ...], tree: TreeSnapshot, cf: CitationFile, timestamp: int
+    ) -> None:
+        self._init(id, parents, tree, cf, timestamp)
 
 
 class TreeEditKind(enum.Enum):
@@ -132,30 +131,29 @@ class TreeEditKind(enum.Enum):
     MODIFY_CONTENT = "modify_content"
 
 
-@dataclass(frozen=True)
-class TreeEdit:
+class TreeEdit(Value):
     """One structural edit applied by a commit."""
 
-    kind: TreeEditKind
-    path: CanonicalPath
-    to: CanonicalPath | None = None
-    digest: str = ""
+    __slots__ = ("kind", "path", "to", "digest")
 
-    def __post_init__(self) -> None:
-        if self.kind is TreeEditKind.RENAME:
-            if self.to is None:
+    def __init__(
+        self, kind: TreeEditKind, path: CanonicalPath, to: CanonicalPath | None = None, digest: str = ""
+    ) -> None:
+        if kind is TreeEditKind.RENAME:
+            if to is None:
                 raise ValueError("rename edits carry both endpoints")
-            if self.path.is_root or self.to.is_root:
+            if path.is_root or to.is_root:
                 raise ValueError("the root cannot be renamed")
-            if self.path.is_dir != self.to.is_dir:
+            if path.is_dir != to.is_dir:
                 raise ValueError("rename endpoints must have the same kind")
         else:
-            if self.to is not None:
-                raise ValueError(f"{self.kind.value} edits carry a single path")
-            if self.kind is TreeEditKind.DELETE and self.path.is_root:
+            if to is not None:
+                raise ValueError(f"{kind.value} edits carry a single path")
+            if kind is TreeEditKind.DELETE and path.is_root:
                 raise ValueError("the root cannot be deleted")
-            if self.kind in (TreeEditKind.CREATE_FILE, TreeEditKind.MODIFY_CONTENT) and not self.path.is_file:
-                raise ValueError(f"{self.kind.value} needs a file path")
+            if kind in (TreeEditKind.CREATE_FILE, TreeEditKind.MODIFY_CONTENT) and not path.is_file:
+                raise ValueError(f"{kind.value} needs a file path")
+        self._init(kind, path, to, digest)
 
     @classmethod
     def create(cls, path: CanonicalPath, digest: str = "") -> "TreeEdit":

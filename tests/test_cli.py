@@ -387,6 +387,39 @@ class TestMerge:
         assert (root / "citation.cite").read_bytes() == cite
         assert git(root, "status", "--porcelain").stdout == "?? new.c\n"
 
+    def test_modify_delete_conflicts_keep_the_current_branch_state(self, git_repo, monkeypatch):
+        root = git_repo("modify-delete")
+        seed(root, {"gone-here.c": "base", "gone-there.c": "base"}, {})
+        git(root, "checkout", "-q", "-b", "side")
+        (root / "gone-here.c").write_text("theirs")
+        git(root, "rm", "-q", "gone-there.c")
+        git(root, "commit", "-q", "-am", "side")
+        git(root, "checkout", "-q", "main")
+        git(root, "rm", "-q", "gone-here.c")
+        (root / "gone-there.c").write_text("ours")
+        git(root, "commit", "-q", "-am", "main")
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == 0
+        assert git(root, "ls-tree", "--name-only", "HEAD").stdout.split() == ["citation.cite", "gone-there.c"]
+        assert (root / "gone-there.c").read_text() == "ours"
+        assert not (root / "gone-here.c").exists()
+        assert git(root, "status", "--porcelain").stdout == ""
+
+    def test_a_merge_commits_neither_untracked_files_nor_unstaged_edits(self, git_repo, monkeypatch):
+        root = git_repo("local-work")
+        seed(root, {"src/a.c": "a"}, {})
+        diverge(root, "b.c", "c.c")
+        (root / "notes.txt").write_text("mine")
+        (root / "src" / "a.c").write_text("a, edited")
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == 0
+        assert len(git(root, "log", "-1", "--format=%P").stdout.split()) == 2
+        assert git(root, "status", "--porcelain").stdout == " M src/a.c\n?? notes.txt\n"
+        assert git(root, "show", "HEAD:src/a.c").stdout == "a"
+        assert git(root, "ls-tree", "--name-only", "HEAD").stdout.split() == ["b.c", "c.c", "citation.cite", "src"]
+        assert (root / "src" / "a.c").read_text() == "a, edited"
+        assert load_citation_file(root).get(from_rendered("/b.c")) == record("side")
+
     @pytest.mark.parametrize("name", ["we\\ird.c", os.fsdecode(b"bad\xff.c")], ids=["backslash", "non-utf8"])
     def test_an_uncited_odd_name_does_not_stop_a_merge(self, git_repo, monkeypatch, name):
         root = git_repo("odd-name")
@@ -440,6 +473,38 @@ class TestCliPlumbing:
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip() == "True"
 
+    def test_importing_the_cli_loads_no_code_generators_and_no_subprocess(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize; subprocess pulls in
+        # selectors and signal. Only what importing the CLI adds is checked, since
+        # the interpreter may have loaded some of these at start-up.
+        src = str(Path(gitcite.__file__).resolve().parent.parent)
+        script = "import sys; before = set(sys.modules); import gitcite.cli; print(*set(sys.modules) - before)"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+        )
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.split())
+        assert "gitcite.cli" in added
+        assert not added & {"dataclasses", "inspect", "subprocess"}
+
+    def test_gen_in_a_checkout_runs_no_git_and_never_loads_subprocess(self, git_repo):
+        root = git_repo()
+        seed(root, {"src/a.c": "a"}, {"/src/": "src"})
+        src = str(Path(gitcite.__file__).resolve().parent.parent)
+        script = (
+            "import sys; before = 'subprocess' in sys.modules; from gitcite.cli import main; "
+            "code = main(['gen', 'src/a.c']); print(before, 'subprocess' in sys.modules, file=sys.stderr); "
+            "sys.exit(code)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=root, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert record("src").owner in proc.stdout
+        before, after = proc.stderr.split()
+        assert after == before  # loaded only if the interpreter had loaded it at start-up
+
     def test_importing_the_cli_leaves_urllib_unloaded(self):
         # Only ``gen --remote`` needs urllib.request, which drags in ssl and http.client.
         assert not self._loaded_by_importing_the_cli("urllib.request")
@@ -487,6 +552,31 @@ class TestCliPlumbing:
         monkeypatch.chdir(root)
         assert main(argv) == 3
         assert str(root / "citation.cite") in self._assert_one_line_error(capsys)
+
+    def test_a_failed_write_leaves_the_citation_file_and_no_temporary_file(self, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        seed(root, {"a.c": "a"}, {})
+        before = (root / "citation.cite").read_bytes()
+        listing = sorted(os.listdir(root))
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        monkeypatch.chdir(root)
+        assert main(["add", "a.c", "--field", "owner=X"]) == 3
+        assert "No space left" in self._assert_one_line_error(capsys)
+        assert (root / "citation.cite").read_bytes() == before
+        assert sorted(os.listdir(root)) == listing
+
+    def test_a_write_keeps_the_permission_bits(self, git_repo, monkeypatch):
+        root = git_repo()
+        seed(root, {"a.c": "a"}, {})
+        (root / "citation.cite").chmod(0o640)
+        monkeypatch.chdir(root)
+        assert main(["add", "a.c", "--field", "owner=X"]) == 0
+        assert (root / "citation.cite").stat().st_mode & 0o777 == 0o640
+        assert load_citation_file(root).get(from_rendered("/a.c")).owner == "X"
 
     def test_citation_file_name_override(self, git_repo, monkeypatch):
         root = git_repo(origin="https://example.com/alice/proj.git")

@@ -264,6 +264,25 @@ class TestStagedChanges:
         assert [str(k) for k in synced] == ["/", "/b.c"]
         assert synced.get(from_rendered("/b.c")) == record("a")
 
+    def test_deleting_a_name_no_key_can_have_does_not_stop_the_sync(self, git_repo):
+        root = git_repo()
+        cf = seed(root, {"a.c": "a", "odd/we\\ird.c": "odd", "odd/b.c": "b"}, {"/a.c": "a", "/odd/": "odd"})
+        git(root, "rm", "-q", "odd/we\\ird.c")
+        assert staged_changes(root) == ([], [])
+        git(root, "rm", "-q", "odd/b.c")
+        renames, deleted = staged_changes(root)
+        assert renames == [] and [str(d) for d in deleted] == ["/odd/b.c", "/odd/"]
+        assert sync_on_commit(root, renames, deleted) == cf.without(from_rendered("/odd/"))
+
+    def test_a_cited_file_renamed_to_a_name_no_key_can_have_loses_its_citation(self, git_repo):
+        root = git_repo()
+        seed(root, {"a.c": _source("alpha"), "b.c": _source("beta")}, {"/a.c": "a", "/b.c": "b"})
+        git(root, "mv", "a.c", "we\\ird.c")
+        renames, deleted = staged_changes(root)
+        assert renames == [] and [str(d) for d in deleted] == ["/a.c"]
+        synced = sync_on_commit(root, renames, deleted)
+        assert [str(k) for k in synced] == ["/", "/b.c"]
+
     def test_emptied_directory_beside_a_sibling_that_keeps_files(self, git_repo):
         root = git_repo()
         seed(root, {"lib/a/x.c": "x", "lib/a/y.c": "y", "lib/b/z.c": "z"}, {})
