@@ -18,10 +18,8 @@ from .model import (
 )
 from .ops import (
     ConflictReport,
-    RepositoryMetadata,
     choose_left,
     choose_right,
-    default_root_citation,
     scripted_resolver,
 )
 from .paths import ROOT, CanonicalPath, PathKind, canonicalize, from_rendered
@@ -57,7 +55,6 @@ __all__ = [
     "PathKind",
     "ROOT",
     "Repository",
-    "RepositoryMetadata",
     "Role",
     "RoleContext",
     "TreeEdit",
@@ -68,7 +65,6 @@ __all__ = [
     "choose_left",
     "choose_right",
     "copy_cite",
-    "default_root_citation",
     "del_cite",
     "fork_cite",
     "from_rendered",

@@ -32,7 +32,6 @@ from .ops import (
     apply_modify,
     choose_left,
     choose_right,
-    default_root_citation,
 )
 from .paths import CanonicalPath, PathKind, canonicalize
 
@@ -57,6 +56,22 @@ def find_root(start: Path | None = None) -> Path:
     raise FileMissing(
         f"no {gitadapter.citation_file_name()} here or in any parent; run 'gitcite init' first"
     )
+
+
+def _git_top() -> Path:
+    """The top of the git worktree holding the cwd."""
+    top = gitadapter.git_toplevel(Path.cwd())
+    if top is None:
+        raise NotARepository(f"{Path.cwd()} is not inside a git repository")
+    return top
+
+
+def _open_worktree(raw: str) -> tuple[Path, gitadapter.WorktreeLookup, CitationFile, CanonicalPath]:
+    """The checkout holding the cwd: its root, tree, citation file and ``raw`` as a key."""
+    root = find_root()
+    tree = gitadapter.WorktreeLookup(root)
+    cf = gitadapter.load_citation_file(root)
+    return root, tree, cf, _repo_relative(root, raw, tree=tree)
 
 
 def _repo_relative(root: Path, raw: str, tree=None, kind_hint: PathKind | None = None) -> CanonicalPath:
@@ -104,13 +119,11 @@ def _build_record(template: CitationRecord, fields: list[tuple[str, str]], autho
 
 
 def cmd_init(args: argparse.Namespace) -> int:
-    top = gitadapter.git_toplevel(Path.cwd())
-    if top is None:
-        raise NotARepository("gitcite init must run inside a git repository")
+    top = _git_top()
     target = gitadapter.citation_file_path(top)
     if target.exists():
         raise AlreadyInitialized(f"{target} already exists")
-    record = default_root_citation(gitadapter.repo_metadata(top))
+    record = gitadapter.default_root_citation(top)
     gitadapter.store_citation_file(top, CitationFile.single(record))
     print(f"created {target}; edit the draft with 'gitcite modify .':")
     print(target.read_text(encoding="utf-8"), end="")
@@ -118,10 +131,7 @@ def cmd_init(args: argparse.Namespace) -> int:
 
 
 def cmd_add(args: argparse.Namespace) -> int:
-    root = find_root()
-    tree = gitadapter.WorktreeLookup(root)
-    cf = gitadapter.load_citation_file(root)
-    path = _repo_relative(root, args.path, tree=tree)
+    root, tree, cf, path = _open_worktree(args.path)
     template = resolve(cf, tree, path)  # closest ancestor's record as the draft
     record = _build_record(template, args.field, args.authors)
     gitadapter.store_citation_file(root, apply_add(cf, tree, path, record))
@@ -131,20 +141,14 @@ def cmd_add(args: argparse.Namespace) -> int:
 
 
 def cmd_del(args: argparse.Namespace) -> int:
-    root = find_root()
-    tree = gitadapter.WorktreeLookup(root)
-    cf = gitadapter.load_citation_file(root)
-    path = _repo_relative(root, args.path, tree=tree)
+    root, _, cf, path = _open_worktree(args.path)
     gitadapter.store_citation_file(root, apply_delete(cf, path))
     print(f"removed the citation of {path}; it now inherits from its closest ancestor")
     return EXIT_OK
 
 
 def cmd_modify(args: argparse.Namespace) -> int:
-    root = find_root()
-    tree = gitadapter.WorktreeLookup(root)
-    cf = gitadapter.load_citation_file(root)
-    path = _repo_relative(root, args.path, tree=tree)
+    root, _, cf, path = _open_worktree(args.path)
     current = cf.get(path)
     if current is None:
         raise NotCited(f"{path} has no citation")
@@ -168,18 +172,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
         path = canonicalize(args.path, kind_hint=hint)
         record = resolve_from_entries(cf, path)
     elif args.version:
-        top = gitadapter.git_toplevel(Path.cwd())
-        if top is None:
-            raise NotARepository("--version needs a git repository")
+        top = _git_top()
         tree = gitadapter.RevisionLookup(top, args.version)
         cf = gitadapter.citation_file_at_revision(top, args.version)
         path = _repo_relative(top, args.path, tree=tree)
         record = resolve(cf, tree, path)
     else:
-        root = find_root()
-        tree = gitadapter.WorktreeLookup(root)
-        cf = gitadapter.load_citation_file(root)
-        path = _repo_relative(root, args.path, tree=tree)
+        _, tree, cf, path = _open_worktree(args.path)
         record = resolve(cf, tree, path)
     print(render.render(record, args.format))
     return EXIT_OK
@@ -209,9 +208,7 @@ def _looks_remote(src: str) -> bool:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
-    top = gitadapter.git_toplevel(Path.cwd())
-    if top is None:
-        raise NotARepository("gitcite merge must run inside a git repository")
+    top = _git_top()
     if args.ours:
         resolver = choose_left
     elif args.theirs:

@@ -31,16 +31,15 @@ from .errors import (
     HttpStatus,
     InvalidPath,
     IoFailure,
+    MissingMetadata,
     NetworkFailure,
     NoCommonAncestor,
-    NotARepository,
     UnknownVersion,
 )
 from .fileformat import parse, serialize
-from .model import CitationFile, Segments, TreeSnapshot
+from .model import CitationFile, CitationRecord, Segments, TreeSnapshot
 from .ops import (
     ConflictReport,
-    RepositoryMetadata,
     Resolver,
     apply_copy,
     merge_citation_files,
@@ -229,45 +228,32 @@ def _parse_origin(url: str) -> tuple[str | None, str | None]:
     return match.group(1), match.group(2)
 
 
-def repo_metadata(path: Path | str) -> RepositoryMetadata:
-    """Collect default-citation metadata from a local Git repository.
+def default_root_citation(top: Path) -> CitationRecord:
+    """Draft the root citation of the repository whose worktree is ``top``.
 
     Owner and repository name come from the origin URL when one is set,
-    falling back to ``user.name`` and the worktree directory name. The
+    falling back to ``user.name`` and the worktree directory name; with no
+    owner either way it raises :class:`~gitcite.errors.MissingMetadata`. The
     locator is the origin URL or a ``file://`` URL of the worktree. Version
-    id and date are the head commit's; contributors are the distinct commit
-    authors, oldest first.
+    id and date are the head commit's. The authors are the distinct commit
+    authors, oldest first, or the owner alone before the first commit.
     """
-    top = git_toplevel(path)
-    if top is None:
-        raise NotARepository(f"{path} is not inside a git repository")
-    origin_proc = _git(top, "config", "--get", "remote.origin.url", check=False)
-    origin = origin_proc.stdout.strip() if origin_proc.returncode == 0 else ""
+    origin = _git(top, "config", "--get", "remote.origin.url", check=False).stdout.strip()
     owner, repo_name = _parse_origin(origin) if origin else (None, None)
     if not owner:
-        name_proc = _git(top, "config", "user.name", check=False)
-        owner = name_proc.stdout.strip() if name_proc.returncode == 0 else ""
-    if not repo_name:
-        repo_name = top.name
-    locator = origin or top.resolve().as_uri()
-    commit_id = ""
-    commit_date = ""
-    contributors: tuple[str, ...] = ()
-    if _has_head(top):
-        commit_id = _git(top, "rev-parse", "--short", "HEAD").stdout.strip()
-        commit_date = _git(top, "log", "-1", "--format=%cI").stdout.strip()
-        seen: list[str] = []
-        for author in _git(top, "log", "--reverse", "--format=%aN").stdout.splitlines():
-            if author and author not in seen:
-                seen.append(author)
-        contributors = tuple(seen)
-    return RepositoryMetadata(
+        owner = _git(top, "config", "user.name", check=False).stdout.strip()
+    if not owner:
+        raise MissingMetadata("owner is required for the default citation: set an origin remote or user.name")
+    log = _git(top, "log", "--reverse", "--format=%h%x00%cI%x00%aN", check=False)  # fails with no commit
+    commits = [line.split("\0") for line in log.stdout.split("\n") if line] if log.returncode == 0 else []
+    head_id, head_date, _ = commits[-1] if commits else ("", "", "")
+    return CitationRecord(
         owner=owner,
-        repo_name=repo_name,
-        locator=locator,
-        head_commit_id=commit_id,
-        head_commit_date=commit_date,
-        contributors=contributors,
+        repo_name=repo_name or top.name,
+        locator=origin or top.resolve().as_uri(),
+        version_id=head_id,
+        date=head_date,
+        author_list=tuple(dict.fromkeys(author for *_, author in commits if author)) or (owner,),
     )
 
 
@@ -310,7 +296,7 @@ class WorktreeLookup(_PathLookup):
 
     def _lookup(self, segments: Segments) -> PathKind | None:
         if not segments:
-            return PathKind.ROOT
+            return PathKind.DIRECTORY
         for depth in range(1, len(segments)):  # each ancestor must be a real directory
             if self.kind_of(segments[:depth]) is not PathKind.DIRECTORY:
                 return None
@@ -343,7 +329,7 @@ class RevisionLookup(_PathLookup):
     def _lookup(self, segments: Segments) -> PathKind | None:
         if not segments:
             self._require_tree()
-            return PathKind.ROOT
+            return PathKind.DIRECTORY
         if segments == (citation_file_name(),):
             return None
         path_text = "/".join(segments)
@@ -507,12 +493,13 @@ def run_merge(
     Content files merge through ``git merge --no-commit --no-ff`` with
     leftover content conflicts resolved toward the current branch; the
     citation file is rebuilt from the base/ours/theirs documents instead of
-    being text-merged, then the merge is committed. A merge that git refuses
-    to start (it leaves no ``MERGE_HEAD``, as when it would overwrite an
-    untracked file or a local edit) raises :class:`~gitcite.errors.IoFailure`
-    with git's message and touches nothing. If anything fails after ``git
-    merge`` has started, ``git merge --abort`` restores the checkout before
-    the error propagates.
+    being text-merged, then the merge is committed. A citation file that
+    differs from ``HEAD``'s, whose edit the rebuild would lose, and a merge
+    that git refuses to start (it leaves no ``MERGE_HEAD``, as when it would
+    overwrite an untracked file or a local edit) each raise
+    :class:`~gitcite.errors.IoFailure` and touch nothing. If anything fails
+    after ``git merge`` has started, ``git merge --abort`` restores the
+    checkout before the error propagates.
     """
     root = Path(root)
     other_proc = _git(root, "rev-parse", "--verify", "-q", other, check=False)
@@ -533,6 +520,8 @@ def run_merge(
     base_cf = citation_file_at_revision(root, base_rev)
     left_cf = citation_file_at_revision(root, head_rev)
     right_cf = citation_file_at_revision(root, other_rev)
+    if load_citation_file(root) != left_cf:
+        raise IoFailure(f"{citation_file_path(root)} has uncommitted changes; commit or discard them first")
     merge = _git(root, "merge", "--no-commit", "--no-ff", other_rev, check=False)
     if merge.returncode != 0:  # a conflict leaves MERGE_HEAD set; a refusal leaves nothing
         if _git(root, "rev-parse", "-q", "--verify", "MERGE_HEAD", check=False).returncode != 0:
@@ -577,9 +566,12 @@ def run_copy(
     """Copy a directory from another checkout and migrate its citations.
 
     The citations migrate by :func:`gitcite.ops.apply_copy`, whose checks
-    run before any file is copied on disk. Returns the new citation file and
-    the added keys.
+    run before any file is copied on disk. Symlinks are copied as links, as
+    git carries them. If the copy or the citation write fails, the copied
+    directory is removed. Returns the new citation file and the added keys.
     """
+    import shutil  # only copy walks a tree
+
     root, src_root = Path(root), Path(src_root)
     merged, added = apply_copy(
         load_citation_file(root),
@@ -593,18 +585,17 @@ def run_copy(
     if os.path.lexists(dst_fs):  # such as a directory symlink, which the cited tree leaves out
         raise DestinationCollision(f"{dst_path} already exists")
     src_fs = src_root / Path(*src_subtree.segments) if src_subtree.segments else src_root
-    _copy_files(src_fs, dst_fs)
-    store_citation_file(root, merged)
-    return merged, added
-
-
-def _copy_files(src_dir: Path, dst_dir: Path) -> None:
-    import shutil  # only copy walks a tree
 
     def ignore(directory: str, names: list[str]) -> set[str]:
         ignored = {".git"}
-        if Path(directory) == src_dir:
+        if Path(directory) == src_fs:
             ignored.add(citation_file_name())
         return {n for n in names if n in ignored}
 
-    shutil.copytree(src_dir, dst_dir, ignore=ignore)
+    try:
+        shutil.copytree(src_fs, dst_fs, symlinks=True, ignore=ignore)
+        store_citation_file(root, merged)
+    except BaseException:
+        shutil.rmtree(dst_fs, ignore_errors=True)  # nothing was there before the copy
+        raise
+    return merged, added

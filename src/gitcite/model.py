@@ -90,7 +90,7 @@ class TreeSnapshot(Value):
 
     def kind_of(self, segments: Segments) -> PathKind | None:
         if segments in self.dirs:
-            return PathKind.DIRECTORY if segments else PathKind.ROOT
+            return PathKind.DIRECTORY
         return PathKind.FILE if segments in self.files else None
 
     def contains(self, path: CanonicalPath) -> bool:
@@ -104,7 +104,7 @@ class TreeSnapshot(Value):
 
     def paths(self) -> list[CanonicalPath]:
         """Every node of the tree, root included, in rendered order."""
-        nodes = [CanonicalPath(s, PathKind.DIRECTORY) if s else ROOT for s in self.dirs]
+        nodes = [CanonicalPath(s, PathKind.DIRECTORY) for s in self.dirs]
         nodes += (CanonicalPath(s, PathKind.FILE) for s in self.files)
         return sorted(nodes, key=str)
 

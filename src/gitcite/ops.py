@@ -1,4 +1,4 @@
-"""The citation-file algebra, its merge resolvers and the default root citation.
+"""The citation-file algebra and its merge resolvers.
 
 This module holds the one implementation of each way a citation file
 changes: a checked add, delete or modify (:func:`apply_add`,
@@ -24,7 +24,6 @@ from .errors import (
     DestinationCollision,
     EditConflict,
     InvariantBroken,
-    MissingMetadata,
     NotCited,
     PathNotInTree,
     RootUndeletable,
@@ -260,30 +259,3 @@ def merge_citation_files(
             merged[key] = choice
     return prune_to_tree(CitationFile(merged), merged_tree), conflicts
 
-
-class RepositoryMetadata(Value):
-    """Repository facts a default root citation is synthesized from."""
-
-    __slots__ = ("owner", "repo_name", "locator", "head_commit_id", "head_commit_date", "contributors")
-
-    def __init__(
-        self, owner: str, repo_name: str, locator: str,
-        head_commit_id: str = "", head_commit_date: str = "", contributors: tuple[str, ...] = (),
-    ) -> None:
-        self._init(owner, repo_name, locator, head_commit_id, head_commit_date, contributors)
-
-
-def default_root_citation(meta: RepositoryMetadata) -> CitationRecord:
-    """Build the generated root citation; its author list is never empty."""
-    for name in ("owner", "repo_name", "locator"):
-        if not getattr(meta, name):
-            raise MissingMetadata(f"{name} is required for the default citation")
-    authors = tuple(meta.contributors) or (meta.owner,)
-    return CitationRecord(
-        owner=meta.owner,
-        repo_name=meta.repo_name,
-        locator=meta.locator,
-        version_id=meta.head_commit_id,
-        date=meta.head_commit_date,
-        author_list=authors,
-    )

@@ -20,20 +20,17 @@ if TYPE_CHECKING:
 class PathKind(enum.Enum):
     FILE = "file"
     DIRECTORY = "directory"
-    ROOT = "root"
 
 
 class CanonicalPath(Value):
-    """An absolute repository path: non-empty segments plus a node kind."""
+    """An absolute repository path: its segments plus a node kind. The root
+    is the directory with no segments; a file path needs at least one."""
 
     __slots__ = ("segments", "kind")
 
     def __init__(self, segments: tuple[str, ...], kind: PathKind) -> None:
-        if kind is PathKind.ROOT:
-            if segments:
-                raise InvalidPath("the root path carries no segments")
-        elif not segments:
-            raise InvalidPath(f"a {kind.value} path needs at least one segment")
+        if not segments and kind is PathKind.FILE:
+            raise InvalidPath("a file path needs at least one segment")
         for segment in segments:
             if not segment:
                 raise InvalidPath("empty path segment")
@@ -54,10 +51,8 @@ class CanonicalPath(Value):
         return hash(self.segments)
 
     def render(self) -> str:
-        if self.kind is PathKind.ROOT:
-            return "/"
         rendered = "/" + "/".join(self.segments)
-        if self.kind is PathKind.DIRECTORY:
+        if self.kind is PathKind.DIRECTORY and self.segments:
             rendered += "/"
         return rendered
 
@@ -69,12 +64,11 @@ class CanonicalPath(Value):
 
     @property
     def is_root(self) -> bool:
-        return self.kind is PathKind.ROOT
+        return not self.segments
 
     @property
     def is_dir(self) -> bool:
-        """The root behaves as a directory for containment purposes."""
-        return self.kind is not PathKind.FILE
+        return self.kind is PathKind.DIRECTORY
 
     @property
     def is_file(self) -> bool:
@@ -88,8 +82,6 @@ class CanonicalPath(Value):
         """The enclosing directory, or None for the root itself."""
         if self.is_root:
             return None
-        if len(self.segments) == 1:
-            return ROOT
         return CanonicalPath(self.segments[:-1], PathKind.DIRECTORY)
 
     def ancestors(self) -> Iterator[CanonicalPath]:
@@ -129,14 +121,10 @@ class CanonicalPath(Value):
             return new
         if not self.is_within(old):
             raise InvalidPath(f"{self} is not inside {old}")
-        segments = new.segments + self.segments[len(old.segments):]
-        if not segments:
-            return ROOT
-        kind = PathKind.DIRECTORY if self.is_dir else PathKind.FILE
-        return CanonicalPath(segments, kind)
+        return CanonicalPath(new.segments + self.segments[len(old.segments):], self.kind)
 
 
-ROOT = CanonicalPath((), PathKind.ROOT)
+ROOT = CanonicalPath((), PathKind.DIRECTORY)
 
 
 def canonicalize(
@@ -177,10 +165,8 @@ def canonicalize(
         if kind_hint is PathKind.FILE:
             raise InvalidPath(f"{raw!r} has a directory marker but was declared a file")
         return CanonicalPath(tuple(segments), PathKind.DIRECTORY)
-    if kind_hint in (PathKind.FILE, PathKind.DIRECTORY):
+    if kind_hint is not None:
         return CanonicalPath(tuple(segments), kind_hint)
-    if kind_hint is PathKind.ROOT:
-        raise InvalidPath(f"{raw!r} is not the root")
     if tree is not None:
         kind = tree.kind_of(tuple(segments))
         if kind is not None:

@@ -195,9 +195,11 @@ class Repository:
         tree: TreeSnapshot | None = None,
         branch: str = "main",
     ) -> "Repository":
-        """A repository with one initial version citing only the root."""
+        """A repository with one initial version citing only the root.
+        As in git, the version keeps only the directories that hold a file."""
         repo = cls(repo_id, default_branch=branch)
-        version = repo._new_version((), tree or TreeSnapshot(), CitationFile.single(root_record))
+        tree = TreeSnapshot.from_files(tree.files if tree is not None else {})
+        version = repo._new_version((), tree, CitationFile.single(root_record))
         repo.branches[branch] = version.id
         repo.staged[branch] = []
         return repo
@@ -237,13 +239,15 @@ class Repository:
         The new citation file is the head's with, in order: the staged
         citation edits applied; every key under a renamed path rewritten by
         prefix substitution; every key whose path left the tree removed. The
-        root entry always survives.
+        root entry always survives. As in git, a directory left with no file
+        leaves the tree.
         """
         head = self.head(branch)
         tree_edits = list(tree_edits)
         tree = head.tree
         for edit in tree_edits:
             tree = _apply_tree_edit(tree, edit)
+        tree = TreeSnapshot.from_files(tree.files)
         cf = apply_cite_edits(head.cf, cite_edits)
         for edit in tree_edits:
             if edit.kind is TreeEditKind.RENAME:
@@ -410,7 +414,8 @@ def _merge_trees(
     base: TreeSnapshot, left: TreeSnapshot, right: TreeSnapshot
 ) -> tuple[TreeSnapshot, list[str]]:
     """Three-way file-set merge; on a true content conflict the left (into)
-    side wins and a warning is recorded."""
+    side wins and a warning is recorded. The directories are those holding
+    a merged file."""
     files: dict[Segments, str] = {}
     changed_on_both: list[CanonicalPath] = []
     for segments in base.files.keys() | left.files.keys() | right.files.keys():
@@ -420,16 +425,11 @@ def _merge_trees(
         keep = _three_way(db, dl, dr)
         if keep is not None:
             files[segments] = keep
-    dirs = [
-        segments
-        for segments in base.dirs | left.dirs | right.dirs
-        if _three_way(*(segments in tree.dirs for tree in (base, left, right)))
-    ]
     warnings = [
         f"both branches changed {path}; keeping the current branch's state"
         for path in sorted(changed_on_both, key=str)
     ]
-    return TreeSnapshot.from_files(files, dirs), warnings
+    return TreeSnapshot.from_files(files), warnings
 
 
 def _three_way(base, left, right):

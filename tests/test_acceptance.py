@@ -144,7 +144,7 @@ def test_copy_preserves_resolution():
                 if not p.is_root
             ],
         )
-        subtree = rng.choice([p for p in src_tree.paths() if p.is_dir])
+        subtree = rng.choice([p for p in src.head("main").tree.paths() if p.is_dir])
         dst = Repository.create("dst", randgen.rand_record(rng), tree=randgen.rand_tree(rng, 8))
         target = from_rendered(f"/import{i}/")
         version = copy_cite(src, src.head_id("main"), subtree, dst, "main", target)
@@ -315,11 +315,11 @@ def test_document_round_trips_and_determinism():
 
 
 def test_adapter_agrees_with_the_reference_on_git_scenarios(tmp_path):
-    """20 scripted scenarios on a real repository; citation files equal at every commit."""
+    """22 scripted scenarios on a real repository; citation files equal at every commit."""
     started = time.perf_counter()
-    assert len(SCENARIOS) == 20
+    assert len(SCENARIOS) == 22
     for name, scenario in SCENARIOS.items():
         run_scenario(tmp_path, name, scenario)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"scenario suite took {elapsed:.1f}s"
-    _ok(f"adapter matched the reference across 20/20 git scenarios ({elapsed:.1f}s)")
+    _ok(f"adapter matched the reference across 22/22 git scenarios ({elapsed:.1f}s)")

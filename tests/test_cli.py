@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gitcite
-from gitcite import CitationFile, Repository
+from gitcite import CitationFile, Repository, gitadapter
 from gitcite.cli import main
 from gitcite.fileformat import record_from_obj, serialize
 from gitcite.gitadapter import load_citation_file, store_citation_file
@@ -66,6 +66,26 @@ class TestInit:
     def test_outside_a_repository(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["init"]) == 3
+
+    @pytest.mark.parametrize("origin, most", [("https://example.com/alice/proj.git", 3), (None, 4)],
+                             ids=["origin", "no-origin"])
+    def test_init_runs_few_git_commands(self, git_repo, monkeypatch, origin, most):
+        # The top level, the origin URL, user.name only without an owner, one log.
+        root = git_repo(origin=origin)
+        (root / "a.c").write_text("x")
+        git(root, "add", "-A")
+        git(root, "commit", "-q", "-m", "first")
+        calls = []
+        real_git = gitadapter._git
+
+        def counted(at, *args, **kwargs):
+            calls.append(args)
+            return real_git(at, *args, **kwargs)
+
+        monkeypatch.setattr(gitadapter, "_git", counted)
+        monkeypatch.chdir(root)
+        assert main(["init"]) == 0
+        assert len(calls) <= most, calls
 
 
 class TestEditCommands:
@@ -166,6 +186,14 @@ class TestGen:
         assert record_from_obj(json.loads(capsys.readouterr().out)) == record("sub")
         assert main(["validate"]) == 0
 
+    @pytest.mark.parametrize("version", [[], ["--version", "HEAD"]], ids=["worktree", "revision"])
+    def test_gen_of_a_directory_written_without_a_slash(self, git_repo, monkeypatch, capsys, version):
+        root = git_repo()
+        seed(root, {"src/lib/util.c": "u", "src/main.c": "m"}, {"/src/lib/": "lib", "/src/": "src"})
+        monkeypatch.chdir(root / "src")
+        assert main(["gen", "lib", "--format", "json", *version]) == 0
+        assert record_from_obj(json.loads(capsys.readouterr().out)) == record("lib")
+
     def test_gen_missing_path(self, git_repo, monkeypatch):
         root = git_repo()
         seed(root, {"a.c": "x"}, {})
@@ -243,6 +271,43 @@ class TestCopy:
         cf = load_citation_file(dst)
         assert resolve(cf, snapshot_worktree(dst), from_rendered("/imported/f2")) == record("root")
         assert (dst / "imported/f2").read_text() == "f2"
+
+    def test_symlinks_are_copied_as_links(self, git_repo, monkeypatch, tmp_path):
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "secret.c").write_text("not part of the source")
+        src = git_repo("src-links")
+        (src / "core").mkdir()
+        (src / "core" / "dangling").symlink_to("no-such-target")
+        (src / "core" / "outside").symlink_to(elsewhere, target_is_directory=True)
+        seed(src, {"core/f.c": "f"}, {"/core/": "core"})
+        dst = git_repo("dst-links")
+        seed(dst, {"app.c": "a"}, {})
+        monkeypatch.chdir(dst)
+        assert main(["copy", str(src), "core/", "vendor/"]) == 0
+        assert os.readlink(dst / "vendor" / "dangling") == "no-such-target"
+        assert os.readlink(dst / "vendor" / "outside") == str(elsewhere)
+        assert (dst / "vendor" / "f.c").read_text() == "f"
+        assert load_citation_file(dst).get(from_rendered("/vendor/")) == record("core")
+
+    def test_a_failed_copy_leaves_no_files_and_the_citation_file(self, git_repo, monkeypatch, capsys):
+        import shutil
+
+        src = git_repo("src-fail")
+        seed(src, {"core/f2": "f2", "core/deep/g.c": "g"}, {"/core/": "core"})
+        dst = git_repo("dst-fail")
+        seed(dst, {"app.c": "a"}, {})
+        before = (dst / "citation.cite").read_bytes()
+
+        def refuse(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(shutil, "copyfile", refuse)  # what copytree's copy2 calls per file
+        monkeypatch.chdir(dst)
+        assert main(["copy", str(src), "core/", "vendor/"]) == 3
+        assert "No space left" in capsys.readouterr().err
+        assert not os.path.lexists(dst / "vendor")
+        assert (dst / "citation.cite").read_bytes() == before
 
     def test_destination_collision(self, git_repo, monkeypatch):
         src = git_repo("src3")
@@ -419,6 +484,28 @@ class TestMerge:
         assert git(root, "ls-tree", "--name-only", "HEAD").stdout.split() == ["b.c", "c.c", "citation.cite", "src"]
         assert (root / "src" / "a.c").read_text() == "a, edited"
         assert load_citation_file(root).get(from_rendered("/b.c")) == record("side")
+
+    def test_an_uncommitted_citation_edit_stops_the_merge(self, git_repo, monkeypatch, capsys):
+        root = git_repo("local-cite")
+        seed(root, {"a.c": "a"}, {})
+        git(root, "checkout", "-q", "-b", "side")
+        (root / "b.c").write_text("side")
+        git(root, "add", "-A")
+        git(root, "commit", "-q", "-m", "side")  # leaves the citation file alone
+        git(root, "checkout", "-q", "main")
+        (root / "c.c").write_text("main")
+        git(root, "add", "-A")
+        git(root, "commit", "-q", "-m", "main")
+        monkeypatch.chdir(root)
+        assert main(["add", "a.c", "--field", "owner=LocalEdit"]) == 0
+        head = git(root, "rev-parse", "HEAD").stdout
+        cite = (root / "citation.cite").read_bytes()
+        capsys.readouterr()
+        assert main(["merge", "side", "--ours"]) == 3
+        assert "citation.cite has uncommitted changes" in capsys.readouterr().err
+        assert (root / "citation.cite").read_bytes() == cite
+        assert not (root / ".git" / "MERGE_HEAD").exists()
+        assert git(root, "rev-parse", "HEAD").stdout == head
 
     @pytest.mark.parametrize("name", ["we\\ird.c", os.fsdecode(b"bad\xff.c")], ids=["backslash", "non-utf8"])
     def test_an_uncited_odd_name_does_not_stop_a_merge(self, git_repo, monkeypatch, name):

@@ -24,14 +24,14 @@ from gitcite.gitadapter import (
     RevisionLookup,
     WorktreeLookup,
     citation_file_at_revision,
+    default_root_citation,
     fetch_remote_citation_file,
     load_citation_file,
-    repo_metadata,
     staged_changes,
     store_citation_file,
     sync_on_commit,
 )
-from gitcite.ops import choose_right, default_root_citation, merge_citation_files
+from gitcite.ops import choose_right, merge_citation_files
 from gitcite.paths import ROOT, PathKind, from_rendered
 from gitcite.store import CiteEdit, TreeEdit
 
@@ -299,7 +299,7 @@ class TestWorktreeAndHistory:
         lookup = WorktreeLookup(root)
         kinds = {s: lookup.kind_of(s) for s in [(), ("src",), ("src", "a.c"), (".git",), ("citation.cite",)]}
         assert kinds == {
-            (): PathKind.ROOT,
+            (): PathKind.DIRECTORY,
             ("src",): PathKind.DIRECTORY,
             ("src", "a.c"): PathKind.FILE,
             (".git",): None,
@@ -337,27 +337,24 @@ class TestWorktreeAndHistory:
         with pytest.raises(IoFailure, match="citation.cite at revision 'HEAD'"):
             citation_file_at_revision(root, "HEAD")
 
-    def test_repo_metadata_matches_direct_git_queries(self, git_repo):
+    def test_default_root_citation_matches_direct_git_queries(self, git_repo):
         root = git_repo(origin="https://example.com/carol/widget.git")
         seed(root, {"a.c": "1"}, {})
         git(root, "commit", "-q", "--allow-empty", "-m", "more", "--author", "Bob Builder <bob@example.com>")
-        meta = repo_metadata(root)
-        assert meta.owner == "carol"
-        assert meta.repo_name == "widget"
-        assert meta.locator == "https://example.com/carol/widget.git"
-        assert meta.head_commit_id == git(root, "rev-parse", "--short", "HEAD").stdout.strip()
-        assert meta.head_commit_date == git(root, "log", "-1", "--format=%cI").stdout.strip()
-        assert meta.contributors == ("Ada Tester", "Bob Builder")
-        rec = default_root_citation(meta)
+        rec = default_root_citation(root)
+        assert (rec.owner, rec.repo_name, rec.locator) == ("carol", "widget", "https://example.com/carol/widget.git")
+        assert rec.version_id == git(root, "rev-parse", "--short", "HEAD").stdout.strip()
+        assert rec.date == git(root, "log", "-1", "--format=%cI").stdout.strip()
         assert rec.author_list == ("Ada Tester", "Bob Builder")
+        assert rec.extras == {}
 
-    def test_repo_metadata_without_origin_falls_back(self, git_repo):
+    def test_default_root_citation_without_origin_falls_back(self, git_repo):
         root = git_repo()
         seed(root, {"a.c": "1"}, {})
-        meta = repo_metadata(root)
-        assert meta.owner == "Ada Tester"
-        assert meta.repo_name == root.name
-        assert meta.locator.startswith("file://")
+        rec = default_root_citation(root)
+        assert rec.owner == "Ada Tester"
+        assert rec.repo_name == root.name
+        assert rec.locator == root.resolve().as_uri()
 
 
 class TestMergeCitationFiles:

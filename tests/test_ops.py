@@ -20,8 +20,8 @@ from gitcite.errors import (
     RootUndeletable,
     UnknownVersion,
 )
-from gitcite.ops import RepositoryMetadata, default_root_citation, prune_deleted, rewrite_keys
-from gitcite.gitadapter import store_citation_file, sync_on_commit
+from gitcite.ops import prune_deleted, rewrite_keys
+from gitcite.gitadapter import default_root_citation, store_citation_file, sync_on_commit
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 from gitcite.store import (
     CiteEdit,
@@ -35,6 +35,7 @@ from gitcite.store import (
 )
 
 import randgen
+from conftest import git
 from support import record, resolve_by_walking, tree
 
 MEMBER = RoleContext(Role.PROJECT_MEMBER, "ada")
@@ -326,21 +327,25 @@ def test_adapter_and_cli_do_not_import_the_store():
 
 
 class TestDefaultRootCitation:
-    def test_empty_contributors_fall_back_to_owner(self):
-        meta = RepositoryMetadata("X", "R", "U", "h", "d", ())
-        rec = default_root_citation(meta)
-        assert rec.author_list == ("X",)
-        assert (rec.owner, rec.repo_name, rec.locator, rec.version_id, rec.date) == ("X", "R", "U", "h", "d")
-        assert rec.extras == {}
+    """The root citation ``gitcite init`` drafts from a real repository."""
 
-    def test_contributor_order_is_preserved(self):
-        meta = RepositoryMetadata("X", "R", "U", contributors=("c1", "c2", "c3"))
-        assert default_root_citation(meta).author_list == ("c1", "c2", "c3")
+    def test_empty_contributors_fall_back_to_owner(self, git_repo):
+        root = git_repo(origin="git@example.com:xavier/rig.git")
+        rec = default_root_citation(root)  # no commit yet
+        assert rec.author_list == ("xavier",)
+        assert (rec.owner, rec.repo_name, rec.locator) == ("xavier", "rig", "git@example.com:xavier/rig.git")
+        assert (rec.version_id, rec.date, rec.extras) == ("", "", {})
 
-    def test_missing_metadata(self):
-        with pytest.raises(MissingMetadata):
-            default_root_citation(RepositoryMetadata("", "R", "U"))
-        with pytest.raises(MissingMetadata):
-            default_root_citation(RepositoryMetadata("X", "", "U"))
-        with pytest.raises(MissingMetadata):
-            default_root_citation(RepositoryMetadata("X", "R", ""))
+    def test_contributor_order_is_preserved(self, git_repo):
+        root = git_repo()
+        for n, author in enumerate(["c2", "c1", "c2", "c3"]):
+            git(root, "commit", "-q", "--allow-empty", "-m", str(n), "--author", f"{author} <{author}@example.com>")
+        assert default_root_citation(root).author_list == ("c2", "c1", "c3")
+
+    def test_missing_metadata(self, git_repo, monkeypatch):
+        root = git_repo(origin="no-owner-here")
+        git(root, "config", "--unset", "user.name")
+        monkeypatch.setenv("GIT_CONFIG_GLOBAL", "/dev/null")
+        monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+        with pytest.raises(MissingMetadata, match="owner"):
+            default_root_citation(root)

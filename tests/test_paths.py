@@ -23,6 +23,16 @@ def test_root_renders_as_slash():
     assert ROOT.is_root and ROOT.is_dir and not ROOT.is_file
 
 
+def test_the_root_is_the_directory_with_no_segments():
+    assert list(PathKind) == [PathKind.FILE, PathKind.DIRECTORY]
+    assert CanonicalPath((), PathKind.DIRECTORY) == ROOT and ROOT.kind is PathKind.DIRECTORY
+    assert from_rendered("/a.c").parent() == ROOT and from_rendered("/a/").parent() == ROOT
+    assert from_rendered("/a/").rebased(from_rendered("/a/"), ROOT) == ROOT
+    assert tree("/a.c").kind_of(()) is PathKind.DIRECTORY
+    with pytest.raises(InvalidPath):
+        CanonicalPath((), PathKind.FILE)
+
+
 def test_rendering_rules():
     assert str(CanonicalPath(("src", "main.c"), PathKind.FILE)) == "/src/main.c"
     assert str(CanonicalPath(("src", "lib"), PathKind.DIRECTORY)) == "/src/lib/"

@@ -149,7 +149,7 @@ class TestCopyCite:
                     if not p.is_root
                 ],
             )
-            dirs = [p for p in src_tree.paths() if p.is_dir]
+            dirs = [p for p in src.head("main").tree.paths() if p.is_dir]
             subtree = rng.choice(dirs)
             dst = Repository.create("d", randgen.rand_record(rng), tree=randgen.rand_tree(rng, max_nodes=10))
             target = from_rendered("/imported/")

@@ -9,7 +9,7 @@ import pytest
 
 from gitcite import CitationFile, CitationRecord, Inconsistency, TreeSnapshot
 from gitcite.model import DANGLING_KEY
-from gitcite.ops import ConflictReport, RepositoryMetadata
+from gitcite.ops import ConflictReport
 from gitcite.paths import ROOT, from_rendered
 from gitcite.store import CiteEdit, CiteEditKind, Role, RoleContext, TreeEdit, TreeEditKind, Version
 from gitcite.value import Value
@@ -22,7 +22,6 @@ FACTORIES = {
     "CitationRecord": lambda: record("a", extras={"license": "MIT", "grant": "G-1"}),
     "TreeSnapshot": lambda: tree("/src/a.c", "/doc/"),
     "Inconsistency": lambda: Inconsistency(DANGLING_KEY, from_rendered("/gone.c"), "no such path"),
-    "RepositoryMetadata": lambda: RepositoryMetadata("o", "r", "u", "abc", "2021", ("x", "y")),
     "RoleContext": lambda: RoleContext(Role.CITER, "guest"),
     "CiteEdit": lambda: CiteEdit(CiteEditKind.MODIFY, from_rendered("/a.c"), record("a")),
     "TreeEdit": lambda: TreeEdit(TreeEditKind.RENAME, from_rendered("/a/"), from_rendered("/b/")),
