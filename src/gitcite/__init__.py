@@ -26,50 +26,20 @@ from .paths import ROOT, CanonicalPath, PathKind, canonicalize, from_rendered
 
 __version__ = "0.1.0"
 
-# The in-memory store is the reference model, roles and staged edits
-# included; no CLI command uses it, so it is imported on first access
-# instead of with the package (PEP 562).
-_STORE_NAMES = frozenset(
-    {
-        "CiteEdit", "Repository", "Role", "RoleContext", "TreeEdit", "Version",
-        "add_cite", "copy_cite", "del_cite", "fork_cite", "gen_cite", "modify_cite",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _STORE_NAMES:
-        from . import store
-
-        return getattr(store, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "CanonicalPath",
     "CitationFile",
     "CitationRecord",
-    "CiteEdit",
     "ConflictReport",
     "GitCiteError",
     "Inconsistency",
     "PathKind",
     "ROOT",
-    "Repository",
-    "Role",
-    "RoleContext",
-    "TreeEdit",
     "TreeSnapshot",
-    "Version",
-    "add_cite",
     "canonicalize",
     "choose_left",
     "choose_right",
-    "copy_cite",
-    "del_cite",
-    "fork_cite",
     "from_rendered",
-    "gen_cite",
-    "modify_cite",
     "resolve",
     "resolve_from_entries",
     "scripted_resolver",

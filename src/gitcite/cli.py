@@ -240,7 +240,7 @@ def _interactive_resolver():
             if answer in ("q", "quit"):
                 return None
             if answer.startswith("e"):
-                payload = answer[1:].strip() or sys.stdin.readline().strip()
+                payload = answer[4 if answer.startswith("edit") else 1:].strip() or sys.stdin.readline().strip()
                 try:
                     return fileformat.record_from_obj(json.loads(payload))
                 except (ValueError, GitCiteError) as exc:  # keep prompting on a bad record

@@ -23,14 +23,6 @@ class MissingRoot(GitCiteError):
 
 
 # Citation edits.
-class RoleForbidden(GitCiteError):
-    pass
-
-
-class NotLatestVersion(GitCiteError):
-    pass
-
-
 class AlreadyCited(GitCiteError):
     pass
 

@@ -11,8 +11,7 @@ call them; none of them touches a repository. The key rewrite takes a whole
 list of renames and applies them simultaneously in one pass over the keys,
 so a commit that renames a thousand files costs one rebuild of the citation
 file, not one per rename; the store, whose tree edits are sequential, calls
-it once per edit. Roles and staged edits belong to the store
-(:mod:`gitcite.store`).
+it once per edit.
 """
 
 from __future__ import annotations

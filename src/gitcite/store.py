@@ -1,15 +1,13 @@
-"""In-memory version DAG with roles, staged edits and citation-carrying operators.
+"""In-memory version DAG with citation-carrying operators.
 
 This is the reference semantics for how citation files travel through
 commits, branches, copies between repositories, merges, and forks. History
 is append-only: versions are immutable once created, and every operation
-leaves the head citation file consistent with the head tree.
-
-Project members add, delete, and modify citation entries; citers only read
-resolved citations (:func:`gen_cite`). Edits are staged against a branch
-head and become durable when that branch commits. Mutating operations need
-exclusive access to the repository; reads may run concurrently with other
-reads.
+leaves the head citation file consistent with the head tree. A commit
+applies its citation edits to the branch head, so citations change only on
+the latest version; anyone may read a resolved citation at any stored
+version (:func:`gen_cite`). Mutating operations need exclusive access to
+the repository; reads may run concurrently with other reads.
 
 The citation-file algebra itself (checked edits, key rewrite, pruning, copy
 migration, merge union) lives in :mod:`gitcite.ops` and is shared with the
@@ -29,8 +27,6 @@ from .errors import (
     EditConflict,
     InvariantBroken,
     NoCommonAncestor,
-    NotLatestVersion,
-    RoleForbidden,
     SourceVersionUnknown,
     UnknownBranch,
     UnknownVersion,
@@ -39,10 +35,7 @@ from .model import CitationFile, CitationRecord, Segments, TreeSnapshot, resolve
 from .ops import (
     ConflictReport,
     Resolver,
-    apply_add,
     apply_copy,
-    apply_delete,
-    apply_modify,
     merge_citation_files,
     prune_to_tree,
     rewrite_keys,
@@ -53,20 +46,6 @@ from .value import Value
 logger = logging.getLogger(__name__)
 
 
-class Role(enum.Enum):
-    PROJECT_MEMBER = "project_member"
-    CITER = "citer"
-
-
-class RoleContext(Value):
-    """Who is acting. Citers may only invoke read operations."""
-
-    __slots__ = ("role", "actor")
-
-    def __init__(self, role: Role, actor: str) -> None:
-        self._init(role, actor)
-
-
 class CiteEditKind(enum.Enum):
     ADD = "add"
     DELETE = "delete"
@@ -74,7 +53,7 @@ class CiteEditKind(enum.Enum):
 
 
 class CiteEdit(Value):
-    """One staged citation-file edit. Delete edits never target the root."""
+    """One citation-file edit a commit applies. Delete edits never target the root."""
 
     __slots__ = ("kind", "path", "record")
 
@@ -102,7 +81,7 @@ class CiteEdit(Value):
 
 
 def apply_cite_edits(cf: CitationFile, edits: Iterable[CiteEdit]) -> CitationFile:
-    """Apply staged edits in order; deleting an absent key is a no-op."""
+    """Apply edits in order; deleting an absent key is a no-op."""
     entries = cf.as_dict()
     for edit in edits:
         if edit.kind is CiteEditKind.DELETE:
@@ -110,7 +89,6 @@ def apply_cite_edits(cf: CitationFile, edits: Iterable[CiteEdit]) -> CitationFil
         else:
             entries[edit.path] = edit.record
     return CitationFile(entries)
-
 
 
 class Version(Value):
@@ -173,8 +151,9 @@ class TreeEdit(Value):
 
 
 class Repository:
-    """A DAG of versions plus named branches and per-branch staged edits.
+    """A DAG of versions plus named branches.
 
+    Citation edits reach a version only through :meth:`commit`.
     Mutation (commit, branch, merge) needs exclusive access; committed
     versions are immutable, so concurrent reads are always safe.
     """
@@ -184,7 +163,6 @@ class Repository:
         self.default_branch = default_branch
         self.versions: dict[str, Version] = {}
         self.branches: dict[str, str] = {}
-        self.staged: dict[str, list[CiteEdit]] = {}
         self._clock = 0
 
     @classmethod
@@ -201,7 +179,6 @@ class Repository:
         tree = TreeSnapshot.from_files(tree.files if tree is not None else {})
         version = repo._new_version((), tree, CitationFile.single(root_record))
         repo.branches[branch] = version.id
-        repo.staged[branch] = []
         return repo
 
     def head_id(self, branch: str) -> str:
@@ -236,10 +213,10 @@ class Repository:
     ) -> Version:
         """Advance ``branch`` by one version.
 
-        The new citation file is the head's with, in order: the staged
-        citation edits applied; every key under a renamed path rewritten by
-        prefix substitution; every key whose path left the tree removed. The
-        root entry always survives. As in git, a directory left with no file
+        The new citation file is the head's with, in order: the citation
+        edits applied; every key under a renamed path rewritten by prefix
+        substitution; every key whose path left the tree removed. The root
+        entry always survives. As in git, a directory left with no file
         leaves the tree.
         """
         head = self.head(branch)
@@ -257,18 +234,11 @@ class Repository:
         self.branches[branch] = version.id
         return version
 
-    def commit_staged(self, branch: str, tree_edits: Iterable[TreeEdit] = ()) -> Version:
-        """Commit, consuming the branch's staged citation edits."""
-        edits = self.staged.get(branch, [])
-        self.staged[branch] = []
-        return self.commit(branch, tree_edits, edits)
-
     def add_branch(self, name: str, from_version: str) -> str:
         if name in self.branches:
             raise BranchExists(f"branch {name!r} already exists")
         self.version(from_version)  # existence check
         self.branches[name] = from_version
-        self.staged[name] = []
         return name
 
     def ancestor_ids(self, version_id: str) -> set[str]:
@@ -324,72 +294,6 @@ class Repository:
         version = self._new_version((into_id, from_id), tree, cf)
         self.branches[into_branch] = version.id
         return version, conflicts
-
-
-def staged_citation_file(repo: Repository, branch: str) -> CitationFile:
-    """The head citation file with the branch's staged edits applied."""
-    return apply_cite_edits(repo.head(branch).cf, repo.staged.get(branch, ()))
-
-
-def add_cite(
-    repo: Repository,
-    ctx: RoleContext,
-    branch: str,
-    path: CanonicalPath,
-    record: CitationRecord,
-    at_version: str | None = None,
-) -> CitationFile:
-    return _stage(repo, ctx, branch, at_version, CiteEditKind.ADD, path, record)
-
-
-def del_cite(
-    repo: Repository,
-    ctx: RoleContext,
-    branch: str,
-    path: CanonicalPath,
-    at_version: str | None = None,
-) -> CitationFile:
-    return _stage(repo, ctx, branch, at_version, CiteEditKind.DELETE, path, None)
-
-
-def modify_cite(
-    repo: Repository,
-    ctx: RoleContext,
-    branch: str,
-    path: CanonicalPath,
-    record: CitationRecord,
-    at_version: str | None = None,
-) -> CitationFile:
-    return _stage(repo, ctx, branch, at_version, CiteEditKind.MODIFY, path, record)
-
-
-def _stage(
-    repo: Repository,
-    ctx: RoleContext,
-    branch: str,
-    at_version: str | None,
-    kind: CiteEditKind,
-    path: CanonicalPath,
-    record: CitationRecord | None,
-) -> CitationFile:
-    """Check the role and the version, apply the edit to the staged file by
-    its :mod:`gitcite.ops` operation, then stage it. Returns the staged file."""
-    if ctx.role is not Role.PROJECT_MEMBER:
-        raise RoleForbidden(f"{ctx.actor} ({ctx.role.value}) may not edit citations")
-    head = repo.head_id(branch)
-    if at_version is not None and at_version != head:
-        raise NotLatestVersion(
-            f"{at_version} is not the head of {branch!r} ({head}); citations update only on the latest version"
-        )
-    cf = staged_citation_file(repo, branch)
-    if kind is CiteEditKind.ADD:
-        staged = apply_add(cf, repo.head(branch).tree, path, record)
-    elif kind is CiteEditKind.DELETE:
-        staged = apply_delete(cf, path)
-    else:
-        staged = apply_modify(cf, path, record)
-    repo.staged.setdefault(branch, []).append(CiteEdit(kind, path, record))
-    return staged
 
 
 def gen_cite(repo: Repository, version_id: str, path: CanonicalPath) -> CitationRecord:
@@ -476,6 +380,5 @@ def fork_cite(
     for vid in src_repo.ancestor_ids(head_id):
         fork.versions[vid] = src_repo.versions[vid]  # versions are immutable, safe to share
     fork.branches[fork.default_branch] = head_id
-    fork.staged[fork.default_branch] = []
     fork._clock = max(v.timestamp for v in fork.versions.values()) + 1
     return fork

@@ -2,7 +2,7 @@
 
 Each scenario step is applied twice: on disk through the adapter (with git
 doing change detection, merging, and history), and abstractly on a
-:class:`gitcite.Repository`. At every commit point the citation file on disk
+:class:`gitcite.store.Repository`. At every commit point the citation file on disk
 must equal the reference citation file byte for byte.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from gitcite import CitationFile, Repository, copy_cite, validate
+from gitcite import CitationFile, validate
 from gitcite.fileformat import parse, serialize
 from gitcite.gitadapter import (
     WorktreeLookup,
@@ -25,7 +25,7 @@ from gitcite.gitadapter import (
 )
 from gitcite.ops import apply_add, apply_delete, apply_modify, scripted_resolver
 from gitcite.paths import from_rendered
-from gitcite.store import CiteEdit, TreeEdit
+from gitcite.store import CiteEdit, Repository, TreeEdit, copy_cite
 
 from conftest import git, init_repo
 from support import record, snapshot_worktree

@@ -5,9 +5,9 @@ from __future__ import annotations
 import random
 import string
 
-from gitcite import CitationFile, CitationRecord, Repository, TreeSnapshot
+from gitcite import CitationFile, CitationRecord, TreeSnapshot
 from gitcite.paths import ROOT, CanonicalPath, PathKind
-from gitcite.store import CiteEdit
+from gitcite.store import CiteEdit, Repository
 from gitcite.store import TreeEdit
 
 _NAMES = string.ascii_lowercase

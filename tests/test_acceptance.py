@@ -10,35 +10,16 @@ from __future__ import annotations
 import random
 import time
 
-from gitcite import (
-    CitationFile,
-    Repository,
-    copy_cite,
-    fork_cite,
-    resolve,
-    validate,
-)
+from gitcite import CitationFile, resolve, validate
 from gitcite.fileformat import parse, serialize
 from gitcite.ops import choose_left
 from gitcite.paths import ROOT, from_rendered
-from gitcite.store import (
-    CiteEdit,
-    CiteEditKind,
-    Role,
-    RoleContext,
-    add_cite,
-    del_cite,
-    gen_cite,
-    modify_cite,
-)
+from gitcite.store import CiteEdit, Repository, TreeEdit, copy_cite, fork_cite, gen_cite
 
 import randgen
 from gitdriver import run_scenario
 from scenarios import SCENARIOS
 from support import record, resolve_by_walking, tree
-
-MEMBER = RoleContext(Role.PROJECT_MEMBER, "member")
-
 
 def _ok(label: str) -> None:
     print(f"[PASS] {label}")
@@ -56,13 +37,11 @@ def test_version_history_replay_for_copy_and_merge():
     assert resolve(v1.cf, v1.tree, f1) == c1
 
     p1.add_branch("feature", v1.id)
-    add_cite(p1, MEMBER, "main", f1, c2)
-    v2 = p1.commit_staged("main")
+    v2 = p1.commit("main", cite_edits=[CiteEdit.add(f1, c2)])
     assert resolve(v2.cf, v2.tree, f1) == c2
 
     p2 = Repository.create("p2", c3, tree=tree("/green/f2", "/green/inner/h"))
-    add_cite(p2, MEMBER, "main", from_rendered("/green/"), c4)
-    v3 = p2.commit_staged("main")
+    v3 = p2.commit("main", cite_edits=[CiteEdit.add(from_rendered("/green/"), c4)])
     f2_at_source = from_rendered("/green/f2")
     assert resolve(v3.cf, v3.tree, f2_at_source) == c4
 
@@ -94,11 +73,8 @@ def test_component_import_and_branch_attribution():
     copy_cite(carol_repo, carol_repo.head_id("main"), ROOT, b, "main", from_rendered("/CC/"))
 
     b.add_branch("alice-gui", b.head_id("main"))
-    from gitcite.store import TreeEdit
-
     b.commit("alice-gui", [TreeEdit.create(from_rendered("/gui/view.c"), "v1")])
-    add_cite(b, RoleContext(Role.PROJECT_MEMBER, "alice"), "alice-gui", from_rendered("/gui/"), alice)
-    b.commit_staged("alice-gui")
+    b.commit("alice-gui", cite_edits=[CiteEdit.add(from_rendered("/gui/"), alice)])
     _, conflicts = b.merge("main", "alice-gui")
     assert conflicts == []
 
@@ -257,14 +233,7 @@ def test_random_operation_sequences_stay_consistent():
                 )
             elif roll < 0.5:
                 branch = rng.choice(list(repo.branches))
-                for edit in randgen.rand_cite_edits(rng, repo, branch, rng.randint(1, 2)):
-                    if edit.kind is CiteEditKind.ADD:
-                        add_cite(repo, MEMBER, branch, edit.path, edit.record)
-                    elif edit.kind is CiteEditKind.DELETE:
-                        del_cite(repo, MEMBER, branch, edit.path)
-                    else:
-                        modify_cite(repo, MEMBER, branch, edit.path, edit.record)
-                repo.commit_staged(branch)
+                repo.commit(branch, cite_edits=randgen.rand_cite_edits(rng, repo, branch, rng.randint(1, 2)))
             elif roll < 0.62:
                 repo.add_branch(f"b{i}-{counter}", rng.choice(list(repo.versions)))
             elif roll < 0.77 and len(repo.branches) >= 2:

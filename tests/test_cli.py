@@ -10,14 +10,14 @@ from pathlib import Path
 import pytest
 
 import gitcite
-from gitcite import CitationFile, Repository, gitadapter
+from gitcite import CitationFile, gitadapter
 from gitcite.cli import main
-from gitcite.fileformat import record_from_obj, serialize
+from gitcite.fileformat import record_from_obj, record_to_obj, serialize
 from gitcite.gitadapter import load_citation_file, store_citation_file
 from gitcite.model import resolve
 from gitcite.ops import scripted_resolver
 from gitcite.paths import ROOT, from_rendered
-from gitcite.store import CiteEdit
+from gitcite.store import CiteEdit, Repository
 
 from conftest import git
 from support import record, resolve_by_walking, snapshot_worktree
@@ -417,6 +417,38 @@ class TestMerge:
         assert git(root, "status", "--porcelain").stdout == ""
         assert main(["gen", "shared.c"]) == 0
 
+    @pytest.mark.parametrize(
+        "script, prompts",
+        [("e {}", 1), ("edit {}", 1), ("edit\n{}", 1), ("e\n{}", 1), ("edit {\"owner\": 1}\nedit {}", 2)],
+        ids=["e-inline", "edit-inline", "edit-next-line", "e-next-line", "bad-record-then-edit"],
+    )
+    def test_an_edited_record_settles_the_conflict(self, git_repo, monkeypatch, capsys, script, prompts):
+        root = build_conflicted_repo(git_repo)
+        monkeypatch.chdir(root)
+        edited = record("edited")
+        monkeypatch.setattr("sys.stdin", io.StringIO(script.replace("{}", json.dumps(record_to_obj(edited))) + "\n"))
+        assert main(["merge", "side", "--interactive"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("choose [o]urs") == prompts
+        assert out.count("not a valid record") == prompts - 1
+        assert load_citation_file(root).get(from_rendered("/shared.c")) == edited
+
+    def test_merge_runs_few_git_commands(self, git_repo, monkeypatch):
+        # The top level, the other branch, HEAD, the merge base, three citation
+        # files, the merge and its MERGE_HEAD check, two index listings, add, commit.
+        root = build_conflicted_repo(git_repo)
+        calls = []
+        real_git = gitadapter._git
+
+        def counted(at, *args, **kwargs):
+            calls.append(args)
+            return real_git(at, *args, **kwargs)
+
+        monkeypatch.setattr(gitadapter, "_git", counted)
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == 0
+        assert len(calls) <= 13, calls
+
     def test_no_conflict_merge_needs_no_answers(self, git_repo, monkeypatch):
         root = git_repo("clean")
         seed(root, {"a.c": "a"}, {})
@@ -597,13 +629,18 @@ class TestCliPlumbing:
         assert not self._loaded_by_importing_the_cli("urllib.request")
 
     def test_importing_the_cli_leaves_the_store_unloaded(self):
-        # No command uses the in-memory reference store; ``from gitcite import
-        # Repository`` still loads it on first access.
+        # No command uses the in-memory reference store.
         assert not self._loaded_by_importing_the_cli("gitcite.store")
-        from gitcite import Repository
-        from gitcite.store import Repository as stored
 
-        assert Repository is stored
+    def test_every_public_name_resolves(self):
+        for name in gitcite.__all__:
+            getattr(gitcite, name)
+        src = str(Path(gitcite.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", "from gitcite import *"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_citation_file_is_an_environment_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

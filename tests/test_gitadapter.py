@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gitcite import CitationFile, Repository, resolve
+from gitcite import CitationFile, resolve
 from gitcite.cli import main
 from gitcite.errors import (
     FileMissing,
@@ -33,7 +33,7 @@ from gitcite.gitadapter import (
 )
 from gitcite.ops import choose_right, merge_citation_files
 from gitcite.paths import ROOT, PathKind, from_rendered
-from gitcite.store import CiteEdit, TreeEdit
+from gitcite.store import CiteEdit, Repository, TreeEdit
 
 from conftest import git
 from support import record, snapshot_worktree, tree

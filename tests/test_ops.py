@@ -8,38 +8,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gitcite
-from gitcite import CitationFile, Repository, resolve
+from gitcite import CitationFile, resolve, validate
 from gitcite.errors import (
     AlreadyCited,
     InvariantBroken,
     MissingMetadata,
     NotCited,
-    NotLatestVersion,
     PathNotInTree,
-    RoleForbidden,
     RootUndeletable,
     UnknownVersion,
 )
-from gitcite.ops import prune_deleted, rewrite_keys
+from gitcite.ops import apply_add, apply_delete, apply_modify, prune_deleted, rewrite_keys
 from gitcite.gitadapter import default_root_citation, store_citation_file, sync_on_commit
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
-from gitcite.store import (
-    CiteEdit,
-    Role,
-    RoleContext,
-    add_cite,
-    del_cite,
-    gen_cite,
-    modify_cite,
-    staged_citation_file,
-)
+from gitcite.store import CiteEdit, Repository, gen_cite
 
 import randgen
 from conftest import git
 from support import record, resolve_by_walking, tree
-
-MEMBER = RoleContext(Role.PROJECT_MEMBER, "ada")
-CITER = RoleContext(Role.CITER, "guest")
 
 
 def fresh_repo() -> Repository:
@@ -52,63 +38,63 @@ class TestAddCite:
         head = repo.head("main")
         f1 = from_rendered("/f1")
         assert resolve(head.cf, head.tree, f1) == record("root")
-        add_cite(repo, MEMBER, "main", f1, record("f1"))
-        version = repo.commit_staged("main")
+        checked = apply_add(head.cf, head.tree, f1, record("f1"))
+        version = repo.commit("main", cite_edits=[CiteEdit.add(f1, record("f1"))])
+        assert version.cf == checked
         assert resolve(version.cf, version.tree, f1) == record("f1")
 
     def test_add_on_cited_path_is_rejected(self):
-        repo = fresh_repo()
-        add_cite(repo, MEMBER, "main", from_rendered("/f1"), record("a"))
+        head = fresh_repo().head("main")
+        cf = apply_add(head.cf, head.tree, from_rendered("/f1"), record("a"))
         with pytest.raises(AlreadyCited):
-            add_cite(repo, MEMBER, "main", from_rendered("/f1"), record("b"))
+            apply_add(cf, head.tree, from_rendered("/f1"), record("b"))
 
     def test_add_on_directory_covers_the_subtree(self):
         repo = fresh_repo()
         sub = from_rendered("/sub/")
-        add_cite(repo, MEMBER, "main", sub, record("sub"))
-        version = repo.commit_staged("main")
+        version = repo.commit("main", cite_edits=[CiteEdit.add(sub, record("sub"))])
         for leaf in ("/sub/a.c", "/sub/b.c"):
             path = from_rendered(leaf)
             assert resolve(version.cf, version.tree, path) == record("sub")
             assert resolve_by_walking(version.cf, path) == record("sub")
 
     def test_add_requires_existing_path(self):
-        repo = fresh_repo()
+        head = fresh_repo().head("main")
         with pytest.raises(PathNotInTree):
-            add_cite(repo, MEMBER, "main", from_rendered("/ghost"), record("g"))
+            apply_add(head.cf, head.tree, from_rendered("/ghost"), record("g"))
 
 
 class TestDelCite:
     def test_root_is_undeletable(self):
-        repo = fresh_repo()
         with pytest.raises(RootUndeletable):
-            del_cite(repo, MEMBER, "main", ROOT)
+            apply_delete(fresh_repo().head("main").cf, ROOT)
 
     def test_add_then_delete_restores_resolution_everywhere(self):
         repo = fresh_repo()
         head = repo.head("main")
         before = {str(p): resolve(head.cf, head.tree, p) for p in head.tree.paths()}
-        add_cite(repo, MEMBER, "main", from_rendered("/sub/"), record("sub"))
-        del_cite(repo, MEMBER, "main", from_rendered("/sub/"))
-        version = repo.commit_staged("main")
+        sub = from_rendered("/sub/")
+        checked = apply_delete(apply_add(head.cf, head.tree, sub, record("sub")), sub)
+        version = repo.commit("main", cite_edits=[CiteEdit.add(sub, record("sub")), CiteEdit.delete(sub)])
+        assert version.cf == checked
         after = {str(p): resolve(version.cf, version.tree, p) for p in version.tree.paths()}
         assert after == before
 
     def test_nested_delete_falls_back_to_grandparent(self):
         repo = fresh_repo()
-        add_cite(repo, MEMBER, "main", from_rendered("/sub/"), record("sub"))
-        add_cite(repo, MEMBER, "main", from_rendered("/sub/a.c"), record("a"))
-        repo.commit_staged("main")
-        del_cite(repo, MEMBER, "main", from_rendered("/sub/a.c"))
-        version = repo.commit_staged("main")
         target = from_rendered("/sub/a.c")
+        cited = repo.commit(
+            "main", cite_edits=[CiteEdit.add(from_rendered("/sub/"), record("sub")), CiteEdit.add(target, record("a"))]
+        )
+        checked = apply_delete(cited.cf, target)
+        version = repo.commit("main", cite_edits=[CiteEdit.delete(target)])
+        assert version.cf == checked
         assert resolve(version.cf, version.tree, target) == record("sub")
         assert resolve_by_walking(version.cf, target) == record("sub")
 
     def test_delete_uncited(self):
-        repo = fresh_repo()
         with pytest.raises(NotCited):
-            del_cite(repo, MEMBER, "main", from_rendered("/f1"))
+            apply_delete(fresh_repo().head("main").cf, from_rendered("/f1"))
 
 
 class TestModifyCite:
@@ -116,17 +102,18 @@ class TestModifyCite:
         repo = fresh_repo()
         head = repo.head("main")
         before = {str(p): resolve(head.cf, head.tree, p) for p in head.tree.paths()}
-        modify_cite(repo, MEMBER, "main", ROOT, record("root"))
-        version = repo.commit_staged("main")
+        checked = apply_modify(head.cf, ROOT, record("root"))
+        version = repo.commit("main", cite_edits=[CiteEdit.modify(ROOT, record("root"))])
+        assert version.cf == checked
         after = {str(p): resolve(version.cf, version.tree, p) for p in version.tree.paths()}
         assert after == before
 
     def test_modify_root_changes_every_inheriting_node(self):
         repo = fresh_repo()
-        add_cite(repo, MEMBER, "main", from_rendered("/sub/"), record("sub"))
-        repo.commit_staged("main")
-        modify_cite(repo, MEMBER, "main", ROOT, record("newroot"))
-        version = repo.commit_staged("main")
+        cited = repo.commit("main", cite_edits=[CiteEdit.add(from_rendered("/sub/"), record("sub"))])
+        checked = apply_modify(cited.cf, ROOT, record("newroot"))
+        version = repo.commit("main", cite_edits=[CiteEdit.modify(ROOT, record("newroot"))])
+        assert version.cf == checked
         for path in version.tree.paths():
             expected = resolve_by_walking(version.cf, path)
             assert resolve(version.cf, version.tree, path) == expected
@@ -134,38 +121,15 @@ class TestModifyCite:
         assert resolve(version.cf, version.tree, from_rendered("/sub/a.c")) == record("sub")
 
     def test_modify_uncited(self):
-        repo = fresh_repo()
         with pytest.raises(NotCited):
-            modify_cite(repo, MEMBER, "main", from_rendered("/f1"), record("x"))
+            apply_modify(fresh_repo().head("main").cf, from_rendered("/f1"), record("x"))
 
 
 class TestGuards:
-    @pytest.mark.parametrize("op", ["add", "del", "modify"])
-    def test_citers_cannot_edit(self, op):
-        repo = fresh_repo()
-        add_cite(repo, MEMBER, "main", from_rendered("/f1"), record("f1"))
-        repo.commit_staged("main")
-        with pytest.raises(RoleForbidden):
-            if op == "add":
-                add_cite(repo, CITER, "main", from_rendered("/f2"), record("x"))
-            elif op == "del":
-                del_cite(repo, CITER, "main", from_rendered("/f1"))
-            else:
-                modify_cite(repo, CITER, "main", from_rendered("/f1"), record("y"))
-
-    def test_updates_only_on_the_latest_version(self):
-        repo = fresh_repo()
-        old_head = repo.head_id("main")
-        repo.commit("main")
-        with pytest.raises(NotLatestVersion):
-            add_cite(repo, MEMBER, "main", from_rendered("/f1"), record("x"), at_version=old_head)
-        add_cite(repo, MEMBER, "main", from_rendered("/f1"), record("x"), at_version=repo.head_id("main"))
-
     def test_gen_cite_reads_any_version(self):
         repo = fresh_repo()
         v1 = repo.head_id("main")
-        add_cite(repo, MEMBER, "main", from_rendered("/f1"), record("f1"))
-        repo.commit_staged("main")
+        repo.commit("main", cite_edits=[CiteEdit.add(from_rendered("/f1"), record("f1"))])
         assert gen_cite(repo, v1, from_rendered("/f1")) == record("root")
         assert gen_cite(repo, repo.head_id("main"), from_rendered("/f1")) == record("f1")
         with pytest.raises(UnknownVersion):
@@ -181,11 +145,14 @@ class TestGuards:
         rng = random.Random(31)
         snap = randgen.rand_tree(rng, max_nodes=50)
         repo = Repository.create("p", randgen.rand_record(rng), tree=snap)
+        head = repo.head("main")
         cf = randgen.rand_citation_file(rng, snap)
-        for path, rec in cf.items():
-            if not path.is_root:
-                add_cite(repo, MEMBER, "main", path, rec)
-        version = repo.commit_staged("main")
+        edits = [CiteEdit.add(path, rec) for path, rec in cf.items() if not path.is_root]
+        checked = head.cf
+        for edit in edits:
+            checked = apply_add(checked, head.tree, edit.path, edit.record)
+        version = repo.commit("main", cite_edits=edits)
+        assert version.cf == checked
         for node in snap.paths():
             assert gen_cite(repo, version.id, node) == resolve_by_walking(version.cf, node)
 
@@ -193,16 +160,22 @@ class TestGuards:
 class TestStagingInvariants:
     def test_edit_lists_compose_like_their_set_denotation(self):
         repo = fresh_repo()
-        add_cite(repo, MEMBER, "main", from_rendered("/f1"), record("f1"))
-        add_cite(repo, MEMBER, "main", from_rendered("/f2"), record("f2"))
-        del_cite(repo, MEMBER, "main", from_rendered("/f1"))
-        modify_cite(repo, MEMBER, "main", from_rendered("/f2"), record("f2b"))
-        staged = staged_citation_file(repo, "main")
-        expected = (
-            repo.head("main").cf.with_entry(from_rendered("/f2"), record("f2b"))
+        head = repo.head("main")
+        f1, f2 = from_rendered("/f1"), from_rendered("/f2")
+        checked = apply_add(head.cf, head.tree, f1, record("f1"))
+        checked = apply_add(checked, head.tree, f2, record("f2"))
+        checked = apply_modify(apply_delete(checked, f1), f2, record("f2b"))
+        expected = head.cf.with_entry(f2, record("f2b"))
+        assert checked == expected
+        version = repo.commit(
+            "main",
+            cite_edits=[
+                CiteEdit.add(f1, record("f1")),
+                CiteEdit.add(f2, record("f2")),
+                CiteEdit.delete(f1),
+                CiteEdit.modify(f2, record("f2b")),
+            ],
         )
-        assert staged == expected
-        version = repo.commit_staged("main")
         assert version.cf == expected
 
     def test_no_edit_removes_the_root(self):
@@ -210,14 +183,11 @@ class TestStagingInvariants:
             CiteEdit.delete(ROOT)
 
     def test_every_successful_edit_validates(self):
-        from gitcite import validate
-
-        repo = fresh_repo()
-        head = repo.head("main")
-        add_cite(repo, MEMBER, "main", from_rendered("/sub/"), record("s"))
-        assert validate(staged_citation_file(repo, "main"), head.tree) == []
-        del_cite(repo, MEMBER, "main", from_rendered("/sub/"))
-        assert validate(staged_citation_file(repo, "main"), head.tree) == []
+        head = fresh_repo().head("main")
+        sub = from_rendered("/sub/")
+        added = apply_add(head.cf, head.tree, sub, record("s"))
+        assert validate(added, head.tree) == []
+        assert validate(apply_delete(added, sub), head.tree) == []
 
 
 @pytest.mark.parametrize("old, new", [("/a.c", "/b.c"), ("/lib/", "/vendor/")])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gitcite import CitationFile, Repository, TreeSnapshot, copy_cite, fork_cite, resolve, validate
+from gitcite import CitationFile, TreeSnapshot, resolve, validate
 from gitcite.errors import (
     BranchExists,
     DestinationCollision,
@@ -17,7 +17,7 @@ from gitcite.errors import (
 )
 from gitcite.paths import ROOT, from_rendered
 from gitcite.ops import ConflictReport, choose_left, scripted_resolver
-from gitcite.store import CiteEdit, TreeEdit, gen_cite
+from gitcite.store import CiteEdit, Repository, TreeEdit, copy_cite, fork_cite, gen_cite
 
 import randgen
 from support import record, resolve_by_walking, tree
@@ -266,7 +266,6 @@ class TestMergeCite:
         repo = repo_with(("/a.c",))
         orphan = repo._new_version((), TreeSnapshot(), CitationFile.single(record("x")))
         repo.branches["orphan"] = orphan.id
-        repo.staged["orphan"] = []
         with pytest.raises(NoCommonAncestor):
             repo.merge("main", "orphan")
 

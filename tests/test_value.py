@@ -11,7 +11,7 @@ from gitcite import CitationFile, CitationRecord, Inconsistency, TreeSnapshot
 from gitcite.model import DANGLING_KEY
 from gitcite.ops import ConflictReport
 from gitcite.paths import ROOT, from_rendered
-from gitcite.store import CiteEdit, CiteEditKind, Role, RoleContext, TreeEdit, TreeEditKind, Version
+from gitcite.store import CiteEdit, CiteEditKind, TreeEdit, TreeEditKind, Version
 from gitcite.value import Value
 
 from support import record, tree
@@ -22,7 +22,6 @@ FACTORIES = {
     "CitationRecord": lambda: record("a", extras={"license": "MIT", "grant": "G-1"}),
     "TreeSnapshot": lambda: tree("/src/a.c", "/doc/"),
     "Inconsistency": lambda: Inconsistency(DANGLING_KEY, from_rendered("/gone.c"), "no such path"),
-    "RoleContext": lambda: RoleContext(Role.CITER, "guest"),
     "CiteEdit": lambda: CiteEdit(CiteEditKind.MODIFY, from_rendered("/a.c"), record("a")),
     "TreeEdit": lambda: TreeEdit(TreeEditKind.RENAME, from_rendered("/a/"), from_rendered("/b/")),
     "Version": lambda: Version("v1", (), tree("/a.c"), CitationFile.single(record("root")), 1),
@@ -81,7 +80,7 @@ class TestImmutableValues:
 
 
 def test_field_order_decides_equality():
-    assert RoleContext(Role.CITER, "x") != RoleContext(Role.PROJECT_MEMBER, "x")
+    assert CiteEdit.add(from_rendered("/a.c"), record("a")) != CiteEdit.modify(from_rendered("/a.c"), record("a"))
     assert from_rendered("/a/") != from_rendered("/a")
     assert record("a") != record("a", extras={"k": "v"})
     assert TreeSnapshot() == tree() and TreeSnapshot() != tree("/a.c")
