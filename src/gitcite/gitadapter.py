@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     DestinationCollision,
+    EditConflict,
     FileMissing,
     HttpStatus,
     InvalidPath,
@@ -490,13 +491,17 @@ def run_merge(
 ) -> tuple[CitationFile, list[ConflictReport]]:
     """Citation-aware branch merge in a real worktree.
 
-    Content files merge through ``git merge --no-commit --no-ff`` with
-    leftover content conflicts resolved toward the current branch; the
-    citation file is rebuilt from the base/ours/theirs documents instead of
-    being text-merged, then the merge is committed. A citation file that
-    differs from ``HEAD``'s, whose edit the rebuild would lose, and a merge
-    that git refuses to start (it leaves no ``MERGE_HEAD``, as when it would
-    overwrite an untracked file or a local edit) each raise
+    ``git merge-tree --write-tree`` first merges ``HEAD`` and ``other``
+    without touching the index or the worktree; if it reports a conflict in
+    any path but the citation file (content, modify/delete, add/add, ...),
+    :class:`~gitcite.errors.EditConflict` names the paths and nothing is
+    written. Otherwise content files merge through ``git merge --no-commit
+    --no-ff``, the citation file is rebuilt from the base/ours/theirs
+    documents by :func:`gitcite.ops.merge_citation_files` instead of being
+    text-merged, and the merge is committed. A citation file that differs
+    from ``HEAD``'s, whose edit the rebuild would lose, and a merge that git
+    refuses to start (it leaves no ``MERGE_HEAD``, as when it would overwrite
+    an untracked file or a local edit) each raise
     :class:`~gitcite.errors.IoFailure` and touch nothing. If anything fails
     after ``git merge`` has started, ``git merge --abort`` restores the
     checkout before the error propagates.
@@ -517,6 +522,14 @@ def run_merge(
         _git(root, "merge", "--ff-only", other_rev)
         return load_citation_file(root), []
 
+    trial = _git(  # prints the merged tree's id, then each conflicted path; exits 1 on a conflict
+        root, "merge-tree", "--write-tree", "--name-only", "--no-messages", "-z", head_rev, other_rev, check=False
+    )
+    if trial.returncode not in (0, 1):
+        raise IoFailure(f"git merge-tree failed: {trial.stderr.strip()}")
+    conflicted = [p for p in trial.stdout.split("\0")[1:] if p and p != citation_file_name()]
+    if conflicted:
+        raise EditConflict(f"merge refused: both branches changed {', '.join(conflicted)}")
     base_cf = citation_file_at_revision(root, base_rev)
     left_cf = citation_file_at_revision(root, head_rev)
     right_cf = citation_file_at_revision(root, other_rev)
@@ -527,7 +540,6 @@ def run_merge(
         if _git(root, "rev-parse", "-q", "--verify", "MERGE_HEAD", check=False).returncode != 0:
             raise IoFailure(f"git merge {other} refused: {merge.stderr.strip()}")
     try:
-        _resolve_content_conflicts(root)
         merged_tree = tree_from_index(root)
         merged_cf, conflicts = merge_citation_files(base_cf, left_cf, right_cf, merged_tree, resolver)
         store_citation_file(root, merged_cf)
@@ -537,24 +549,6 @@ def run_merge(
         _git(root, "merge", "--abort", check=False)  # leave no pending merge or conflict markers
         raise
     return merged_cf, conflicts
-
-
-def _resolve_content_conflicts(root: Path) -> None:
-    """Settle unmerged index entries by keeping the current branch's state:
-    a path with an "ours" stage (2) takes it, any other is removed."""
-    stages: dict[str, set[str]] = {}
-    for entry in _git(root, "ls-files", "-u", "-z").stdout.split("\0"):
-        if entry:
-            meta, path_text = entry.split("\t", 1)
-            stages.setdefault(path_text, set()).add(meta.split()[2])
-    stages.pop(citation_file_name(), None)  # rebuilt from the base/ours/theirs documents instead
-    ours = [path_text for path_text, found in stages.items() if "2" in found]
-    gone = [path_text for path_text, found in stages.items() if "2" not in found]
-    if ours:
-        _git(root, "--literal-pathspecs", "checkout", "--ours", "--", *ours)
-        _git(root, "--literal-pathspecs", "add", "--", *ours)
-    if gone:
-        _git(root, "--literal-pathspecs", "rm", "-f", "-q", "--", *gone)
 
 
 def run_copy(

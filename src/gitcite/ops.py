@@ -5,13 +5,14 @@ changes: a checked add, delete or modify (:func:`apply_add`,
 :func:`apply_delete`, :func:`apply_modify`), key rewrite on rename
 (:func:`rewrite_keys`), pruning to a tree (:func:`prune_to_tree`) or of
 deleted paths (:func:`prune_deleted`), subtree migration on copy
-(:func:`apply_copy`) and the three-way merge union
-(:func:`merge_citation_files`). The in-memory store and the git adapter both
-call them; none of them touches a repository. The key rewrite takes a whole
-list of renames and applies them simultaneously in one pass over the keys,
-so a commit that renames a thousand files costs one rebuild of the citation
-file, not one per rename; the store, whose tree edits are sequential, calls
-it once per edit.
+(:func:`apply_copy`) and the three-way merge (:func:`three_way` for one
+value, which the store also applies to files, and :func:`merge_citation_files`
+for a whole file). The in-memory store and the git adapter both call them;
+none of them touches a repository. The key rewrite takes a whole list of
+renames and applies them simultaneously in one pass over the keys, so a
+commit that renames a thousand files costs one rebuild of the citation file,
+not one per rename; the store, whose tree edits are sequential, calls it once
+per edit.
 """
 
 from __future__ import annotations
@@ -217,6 +218,20 @@ def scripted_resolver(choices: Mapping[str, "str | CitationRecord"]) -> Resolver
     return _resolve
 
 
+CONFLICT = object()  # what three_way returns when both sides changed a value, differently
+
+
+def three_way(base, left, right):
+    """One value merged three ways, ``None`` standing for absent: a side that
+    left the value as it was in ``base`` yields to the other side. When both
+    sides changed it, to different values, the result is :data:`CONFLICT`."""
+    if base == left:
+        return right
+    if base == right or left == right:
+        return left
+    return CONFLICT
+
+
 def merge_citation_files(
     base: CitationFile,
     left: CitationFile,
@@ -224,37 +239,32 @@ def merge_citation_files(
     merged_tree: TreeSnapshot,
     resolver: Resolver | None = None,
 ) -> tuple[CitationFile, list[ConflictReport]]:
-    """Three-way union of two branches' citation files.
+    """Three-way merge of two branches' citation files.
 
-    Keys on one side only are taken as-is. For keys on both sides, equal
-    records merge silently; when exactly one side changed the record
-    relative to ``base`` the changed side wins without a conflict; when both
-    changed it the resolver decides, and no answer raises
+    Every key of ``base``, ``left`` and ``right`` merges by :func:`three_way`,
+    with "no entry" as a value: a citation added, changed or deleted on one
+    side only takes that side's state, so a deletion survives the merge. A
+    key that one side deleted and the other changed keeps the changed record
+    (a modify outlives a delete). A key both sides changed to different
+    records goes to the resolver, and no answer raises
     :class:`UnresolvedConflict`. Entries whose paths are absent from
     ``merged_tree`` are pruned, the root excepted.
     """
     merged: dict[CanonicalPath, CitationRecord] = {}
     conflicts: list[ConflictReport] = []
-    for key in sorted(set(left.keys()) | set(right.keys())):
+    for key in sorted(base.keys() | left.keys() | right.keys()):
         from_left, from_right = left.get(key), right.get(key)
-        if from_left is None:
-            merged[key] = from_right
-            continue
-        if from_right is None or from_left == from_right:
-            merged[key] = from_left
-            continue
-        from_base = base.get(key)
-        if from_base == from_left:
-            merged[key] = from_right
-        elif from_base == from_right:
-            merged[key] = from_left
-        else:
-            report = ConflictReport(key=key, left=from_left, right=from_right)
-            choice = resolver(report) if resolver is not None else None
-            if choice is None:
-                raise UnresolvedConflict(f"unresolved citation conflict at {key}")
-            report.mark_resolved(choice)
-            conflicts.append(report)
-            merged[key] = choice
+        record = three_way(base.get(key), from_left, from_right)
+        if record is CONFLICT:
+            if from_left is None or from_right is None:
+                record = from_right if from_left is None else from_left  # a modify outlives a delete
+            else:
+                report = ConflictReport(key=key, left=from_left, right=from_right)
+                record = resolver(report) if resolver is not None else None
+                if record is None:
+                    raise UnresolvedConflict(f"unresolved citation conflict at {key}")
+                report.mark_resolved(record)
+                conflicts.append(report)
+        if record is not None:
+            merged[key] = record
     return prune_to_tree(CitationFile(merged), merged_tree), conflicts
-

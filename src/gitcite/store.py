@@ -19,7 +19,6 @@ which the adapter instead learns from git.
 from __future__ import annotations
 
 import enum
-import logging
 from typing import Iterable
 
 from .errors import (
@@ -33,17 +32,17 @@ from .errors import (
 )
 from .model import CitationFile, CitationRecord, Segments, TreeSnapshot, resolve, validate
 from .ops import (
+    CONFLICT,
     ConflictReport,
     Resolver,
     apply_copy,
     merge_citation_files,
     prune_to_tree,
     rewrite_keys,
+    three_way,
 )
-from .paths import CanonicalPath, PathKind
+from .paths import CanonicalPath
 from .value import Value
-
-logger = logging.getLogger(__name__)
 
 
 class CiteEditKind(enum.Enum):
@@ -267,10 +266,12 @@ class Repository:
     ) -> tuple[Version, list[ConflictReport]]:
         """Merge ``from_branch`` into ``into_branch``, citations included.
 
-        Trees merge by simplified three-way rules (a both-sides content
-        conflict keeps the into-branch's state, with a warning). The citation
-        files merge by :func:`gitcite.ops.merge_citation_files` against the
-        merged tree.
+        Each file merges by :func:`gitcite.ops.three_way` on its digest,
+        absence included; a file both sides changed differently (a content,
+        modify/delete or add/add conflict) raises
+        :class:`~gitcite.errors.EditConflict` and leaves the repository as it
+        was. The citation files merge by
+        :func:`gitcite.ops.merge_citation_files` against the merged tree.
         """
         into_id = self.head_id(into_branch)
         from_id = self.head_id(from_branch)
@@ -287,9 +288,7 @@ class Repository:
         base = self.version(base_id)
         left = self.version(into_id)
         right = self.version(from_id)
-        tree, warnings = _merge_trees(base.tree, left.tree, right.tree)
-        for message in warnings:
-            logger.warning("%s", message)
+        tree = _merge_trees(base.tree, left.tree, right.tree)
         cf, conflicts = merge_citation_files(base.cf, left.cf, right.cf, tree, resolver)
         version = self._new_version((into_id, from_id), tree, cf)
         self.branches[into_branch] = version.id
@@ -314,31 +313,21 @@ def _apply_tree_edit(tree: TreeSnapshot, edit: TreeEdit) -> TreeSnapshot:
     return tree.with_modified(edit.path, edit.digest)
 
 
-def _merge_trees(
-    base: TreeSnapshot, left: TreeSnapshot, right: TreeSnapshot
-) -> tuple[TreeSnapshot, list[str]]:
-    """Three-way file-set merge; on a true content conflict the left (into)
-    side wins and a warning is recorded. The directories are those holding
-    a merged file."""
+def _merge_trees(base: TreeSnapshot, left: TreeSnapshot, right: TreeSnapshot) -> TreeSnapshot:
+    """Three-way file-set merge by :func:`gitcite.ops.three_way`. A file
+    that both sides changed differently raises :class:`EditConflict` naming
+    every such path. The directories are those holding a merged file."""
     files: dict[Segments, str] = {}
-    changed_on_both: list[CanonicalPath] = []
-    for segments in base.files.keys() | left.files.keys() | right.files.keys():
-        db, dl, dr = (tree.files.get(segments) for tree in (base, left, right))
-        if len({db, dl, dr}) == 3:
-            changed_on_both.append(CanonicalPath(segments, PathKind.FILE))
-        keep = _three_way(db, dl, dr)
-        if keep is not None:
-            files[segments] = keep
-    warnings = [
-        f"both branches changed {path}; keeping the current branch's state"
-        for path in sorted(changed_on_both, key=str)
-    ]
-    return TreeSnapshot.from_files(files), warnings
-
-
-def _three_way(base, left, right):
-    """The left (into) side's state, unless only the right side changed it."""
-    return right if base == left else left
+    conflicted: list[str] = []
+    for segments in sorted(base.files.keys() | left.files.keys() | right.files.keys()):
+        digest = three_way(*(tree.files.get(segments) for tree in (base, left, right)))
+        if digest is CONFLICT:
+            conflicted.append("/".join(segments))
+        elif digest is not None:
+            files[segments] = digest
+    if conflicted:
+        raise EditConflict(f"merge refused: both branches changed {', '.join(conflicted)}")
+    return TreeSnapshot.from_files(files)
 
 
 def copy_cite(
@@ -377,8 +366,8 @@ def fork_cite(
     if head_id not in src_repo.versions:
         raise UnknownVersion(f"no version {head_id!r} in {src_repo.id}")
     fork = Repository(new_repo_id or f"{src_repo.id}-fork", default_branch=src_repo.default_branch)
-    for vid in src_repo.ancestor_ids(head_id):
-        fork.versions[vid] = src_repo.versions[vid]  # versions are immutable, safe to share
+    ancestors = src_repo.ancestor_ids(head_id)  # copied in the source's order; versions are immutable, safe to share
+    fork.versions = {vid: version for vid, version in src_repo.versions.items() if vid in ancestors}
     fork.branches[fork.default_branch] = head_id
     fork._clock = max(v.timestamp for v in fork.versions.values()) + 1
     return fork

@@ -11,7 +11,10 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+import pytest
+
 from gitcite import CitationFile, validate
+from gitcite.errors import EditConflict
 from gitcite.fileformat import parse, serialize
 from gitcite.gitadapter import (
     WorktreeLookup,
@@ -134,10 +137,26 @@ class Project:
         git(self.root, "checkout", "-q", name)
         self.current_branch = name
 
-    def merge(self, other: str, choices: dict[str, str] | None = None) -> None:
+    def merge(self, other: str, choices: dict[str, str] | None = None) -> bool:
+        """Merge ``other`` on disk and in the model; returns whether both refused it.
+
+        A merge the adapter refuses with :class:`EditConflict` must be refused
+        by the store too, and then neither branch may move on either side.
+        """
         self._clean()
         choices = choices or {}
-        _, adapter_conflicts = run_merge(self.root, other, scripted_resolver(choices))
+        refs = git(self.root, "rev-parse", "HEAD", other).stdout
+        branches = dict(self.model.branches)
+        try:
+            _, adapter_conflicts = run_merge(self.root, other, scripted_resolver(choices))
+        except EditConflict:
+            with pytest.raises(EditConflict):
+                self.model.merge(self.current_branch, other, scripted_resolver(choices))
+            assert git(self.root, "rev-parse", "HEAD", other).stdout == refs
+            assert git(self.root, "status", "--porcelain").stdout == ""
+            assert self.model.branches == branches
+            self.assert_agreement(self.model.head(self.current_branch))
+            return True
         version, model_conflicts = self.model.merge(self.current_branch, other, scripted_resolver(choices))
         assert [(str(c.key), c.resolution) for c in adapter_conflicts] == [
             (str(c.key), c.resolution) for c in model_conflicts
@@ -146,6 +165,10 @@ class Project:
         disk_files = {str(p) for p in snapshot_worktree(self.root).file_paths()}
         model_files = {str(p) for p in version.tree.file_paths()}
         assert disk_files == model_files
+        return False
+
+    def merge_refused(self, other: str) -> None:
+        assert self.merge(other), f"merging {other} was not refused"
 
     def copy_from(self, source: "Project", src_subtree: str, dst_path: str) -> None:
         self._clean()

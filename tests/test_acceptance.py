@@ -10,7 +10,10 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
+
 from gitcite import CitationFile, resolve, validate
+from gitcite.errors import EditConflict
 from gitcite.fileformat import parse, serialize
 from gitcite.ops import choose_left
 from gitcite.paths import ROOT, from_rendered
@@ -138,6 +141,7 @@ def test_copy_preserves_resolution():
 
 
 def _expected_conflict_keys(base: CitationFile, left: CitationFile, right: CitationFile) -> set[str]:
+    """Keys both sides cite, each with a record of its own: the resolver's cases."""
     out = set()
     for key in set(left.keys()) & set(right.keys()):
         l, r = left.get(key), right.get(key)
@@ -147,19 +151,38 @@ def _expected_conflict_keys(base: CitationFile, left: CitationFile, right: Citat
 
 
 def _expected_merge_record(base: CitationFile, left: CitationFile, right: CitationFile, key, choices):
-    """The documented union rule for one key, written out independently."""
-    l, r = left.get(key), right.get(key)
-    if l is None or r is None or l == r:
-        return r if l is None else l  # one side only, or both sides agree
-    if base.get(key) == l:
-        return r  # only the right side changed it
-    if base.get(key) == r:
-        return l  # only the left side changed it
+    """The documented rule for one key, written out independently; None is no entry."""
+    b, l, r = base.get(key), left.get(key), right.get(key)
+    if l == b:
+        return r  # the left side kept the base's state, entry or no entry
+    if r == b or r == l:
+        return l  # only the left side changed it, or both changed it alike
+    if l is None or r is None:
+        return r if l is None else l  # one side deleted it, the other changed it
     return l if choices[str(key)] == "left" else r  # both changed: the scripted choice
 
 
+def _three_file_states(repo: Repository, into: str, other: str) -> bool:
+    """Whether a file has three different states (absent is one) in the
+    merge base and the two heads: the merges the store must refuse."""
+    heads = repo.head_id(into), repo.head_id(other)
+    base_id = repo.merge_base(*heads)
+    if base_id in heads:
+        return False  # nothing to merge, or a fast-forward
+    files = [repo.version(vid).tree.files for vid in (base_id, *heads)]
+    return any(len({f.get(segments) for f in files}) == 3 for segments in set().union(*files))
+
+
+def _assert_refused(repo: Repository, into: str, other: str) -> None:
+    versions, branches = dict(repo.versions), dict(repo.branches)
+    with pytest.raises(EditConflict):
+        repo.merge(into, other, choose_left)
+    assert repo.versions == versions and repo.branches == branches
+
+
 def test_merge_key_algebra_and_adapter_agreement():
-    """300 random divergent branch pairs; key-set law, conflict law, record law."""
+    """300 random divergent branch pairs; refusal law, conflict law, record law."""
+    refused = 0
     for i in range(300):
         rng = random.Random(7000 + i)
         base_tree = randgen.rand_tree(rng, max_nodes=18)
@@ -185,6 +208,11 @@ def test_merge_key_algebra_and_adapter_agreement():
         left, right = repo.head("main"), repo.head("side")
         assert repo.merge_base(left.id, right.id) == base.id
 
+        if _three_file_states(repo, "main", "side"):
+            _assert_refused(repo, "main", "side")
+            refused += 1
+            continue
+
         choices: dict[str, str] = {}
 
         def deciding(report):
@@ -193,21 +221,18 @@ def test_merge_key_algebra_and_adapter_agreement():
             return report.left if pick == "left" else report.right
 
         merged, conflicts = repo.merge("main", "side", deciding)
-
-        expected_keys = {
-            k
-            for k in set(left.cf.keys()) | set(right.cf.keys())
-            if merged.tree.contains(k)
-        } | {ROOT}
-        assert set(merged.cf.keys()) == expected_keys
-
         assert {str(c.key) for c in conflicts} == _expected_conflict_keys(base.cf, left.cf, right.cf)
 
+        records = {
+            k: _expected_merge_record(base.cf, left.cf, right.cf, k, choices)
+            for k in set(base.cf.keys()) | set(left.cf.keys()) | set(right.cf.keys())
+        }
         expected = CitationFile(
-            {k: _expected_merge_record(base.cf, left.cf, right.cf, k, choices) for k in expected_keys}
+            {k: v for k, v in records.items() if v is not None and (k.is_root or merged.tree.contains(k))}
         )
         assert serialize(merged.cf) == serialize(expected)
-    _ok("merge key, conflict and record laws held on 300/300 pairs")
+    assert 0 < refused < 300
+    _ok(f"merge refusal, conflict and record laws held on 300/300 pairs ({refused} refused)")
 
 
 def test_random_operation_sequences_stay_consistent():
@@ -238,7 +263,10 @@ def test_random_operation_sequences_stay_consistent():
                 repo.add_branch(f"b{i}-{counter}", rng.choice(list(repo.versions)))
             elif roll < 0.77 and len(repo.branches) >= 2:
                 into, other = rng.sample(list(repo.branches), 2)
-                repo.merge(into, other, choose_left)
+                if _three_file_states(repo, into, other):
+                    _assert_refused(repo, into, other)
+                else:
+                    repo.merge(into, other, choose_left)
             elif roll < 0.9:
                 src = rng.choice(repos)
                 src_branch = rng.choice(list(src.branches))
@@ -284,11 +312,11 @@ def test_document_round_trips_and_determinism():
 
 
 def test_adapter_agrees_with_the_reference_on_git_scenarios(tmp_path):
-    """22 scripted scenarios on a real repository; citation files equal at every commit."""
+    """23 scripted scenarios on a real repository; citation files equal at every commit."""
     started = time.perf_counter()
-    assert len(SCENARIOS) == 22
+    assert len(SCENARIOS) == 23
     for name, scenario in SCENARIOS.items():
         run_scenario(tmp_path, name, scenario)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"scenario suite took {elapsed:.1f}s"
-    _ok(f"adapter matched the reference across 22/22 git scenarios ({elapsed:.1f}s)")
+    _ok(f"adapter matched the reference across 23/23 git scenarios ({elapsed:.1f}s)")

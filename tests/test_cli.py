@@ -434,8 +434,9 @@ class TestMerge:
         assert load_citation_file(root).get(from_rendered("/shared.c")) == edited
 
     def test_merge_runs_few_git_commands(self, git_repo, monkeypatch):
-        # The top level, the other branch, HEAD, the merge base, three citation
-        # files, the merge and its MERGE_HEAD check, two index listings, add, commit.
+        # The top level, the other branch, HEAD, the merge base, merge-tree's
+        # conflict check, three citation files, the merge and its MERGE_HEAD
+        # check, the index listing, add, commit.
         root = build_conflicted_repo(git_repo)
         calls = []
         real_git = gitadapter._git
@@ -484,23 +485,42 @@ class TestMerge:
         assert (root / "citation.cite").read_bytes() == cite
         assert git(root, "status", "--porcelain").stdout == "?? new.c\n"
 
-    def test_modify_delete_conflicts_keep_the_current_branch_state(self, git_repo, monkeypatch):
-        root = git_repo("modify-delete")
-        seed(root, {"gone-here.c": "base", "gone-there.c": "base"}, {})
+    @pytest.mark.parametrize(
+        "side_change, main_change",
+        [(("a.c", "theirs"), ("a.c", "ours")), (("a.c", None), ("a.c", "ours")), (("new.c", "theirs"), ("new.c", "ours"))],
+        ids=["content", "modify-delete", "add-add"],
+    )
+    def test_a_content_conflict_refuses_the_merge(self, git_repo, monkeypatch, capsys, side_change, main_change):
+        root = git_repo("refused-conflict")
+        seed(root, {"a.c": "base", "b.c": "b"}, {"/a.c": "a"})
         git(root, "checkout", "-q", "-b", "side")
-        (root / "gone-here.c").write_text("theirs")
-        git(root, "rm", "-q", "gone-there.c")
-        git(root, "commit", "-q", "-am", "side")
-        git(root, "checkout", "-q", "main")
-        git(root, "rm", "-q", "gone-here.c")
-        (root / "gone-there.c").write_text("ours")
-        git(root, "commit", "-q", "-am", "main")
+        for branch, (rel, content) in (("side", side_change), ("main", main_change)):
+            git(root, "checkout", "-q", branch)
+            if content is None:
+                git(root, "rm", "-q", rel)
+            else:
+                (root / rel).write_text(content)
+            git(root, "add", "-A")
+            git(root, "commit", "-q", "-m", branch)
+
+        def state():
+            listings = [git(root, *args).stdout for args in (["rev-parse", "HEAD"], ["ls-files", "-s"], ["status", "--porcelain"])]
+            return listings, (root / "citation.cite").read_bytes(), (root / ".git" / "MERGE_HEAD").exists()
+
+        before = state()
+        calls = []
+        real_git = gitadapter._git
+
+        def counted(at, *args, **kwargs):
+            calls.append(args)
+            return real_git(at, *args, **kwargs)
+
+        monkeypatch.setattr(gitadapter, "_git", counted)
         monkeypatch.chdir(root)
-        assert main(["merge", "side", "--ours"]) == 0
-        assert git(root, "ls-tree", "--name-only", "HEAD").stdout.split() == ["citation.cite", "gone-there.c"]
-        assert (root / "gone-there.c").read_text() == "ours"
-        assert not (root / "gone-here.c").exists()
-        assert git(root, "status", "--porcelain").stdout == ""
+        assert main(["merge", "side", "--ours"]) == 1
+        assert f"both branches changed {main_change[0]}" in capsys.readouterr().err
+        assert state() == before and not before[2]
+        assert "merge" not in [args[0] for args in calls] and len(calls) <= 7, calls
 
     def test_a_merge_commits_neither_untracked_files_nor_unstaged_edits(self, git_repo, monkeypatch):
         root = git_repo("local-work")

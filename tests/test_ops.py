@@ -18,7 +18,15 @@ from gitcite.errors import (
     RootUndeletable,
     UnknownVersion,
 )
-from gitcite.ops import apply_add, apply_delete, apply_modify, prune_deleted, rewrite_keys
+from gitcite.ops import (
+    apply_add,
+    apply_delete,
+    apply_modify,
+    choose_left,
+    merge_citation_files,
+    prune_deleted,
+    rewrite_keys,
+)
 from gitcite.gitadapter import default_root_citation, store_citation_file, sync_on_commit
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 from gitcite.store import CiteEdit, Repository, gen_cite
@@ -257,6 +265,37 @@ def test_prune_deleted_drops_covered_keys_and_keeps_the_root():
     cf = CitationFile({from_rendered(k): record(k) for k in ("/", "/a.c", "/a/", "/a/b/x.c", "/ab.c", "/keep/")})
     pruned = prune_deleted(cf, [from_rendered("/a/"), from_rendered("/ab.c"), from_rendered("/ghost")])
     assert [str(k) for k in pruned] == ["/", "/a.c", "/keep/"]
+
+
+class TestMergeCitationFiles:
+    """The three-way rule for one key, with "no entry" as a value: a side that
+    kept the base's state yields to the other side."""
+
+    SNAP = tree("/a.c", "/b.c")
+    A = from_rendered("/a.c")
+
+    def merge(self, base, left, right):
+        def cf(entry):
+            return CitationFile({ROOT: record("root"), **({} if entry is None else {self.A: record(entry)})})
+
+        merged, conflicts = merge_citation_files(cf(base), cf(left), cf(right), self.SNAP, choose_left)
+        assert conflicts == []
+        return merged.get(self.A)
+
+    @pytest.mark.parametrize("left, right", [(None, "base"), ("base", None)], ids=["left", "right"])
+    def test_a_deletion_on_one_side_survives(self, left, right):
+        assert self.merge("base", left, right) is None
+
+    @pytest.mark.parametrize("left, right", [(None, "new"), ("new", None)], ids=["left-deletes", "right-deletes"])
+    def test_a_modify_beats_a_delete(self, left, right):
+        assert self.merge("base", left, right) == record("new")
+
+    @pytest.mark.parametrize("base", [None, "base"], ids=["added", "modified"])
+    def test_equal_changes_on_both_sides_merge_silently(self, base):
+        assert self.merge(base, "new", "new") == record("new")
+
+    def test_a_deletion_on_both_sides(self):
+        assert self.merge("base", None, None) is None
 
 
 def test_sync_builds_a_bounded_number_of_citation_files(tmp_path, monkeypatch):

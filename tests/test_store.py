@@ -221,15 +221,13 @@ class TestMergeCite:
         assert conflicts == []
         assert version.cf.get(from_rendered("/shared.c")) == record("newer")
 
-    def test_union_resurrects_a_one_sided_citation_delete(self):
-        # Key deletion does not propagate through a merge unless the file
-        # itself left the merged tree.
+    def test_a_one_sided_citation_delete_survives_the_merge(self):
         repo = self.diverged()
         repo.commit("main", cite_edits=[CiteEdit.delete(from_rendered("/shared.c"))])
         repo.commit("side", [TreeEdit.create(from_rendered("/noise.c"), "n")])
         version, conflicts = repo.merge("main", "side")
         assert conflicts == []
-        assert version.cf.get(from_rendered("/shared.c")) == record("base")
+        assert from_rendered("/shared.c") not in version.cf
 
     def test_deleted_file_prunes_the_other_sides_entry_without_conflict(self):
         repo = self.diverged()
@@ -255,12 +253,23 @@ class TestMergeCite:
         with pytest.raises(UnresolvedConflict):
             repo.merge("main", "side")
 
-    def test_content_conflict_keeps_the_into_branch_state(self):
+    @pytest.mark.parametrize(
+        "main_edit, side_edit",
+        [
+            (TreeEdit.modify(from_rendered("/shared.c"), "ours"), TreeEdit.modify(from_rendered("/shared.c"), "theirs")),
+            (TreeEdit.modify(from_rendered("/shared.c"), "ours"), TreeEdit.delete(from_rendered("/shared.c"))),
+            (TreeEdit.create(from_rendered("/new.c"), "ours"), TreeEdit.create(from_rendered("/new.c"), "theirs")),
+        ],
+        ids=["content", "modify-delete", "add-add"],
+    )
+    def test_a_content_conflict_is_refused(self, main_edit, side_edit):
         repo = self.diverged()
-        repo.commit("main", [TreeEdit.modify(from_rendered("/shared.c"), "ours")])
-        repo.commit("side", [TreeEdit.modify(from_rendered("/shared.c"), "theirs")])
-        version, _ = repo.merge("main", "side")
-        assert version.tree.digest_at(from_rendered("/shared.c")) == "ours"
+        repo.commit("main", [main_edit])
+        repo.commit("side", [side_edit])
+        versions, branches = dict(repo.versions), dict(repo.branches)
+        with pytest.raises(EditConflict, match=main_edit.path.segments[-1]):
+            repo.merge("main", "side")
+        assert repo.versions == versions and repo.branches == branches
 
     def test_no_common_ancestor(self):
         repo = repo_with(("/a.c",))
@@ -326,6 +335,16 @@ class TestForkCite:
         for vid in fork.versions:
             for path in repo.versions[vid].tree.paths():
                 assert gen_cite(fork, vid, path) == gen_cite(repo, vid, path)
+
+    def test_fork_keeps_the_source_version_order(self):
+        repo = repo_with(("/a.c",))
+        repo.add_branch("side", repo.head_id("main"))
+        for i in range(6):
+            repo.commit("main" if i % 2 else "side", [TreeEdit.create(from_rendered(f"/f{i}.c"), "d")])
+        repo.merge("main", "side")
+        repo.commit("side", [TreeEdit.create(from_rendered("/later.c"), "d")])  # not in main's history
+        ancestors = repo.ancestor_ids(repo.head_id("main"))
+        assert list(fork_cite(repo).versions) == [vid for vid in repo.versions if vid in ancestors]
 
     def test_fork_of_a_single_version_repo(self):
         repo = Repository.create("one", record("r"), tree=tree("/a.c"))
