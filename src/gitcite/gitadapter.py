@@ -4,7 +4,9 @@ The citation file lives at the worktree root (``citation.cite`` unless the
 ``GITCITE_FILE`` environment variable overrides the name) and is always
 written in canonical form. Git is driven as a subprocess; the commands used
 are listed in the README. The citation file is never merged by Git's own
-line-based rules: merges go through :func:`gitcite.ops.merge_citation_files`.
+line-based rules: merges go through :func:`gitcite.ops.merge_citation_files`,
+and a branch merge is computed once, by ``git merge-tree``, whose tree is
+committed with plumbing (see :func:`run_merge`).
 Every change to the citation file is one of the operations in
 :mod:`gitcite.ops`; this module only works out from git which of them to
 apply. At commit time that is one simultaneous key rewrite for every rename
@@ -163,7 +165,7 @@ def _overwritten_keys(
     proc = _git(root, "cat-file", "--batch-check=%(objecttype)", input=query, check=False)
     if proc.returncode != 0:
         return []
-    return [t for t, line in zip(targets, proc.stdout.splitlines()) if line == "blob"]
+    return [t for t, line in zip(targets, proc.stdout.split("\n")) if line == "blob"]
 
 
 def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
@@ -188,21 +190,25 @@ def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
 
 
 def _git(
-    root: Path | str, *args: str, check: bool = True, input: str | None = None
+    root: Path | str, *args: str, check: bool = True, input: str | None = None, decode: bool = True
 ) -> subprocess.CompletedProcess:
     """Run git. Its output is decoded as Python decodes file names: a byte
     that is not UTF-8 becomes a lone surrogate, which encodes back to the
     same byte when the text is handed to git or the file system again.
-    ``subprocess`` is imported on the first call: most commands run no git."""
+    ``input`` is encoded the same way. Nothing else is translated, so a
+    ``\\r`` in a file name stays one. With ``decode=False`` stdout stays
+    bytes. ``subprocess`` is imported on the first call: most commands run
+    no git."""
     import subprocess
 
     proc = subprocess.run(
         ["git", "-C", str(root), *args],
         capture_output=True,
-        encoding="utf-8",
-        errors="surrogateescape",
-        input=input,
+        input=None if input is None else input.encode("utf-8", "surrogateescape"),
     )
+    if decode:
+        proc.stdout = proc.stdout.decode("utf-8", "surrogateescape")
+    proc.stderr = proc.stderr.decode("utf-8", "surrogateescape")
     if check and proc.returncode != 0:
         raise IoFailure(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
     return proc
@@ -352,31 +358,38 @@ class RevisionLookup(_PathLookup):
             raise UnknownVersion(f"unknown revision {self._rev!r}")
 
 
-def tree_from_index(root: Path | str) -> TreeSnapshot:
-    """The staged file set, via ``git ls-files -s -z``; digests are blob ids.
-    The citation file is left out."""
-    skip = citation_file_name()
-    files = {}
-    for token in _git(root, "ls-files", "-s", "-z").stdout.split("\0"):
-        if not token:
-            continue
-        meta, path_text = token.split("\t", 1)
-        if path_text != skip:
-            files[tuple(path_text.split("/"))] = meta.split()[1]
-    return TreeSnapshot.from_files(files)
-
-
 def citation_file_at_revision(root: Path | str, rev: str) -> CitationFile:
-    proc = _git(root, "show", f"{rev}:{citation_file_name()}", check=False)
+    proc = _git(root, "show", f"{rev}:{citation_file_name()}", check=False, decode=False)
     if proc.returncode != 0:
         if _git(root, "rev-parse", "--verify", "-q", rev, check=False).returncode != 0:
             raise UnknownVersion(f"unknown revision {rev!r}")
         raise FileMissing(f"no {citation_file_name()} at revision {rev!r}")
-    try:  # _git let bytes that are not UTF-8 through; a citation file must be UTF-8
-        text = proc.stdout.encode("utf-8", "surrogateescape").decode("utf-8")
+    return parse(_citation_text(proc.stdout, rev))
+
+
+def _citation_text(data: bytes, rev: str) -> str:
+    try:  # a citation file must be UTF-8
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IoFailure(f"cannot read {citation_file_name()} at revision {rev!r}: {exc}") from exc
-    return parse(text)
+
+
+def _citation_texts_at(root: Path, revs: Sequence[str]) -> list[str]:
+    """The citation file's text at each of ``revs`` (commit ids), read with
+    one ``git cat-file --batch``. A revision without the file as a blob
+    raises :class:`~gitcite.errors.FileMissing`."""
+    name = citation_file_name()
+    out = _git(root, "cat-file", "--batch", input="".join(f"{rev}:{name}\n" for rev in revs), decode=False).stdout
+    texts, pos = [], 0
+    for rev in revs:  # each object is "<id> <type> <size>\n<content>\n", or "<name> missing\n"
+        end = out.index(b"\n", pos)
+        header = out[pos:end].split(b" ")
+        if len(header) != 3 or header[1] != b"blob":
+            raise FileMissing(f"no {name} at revision {rev!r}")
+        pos = end + 1 + int(header[2])
+        texts.append(_citation_text(out[end + 1 : pos], rev))
+        pos += 1
+    return texts
 
 
 def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]:
@@ -489,22 +502,25 @@ def _count_dirs(files: Iterable[tuple[str, ...]]) -> Counter:
 def run_merge(
     root: Path | str, other: str, resolver: Resolver | None
 ) -> tuple[CitationFile, list[ConflictReport]]:
-    """Citation-aware branch merge in a real worktree.
+    """Citation-aware branch merge in a real worktree, merging once.
 
-    ``git merge-tree --write-tree`` first merges ``HEAD`` and ``other``
-    without touching the index or the worktree; if it reports a conflict in
-    any path but the citation file (content, modify/delete, add/add, ...),
+    ``git merge-tree --write-tree`` merges ``HEAD`` and ``other`` in the
+    object store only. If it reports a conflict in any path but the citation
+    file (content, modify/delete, add/add, ...),
     :class:`~gitcite.errors.EditConflict` names the paths and nothing is
-    written. Otherwise content files merge through ``git merge --no-commit
-    --no-ff``, the citation file is rebuilt from the base/ours/theirs
-    documents by :func:`gitcite.ops.merge_citation_files` instead of being
-    text-merged, and the merge is committed. A citation file that differs
-    from ``HEAD``'s, whose edit the rebuild would lose, and a merge that git
-    refuses to start (it leaves no ``MERGE_HEAD``, as when it would overwrite
-    an untracked file or a local edit) each raise
-    :class:`~gitcite.errors.IoFailure` and touch nothing. If anything fails
-    after ``git merge`` has started, ``git merge --abort`` restores the
-    checkout before the error propagates.
+    written. Otherwise the citation file is rebuilt from the base/ours/theirs
+    documents by :func:`gitcite.ops.merge_citation_files`, pruned to the
+    merged tree, instead of being text-merged. Its canonical bytes replace
+    the citation entry of the merged tree, ``git commit-tree`` commits that
+    tree with both parents (signed when ``commit.gpgSign`` is set; no commit
+    hook runs), and ``git merge --ff-only`` moves ``HEAD``, the index and the
+    worktree to it in one step. A citation file that differs from ``HEAD``'s,
+    whose edit the rebuild would lose, raises
+    :class:`~gitcite.errors.IoFailure` and touches nothing, as does the
+    fast-forward when git refuses it (a local edit, a staged change on a
+    merged path or an untracked file in the way). Everything before the
+    fast-forward writes only unreferenced objects, so a resolver that gives
+    up or a failed step leaves no pending merge behind.
     """
     root = Path(root)
     other_proc = _git(root, "rev-parse", "--verify", "-q", other, check=False)
@@ -519,7 +535,7 @@ def run_merge(
     if base_rev == other_rev:
         return load_citation_file(root), []  # nothing to merge
     if base_rev == head_rev:
-        _git(root, "merge", "--ff-only", other_rev)
+        _git(root, "merge", "--ff-only", "-q", other_rev)
         return load_citation_file(root), []
 
     trial = _git(  # prints the merged tree's id, then each conflicted path; exits 1 on a conflict
@@ -527,27 +543,41 @@ def run_merge(
     )
     if trial.returncode not in (0, 1):
         raise IoFailure(f"git merge-tree failed: {trial.stderr.strip()}")
-    conflicted = [p for p in trial.stdout.split("\0")[1:] if p and p != citation_file_name()]
+    name = citation_file_name()
+    merged_tree, *conflicted = trial.stdout.split("\0")
+    conflicted = [p for p in conflicted if p and p != name]
     if conflicted:
         raise EditConflict(f"merge refused: both branches changed {', '.join(conflicted)}")
-    base_cf = citation_file_at_revision(root, base_rev)
-    left_cf = citation_file_at_revision(root, head_rev)
-    right_cf = citation_file_at_revision(root, other_rev)
-    if load_citation_file(root) != left_cf:
+    base_text, left_text, right_text = _citation_texts_at(root, [base_rev, head_rev, other_rev])
+    base_cf, left_cf, right_cf = parse(base_text), parse(left_text), parse(right_text)
+    worktree_text = citation_file_text(root)
+    if worktree_text != left_text and parse(worktree_text) != left_cf:
         raise IoFailure(f"{citation_file_path(root)} has uncommitted changes; commit or discard them first")
-    merge = _git(root, "merge", "--no-commit", "--no-ff", other_rev, check=False)
-    if merge.returncode != 0:  # a conflict leaves MERGE_HEAD set; a refusal leaves nothing
-        if _git(root, "rev-parse", "-q", "--verify", "MERGE_HEAD", check=False).returncode != 0:
-            raise IoFailure(f"git merge {other} refused: {merge.stderr.strip()}")
-    try:
-        merged_tree = tree_from_index(root)
-        merged_cf, conflicts = merge_citation_files(base_cf, left_cf, right_cf, merged_tree, resolver)
-        store_citation_file(root, merged_cf)
-        _git(root, "--literal-pathspecs", "add", "--", citation_file_name())  # git merge staged the rest
-        _git(root, "commit", "-m", f"Merge {other}")
-    except BaseException:
-        _git(root, "merge", "--abort", check=False)  # leave no pending merge or conflict markers
-        raise
+
+    files: dict[Segments, str] = {}
+    top_entries, mode = [], "100644"
+    for entry in filter(None, _git(root, "ls-tree", "-r", "-t", "-z", merged_tree).stdout.split("\0")):
+        meta, _, path_text = entry.partition("\t")
+        if path_text == name:  # the text-merged citation file, replaced below
+            mode = "100755" if meta.startswith("100755 ") else mode
+            continue
+        if "/" not in path_text:
+            top_entries.append(entry)
+        _, kind, object_id = meta.split()
+        if kind != "tree":  # a blob, or a submodule's commit
+            files[tuple(path_text.split("/"))] = object_id
+    merged_cf, conflicts = merge_citation_files(base_cf, left_cf, right_cf, TreeSnapshot.from_files(files), resolver)
+
+    blob = _git(root, "hash-object", "-w", "--stdin", input=serialize(merged_cf)).stdout.strip()
+    top_entries.append(f"{mode} blob {blob}\t{name}")
+    tree = _git(root, "mktree", "-z", input="".join(f"{e}\0" for e in top_entries)).stdout.strip()
+    sign = _git(root, "config", "--type=bool", "commit.gpgSign", check=False).stdout.strip() == "true"
+    commit = _git(
+        root, "commit-tree", tree, "-p", head_rev, "-p", other_rev, "-m", f"Merge {other}", *(["-S"] if sign else [])
+    ).stdout.strip()
+    advance = _git(root, "merge", "--ff-only", "-q", commit, check=False)
+    if advance.returncode != 0:
+        raise IoFailure(f"git merge {other} refused: {advance.stderr.strip()}")
     return merged_cf, conflicts
 
 

@@ -376,7 +376,18 @@ def diverge(root: Path, side_file: str, main_file: str) -> None:
     git(root, "commit", "-q", "-m", "main")
 
 
+def checkout_state(root: Path) -> tuple[list[str], bytes]:
+    """``HEAD``, the index, ``git status`` and the citation file's bytes."""
+    listings = [git(root, *args).stdout for args in (["rev-parse", "HEAD"], ["ls-files", "-s"], ["status", "--porcelain"])]
+    return listings, (root / "citation.cite").read_bytes()
+
+
 class TestMerge:
+    @pytest.fixture(autouse=True)
+    def _no_pending_merge(self, tmp_path):
+        yield
+        assert not list(tmp_path.glob("*/.git/MERGE_*"))  # MERGE_HEAD, MERGE_MSG, ...
+
     def test_ours_keeps_the_current_branch_record(self, git_repo, monkeypatch):
         root = build_conflicted_repo(git_repo)
         monkeypatch.chdir(root)
@@ -434,9 +445,10 @@ class TestMerge:
         assert load_citation_file(root).get(from_rendered("/shared.c")) == edited
 
     def test_merge_runs_few_git_commands(self, git_repo, monkeypatch):
-        # The top level, the other branch, HEAD, the merge base, merge-tree's
-        # conflict check, three citation files, the merge and its MERGE_HEAD
-        # check, the index listing, add, commit.
+        # The top level, the other branch, HEAD, the merge base, merge-tree
+        # (the one merge), one cat-file for the three citation files, the
+        # merged tree's listing, hash-object, mktree, the commit.gpgSign read,
+        # commit-tree and the fast-forward.
         root = build_conflicted_repo(git_repo)
         calls = []
         real_git = gitadapter._git
@@ -448,7 +460,9 @@ class TestMerge:
         monkeypatch.setattr(gitadapter, "_git", counted)
         monkeypatch.chdir(root)
         assert main(["merge", "side", "--ours"]) == 0
-        assert len(calls) <= 13, calls
+        assert len(calls) <= 12, calls
+        assert [args[0] for args in calls].count("merge-tree") == 1, calls
+        assert all({"--no-commit", "commit", "add", "ls-files", "show"}.isdisjoint(args) for args in calls), calls
 
     def test_no_conflict_merge_needs_no_answers(self, git_repo, monkeypatch):
         root = git_repo("clean")
@@ -503,11 +517,7 @@ class TestMerge:
             git(root, "add", "-A")
             git(root, "commit", "-q", "-m", branch)
 
-        def state():
-            listings = [git(root, *args).stdout for args in (["rev-parse", "HEAD"], ["ls-files", "-s"], ["status", "--porcelain"])]
-            return listings, (root / "citation.cite").read_bytes(), (root / ".git" / "MERGE_HEAD").exists()
-
-        before = state()
+        before = checkout_state(root)
         calls = []
         real_git = gitadapter._git
 
@@ -519,7 +529,7 @@ class TestMerge:
         monkeypatch.chdir(root)
         assert main(["merge", "side", "--ours"]) == 1
         assert f"both branches changed {main_change[0]}" in capsys.readouterr().err
-        assert state() == before and not before[2]
+        assert checkout_state(root) == before  # and no MERGE_HEAD, as after every TestMerge test
         assert "merge" not in [args[0] for args in calls] and len(calls) <= 7, calls
 
     def test_a_merge_commits_neither_untracked_files_nor_unstaged_edits(self, git_repo, monkeypatch):
@@ -558,6 +568,73 @@ class TestMerge:
         assert (root / "citation.cite").read_bytes() == cite
         assert not (root / ".git" / "MERGE_HEAD").exists()
         assert git(root, "rev-parse", "HEAD").stdout == head
+
+    def test_a_staged_change_on_a_merged_path_refuses_the_merge(self, git_repo, monkeypatch, capsys):
+        root = git_repo("staged-merged")
+        seed(root, {"a.c": "a"}, {})
+        git(root, "checkout", "-q", "-b", "side")
+        (root / "a.c").write_text("a, side")
+        git(root, "commit", "-q", "-a", "-m", "side")
+        git(root, "checkout", "-q", "main")
+        (root / "c.c").write_text("main")
+        git(root, "add", "-A")
+        git(root, "commit", "-q", "-m", "main")
+        (root / "a.c").write_text("a, staged")
+        git(root, "add", "a.c")
+
+        before = checkout_state(root)
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == 3
+        assert "a.c" in capsys.readouterr().err
+        assert checkout_state(root) == before
+
+    def test_a_staged_change_elsewhere_stays_staged_and_out_of_the_merge(self, git_repo, monkeypatch):
+        root = git_repo("staged-elsewhere")
+        seed(root, {"a.c": "a", "d.c": "d"}, {})
+        diverge(root, "b.c", "c.c")
+        (root / "d.c").write_text("d, staged")
+        git(root, "add", "d.c")
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == 0
+        assert len(git(root, "log", "-1", "--format=%P").stdout.split()) == 2
+        assert git(root, "status", "--porcelain").stdout == "M  d.c\n"
+        assert git(root, "show", "HEAD:d.c").stdout == "d"
+        assert load_citation_file(root).get(from_rendered("/b.c")) == record("side")
+
+    def test_commit_gpgsign_signs_the_merge_commit(self, git_repo, monkeypatch, tmp_path):
+        root = build_conflicted_repo(git_repo)
+        fake_gpg = tmp_path / "fake-gpg"  # answers as gpg does, with a made-up signature
+        fake_gpg.write_text(
+            "#!/bin/sh\ncat >/dev/null\nprintf '\\n[GNUPG:] SIG_CREATED D 1 8 00 0 X\\n' >&2\n"
+            "printf -- '-----BEGIN PGP SIGNATURE-----\\n\\nmade-up\\n-----END PGP SIGNATURE-----\\n'\n"
+        )
+        fake_gpg.chmod(0o755)
+        git(root, "config", "commit.gpgSign", "true")
+        git(root, "config", "gpg.program", str(fake_gpg))
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == 0
+        assert "gpgsig -----BEGIN PGP SIGNATURE-----" in git(root, "cat-file", "commit", "HEAD").stdout
+
+    def test_a_signing_failure_moves_nothing(self, git_repo, monkeypatch):
+        root = build_conflicted_repo(git_repo)
+        git(root, "config", "commit.gpgSign", "true")
+        git(root, "config", "gpg.program", "false")
+
+        before = checkout_state(root)
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == 3
+        assert checkout_state(root) == before
+
+    def test_a_cited_name_with_a_carriage_return_survives_a_merge(self, git_repo, monkeypatch):
+        root = git_repo("cr-name")
+        seed(root, {"a.c": "a", "a\rb.c": "cr"}, {"/a\rb.c": "cr"})
+        diverge(root, "b.c", "c.c")
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == 0
+        cf = load_citation_file(root)
+        assert cf.get(from_rendered("/a\rb.c")) == record("cr")
+        assert cf.get(from_rendered("/b.c")) == record("side")
+        assert git(root, "status", "--porcelain").stdout == ""
 
     @pytest.mark.parametrize("name", ["we\\ird.c", os.fsdecode(b"bad\xff.c")], ids=["backslash", "non-utf8"])
     def test_an_uncited_odd_name_does_not_stop_a_merge(self, git_repo, monkeypatch, name):

@@ -264,6 +264,14 @@ class TestStagedChanges:
         assert [str(k) for k in synced] == ["/", "/b.c"]
         assert synced.get(from_rendered("/b.c")) == record("a")
 
+    def test_a_carriage_return_in_a_name_is_kept(self, git_repo):
+        root = git_repo()
+        seed(root, {"a\rb.c": _source("alpha"), "c.c": "c"}, {"/a\rb.c": "a"})
+        git(root, "mv", "a\rb.c", "d\re.c")
+        renames, deleted = staged_changes(root)
+        assert [(str(a), str(b)) for a, b in renames] == [("/a\rb.c", "/d\re.c")]
+        assert deleted == []
+
     def test_deleting_a_name_no_key_can_have_does_not_stop_the_sync(self, git_repo):
         root = git_repo()
         cf = seed(root, {"a.c": "a", "odd/we\\ird.c": "odd", "odd/b.c": "b"}, {"/a.c": "a", "/odd/": "odd"})
