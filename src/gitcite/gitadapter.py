@@ -189,16 +189,13 @@ def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
 # --- Git plumbing -----------------------------------------------------------
 
 
-def _git(
-    root: Path | str, *args: str, check: bool = True, input: str | None = None, decode: bool = True
-) -> subprocess.CompletedProcess:
+def _git(root: Path | str, *args: str, check: bool = True, input: str | None = None) -> subprocess.CompletedProcess:
     """Run git. Its output is decoded as Python decodes file names: a byte
     that is not UTF-8 becomes a lone surrogate, which encodes back to the
     same byte when the text is handed to git or the file system again.
     ``input`` is encoded the same way. Nothing else is translated, so a
-    ``\\r`` in a file name stays one. With ``decode=False`` stdout stays
-    bytes. ``subprocess`` is imported on the first call: most commands run
-    no git."""
+    ``\\r`` in a file name stays one. ``subprocess`` is imported on the
+    first call: most commands run no git."""
     import subprocess
 
     proc = subprocess.run(
@@ -206,8 +203,7 @@ def _git(
         capture_output=True,
         input=None if input is None else input.encode("utf-8", "surrogateescape"),
     )
-    if decode:
-        proc.stdout = proc.stdout.decode("utf-8", "surrogateescape")
+    proc.stdout = proc.stdout.decode("utf-8", "surrogateescape")
     proc.stderr = proc.stderr.decode("utf-8", "surrogateescape")
     if check and proc.returncode != 0:
         raise IoFailure(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
@@ -359,27 +355,26 @@ class RevisionLookup(_PathLookup):
 
 
 def citation_file_at_revision(root: Path | str, rev: str) -> CitationFile:
-    proc = _git(root, "show", f"{rev}:{citation_file_name()}", check=False, decode=False)
-    if proc.returncode != 0:
+    try:
+        (text,) = _citation_texts_at(root, [rev])
+    except FileMissing:
         if _git(root, "rev-parse", "--verify", "-q", rev, check=False).returncode != 0:
-            raise UnknownVersion(f"unknown revision {rev!r}")
-        raise FileMissing(f"no {citation_file_name()} at revision {rev!r}")
-    return parse(_citation_text(proc.stdout, rev))
+            raise UnknownVersion(f"unknown revision {rev!r}") from None
+        raise
+    return parse(text)
 
 
-def _citation_text(data: bytes, rev: str) -> str:
-    try:  # a citation file must be UTF-8
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IoFailure(f"cannot read {citation_file_name()} at revision {rev!r}: {exc}") from exc
-
-
-def _citation_texts_at(root: Path, revs: Sequence[str]) -> list[str]:
-    """The citation file's text at each of ``revs`` (commit ids), read with
-    one ``git cat-file --batch``. A revision without the file as a blob
-    raises :class:`~gitcite.errors.FileMissing`."""
+def _citation_texts_at(root: Path | str, revs: Sequence[str]) -> list[str]:
+    """The citation file's text at each of ``revs``, read with one ``git
+    cat-file --batch``. A revision without the file as a blob (or one that
+    does not resolve) raises :class:`~gitcite.errors.FileMissing`; a file
+    that is not UTF-8 raises :class:`~gitcite.errors.IoFailure`."""
     name = citation_file_name()
-    out = _git(root, "cat-file", "--batch", input="".join(f"{rev}:{name}\n" for rev in revs), decode=False).stdout
+    for rev in revs:
+        if "\n" in rev:  # the query takes one name per line
+            raise FileMissing(f"no {name} at revision {rev!r}")
+    query = "".join(f"{rev}:{name}\n" for rev in revs)
+    out = _git(root, "cat-file", "--batch", input=query).stdout.encode("utf-8", "surrogateescape")
     texts, pos = [], 0
     for rev in revs:  # each object is "<id> <type> <size>\n<content>\n", or "<name> missing\n"
         end = out.index(b"\n", pos)
@@ -387,7 +382,10 @@ def _citation_texts_at(root: Path, revs: Sequence[str]) -> list[str]:
         if len(header) != 3 or header[1] != b"blob":
             raise FileMissing(f"no {name} at revision {rev!r}")
         pos = end + 1 + int(header[2])
-        texts.append(_citation_text(out[end + 1 : pos], rev))
+        try:  # a citation file must be UTF-8
+            texts.append(out[end + 1 : pos].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise IoFailure(f"cannot read {name} at revision {rev!r}: {exc}") from exc
         pos += 1
     return texts
 
@@ -518,7 +516,10 @@ def run_merge(
     whose edit the rebuild would lose, raises
     :class:`~gitcite.errors.IoFailure` and touches nothing, as does the
     fast-forward when git refuses it (a local edit, a staged change on a
-    merged path or an untracked file in the way). Everything before the
+    merged path or an untracked file in the way). With
+    ``merge.verifySignatures`` set, ``other`` must carry a good signature
+    trusted as ``git merge`` requires (``gpg.minTrustLevel``, else marginal),
+    checked before anything is written. Everything before the
     fast-forward writes only unreferenced objects, so a resolver that gives
     up or a failed step leaves no pending merge behind.
     """
@@ -537,6 +538,19 @@ def run_merge(
     if base_rev == head_rev:
         _git(root, "merge", "--ff-only", "-q", other_rev)
         return load_citation_file(root), []
+    settings = dict(  # each of these keys that is set, with its value
+        line.partition(" ")[::2]
+        for line in _git(
+            root, "config", "--type=bool-or-str", "--get-regexp",
+            r"^(commit\.gpgsign|merge\.verifysignatures|gpg\.mintrustlevel)$", check=False,
+        ).stdout.split("\n")
+        if line
+    )
+    if settings.get("merge.verifysignatures") == "true":  # as git merge checks the merged head
+        trust = [] if "gpg.mintrustlevel" in settings else ["-c", "gpg.minTrustLevel=marginal"]
+        verify = _git(root, *trust, "verify-commit", other_rev, check=False)
+        if verify.returncode != 0:
+            raise IoFailure(f"merge.verifySignatures: {other} has no good, trusted signature: {verify.stderr.strip()}")
 
     trial = _git(  # prints the merged tree's id, then each conflicted path; exits 1 on a conflict
         root, "merge-tree", "--write-tree", "--name-only", "--no-messages", "-z", head_rev, other_rev, check=False
@@ -571,11 +585,11 @@ def run_merge(
     blob = _git(root, "hash-object", "-w", "--stdin", input=serialize(merged_cf)).stdout.strip()
     top_entries.append(f"{mode} blob {blob}\t{name}")
     tree = _git(root, "mktree", "-z", input="".join(f"{e}\0" for e in top_entries)).stdout.strip()
-    sign = _git(root, "config", "--type=bool", "commit.gpgSign", check=False).stdout.strip() == "true"
+    sign = ["-S"] if settings.get("commit.gpgsign") == "true" else []
     commit = _git(
-        root, "commit-tree", tree, "-p", head_rev, "-p", other_rev, "-m", f"Merge {other}", *(["-S"] if sign else [])
+        root, "commit-tree", tree, "-p", head_rev, "-p", other_rev, "-m", f"Merge {other}", *sign
     ).stdout.strip()
-    advance = _git(root, "merge", "--ff-only", "-q", commit, check=False)
+    advance = _git(root, "merge", "--ff-only", "-q", "--no-verify-signatures", commit, check=False)
     if advance.returncode != 0:
         raise IoFailure(f"git merge {other} refused: {advance.stderr.strip()}")
     return merged_cf, conflicts

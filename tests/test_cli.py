@@ -445,9 +445,9 @@ class TestMerge:
         assert load_citation_file(root).get(from_rendered("/shared.c")) == edited
 
     def test_merge_runs_few_git_commands(self, git_repo, monkeypatch):
-        # The top level, the other branch, HEAD, the merge base, merge-tree
-        # (the one merge), one cat-file for the three citation files, the
-        # merged tree's listing, hash-object, mktree, the commit.gpgSign read,
+        # The top level, the other branch, HEAD, the merge base, the config
+        # read, merge-tree (the one merge), one cat-file for the three
+        # citation files, the merged tree's listing, hash-object, mktree,
         # commit-tree and the fast-forward.
         root = build_conflicted_repo(git_repo)
         calls = []
@@ -601,19 +601,72 @@ class TestMerge:
         assert git(root, "show", "HEAD:d.c").stdout == "d"
         assert load_citation_file(root).get(from_rendered("/b.c")) == record("side")
 
-    def test_commit_gpgsign_signs_the_merge_commit(self, git_repo, monkeypatch, tmp_path):
-        root = build_conflicted_repo(git_repo)
-        fake_gpg = tmp_path / "fake-gpg"  # answers as gpg does, with a made-up signature
-        fake_gpg.write_text(
-            "#!/bin/sh\ncat >/dev/null\nprintf '\\n[GNUPG:] SIG_CREATED D 1 8 00 0 X\\n' >&2\n"
+    @pytest.fixture
+    def fake_gpg(self, tmp_path) -> Path:
+        """A ``gpg.program`` that answers as gpg does: it signs with a made-up
+        signature and calls every signature good, trusted at the level
+        ``$FAKE_GPG_TRUST`` names (``FULLY`` when unset)."""
+        program = tmp_path / "fake-gpg"
+        program.write_text(
+            "#!/bin/sh\ncat >/dev/null\n"
+            "case \" $* \" in *\" --verify \"*)\n"
+            "  printf '\\n[GNUPG:] GOODSIG 0123456789ABCDEF Tester\\n[GNUPG:] TRUST_%s 0 pgp\\n'"
+            " \"${FAKE_GPG_TRUST:-FULLY}\"; exit 0;;\nesac\n"
+            "printf '\\n[GNUPG:] SIG_CREATED D 1 8 00 0 X\\n' >&2\n"
             "printf -- '-----BEGIN PGP SIGNATURE-----\\n\\nmade-up\\n-----END PGP SIGNATURE-----\\n'\n"
         )
-        fake_gpg.chmod(0o755)
+        program.chmod(0o755)
+        return program
+
+    def test_commit_gpgsign_signs_the_merge_commit(self, git_repo, monkeypatch, fake_gpg):
+        root = build_conflicted_repo(git_repo)
         git(root, "config", "commit.gpgSign", "true")
         git(root, "config", "gpg.program", str(fake_gpg))
         monkeypatch.chdir(root)
         assert main(["merge", "side", "--ours"]) == 0
         assert "gpgsig -----BEGIN PGP SIGNATURE-----" in git(root, "cat-file", "commit", "HEAD").stdout
+
+    @pytest.mark.parametrize("gpg_sign", ["true", "false"], ids=["gpgsign", "no-gpgsign"])
+    @pytest.mark.parametrize("side_signed", [True, False], ids=["signed-side", "unsigned-side"])
+    def test_merge_verify_signatures_checks_the_other_branch(
+        self, git_repo, monkeypatch, fake_gpg, side_signed, gpg_sign
+    ):
+        root = build_conflicted_repo(git_repo)
+        git(root, "config", "gpg.program", str(fake_gpg))
+        if side_signed:
+            git(root, "checkout", "-q", "side")
+            git(root, "commit", "-q", "--amend", "--no-edit", "-S")
+            git(root, "checkout", "-q", "main")
+        git(root, "config", "merge.verifySignatures", "true")
+        git(root, "config", "commit.gpgSign", gpg_sign)
+
+        before = checkout_state(root)
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == (0 if side_signed else 3)
+        if side_signed:
+            assert git(root, "rev-parse", "HEAD^2").stdout == git(root, "rev-parse", "side").stdout
+        else:
+            assert checkout_state(root) == before
+
+    @pytest.mark.parametrize("min_trust, code", [(None, 3), ("undefined", 0)], ids=["marginal", "undefined"])
+    def test_merge_verify_signatures_asks_the_trust_git_merge_asks(
+        self, git_repo, monkeypatch, fake_gpg, min_trust, code
+    ):
+        # git merge wants at least marginal trust unless gpg.minTrustLevel says otherwise.
+        root = build_conflicted_repo(git_repo)
+        git(root, "config", "gpg.program", str(fake_gpg))
+        git(root, "checkout", "-q", "side")
+        git(root, "commit", "-q", "--amend", "--no-edit", "-S")
+        git(root, "checkout", "-q", "main")
+        git(root, "config", "merge.verifySignatures", "true")
+        if min_trust:
+            git(root, "config", "gpg.minTrustLevel", min_trust)
+        monkeypatch.setenv("FAKE_GPG_TRUST", "UNDEFINED")
+
+        before = checkout_state(root)
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == code
+        assert (checkout_state(root) == before) == bool(code)
 
     def test_a_signing_failure_moves_nothing(self, git_repo, monkeypatch):
         root = build_conflicted_repo(git_repo)

@@ -333,8 +333,9 @@ class TestWorktreeAndHistory:
         assert from_rendered("/b.c") in citation_file_at_revision(root, "HEAD")
         with pytest.raises(UnknownVersion):
             RevisionLookup(root, "not-a-rev").kind_of(("a.c",))
-        with pytest.raises(UnknownVersion):
-            citation_file_at_revision(root, "not-a-rev")
+        for bad_rev in ["not-a-rev", "HEAD:citation.cite\nHEAD"]:  # the second would ask for two objects
+            with pytest.raises(UnknownVersion):
+                citation_file_at_revision(root, bad_rev)
 
     def test_a_citation_file_at_a_revision_must_be_utf8(self, git_repo):
         root = git_repo()
