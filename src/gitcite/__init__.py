@@ -20,7 +20,6 @@ from .ops import (
     ConflictReport,
     choose_left,
     choose_right,
-    scripted_resolver,
 )
 from .paths import ROOT, CanonicalPath, PathKind, canonicalize, from_rendered
 
@@ -42,6 +41,5 @@ __all__ = [
     "from_rendered",
     "resolve",
     "resolve_from_entries",
-    "scripted_resolver",
     "validate",
 ]

@@ -15,7 +15,8 @@ class UnknownKind(GitCiteError):
 
 
 class PathNotInTree(GitCiteError):
-    pass
+    def __init__(self, path: object):
+        super().__init__(f"{path} is not in the tree")
 
 
 class MissingRoot(GitCiteError):
@@ -39,15 +40,11 @@ class UnknownVersion(GitCiteError):
     pass
 
 
-class UnknownBranch(GitCiteError):
-    pass
-
-
 class MissingMetadata(GitCiteError):
     pass
 
 
-# Version store.
+# Tree edits, copies and merges.
 class EditConflict(GitCiteError):
     pass
 
@@ -56,19 +53,11 @@ class InvariantBroken(GitCiteError):
     """A post-operation consistency check failed; this is a defect, not user error."""
 
 
-class BranchExists(GitCiteError):
-    pass
-
-
 class SubtreeMissing(GitCiteError):
     pass
 
 
 class DestinationCollision(GitCiteError):
-    pass
-
-
-class SourceVersionUnknown(GitCiteError):
     pass
 
 

@@ -61,7 +61,13 @@ Rename = tuple[CanonicalPath, CanonicalPath]
 
 
 def citation_file_name() -> str:
-    return os.environ.get(CITATION_FILE_ENV) or DEFAULT_CITATION_FILE
+    """The citation file's name at the worktree root. The override must be one
+    file name: a path would put the file outside the root or below it, where
+    lookups take it for a cited file and a merge cannot commit it."""
+    name = os.environ.get(CITATION_FILE_ENV) or DEFAULT_CITATION_FILE
+    if name in (".", "..") or "/" in name or "\\" in name:
+        raise IoFailure(f"{CITATION_FILE_ENV} must be a file name, not a path: {name!r}")
+    return name
 
 
 def citation_file_path(worktree_root: Path | str) -> Path:

@@ -58,7 +58,8 @@ class TreeSnapshot(Value):
     ``files`` maps each file's segments to an opaque content digest, and
     ``dirs`` holds the segments of every directory, the root's ``()``
     included. Every ancestor of a file or directory is in ``dirs``, and no
-    segments are both. All structural edits return a new snapshot.
+    segments are both. A snapshot is built once and then only read;
+    :meth:`with_file` and :meth:`with_dir` return a new one.
     """
 
     __slots__ = ("files", "dirs")
@@ -99,7 +100,7 @@ class TreeSnapshot(Value):
     def digest_at(self, path: CanonicalPath) -> str:
         digest = self.files.get(path.segments) if path.is_file else None
         if digest is None:
-            raise PathNotInTree(str(path))
+            raise PathNotInTree(path)
         return digest
 
     def paths(self) -> list[CanonicalPath]:
@@ -125,53 +126,6 @@ class TreeSnapshot(Value):
             raise EditConflict(f"{path} is not a directory path")
         missing = _missing_dirs(self.files, self.dirs, path.segments)
         return TreeSnapshot(self.files, self.dirs.union(missing))
-
-    def with_modified(self, path: CanonicalPath, digest: str) -> "TreeSnapshot":
-        if not path.is_file or path.segments not in self.files:
-            raise EditConflict(f"no file at {path}")
-        return TreeSnapshot({**self.files, path.segments: digest}, self.dirs)
-
-    def without(self, path: CanonicalPath) -> "TreeSnapshot":
-        """Remove the node at ``path`` (a directory is removed with its subtree)."""
-        if path.is_root:
-            raise EditConflict("cannot remove the root")
-        if not self.contains(path):
-            raise EditConflict(f"no {path.kind.value} at {path}")
-        n, gone = len(path.segments), path.segments
-        return TreeSnapshot(
-            {s: digest for s, digest in self.files.items() if s[:n] != gone},
-            frozenset(s for s in self.dirs if s[:n] != gone),
-        )
-
-    def with_renamed(self, old: CanonicalPath, new: CanonicalPath) -> "TreeSnapshot":
-        if not self.contains(old):
-            raise EditConflict(f"no {old.kind.value} at {old}")
-        if self.kind_of(new.segments) is not None:
-            raise EditConflict(f"{new} already exists")
-        if new.is_within(old):
-            raise EditConflict(f"cannot move {old} inside itself")
-        return self.without(old)._grafted(new, self, old)
-
-    def with_subtree(
-        self, path: CanonicalPath, src_tree: "TreeSnapshot", src_dir: CanonicalPath
-    ) -> "TreeSnapshot":
-        """Insert a copy of ``src_tree``'s directory ``src_dir`` at the new directory ``path``."""
-        if not path.is_dir or path.is_root:
-            raise EditConflict(f"{path} is not a valid destination")
-        if not src_dir.is_dir or not src_tree.contains(src_dir):
-            raise PathNotInTree(str(src_dir))
-        return self._grafted(path, src_tree, src_dir)
-
-    def _grafted(self, path: CanonicalPath, src_tree: "TreeSnapshot", src: CanonicalPath) -> "TreeSnapshot":
-        """Place ``src_tree``'s node ``src`` and everything under it at the new ``path``."""
-        if self.kind_of(path.segments) is not None:
-            raise EditConflict(f"{path} already exists")
-        missing = _missing_dirs(self.files, self.dirs, path.segments[:-1])
-        n, at = len(src.segments), path.segments
-        files = dict(self.files)
-        files.update((at + s[n:], digest) for s, digest in src_tree.files.items() if s[:n] == src.segments)
-        dirs = {at + s[n:] for s in src_tree.dirs if s[:n] == src.segments}
-        return TreeSnapshot(files, self.dirs.union(missing, dirs))
 
 
 def _missing_dirs(
@@ -287,7 +241,7 @@ def resolve_from_entries(cf: CitationFile, path: CanonicalPath) -> CitationRecor
 def resolve(cf: CitationFile, tree: TreeSnapshot, path: CanonicalPath) -> CitationRecord:
     """Resolved citation of ``path``: its own entry, or its closest ancestor's."""
     if not tree.contains(path):
-        raise PathNotInTree(str(path))
+        raise PathNotInTree(path)
     return resolve_from_entries(cf, path)
 
 

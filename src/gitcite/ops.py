@@ -6,18 +6,16 @@ changes: a checked add, delete or modify (:func:`apply_add`,
 (:func:`rewrite_keys`), pruning to a tree (:func:`prune_to_tree`) or of
 deleted paths (:func:`prune_deleted`), subtree migration on copy
 (:func:`apply_copy`) and the three-way merge (:func:`three_way` for one
-value, which the store also applies to files, and :func:`merge_citation_files`
-for a whole file). The in-memory store and the git adapter both call them;
-none of them touches a repository. The key rewrite takes a whole list of
-renames and applies them simultaneously in one pass over the keys, so a
-commit that renames a thousand files costs one rebuild of the citation file,
-not one per rename; the store, whose tree edits are sequential, calls it once
-per edit.
+value and :func:`merge_citation_files` for a whole file). None of them
+touches a repository. The key rewrite takes a whole list of renames and
+applies them simultaneously in one pass over the keys, so a commit that
+renames a thousand files costs one rebuild of the citation file, not one per
+rename.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     AlreadyCited,
@@ -38,7 +36,7 @@ from .value import Value
 def apply_add(cf: CitationFile, tree: TreeSnapshot, path: CanonicalPath, record: CitationRecord) -> CitationFile:
     """Attach a citation to an uncited path that exists in the tree."""
     if not tree.contains(path):
-        raise PathNotInTree(str(path))
+        raise PathNotInTree(path)
     if path in cf:
         raise AlreadyCited(f"{path} already has a citation; modify it instead")
     return cf.with_entry(path, record)
@@ -200,22 +198,6 @@ def choose_left(report: ConflictReport) -> CitationRecord:
 
 def choose_right(report: ConflictReport) -> CitationRecord:
     return report.right
-
-
-def scripted_resolver(choices: Mapping[str, "str | CitationRecord"]) -> Resolver:
-    """Resolver driven by a rendered-path -> "left" | "right" | record table."""
-
-    def _resolve(report: ConflictReport) -> CitationRecord | None:
-        choice = choices.get(str(report.key))
-        if choice == "left":
-            return report.left
-        if choice == "right":
-            return report.right
-        if isinstance(choice, CitationRecord):
-            return choice
-        return None
-
-    return _resolve
 
 
 CONFLICT = object()  # what three_way returns when both sides changed a value, differently

@@ -2,7 +2,7 @@
 
 Each scenario step is applied twice: on disk through the adapter (with git
 doing change detection, merging, and history), and abstractly on a
-:class:`gitcite.store.Repository`. At every commit point the citation file on disk
+:class:`reference_store.Repository`. At every commit point the citation file on disk
 must equal the reference citation file byte for byte.
 """
 
@@ -26,11 +26,11 @@ from gitcite.gitadapter import (
     store_citation_file,
     sync_on_commit,
 )
-from gitcite.ops import apply_add, apply_delete, apply_modify, scripted_resolver
+from gitcite.ops import apply_add, apply_delete, apply_modify
 from gitcite.paths import from_rendered
-from gitcite.store import CiteEdit, Repository, TreeEdit, copy_cite
 
 from conftest import git, init_repo
+from reference_store import CiteEdit, Repository, TreeEdit, copy_cite, scripted_resolver
 from support import record, snapshot_worktree
 
 

@@ -7,8 +7,8 @@ import string
 
 from gitcite import CitationFile, CitationRecord, TreeSnapshot
 from gitcite.paths import ROOT, CanonicalPath, PathKind
-from gitcite.store import CiteEdit, Repository
-from gitcite.store import TreeEdit
+
+from reference_store import CiteEdit, Repository, TreeEdit
 
 _NAMES = string.ascii_lowercase
 
@@ -108,7 +108,7 @@ def rand_tree_edits(rng: random.Random, tree: TreeSnapshot, count: int) -> list[
 
 
 def _apply(tree: TreeSnapshot, edit: TreeEdit):
-    from gitcite.store import _apply_tree_edit
+    from reference_store import _apply_tree_edit
 
     return _apply_tree_edit(tree, edit)
 

@@ -1,4 +1,5 @@
-"""In-memory version DAG with citation-carrying operators.
+"""In-memory version DAG with citation-carrying operators: the reference
+the acceptance suite compares the git adapter against.
 
 This is the reference semantics for how citation files travel through
 commits, branches, copies between repositories, merges, and forks. History
@@ -11,27 +12,28 @@ the repository; reads may run concurrently with other reads.
 
 The citation-file algebra itself (checked edits, key rewrite, pruning, copy
 migration, merge union) lives in :mod:`gitcite.ops` and is shared with the
-git adapter. What the store computes on its own are the tree-level facts:
-explicit :class:`TreeEdit` renames and deletes, and the merged file set,
-which the adapter instead learns from git.
+git adapter. What this module computes on its own are the tree-level facts:
+explicit :class:`TreeEdit` renames and deletes, applied by the snapshot
+edits below, and the merged file set, which the adapter instead learns from
+git. Fork semantics are modelled only here (:func:`fork_cite`): a git fork
+is a clone, which carries the citation file as it is.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .errors import (
-    BranchExists,
+from gitcite.errors import (
     EditConflict,
+    GitCiteError,
     InvariantBroken,
     NoCommonAncestor,
-    SourceVersionUnknown,
-    UnknownBranch,
+    PathNotInTree,
     UnknownVersion,
 )
-from .model import CitationFile, CitationRecord, Segments, TreeSnapshot, resolve, validate
-from .ops import (
+from gitcite.model import CitationFile, CitationRecord, Segments, TreeSnapshot, _missing_dirs, resolve, validate
+from gitcite.ops import (
     CONFLICT,
     ConflictReport,
     Resolver,
@@ -41,8 +43,88 @@ from .ops import (
     rewrite_keys,
     three_way,
 )
-from .paths import CanonicalPath
-from .value import Value
+from gitcite.paths import CanonicalPath
+from gitcite.value import Value
+
+
+class UnknownBranch(GitCiteError):
+    pass
+
+
+class BranchExists(GitCiteError):
+    pass
+
+
+class SourceVersionUnknown(GitCiteError):
+    pass
+
+
+def with_modified(tree: TreeSnapshot, path: CanonicalPath, digest: str) -> TreeSnapshot:
+    if not path.is_file or path.segments not in tree.files:
+        raise EditConflict(f"no file at {path}")
+    return TreeSnapshot({**tree.files, path.segments: digest}, tree.dirs)
+
+
+def without(tree: TreeSnapshot, path: CanonicalPath) -> TreeSnapshot:
+    """Remove the node at ``path`` (a directory is removed with its subtree)."""
+    if path.is_root:
+        raise EditConflict("cannot remove the root")
+    if not tree.contains(path):
+        raise EditConflict(f"no {path.kind.value} at {path}")
+    n, gone = len(path.segments), path.segments
+    return TreeSnapshot(
+        {s: digest for s, digest in tree.files.items() if s[:n] != gone},
+        frozenset(s for s in tree.dirs if s[:n] != gone),
+    )
+
+
+def with_renamed(tree: TreeSnapshot, old: CanonicalPath, new: CanonicalPath) -> TreeSnapshot:
+    if not tree.contains(old):
+        raise EditConflict(f"no {old.kind.value} at {old}")
+    if tree.kind_of(new.segments) is not None:
+        raise EditConflict(f"{new} already exists")
+    if new.is_within(old):
+        raise EditConflict(f"cannot move {old} inside itself")
+    return _grafted(without(tree, old), new, tree, old)
+
+
+def with_subtree(
+    tree: TreeSnapshot, path: CanonicalPath, src_tree: TreeSnapshot, src_dir: CanonicalPath
+) -> TreeSnapshot:
+    """Insert a copy of ``src_tree``'s directory ``src_dir`` at the new directory ``path``."""
+    if not path.is_dir or path.is_root:
+        raise EditConflict(f"{path} is not a valid destination")
+    if not src_dir.is_dir or not src_tree.contains(src_dir):
+        raise PathNotInTree(src_dir)
+    return _grafted(tree, path, src_tree, src_dir)
+
+
+def _grafted(tree: TreeSnapshot, path: CanonicalPath, src_tree: TreeSnapshot, src: CanonicalPath) -> TreeSnapshot:
+    """Place ``src_tree``'s node ``src`` and everything under it at the new ``path``."""
+    if tree.kind_of(path.segments) is not None:
+        raise EditConflict(f"{path} already exists")
+    missing = _missing_dirs(tree.files, tree.dirs, path.segments[:-1])
+    n, at = len(src.segments), path.segments
+    files = dict(tree.files)
+    files.update((at + s[n:], digest) for s, digest in src_tree.files.items() if s[:n] == src.segments)
+    dirs = {at + s[n:] for s in src_tree.dirs if s[:n] == src.segments}
+    return TreeSnapshot(files, tree.dirs.union(missing, dirs))
+
+
+def scripted_resolver(choices: Mapping[str, "str | CitationRecord"]) -> Resolver:
+    """Resolver driven by a rendered-path -> "left" | "right" | record table."""
+
+    def _resolve(report: ConflictReport) -> CitationRecord | None:
+        choice = choices.get(str(report.key))
+        if choice == "left":
+            return report.left
+        if choice == "right":
+            return report.right
+        if isinstance(choice, CitationRecord):
+            return choice
+        return None
+
+    return _resolve
 
 
 class CiteEditKind(enum.Enum):
@@ -307,10 +389,10 @@ def _apply_tree_edit(tree: TreeSnapshot, edit: TreeEdit) -> TreeSnapshot:
             raise EditConflict(f"{edit.path} already exists")
         return tree.with_file(edit.path, edit.digest)
     if edit.kind is TreeEditKind.DELETE:
-        return tree.without(edit.path)
+        return without(tree, edit.path)
     if edit.kind is TreeEditKind.RENAME:
-        return tree.with_renamed(edit.path, edit.to)
-    return tree.with_modified(edit.path, edit.digest)
+        return with_renamed(tree, edit.path, edit.to)
+    return with_modified(tree, edit.path, edit.digest)
 
 
 def _merge_trees(base: TreeSnapshot, left: TreeSnapshot, right: TreeSnapshot) -> TreeSnapshot:
@@ -346,7 +428,7 @@ def copy_cite(
         raise SourceVersionUnknown(f"no version {src_version_id!r} in {src_repo.id}") from None
     head = dst_repo.head(dst_branch)
     cf, _ = apply_copy(head.cf, head.tree, src_version.cf, src_version.tree, src_subtree, dst_path)
-    tree = head.tree.with_subtree(dst_path, src_version.tree, src_subtree)
+    tree = with_subtree(head.tree, dst_path, src_version.tree, src_subtree)
     version = dst_repo._new_version((head.id,), tree, cf)
     dst_repo.branches[dst_branch] = version.id
     return version

@@ -17,10 +17,10 @@ from gitcite.errors import EditConflict
 from gitcite.fileformat import parse, serialize
 from gitcite.ops import choose_left
 from gitcite.paths import ROOT, from_rendered
-from gitcite.store import CiteEdit, Repository, TreeEdit, copy_cite, fork_cite, gen_cite
 
 import randgen
 from gitdriver import run_scenario
+from reference_store import CiteEdit, Repository, TreeEdit, copy_cite, fork_cite, gen_cite
 from scenarios import SCENARIOS
 from support import record, resolve_by_walking, tree
 

@@ -15,11 +15,10 @@ from gitcite.cli import main
 from gitcite.fileformat import record_from_obj, record_to_obj, serialize
 from gitcite.gitadapter import load_citation_file, store_citation_file
 from gitcite.model import resolve
-from gitcite.ops import scripted_resolver
 from gitcite.paths import ROOT, from_rendered
-from gitcite.store import CiteEdit, Repository
 
 from conftest import git
+from reference_store import CiteEdit, Repository, scripted_resolver
 from support import record, resolve_by_walking, snapshot_worktree
 
 
@@ -200,6 +199,14 @@ class TestGen:
         monkeypatch.chdir(root)
         assert main(["gen", "ghost.c"]) == 1
 
+    @pytest.mark.parametrize("raw", ["src/nope.c", "src/a.c/"], ids=["absent", "file-as-directory"])
+    def test_a_path_not_in_the_tree_is_reported_as_such(self, git_repo, monkeypatch, capsys, raw):
+        root = git_repo()
+        seed(root, {"src/a.c": "a"}, {})
+        monkeypatch.chdir(root)
+        assert main(["gen", raw]) == 1
+        assert capsys.readouterr().err == f"gitcite: /{raw} is not in the tree\n"
+
     def test_gen_at_a_historical_revision(self, git_repo, monkeypatch, capsys):
         root = git_repo()
         seed(root, {"a.c": "x"}, {})
@@ -345,7 +352,7 @@ def model_mirror() -> Repository:
         record("root"),
         tree=None,
     )
-    from gitcite.store import TreeEdit
+    from reference_store import TreeEdit
 
     repo.commit(
         "main",
@@ -778,10 +785,6 @@ class TestCliPlumbing:
         # Only ``gen --remote`` needs urllib.request, which drags in ssl and http.client.
         assert not self._loaded_by_importing_the_cli("urllib.request")
 
-    def test_importing_the_cli_leaves_the_store_unloaded(self):
-        # No command uses the in-memory reference store.
-        assert not self._loaded_by_importing_the_cli("gitcite.store")
-
     def test_every_public_name_resolves(self):
         for name in gitcite.__all__:
             getattr(gitcite, name)
@@ -863,3 +866,22 @@ class TestCliPlumbing:
         assert (root / "CITATION.json").is_file()
         assert not (root / "citation.cite").exists()
         assert main(["gen", "."]) == 0
+
+    @pytest.mark.parametrize(
+        "name, target", [("../outside.cite", "."), ("docs/c.cite", "docs/c.cite")], ids=["outside", "below"]
+    )
+    def test_citation_file_name_override_must_be_a_file_name(self, git_repo, monkeypatch, capsys, name, target):
+        root = git_repo()
+        (root / "docs").mkdir()
+        (root / "docs" / "a.c").write_text("x")
+        git(root, "add", "-A")
+        git(root, "commit", "-q", "-m", "first")
+        monkeypatch.setenv("GITCITE_FILE", name)
+        monkeypatch.chdir(root)
+        assert main(["init"]) == 3
+        assert "GITCITE_FILE" in self._assert_one_line_error(capsys)
+        assert not list(root.parent.rglob("*.cite"))
+        # Even a file put there by hand is not read.
+        (root / name).write_text(serialize(CitationFile.single(record("root"))), encoding="utf-8")
+        assert main(["gen", target]) == 3
+        assert "GITCITE_FILE" in self._assert_one_line_error(capsys)

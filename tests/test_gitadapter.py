@@ -33,9 +33,9 @@ from gitcite.gitadapter import (
 )
 from gitcite.ops import choose_right, merge_citation_files
 from gitcite.paths import ROOT, PathKind, from_rendered
-from gitcite.store import CiteEdit, Repository, TreeEdit
 
 from conftest import git
+from reference_store import CiteEdit, Repository, TreeEdit
 from support import record, snapshot_worktree, tree
 
 

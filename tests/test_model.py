@@ -11,6 +11,7 @@ from gitcite.model import DANGLING_KEY, KIND_MISMATCH, MISSING_ROOT, resolve_fro
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 
 import randgen
+from reference_store import with_renamed, with_subtree, without
 from support import record, resolve_by_walking, tree
 
 
@@ -56,20 +57,20 @@ class TestTreeSnapshot:
     def test_structural_edits(self):
         snap = tree("/a/one.c")
         snap = snap.with_file(from_rendered("/a/two.c"), "d2")
-        snap = snap.with_renamed(from_rendered("/a/"), from_rendered("/b/"))
+        snap = with_renamed(snap, from_rendered("/a/"), from_rendered("/b/"))
         assert snap.contains(from_rendered("/b/one.c"))
         assert not snap.contains(from_rendered("/a/"))
-        snap = snap.without(from_rendered("/b/one.c"))
+        snap = without(snap, from_rendered("/b/one.c"))
         assert not snap.contains(from_rendered("/b/one.c"))
         with pytest.raises(EditConflict):
-            snap.without(from_rendered("/b/one.c"))
+            without(snap, from_rendered("/b/one.c"))
         with pytest.raises(EditConflict):
-            snap.with_renamed(from_rendered("/b/"), from_rendered("/b/inner/"))
+            with_renamed(snap, from_rendered("/b/"), from_rendered("/b/inner/"))
 
     def test_rename_collision(self):
         snap = tree("/a.c", "/b.c")
         with pytest.raises(EditConflict):
-            snap.with_renamed(from_rendered("/a.c"), from_rendered("/b.c"))
+            with_renamed(snap, from_rendered("/a.c"), from_rendered("/b.c"))
 
 
 def _fold_single_edits(files, dirs) -> TreeSnapshot:
@@ -141,20 +142,20 @@ def test_single_edits_match_building_the_edited_path_list(data):
     elif edit == "without":
         invalid = path.is_root or not present
         files, dirs = _outside(files, path), _outside(dirs, path)
-        apply = lambda: snap.without(path)  # noqa: E731
+        apply = lambda: without(snap, path)  # noqa: E731
     elif edit == "with_renamed":
         new = data.draw(_kinded_path)
         invalid = not present or snap.kind_of(new.segments) is not None or new.is_within(path)
         files = {**_outside(files, path), **_moved(files, path.segments, new.segments)}
         dirs = {**_outside(dirs, path), **_moved(dirs, path.segments, new.segments)}
-        apply = lambda: snap.with_renamed(path, new)  # noqa: E731
+        apply = lambda: with_renamed(snap, path, new)  # noqa: E731
     else:
         src_tree = data.draw(_trees())
         src_dir = data.draw(st.sampled_from([p for p in src_tree.paths() if p.is_dir]))
         invalid = not path.is_dir or path.is_root or snap.kind_of(path.segments) is not None
         files.update(_moved(src_tree.files, src_dir.segments, path.segments))
         dirs.update(_moved(dict.fromkeys(src_tree.dirs), src_dir.segments, path.segments))
-        apply = lambda: snap.with_subtree(path, src_tree, src_dir)  # noqa: E731
+        apply = lambda: with_subtree(snap, path, src_tree, src_dir)  # noqa: E731
     if not invalid:
         try:
             expected = TreeSnapshot.from_files(files, dirs)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import random
 from pathlib import Path
 
@@ -29,10 +30,10 @@ from gitcite.ops import (
 )
 from gitcite.gitadapter import default_root_citation, store_citation_file, sync_on_commit
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
-from gitcite.store import CiteEdit, Repository, gen_cite
 
 import randgen
 from conftest import git
+from reference_store import CiteEdit, Repository, gen_cite
 from support import record, resolve_by_walking, tree
 
 
@@ -318,21 +319,43 @@ def test_sync_builds_a_bounded_number_of_citation_files(tmp_path, monkeypatch):
     assert len(synced) == len(cites) + 1
 
 
-def test_adapter_and_cli_do_not_import_the_store():
-    """The git adapter and the CLI take every citation operation from ops, and
-    ops needs nothing of the store, so a second copy of one cannot grow back
-    beside the store's and the CLI never loads the store."""
-    package = Path(gitcite.__file__).parent
-    for name in ("gitadapter.py", "cli.py", "ops.py"):
-        imported = set()
-        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom):
-                base = node.module if not node.level else ".".join(filter(None, ("gitcite", node.module)))
-                imported.add(base)
-                imported.update(f"{base}.{alias.name}" for alias in node.names)
-            elif isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
-        assert "gitcite.store" not in imported, f"{name} imports gitcite.store"
+def _imported_modules(source: Path) -> set[str]:
+    """Every module ``source`` imports, a ``from`` import's names included."""
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module if not node.level else ".".join(filter(None, ("gitcite", node.module)))
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    return imported
+
+
+def _function_names(source: Path) -> set[str]:
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_package_ships_no_store():
+    """The version DAG is a test oracle (``tests/reference_store.py``), so no
+    command can load it."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("gitcite.store")
+
+
+def test_the_package_imports_nothing_from_the_tests():
+    for source in Path(gitcite.__file__).parent.glob("*.py"):
+        imported = {name.split(".")[0] for name in _imported_modules(source)}
+        assert not imported & {"reference_store", "support", "conftest", "randgen"}, source.name
+
+
+def test_the_reference_store_reimplements_no_citation_operation():
+    """The oracle takes every citation operation from ops, so a second copy of
+    one cannot grow beside it and agree with it by construction."""
+    ops_functions = {n for n in _function_names(Path(gitcite.ops.__file__)) if not n.startswith("__")}
+    shared = ops_functions & _function_names(Path(__file__).with_name("reference_store.py"))
+    assert not shared
 
 
 class TestDefaultRootCitation:

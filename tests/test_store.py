@@ -6,20 +6,28 @@ import pytest
 
 from gitcite import CitationFile, TreeSnapshot, resolve, validate
 from gitcite.errors import (
-    BranchExists,
     DestinationCollision,
     EditConflict,
     NoCommonAncestor,
-    SourceVersionUnknown,
     SubtreeMissing,
     UnknownVersion,
     UnresolvedConflict,
 )
 from gitcite.paths import ROOT, from_rendered
-from gitcite.ops import ConflictReport, choose_left, scripted_resolver
-from gitcite.store import CiteEdit, Repository, TreeEdit, copy_cite, fork_cite, gen_cite
+from gitcite.ops import ConflictReport, choose_left
 
 import randgen
+from reference_store import (
+    BranchExists,
+    CiteEdit,
+    Repository,
+    SourceVersionUnknown,
+    TreeEdit,
+    copy_cite,
+    fork_cite,
+    gen_cite,
+    scripted_resolver,
+)
 from support import record, resolve_by_walking, tree
 
 

@@ -11,9 +11,9 @@ from gitcite import CitationFile, CitationRecord, Inconsistency, TreeSnapshot
 from gitcite.model import DANGLING_KEY
 from gitcite.ops import ConflictReport
 from gitcite.paths import ROOT, from_rendered
-from gitcite.store import CiteEdit, CiteEditKind, TreeEdit, TreeEditKind, Version
 from gitcite.value import Value
 
+from reference_store import CiteEdit, CiteEditKind, TreeEdit, TreeEditKind, Version
 from support import record, tree
 
 # Each factory builds a new value from new field objects every call.
