@@ -1,7 +1,8 @@
 """The gitcite command line: manage and resolve citations in a checkout.
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 environment or I/O
-error. ``gen`` and ``validate`` never modify any file.
+error, 130 interrupted (Ctrl-C), 141 stdout closed by its reader. ``gen``
+and ``validate`` never modify any file.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_ENV = 3
+EXIT_INTERRUPT = 130  # 128 + SIGINT, as a shell reports a command stopped by Ctrl-C
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports git writing to a closed pipe
 
 # UnicodeDecodeError is a ValueError, so this tuple is caught first.
 _ENV_ERRORS = (
@@ -324,7 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader went away (``gitcite gen f | head -1``): quiet, as git is
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit is quiet too
+        return EXIT_PIPE
+    except KeyboardInterrupt:
+        print("gitcite: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     except _ENV_ERRORS as exc:
         print(f"gitcite: {exc}", file=sys.stderr)
         return EXIT_ENV

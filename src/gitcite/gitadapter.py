@@ -11,7 +11,9 @@ Every change to the citation file is one of the operations in
 :mod:`gitcite.ops`; this module only works out from git which of them to
 apply. At commit time that is one simultaneous key rewrite for every rename
 git reports between HEAD and the index, then one prune of the deleted paths;
-a cited file that a rename overwrote loses its entry before the rewrite.
+a cited file that a rename overwrote loses its entry before the rewrite. A
+merge prunes the paths git reports deleted from either head the same way;
+both read git's diff records with :func:`_raw_diff`.
 
 Use one adapter flow per working tree: nothing here locks against
 concurrent mutation of the same checkout. Network fetches and local reads
@@ -25,7 +27,7 @@ import re
 import stat
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     DestinationCollision,
@@ -40,7 +42,7 @@ from .errors import (
     UnknownVersion,
 )
 from .fileformat import parse, serialize
-from .model import CitationFile, CitationRecord, Segments, TreeSnapshot
+from .model import CitationFile, CitationRecord, Segments
 from .ops import (
     ConflictReport,
     Resolver,
@@ -293,10 +295,13 @@ class _PathLookup:
 class WorktreeLookup(_PathLookup):
     """The working tree, looked up with ``os.lstat`` on a path and its ancestors.
 
-    ``.git`` directories and the root's citation file are not part of the
-    cited tree. A symlink to a directory is left out, and nothing is found
-    through it; any other symlink, broken or not, counts as a file. A path
-    through a file or a missing entry has no kind. No git command runs.
+    Git never tracks a path component named ``.git``, so an entry of that
+    name is not part of the cited tree, whatever its kind: the repository's
+    directory, or the file that points a linked worktree at it. Nor is the
+    root's citation file. A symlink to a directory is left out, and nothing
+    is found through it; any other symlink, broken or not, counts as a file.
+    A path through a file or a missing entry has no kind. No git command
+    runs.
     """
 
     def __init__(self, worktree_root: Path | str) -> None:
@@ -306,6 +311,8 @@ class WorktreeLookup(_PathLookup):
     def _lookup(self, segments: Segments) -> PathKind | None:
         if not segments:
             return PathKind.DIRECTORY
+        if segments[-1] == ".git":
+            return None
         for depth in range(1, len(segments)):  # each ancestor must be a real directory
             if self.kind_of(segments[:depth]) is not PathKind.DIRECTORY:
                 return None
@@ -315,7 +322,7 @@ class WorktreeLookup(_PathLookup):
         except (OSError, ValueError):  # missing, unreadable, or a name no file can have
             return None
         if stat.S_ISDIR(mode):
-            return None if segments[-1] == ".git" else PathKind.DIRECTORY
+            return PathKind.DIRECTORY
         if stat.S_ISLNK(mode) and os.path.isdir(full):
             return None
         return None if segments == (citation_file_name(),) else PathKind.FILE
@@ -399,7 +406,7 @@ def _citation_texts_at(root: Path | str, revs: Sequence[str]) -> list[str]:
 def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]:
     """Rename and delete lists for the staged state vs HEAD.
 
-    Uses ``git diff --cached --name-status -B1%/1% -M -z``. The break option
+    Uses ``git diff --cached --raw -B1%/1% -M -z``. The break option
     lets any modified file be a rename source, so swapping two files (``git
     mv a.c b.c; git mv c.c a.c``) comes out as the renames ``c.c -> a.c`` and
     ``a.c -> b.c`` instead of ``M a.c``, ``A b.c``, ``D c.c``; the README
@@ -417,18 +424,16 @@ def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]
     """
     if not _has_head(root):
         return [], []
-    out = _git(root, "diff", "--cached", "--name-status", "-B1%/1%", "-M", "-z").stdout
+    out = _git(root, "diff", "--cached", "--raw", "-B1%/1%", "-M", "-z").stdout
     renames: list[tuple[Segments, Segments]] = []
     deleted: list[Segments] = []
     added: list[Segments] = []
-    tokens = iter(out.split("\0"))
-    for status in filter(None, tokens):  # a status, then one path, or two for a rename or copy
-        paths = [tuple(next(tokens).split("/")) for _ in range(2 if status[0] in "RC" else 1)]
-        if status[0] == "R":
+    for status, _, paths in _raw_diff(out):
+        if status == "R":
             renames.append(tuple(paths))
-        elif status[0] == "D":
+        elif status == "D":
             deleted.append(paths[0])
-        elif status[0] == "A":
+        elif status == "A":
             added.append(paths[0])
     held = _count_dirs(tuple(t.split("/")) for t in _git(root, "ls-files", "-z").stdout.split("\0") if t)
     dir_moves = _infer_directory_moves(renames, held, _count_dirs(added), _count_dirs(deleted))
@@ -447,6 +452,21 @@ def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]
                 key_deleted.append(old_key)
     key_deleted += sorted(key for path in gone_dirs if (key := _key(path, PathKind.DIRECTORY)))
     return key_renames, key_deleted
+
+
+def _raw_diff(out: str) -> Iterator[tuple[str, str, list[Segments]]]:
+    """Each record of git's ``--raw -z`` diff output: its status letter, its
+    old entry's mode (``040000`` for a tree) and its paths as segments, two
+    for a rename or copy. ``diff-tree --stdin`` writes a ``<tree> <tree>``
+    line per pair, even an equal one, glued to the next record's metadata,
+    which holds no newline; such lines are skipped."""
+    tokens = iter(out.split("\0"))
+    for token in tokens:
+        meta = token.rpartition("\n")[2]
+        if not meta:  # a trailing pair line, or the end
+            continue
+        old_mode, _, _, _, status = meta[1:].split(" ")
+        yield status[0], old_mode, [tuple(next(tokens).split("/")) for _ in range(2 if status[0] in "RC" else 1)]
 
 
 def _key(segments: Segments, kind: PathKind) -> CanonicalPath | None:
@@ -513,28 +533,34 @@ def run_merge(
     file (content, modify/delete, add/add, ...),
     :class:`~gitcite.errors.EditConflict` names the paths and nothing is
     written. Otherwise the citation file is rebuilt from the base/ours/theirs
-    documents by :func:`gitcite.ops.merge_citation_files`, pruned to the
-    merged tree, instead of being text-merged. Its canonical bytes replace
-    the citation entry of the merged tree, ``git commit-tree`` commits that
-    tree with both parents (signed when ``commit.gpgSign`` is set; no commit
-    hook runs), and ``git merge --ff-only`` moves ``HEAD``, the index and the
-    worktree to it in one step. A citation file that differs from ``HEAD``'s,
-    whose edit the rebuild would lose, raises
-    :class:`~gitcite.errors.IoFailure` and touches nothing, as does the
-    fast-forward when git refuses it (a local edit, a staged change on a
-    merged path or an untracked file in the way). With
+    documents by :func:`gitcite.ops.merge_citation_files` instead of being
+    text-merged, and :func:`gitcite.ops.prune_deleted` drops the keys of the
+    paths ``git diff-tree`` reports deleted from either head, as at a commit;
+    a key whose path neither head has stays, for ``validate`` to report. Its
+    canonical bytes replace the citation entry of the merged tree, ``git
+    commit-tree`` commits that tree with both parents (signed when
+    ``commit.gpgSign`` is set; no commit hook runs), and ``git merge
+    --ff-only`` moves ``HEAD``, the index and the worktree to it in one step.
+    A citation file that differs from ``HEAD``'s, whose edit the rebuild would
+    lose, raises :class:`~gitcite.errors.IoFailure` and touches nothing, as
+    does the fast-forward when git refuses it (a local edit, a staged change
+    on a merged path or an untracked file in the way). With
     ``merge.verifySignatures`` set, ``other`` must carry a good signature
     trusted as ``git merge`` requires (``gpg.minTrustLevel``, else marginal),
-    checked before anything is written. Everything before the
-    fast-forward writes only unreferenced objects, so a resolver that gives
-    up or a failed step leaves no pending merge behind.
+    checked before anything is written. Everything before the fast-forward
+    writes only unreferenced objects, so a resolver that gives up or a failed
+    step leaves no pending merge behind.
     """
     root = Path(root)
-    other_proc = _git(root, "rev-parse", "--verify", "-q", other, check=False)
-    if other_proc.returncode != 0:
+    if "\n" in other:  # the query takes one name per line
         raise UnknownVersion(f"unknown revision {other!r}")
-    other_rev = other_proc.stdout.strip()
-    head_rev = _git(root, "rev-parse", "HEAD").stdout.strip()
+    query = "".join(f"{rev}^{{{kind}}}\n" for rev in ("HEAD", other) for kind in ("commit", "tree"))
+    heads = _git(root, "cat-file", "--batch-check=%(objectname)", input=query).stdout.split("\n")
+    head_rev, head_tree, other_rev, other_tree = heads[:4]  # an id, or "<name> missing"
+    if " " in other_rev:
+        raise UnknownVersion(f"unknown revision {other!r}")
+    if " " in head_rev:
+        raise IoFailure("HEAD has no commit to merge into")
     base_proc = _git(root, "merge-base", head_rev, other_rev, check=False)
     if base_proc.returncode != 0:
         raise NoCommonAncestor(f"HEAD and {other!r} share no history")
@@ -574,19 +600,23 @@ def run_merge(
     if worktree_text != left_text and parse(worktree_text) != left_cf:
         raise IoFailure(f"{citation_file_path(root)} has uncommitted changes; commit or discard them first")
 
-    files: dict[Segments, str] = {}
     top_entries, mode = [], "100644"
-    for entry in filter(None, _git(root, "ls-tree", "-r", "-t", "-z", merged_tree).stdout.split("\0")):
-        meta, _, path_text = entry.partition("\t")
-        if path_text == name:  # the text-merged citation file, replaced below
-            mode = "100755" if meta.startswith("100755 ") else mode
-            continue
-        if "/" not in path_text:
+    for entry in filter(None, _git(root, "ls-tree", "-z", merged_tree).stdout.split("\0")):
+        if entry.partition("\t")[2] == name:  # the text-merged citation file, replaced below
+            mode = "100755" if entry.startswith("100755 ") else mode
+        else:
             top_entries.append(entry)
-        _, kind, object_id = meta.split()
-        if kind != "tree":  # a blob, or a submodule's commit
-            files[tuple(path_text.split("/"))] = object_id
-    merged_cf, conflicts = merge_citation_files(base_cf, left_cf, right_cf, TreeSnapshot.from_files(files), resolver)
+    changes = _git(  # -t reports a directory that is gone as an entry of its own
+        root, "diff-tree", "--stdin", "-r", "-t", "--no-renames", "--raw", "-z",
+        input=f"{head_tree} {merged_tree}\n{other_tree} {merged_tree}\n",
+    ).stdout
+    deleted = [
+        key
+        for status, old_mode, (path,) in _raw_diff(changes)
+        if status == "D" and (key := _key(path, PathKind.DIRECTORY if old_mode == "040000" else PathKind.FILE))
+    ]
+    merged_cf, conflicts = merge_citation_files(base_cf, left_cf, right_cf, resolver)
+    merged_cf = prune_deleted(merged_cf, deleted)
 
     blob = _git(root, "hash-object", "-w", "--stdin", input=serialize(merged_cf)).stdout.strip()
     top_entries.append(f"{mode} blob {blob}\t{name}")

@@ -59,7 +59,8 @@ class TreeSnapshot(Value):
     ``dirs`` holds the segments of every directory, the root's ``()``
     included. Every ancestor of a file or directory is in ``dirs``, and no
     segments are both. A snapshot is built once and then only read;
-    :meth:`with_file` and :meth:`with_dir` return a new one.
+    :meth:`with_file` and :meth:`with_dir` return a new one. No command
+    builds one; the tests' reference store and the benchmark's tracer use it.
     """
 
     __slots__ = ("files", "dirs")

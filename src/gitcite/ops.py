@@ -3,14 +3,14 @@
 This module holds the one implementation of each way a citation file
 changes: a checked add, delete or modify (:func:`apply_add`,
 :func:`apply_delete`, :func:`apply_modify`), key rewrite on rename
-(:func:`rewrite_keys`), pruning to a tree (:func:`prune_to_tree`) or of
-deleted paths (:func:`prune_deleted`), subtree migration on copy
-(:func:`apply_copy`) and the three-way merge (:func:`three_way` for one
-value and :func:`merge_citation_files` for a whole file). None of them
-touches a repository. The key rewrite takes a whole list of renames and
-applies them simultaneously in one pass over the keys, so a commit that
-renames a thousand files costs one rebuild of the citation file, not one per
-rename.
+(:func:`rewrite_keys`), pruning of deleted paths (:func:`prune_deleted`),
+subtree migration on copy (:func:`apply_copy`) and the three-way merge
+(:func:`three_way` for one value and :func:`merge_citation_files` for a
+whole file). None of them touches a repository; the caller works out which
+paths were renamed or deleted, at a commit and at a merge alike. The key
+rewrite takes a whole list of renames and applies them simultaneously in one
+pass over the keys, so a commit that renames a thousand files costs one
+rebuild of the citation file, not one per rename.
 """
 
 from __future__ import annotations
@@ -98,11 +98,6 @@ def rewrite_keys(cf: CitationFile, renames: Iterable[tuple[CanonicalPath, Canoni
             raise InvariantBroken(f"key rewrite puts two entries at {moved}")
         entries[moved] = record
     return CitationFile(entries)
-
-
-def prune_to_tree(cf: CitationFile, tree: TreeSnapshot) -> CitationFile:
-    """Drop every entry whose path is not in ``tree``; the root entry stays."""
-    return CitationFile({k: v for k, v in cf.items() if k.is_root or tree.contains(k)})
 
 
 def prune_deleted(cf: CitationFile, deleted: Iterable[CanonicalPath]) -> CitationFile:
@@ -218,10 +213,9 @@ def merge_citation_files(
     base: CitationFile,
     left: CitationFile,
     right: CitationFile,
-    merged_tree: TreeSnapshot,
     resolver: Resolver | None = None,
 ) -> tuple[CitationFile, list[ConflictReport]]:
-    """Three-way merge of two branches' citation files.
+    """Three-way union of two branches' citation files.
 
     Every key of ``base``, ``left`` and ``right`` merges by :func:`three_way`,
     with "no entry" as a value: a citation added, changed or deleted on one
@@ -229,8 +223,8 @@ def merge_citation_files(
     key that one side deleted and the other changed keeps the changed record
     (a modify outlives a delete). A key both sides changed to different
     records goes to the resolver, and no answer raises
-    :class:`UnresolvedConflict`. Entries whose paths are absent from
-    ``merged_tree`` are pruned, the root excepted.
+    :class:`UnresolvedConflict`. No key is pruned here: the caller drops the
+    keys of paths the merge deleted with :func:`prune_deleted`.
     """
     merged: dict[CanonicalPath, CitationRecord] = {}
     conflicts: list[ConflictReport] = []
@@ -249,4 +243,4 @@ def merge_citation_files(
                 conflicts.append(report)
         if record is not None:
             merged[key] = record
-    return prune_to_tree(CitationFile(merged), merged_tree), conflicts
+    return CitationFile(merged), conflicts

@@ -10,12 +10,14 @@ the latest version; anyone may read a resolved citation at any stored
 version (:func:`gen_cite`). Mutating operations need exclusive access to
 the repository; reads may run concurrently with other reads.
 
-The citation-file algebra itself (checked edits, key rewrite, pruning, copy
+The citation-file algebra itself (checked edits, key rewrite, copy
 migration, merge union) lives in :mod:`gitcite.ops` and is shared with the
 git adapter. What this module computes on its own are the tree-level facts:
 explicit :class:`TreeEdit` renames and deletes, applied by the snapshot
-edits below, and the merged file set, which the adapter instead learns from
-git. Fork semantics are modelled only here (:func:`fork_cite`): a git fork
+edits below, the merged file set, and which keys left the tree. It prunes
+each new citation file to its own tree (:func:`prune_to_tree`), where the
+adapter prunes the paths git reports deleted, so the two prunes check each
+other. Fork semantics are modelled only here (:func:`fork_cite`): a git fork
 is a clone, which carries the citation file as it is.
 """
 
@@ -39,7 +41,6 @@ from gitcite.ops import (
     Resolver,
     apply_copy,
     merge_citation_files,
-    prune_to_tree,
     rewrite_keys,
     three_way,
 )
@@ -109,6 +110,11 @@ def _grafted(tree: TreeSnapshot, path: CanonicalPath, src_tree: TreeSnapshot, sr
     files.update((at + s[n:], digest) for s, digest in src_tree.files.items() if s[:n] == src.segments)
     dirs = {at + s[n:] for s in src_tree.dirs if s[:n] == src.segments}
     return TreeSnapshot(files, tree.dirs.union(missing, dirs))
+
+
+def prune_to_tree(cf: CitationFile, tree: TreeSnapshot) -> CitationFile:
+    """Drop every entry whose path is not in ``tree``; the root entry stays."""
+    return CitationFile({k: v for k, v in cf.items() if k.is_root or tree.contains(k)})
 
 
 def scripted_resolver(choices: Mapping[str, "str | CitationRecord"]) -> Resolver:
@@ -353,7 +359,7 @@ class Repository:
         modify/delete or add/add conflict) raises
         :class:`~gitcite.errors.EditConflict` and leaves the repository as it
         was. The citation files merge by
-        :func:`gitcite.ops.merge_citation_files` against the merged tree.
+        :func:`gitcite.ops.merge_citation_files`, pruned to the merged tree.
         """
         into_id = self.head_id(into_branch)
         from_id = self.head_id(from_branch)
@@ -371,7 +377,8 @@ class Repository:
         left = self.version(into_id)
         right = self.version(from_id)
         tree = _merge_trees(base.tree, left.tree, right.tree)
-        cf, conflicts = merge_citation_files(base.cf, left.cf, right.cf, tree, resolver)
+        cf, conflicts = merge_citation_files(base.cf, left.cf, right.cf, resolver)
+        cf = prune_to_tree(cf, tree)
         version = self._new_version((into_id, from_id), tree, cf)
         self.branches[into_branch] = version.id
         return version, conflicts

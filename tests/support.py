@@ -49,9 +49,10 @@ def tree(*files: str, dirs: tuple[str, ...] = ()) -> TreeSnapshot:
 def snapshot_worktree(worktree_root: Path | str) -> TreeSnapshot:
     """Oracle: the whole working tree from one ``os.walk``.
 
-    ``.git`` directories and the root's citation file are left out. Every
-    file digest is ``""``. Directories are taken from the walk itself, so a
-    symlink to a directory is not descended into and is left out.
+    Every entry named ``.git``, a directory or a linked worktree's file, and
+    the root's citation file are left out. Every file digest is ``""``.
+    Directories are taken from the walk itself, so a symlink to a directory
+    is not descended into and is left out.
     ``gitadapter.WorktreeLookup`` must answer ``kind_of`` exactly as this
     snapshot does.
     """
@@ -64,5 +65,7 @@ def snapshot_worktree(worktree_root: Path | str) -> TreeSnapshot:
         rel = Path(current).relative_to(root)
         parts = () if rel == Path(".") else rel.parts
         dirs.append(parts)
-        files.update((parts + (filename,), "") for filename in filenames if parts or filename != skip)
+        files.update(
+            (parts + (filename,), "") for filename in filenames if filename != ".git" and (parts or filename != skip)
+        )
     return TreeSnapshot.from_files(files, dirs)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gitcite
-from gitcite import CitationFile, gitadapter
+from gitcite import CitationFile, TreeSnapshot, gitadapter
 from gitcite.cli import main
 from gitcite.fileformat import record_from_obj, record_to_obj, serialize
 from gitcite.gitadapter import load_citation_file, store_citation_file
@@ -452,10 +453,12 @@ class TestMerge:
         assert load_citation_file(root).get(from_rendered("/shared.c")) == edited
 
     def test_merge_runs_few_git_commands(self, git_repo, monkeypatch):
-        # The top level, the other branch, HEAD, the merge base, the config
-        # read, merge-tree (the one merge), one cat-file for the three
-        # citation files, the merged tree's listing, hash-object, mktree,
-        # commit-tree and the fast-forward.
+        # The top level, one cat-file for both heads' commits and trees, the
+        # merge base, the config read, merge-tree (the one merge), one
+        # cat-file for the three citation files, the merged tree's root
+        # entries, one diff-tree for the paths each head lost, hash-object,
+        # mktree, commit-tree and the fast-forward. Nothing lists the whole
+        # tree or builds a snapshot of it.
         root = build_conflicted_repo(git_repo)
         calls = []
         real_git = gitadapter._git
@@ -464,12 +467,47 @@ class TestMerge:
             calls.append(args)
             return real_git(at, *args, **kwargs)
 
+        def no_tree(*args, **kwargs):
+            raise AssertionError("gitcite merge built a TreeSnapshot")
+
         monkeypatch.setattr(gitadapter, "_git", counted)
+        monkeypatch.setattr(TreeSnapshot, "from_files", no_tree)
         monkeypatch.chdir(root)
         assert main(["merge", "side", "--ours"]) == 0
         assert len(calls) <= 12, calls
         assert [args[0] for args in calls].count("merge-tree") == 1, calls
         assert all({"--no-commit", "commit", "add", "ls-files", "show"}.isdisjoint(args) for args in calls), calls
+        assert not [args for args in calls if args[0] == "ls-tree" and "-r" in args], calls
+
+    @pytest.mark.parametrize(
+        "other", ["no-such-branch", "-q", "side\nHEAD", "side:side.c"], ids=["missing", "dash", "newline", "blob"]
+    )
+    def test_an_unknown_other_branch_changes_nothing(self, git_repo, monkeypatch, capsys, other):
+        root = build_conflicted_repo(git_repo)
+        before = checkout_state(root)
+        monkeypatch.chdir(root)
+        assert main(["merge", "--ours", "--", other]) == 1
+        assert "unknown revision" in capsys.readouterr().err
+        assert checkout_state(root) == before
+
+    def test_ctrl_c_at_the_prompt_exits_130_and_changes_nothing(self, git_repo):
+        root = build_conflicted_repo(git_repo)
+        before = checkout_state(root)
+        script = "import sys; from gitcite.cli import main; sys.exit(main(['merge', 'side']))"
+        with subprocess.Popen(
+            [sys.executable, "-c", script], cwd=root, env=_cli_env(),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            shown = b""
+            while b"choose [o]urs" not in shown:
+                chunk = os.read(proc.stdout.fileno(), 4096)
+                assert chunk, shown  # the process ended before prompting
+                shown += chunk
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert err.decode().splitlines() == ["gitcite: interrupted"]
+        assert checkout_state(root) == before
 
     def test_no_conflict_merge_needs_no_answers(self, git_repo, monkeypatch):
         root = git_repo("clean")
@@ -709,6 +747,11 @@ class TestMerge:
         assert len(git(root, "log", "-1", "--format=%P").stdout.split()) == 2
 
 
+def _cli_env(**extra: str) -> dict[str, str]:
+    """The environment for a ``gitcite`` process that imports this checkout's package."""
+    return {**os.environ, "PYTHONPATH": str(Path(gitcite.__file__).resolve().parent.parent), **extra}
+
+
 class TestValidate:
     def test_fresh_init_validates_clean(self, git_repo, monkeypatch):
         root = git_repo(origin="https://example.com/alice/proj.git")
@@ -729,6 +772,21 @@ class TestValidate:
         assert main(["validate"]) == 1
         out = capsys.readouterr().out
         assert "dangling_key" in out and "/gone.c" in out
+
+    def test_git_is_never_cited_in_a_linked_worktree(self, git_repo, monkeypatch, capsys):
+        # There .git is a file naming the repository, and git never tracks it.
+        root = git_repo()
+        seed(root, {"a.c": "a"}, {})
+        linked = root.parent / "linked"
+        git(root, "worktree", "add", "-q", str(linked))
+        assert (linked / ".git").is_file()
+        monkeypatch.chdir(linked)
+        assert main(["add", ".git", "--field", "owner=X"]) == 1
+        assert load_citation_file(linked) == load_citation_file(root)
+        store_citation_file(linked, load_citation_file(linked).with_entry(from_rendered("/.git"), record("g")))
+        capsys.readouterr()
+        assert main(["validate"]) == 1
+        assert "dangling_key: /.git" in capsys.readouterr().out
 
 
 class TestCliPlumbing:
@@ -794,6 +852,21 @@ class TestCliPlumbing:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_a_closed_stdout_exits_quietly(self, git_repo, unbuffered):
+        # As in `gitcite gen src/a.c | true`: the reader is gone before gitcite
+        # writes. Unbuffered, the print fails; buffered, the flush does.
+        root = git_repo()
+        seed(root, {"src/a.c": "a"}, {"/src/": "src"})
+        script = "import sys; from gitcite.cli import main; sys.exit(main(['gen', 'src/a.c']))"
+        with subprocess.Popen(
+            [sys.executable, "-c", script], cwd=root, env=_cli_env(PYTHONUNBUFFERED=unbuffered),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (141, b"")
 
     def test_missing_citation_file_is_an_environment_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

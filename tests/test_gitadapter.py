@@ -27,11 +27,12 @@ from gitcite.gitadapter import (
     default_root_citation,
     fetch_remote_citation_file,
     load_citation_file,
+    run_merge,
     staged_changes,
     store_citation_file,
     sync_on_commit,
 )
-from gitcite.ops import choose_right, merge_citation_files
+from gitcite.ops import choose_left, choose_right, merge_citation_files
 from gitcite.paths import ROOT, PathKind, from_rendered
 
 from conftest import git
@@ -371,23 +372,50 @@ class TestMergeCitationFiles:
 
     def test_left_only_change_wins_without_conflict(self):
         left = self.BASE.with_entry(from_rendered("/k.c"), record("new"))
-        merged, conflicts = merge_citation_files(self.BASE, left, self.BASE, tree("/k.c"))
+        merged, conflicts = merge_citation_files(self.BASE, left, self.BASE)
         assert conflicts == []
         assert merged.get(from_rendered("/k.c")) == record("new")
 
     def test_both_changed_goes_to_the_resolver(self):
         left = self.BASE.with_entry(from_rendered("/k.c"), record("l"))
         right = self.BASE.with_entry(from_rendered("/k.c"), record("r"))
-        merged, conflicts = merge_citation_files(self.BASE, left, right, tree("/k.c"), choose_right)
+        merged, conflicts = merge_citation_files(self.BASE, left, right, choose_right)
         assert [(str(c.key), c.resolution) for c in conflicts] == [("/k.c", "chose_right")]
         assert merged.get(from_rendered("/k.c")) == record("r")
 
-    def test_prunes_entries_for_files_missing_from_the_merged_tree(self):
-        left = self.BASE
-        right = self.BASE.with_entry(from_rendered("/extra.c"), record("x"))
-        merged, conflicts = merge_citation_files(self.BASE, left, right, tree("/k.c"))
-        assert conflicts == []
-        assert from_rendered("/extra.c") not in merged
+    @staticmethod
+    def merged_keys(root: Path, side_rm: list[str], main_rm: list[str]) -> list[str]:
+        """A plain ``git rm`` (no sync) and a commit on each branch, then
+        ``run_merge`` of ``side`` into ``main``: the merged file's keys."""
+        git(root, "branch", "side")
+        for branch, paths in (("side", side_rm), ("main", main_rm)):
+            git(root, "checkout", "-q", branch)
+            if paths:
+                git(root, "rm", "-r", "-q", *paths)
+            git(root, "commit", "-q", "--allow-empty", "-m", branch)
+        merged, conflicts = run_merge(root, "side", choose_left)
+        assert conflicts == [] and load_citation_file(root) == merged
+        return [str(k) for k in merged]
+
+    def test_prunes_entries_for_files_missing_from_the_merged_tree(self, git_repo):
+        root = git_repo()
+        seed(root, {"keep.c": "k", "gone.c": "g"}, {"/keep.c": "k", "/gone.c": "g"})
+        assert self.merged_keys(root, ["gone.c"], []) == ["/", "/keep.c"]
+
+    @pytest.mark.parametrize("emptied_on", ["side", "main"])
+    def test_a_cited_directory_emptied_on_one_branch_loses_its_keys(self, git_repo, emptied_on):
+        # Only the directory's own tree entry in the diff names /lib/a/.
+        root = git_repo()
+        seed(root, {"lib/a/x.c": "x", "lib/a/y.c": "y", "lib/b/z.c": "z"}, {"/lib/a/": "A", "/lib/b/": "B"})
+        rm = {"side": [], "main": [], emptied_on: ["lib/a"]}
+        assert self.merged_keys(root, rm["side"], rm["main"]) == ["/", "/lib/b/"]
+
+    def test_a_key_dangling_in_both_heads_survives(self, git_repo):
+        # Neither head has the path, so the merge deleted nothing there;
+        # validate reports such a key, as after a commit.
+        root = git_repo()
+        seed(root, {"a.c": "a"}, {"/a.c": "a", "/ghost.c": "g", "/ghost/": "gd"})
+        assert self.merged_keys(root, [], []) == ["/", "/a.c", "/ghost.c", "/ghost/"]
 
 
 class _Handler(http.server.SimpleHTTPRequestHandler):

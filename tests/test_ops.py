@@ -272,14 +272,13 @@ class TestMergeCitationFiles:
     """The three-way rule for one key, with "no entry" as a value: a side that
     kept the base's state yields to the other side."""
 
-    SNAP = tree("/a.c", "/b.c")
     A = from_rendered("/a.c")
 
     def merge(self, base, left, right):
         def cf(entry):
             return CitationFile({ROOT: record("root"), **({} if entry is None else {self.A: record(entry)})})
 
-        merged, conflicts = merge_citation_files(cf(base), cf(left), cf(right), self.SNAP, choose_left)
+        merged, conflicts = merge_citation_files(cf(base), cf(left), cf(right), choose_left)
         assert conflicts == []
         return merged.get(self.A)
 
