@@ -13,7 +13,7 @@ apply. At commit time that is one simultaneous key rewrite for every rename
 git reports between HEAD and the index, then one prune of the deleted paths;
 a cited file that a rename overwrote loses its entry before the rewrite. A
 merge prunes the paths git reports deleted from either head the same way;
-both read git's diff records with :func:`_raw_diff`.
+both find the directories that are gone with :func:`_tree_diff`.
 
 Use one adapter flow per working tree: nothing here locks against
 concurrent mutation of the same checkout. Network fetches and local reads
@@ -60,6 +60,7 @@ DEFAULT_CITATION_FILE = "citation.cite"
 CITATION_FILE_ENV = "GITCITE_FILE"
 
 Rename = tuple[CanonicalPath, CanonicalPath]
+TREE = "040000"  # the mode of a directory's entry in git's diff records
 
 
 def citation_file_name() -> str:
@@ -223,10 +224,6 @@ def git_toplevel(path: Path | str) -> Path | None:
     if proc.returncode != 0:
         return None
     return Path(proc.stdout.strip())
-
-
-def _has_head(root: Path | str) -> bool:
-    return _git(root, "rev-parse", "--verify", "-q", "HEAD", check=False).returncode == 0
 
 
 _ORIGIN_RE = re.compile(r"[:/]([^/:]+)/([^/:]+?)(?:\.git)?/?$")
@@ -406,41 +403,38 @@ def _citation_texts_at(root: Path | str, revs: Sequence[str]) -> list[str]:
 def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]:
     """Rename and delete lists for the staged state vs HEAD.
 
-    Uses ``git diff --cached --raw -B1%/1% -M -z``. The break option
-    lets any modified file be a rename source, so swapping two files (``git
-    mv a.c b.c; git mv c.c a.c``) comes out as the renames ``c.c -> a.c`` and
-    ``a.c -> b.c`` instead of ``M a.c``, ``A b.c``, ``D c.c``; the README
-    says why these thresholds and where git still misses a swap. Git reports
-    files only, so two directory-level facts are inferred on top. A
-    complete, consistent directory move becomes a directory rename, letting
-    directory citation keys follow by prefix (see
+    ``git write-tree`` writes the index as the tree ``git commit`` would:
+    without intent-to-add entries, and not for an unmerged index, which
+    raises :class:`~gitcite.errors.IoFailure`. With no ``HEAD``, or no
+    change, nothing is diffed. Renames and deletions come from ``git
+    diff-tree -r --raw -B1%/1% -M -z`` of ``HEAD``'s tree and that tree. The
+    break option lets any modified file be a rename source, so swapping two
+    files (``git mv a.c b.c; git mv c.c a.c``) comes out as the renames
+    ``c.c -> a.c`` and ``a.c -> b.c`` instead of ``M a.c``, ``A b.c``, ``D
+    c.c``; the README says why these thresholds and where git still misses a
+    swap. A directory that :func:`_tree_diff` reports gone counts as
+    deleted, as at a merge. A complete, consistent directory move becomes a
+    directory rename, letting directory citation keys follow by prefix (see
     :func:`_infer_directory_moves`; a partially moved directory stays
     file-by-file and a leftover directory key will show up in ``validate``
-    output). A directory with no staged files left under it counts as
-    deleted, since the version-control system has no notion of an empty
-    directory. The inference runs on path segments, so a tracked name that
+    output). The inference runs on path segments, so a tracked name that
     cannot be a citation key still counts in it; such a name is then left
     out of both lists, and a rename onto one deletes its source.
     """
-    if not _has_head(root):
+    head = _git(root, "rev-parse", "-q", "--verify", "HEAD^{tree}", check=False)
+    if head.returncode != 0:
         return [], []
-    out = _git(root, "diff", "--cached", "--raw", "-B1%/1%", "-M", "-z").stdout
-    renames: list[tuple[Segments, Segments]] = []
-    deleted: list[Segments] = []
-    added: list[Segments] = []
-    for status, _, paths in _raw_diff(out):
-        if status == "R":
-            renames.append(tuple(paths))
-        elif status == "D":
-            deleted.append(paths[0])
-        elif status == "A":
-            added.append(paths[0])
-    held = _count_dirs(tuple(t.split("/")) for t in _git(root, "ls-files", "-z").stdout.split("\0") if t)
-    dir_moves = _infer_directory_moves(renames, held, _count_dirs(added), _count_dirs(deleted))
-    gone_dirs = {  # directories left with no staged file
-        path[:n] for path in [*deleted, *(old for old, _ in renames)] for n in range(1, len(path))
-        if path[:n] not in held
-    }
+    head_tree, index_tree = head.stdout.strip(), _git(root, "write-tree").stdout.strip()
+    if head_tree == index_tree:
+        return [], []
+    out = _git(root, "diff-tree", "-r", "--raw", "-B1%/1%", "-M", "-z", head_tree, index_tree).stdout
+    records = [(status, paths) for status, _, _, paths in _raw_diff(out)]
+    renames = [tuple(paths) for status, paths in records if status == "R"]
+    deleted = [paths[0] for status, paths in records if status == "D"]
+    trees = list(_tree_diff(root, [(head_tree, index_tree)])) if renames or deleted else []
+    gone = {path for status, mode, _, (path,) in trees if status == "D" and mode == TREE}  # directories HEAD had
+    new_dirs = {path for status, _, mode, (path,) in trees if status == "A" and mode == TREE}  # and HEAD had not
+    dir_moves = _infer_directory_moves(root, index_tree, records, gone, new_dirs)
     key_renames: list[Rename] = []
     key_deleted = [key for path in deleted if (key := _key(path, PathKind.FILE))]
     for kind, moves in ((PathKind.DIRECTORY, dir_moves), (PathKind.FILE, renames)):
@@ -450,23 +444,34 @@ def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]
                 key_renames.append((old_key, new_key))
             elif old_key:  # moved to a name no key can have
                 key_deleted.append(old_key)
-    key_deleted += sorted(key for path in gone_dirs if (key := _key(path, PathKind.DIRECTORY)))
+    key_deleted += sorted(key for path in gone if (key := _key(path, PathKind.DIRECTORY)))
     return key_renames, key_deleted
 
 
-def _raw_diff(out: str) -> Iterator[tuple[str, str, list[Segments]]]:
+def _tree_diff(root: Path | str, pairs: Sequence[tuple[str, str]]) -> Iterator[tuple[str, str, str, list[Segments]]]:
+    """The records of one ``git diff-tree --stdin -r -t --no-renames`` of
+    each pair of trees. ``-t`` gives a directory a record of its own: one is
+    gone when its record is ``D`` from the mode ``TREE``. Renames stay off:
+    with ``-t`` directories join the rename candidates, and of two equally
+    similar sources git may then pick another than ``git diff -M`` does."""
+    query = "".join(f"{old} {new}\n" for old, new in pairs)
+    return _raw_diff(_git(root, "diff-tree", "--stdin", "-r", "-t", "--no-renames", "--raw", "-z", input=query).stdout)
+
+
+def _raw_diff(out: str) -> Iterator[tuple[str, str, str, list[Segments]]]:
     """Each record of git's ``--raw -z`` diff output: its status letter, its
-    old entry's mode (``040000`` for a tree) and its paths as segments, two
-    for a rename or copy. ``diff-tree --stdin`` writes a ``<tree> <tree>``
-    line per pair, even an equal one, glued to the next record's metadata,
-    which holds no newline; such lines are skipped."""
+    old and new modes (``TREE`` for a directory, ``000000`` for no entry)
+    and its paths as segments, two for a rename or copy. ``diff-tree
+    --stdin`` writes a ``<tree> <tree>`` line per pair, even an equal one,
+    glued to the next record's metadata, which holds no newline; such lines
+    are skipped."""
     tokens = iter(out.split("\0"))
     for token in tokens:
         meta = token.rpartition("\n")[2]
         if not meta:  # a trailing pair line, or the end
             continue
-        old_mode, _, _, _, status = meta[1:].split(" ")
-        yield status[0], old_mode, [tuple(next(tokens).split("/")) for _ in range(2 if status[0] in "RC" else 1)]
+        old_mode, new_mode, _, _, status = meta[1:].split(" ")
+        yield status[0], old_mode, new_mode, [tuple(next(tokens).split("/")) for _ in range(1 + (status[0] in "RC"))]
 
 
 def _key(segments: Segments, kind: PathKind) -> CanonicalPath | None:
@@ -478,23 +483,29 @@ def _key(segments: Segments, kind: PathKind) -> CanonicalPath | None:
 
 
 def _infer_directory_moves(
-    renames: Sequence[tuple[Segments, Segments]],
-    held: Counter,
-    added: Counter,
-    deleted: Counter,
+    root: Path | str,
+    index_tree: str,
+    records: Sequence[tuple[str, list[Segments]]],
+    gone: set[Segments],
+    new_dirs: set[Segments],
 ) -> list[tuple[Segments, Segments]]:
-    """Directory moves implied by the file renames, in first-seen order.
+    """Directory moves implied by the renames among the diff ``records``, in first-seen order.
 
     Each rename nominates the directory pair left once the longest common
     run of trailing names is cut from both ends. ``old_dir -> new_dir`` is a
-    move when no staged file is left or deleted under ``old_dir``, every
+    move when ``old_dir`` is ``gone`` with no file deleted under it, every
     rename out of ``old_dir`` lands at its rebased path under ``new_dir``,
     and every staged file under ``new_dir`` is one of those renames or a new
     file. A ``new_dir`` that already held files is a merge of two
-    directories, and stays file-by-file. The counters give, per directory
-    segments, the staged, added and deleted files below it.
+    directories, and stays file-by-file. Every staged file under a directory
+    of ``new_dirs`` has a record; those under a destination ``HEAD`` had are
+    counted by one ``ls-tree`` of the index's tree.
     """
+    renames = [tuple(paths) for status, paths in records if status == "R"]
     moved_out = _count_dirs(old for old, _ in renames)
+    deleted = _count_dirs(paths[0] for status, paths in records if status == "D")
+    added = _count_dirs(paths[0] for status, paths in records if status == "A")
+    arrived = _count_dirs(paths[-1] for status, paths in records if status in "ACR")  # the records' new paths
     agreeing: Counter = Counter()  # renames consistent with each (old_dir, new_dir) pair
     candidates: dict[tuple[Segments, Segments], None] = {}
     for o, n in renames:
@@ -505,14 +516,12 @@ def _infer_directory_moves(
             agreeing[o[:-k], n[:-k]] += 1
         if k:
             candidates.setdefault((o[:-k], n[:-k]))
-    return [
-        (o, n)
-        for o, n in candidates
-        if not held[o]
-        and not deleted[o]
-        and agreeing[o, n] == moved_out[o]
-        and agreeing[o, n] + added[n] == held[n]
-    ]
+    moves = [(o, n) for o, n in candidates if o in gone and not deleted[o] and agreeing[o, n] == moved_out[o]]
+    listed = sorted({"/".join(n) for _, n in moves if n not in new_dirs})  # destinations HEAD had
+    ls_tree = ("--literal-pathspecs", "ls-tree", "-r", "-z", "--name-only", "--full-tree", index_tree, "--", *listed)
+    out = _git(root, *ls_tree).stdout if listed else ""
+    held = _count_dirs(tuple(f.split("/")) for f in out.split("\0") if f)  # the staged files under each of them
+    return [(o, n) for o, n in moves if agreeing[o, n] + added[n] == (arrived if n in new_dirs else held)[n]]
 
 
 def _count_dirs(files: Iterable[tuple[str, ...]]) -> Counter:
@@ -606,14 +615,10 @@ def run_merge(
             mode = "100755" if entry.startswith("100755 ") else mode
         else:
             top_entries.append(entry)
-    changes = _git(  # -t reports a directory that is gone as an entry of its own
-        root, "diff-tree", "--stdin", "-r", "-t", "--no-renames", "--raw", "-z",
-        input=f"{head_tree} {merged_tree}\n{other_tree} {merged_tree}\n",
-    ).stdout
     deleted = [
         key
-        for status, old_mode, (path,) in _raw_diff(changes)
-        if status == "D" and (key := _key(path, PathKind.DIRECTORY if old_mode == "040000" else PathKind.FILE))
+        for status, old_mode, _, (path,) in _tree_diff(root, [(head_tree, merged_tree), (other_tree, merged_tree)])
+        if status == "D" and (key := _key(path, PathKind.DIRECTORY if old_mode == TREE else PathKind.FILE))
     ]
     merged_cf, conflicts = merge_citation_files(base_cf, left_cf, right_cf, resolver)
     merged_cf = prune_deleted(merged_cf, deleted)

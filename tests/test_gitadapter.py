@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gitcite import CitationFile, resolve
+from gitcite import CitationFile, gitadapter, resolve
 from gitcite.cli import main
 from gitcite.errors import (
     FileMissing,
@@ -170,9 +170,117 @@ class TestStagedChanges:
         root = git_repo()
         seed(root, {"pkg/a.c": "a", "pkg/deep/b.c": "b", "other.c": "o"}, {})
         git(root, "mv", "pkg", "moved")
+        renames, deleted = staged_changes(root)
+        assert [(str(a), str(b)) for a, b in renames] == [
+            ("/pkg/", "/moved/"),
+            ("/pkg/a.c", "/moved/a.c"),
+            ("/pkg/deep/b.c", "/moved/deep/b.c"),
+        ]
+        assert [str(d) for d in deleted] == ["/pkg/", "/pkg/deep/"]
+
+    def test_a_sync_lists_no_tree(self, git_repo, monkeypatch):
+        # Nothing staged: one rev-parse for HEAD's tree and one write-tree
+        # for the index's, which are equal. A directory moved to a new name
+        # adds the diffs, and still nothing lists the index or a tree.
+        root = git_repo()
+        seed(root, {"pkg/a.c": "a", "pkg/deep/b.c": "b", "other.c": "o"}, {})
+        calls = []
+        real_git = gitadapter._git
+
+        def counted(at, *args, **kwargs):
+            calls.append(args)
+            return real_git(at, *args, **kwargs)
+
+        monkeypatch.setattr(gitadapter, "_git", counted)
+        assert staged_changes(root) == ([], [])
+        assert len(calls) <= 2, calls
+        assert all({"ls-files", "ls-tree", "diff"}.isdisjoint(args) for args in calls), calls
+        calls.clear()
+        git(root, "mv", "pkg", "moved")
         renames, _ = staged_changes(root)
-        rendered = [(str(a), str(b)) for a, b in renames]
-        assert rendered[0] == ("/pkg/", "/moved/")
+        assert (str(renames[0][0]), str(renames[0][1])) == ("/pkg/", "/moved/")
+        assert all({"ls-files", "ls-tree"}.isdisjoint(args) for args in calls), calls
+
+    @pytest.mark.parametrize(
+        "first, renamed_b, deleted",
+        [
+            (("rm", "-r", "-q", "b"), [], ["/b/y.c", "/a/"]),
+            (("mv", "b", "d"), [("/b/x.c", "/d/x.c"), ("/b/y.c", "/d/y.c")], ["/a/"]),
+        ],
+        ids=["replace", "rotate"],
+    )
+    def test_a_directory_moves_onto_one_head_had(self, git_repo, first, renamed_b, deleted):
+        root = git_repo()
+        seed(root, {"a/x.c": _source("alpha"), "b/x.c": _source("beta"), "b/y.c": _source("beta-y")}, {})
+        git(root, *first)
+        git(root, "mv", "a", "b")
+        renames, gone = staged_changes(root)
+        assert [(str(a), str(b)) for a, b in renames] == [("/a/", "/b/"), ("/a/x.c", "/b/x.c"), *renamed_b]
+        assert [str(d) for d in gone] == deleted
+
+    @pytest.mark.parametrize("first", [("rm", "-r", "-q", "b"), ("mv", "b", "d")], ids=["replace", "rotate"])
+    def test_a_directory_move_onto_a_cited_directory_still_raises(self, git_repo, first):
+        root = git_repo()
+        seed(root, {"a/x.c": _source("alpha"), "b/x.c": _source("beta")}, {"/a/": "a", "/b/": "b"})
+        git(root, *first)
+        git(root, "mv", "a", "b")
+        before = (root / "citation.cite").read_bytes()
+        with pytest.raises(InvariantBroken):
+            sync_on_commit(root, *staged_changes(root))
+        assert (root / "citation.cite").read_bytes() == before
+
+    @pytest.mark.parametrize("name, sibling", [("b*", "bx"), (":b", "b")])
+    def test_a_destination_is_matched_literally(self, git_repo, name, sibling):
+        # Matched as a pattern, the destination's name would take in the
+        # sibling, whose file is no rename, and turn the directory move down.
+        root = git_repo()
+        seed(root, {"a/x.c": _source("alpha"), f"{name}/x.c": _source("dest"), f"{sibling}/y.c": _source("other")}, {})
+        git(root, "--literal-pathspecs", "rm", "-r", "-q", name)
+        git(root, "--literal-pathspecs", "mv", "a", name)
+        renames, deleted = staged_changes(root)
+        assert [(str(a), str(b)) for a, b in renames] == [("/a/", f"/{name}/"), ("/a/x.c", f"/{name}/x.c")]
+        assert [str(d) for d in deleted] == ["/a/"]
+
+    def test_a_file_pairs_with_the_source_git_diff_shows(self, git_repo):
+        # Both deleted files are equally similar to the new one. Directories
+        # among the rename candidates (diff -t) tip git's pick to the other.
+        root = git_repo()
+        seed(root, {"b/y/z/f1.c": _source("b/y/z/f1.c"), "b/y/z/f2.c": _source("b/y/z/f2.c")}, {})
+        git(root, "rm", "-r", "-q", "b")
+        (root / "a" / "n").mkdir(parents=True)
+        (root / "a" / "n" / "new.c").write_text(_source("new"))
+        git(root, "add", "-A")
+        shown = git(root, "diff", "--cached", "-B1%/1%", "-M", "--diff-filter=R", "--name-status", "-z").stdout
+        _, old, new, _ = shown.split("\0")
+        renames, _ = staged_changes(root)
+        assert [(str(a), str(b)) for a, b in renames] == [(f"/{old}", f"/{new}")]
+
+    def test_an_intent_to_add_entry_is_not_a_staged_file(self, git_repo):
+        # write-tree leaves the entry out, as the commit does, so it no
+        # longer turns the directory move down.
+        root = git_repo()
+        seed(root, {"a/x.c": _source("alpha")}, {"/a/": "a"})
+        git(root, "mv", "a", "b")
+        (root / "b" / "new.c").write_text("new\n")
+        git(root, "add", "-N", "b/new.c")
+        renames, deleted = staged_changes(root)
+        assert [(str(a), str(b)) for a, b in renames] == [("/a/", "/b/"), ("/a/x.c", "/b/x.c")]
+        assert [str(d) for d in deleted] == ["/a/"]
+
+    def test_an_unmerged_index_is_an_io_failure(self, git_repo):
+        root = git_repo()
+        seed(root, {"a.c": "base\n"}, {"/a.c": "a"})
+        git(root, "checkout", "-q", "-b", "side")
+        (root / "a.c").write_text("side\n")
+        git(root, "commit", "-q", "-am", "side")
+        git(root, "checkout", "-q", "main")
+        (root / "a.c").write_text("main\n")
+        git(root, "commit", "-q", "-am", "main")
+        assert git(root, "merge", "-q", "side", check=False).returncode != 0
+        before = (root / "citation.cite").read_bytes()
+        with pytest.raises(IoFailure):
+            sync_on_commit(root, *staged_changes(root))
+        assert (root / "citation.cite").read_bytes() == before
 
     def test_partial_moves_stay_file_level(self, git_repo):
         root = git_repo()
