@@ -9,11 +9,11 @@ and a branch merge is computed once, by ``git merge-tree``, whose tree is
 committed with plumbing (see :func:`run_merge`).
 Every change to the citation file is one of the operations in
 :mod:`gitcite.ops`; this module only works out from git which of them to
-apply. At commit time that is one simultaneous key rewrite for every rename
-git reports between HEAD and the index, then one prune of the deleted paths;
-a cited file that a rename overwrote loses its entry before the rewrite. A
-merge prunes the paths git reports deleted from either head the same way;
-both find the directories that are gone with :func:`_tree_diff`.
+apply. At commit time that is one :func:`gitcite.ops.carry_keys` of every
+rename and deletion git reports between HEAD and the index, a file that a
+rename overwrote counting as deleted. A merge carries the keys across the
+paths git reports deleted from either head the same way; both find the
+directories that are gone with :func:`_tree_diff`.
 
 Use one adapter flow per working tree: nothing here locks against
 concurrent mutation of the same checkout. Network fetches and local reads
@@ -47,9 +47,8 @@ from .ops import (
     ConflictReport,
     Resolver,
     apply_copy,
+    carry_keys,
     merge_citation_files,
-    prune_deleted,
-    rewrite_keys,
 )
 from .paths import CanonicalPath, PathKind
 
@@ -61,6 +60,7 @@ CITATION_FILE_ENV = "GITCITE_FILE"
 
 Rename = tuple[CanonicalPath, CanonicalPath]
 TREE = "040000"  # the mode of a directory's entry in git's diff records
+BLOBS = ("100644", "100755", "120000")  # a file's or a symlink's; a submodule's is 160000
 
 
 def citation_file_name() -> str:
@@ -130,51 +130,15 @@ def sync_on_commit(
     """Carry the on-disk citation file through renames and deletions.
 
     ``rename_map`` and ``deleted`` come from the version-control system's
-    change detection (see :func:`staged_changes`). A cited file that a
-    rename overwrote (see :func:`_overwritten_keys`) loses its entry first.
-    The renames are then applied all at once by
-    :func:`gitcite.ops.rewrite_keys`, and keys under deleted paths are
-    pruned by :func:`gitcite.ops.prune_deleted`; the root entry always
-    survives. The rewritten file is stored and returned. Any other rename
-    onto an existing key raises :class:`~gitcite.errors.InvariantBroken` and
-    leaves the file as it was.
+    change detection (see :func:`staged_changes`). They are applied all at
+    once by :func:`gitcite.ops.carry_keys`: keys follow the renames, keys
+    under deleted paths are pruned, and the root entry always survives. The
+    new file is stored and returned. A rename onto a key that stays raises
+    :class:`~gitcite.errors.InvariantBroken` and leaves the file as it was.
     """
-    cf = load_citation_file(worktree_root)
-    overwritten = _overwritten_keys(worktree_root, cf, rename_map)
-    if overwritten:
-        cf = prune_deleted(cf, overwritten)
-    cf = prune_deleted(rewrite_keys(cf, rename_map), deleted)
+    cf = carry_keys(load_citation_file(worktree_root), rename_map, deleted)
     store_citation_file(worktree_root, cf)
     return cf
-
-
-def _overwritten_keys(
-    root: Path | str, cf: CitationFile, renames: Sequence[Rename]
-) -> list[CanonicalPath]:
-    """Cited files whose ``HEAD`` content a rename replaced.
-
-    After ``git mv -f a.c b.c`` git reports only ``R a.c b.c``: with break
-    detection the deletion of the old ``b.c`` is folded into the rename. That
-    old content has no destination, so its citation goes with it. A rename
-    target counts when it is a cited file, no rename takes it away, and
-    ``HEAD`` has a file there; a cited key with no file in ``HEAD`` (a stale
-    key) does not, and renaming onto it still raises. Git is asked only
-    when some rename lands on a cited key. The query is one path per line,
-    so a path with a newline in it is never counted as overwritten.
-    """
-    sources = {old for old, _ in renames}
-    targets = [
-        new
-        for _, new in renames
-        if new.is_file and new in cf and new not in sources and "\n" not in str(new)
-    ]
-    if not targets:
-        return []
-    query = "".join(f"HEAD:{'/'.join(t.segments)}\n" for t in targets)
-    proc = _git(root, "cat-file", "--batch-check=%(objecttype)", input=query, check=False)
-    if proc.returncode != 0:
-        return []
-    return [t for t, line in zip(targets, proc.stdout.split("\n")) if line == "blob"]
 
 
 def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
@@ -413,7 +377,10 @@ def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]
     ``c.c -> a.c`` and ``a.c -> b.c`` instead of ``M a.c``, ``A b.c``, ``D
     c.c``; the README says why these thresholds and where git still misses a
     swap. A directory that :func:`_tree_diff` reports gone counts as
-    deleted, as at a merge. A complete, consistent directory move becomes a
+    deleted, as at a merge. So does a file ``HEAD`` had that a rename
+    overwrote (``git mv -f a.c b.c``, which git reports as ``R a.c b.c``
+    alone) and no rename takes away: its record in that diff is ``M`` or
+    ``T`` from a blob's mode. A complete, consistent directory move becomes a
     directory rename, letting directory citation keys follow by prefix (see
     :func:`_infer_directory_moves`; a partially moved directory stays
     file-by-file and a leftover directory key will show up in ``validate``
@@ -432,6 +399,8 @@ def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]
     renames = [tuple(paths) for status, paths in records if status == "R"]
     deleted = [paths[0] for status, paths in records if status == "D"]
     trees = list(_tree_diff(root, [(head_tree, index_tree)])) if renames or deleted else []
+    moved_in = {new for _, new in renames}.difference(old for old, _ in renames)
+    deleted += [path for status, mode, _, (path,) in trees if status in "MT" and mode in BLOBS and path in moved_in]
     gone = {path for status, mode, _, (path,) in trees if status == "D" and mode == TREE}  # directories HEAD had
     new_dirs = {path for status, _, mode, (path,) in trees if status == "A" and mode == TREE}  # and HEAD had not
     dir_moves = _infer_directory_moves(root, index_tree, records, gone, new_dirs)
@@ -543,7 +512,7 @@ def run_merge(
     :class:`~gitcite.errors.EditConflict` names the paths and nothing is
     written. Otherwise the citation file is rebuilt from the base/ours/theirs
     documents by :func:`gitcite.ops.merge_citation_files` instead of being
-    text-merged, and :func:`gitcite.ops.prune_deleted` drops the keys of the
+    text-merged, and :func:`gitcite.ops.carry_keys` drops the keys of the
     paths ``git diff-tree`` reports deleted from either head, as at a commit;
     a key whose path neither head has stays, for ``validate`` to report. Its
     canonical bytes replace the citation entry of the merged tree, ``git
@@ -621,7 +590,7 @@ def run_merge(
         if status == "D" and (key := _key(path, PathKind.DIRECTORY if old_mode == TREE else PathKind.FILE))
     ]
     merged_cf, conflicts = merge_citation_files(base_cf, left_cf, right_cf, resolver)
-    merged_cf = prune_deleted(merged_cf, deleted)
+    merged_cf = carry_keys(merged_cf, (), deleted)
 
     blob = _git(root, "hash-object", "-w", "--stdin", input=serialize(merged_cf)).stdout.strip()
     top_entries.append(f"{mode} blob {blob}\t{name}")

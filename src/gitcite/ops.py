@@ -2,15 +2,15 @@
 
 This module holds the one implementation of each way a citation file
 changes: a checked add, delete or modify (:func:`apply_add`,
-:func:`apply_delete`, :func:`apply_modify`), key rewrite on rename
-(:func:`rewrite_keys`), pruning of deleted paths (:func:`prune_deleted`),
-subtree migration on copy (:func:`apply_copy`) and the three-way merge
+:func:`apply_delete`, :func:`apply_modify`), carrying the keys across the
+renames and deletions of one tree change (:func:`carry_keys`), subtree
+migration on copy (:func:`apply_copy`) and the three-way merge
 (:func:`three_way` for one value and :func:`merge_citation_files` for a
 whole file). None of them touches a repository; the caller works out which
-paths were renamed or deleted, at a commit and at a merge alike. The key
-rewrite takes a whole list of renames and applies them simultaneously in one
-pass over the keys, so a commit that renames a thousand files costs one
-rebuild of the citation file, not one per rename.
+paths were renamed or deleted, at a commit and at a merge alike.
+:func:`carry_keys` applies a whole list of renames and deletions
+simultaneously in one pass over the keys, so a commit that renames a
+thousand files costs one rebuild of the citation file, not one per rename.
 """
 
 from __future__ import annotations
@@ -67,16 +67,22 @@ def _covering_dirs(key: CanonicalPath) -> Iterator[tuple[str, ...]]:
     return (segments[:n] for n in range(top, -1, -1))
 
 
-def rewrite_keys(cf: CitationFile, renames: Iterable[tuple[CanonicalPath, CanonicalPath]]) -> CitationFile:
-    """Apply every ``(old, new)`` rename to the keys at once.
+def carry_keys(
+    cf: CitationFile,
+    renames: Iterable[tuple[CanonicalPath, CanonicalPath]] = (),
+    deleted: Iterable[CanonicalPath] = (),
+) -> CitationFile:
+    """Carry the keys across one tree change: every ``(old, new)`` rename and
+    every deleted path at once.
 
-    The renames are simultaneous, as git reports them: every ``old`` is a
-    path before the change and every ``new`` a path after it. Each key is
-    rewritten at most once: by its exact file rename if it has one, else by
-    the renamed directory with the deepest ``old`` prefix covering it, else
-    it is kept. Two keys that end up equal raise :class:`InvariantBroken`;
-    nothing is overwritten. The cost is one pass over the keys, each walking
-    its own depth, and one sort.
+    Both lists name paths of the tree before the change, as git reports them.
+    Each key follows its own file rename if it has one, else the renamed
+    directory with the deepest ``old`` path covering it. A key that no rename
+    moves is dropped when a deleted path covers it: a deleted file its own
+    key, a deleted directory every key at or below it. The root entry stays.
+    Two keys that land on one path raise :class:`InvariantBroken`; nothing
+    is overwritten. The cost is one pass over the keys, each walking its own
+    depth, and one sort.
     """
     file_moves: dict[CanonicalPath, CanonicalPath] = {}
     dir_moves: dict[tuple[str, ...], tuple[CanonicalPath, CanonicalPath]] = {}
@@ -85,39 +91,24 @@ def rewrite_keys(cf: CitationFile, renames: Iterable[tuple[CanonicalPath, Canoni
             file_moves[old] = new
         else:
             dir_moves[old.segments] = (old, new)
+    gone = set(deleted)
+    gone_dirs = {path.segments for path in gone if path.is_dir}
     entries: dict[CanonicalPath, CitationRecord] = {}
     for key, record in cf.items():
-        moved = file_moves.get(key) if key.is_file else None
+        moved = file_moves.get(key)
         if moved is None:
-            moved = key
+            moved, covered = key, key in gone
             for prefix in _covering_dirs(key):
                 if prefix in dir_moves:
-                    moved = key.rebased(*dir_moves[prefix])
+                    moved, covered = key.rebased(*dir_moves[prefix]), False
                     break
+                covered = covered or prefix in gone_dirs
+            if covered and not key.is_root:
+                continue
         if moved in entries:
             raise InvariantBroken(f"key rewrite puts two entries at {moved}")
         entries[moved] = record
     return CitationFile(entries)
-
-
-def prune_deleted(cf: CitationFile, deleted: Iterable[CanonicalPath]) -> CitationFile:
-    """Drop every entry that a deleted path covers; the root entry stays.
-
-    A deleted file removes its own key, a deleted directory every key at or
-    below it. Each key looks itself and its ancestors up in a set of the
-    deleted paths, so the cost is keys × depth.
-    """
-    deleted = list(deleted)
-    gone_files = {path for path in deleted if path.is_file}
-    gone_dirs = {path.segments for path in deleted if path.is_dir}
-    return CitationFile(
-        {
-            key: record
-            for key, record in cf.items()
-            if key.is_root
-            or not (key in gone_files or any(prefix in gone_dirs for prefix in _covering_dirs(key)))
-        }
-    )
 
 
 def apply_copy(
@@ -224,7 +215,7 @@ def merge_citation_files(
     (a modify outlives a delete). A key both sides changed to different
     records goes to the resolver, and no answer raises
     :class:`UnresolvedConflict`. No key is pruned here: the caller drops the
-    keys of paths the merge deleted with :func:`prune_deleted`.
+    keys of paths the merge deleted with :func:`carry_keys`.
     """
     merged: dict[CanonicalPath, CitationRecord] = {}
     conflicts: list[ConflictReport] = []

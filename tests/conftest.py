@@ -1,9 +1,28 @@
 from __future__ import annotations
 
+import os
 import subprocess
 from pathlib import Path
 
 import pytest
+
+
+@pytest.fixture(autouse=True, scope="session")
+def hermetic_git():
+    """Every git the tests start, directly or through gitcite, reads neither
+    the user's nor the system's git configuration (a ``core.hooksPath`` or
+    ``merge.verifySignatures`` there would change what the tests see), nor a
+    repository or index that git exports to a hook it runs, and commits with
+    the identity ``init_repo`` configures."""
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("GIT_CONFIG_GLOBAL", os.devnull)
+        env.setenv("GIT_CONFIG_NOSYSTEM", "1")
+        for name in ("GIT_DIR", "GIT_WORK_TREE", "GIT_INDEX_FILE"):
+            env.delenv(name, raising=False)
+        for role in ("AUTHOR", "COMMITTER"):
+            env.setenv(f"GIT_{role}_NAME", "Ada Tester")
+            env.setenv(f"GIT_{role}_EMAIL", "ada@example.com")
+        yield
 
 
 def git(root: Path, *args: str, check: bool = True) -> subprocess.CompletedProcess:

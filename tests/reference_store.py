@@ -40,8 +40,8 @@ from gitcite.ops import (
     ConflictReport,
     Resolver,
     apply_copy,
+    carry_keys,
     merge_citation_files,
-    rewrite_keys,
     three_way,
 )
 from gitcite.paths import CanonicalPath
@@ -315,7 +315,7 @@ class Repository:
         cf = apply_cite_edits(head.cf, cite_edits)
         for edit in tree_edits:
             if edit.kind is TreeEditKind.RENAME:
-                cf = rewrite_keys(cf, [(edit.path, edit.to)])
+                cf = carry_keys(cf, [(edit.path, edit.to)])
         cf = prune_to_tree(cf, tree)
         version = self._new_version((head.id,), tree, cf)
         self.branches[branch] = version.id

@@ -61,6 +61,19 @@ def _source(tag: str) -> str:
     return header + "".join(f"{tag} line {i}\n" for i in range(12))
 
 
+def _recorded_git_calls(monkeypatch) -> list:
+    """The arguments of every git call the adapter makes from now on."""
+    calls = []
+    real_git = gitadapter._git
+
+    def counted(at, *args, **kwargs):
+        calls.append(args)
+        return real_git(at, *args, **kwargs)
+
+    monkeypatch.setattr(gitadapter, "_git", counted)
+    return calls
+
+
 class TestLoadStore:
     def test_store_then_load_is_identity(self, tmp_path):
         cf = CitationFile.single(record("r"))
@@ -184,14 +197,7 @@ class TestStagedChanges:
         # adds the diffs, and still nothing lists the index or a tree.
         root = git_repo()
         seed(root, {"pkg/a.c": "a", "pkg/deep/b.c": "b", "other.c": "o"}, {})
-        calls = []
-        real_git = gitadapter._git
-
-        def counted(at, *args, **kwargs):
-            calls.append(args)
-            return real_git(at, *args, **kwargs)
-
-        monkeypatch.setattr(gitadapter, "_git", counted)
+        calls = _recorded_git_calls(monkeypatch)
         assert staged_changes(root) == ([], [])
         assert len(calls) <= 2, calls
         assert all({"ls-files", "ls-tree", "diff"}.isdisjoint(args) for args in calls), calls
@@ -204,7 +210,7 @@ class TestStagedChanges:
     @pytest.mark.parametrize(
         "first, renamed_b, deleted",
         [
-            (("rm", "-r", "-q", "b"), [], ["/b/y.c", "/a/"]),
+            (("rm", "-r", "-q", "b"), [], ["/b/y.c", "/b/x.c", "/a/"]),
             (("mv", "b", "d"), [("/b/x.c", "/d/x.c"), ("/b/y.c", "/d/y.c")], ["/a/"]),
         ],
         ids=["replace", "rotate"],
@@ -239,7 +245,7 @@ class TestStagedChanges:
         git(root, "--literal-pathspecs", "mv", "a", name)
         renames, deleted = staged_changes(root)
         assert [(str(a), str(b)) for a, b in renames] == [("/a/", f"/{name}/"), ("/a/x.c", f"/{name}/x.c")]
-        assert [str(d) for d in deleted] == ["/a/"]
+        assert [str(d) for d in deleted] == [f"/{name}/x.c", "/a/"]
 
     def test_a_file_pairs_with_the_source_git_diff_shows(self, git_repo):
         # Both deleted files are equally similar to the new one. Directories
@@ -347,11 +353,43 @@ class TestStagedChanges:
         git(root, "mv", "-f", "a.c", "b.c")
         renames, deleted = staged_changes(root)
         assert [(str(a), str(b)) for a, b in renames] == [("/a.c", "/b.c")]
-        assert deleted == []
+        assert [str(d) for d in deleted] == ["/b.c"]
         synced = sync_on_commit(root, renames, deleted)
         assert [str(k) for k in synced] == (["/", "/b.c"] if source_cited else ["/"])
         expected = record("a") if source_cited else record("root")
         assert resolve(synced, snapshot_worktree(root), from_rendered("/b.c")) == expected
+
+    def test_a_file_that_a_name_no_key_can_have_overwrote_loses_its_record(self, git_repo):
+        # The old content of c/y.c is gone, whatever the source's name.
+        root = git_repo()
+        seed(root, {"we\\ird.c": _source("odd"), "c/y.c": _source("y")}, {"/c/y.c": "y"})
+        git(root, "mv", "-f", "we\\ird.c", "c/y.c")
+        renames, deleted = staged_changes(root)
+        assert renames == [] and [str(d) for d in deleted] == ["/c/y.c"]
+        synced = sync_on_commit(root, renames, deleted)
+        assert [str(k) for k in synced] == ["/"]
+
+    def test_a_file_renamed_onto_one_renamed_to_a_name_no_key_can_have_keeps_its_record(self, git_repo):
+        root = git_repo()
+        seed(root, {"a.c": _source("alpha"), "c.c": _source("gamma")}, {"/a.c": "a", "/c.c": "c"})
+        git(root, "mv", "a.c", "we\\ird.c")
+        git(root, "mv", "c.c", "a.c")
+        renames, deleted = staged_changes(root)
+        assert [(str(a), str(b)) for a, b in renames] == [("/c.c", "/a.c")]
+        assert [str(d) for d in deleted] == ["/a.c"]
+        synced = sync_on_commit(root, renames, deleted)
+        assert [str(k) for k in synced] == ["/", "/a.c"]
+        assert synced.get(from_rendered("/a.c")) == record("c")
+
+    def test_an_overwriting_rename_asks_git_nothing_more(self, git_repo, monkeypatch):
+        # The overwritten file comes from the tree diff the sync reads anyway.
+        root = git_repo()
+        seed(root, {"a.c": _source("alpha"), "b.c": _source("beta")}, {"/a.c": "a", "/b.c": "b"})
+        git(root, "mv", "-f", "a.c", "b.c")
+        calls = _recorded_git_calls(monkeypatch)
+        synced = sync_on_commit(root, *staged_changes(root))
+        assert synced.get(from_rendered("/b.c")) == record("a")
+        assert all("cat-file" not in args for args in calls), calls
 
     def test_renaming_onto_a_stale_key_still_raises(self, git_repo):
         root = git_repo()

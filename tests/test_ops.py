@@ -23,10 +23,9 @@ from gitcite.ops import (
     apply_add,
     apply_delete,
     apply_modify,
+    carry_keys,
     choose_left,
     merge_citation_files,
-    prune_deleted,
-    rewrite_keys,
 )
 from gitcite.gitadapter import default_root_citation, store_citation_file, sync_on_commit
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
@@ -203,7 +202,7 @@ class TestStagingInvariants:
 def test_rewrite_onto_an_existing_key_raises(old, new):
     cf = CitationFile({from_rendered(k): record(k) for k in ("/", "/a.c", "/b.c", "/lib/", "/vendor/")})
     with pytest.raises(InvariantBroken):
-        rewrite_keys(cf, [(from_rendered(old), from_rendered(new))])
+        carry_keys(cf, [(from_rendered(old), from_rendered(new))])
 
 
 def _overlap(p: CanonicalPath, q: CanonicalPath) -> bool:
@@ -234,12 +233,12 @@ def test_simultaneous_rewrite_matches_folding_one_pair_calls(keys, moves):
     try:
         folded = cf
         for pair in renames:
-            folded = rewrite_keys(folded, [pair])
+            folded = carry_keys(folded, [pair])
     except InvariantBroken:
         with pytest.raises(InvariantBroken):
-            rewrite_keys(cf, renames)
+            carry_keys(cf, renames)
         return
-    assert rewrite_keys(cf, renames) == folded
+    assert carry_keys(cf, renames) == folded
 
 
 @pytest.mark.parametrize(
@@ -249,8 +248,8 @@ def test_a_rotation_gives_the_same_file_in_either_order(a, b, c):
     a, b, c = from_rendered(a), from_rendered(b), from_rendered(c)
     inner = a.child("x.c", PathKind.FILE) if a.is_dir else a
     cf = CitationFile({ROOT: record("root"), a: record("a"), b: record("b"), inner: record("inner")})
-    forward = rewrite_keys(cf, [(a, b), (b, c)])
-    assert forward == rewrite_keys(cf, [(b, c), (a, b)])
+    forward = carry_keys(cf, [(a, b), (b, c)])
+    assert forward == carry_keys(cf, [(b, c), (a, b)])
     moved_inner = inner.rebased(a, b)
     assert forward == CitationFile({ROOT: record("root"), b: record("a"), c: record("b"), moved_inner: record("inner")})
 
@@ -259,13 +258,34 @@ def test_a_deep_file_rename_beats_its_renamed_directory():
     cf = CitationFile({ROOT: record("root"), **{from_rendered(k): record(k) for k in ("/d/", "/d/e/x.c", "/d/y.c")}})
     renames = [(from_rendered(o), from_rendered(n)) for o, n in
                [("/d/", "/m/"), ("/d/e/", "/m/f/"), ("/d/e/x.c", "/z.c")]]
-    assert [str(k) for k in rewrite_keys(cf, renames)] == ["/", "/m/", "/m/y.c", "/z.c"]
+    assert [str(k) for k in carry_keys(cf, renames)] == ["/", "/m/", "/m/y.c", "/z.c"]
 
 
 def test_prune_deleted_drops_covered_keys_and_keeps_the_root():
     cf = CitationFile({from_rendered(k): record(k) for k in ("/", "/a.c", "/a/", "/a/b/x.c", "/ab.c", "/keep/")})
-    pruned = prune_deleted(cf, [from_rendered("/a/"), from_rendered("/ab.c"), from_rendered("/ghost")])
+    pruned = carry_keys(cf, deleted=[from_rendered("/a/"), from_rendered("/ab.c"), from_rendered("/ghost")])
     assert [str(k) for k in pruned] == ["/", "/a.c", "/keep/"]
+
+
+@given(
+    st.lists(_path, max_size=10),
+    st.lists(_path, max_size=4, unique=True),
+    st.lists(_path, max_size=4),
+)
+def test_a_moved_key_is_never_dropped_and_an_unmoved_one_only_when_deleted(keys, olds, deleted):
+    # Every destination lies outside the keys' names, and no two share one,
+    # so no two keys can land on one path.
+    renames = [
+        (old, CanonicalPath((f"d{i}",), PathKind.DIRECTORY) if old.is_dir else CanonicalPath(("f", str(i)), PathKind.FILE))
+        for i, old in enumerate(olds)
+    ]
+    cf = CitationFile({ROOT: record("root"), **{key: record(str(key)) for key in keys}})
+    carried = carry_keys(cf, renames, deleted)
+    moved = {key for key in cf.keys() if any(old.covers(key) for old in olds)}
+    kept = {key for key in cf.keys() - moved if key.is_root or not any(d.covers(key) for d in deleted)}
+    origin = {record.owner: key for key, record in cf.items()}  # every key has its own record
+    assert sorted(origin[record.owner] for _, record in carried.items()) == sorted(moved | kept)
+    assert ROOT in kept and all(carried.get(key) == cf.get(key) for key in kept)
 
 
 class TestMergeCitationFiles:
