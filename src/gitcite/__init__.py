@@ -11,7 +11,6 @@ from .model import (
     CitationFile,
     CitationRecord,
     Inconsistency,
-    TreeSnapshot,
     resolve,
     resolve_from_entries,
     validate,
@@ -34,7 +33,6 @@ __all__ = [
     "Inconsistency",
     "PathKind",
     "ROOT",
-    "TreeSnapshot",
     "canonicalize",
     "choose_left",
     "choose_right",

@@ -25,7 +25,8 @@ from .errors import (
     NotARepository,
     NotCited,
 )
-from .model import RECORD_FIELDS, CitationFile, CitationRecord, resolve, resolve_from_entries, validate
+from .model import RECORD_FIELDS, REQUIRED_FIELDS, TEXT_FIELDS, CitationFile, CitationRecord
+from .model import resolve, resolve_from_entries, validate
 from .ops import (
     ConflictReport,
     apply_add,
@@ -47,7 +48,7 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports git writing to a closed pip
 _ENV_ERRORS = (
     IoFailure, NetworkFailure, HttpStatus, NotARepository, FileMissing, OSError, UnicodeDecodeError
 )
-_REGENERABLE = ("version_id", "date")
+_REGENERABLE = tuple(name for name in TEXT_FIELDS if name not in REQUIRED_FIELDS)  # drafted from the head commit
 
 
 def find_root(start: Path | None = None) -> Path:
@@ -108,7 +109,7 @@ def _build_record(template: CitationRecord, fields: list[tuple[str, str]], autho
     values = {name: getattr(template, name) for name in RECORD_FIELDS}
     values["extras"] = extras = dict(template.extras)
     for key, value in fields or []:
-        if key in ("owner", "repo_name", "locator", "version_id", "date"):
+        if key in TEXT_FIELDS:
             values[key] = value
         elif key in ("author_list", "authors"):
             raise ValueError("set authors with --authors, not --field")
@@ -167,14 +168,12 @@ def cmd_modify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.remote and args.version:
-        raise GitCiteError("--remote does not take --version")
-    if args.remote:
+    if args.remote is not None:
         cf = gitadapter.fetch_remote_citation_file(args.remote)
         hint = PathKind.DIRECTORY if args.path.endswith("/") else PathKind.FILE
         path = canonicalize(args.path, kind_hint=hint)
         record = resolve_from_entries(cf, path)
-    elif args.version:
+    elif args.version is not None:
         top = _git_top()
         tree = gitadapter.RevisionLookup(top, args.version)
         cf = gitadapter.citation_file_at_revision(top, args.version)
@@ -299,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="print the resolved citation of a path")
     p_gen.add_argument("path")
-    p_gen.add_argument("--version", help="resolve at a historical revision")
-    p_gen.add_argument("--remote", metavar="URL", help="resolve against a remote citation file")
+    source = p_gen.add_mutually_exclusive_group()
+    source.add_argument("--version", help="resolve at a historical revision")
+    source.add_argument("--remote", metavar="URL", help="resolve against a remote citation file")
     p_gen.add_argument("--format", choices=render.FORMATS, default="text")
     p_gen.set_defaults(func=cmd_gen)
 

@@ -13,23 +13,14 @@ import json
 from typing import Any
 
 from .errors import InvalidPath, MalformedDocument, MissingRoot
-from .model import CitationFile, CitationRecord
+from .model import RECORD_FIELDS, REQUIRED_FIELDS, TEXT_FIELDS, CitationFile, CitationRecord
 from .paths import ROOT, CanonicalPath, from_rendered
-
-_REQUIRED = ("owner", "repo_name", "locator")
-_OPTIONAL = ("version_id", "date")
 
 
 def record_to_obj(record: CitationRecord) -> dict[str, Any]:
-    return {
-        "owner": record.owner,
-        "repo_name": record.repo_name,
-        "locator": record.locator,
-        "version_id": record.version_id,
-        "date": record.date,
-        "author_list": list(record.author_list),
-        "extras": dict(record.extras),
-    }
+    obj = {name: getattr(record, name) for name in RECORD_FIELDS}
+    obj["author_list"], obj["extras"] = list(record.author_list), dict(record.extras)
+    return obj
 
 
 def record_from_obj(obj: Any, where: str = "record") -> CitationRecord:
@@ -48,8 +39,7 @@ def record_from_obj(obj: Any, where: str = "record") -> CitationRecord:
             raise MalformedDocument(f"{where}: {name!r} must be a string")
         return value
 
-    fields = {name: take_str(name, required=True) for name in _REQUIRED}
-    fields.update({name: take_str(name, required=False) for name in _OPTIONAL})
+    fields = {name: take_str(name, required=name in REQUIRED_FIELDS) for name in TEXT_FIELDS}
     authors = data.pop("author_list", [])
     if not isinstance(authors, list) or not all(isinstance(a, str) for a in authors):
         raise MalformedDocument(f"{where}: 'author_list' must be a list of strings")

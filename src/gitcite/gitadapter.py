@@ -50,7 +50,7 @@ from .ops import (
     carry_keys,
     merge_citation_files,
 )
-from .paths import CanonicalPath, PathKind
+from .paths import CanonicalPath, PathKind, Tree
 
 if TYPE_CHECKING:
     import subprocess
@@ -229,11 +229,10 @@ def default_root_citation(top: Path) -> CitationRecord:
     )
 
 
-class _PathLookup:
-    """``kind_of`` and ``contains`` of one version's tree, as
-    :class:`~gitcite.model.TreeSnapshot` answers them, worked out one path at
-    a time and memoized. A command that names one path pays for that path,
-    not for the size of the tree."""
+class _PathLookup(Tree):
+    """One version's :class:`~gitcite.paths.Tree`, its ``kind_of`` worked out
+    one path at a time and memoized. A command that names one path pays for
+    that path, not for the size of the tree."""
 
     def __init__(self) -> None:
         self._kinds: dict[Segments, PathKind | None] = {}
@@ -244,10 +243,6 @@ class _PathLookup:
         except KeyError:
             kind = self._kinds[segments] = self._lookup(segments)
             return kind
-
-    def contains(self, path: CanonicalPath) -> bool:
-        kind = self.kind_of(path.segments)
-        return kind is not None and (kind is PathKind.FILE) == path.is_file
 
     def _lookup(self, segments: Segments) -> PathKind | None:
         raise NotImplementedError
@@ -305,7 +300,7 @@ class RevisionLookup(_PathLookup):
 
     def _lookup(self, segments: Segments) -> PathKind | None:
         if not segments:
-            self._require_tree()
+            _require_tree(self._root, self._rev)
             return PathKind.DIRECTORY
         if segments == (citation_file_name(),):
             return None
@@ -315,7 +310,7 @@ class RevisionLookup(_PathLookup):
             self._rev, "--", path_text, check=False,
         )
         if proc.returncode != 0:
-            self._require_tree()
+            _require_tree(self._root, self._rev)
             raise IoFailure(f"git ls-tree {self._rev} failed: {proc.stderr.strip()}")
         for entry in proc.stdout.split("\0"):
             meta, _, name = entry.partition("\t")
@@ -323,17 +318,22 @@ class RevisionLookup(_PathLookup):
                 return PathKind.DIRECTORY if meta.split()[1] == "tree" else PathKind.FILE
         return None
 
-    def _require_tree(self) -> None:
-        if _git(self._root, "rev-parse", "--verify", "-q", f"{self._rev}^{{tree}}", check=False).returncode:
-            raise UnknownVersion(f"unknown revision {self._rev!r}")
+
+def _require_tree(root: Path | str, rev: str) -> None:
+    """Raise :class:`~gitcite.errors.UnknownVersion` unless git resolves ``rev`` to a tree."""
+    if _git(root, "rev-parse", "--verify", "-q", f"{rev}^{{tree}}", check=False).returncode:
+        raise UnknownVersion(f"unknown revision {rev!r}")
 
 
 def citation_file_at_revision(root: Path | str, rev: str) -> CitationFile:
+    """The citation file committed at ``rev``. Only when it is missing does
+    one more git call tell a revision that is not a tree apart
+    (:class:`~gitcite.errors.UnknownVersion`) from a tree without the file
+    (:class:`~gitcite.errors.FileMissing`)."""
     try:
         (text,) = _citation_texts_at(root, [rev])
     except FileMissing:
-        if _git(root, "rev-parse", "--verify", "-q", rev, check=False).returncode != 0:
-            raise UnknownVersion(f"unknown revision {rev!r}") from None
+        _require_tree(root, rev)
         raise
     return parse(text)
 

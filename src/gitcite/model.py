@@ -11,10 +11,13 @@ from __future__ import annotations
 from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import EditConflict, MissingRoot, PathNotInTree
-from .paths import ROOT, CanonicalPath, PathKind
+from .paths import ROOT, CanonicalPath, PathKind, Tree
 from .value import Value
 
-RECORD_FIELDS = ("owner", "repo_name", "locator", "version_id", "date", "author_list", "extras")
+# A record's fields in file order: five strings, the first three required, then the authors and extras.
+REQUIRED_FIELDS = ("owner", "repo_name", "locator")
+TEXT_FIELDS = (*REQUIRED_FIELDS, "version_id", "date")
+RECORD_FIELDS = (*TEXT_FIELDS, "author_list", "extras")
 
 # Inconsistency rules reported by validate().
 MISSING_ROOT = "missing_root"
@@ -38,7 +41,7 @@ class CitationRecord(Value):
         author_list: Iterable[str] = (), extras: Mapping[str, str] | None = None,
     ) -> None:
         if not (owner and repo_name and locator):
-            name = "owner" if not owner else "repo_name" if not repo_name else "locator"
+            name = next(name for name, value in zip(REQUIRED_FIELDS, (owner, repo_name, locator)) if not value)
             raise ValueError(f"{name} must be non-empty")
         extras = dict(sorted(extras.items())) if extras else {}
         for key, value in extras.items():
@@ -52,7 +55,7 @@ class CitationRecord(Value):
 Segments = tuple[str, ...]
 
 
-class TreeSnapshot(Value):
+class TreeSnapshot(Value, Tree):
     """An immutable snapshot of one version's directory tree.
 
     ``files`` maps each file's segments to an opaque content digest, and
@@ -94,9 +97,6 @@ class TreeSnapshot(Value):
         if segments in self.dirs:
             return PathKind.DIRECTORY
         return PathKind.FILE if segments in self.files else None
-
-    def contains(self, path: CanonicalPath) -> bool:
-        return path.segments in (self.dirs if path.is_dir else self.files)
 
     def digest_at(self, path: CanonicalPath) -> str:
         digest = self.files.get(path.segments) if path.is_file else None
@@ -239,14 +239,14 @@ def resolve_from_entries(cf: CitationFile, path: CanonicalPath) -> CitationRecor
     raise MissingRoot(f"no entry covers {path}; the root entry is required")
 
 
-def resolve(cf: CitationFile, tree: TreeSnapshot, path: CanonicalPath) -> CitationRecord:
+def resolve(cf: CitationFile, tree: Tree, path: CanonicalPath) -> CitationRecord:
     """Resolved citation of ``path``: its own entry, or its closest ancestor's."""
     if not tree.contains(path):
         raise PathNotInTree(path)
     return resolve_from_entries(cf, path)
 
 
-def validate(cf: CitationFile, tree: TreeSnapshot) -> list[Inconsistency]:
+def validate(cf: CitationFile, tree: Tree) -> list[Inconsistency]:
     """Report every way ``cf`` disagrees with ``tree``.
 
     Clean means: the root entry exists, every key names a node of the tree,

@@ -28,12 +28,12 @@ from .errors import (
     SubtreeMissing,
     UnresolvedConflict,
 )
-from .model import CitationFile, CitationRecord, TreeSnapshot, resolve
-from .paths import CanonicalPath
+from .model import CitationFile, CitationRecord, resolve
+from .paths import CanonicalPath, Tree
 from .value import Value
 
 
-def apply_add(cf: CitationFile, tree: TreeSnapshot, path: CanonicalPath, record: CitationRecord) -> CitationFile:
+def apply_add(cf: CitationFile, tree: Tree, path: CanonicalPath, record: CitationRecord) -> CitationFile:
     """Attach a citation to an uncited path that exists in the tree."""
     if not tree.contains(path):
         raise PathNotInTree(path)
@@ -113,9 +113,9 @@ def carry_keys(
 
 def apply_copy(
     cf: CitationFile,
-    tree: TreeSnapshot,
+    tree: Tree,
     src_cf: CitationFile,
-    src_tree: TreeSnapshot,
+    src_tree: Tree,
     src_subtree: CanonicalPath,
     dst_path: CanonicalPath,
 ) -> tuple[CitationFile, list[CanonicalPath]]:
@@ -149,30 +149,26 @@ def apply_copy(
 
 
 class ConflictReport(Value):
-    """Two branches cite the same key with different records. The one mutable
-    value: :meth:`mark_resolved` records the answer, so it has no hash."""
+    """Two branches cite the same key with different records, and the record
+    the merge kept: None while the conflict waits for the resolver."""
 
-    __slots__ = ("key", "left", "right", "resolution", "record")
-    __setattr__ = object.__setattr__
-    __hash__ = None  # type: ignore[assignment]
+    __slots__ = ("key", "left", "right", "record")
 
     def __init__(
-        self, key: CanonicalPath, left: CitationRecord, right: CitationRecord,
-        resolution: str = "pending",  # pending | chose_left | chose_right | replaced
-        record: CitationRecord | None = None,
+        self, key: CanonicalPath, left: CitationRecord, right: CitationRecord, record: CitationRecord | None = None
     ) -> None:
         if left == right:
             raise ValueError("a conflict needs two differing records")
-        self._init(key, left, right, resolution, record)
+        self._init(key, left, right, record)
 
-    def mark_resolved(self, record: CitationRecord) -> None:
-        self.record = record
-        if record == self.left:
-            self.resolution = "chose_left"
-        elif record == self.right:
-            self.resolution = "chose_right"
-        else:
-            self.resolution = "replaced"
+    @property
+    def resolution(self) -> str:
+        """``pending``, ``chose_left``, ``chose_right`` or ``replaced`` (by a record of neither side)."""
+        if self.record is None:
+            return "pending"
+        if self.record == self.left:
+            return "chose_left"
+        return "chose_right" if self.record == self.right else "replaced"
 
 
 Resolver = Callable[[ConflictReport], "CitationRecord | None"]
@@ -226,12 +222,11 @@ def merge_citation_files(
             if from_left is None or from_right is None:
                 record = from_right if from_left is None else from_left  # a modify outlives a delete
             else:
-                report = ConflictReport(key=key, left=from_left, right=from_right)
-                record = resolver(report) if resolver is not None else None
+                pending = ConflictReport(key, from_left, from_right)
+                record = resolver(pending) if resolver is not None else None
                 if record is None:
                     raise UnresolvedConflict(f"unresolved citation conflict at {key}")
-                report.mark_resolved(record)
-                conflicts.append(report)
+                conflicts.append(ConflictReport(key, from_left, from_right, record))
         if record is not None:
             merged[key] = record
     return CitationFile(merged), conflicts

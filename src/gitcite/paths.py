@@ -8,13 +8,10 @@ Equality, hashing, and ordering all follow the rendered form byte-for-byte.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .errors import InvalidPath, UnknownKind
 from .value import Value
-
-if TYPE_CHECKING:
-    from .model import TreeSnapshot
 
 
 class PathKind(enum.Enum):
@@ -127,11 +124,22 @@ class CanonicalPath(Value):
 ROOT = CanonicalPath((), PathKind.DIRECTORY)
 
 
-def canonicalize(
-    raw: str,
-    kind_hint: PathKind | None = None,
-    tree: "TreeSnapshot | None" = None,
-) -> CanonicalPath:
+class Tree:
+    """One version's tree as the citation operations read it: the kind of the
+    node at some segments, None when there is none. Every path operation
+    asks only this, whether the tree is held in memory or looked up in a
+    checkout or at a git revision one path at a time."""
+
+    __slots__ = ()
+
+    def kind_of(self, segments: tuple[str, ...]) -> PathKind | None:
+        raise NotImplementedError
+
+    def contains(self, path: CanonicalPath) -> bool:
+        return self.kind_of(path.segments) is path.kind
+
+
+def canonicalize(raw: str, kind_hint: PathKind | None = None, tree: Tree | None = None) -> CanonicalPath:
     """Parse ``raw`` (relative or root-anchored) into canonical form.
 
     "." components are dropped; traversal (".."), empty segments, and

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 import string
 
-from gitcite import CitationFile, CitationRecord, TreeSnapshot
+from gitcite import CitationFile, CitationRecord
+from gitcite.model import TreeSnapshot
 from gitcite.paths import ROOT, CanonicalPath, PathKind
 
 from reference_store import CiteEdit, Repository, TreeEdit

@@ -5,7 +5,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from gitcite import CitationFile, CitationRecord, TreeSnapshot
+from gitcite import CitationFile, CitationRecord
+from gitcite.model import TreeSnapshot
 from gitcite.gitadapter import citation_file_name
 from gitcite.paths import CanonicalPath, from_rendered
 

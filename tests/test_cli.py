@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 
 import gitcite
-from gitcite import CitationFile, TreeSnapshot, gitadapter
+from gitcite import CitationFile, gitadapter
 from gitcite.cli import main
 from gitcite.fileformat import record_from_obj, record_to_obj, serialize
 from gitcite.gitadapter import load_citation_file, store_citation_file
-from gitcite.model import resolve
+from gitcite.model import TreeSnapshot, resolve
 from gitcite.paths import ROOT, from_rendered
 
 from conftest import git
@@ -229,6 +229,34 @@ class TestGen:
         expected = resolve(load_citation_file(clone), snapshot_worktree(clone), from_rendered("/a.c"))
         assert record_from_obj(seen) == expected
 
+    def test_remote_with_version_is_a_usage_error(self, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        seed(root, {"a.c": "x"}, {})
+        monkeypatch.chdir(root)
+        with pytest.raises(SystemExit) as err:
+            main(["gen", "a.c", "--version", "HEAD", "--remote", "http://127.0.0.1:9/citation.cite"])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rev", ["", "HEAD:a.c", "blob"], ids=["empty", "path-at-revision", "blob-id"])
+    def test_a_version_that_is_not_a_tree_is_an_unknown_revision(self, git_repo, monkeypatch, capsys, rev):
+        root = git_repo()
+        seed(root, {"a.c": "x"}, {})
+        monkeypatch.chdir(root)
+        rev = git(root, "rev-parse", "HEAD:a.c").stdout.strip() if rev == "blob" else rev
+        assert main(["gen", "a.c", "--version", rev]) == 1
+        assert capsys.readouterr().err == f"gitcite: unknown revision {rev!r}\n"
+
+    def test_a_commit_without_the_citation_file_is_an_environment_error(self, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        (root / "a.c").write_text("x")
+        git(root, "add", "a.c")
+        git(root, "commit", "-q", "-m", "before the citation file")
+        seed(root, {}, {})
+        monkeypatch.chdir(root)
+        assert main(["gen", "a.c", "--version", "HEAD~1"]) == 3
+        assert capsys.readouterr().err == "gitcite: no citation.cite at revision 'HEAD~1'\n"
+
     def test_gen_remote(self, git_repo, monkeypatch, capsys, tmp_path):
         import http.server
         import threading
@@ -409,6 +437,29 @@ class TestMerge:
         monkeypatch.chdir(root)
         assert main(["merge", "side", "--theirs"]) == 0
         assert load_citation_file(root).get(from_rendered("/shared.c")) == record("theirs")
+
+    @pytest.mark.parametrize("flag, kept", [("--ours", "chose_left"), ("--theirs", "chose_right")])
+    def test_the_summary_names_each_conflict_with_the_side_kept(self, git_repo, monkeypatch, capsys, flag, kept):
+        root = build_conflicted_repo(git_repo)
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", flag]) == 0
+        assert capsys.readouterr().out == (
+            f"merged citation file has 2 entries; 1 conflicts resolved\n  /shared.c: {kept}\n"
+        )
+
+    def test_the_prompt_shows_both_sides_and_an_edit_is_reported_replaced(self, git_repo, monkeypatch, capsys):
+        root = build_conflicted_repo(git_repo)
+        monkeypatch.chdir(root)
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"e {json.dumps(record_to_obj(record('edited')))}\n"))
+        assert main(["merge", "side"]) == 0
+        assert capsys.readouterr().out == (
+            "conflict at /shared.c:\n"
+            "  ours:   owner-ours/repo-ours @ rev-ours (author-ours)\n"
+            "  theirs: owner-theirs/repo-theirs @ rev-theirs (author-theirs)\n"
+            "choose [o]urs / [t]heirs / [e]dit JSON / [q]uit: "
+            "merged citation file has 2 entries; 1 conflicts resolved\n"
+            "  /shared.c: replaced\n"
+        )
 
     def test_scripted_interactive_session_matches_the_reference_merge(self, git_repo, monkeypatch, capsys):
         root = build_conflicted_repo(git_repo)

@@ -15,11 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gitcite import TreeSnapshot, gitadapter
+from gitcite import gitadapter
 from gitcite.cli import main
 from gitcite.errors import UnknownVersion
 from gitcite.gitadapter import RevisionLookup, WorktreeLookup, store_citation_file
-from gitcite.model import CitationFile
+from gitcite.model import CitationFile, TreeSnapshot
 from gitcite.paths import PathKind
 
 from conftest import git, init_repo

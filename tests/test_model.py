@@ -5,9 +5,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from gitcite import CitationFile, CitationRecord, TreeSnapshot, resolve, validate
+from gitcite import CitationFile, CitationRecord, resolve, validate
 from gitcite.errors import EditConflict, MissingRoot, PathNotInTree
-from gitcite.model import DANGLING_KEY, KIND_MISMATCH, MISSING_ROOT, resolve_from_entries
+from gitcite.model import DANGLING_KEY, KIND_MISMATCH, MISSING_ROOT, TreeSnapshot, resolve_from_entries
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 
 import randgen

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import importlib
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -367,6 +368,26 @@ def test_the_package_imports_nothing_from_the_tests():
     for source in Path(gitcite.__file__).parent.glob("*.py"):
         imported = {name.split(".")[0] for name in _imported_modules(source)}
         assert not imported & {"reference_store", "support", "conftest", "randgen"}, source.name
+
+
+def _words(source: Path) -> set[str]:
+    """Every name ``source`` uses, binds, imports or reads as an attribute,
+    and every word of its string constants, docstrings included."""
+    words = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words.update(re.findall(r"\w+", node.value))
+        for field in ("id", "attr", "name"):  # a name, an attribute, an import or a definition
+            if isinstance(getattr(node, field, None), str):
+                words.add(getattr(node, field))
+    return words
+
+
+def test_only_the_model_names_the_tree_snapshot():
+    """Every other module takes the ``paths.Tree`` interface, so the
+    in-memory snapshot can leave the package without touching them."""
+    for source in Path(gitcite.__file__).parent.glob("*.py"):
+        assert ("TreeSnapshot" in _words(source)) == (source.name == "model.py"), source.name
 
 
 def test_the_reference_store_reimplements_no_citation_operation():

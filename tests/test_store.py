@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gitcite import CitationFile, TreeSnapshot, resolve, validate
+from gitcite import CitationFile, resolve, validate
 from gitcite.errors import (
     DestinationCollision,
     EditConflict,
@@ -13,8 +13,9 @@ from gitcite.errors import (
     UnknownVersion,
     UnresolvedConflict,
 )
+from gitcite.model import TreeSnapshot
 from gitcite.paths import ROOT, from_rendered
-from gitcite.ops import ConflictReport, choose_left
+from gitcite.ops import ConflictReport, choose_left, merge_citation_files
 
 import randgen
 from reference_store import (
@@ -324,14 +325,22 @@ class TestConflictReport:
             ConflictReport(ROOT, record("same"), record("same"))
 
     def test_resolution_classification(self):
-        report = ConflictReport(ROOT, record("l"), record("r"))
-        report.mark_resolved(record("l"))
-        assert report.resolution == "chose_left"
-        report.mark_resolved(record("r"))
-        assert report.resolution == "chose_right"
-        report.mark_resolved(record("fresh"))
-        assert report.resolution == "replaced"
-        assert report.record == record("fresh")
+        def resolution(kept):
+            return ConflictReport(ROOT, record("l"), record("r"), kept).resolution
+
+        assert resolution(None) == "pending"
+        assert resolution(record("l")) == "chose_left"
+        assert resolution(record("r")) == "chose_right"
+        assert resolution(record("fresh")) == "replaced"
+
+    def test_the_merge_reports_the_record_it_kept(self):
+        base = CitationFile.single(record("root"))
+        left, right = base.with_entry(ROOT, record("l")), base.with_entry(ROOT, record("r"))
+        seen = []
+        merged, (report,) = merge_citation_files(base, left, right, lambda r: seen.append(r) or record("fresh"))
+        assert seen == [ConflictReport(ROOT, record("l"), record("r"))]
+        assert report == ConflictReport(ROOT, record("l"), record("r"), record("fresh"))
+        assert merged.get(ROOT) == report.record
 
 
 class TestForkCite:

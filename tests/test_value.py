@@ -7,8 +7,8 @@ import pickle
 
 import pytest
 
-from gitcite import CitationFile, CitationRecord, Inconsistency, TreeSnapshot
-from gitcite.model import DANGLING_KEY
+from gitcite import CitationFile, CitationRecord, Inconsistency
+from gitcite.model import DANGLING_KEY, TreeSnapshot
 from gitcite.ops import ConflictReport
 from gitcite.paths import ROOT, from_rendered
 from gitcite.value import Value
@@ -25,10 +25,12 @@ FACTORIES = {
     "CiteEdit": lambda: CiteEdit(CiteEditKind.MODIFY, from_rendered("/a.c"), record("a")),
     "TreeEdit": lambda: TreeEdit(TreeEditKind.RENAME, from_rendered("/a/"), from_rendered("/b/")),
     "Version": lambda: Version("v1", (), tree("/a.c"), CitationFile.single(record("root")), 1),
+    "ConflictReport": lambda: ConflictReport(ROOT, record("l"), record("r"), record("m")),
 }
 # A field that holds a dict (a record's extras, a tree's file map) or a citation
-# file leaves a value with no hash, as it did when these were dataclasses.
-UNHASHABLE = {"CitationRecord", "CiteEdit", "TreeSnapshot", "Version"}
+# file leaves a value with no hash, as it did when these were dataclasses; so
+# does a record, whose extras are a dict.
+UNHASHABLE = {"CitationRecord", "CiteEdit", "ConflictReport", "TreeSnapshot", "Version"}
 
 
 def _twin(value: Value) -> Value:
@@ -86,12 +88,13 @@ def test_field_order_decides_equality():
     assert TreeSnapshot() == tree() and TreeSnapshot() != tree("/a.c")
 
 
-def test_a_conflict_report_is_the_one_mutable_value():
-    a = ConflictReport(ROOT, record("l"), record("r"))
-    b = ConflictReport(ROOT, record("l"), record("r"))
-    assert a == b
-    with pytest.raises(TypeError):
-        hash(a)
-    a.mark_resolved(record("l"))
-    assert a != b and a.resolution == "chose_left"
-    assert repr(a).startswith("ConflictReport(key=")
+def test_a_conflict_report_is_a_value_whose_resolution_follows_its_record():
+    pending = ConflictReport(ROOT, record("l"), record("r"))
+    resolved = ConflictReport(ROOT, record("l"), record("r"), record("l"))
+    assert pending == ConflictReport(ROOT, record("l"), record("r")) and pending != resolved
+    assert (pending.resolution, resolved.resolution) == ("pending", "chose_left")
+    with pytest.raises(AttributeError):
+        pending.record = record("l")
+    with pytest.raises(AttributeError):
+        resolved.resolution = "replaced"
+    assert pending.record is None and resolved.resolution == "chose_left"
