@@ -1,8 +1,10 @@
 """The gitcite command line: manage and resolve citations in a checkout.
 
-Exit codes: 0 success, 1 domain error, 2 usage error, 3 environment or I/O
-error, 130 interrupted (Ctrl-C), 141 stdout closed by its reader. ``gen``
-and ``validate`` never modify any file.
+Every command but ``gen --remote`` acts on one checkout: the git worktree
+holding the cwd, whose top :func:`find_root` finds, and the citation file at
+that top. Exit codes: 0 success, 1 domain error, 2 usage error, 3
+environment or I/O error, 130 interrupted (Ctrl-C), 141 stdout closed by its
+reader. ``gen`` and ``validate`` never modify any file.
 """
 
 from __future__ import annotations
@@ -51,23 +53,16 @@ _ENV_ERRORS = (
 _REGENERABLE = tuple(name for name in TEXT_FIELDS if name not in REQUIRED_FIELDS)  # drafted from the head commit
 
 
-def find_root(start: Path | None = None) -> Path:
-    """Nearest ancestor directory holding the citation file."""
-    current = (start or Path.cwd()).resolve()
-    for candidate in (current, *current.parents):
-        if (candidate / gitadapter.citation_file_name()).is_file():
+def find_root() -> Path:
+    """The top of the git worktree holding the cwd: the nearest ancestor with
+    a ``.git`` entry, the repository's directory or the file of a linked
+    worktree or submodule. No git command runs; ``GIT_DIR`` and
+    ``GIT_WORK_TREE`` are not consulted."""
+    cwd = Path.cwd().resolve()
+    for candidate in (cwd, *cwd.parents):
+        if (candidate / ".git").exists():
             return candidate
-    raise FileMissing(
-        f"no {gitadapter.citation_file_name()} here or in any parent; run 'gitcite init' first"
-    )
-
-
-def _git_top() -> Path:
-    """The top of the git worktree holding the cwd."""
-    top = gitadapter.git_toplevel(Path.cwd())
-    if top is None:
-        raise NotARepository(f"{Path.cwd()} is not inside a git repository")
-    return top
+    raise NotARepository(f"{cwd} is not inside a git repository")
 
 
 def _open_worktree(raw: str) -> tuple[Path, gitadapter.WorktreeLookup, CitationFile, CanonicalPath]:
@@ -123,12 +118,12 @@ def _build_record(template: CitationRecord, fields: list[tuple[str, str]], autho
 
 
 def cmd_init(args: argparse.Namespace) -> int:
-    top = _git_top()
-    target = gitadapter.citation_file_path(top)
+    root = find_root()
+    target = gitadapter.citation_file_path(root)
     if target.exists():
         raise AlreadyInitialized(f"{target} already exists")
-    record = gitadapter.default_root_citation(top)
-    gitadapter.store_citation_file(top, CitationFile.single(record))
+    record = gitadapter.default_root_citation(root)
+    gitadapter.store_citation_file(root, CitationFile.single(record))
     print(f"created {target}; edit the draft with 'gitcite modify .':")
     print(target.read_text(encoding="utf-8"), end="")
     return EXIT_OK
@@ -174,10 +169,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         path = canonicalize(args.path, kind_hint=hint)
         record = resolve_from_entries(cf, path)
     elif args.version is not None:
-        top = _git_top()
-        tree = gitadapter.RevisionLookup(top, args.version)
-        cf = gitadapter.citation_file_at_revision(top, args.version)
-        path = _repo_relative(top, args.path, tree=tree)
+        root = find_root()
+        tree = gitadapter.RevisionLookup(root, args.version)
+        cf = gitadapter.citation_file_at_revision(root, args.version)
+        path = _repo_relative(root, args.path, tree=tree)
         record = resolve(cf, tree, path)
     else:
         _, tree, cf, path = _open_worktree(args.path)
@@ -210,14 +205,14 @@ def _looks_remote(src: str) -> bool:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
-    top = _git_top()
+    root = find_root()
     if args.ours:
         resolver = choose_left
     elif args.theirs:
         resolver = choose_right
     else:
         resolver = _interactive_resolver()
-    merged, conflicts = gitadapter.run_merge(top, args.other_branch, resolver)
+    merged, conflicts = gitadapter.run_merge(root, args.other_branch, resolver)
     print(f"merged citation file has {len(merged)} entries; {len(conflicts)} conflicts resolved")
     for report in conflicts:
         print(f"  {report.key}: {report.resolution}")

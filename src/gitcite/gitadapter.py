@@ -1,9 +1,11 @@
 """Bind the citation model to real Git working trees.
 
-The citation file lives at the worktree root (``citation.cite`` unless the
-``GITCITE_FILE`` environment variable overrides the name) and is always
-written in canonical form. Git is driven as a subprocess; the commands used
-are listed in the README. The citation file is never merged by Git's own
+The citation file is ``citation.cite`` (:data:`CITATION_FILE`) at the top
+of the worktree, the directory every function here is given as its root
+(the command line finds it with :func:`gitcite.cli.find_root`). It is always
+written in canonical form. A file of that name below the top is an ordinary
+file of the cited tree. Git is driven as a subprocess; the commands used are
+listed in the README. The citation file is never merged by Git's own
 line-based rules: merges go through :func:`gitcite.ops.merge_citation_files`,
 and a branch merge is computed once, by ``git merge-tree``, whose tree is
 committed with plumbing (see :func:`run_merge`).
@@ -55,26 +57,15 @@ from .paths import CanonicalPath, PathKind, Tree
 if TYPE_CHECKING:
     import subprocess
 
-DEFAULT_CITATION_FILE = "citation.cite"
-CITATION_FILE_ENV = "GITCITE_FILE"
+CITATION_FILE = "citation.cite"
 
 Rename = tuple[CanonicalPath, CanonicalPath]
 TREE = "040000"  # the mode of a directory's entry in git's diff records
 BLOBS = ("100644", "100755", "120000")  # a file's or a symlink's; a submodule's is 160000
 
 
-def citation_file_name() -> str:
-    """The citation file's name at the worktree root. The override must be one
-    file name: a path would put the file outside the root or below it, where
-    lookups take it for a cited file and a merge cannot commit it."""
-    name = os.environ.get(CITATION_FILE_ENV) or DEFAULT_CITATION_FILE
-    if name in (".", "..") or "/" in name or "\\" in name:
-        raise IoFailure(f"{CITATION_FILE_ENV} must be a file name, not a path: {name!r}")
-    return name
-
-
 def citation_file_path(worktree_root: Path | str) -> Path:
-    return Path(worktree_root) / citation_file_name()
+    return Path(worktree_root) / CITATION_FILE
 
 
 def citation_file_text(worktree_root: Path | str) -> str:
@@ -82,7 +73,7 @@ def citation_file_text(worktree_root: Path | str) -> str:
     is missing or not UTF-8."""
     path = citation_file_path(worktree_root)
     if not path.is_file():
-        raise FileMissing(f"no {citation_file_name()} at {worktree_root}")
+        raise FileMissing(f"no {CITATION_FILE} at {worktree_root}; run 'gitcite init' there first")
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -119,7 +110,7 @@ def store_citation_file(worktree_root: Path | str, cf: CitationFile) -> None:
             temp.unlink(missing_ok=True)
             raise
     except OSError as exc:
-        raise IoFailure(f"cannot write {citation_file_name()}: {exc}") from exc
+        raise IoFailure(f"cannot write {CITATION_FILE}: {exc}") from exc
 
 
 def sync_on_commit(
@@ -181,13 +172,6 @@ def _git(root: Path | str, *args: str, check: bool = True, input: str | None = N
     if check and proc.returncode != 0:
         raise IoFailure(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
     return proc
-
-
-def git_toplevel(path: Path | str) -> Path | None:
-    proc = _git(path, "rev-parse", "--show-toplevel", check=False)
-    if proc.returncode != 0:
-        return None
-    return Path(proc.stdout.strip())
 
 
 _ORIGIN_RE = re.compile(r"[:/]([^/:]+)/([^/:]+?)(?:\.git)?/?$")
@@ -254,10 +238,10 @@ class WorktreeLookup(_PathLookup):
     Git never tracks a path component named ``.git``, so an entry of that
     name is not part of the cited tree, whatever its kind: the repository's
     directory, or the file that points a linked worktree at it. Nor is the
-    root's citation file. A symlink to a directory is left out, and nothing
-    is found through it; any other symlink, broken or not, counts as a file.
-    A path through a file or a missing entry has no kind. No git command
-    runs.
+    citation file at the top; one below it is an ordinary file. A symlink to
+    a directory is left out, and nothing is found through it; any other
+    symlink, broken or not, counts as a file. A path through a file or a
+    missing entry has no kind. No git command runs.
     """
 
     def __init__(self, worktree_root: Path | str) -> None:
@@ -281,7 +265,7 @@ class WorktreeLookup(_PathLookup):
             return PathKind.DIRECTORY
         if stat.S_ISLNK(mode) and os.path.isdir(full):
             return None
-        return None if segments == (citation_file_name(),) else PathKind.FILE
+        return None if segments == (CITATION_FILE,) else PathKind.FILE
 
 
 class RevisionLookup(_PathLookup):
@@ -290,8 +274,9 @@ class RevisionLookup(_PathLookup):
     The kind comes from the entry in its parent tree, so the object itself is
     never read: a submodule's commit lives in its own repository, not here.
     A tree is a directory; a blob (symlinks included) or a commit (a
-    submodule) is a file. The root's citation file is left out. A revision
-    git cannot resolve to a tree raises :class:`~gitcite.errors.UnknownVersion`.
+    submodule) is a file. The citation file at the top is left out. A
+    revision git cannot resolve to a tree raises
+    :class:`~gitcite.errors.UnknownVersion`.
     """
 
     def __init__(self, root: Path | str, rev: str) -> None:
@@ -302,7 +287,7 @@ class RevisionLookup(_PathLookup):
         if not segments:
             _require_tree(self._root, self._rev)
             return PathKind.DIRECTORY
-        if segments == (citation_file_name(),):
+        if segments == (CITATION_FILE,):
             return None
         path_text = "/".join(segments)
         proc = _git(
@@ -343,23 +328,22 @@ def _citation_texts_at(root: Path | str, revs: Sequence[str]) -> list[str]:
     cat-file --batch``. A revision without the file as a blob (or one that
     does not resolve) raises :class:`~gitcite.errors.FileMissing`; a file
     that is not UTF-8 raises :class:`~gitcite.errors.IoFailure`."""
-    name = citation_file_name()
     for rev in revs:
         if "\n" in rev:  # the query takes one name per line
-            raise FileMissing(f"no {name} at revision {rev!r}")
-    query = "".join(f"{rev}:{name}\n" for rev in revs)
+            raise FileMissing(f"no {CITATION_FILE} at revision {rev!r}")
+    query = "".join(f"{rev}:{CITATION_FILE}\n" for rev in revs)
     out = _git(root, "cat-file", "--batch", input=query).stdout.encode("utf-8", "surrogateescape")
     texts, pos = [], 0
     for rev in revs:  # each object is "<id> <type> <size>\n<content>\n", or "<name> missing\n"
         end = out.index(b"\n", pos)
         header = out[pos:end].split(b" ")
         if len(header) != 3 or header[1] != b"blob":
-            raise FileMissing(f"no {name} at revision {rev!r}")
+            raise FileMissing(f"no {CITATION_FILE} at revision {rev!r}")
         pos = end + 1 + int(header[2])
         try:  # a citation file must be UTF-8
             texts.append(out[end + 1 : pos].decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise IoFailure(f"cannot read {name} at revision {rev!r}: {exc}") from exc
+            raise IoFailure(f"cannot read {CITATION_FILE} at revision {rev!r}: {exc}") from exc
         pos += 1
     return texts
 
@@ -567,9 +551,8 @@ def run_merge(
     )
     if trial.returncode not in (0, 1):
         raise IoFailure(f"git merge-tree failed: {trial.stderr.strip()}")
-    name = citation_file_name()
     merged_tree, *conflicted = trial.stdout.split("\0")
-    conflicted = [p for p in conflicted if p and p != name]
+    conflicted = [p for p in conflicted if p and p != CITATION_FILE]
     if conflicted:
         raise EditConflict(f"merge refused: both branches changed {', '.join(conflicted)}")
     base_text, left_text, right_text = _citation_texts_at(root, [base_rev, head_rev, other_rev])
@@ -580,7 +563,7 @@ def run_merge(
 
     top_entries, mode = [], "100644"
     for entry in filter(None, _git(root, "ls-tree", "-z", merged_tree).stdout.split("\0")):
-        if entry.partition("\t")[2] == name:  # the text-merged citation file, replaced below
+        if entry.partition("\t")[2] == CITATION_FILE:  # the text-merged citation file, replaced below
             mode = "100755" if entry.startswith("100755 ") else mode
         else:
             top_entries.append(entry)
@@ -593,7 +576,7 @@ def run_merge(
     merged_cf = carry_keys(merged_cf, (), deleted)
 
     blob = _git(root, "hash-object", "-w", "--stdin", input=serialize(merged_cf)).stdout.strip()
-    top_entries.append(f"{mode} blob {blob}\t{name}")
+    top_entries.append(f"{mode} blob {blob}\t{CITATION_FILE}")
     tree = _git(root, "mktree", "-z", input="".join(f"{e}\0" for e in top_entries)).stdout.strip()
     sign = ["-S"] if settings.get("commit.gpgsign") == "true" else []
     commit = _git(
@@ -615,8 +598,11 @@ def run_copy(
 
     The citations migrate by :func:`gitcite.ops.apply_copy`, whose checks
     run before any file is copied on disk. Symlinks are copied as links, as
-    git carries them. If the copy or the citation write fails, the copied
-    directory is removed. Returns the new citation file and the added keys.
+    git carries them. Every entry named ``.git`` and the source top's
+    citation file stay behind; a ``citation.cite`` below the top is an
+    ordinary cited file and is copied. If the copy or the citation write
+    fails, the copied directory is removed. Returns the new citation file and
+    the added keys.
     """
     import shutil  # only copy walks a tree
 
@@ -632,13 +618,11 @@ def run_copy(
     dst_fs = root / Path(*dst_path.segments)
     if os.path.lexists(dst_fs):  # such as a directory symlink, which the cited tree leaves out
         raise DestinationCollision(f"{dst_path} already exists")
-    src_fs = src_root / Path(*src_subtree.segments) if src_subtree.segments else src_root
+    src_fs = src_root.joinpath(*src_subtree.segments)
 
     def ignore(directory: str, names: list[str]) -> set[str]:
-        ignored = {".git"}
-        if Path(directory) == src_fs:
-            ignored.add(citation_file_name())
-        return {n for n in names if n in ignored}
+        ignored = {".git", CITATION_FILE} if Path(directory) == src_root else {".git"}
+        return ignored.intersection(names)
 
     try:
         shutil.copytree(src_fs, dst_fs, symlinks=True, ignore=ignore)

@@ -53,7 +53,8 @@ def as_bibtex(record: CitationRecord) -> str:
     year = record.date[:4]
     if year.isdigit():
         fields.append(("year", year))
-    lines = [f"@software{{{_slug('-'.join(key_parts))},"]
+    key = _slug("-".join(key_parts)) or "software"  # BibTeX refuses an empty key
+    lines = [f"@software{{{key},"]
     lines.extend(f"  {name} = {{{value}}}," for name, value in fields)
     lines.append("}")
     return "\n".join(lines)

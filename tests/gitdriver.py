@@ -17,8 +17,8 @@ from gitcite import CitationFile, validate
 from gitcite.errors import EditConflict
 from gitcite.fileformat import parse, serialize
 from gitcite.gitadapter import (
+    CITATION_FILE,
     WorktreeLookup,
-    citation_file_name,
     load_citation_file,
     run_copy,
     run_merge,
@@ -62,7 +62,7 @@ class Project:
         )
 
     def disk_document(self) -> str:
-        return (self.root / citation_file_name()).read_text(encoding="utf-8")
+        return (self.root / CITATION_FILE).read_text(encoding="utf-8")
 
     def assert_agreement(self, version) -> None:
         disk = self.disk_document()

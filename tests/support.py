@@ -7,7 +7,7 @@ from pathlib import Path
 
 from gitcite import CitationFile, CitationRecord
 from gitcite.model import TreeSnapshot
-from gitcite.gitadapter import citation_file_name
+from gitcite.gitadapter import CITATION_FILE
 from gitcite.paths import CanonicalPath, from_rendered
 
 
@@ -58,7 +58,6 @@ def snapshot_worktree(worktree_root: Path | str) -> TreeSnapshot:
     snapshot does.
     """
     root = Path(worktree_root)
-    skip = citation_file_name()
     files: dict[tuple[str, ...], str] = {}
     dirs: list[tuple[str, ...]] = []
     for current, dirnames, filenames in os.walk(root):
@@ -67,6 +66,8 @@ def snapshot_worktree(worktree_root: Path | str) -> TreeSnapshot:
         parts = () if rel == Path(".") else rel.parts
         dirs.append(parts)
         files.update(
-            (parts + (filename,), "") for filename in filenames if filename != ".git" and (parts or filename != skip)
+            (parts + (filename,), "")
+            for filename in filenames
+            if filename != ".git" and (parts or filename != CITATION_FILE)
         )
     return TreeSnapshot.from_files(files, dirs)

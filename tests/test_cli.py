@@ -67,10 +67,11 @@ class TestInit:
         monkeypatch.chdir(tmp_path)
         assert main(["init"]) == 3
 
-    @pytest.mark.parametrize("origin, most", [("https://example.com/alice/proj.git", 3), (None, 4)],
+    @pytest.mark.parametrize("origin, most", [("https://example.com/alice/proj.git", 2), (None, 3)],
                              ids=["origin", "no-origin"])
     def test_init_runs_few_git_commands(self, git_repo, monkeypatch, origin, most):
-        # The top level, the origin URL, user.name only without an owner, one log.
+        # The origin URL, user.name only without an owner, one log. The top
+        # is found without git.
         root = git_repo(origin=origin)
         (root / "a.c").write_text("x")
         git(root, "add", "-A")
@@ -141,6 +142,46 @@ class TestEditCommands:
         assert main(["add", "a.c", "--field", "funding=NSF-1234"]) == 0
         assert load_citation_file(root).get(from_rendered("/a.c")).extras == {"funding": "NSF-1234"}
 
+    def test_a_path_outside_the_repository_is_refused(self, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        seed(root, {"a.c": "x"}, {})
+        (root.parent / "outside.c").write_text("o")
+        before = (root / "citation.cite").read_bytes()
+        monkeypatch.chdir(root)
+        assert main(["add", "../outside.c"]) == 1
+        assert "'../outside.c' is outside the repository" in capsys.readouterr().err
+        assert (root / "citation.cite").read_bytes() == before
+
+    def test_a_field_without_a_value_is_a_usage_error(self, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        seed(root, {"a.c": "x"}, {})
+        monkeypatch.chdir(root)
+        with pytest.raises(SystemExit) as err:
+            main(["add", "a.c", "--field", "novalue"])
+        assert err.value.code == 2
+        assert "expected KEY=VALUE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, hint", [("author_list=x", "with --authors"), ("extras=x", "as --field KEY=VALUE directly")]
+    )
+    def test_authors_and_extras_are_not_set_as_fields(self, git_repo, monkeypatch, capsys, field, hint):
+        root = git_repo()
+        seed(root, {"a.c": "x"}, {})
+        before = (root / "citation.cite").read_bytes()
+        monkeypatch.chdir(root)
+        assert main(["add", "a.c", "--field", field]) == 1
+        err = capsys.readouterr().err
+        assert hint in err and err.count("\n") == 1
+        assert (root / "citation.cite").read_bytes() == before
+
+    def test_modifying_a_derived_field_notes_where_it_comes_from(self, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        seed(root, {"a.c": "x"}, {"/a.c": "a"})
+        monkeypatch.chdir(root)
+        assert main(["modify", "a.c", "--field", "version_id=v9"]) == 0
+        assert "note: version_id is normally derived from repository metadata\n" in capsys.readouterr().out
+        assert load_citation_file(root).get(from_rendered("/a.c")).version_id == "v9"
+
 
 class TestGen:
     def test_gen_at_the_root(self, git_repo, monkeypatch, capsys):
@@ -176,6 +217,17 @@ class TestGen:
         assert out.startswith("@software{")
         assert f"title = {{{record('root').repo_name}}}" in out
         assert "year = {2021}" in out
+
+    def test_a_bibtex_key_with_no_ascii_letter_or_digit_falls_back(self, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        seed(root, {"a.c": "x"}, {})
+        monkeypatch.chdir(root)
+        assert main(["add", "a.c", "--field", "owner=张三", "--field", "repo_name=项目", "--field", "version_id="]) == 0
+        capsys.readouterr()
+        assert main(["gen", "a.c", "--format", "bibtex"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("@software{software,\n")
+        assert "title = {项目}" in out
 
     def test_dangling_symlink_in_the_worktree(self, git_repo, monkeypatch, capsys):
         root = git_repo()
@@ -487,6 +539,44 @@ class TestMerge:
         assert git(root, "status", "--porcelain").stdout == ""
         assert main(["gen", "shared.c"]) == 0
 
+    def test_answering_ours_at_the_prompt_keeps_the_current_branch_record(self, git_repo, monkeypatch, capsys):
+        root = build_conflicted_repo(git_repo)
+        monkeypatch.chdir(root)
+        monkeypatch.setattr("sys.stdin", io.StringIO("o\n"))
+        assert main(["merge", "side"]) == 0
+        assert capsys.readouterr().out.endswith("1 conflicts resolved\n  /shared.c: chose_left\n")
+        assert load_citation_file(root).get(from_rendered("/shared.c")) == record("ours")
+
+    def test_end_of_input_at_the_prompt_is_an_abort(self, git_repo, monkeypatch, capsys):
+        root = build_conflicted_repo(git_repo)
+        before = checkout_state(root)
+        monkeypatch.chdir(root)
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main(["merge", "side"]) == 1
+        assert capsys.readouterr().out.count("choose [o]urs") == 1
+        assert checkout_state(root) == before
+
+    def test_a_branch_that_shares_no_history_changes_nothing(self, git_repo, monkeypatch, capsys):
+        root = build_conflicted_repo(git_repo)
+        git(root, "checkout", "-q", "--orphan", "lone")
+        git(root, "commit", "-q", "-m", "no parent")
+        git(root, "checkout", "-q", "main")
+        before = checkout_state(root)
+        monkeypatch.chdir(root)
+        assert main(["merge", "lone", "--ours"]) == 1
+        assert capsys.readouterr().err == "gitcite: HEAD and 'lone' share no history\n"
+        assert checkout_state(root) == before
+
+    def test_merging_a_merged_branch_again_changes_nothing(self, git_repo, monkeypatch, capsys):
+        root = build_conflicted_repo(git_repo)
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == 0
+        before = checkout_state(root)
+        capsys.readouterr()
+        assert main(["merge", "side"]) == 0
+        assert capsys.readouterr().out == "merged citation file has 2 entries; 0 conflicts resolved\n"
+        assert checkout_state(root) == before
+
     @pytest.mark.parametrize(
         "script, prompts",
         [("e {}", 1), ("edit {}", 1), ("edit\n{}", 1), ("e\n{}", 1), ("edit {\"owner\": 1}\nedit {}", 2)],
@@ -504,11 +594,11 @@ class TestMerge:
         assert load_citation_file(root).get(from_rendered("/shared.c")) == edited
 
     def test_merge_runs_few_git_commands(self, git_repo, monkeypatch):
-        # The top level, one cat-file for both heads' commits and trees, the
-        # merge base, the config read, merge-tree (the one merge), one
-        # cat-file for the three citation files, the merged tree's root
-        # entries, one diff-tree for the paths each head lost, hash-object,
-        # mktree, commit-tree and the fast-forward. Nothing lists the whole
+        # One cat-file for both heads' commits and trees, the merge base, the
+        # config read, merge-tree (the one merge), one cat-file for the three
+        # citation files, the merged tree's root entries, one diff-tree for
+        # the paths each head lost, hash-object, mktree, commit-tree and the
+        # fast-forward. The top is found without git. Nothing lists the whole
         # tree or builds a snapshot of it.
         root = build_conflicted_repo(git_repo)
         calls = []
@@ -525,7 +615,7 @@ class TestMerge:
         monkeypatch.setattr(TreeSnapshot, "from_files", no_tree)
         monkeypatch.chdir(root)
         assert main(["merge", "side", "--ours"]) == 0
-        assert len(calls) <= 12, calls
+        assert len(calls) <= 11, calls
         assert [args[0] for args in calls].count("merge-tree") == 1, calls
         assert all({"--no-commit", "commit", "add", "ls-files", "show"}.isdisjoint(args) for args in calls), calls
         assert not [args for args in calls if args[0] == "ls-tree" and "-r" in args], calls
@@ -626,7 +716,8 @@ class TestMerge:
         assert main(["merge", "side", "--ours"]) == 1
         assert f"both branches changed {main_change[0]}" in capsys.readouterr().err
         assert checkout_state(root) == before  # and no MERGE_HEAD, as after every TestMerge test
-        assert "merge" not in [args[0] for args in calls] and len(calls) <= 7, calls
+        # The heads, the merge base, the config read and merge-tree; nothing after the refusal.
+        assert "merge" not in [args[0] for args in calls] and len(calls) <= 4, calls
 
     def test_a_merge_commits_neither_untracked_files_nor_unstaged_edits(self, git_repo, monkeypatch):
         root = git_repo("local-work")
@@ -872,23 +963,37 @@ class TestCliPlumbing:
         assert "gitcite.cli" in added
         assert not added & {"dataclasses", "inspect", "subprocess"}
 
+    @staticmethod
+    def _run_without_git(root: Path, argv: list[str]) -> str:
+        """Run ``gitcite argv`` at ``root`` in a new interpreter, which must
+        succeed without loading ``subprocess``, so without running git; its
+        stdout."""
+        script = (
+            "import sys; before = 'subprocess' in sys.modules; from gitcite.cli import main; "
+            f"code = main({argv!r}); print(before, 'subprocess' in sys.modules, file=sys.stderr); "
+            "sys.exit(code)"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True, text=True, env=_cli_env())
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stderr.split()
+        assert after == before  # loaded only if the interpreter had loaded it at start-up
+        return proc.stdout
+
     def test_gen_in_a_checkout_runs_no_git_and_never_loads_subprocess(self, git_repo):
         root = git_repo()
         seed(root, {"src/a.c": "a"}, {"/src/": "src"})
-        src = str(Path(gitcite.__file__).resolve().parent.parent)
-        script = (
-            "import sys; before = 'subprocess' in sys.modules; from gitcite.cli import main; "
-            "code = main(['gen', 'src/a.c']); print(before, 'subprocess' in sys.modules, file=sys.stderr); "
-            "sys.exit(code)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], cwd=root, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert record("src").owner in proc.stdout
-        before, after = proc.stderr.split()
-        assert after == before  # loaded only if the interpreter had loaded it at start-up
+        assert record("src").owner in self._run_without_git(root, ["gen", "src/a.c"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["add", "a.c", "--field", "owner=X"], ["modify", ".", "--field", "owner=X"], ["del", "."], ["validate"]],
+        ids=["add", "modify", "del", "validate"],
+    )
+    def test_edits_and_validate_in_a_checkout_run_no_git_and_never_load_subprocess(self, git_repo, argv):
+        # Run from src/, so the walk up to the top is covered too.
+        root = git_repo()
+        seed(root, {"src/a.c": "a"}, {"/src/": "src"})
+        self._run_without_git(root / "src", argv)
 
     def test_importing_the_cli_leaves_urllib_unloaded(self):
         # Only ``gen --remote`` needs urllib.request, which drags in ssl and http.client.
@@ -979,33 +1084,86 @@ class TestCliPlumbing:
         assert (root / "citation.cite").stat().st_mode & 0o777 == 0o640
         assert load_citation_file(root).get(from_rendered("/a.c")).owner == "X"
 
-    def test_citation_file_name_override(self, git_repo, monkeypatch):
-        root = git_repo(origin="https://example.com/alice/proj.git")
-        (root / "a.c").write_text("x")
-        git(root, "add", "-A")
-        git(root, "commit", "-q", "-m", "first")
-        monkeypatch.setenv("GITCITE_FILE", "CITATION.json")
-        monkeypatch.chdir(root)
-        assert main(["init"]) == 0
-        assert (root / "CITATION.json").is_file()
-        assert not (root / "citation.cite").exists()
-        assert main(["gen", "."]) == 0
+
+class TestTheCheckoutTop:
+    """The citation file is ``citation.cite`` at the top of the git worktree
+    holding the cwd. A file of that name below the top is an ordinary cited
+    file, and outside a checkout no command but ``gen --remote`` runs."""
+
+    NESTED = "not a citation file"
+
+    def nested(self, git_repo, name: str = "repo") -> Path:
+        root = git_repo(name)
+        seed(root, {"core/a.c": "a", "core/citation.cite": self.NESTED}, {"/core/citation.cite": "nested"})
+        return root
+
+    def test_a_nested_citation_file_is_cited_not_read(self, git_repo, monkeypatch, capsys):
+        root = self.nested(git_repo)
+        monkeypatch.chdir(root / "core")
+        assert main(["gen", "a.c", "--format", "json"]) == 0
+        in_worktree = capsys.readouterr().out
+        assert record_from_obj(json.loads(in_worktree)) == record("root")
+        assert main(["gen", "a.c", "--format", "json", "--version", "HEAD"]) == 0
+        assert capsys.readouterr().out == in_worktree
+        assert main(["gen", "citation.cite", "--format", "json"]) == 0
+        assert record_from_obj(json.loads(capsys.readouterr().out)) == record("nested")
+        assert main(["add", "a.c", "--field", "owner=X"]) == 0
+        assert load_citation_file(root).get(from_rendered("/core/a.c")).owner == "X"
+        assert (root / "core" / "citation.cite").read_text() == self.NESTED
+        assert main(["validate"]) == 0
+
+    def test_copy_keeps_a_nested_citation_file_and_leaves_the_top_one(self, git_repo, monkeypatch):
+        src = self.nested(git_repo, "src")
+        dst = git_repo("dst")
+        seed(dst, {"app.c": "a"}, {})
+        monkeypatch.chdir(dst)
+        assert main(["copy", "../src", "core/", "third/"]) == 0
+        assert (dst / "third" / "citation.cite").read_text() == self.NESTED
+        assert load_citation_file(dst).get(from_rendered("/third/citation.cite")) == record("nested")
+        assert main(["copy", str(src), "/", "whole/"]) == 0
+        assert not (dst / "whole" / "citation.cite").exists()
+        assert (dst / "whole" / "core" / "citation.cite").read_text() == self.NESTED
+        assert main(["validate"]) == 0
+
+    def test_a_subdirectory_of_a_linked_worktree(self, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        seed(root, {"sub/a.c": "a"}, {"/sub/": "sub"})
+        linked = root.parent / "linked"
+        git(root, "worktree", "add", "-q", str(linked))
+        monkeypatch.chdir(linked / "sub")
+        for version in ([], ["--version", "HEAD"]):
+            assert main(["gen", "a.c", "--format", "json", *version]) == 0
+            assert record_from_obj(json.loads(capsys.readouterr().out)) == record("sub")
+        assert main(["add", "a.c", "--field", "owner=X"]) == 0
+        assert load_citation_file(linked).get(from_rendered("/sub/a.c")).owner == "X"
+        assert load_citation_file(root).get(from_rendered("/sub/a.c")) is None
+        assert main(["validate"]) == 0
 
     @pytest.mark.parametrize(
-        "name, target", [("../outside.cite", "."), ("docs/c.cite", "docs/c.cite")], ids=["outside", "below"]
+        "argv",
+        [["gen", "."], ["gen", ".", "--version", "HEAD"], ["add", "a.c"], ["validate"], ["init"], ["merge", "side"],
+         ["copy", "../elsewhere", "/", "new/"]],
+        ids=["gen", "gen-version", "add", "validate", "init", "merge", "copy"],
     )
-    def test_citation_file_name_override_must_be_a_file_name(self, git_repo, monkeypatch, capsys, name, target):
+    def test_outside_a_checkout_even_a_citation_file_is_not_read(self, tmp_path, monkeypatch, capsys, argv):
+        store_citation_file(tmp_path, CitationFile.single(record("root")))
+        (tmp_path / "a.c").write_text("a")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"gitcite: {tmp_path.resolve()} is not inside a git repository\n"
+
+    def test_gen_remote_reads_a_file_url_outside_a_checkout(self, tmp_path, monkeypatch, capsys):
+        store_citation_file(tmp_path, CitationFile({ROOT: record("root"), from_rendered("/lib/"): record("lib")}))
+        monkeypatch.chdir(tmp_path)
+        url = (tmp_path / "citation.cite").as_uri()
+        assert main(["gen", "lib/x.c", "--remote", url, "--format", "json"]) == 0
+        assert record_from_obj(json.loads(capsys.readouterr().out)) == record("lib")
+
+    def test_a_checkout_without_the_citation_file_names_the_file_and_the_top(self, git_repo, monkeypatch, capsys):
         root = git_repo()
-        (root / "docs").mkdir()
-        (root / "docs" / "a.c").write_text("x")
-        git(root, "add", "-A")
-        git(root, "commit", "-q", "-m", "first")
-        monkeypatch.setenv("GITCITE_FILE", name)
-        monkeypatch.chdir(root)
-        assert main(["init"]) == 3
-        assert "GITCITE_FILE" in self._assert_one_line_error(capsys)
-        assert not list(root.parent.rglob("*.cite"))
-        # Even a file put there by hand is not read.
-        (root / name).write_text(serialize(CitationFile.single(record("root"))), encoding="utf-8")
-        assert main(["gen", target]) == 3
-        assert "GITCITE_FILE" in self._assert_one_line_error(capsys)
+        (root / "sub").mkdir()
+        monkeypatch.chdir(root / "sub")
+        assert main(["gen", "."]) == 3
+        assert capsys.readouterr().err == (
+            f"gitcite: no citation.cite at {root.resolve()}; run 'gitcite init' there first\n"
+        )

@@ -35,7 +35,7 @@ from gitcite.gitadapter import (
 from gitcite.ops import choose_left, choose_right, merge_citation_files
 from gitcite.paths import ROOT, PathKind, from_rendered
 
-from conftest import git
+from conftest import git, init_repo
 from reference_store import CiteEdit, Repository, TreeEdit
 from support import record, snapshot_worktree, tree
 
@@ -96,13 +96,6 @@ class TestLoadStore:
         with pytest.raises(MalformedDocument):
             load_citation_file(tmp_path)
 
-    def test_env_var_overrides_the_name(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GITCITE_FILE", "CITATION.json")
-        cf = CitationFile.single(record("r"))
-        store_citation_file(tmp_path, cf)
-        assert (tmp_path / "CITATION.json").is_file()
-        assert load_citation_file(tmp_path) == cf
-
     def test_unwritable_target_is_an_io_failure(self, tmp_path):
         from gitcite.errors import IoFailure
 
@@ -111,6 +104,7 @@ class TestLoadStore:
             store_citation_file(tmp_path, CitationFile.single(record("r")))
 
     def test_hand_edited_file_warns_but_loads(self, tmp_path, monkeypatch, capsys):
+        init_repo(tmp_path)
         cf = CitationFile.single(record("r"))
         store_citation_file(tmp_path, cf)
         text = (tmp_path / "citation.cite").read_text()

@@ -390,6 +390,19 @@ def test_only_the_model_names_the_tree_snapshot():
         assert ("TreeSnapshot" in _words(source)) == (source.name == "model.py"), source.name
 
 
+def test_the_package_reads_no_environment_and_asks_git_for_no_top():
+    """The citation file is ``citation.cite`` at the top ``cli.find_root``
+    walks to, so no environment variable and no ``rev-parse
+    --show-toplevel`` can choose another."""
+    for source in Path(gitcite.__file__).parent.glob("*.py"):
+        assert not {"os.environ", "os.environb", "os.getenv"} & _imported_modules(source), source.name
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                assert node.attr not in ("environ", "environb", "getenv"), source.name
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert "--show-toplevel" not in node.value, source.name
+
+
 def test_the_reference_store_reimplements_no_citation_operation():
     """The oracle takes every citation operation from ops, so a second copy of
     one cannot grow beside it and agree with it by construction."""
