@@ -249,7 +249,7 @@ def _interactive_resolver():
 def cmd_validate(args: argparse.Namespace) -> int:
     root = find_root()
     text = gitadapter.citation_file_text(root)
-    cf = fileformat.parse(text, require_root=False)
+    cf = gitadapter.parse_citation_text(text, require_root=False)
     if fileformat.serialize(cf) != text:
         path = gitadapter.citation_file_path(root)
         print(f"{path} is not in canonical form; was it edited by hand?", file=sys.stderr)

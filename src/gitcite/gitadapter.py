@@ -38,7 +38,9 @@ from .errors import (
     HttpStatus,
     InvalidPath,
     IoFailure,
+    MalformedDocument,
     MissingMetadata,
+    MissingRoot,
     NetworkFailure,
     NoCommonAncestor,
     UnknownVersion,
@@ -80,13 +82,23 @@ def citation_file_text(worktree_root: Path | str) -> str:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
+def parse_citation_text(text: str, rev: str | None = None, *, require_root: bool = True) -> CitationFile:
+    """Parse the text of the worktree's citation file, or of the one at
+    ``rev``. A malformed document's error names the file, and the revision."""
+    try:
+        return parse(text, require_root)
+    except (MalformedDocument, MissingRoot) as exc:
+        where = CITATION_FILE if rev is None else f"{CITATION_FILE} at revision {rev!r}"
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def load_citation_file(worktree_root: Path | str) -> CitationFile:
     """Parse the worktree's citation file.
 
     A document that parses but is not in canonical form is accepted as it
     is; ``gitcite validate`` is the command that warns about it.
     """
-    return parse(citation_file_text(worktree_root))
+    return parse_citation_text(citation_file_text(worktree_root))
 
 
 def store_citation_file(worktree_root: Path | str, cf: CitationFile) -> None:
@@ -320,7 +332,7 @@ def citation_file_at_revision(root: Path | str, rev: str) -> CitationFile:
     except FileMissing:
         _require_tree(root, rev)
         raise
-    return parse(text)
+    return parse_citation_text(text, rev)
 
 
 def _citation_texts_at(root: Path | str, revs: Sequence[str]) -> list[str]:
@@ -556,9 +568,12 @@ def run_merge(
     if conflicted:
         raise EditConflict(f"merge refused: both branches changed {', '.join(conflicted)}")
     base_text, left_text, right_text = _citation_texts_at(root, [base_rev, head_rev, other_rev])
-    base_cf, left_cf, right_cf = parse(base_text), parse(left_text), parse(right_text)
+    base_cf, left_cf, right_cf = (
+        parse_citation_text(text, rev)
+        for text, rev in zip((base_text, left_text, right_text), (base_rev, "HEAD", other))
+    )
     worktree_text = citation_file_text(root)
-    if worktree_text != left_text and parse(worktree_text) != left_cf:
+    if worktree_text != left_text and parse_citation_text(worktree_text) != left_cf:
         raise IoFailure(f"{citation_file_path(root)} has uncommitted changes; commit or discard them first")
 
     top_entries, mode = [], "100644"

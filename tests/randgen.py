@@ -1,4 +1,4 @@
-"""Seeded random generators for trees, citation files, and edit sequences."""
+"""Seeded random generators for names, records, trees and citation files."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ import string
 from gitcite import CitationFile, CitationRecord
 from gitcite.model import TreeSnapshot
 from gitcite.paths import ROOT, CanonicalPath, PathKind
-
-from reference_store import CiteEdit, Repository, TreeEdit
 
 _NAMES = string.ascii_lowercase
 
@@ -69,71 +67,3 @@ def rand_citation_file(rng: random.Random, tree: TreeSnapshot, density: float = 
 
 def rand_node(rng: random.Random, tree: TreeSnapshot) -> CanonicalPath:
     return rng.choice(tree.paths())
-
-
-def rand_tree_edits(rng: random.Random, tree: TreeSnapshot, count: int) -> list[TreeEdit]:
-    """Valid structural edits against ``tree``, applied in order."""
-    edits: list[TreeEdit] = []
-    used = {p.name for p in tree.paths()}
-    current = tree
-    for _ in range(count):
-        kind = rng.random()
-        dirs = [p for p in current.paths() if p.is_dir]
-        files = current.file_paths()
-        if kind < 0.45 or not files:
-            parent = rng.choice(dirs)
-            edit = TreeEdit.create(parent.child(rand_name(rng, used), PathKind.FILE), digest=f"d{rng.randrange(10**6)}")
-        elif kind < 0.6:
-            edit = TreeEdit.modify(rng.choice(files), digest=f"d{rng.randrange(10**6)}")
-        elif kind < 0.8:
-            victims = [p for p in current.paths() if not p.is_root]
-            if not victims:
-                continue
-            edit = TreeEdit.delete(rng.choice(victims))
-        else:
-            movable = [p for p in current.paths() if not p.is_root]
-            if not movable:
-                continue
-            source = rng.choice(movable)
-            homes = [d for d in dirs if not (source.is_dir and (d == source or d.is_within(source)))]
-            if not homes:
-                continue
-            target = rng.choice(homes).child(rand_name(rng, used), source.kind)
-            edit = TreeEdit.rename(source, target)
-        try:
-            current = _apply(current, edit)
-        except Exception:
-            continue
-        edits.append(edit)
-    return edits
-
-
-def _apply(tree: TreeSnapshot, edit: TreeEdit):
-    from reference_store import _apply_tree_edit
-
-    return _apply_tree_edit(tree, edit)
-
-
-def rand_cite_edits(rng: random.Random, repo: Repository, branch: str, count: int) -> list[CiteEdit]:
-    """Citation edits valid against the branch head (before any tree edits)."""
-    head = repo.head(branch)
-    entries = head.cf.as_dict()
-    edits: list[CiteEdit] = []
-    for _ in range(count):
-        roll = rng.random()
-        cited = [p for p in entries if not p.is_root]
-        uncited = [p for p in head.tree.paths() if p not in entries]
-        if roll < 0.5 and uncited:
-            path = rng.choice(uncited)
-            edit = CiteEdit.add(path, rand_record(rng))
-            entries[path] = edit.record
-        elif roll < 0.75 and cited:
-            path = rng.choice(cited)
-            edit = CiteEdit.delete(path)
-            del entries[path]
-        else:
-            path = rng.choice(list(entries))
-            edit = CiteEdit.modify(path, rand_record(rng))
-            entries[path] = edit.record
-        edits.append(edit)
-    return edits

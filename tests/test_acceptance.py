@@ -12,20 +12,30 @@ import time
 
 import pytest
 
-from gitcite import CitationFile, resolve, validate
-from gitcite.errors import EditConflict
+from gitcite import CitationFile, resolve, resolve_from_entries, validate
 from gitcite.fileformat import parse, serialize
-from gitcite.ops import choose_left
-from gitcite.paths import ROOT, from_rendered
+from gitcite.model import TreeSnapshot
+from gitcite.ops import apply_add, apply_copy, apply_delete, apply_modify, carry_keys, merge_citation_files
+from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 
 import randgen
 from gitdriver import run_scenario
-from reference_store import CiteEdit, Repository, TreeEdit, copy_cite, fork_cite, gen_cite
+from identity_model import Model, citation_file, resolved
 from scenarios import SCENARIOS
-from support import record, resolve_by_walking, tree
+from support import record, resolve_by_walking
+
 
 def _ok(label: str) -> None:
     print(f"[PASS] {label}")
+
+
+def _model(root_record, *files: str) -> Model:
+    """A model whose first commit holds ``files``."""
+    model = Model(root_record)
+    for rendered in files:
+        model.write(from_rendered(rendered), rendered)
+    model.commit()
+    return model
 
 
 def test_version_history_replay_for_copy_and_merge():
@@ -33,30 +43,34 @@ def test_version_history_replay_for_copy_and_merge():
     started = time.perf_counter()
     c1, c2 = record("c1"), record("c2")
     c3, c4 = record("c3"), record("c4")
-    f1 = from_rendered("/f1")
+    f1, green, f2 = from_rendered("/f1"), from_rendered("/green/"), from_rendered("/green/f2")
 
-    p1 = Repository.create("p1", c1, tree=tree("/f1", "/d/f3"))
-    v1 = p1.head("main")
-    assert resolve(v1.cf, v1.tree, f1) == c1
+    p1 = _model(c1, "/f1", "/d/f3")
+    assert resolved(p1.work, f1) == c1
 
-    p1.add_branch("feature", v1.id)
-    v2 = p1.commit("main", cite_edits=[CiteEdit.add(f1, c2)])
-    assert resolve(v2.cf, v2.tree, f1) == c2
+    p1.add_branch("feature")
+    p1.checkout("main")
+    p1.cite(f1, c2)
+    p1.commit()
+    assert resolved(p1.work, f1) == c2
+    on_main = citation_file(p1.work)
 
-    p2 = Repository.create("p2", c3, tree=tree("/green/f2", "/green/inner/h"))
-    v3 = p2.commit("main", cite_edits=[CiteEdit.add(from_rendered("/green/"), c4)])
-    f2_at_source = from_rendered("/green/f2")
-    assert resolve(v3.cf, v3.tree, f2_at_source) == c4
+    p2 = _model(c3, "/green/f2", "/green/inner/h")
+    p2.cite(green, c4)
+    p2.commit()
+    assert resolved(p2.work, f2) == c4
 
-    v4 = copy_cite(p2, v3.id, from_rendered("/green/"), p1, "feature", from_rendered("/green/"))
-    f2_at_destination = from_rendered("/green/f2")
-    assert resolve(v4.cf, v4.tree, f2_at_destination) == c4
-    assert v4.cf.get(from_rendered("/green/")) == c4  # destination root explicitly cited
+    p1.checkout("feature")
+    p1.copy(p2.work, green, green)
+    p1.commit()
+    assert resolved(p1.work, f2) == c4
+    on_feature = citation_file(p1.work)
+    assert on_feature.get(green) == c4  # destination root explicitly cited
 
-    v5, conflicts = p1.merge("main", "feature")
-    assert conflicts == []
-    assert v5.cf == CitationFile({**v2.cf.as_dict(), **v4.cf.as_dict()})
-    assert resolve(v5.cf, v5.tree, f1) == c2
+    p1.checkout("main")
+    assert p1.merge("feature") == []
+    assert citation_file(p1.work) == CitationFile({**on_main.as_dict(), **on_feature.as_dict()})
+    assert resolved(p1.work, f1) == c2
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"replay took {elapsed:.2f}s"
@@ -70,24 +84,22 @@ def test_component_import_and_branch_attribution():
     carlos = record("carlos", owner="Carlos", author_list=("Carlos",))
     alice = record("alice", owner="Bob", author_list=("Alice",))
 
-    carol_repo = Repository.create("c", carlos, tree=tree("/rewrite.c", "/views.c"))
-    b = Repository.create("b", bob, tree=tree("/app/main.c", "/README"))
+    carol_repo = _model(carlos, "/rewrite.c", "/views.c")
+    b = _model(bob, "/app/main.c", "/README")
+    b.copy(carol_repo.work, ROOT, from_rendered("/CC/"))
+    b.commit()
 
-    copy_cite(carol_repo, carol_repo.head_id("main"), ROOT, b, "main", from_rendered("/CC/"))
+    b.add_branch("alice-gui")
+    b.write(from_rendered("/gui/view.c"), "v1")
+    b.commit()
+    b.cite(from_rendered("/gui/"), alice)
+    b.commit()
+    b.checkout("main")
+    assert b.merge("alice-gui") == []  # a fast-forward
 
-    b.add_branch("alice-gui", b.head_id("main"))
-    b.commit("alice-gui", [TreeEdit.create(from_rendered("/gui/view.c"), "v1")])
-    b.commit("alice-gui", cite_edits=[CiteEdit.add(from_rendered("/gui/"), alice)])
-    _, conflicts = b.merge("main", "alice-gui")
-    assert conflicts == []
-
-    head = b.head_id("main")
-    assert gen_cite(b, head, ROOT) == bob
-    assert gen_cite(b, head, from_rendered("/CC/")) == carlos
-    assert gen_cite(b, head, from_rendered("/CC/rewrite.c")) == carlos
-    assert gen_cite(b, head, from_rendered("/gui/")) == alice
-    assert gen_cite(b, head, from_rendered("/gui/view.c")) == alice
-    assert gen_cite(b, head, from_rendered("/app/main.c")) == bob
+    expected = {"/": bob, "/CC/": carlos, "/CC/rewrite.c": carlos, "/gui/": alice, "/gui/view.c": alice,
+                "/app/main.c": bob}
+    assert {path: resolved(b.work, from_rendered(path)) for path in expected} == expected
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"replay took {elapsed:.2f}s"
@@ -114,30 +126,35 @@ def test_copy_preserves_resolution():
     for i in range(500):
         rng = random.Random(5000 + i)
         src_tree = randgen.rand_tree(rng, max_nodes=25)
-        src = Repository.create("src", randgen.rand_record(rng), tree=src_tree)
-        src.commit(
-            "main",
-            cite_edits=[
-                CiteEdit.add(p, r)
-                for p, r in randgen.rand_citation_file(rng, src_tree, density=0.35).items()
-                if not p.is_root
-            ],
-        )
-        subtree = rng.choice([p for p in src.head("main").tree.paths() if p.is_dir])
-        dst = Repository.create("dst", randgen.rand_record(rng), tree=randgen.rand_tree(rng, 8))
+        src_cf = randgen.rand_citation_file(rng, src_tree, density=0.35)
+        subtree = rng.choice([p for p in src_tree.paths() if p.is_dir])
+        dst_tree = randgen.rand_tree(rng, max_nodes=8)
+        dst_cf = randgen.rand_citation_file(rng, dst_tree)
         target = from_rendered(f"/import{i}/")
-        version = copy_cite(src, src.head_id("main"), subtree, dst, "main", target)
-        src_head = src.head("main")
-        for node in src_head.tree.paths():
-            if not node.is_within(subtree):
-                continue
-            moved = node.rebased(subtree, target)
-            assert resolve(version.cf, version.tree, moved) == resolve(
-                src_head.cf, src_head.tree, node
-            )
+        cf, _ = apply_copy(dst_cf, dst_tree, src_cf, src_tree, subtree, target)
+        for node in src_tree.paths():
+            if node.is_within(subtree):
+                moved = node.rebased(subtree, target)
+                assert resolve_from_entries(cf, moved) == resolve(src_cf, src_tree, node)
+        assert CitationFile((k, v) for k, v in cf.items() if not k.is_within(target)) == dst_cf
         checked += 1
     assert checked == 500
     _ok("copy preserved resolution for every node in 500/500 random copies")
+
+
+def _edited(rng: random.Random, cf: CitationFile, tree: TreeSnapshot, count: int) -> CitationFile:
+    """``cf`` after ``count`` random checked adds, deletes and modifies."""
+    for _ in range(count):
+        roll = rng.random()
+        uncited = [p for p in tree.paths() if p not in cf]
+        cited = [p for p in cf if not p.is_root]
+        if roll < 0.4 and uncited:
+            cf = apply_add(cf, tree, rng.choice(uncited), randgen.rand_record(rng))
+        elif roll < 0.7 and cited:
+            cf = apply_delete(cf, rng.choice(cited))
+        else:
+            cf = apply_modify(cf, rng.choice(list(cf)), randgen.rand_record(rng))
+    return cf
 
 
 def _expected_conflict_keys(base: CitationFile, left: CitationFile, right: CitationFile) -> set[str]:
@@ -159,60 +176,17 @@ def _expected_merge_record(base: CitationFile, left: CitationFile, right: Citati
         return l  # only the left side changed it, or both changed it alike
     if l is None or r is None:
         return r if l is None else l  # one side deleted it, the other changed it
-    return l if choices[str(key)] == "left" else r  # both changed: the scripted choice
-
-
-def _three_file_states(repo: Repository, into: str, other: str) -> bool:
-    """Whether a file has three different states (absent is one) in the
-    merge base and the two heads: the merges the store must refuse."""
-    heads = repo.head_id(into), repo.head_id(other)
-    base_id = repo.merge_base(*heads)
-    if base_id in heads:
-        return False  # nothing to merge, or a fast-forward
-    files = [repo.version(vid).tree.files for vid in (base_id, *heads)]
-    return any(len({f.get(segments) for f in files}) == 3 for segments in set().union(*files))
-
-
-def _assert_refused(repo: Repository, into: str, other: str) -> None:
-    versions, branches = dict(repo.versions), dict(repo.branches)
-    with pytest.raises(EditConflict):
-        repo.merge(into, other, choose_left)
-    assert repo.versions == versions and repo.branches == branches
+    return l if choices[str(key)] == "left" else r  # both changed: the chosen side
 
 
 def test_merge_key_algebra_and_adapter_agreement():
-    """300 random divergent branch pairs; refusal law, conflict law, record law."""
-    refused = 0
+    """300 random base and branch citation files; the conflict law and the
+    record law of ``merge_citation_files``, which ``gitcite merge`` runs."""
     for i in range(300):
         rng = random.Random(7000 + i)
-        base_tree = randgen.rand_tree(rng, max_nodes=18)
-        repo = Repository.create(f"m{i}", randgen.rand_record(rng), tree=base_tree)
-        repo.commit(
-            "main",
-            cite_edits=[
-                CiteEdit.add(p, r)
-                for p, r in randgen.rand_citation_file(rng, base_tree, density=0.3).items()
-                if not p.is_root
-            ],
-        )
-        base = repo.head("main")
-        repo.add_branch("side", base.id)
-        for branch in ("main", "side"):
-            for _ in range(rng.randint(1, 2)):
-                head = repo.head(branch)
-                repo.commit(
-                    branch,
-                    randgen.rand_tree_edits(rng, head.tree, rng.randint(0, 3)),
-                    randgen.rand_cite_edits(rng, repo, branch, rng.randint(0, 3)),
-                )
-        left, right = repo.head("main"), repo.head("side")
-        assert repo.merge_base(left.id, right.id) == base.id
-
-        if _three_file_states(repo, "main", "side"):
-            _assert_refused(repo, "main", "side")
-            refused += 1
-            continue
-
+        tree = randgen.rand_tree(rng, max_nodes=18)
+        base = randgen.rand_citation_file(rng, tree, density=0.3)
+        left, right = (_edited(rng, base, tree, rng.randint(0, 4)) for _ in range(2))
         choices: dict[str, str] = {}
 
         def deciding(report):
@@ -220,80 +194,67 @@ def test_merge_key_algebra_and_adapter_agreement():
             choices[str(report.key)] = pick
             return report.left if pick == "left" else report.right
 
-        merged, conflicts = repo.merge("main", "side", deciding)
-        assert {str(c.key) for c in conflicts} == _expected_conflict_keys(base.cf, left.cf, right.cf)
-
+        merged, conflicts = merge_citation_files(base, left, right, deciding)
+        assert {str(c.key) for c in conflicts} == _expected_conflict_keys(base, left, right)
         records = {
-            k: _expected_merge_record(base.cf, left.cf, right.cf, k, choices)
-            for k in set(base.cf.keys()) | set(left.cf.keys()) | set(right.cf.keys())
+            k: _expected_merge_record(base, left, right, k, choices)
+            for k in set(base.keys()) | set(left.keys()) | set(right.keys())
         }
-        expected = CitationFile(
-            {k: v for k, v in records.items() if v is not None and (k.is_root or merged.tree.contains(k))}
-        )
-        assert serialize(merged.cf) == serialize(expected)
-    assert 0 < refused < 300
-    _ok(f"merge refusal, conflict and record laws held on 300/300 pairs ({refused} refused)")
+        assert serialize(merged) == serialize(CitationFile({k: v for k, v in records.items() if v is not None}))
+    _ok("merge conflict and record laws held on 300/300 random citation-file triples")
+
+
+def _tree_of(model: Model) -> TreeSnapshot:
+    return TreeSnapshot.from_files({node.path.segments: "" for node in model.work.values() if node.path.is_file})
 
 
 def test_random_operation_sequences_stay_consistent():
-    """200 sequences of 30+ mixed operations; every head validates, history immutable."""
+    """200 walks of 30 one-change commits. Given each commit's renames and
+    deletions as the adapter reports them (gone directories included), the
+    ops keep the citation file the identity model expects, and it validates."""
     for i in range(200):
         rng = random.Random(11000 + i)
-        fresh = randgen.rand_tree(rng, max_nodes=12)
-        repos: list[Repository] = [Repository.create(f"r{i}", randgen.rand_record(rng), tree=fresh)]
-        seen: dict[tuple[str, str], object] = {}
-        counter = 0
-        applied = 0
-        while applied < 30:
-            counter += 1
-            repo = rng.choice(repos)
+        model = _model(randgen.rand_record(rng), *map(str, randgen.rand_tree(rng, max_nodes=12).file_paths()))
+        cf = citation_file(model.work)
+        for _ in range(30):
+            tree = _tree_of(model)
+            dirs = [p for p in tree.paths() if p.is_dir]
+            nodes = [p for p in tree.paths() if not p.is_root]
+            used = {p.name for p in nodes}
+            renames, deleted = [], []
+            uncited = [p for p in tree.paths() if p not in cf]
             roll = rng.random()
-            if roll < 0.35:
-                branch = rng.choice(list(repo.branches))
-                head = repo.head(branch)
-                repo.commit(
-                    branch,
-                    randgen.rand_tree_edits(rng, head.tree, rng.randint(0, 3)),
-                    randgen.rand_cite_edits(rng, repo, branch, rng.randint(0, 2)),
-                )
-            elif roll < 0.5:
-                branch = rng.choice(list(repo.branches))
-                repo.commit(branch, cite_edits=randgen.rand_cite_edits(rng, repo, branch, rng.randint(1, 2)))
-            elif roll < 0.62:
-                repo.add_branch(f"b{i}-{counter}", rng.choice(list(repo.versions)))
-            elif roll < 0.77 and len(repo.branches) >= 2:
-                into, other = rng.sample(list(repo.branches), 2)
-                if _three_file_states(repo, into, other):
-                    _assert_refused(repo, into, other)
-                else:
-                    repo.merge(into, other, choose_left)
-            elif roll < 0.9:
-                src = rng.choice(repos)
-                src_branch = rng.choice(list(src.branches))
-                src_head = src.head(src_branch)
-                subtree = rng.choice([p for p in src_head.tree.paths() if p.is_dir])
-                dst_branch = rng.choice(list(repo.branches))
-                copy_cite(src, src_head.id, subtree, repo, dst_branch, from_rendered(f"/imp{i}-{counter}/"))
-            elif len(repos) < 3:
-                repos.append(fork_cite(repo, new_repo_id=f"f{i}-{counter}"))
+            if roll < 0.3 and uncited:
+                path = rng.choice(uncited)
+                cf = apply_add(cf, tree, path, randgen.rand_record(rng))
+                model.cite(path, cf.get(path))
+            elif roll < 0.45:
+                path = rng.choice(list(cf))
+                cf = apply_modify(cf, path, randgen.rand_record(rng))
+                model.cite(path, cf.get(path))
+            elif roll < 0.55 and len(cf) > 1:
+                path = rng.choice([p for p in cf if not p.is_root])
+                cf = apply_delete(cf, path)
+                model.uncite(path)
+            elif roll < 0.7 or not nodes:
+                model.write(rng.choice(dirs).child(randgen.rand_name(rng, used), PathKind.FILE), "d")
+            elif roll < 0.8:
+                deleted.append(rng.choice(nodes))
+                model.remove(deleted[0])
             else:
-                continue
-            applied += 1
-
-            for current in repos:
-                for vid, version in current.versions.items():
-                    tag = (current.id, vid)
-                    if tag in seen:
-                        assert seen[tag] is version, "an existing version was replaced"
-                    else:
-                        seen[tag] = version
-                for branch in current.branches:
-                    head = current.head(branch)
-                    assert validate(head.cf, head.tree) == []
-                    node = randgen.rand_node(rng, head.tree)
-                    assert resolve(head.cf, head.tree, node) == resolve_by_walking(head.cf, node)
-        assert applied >= 30
-    _ok("200/200 random operation sequences kept every head consistent and history immutable")
+                old = rng.choice(nodes)
+                new = rng.choice([d for d in dirs if not d.is_within(old)]).child(randgen.rand_name(rng, used), old.kind)
+                renames.append((old, new))
+                model.move(old, new)
+            model.commit()
+            after = _tree_of(model)
+            gone = [CanonicalPath(s, PathKind.DIRECTORY) for s in tree.dirs - after.dirs]
+            cf = carry_keys(cf, renames, deleted + gone)
+            assert serialize(cf) == serialize(citation_file(model.work))
+            assert validate(cf, after) == []
+            node = randgen.rand_node(rng, after)
+            assert resolve(cf, after, node) == resolve_by_walking(cf, node)
+    _ok("200/200 random commit sequences: ops and the identity model agreed at every commit")
 
 
 def test_document_round_trips_and_determinism():
@@ -311,12 +272,15 @@ def test_document_round_trips_and_determinism():
     _ok("parse/serialize round-trips and byte determinism held on 200/200 files")
 
 
-def test_adapter_agrees_with_the_reference_on_git_scenarios(tmp_path):
-    """23 scripted scenarios on a real repository; citation files equal at every commit."""
-    started = time.perf_counter()
-    assert len(SCENARIOS) == 23
-    for name, scenario in SCENARIOS.items():
-        run_scenario(tmp_path, name, scenario)
-    elapsed = time.perf_counter() - started
-    assert elapsed < 60.0, f"scenario suite took {elapsed:.1f}s"
-    _ok(f"adapter matched the reference across 23/23 git scenarios ({elapsed:.1f}s)")
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=pytest.mark.xfail(reason=s["xfail"], raises=AssertionError)) if "xfail" in s else name
+        for name, s in SCENARIOS.items()
+    ],
+)
+def test_adapter_agrees_with_the_reference_on_git_scenarios(tmp_path, name):
+    """One scripted scenario on a real repository; the citation file and the
+    files equal the identity model's at every commit and merge."""
+    run_scenario(tmp_path, name, SCENARIOS[name])
+    _ok(f"adapter matched the identity model on {name}")

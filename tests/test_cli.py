@@ -19,7 +19,7 @@ from gitcite.model import TreeSnapshot, resolve
 from gitcite.paths import ROOT, from_rendered
 
 from conftest import git
-from reference_store import CiteEdit, Repository, scripted_resolver
+from identity_model import Model, citation_file
 from support import record, resolve_by_walking, snapshot_worktree
 
 
@@ -309,6 +309,37 @@ class TestGen:
         assert main(["gen", "a.c", "--version", "HEAD~1"]) == 3
         assert capsys.readouterr().err == "gitcite: no citation.cite at revision 'HEAD~1'\n"
 
+    @pytest.mark.parametrize("argv", [["gen", "a.c"], ["validate"]], ids=["gen", "validate"])
+    @pytest.mark.parametrize(
+        "prefix, cut, error",
+        [
+            ("\ufeff", None, "Unexpected UTF-8 BOM (decode using utf-8-sig) (line 1, column 1)"),
+            ("", 1, "Expecting property name enclosed in double quotes (line 1, column 2)"),
+        ],
+        ids=["bom", "json"],
+    )
+    def test_a_malformed_citation_file_is_named(self, git_repo, monkeypatch, capsys, argv, prefix, cut, error):
+        root = git_repo()
+        seed(root, {"a.c": "x"}, {})
+        text = (root / "citation.cite").read_text()
+        (root / "citation.cite").write_text(prefix + text[:cut], encoding="utf-8")
+        monkeypatch.chdir(root)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"gitcite: citation.cite: {error}\n"
+
+    def test_a_malformed_citation_file_at_a_revision_is_named_with_it(self, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        seed(root, {"a.c": "x"}, {})
+        good = (root / "citation.cite").read_text()
+        (root / "citation.cite").write_text(serialize(CitationFile({from_rendered("/a.c"): record("a")})))
+        git(root, "commit", "-q", "-am", "no root entry")
+        (root / "citation.cite").write_text(good)
+        git(root, "commit", "-q", "-am", "fixed")
+        monkeypatch.chdir(root)
+        assert main(["gen", "a.c", "--version", "HEAD~1"]) == 1
+        assert capsys.readouterr().err == "gitcite: citation.cite at revision 'HEAD~1': the document has no '/' entry\n"
+        assert main(["gen", "a.c", "--version", "HEAD"]) == 0
+
     def test_gen_remote(self, git_repo, monkeypatch, capsys, tmp_path):
         import http.server
         import threading
@@ -427,27 +458,22 @@ def build_conflicted_repo(git_repo) -> Path:
     return root
 
 
-def model_mirror() -> Repository:
-    repo = Repository.create(
-        "mirror",
-        record("root"),
-        tree=None,
-    )
-    from reference_store import TreeEdit
-
-    repo.commit(
-        "main",
-        [TreeEdit.create(from_rendered("/shared.c"), "s"), TreeEdit.create(from_rendered("/main-only.c"), "m")],
-        [CiteEdit.add(from_rendered("/shared.c"), record("base"))],
-    )
-    repo.add_branch("side", repo.head_id("main"))
-    repo.commit(
-        "side",
-        [TreeEdit.create(from_rendered("/side.c"), "side")],
-        [CiteEdit.modify(from_rendered("/shared.c"), record("theirs"))],
-    )
-    repo.commit("main", cite_edits=[CiteEdit.modify(from_rendered("/shared.c"), record("ours"))])
-    return repo
+def model_mirror() -> Model:
+    """``build_conflicted_repo``'s history on the identity model."""
+    model = Model(record("root"))
+    shared = from_rendered("/shared.c")
+    model.write(shared, "s")
+    model.write(from_rendered("/main-only.c"), "m")
+    model.cite(shared, record("base"))
+    model.commit()
+    model.add_branch("side")
+    model.write(from_rendered("/side.c"), "side")
+    model.cite(shared, record("theirs"))
+    model.commit()
+    model.checkout("main")
+    model.cite(shared, record("ours"))
+    model.commit()
+    return model
 
 
 def diverge(root: Path, side_file: str, main_file: str) -> None:
@@ -522,11 +548,8 @@ class TestMerge:
         assert "conflict at /shared.c" in out
 
         reference = model_mirror()
-        version, conflicts = reference.merge(
-            "main", "side", scripted_resolver({"/shared.c": "right"})
-        )
-        assert [str(c.key) for c in conflicts] == ["/shared.c"]
-        assert (root / "citation.cite").read_text() == serialize(version.cf)
+        assert reference.merge("side", {"/shared.c": "right"}) == [("/shared.c", "chose_right")]
+        assert (root / "citation.cite").read_text() == serialize(citation_file(reference.work))
 
     def test_interactive_abort_is_an_error(self, git_repo, monkeypatch):
         root = build_conflicted_repo(git_repo)

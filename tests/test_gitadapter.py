@@ -36,8 +36,8 @@ from gitcite.ops import choose_left, choose_right, merge_citation_files
 from gitcite.paths import ROOT, PathKind, from_rendered
 
 from conftest import git, init_repo
-from reference_store import CiteEdit, Repository, TreeEdit
-from support import record, snapshot_worktree, tree
+from identity_model import Model, citation_file
+from support import record, snapshot_worktree
 
 
 def seed(root: Path, files: dict[str, str], cites: dict[str, str]) -> CitationFile:
@@ -128,15 +128,14 @@ class TestSyncOnCommit:
             rename_map=[(from_rendered("/lib/"), from_rendered("/vendor/"))],
             deleted=[],
         )
-        reference = Repository.create(
-            "ref", record("root"), tree=tree("/lib/a.c", "/lib/sub/b.c", "/other.c")
-        )
-        reference.commit("main", cite_edits=[
-            CiteEdit.add(from_rendered(k), record(t)) for k, t in cites.items()
-        ])
-        expected = reference.commit(
-            "main", [TreeEdit.rename(from_rendered("/lib/"), from_rendered("/vendor/"))]
-        ).cf
+        reference = Model(record("root"))
+        for rel, content in files.items():
+            reference.write(from_rendered("/" + rel), content)
+        for k, t in cites.items():
+            reference.cite(from_rendered(k), record(t))
+        reference.move(from_rendered("/lib/"), from_rendered("/vendor/"))
+        reference.commit()
+        expected = citation_file(reference.work)
         assert serialize(synced) == serialize(expected)
         assert load_citation_file(tmp_path) == expected
 

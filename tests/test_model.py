@@ -11,7 +11,6 @@ from gitcite.model import DANGLING_KEY, KIND_MISMATCH, MISSING_ROOT, TreeSnapsho
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 
 import randgen
-from reference_store import with_renamed, with_subtree, without
 from support import record, resolve_by_walking, tree
 
 
@@ -56,21 +55,12 @@ class TestTreeSnapshot:
 
     def test_structural_edits(self):
         snap = tree("/a/one.c")
-        snap = snap.with_file(from_rendered("/a/two.c"), "d2")
-        snap = with_renamed(snap, from_rendered("/a/"), from_rendered("/b/"))
-        assert snap.contains(from_rendered("/b/one.c"))
-        assert not snap.contains(from_rendered("/a/"))
-        snap = without(snap, from_rendered("/b/one.c"))
-        assert not snap.contains(from_rendered("/b/one.c"))
+        snap = snap.with_file(from_rendered("/a/two.c"), "d2").with_dir(from_rendered("/b/c/"))
+        assert [str(p) for p in snap.paths()] == ["/", "/a/", "/a/one.c", "/a/two.c", "/b/", "/b/c/"]
         with pytest.raises(EditConflict):
-            without(snap, from_rendered("/b/one.c"))
+            snap.with_file(from_rendered("/a/one.c/x.c"))
         with pytest.raises(EditConflict):
-            with_renamed(snap, from_rendered("/b/"), from_rendered("/b/inner/"))
-
-    def test_rename_collision(self):
-        snap = tree("/a.c", "/b.c")
-        with pytest.raises(EditConflict):
-            with_renamed(snap, from_rendered("/a.c"), from_rendered("/b.c"))
+            snap.with_dir(from_rendered("/a/one.c/"))
 
 
 def _fold_single_edits(files, dirs) -> TreeSnapshot:
@@ -110,52 +100,21 @@ def _trees(draw) -> TreeSnapshot:
     return TreeSnapshot.from_files(files, dirs)
 
 
-def _moved(segments_map, src: tuple[str, ...], dst: tuple[str, ...]):
-    """The entries of ``segments_map`` at or under ``src``, re-rooted at ``dst``."""
-    n = len(src)
-    return {dst + s[n:]: v for s, v in segments_map.items() if s[:n] == src}
-
-
-def _outside(segments_map, path: CanonicalPath):
-    """The entries of ``segments_map`` neither at nor under ``path``."""
-    n = len(path.segments)
-    return {s: v for s, v in segments_map.items() if s[:n] != path.segments}
-
-
 @given(st.data())
 def test_single_edits_match_building_the_edited_path_list(data):
     snap = data.draw(_trees())
     path = data.draw(st.one_of(st.sampled_from(snap.paths()), st.just(ROOT), _kinded_path))
-    # The edited path list; directories are dict keys too, for _moved and _outside.
+    # The edited path list; directories are dict keys too.
     files, dirs = dict(snap.files), dict.fromkeys(s for s in snap.dirs if s)
-    present = snap.contains(path)
-    edit = data.draw(st.sampled_from(["with_file", "with_dir", "without", "with_renamed", "with_subtree"]))
-    if edit == "with_file":
+    if data.draw(st.booleans()):
         digest = data.draw(st.sampled_from(["", "d3"]))
         invalid = not path.is_file
         files[path.segments] = digest
         apply = lambda: snap.with_file(path, digest)  # noqa: E731
-    elif edit == "with_dir":
+    else:
         invalid = not path.is_dir or path.is_root
         dirs[path.segments] = None
         apply = lambda: snap.with_dir(path)  # noqa: E731
-    elif edit == "without":
-        invalid = path.is_root or not present
-        files, dirs = _outside(files, path), _outside(dirs, path)
-        apply = lambda: without(snap, path)  # noqa: E731
-    elif edit == "with_renamed":
-        new = data.draw(_kinded_path)
-        invalid = not present or snap.kind_of(new.segments) is not None or new.is_within(path)
-        files = {**_outside(files, path), **_moved(files, path.segments, new.segments)}
-        dirs = {**_outside(dirs, path), **_moved(dirs, path.segments, new.segments)}
-        apply = lambda: with_renamed(snap, path, new)  # noqa: E731
-    else:
-        src_tree = data.draw(_trees())
-        src_dir = data.draw(st.sampled_from([p for p in src_tree.paths() if p.is_dir]))
-        invalid = not path.is_dir or path.is_root or snap.kind_of(path.segments) is not None
-        files.update(_moved(src_tree.files, src_dir.segments, path.segments))
-        dirs.update(_moved(dict.fromkeys(src_tree.dirs), src_dir.segments, path.segments))
-        apply = lambda: with_subtree(snap, path, src_tree, src_dir)  # noqa: E731
     if not invalid:
         try:
             expected = TreeSnapshot.from_files(files, dirs)

@@ -28,175 +28,139 @@ from gitcite.ops import (
     choose_left,
     merge_citation_files,
 )
-from gitcite.gitadapter import default_root_citation, store_citation_file, sync_on_commit
+from gitcite.gitadapter import (
+    RevisionLookup,
+    citation_file_at_revision,
+    default_root_citation,
+    store_citation_file,
+    sync_on_commit,
+)
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 
 import randgen
 from conftest import git
-from reference_store import CiteEdit, Repository, gen_cite
 from support import record, resolve_by_walking, tree
 
-
-def fresh_repo() -> Repository:
-    return Repository.create("proj", record("root"), tree=tree("/f1", "/f2", "/sub/a.c", "/sub/b.c"))
+TREE = tree("/f1", "/f2", "/sub/a.c", "/sub/b.c")
+ROOT_ONLY = CitationFile.single(record("root"))
 
 
 class TestAddCite:
     def test_add_changes_resolution_of_the_target(self):
-        repo = fresh_repo()
-        head = repo.head("main")
         f1 = from_rendered("/f1")
-        assert resolve(head.cf, head.tree, f1) == record("root")
-        checked = apply_add(head.cf, head.tree, f1, record("f1"))
-        version = repo.commit("main", cite_edits=[CiteEdit.add(f1, record("f1"))])
-        assert version.cf == checked
-        assert resolve(version.cf, version.tree, f1) == record("f1")
+        assert resolve(ROOT_ONLY, TREE, f1) == record("root")
+        cf = apply_add(ROOT_ONLY, TREE, f1, record("f1"))
+        assert cf == ROOT_ONLY.with_entry(f1, record("f1"))
+        assert resolve(cf, TREE, f1) == record("f1")
 
     def test_add_on_cited_path_is_rejected(self):
-        head = fresh_repo().head("main")
-        cf = apply_add(head.cf, head.tree, from_rendered("/f1"), record("a"))
+        cf = apply_add(ROOT_ONLY, TREE, from_rendered("/f1"), record("a"))
         with pytest.raises(AlreadyCited):
-            apply_add(cf, head.tree, from_rendered("/f1"), record("b"))
+            apply_add(cf, TREE, from_rendered("/f1"), record("b"))
 
     def test_add_on_directory_covers_the_subtree(self):
-        repo = fresh_repo()
-        sub = from_rendered("/sub/")
-        version = repo.commit("main", cite_edits=[CiteEdit.add(sub, record("sub"))])
+        cf = apply_add(ROOT_ONLY, TREE, from_rendered("/sub/"), record("sub"))
         for leaf in ("/sub/a.c", "/sub/b.c"):
             path = from_rendered(leaf)
-            assert resolve(version.cf, version.tree, path) == record("sub")
-            assert resolve_by_walking(version.cf, path) == record("sub")
+            assert resolve(cf, TREE, path) == record("sub")
+            assert resolve_by_walking(cf, path) == record("sub")
 
     def test_add_requires_existing_path(self):
-        head = fresh_repo().head("main")
         with pytest.raises(PathNotInTree):
-            apply_add(head.cf, head.tree, from_rendered("/ghost"), record("g"))
+            apply_add(ROOT_ONLY, TREE, from_rendered("/ghost"), record("g"))
 
 
 class TestDelCite:
     def test_root_is_undeletable(self):
         with pytest.raises(RootUndeletable):
-            apply_delete(fresh_repo().head("main").cf, ROOT)
+            apply_delete(ROOT_ONLY, ROOT)
 
     def test_add_then_delete_restores_resolution_everywhere(self):
-        repo = fresh_repo()
-        head = repo.head("main")
-        before = {str(p): resolve(head.cf, head.tree, p) for p in head.tree.paths()}
+        before = {str(p): resolve(ROOT_ONLY, TREE, p) for p in TREE.paths()}
         sub = from_rendered("/sub/")
-        checked = apply_delete(apply_add(head.cf, head.tree, sub, record("sub")), sub)
-        version = repo.commit("main", cite_edits=[CiteEdit.add(sub, record("sub")), CiteEdit.delete(sub)])
-        assert version.cf == checked
-        after = {str(p): resolve(version.cf, version.tree, p) for p in version.tree.paths()}
-        assert after == before
+        cf = apply_delete(apply_add(ROOT_ONLY, TREE, sub, record("sub")), sub)
+        assert cf == ROOT_ONLY
+        assert {str(p): resolve(cf, TREE, p) for p in TREE.paths()} == before
 
     def test_nested_delete_falls_back_to_grandparent(self):
-        repo = fresh_repo()
         target = from_rendered("/sub/a.c")
-        cited = repo.commit(
-            "main", cite_edits=[CiteEdit.add(from_rendered("/sub/"), record("sub")), CiteEdit.add(target, record("a"))]
-        )
-        checked = apply_delete(cited.cf, target)
-        version = repo.commit("main", cite_edits=[CiteEdit.delete(target)])
-        assert version.cf == checked
-        assert resolve(version.cf, version.tree, target) == record("sub")
-        assert resolve_by_walking(version.cf, target) == record("sub")
+        cited = apply_add(apply_add(ROOT_ONLY, TREE, from_rendered("/sub/"), record("sub")), TREE, target, record("a"))
+        cf = apply_delete(cited, target)
+        assert resolve(cf, TREE, target) == record("sub")
+        assert resolve_by_walking(cf, target) == record("sub")
 
     def test_delete_uncited(self):
         with pytest.raises(NotCited):
-            apply_delete(fresh_repo().head("main").cf, from_rendered("/f1"))
+            apply_delete(ROOT_ONLY, from_rendered("/f1"))
 
 
 class TestModifyCite:
     def test_same_record_is_a_resolution_no_op(self):
-        repo = fresh_repo()
-        head = repo.head("main")
-        before = {str(p): resolve(head.cf, head.tree, p) for p in head.tree.paths()}
-        checked = apply_modify(head.cf, ROOT, record("root"))
-        version = repo.commit("main", cite_edits=[CiteEdit.modify(ROOT, record("root"))])
-        assert version.cf == checked
-        after = {str(p): resolve(version.cf, version.tree, p) for p in version.tree.paths()}
-        assert after == before
+        assert apply_modify(ROOT_ONLY, ROOT, record("root")) == ROOT_ONLY
 
     def test_modify_root_changes_every_inheriting_node(self):
-        repo = fresh_repo()
-        cited = repo.commit("main", cite_edits=[CiteEdit.add(from_rendered("/sub/"), record("sub"))])
-        checked = apply_modify(cited.cf, ROOT, record("newroot"))
-        version = repo.commit("main", cite_edits=[CiteEdit.modify(ROOT, record("newroot"))])
-        assert version.cf == checked
-        for path in version.tree.paths():
-            expected = resolve_by_walking(version.cf, path)
-            assert resolve(version.cf, version.tree, path) == expected
-        assert resolve(version.cf, version.tree, from_rendered("/f1")) == record("newroot")
-        assert resolve(version.cf, version.tree, from_rendered("/sub/a.c")) == record("sub")
+        cited = apply_add(ROOT_ONLY, TREE, from_rendered("/sub/"), record("sub"))
+        cf = apply_modify(cited, ROOT, record("newroot"))
+        for path in TREE.paths():
+            assert resolve(cf, TREE, path) == resolve_by_walking(cf, path)
+        assert resolve(cf, TREE, from_rendered("/f1")) == record("newroot")
+        assert resolve(cf, TREE, from_rendered("/sub/a.c")) == record("sub")
 
     def test_modify_uncited(self):
         with pytest.raises(NotCited):
-            apply_modify(fresh_repo().head("main").cf, from_rendered("/f1"), record("x"))
+            apply_modify(ROOT_ONLY, from_rendered("/f1"), record("x"))
 
 
 class TestGuards:
-    def test_gen_cite_reads_any_version(self):
-        repo = fresh_repo()
-        v1 = repo.head_id("main")
-        repo.commit("main", cite_edits=[CiteEdit.add(from_rendered("/f1"), record("f1"))])
-        assert gen_cite(repo, v1, from_rendered("/f1")) == record("root")
-        assert gen_cite(repo, repo.head_id("main"), from_rendered("/f1")) == record("f1")
+    def test_gen_cite_reads_any_version(self, git_repo):
+        root = git_repo()
+        (root / "f1").write_text("f1")
+        for cf in (ROOT_ONLY, ROOT_ONLY.with_entry(from_rendered("/f1"), record("f1"))):
+            store_citation_file(root, cf)
+            git(root, "add", "-A")
+            git(root, "commit", "-q", "-m", "step")
+
+        def gen(rev, path):
+            return resolve(citation_file_at_revision(root, rev), RevisionLookup(root, rev), from_rendered(path))
+
+        assert gen("HEAD~1", "/f1") == record("root")
+        assert gen("HEAD", "/f1") == record("f1")
         with pytest.raises(UnknownVersion):
-            gen_cite(repo, "nope", ROOT)
+            gen("nope", "/")
         with pytest.raises(PathNotInTree):
-            gen_cite(repo, v1, from_rendered("/ghost"))
+            gen("HEAD~1", "/ghost")
 
     def test_gen_cite_of_root(self):
-        repo = fresh_repo()
-        assert gen_cite(repo, repo.head_id("main"), ROOT) == record("root")
+        assert resolve(apply_add(ROOT_ONLY, TREE, from_rendered("/sub/"), record("sub")), TREE, ROOT) == record("root")
 
     def test_gen_cite_exhaustive_against_walk_oracle(self):
         rng = random.Random(31)
         snap = randgen.rand_tree(rng, max_nodes=50)
-        repo = Repository.create("p", randgen.rand_record(rng), tree=snap)
-        head = repo.head("main")
-        cf = randgen.rand_citation_file(rng, snap)
-        edits = [CiteEdit.add(path, rec) for path, rec in cf.items() if not path.is_root]
-        checked = head.cf
-        for edit in edits:
-            checked = apply_add(checked, head.tree, edit.path, edit.record)
-        version = repo.commit("main", cite_edits=edits)
-        assert version.cf == checked
+        cf = CitationFile.single(randgen.rand_record(rng))
+        for path, rec in randgen.rand_citation_file(rng, snap).items():
+            cf = apply_add(cf, snap, path, rec) if not path.is_root else cf
         for node in snap.paths():
-            assert gen_cite(repo, version.id, node) == resolve_by_walking(version.cf, node)
+            assert resolve(cf, snap, node) == resolve_by_walking(cf, node)
 
 
 class TestStagingInvariants:
     def test_edit_lists_compose_like_their_set_denotation(self):
-        repo = fresh_repo()
-        head = repo.head("main")
         f1, f2 = from_rendered("/f1"), from_rendered("/f2")
-        checked = apply_add(head.cf, head.tree, f1, record("f1"))
-        checked = apply_add(checked, head.tree, f2, record("f2"))
+        checked = apply_add(ROOT_ONLY, TREE, f1, record("f1"))
+        checked = apply_add(checked, TREE, f2, record("f2"))
         checked = apply_modify(apply_delete(checked, f1), f2, record("f2b"))
-        expected = head.cf.with_entry(f2, record("f2b"))
-        assert checked == expected
-        version = repo.commit(
-            "main",
-            cite_edits=[
-                CiteEdit.add(f1, record("f1")),
-                CiteEdit.add(f2, record("f2")),
-                CiteEdit.delete(f1),
-                CiteEdit.modify(f2, record("f2b")),
-            ],
-        )
-        assert version.cf == expected
+        assert checked == ROOT_ONLY.with_entry(f2, record("f2b"))
 
     def test_no_edit_removes_the_root(self):
-        with pytest.raises(ValueError):
-            CiteEdit.delete(ROOT)
+        with pytest.raises(RootUndeletable):
+            apply_delete(ROOT_ONLY, ROOT)
+        assert carry_keys(ROOT_ONLY, [], [ROOT, from_rendered("/sub/")]) == ROOT_ONLY
 
     def test_every_successful_edit_validates(self):
-        head = fresh_repo().head("main")
         sub = from_rendered("/sub/")
-        added = apply_add(head.cf, head.tree, sub, record("s"))
-        assert validate(added, head.tree) == []
-        assert validate(apply_delete(added, sub), head.tree) == []
+        added = apply_add(ROOT_ONLY, TREE, sub, record("s"))
+        assert validate(added, TREE) == []
+        assert validate(apply_delete(added, sub), TREE) == []
 
 
 @pytest.mark.parametrize("old, new", [("/a.c", "/b.c"), ("/lib/", "/vendor/")])
@@ -256,10 +220,14 @@ def test_a_rotation_gives_the_same_file_in_either_order(a, b, c):
 
 
 def test_a_deep_file_rename_beats_its_renamed_directory():
-    cf = CitationFile({ROOT: record("root"), **{from_rendered(k): record(k) for k in ("/d/", "/d/e/x.c", "/d/y.c")}})
+    """A file's own rename comes first, then the deepest renamed directory over it."""
+    keys = ("/d/", "/d/e/w.c", "/d/e/x.c", "/d/y.c")
+    cf = CitationFile({ROOT: record("root"), **{from_rendered(k): record(k) for k in keys}})
     renames = [(from_rendered(o), from_rendered(n)) for o, n in
                [("/d/", "/m/"), ("/d/e/", "/m/f/"), ("/d/e/x.c", "/z.c")]]
-    assert [str(k) for k in carry_keys(cf, renames)] == ["/", "/m/", "/m/y.c", "/z.c"]
+    carried = carry_keys(cf, renames)
+    assert [str(k) for k in carried] == ["/", "/m/", "/m/f/w.c", "/m/y.c", "/z.c"]
+    assert carried.get(from_rendered("/m/f/w.c")) == record("/d/e/w.c")
 
 
 def test_prune_deleted_drops_covered_keys_and_keeps_the_root():
@@ -352,14 +320,9 @@ def _imported_modules(source: Path) -> set[str]:
     return imported
 
 
-def _function_names(source: Path) -> set[str]:
-    tree = ast.parse(source.read_text(encoding="utf-8"))
-    return {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-
-
 def test_the_package_ships_no_store():
-    """The version DAG is a test oracle (``tests/reference_store.py``), so no
-    command can load it."""
+    """The reference model is a test oracle (``tests/identity_model.py``), so
+    no command can load it."""
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("gitcite.store")
 
@@ -367,7 +330,7 @@ def test_the_package_ships_no_store():
 def test_the_package_imports_nothing_from_the_tests():
     for source in Path(gitcite.__file__).parent.glob("*.py"):
         imported = {name.split(".")[0] for name in _imported_modules(source)}
-        assert not imported & {"reference_store", "support", "conftest", "randgen"}, source.name
+        assert not imported & {"identity_model", "support", "conftest", "randgen"}, source.name
 
 
 def _words(source: Path) -> set[str]:
@@ -403,12 +366,21 @@ def test_the_package_reads_no_environment_and_asks_git_for_no_top():
                 assert "--show-toplevel" not in node.value, source.name
 
 
-def test_the_reference_store_reimplements_no_citation_operation():
-    """The oracle takes every citation operation from ops, so a second copy of
-    one cannot grow beside it and agree with it by construction."""
-    ops_functions = {n for n in _function_names(Path(gitcite.ops.__file__)) if not n.startswith("__")}
-    shared = ops_functions & _function_names(Path(__file__).with_name("reference_store.py"))
-    assert not shared
+def test_the_identity_model_imports_nothing_from_ops_or_the_adapter():
+    """The oracle writes the paper's rules again, so a bug in ops or the
+    adapter cannot agree with itself. A name imported from ``gitcite``
+    itself must not be defined in either module."""
+    forbidden = ("gitcite.ops", "gitcite.gitadapter")
+    source = Path(__file__).with_name("identity_model.py")
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith(forbidden) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith(forbidden)
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                defined_in = getattr(getattr(module, alias.name), "__module__", node.module)
+                assert not defined_in.startswith(forbidden), alias.name
 
 
 class TestDefaultRootCitation:

@@ -7,13 +7,12 @@ import pickle
 
 import pytest
 
-from gitcite import CitationFile, CitationRecord, Inconsistency
+from gitcite import CitationRecord, Inconsistency
 from gitcite.model import DANGLING_KEY, TreeSnapshot
 from gitcite.ops import ConflictReport
 from gitcite.paths import ROOT, from_rendered
 from gitcite.value import Value
 
-from reference_store import CiteEdit, CiteEditKind, TreeEdit, TreeEditKind, Version
 from support import record, tree
 
 # Each factory builds a new value from new field objects every call.
@@ -22,15 +21,12 @@ FACTORIES = {
     "CitationRecord": lambda: record("a", extras={"license": "MIT", "grant": "G-1"}),
     "TreeSnapshot": lambda: tree("/src/a.c", "/doc/"),
     "Inconsistency": lambda: Inconsistency(DANGLING_KEY, from_rendered("/gone.c"), "no such path"),
-    "CiteEdit": lambda: CiteEdit(CiteEditKind.MODIFY, from_rendered("/a.c"), record("a")),
-    "TreeEdit": lambda: TreeEdit(TreeEditKind.RENAME, from_rendered("/a/"), from_rendered("/b/")),
-    "Version": lambda: Version("v1", (), tree("/a.c"), CitationFile.single(record("root")), 1),
     "ConflictReport": lambda: ConflictReport(ROOT, record("l"), record("r"), record("m")),
 }
-# A field that holds a dict (a record's extras, a tree's file map) or a citation
-# file leaves a value with no hash, as it did when these were dataclasses; so
-# does a record, whose extras are a dict.
-UNHASHABLE = {"CitationRecord", "CiteEdit", "ConflictReport", "TreeSnapshot", "Version"}
+# A field that holds a dict (a record's extras, a tree's file map) leaves a
+# value with no hash, as it did when these were dataclasses; so does a value
+# that holds a record.
+UNHASHABLE = {"CitationRecord", "ConflictReport", "TreeSnapshot"}
 
 
 def _twin(value: Value) -> Value:
@@ -82,7 +78,7 @@ class TestImmutableValues:
 
 
 def test_field_order_decides_equality():
-    assert CiteEdit.add(from_rendered("/a.c"), record("a")) != CiteEdit.modify(from_rendered("/a.c"), record("a"))
+    assert ConflictReport(ROOT, record("l"), record("r")) != ConflictReport(ROOT, record("r"), record("l"))
     assert from_rendered("/a/") != from_rendered("/a")
     assert record("a") != record("a", extras={"k": "v"})
     assert TreeSnapshot() == tree() and TreeSnapshot() != tree("/a.c")
