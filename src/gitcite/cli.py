@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import fileformat, gitadapter, render
 from .errors import (
@@ -37,7 +36,7 @@ from .ops import (
     choose_left,
     choose_right,
 )
-from .paths import CanonicalPath, PathKind, canonicalize
+from .paths import ROOT, CanonicalPath, PathKind, Tree, canonicalize
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -53,19 +52,20 @@ _ENV_ERRORS = (
 _REGENERABLE = tuple(name for name in TEXT_FIELDS if name not in REQUIRED_FIELDS)  # drafted from the head commit
 
 
-def find_root() -> Path:
+def find_root() -> str:
     """The top of the git worktree holding the cwd: the nearest ancestor with
     a ``.git`` entry, the repository's directory or the file of a linked
     worktree or submodule. No git command runs; ``GIT_DIR`` and
     ``GIT_WORK_TREE`` are not consulted."""
-    cwd = Path.cwd().resolve()
-    for candidate in (cwd, *cwd.parents):
-        if (candidate / ".git").exists():
-            return candidate
-    raise NotARepository(f"{cwd} is not inside a git repository")
+    top = cwd = os.path.realpath(os.getcwd())
+    while not os.path.exists(os.path.join(top, ".git")):
+        if top == os.sep:
+            raise NotARepository(f"{cwd} is not inside a git repository")
+        top = os.path.dirname(top)
+    return top
 
 
-def _open_worktree(raw: str) -> tuple[Path, gitadapter.WorktreeLookup, CitationFile, CanonicalPath]:
+def _open_worktree(raw: str) -> tuple[str, gitadapter.WorktreeLookup, CitationFile, CanonicalPath]:
     """The checkout holding the cwd: its root, tree, citation file and ``raw`` as a key."""
     root = find_root()
     tree = gitadapter.WorktreeLookup(root)
@@ -73,24 +73,26 @@ def _open_worktree(raw: str) -> tuple[Path, gitadapter.WorktreeLookup, CitationF
     return root, tree, cf, _repo_relative(root, raw, tree=tree)
 
 
-def _repo_relative(root: Path, raw: str, tree=None, kind_hint: PathKind | None = None) -> CanonicalPath:
-    """Turn a user path into canonical root-relative form.
+def _repo_relative(root: str, raw: str, tree: Tree | None = None, kind_hint: PathKind | None = None) -> CanonicalPath:
+    """Turn a user path into a key of the checkout at ``root``.
 
     Paths are taken relative to the cwd; a leading "/" anchors at the
-    repository root instead of the filesystem root.
+    repository root instead of the filesystem root. The kind comes from a
+    trailing "/", "." or "..", then from ``kind_hint``, then from ``tree``;
+    otherwise the path is a file.
     """
-    treat_dir = raw.endswith("/") or raw in (".", "..") or raw.endswith(("/.", "/.."))
-    base = root.resolve() if raw.startswith("/") else Path(os.getcwd())
-    absolute = Path(os.path.normpath(os.path.join(base, raw.lstrip("/"))))
-    try:
-        rel = absolute.relative_to(root.resolve())
-    except ValueError:
-        raise InvalidPath(f"{raw!r} is outside the repository") from None
-    parts = () if rel == Path(".") else rel.parts
-    rendered = "/" + "/".join(parts)
-    if parts and treat_dir:
-        rendered += "/"
-    return canonicalize(rendered, kind_hint=kind_hint, tree=tree)
+    base = root if raw.startswith("/") else os.getcwd()
+    rel = os.path.relpath(os.path.normpath(os.path.join(base, raw.lstrip("/"))), root)
+    if rel == os.pardir or rel.startswith(os.pardir + os.sep):
+        raise InvalidPath(f"{raw!r} is outside the repository")
+    if rel == os.curdir:
+        return ROOT
+    segments = tuple(rel.split(os.sep))
+    if raw.endswith("/") or raw in (".", "..") or raw.endswith(("/.", "/..")):
+        return CanonicalPath(segments, PathKind.DIRECTORY)
+    if kind_hint is None and tree is not None:
+        kind_hint = tree.kind_of(segments)
+    return CanonicalPath(segments, kind_hint or PathKind.FILE)
 
 
 def _field_pair(text: str) -> tuple[str, str]:
@@ -120,12 +122,12 @@ def _build_record(template: CitationRecord, fields: list[tuple[str, str]], autho
 def cmd_init(args: argparse.Namespace) -> int:
     root = find_root()
     target = gitadapter.citation_file_path(root)
-    if target.exists():
+    if os.path.exists(target):
         raise AlreadyInitialized(f"{target} already exists")
     record = gitadapter.default_root_citation(root)
     gitadapter.store_citation_file(root, CitationFile.single(record))
     print(f"created {target}; edit the draft with 'gitcite modify .':")
-    print(target.read_text(encoding="utf-8"), end="")
+    print(gitadapter.citation_file_text(root), end="")
     return EXIT_OK
 
 
@@ -187,10 +189,10 @@ def cmd_copy(args: argparse.Namespace) -> int:
     root = find_root()
     with tempfile.TemporaryDirectory(prefix="gitcite-copy-") as scratch:
         if _looks_remote(args.src):
-            src_root = Path(scratch) / "src"
-            gitadapter._git(Path.cwd(), "clone", "--depth", "1", args.src, str(src_root))
+            src_root = os.path.join(scratch, "src")
+            gitadapter._git(os.getcwd(), "clone", "--depth", "1", args.src, src_root)
         else:
-            src_root = Path(os.path.normpath(os.path.join(os.getcwd(), args.src)))
+            src_root = os.path.normpath(os.path.join(os.getcwd(), args.src))
         src_subtree = canonicalize(args.src_subtree, kind_hint=PathKind.DIRECTORY)
         dst_path = _repo_relative(root, args.dst_path, kind_hint=PathKind.DIRECTORY)
         _, added = gitadapter.run_copy(root, src_root, src_subtree, dst_path)

@@ -10,20 +10,19 @@ diffs small and makes text-merging the file unnecessary.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from .errors import InvalidPath, MalformedDocument, MissingRoot
 from .model import RECORD_FIELDS, REQUIRED_FIELDS, TEXT_FIELDS, CitationFile, CitationRecord
 from .paths import ROOT, CanonicalPath, from_rendered
 
 
-def record_to_obj(record: CitationRecord) -> dict[str, Any]:
+def record_to_obj(record: CitationRecord) -> dict[str, object]:
     obj = {name: getattr(record, name) for name in RECORD_FIELDS}
     obj["author_list"], obj["extras"] = list(record.author_list), dict(record.extras)
     return obj
 
 
-def record_from_obj(obj: Any, where: str = "record") -> CitationRecord:
+def record_from_obj(obj: object, where: str = "record") -> CitationRecord:
     """Parse one record object. Unknown string fields land in extras."""
     if not isinstance(obj, dict):
         raise MalformedDocument(f"{where} must be an object")
@@ -64,8 +63,8 @@ def serialize(cf: CitationFile) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def _no_duplicates(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    obj: dict[str, Any] = {}
+def _no_duplicates(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    obj: dict[str, object] = {}
     for key, value in pairs:
         if key in obj:
             raise MalformedDocument(f"duplicate key {key!r}")

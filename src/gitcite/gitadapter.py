@@ -28,8 +28,7 @@ import os
 import re
 import stat
 from collections import Counter
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
     DestinationCollision,
@@ -56,9 +55,6 @@ from .ops import (
 )
 from .paths import CanonicalPath, PathKind, Tree
 
-if TYPE_CHECKING:
-    import subprocess
-
 CITATION_FILE = "citation.cite"
 
 Rename = tuple[CanonicalPath, CanonicalPath]
@@ -66,33 +62,32 @@ TREE = "040000"  # the mode of a directory's entry in git's diff records
 BLOBS = ("100644", "100755", "120000")  # a file's or a symlink's; a submodule's is 160000
 
 
-def citation_file_path(worktree_root: Path | str) -> Path:
-    return Path(worktree_root) / CITATION_FILE
+def citation_file_path(worktree_root: str) -> str:
+    return os.path.join(worktree_root, CITATION_FILE)
 
 
-def citation_file_text(worktree_root: Path | str) -> str:
+def citation_file_text(worktree_root: str) -> str:
     """The worktree's citation file as text; an error names the file when it
     is missing or not UTF-8."""
     path = citation_file_path(worktree_root)
-    if not path.is_file():
+    if not os.path.isfile(path):
         raise FileMissing(f"no {CITATION_FILE} at {worktree_root}; run 'gitcite init' there first")
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as text:
+            return text.read()
     except UnicodeDecodeError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
-def parse_citation_text(text: str, rev: str | None = None, *, require_root: bool = True) -> CitationFile:
-    """Parse the text of the worktree's citation file, or of the one at
-    ``rev``. A malformed document's error names the file, and the revision."""
+def parse_citation_text(text: str, where: str = CITATION_FILE, *, require_root: bool = True) -> CitationFile:
+    """Parse the text of a citation file; a malformed document's error names ``where`` it came from."""
     try:
         return parse(text, require_root)
     except (MalformedDocument, MissingRoot) as exc:
-        where = CITATION_FILE if rev is None else f"{CITATION_FILE} at revision {rev!r}"
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def load_citation_file(worktree_root: Path | str) -> CitationFile:
+def load_citation_file(worktree_root: str) -> CitationFile:
     """Parse the worktree's citation file.
 
     A document that parses but is not in canonical form is accepted as it
@@ -101,34 +96,41 @@ def load_citation_file(worktree_root: Path | str) -> CitationFile:
     return parse_citation_text(citation_file_text(worktree_root))
 
 
-def store_citation_file(worktree_root: Path | str, cf: CitationFile) -> None:
+def store_citation_file(worktree_root: str, cf: CitationFile) -> None:
     """Write exactly the canonical bytes; equal inputs give identical files.
 
     The bytes go to a new file beside it, which then replaces it with the old
     file's permission bits (``os.replace``). On any error the old file stays
-    as it was and the new one is removed.
+    as it was and the new one is removed. A key that is not UTF-8, as git's
+    names may be, raises :class:`~gitcite.errors.InvalidPath` and writes nothing.
     """
-    data = serialize(cf).encode("utf-8")
+    try:
+        data = serialize(cf).encode("utf-8")
+    except UnicodeEncodeError:
+        for key in cf:
+            if _key(key.segments, key.kind) is None:
+                shown = key.render().encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+                raise InvalidPath(f"{shown} cannot be cited: its name is not UTF-8") from None
+        raise
     path = citation_file_path(worktree_root)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    temp = os.path.join(worktree_root, f".{CITATION_FILE}.{os.getpid()}.tmp")
     try:
         try:
             with open(temp, "xb") as out:  # exclusive: never writes through a planted link
                 out.write(data)
-                if path.exists():
-                    os.fchmod(out.fileno(), stat.S_IMODE(path.stat().st_mode))
+                if os.path.exists(path):
+                    os.fchmod(out.fileno(), stat.S_IMODE(os.stat(path).st_mode))
             os.replace(temp, path)
         except BaseException:
-            temp.unlink(missing_ok=True)
+            if os.path.lexists(temp):
+                os.unlink(temp)
             raise
     except OSError as exc:
         raise IoFailure(f"cannot write {CITATION_FILE}: {exc}") from exc
 
 
 def sync_on_commit(
-    worktree_root: Path | str,
-    rename_map: Sequence[Rename] = (),
-    deleted: Sequence[CanonicalPath] = (),
+    worktree_root: str, rename_map: Sequence[Rename] = (), deleted: Sequence[CanonicalPath] = ()
 ) -> CitationFile:
     """Carry the on-disk citation file through renames and deletions.
 
@@ -145,7 +147,7 @@ def sync_on_commit(
 
 
 def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
-    """GET ``url`` and parse the body as a citation-file document."""
+    """GET ``url`` and parse the body as a citation-file document; an error in it names ``url``."""
     # Imported here: urllib.request pulls in ssl, http.client and email,
     # which only this command needs.
     import urllib.error
@@ -159,23 +161,27 @@ def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
         raise HttpStatus(exc.code, url) from exc
     except (urllib.error.URLError, OSError, ValueError) as exc:
         raise NetworkFailure(f"cannot fetch {url}: {exc}") from exc
-    return parse(body.decode("utf-8"))
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"cannot read {url}: {exc}") from exc
+    return parse_citation_text(text, url)
 
 
 # --- Git plumbing -----------------------------------------------------------
 
 
-def _git(root: Path | str, *args: str, check: bool = True, input: str | None = None) -> subprocess.CompletedProcess:
-    """Run git. Its output is decoded as Python decodes file names: a byte
-    that is not UTF-8 becomes a lone surrogate, which encodes back to the
-    same byte when the text is handed to git or the file system again.
-    ``input`` is encoded the same way. Nothing else is translated, so a
-    ``\\r`` in a file name stays one. ``subprocess`` is imported on the
-    first call: most commands run no git."""
+def _git(root: str, *args: str, check: bool = True, input: str | None = None):
+    """Run git and return its ``subprocess.CompletedProcess``. Its output is
+    decoded as Python decodes file names: a byte that is not UTF-8 becomes a
+    lone surrogate, which encodes back to the same byte when the text is
+    handed to git or the file system again. ``input`` is encoded the same
+    way. Nothing else is translated, so a ``\\r`` in a file name stays one.
+    ``subprocess`` is imported on the first call: most commands run no git."""
     import subprocess
 
     proc = subprocess.run(
-        ["git", "-C", str(root), *args],
+        ["git", "-C", root, *args],
         capture_output=True,
         input=None if input is None else input.encode("utf-8", "surrogateescape"),
     )
@@ -186,17 +192,7 @@ def _git(root: Path | str, *args: str, check: bool = True, input: str | None = N
     return proc
 
 
-_ORIGIN_RE = re.compile(r"[:/]([^/:]+)/([^/:]+?)(?:\.git)?/?$")
-
-
-def _parse_origin(url: str) -> tuple[str | None, str | None]:
-    match = _ORIGIN_RE.search(url)
-    if not match:
-        return None, None
-    return match.group(1), match.group(2)
-
-
-def default_root_citation(top: Path) -> CitationRecord:
+def default_root_citation(top: str) -> CitationRecord:
     """Draft the root citation of the repository whose worktree is ``top``.
 
     Owner and repository name come from the origin URL when one is set,
@@ -207,7 +203,8 @@ def default_root_citation(top: Path) -> CitationRecord:
     authors, oldest first, or the owner alone before the first commit.
     """
     origin = _git(top, "config", "--get", "remote.origin.url", check=False).stdout.strip()
-    owner, repo_name = _parse_origin(origin) if origin else (None, None)
+    match = re.search(r"[:/]([^/:]+)/([^/:]+?)(?:\.git)?/?$", origin)  # .../<owner>/<name>[.git]
+    owner, repo_name = match.groups() if match else (None, None)
     if not owner:
         owner = _git(top, "config", "user.name", check=False).stdout.strip()
     if not owner:
@@ -215,10 +212,14 @@ def default_root_citation(top: Path) -> CitationRecord:
     log = _git(top, "log", "--reverse", "--format=%h%x00%cI%x00%aN", check=False)  # fails with no commit
     commits = [line.split("\0") for line in log.stdout.split("\n") if line] if log.returncode == 0 else []
     head_id, head_date, _ = commits[-1] if commits else ("", "", "")
+    if not origin:
+        from pathlib import Path  # only the file:// locator needs it, and only here
+
+        origin = Path(top).resolve().as_uri()
     return CitationRecord(
         owner=owner,
-        repo_name=repo_name or top.name,
-        locator=origin or top.resolve().as_uri(),
+        repo_name=repo_name or os.path.basename(top),
+        locator=origin,
         version_id=head_id,
         date=head_date,
         author_list=tuple(dict.fromkeys(author for *_, author in commits if author)) or (owner,),
@@ -256,7 +257,7 @@ class WorktreeLookup(_PathLookup):
     missing entry has no kind. No git command runs.
     """
 
-    def __init__(self, worktree_root: Path | str) -> None:
+    def __init__(self, worktree_root: str) -> None:
         super().__init__()
         self._root = os.fspath(worktree_root)
 
@@ -291,7 +292,7 @@ class RevisionLookup(_PathLookup):
     :class:`~gitcite.errors.UnknownVersion`.
     """
 
-    def __init__(self, root: Path | str, rev: str) -> None:
+    def __init__(self, root: str, rev: str) -> None:
         super().__init__()
         self._root, self._rev = root, rev
 
@@ -316,13 +317,13 @@ class RevisionLookup(_PathLookup):
         return None
 
 
-def _require_tree(root: Path | str, rev: str) -> None:
+def _require_tree(root: str, rev: str) -> None:
     """Raise :class:`~gitcite.errors.UnknownVersion` unless git resolves ``rev`` to a tree."""
     if _git(root, "rev-parse", "--verify", "-q", f"{rev}^{{tree}}", check=False).returncode:
         raise UnknownVersion(f"unknown revision {rev!r}")
 
 
-def citation_file_at_revision(root: Path | str, rev: str) -> CitationFile:
+def citation_file_at_revision(root: str, rev: str) -> CitationFile:
     """The citation file committed at ``rev``. Only when it is missing does
     one more git call tell a revision that is not a tree apart
     (:class:`~gitcite.errors.UnknownVersion`) from a tree without the file
@@ -332,10 +333,10 @@ def citation_file_at_revision(root: Path | str, rev: str) -> CitationFile:
     except FileMissing:
         _require_tree(root, rev)
         raise
-    return parse_citation_text(text, rev)
+    return parse_citation_text(text, f"{CITATION_FILE} at revision {rev!r}")
 
 
-def _citation_texts_at(root: Path | str, revs: Sequence[str]) -> list[str]:
+def _citation_texts_at(root: str, revs: Sequence[str]) -> list[str]:
     """The citation file's text at each of ``revs``, read with one ``git
     cat-file --batch``. A revision without the file as a blob (or one that
     does not resolve) raises :class:`~gitcite.errors.FileMissing`; a file
@@ -360,7 +361,7 @@ def _citation_texts_at(root: Path | str, revs: Sequence[str]) -> list[str]:
     return texts
 
 
-def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]:
+def staged_changes(root: str) -> tuple[list[Rename], list[CanonicalPath]]:
     """Rename and delete lists for the staged state vs HEAD.
 
     ``git write-tree`` writes the index as the tree ``git commit`` would:
@@ -413,7 +414,7 @@ def staged_changes(root: Path | str) -> tuple[list[Rename], list[CanonicalPath]]
     return key_renames, key_deleted
 
 
-def _tree_diff(root: Path | str, pairs: Sequence[tuple[str, str]]) -> Iterator[tuple[str, str, str, list[Segments]]]:
+def _tree_diff(root: str, pairs: Sequence[tuple[str, str]]) -> Iterator[tuple[str, str, str, list[Segments]]]:
     """The records of one ``git diff-tree --stdin -r -t --no-renames`` of
     each pair of trees. ``-t`` gives a directory a record of its own: one is
     gone when its record is ``D`` from the mode ``TREE``. Renames stay off:
@@ -440,15 +441,19 @@ def _raw_diff(out: str) -> Iterator[tuple[str, str, str, list[Segments]]]:
 
 
 def _key(segments: Segments, kind: PathKind) -> CanonicalPath | None:
-    """``segments`` as a citation key, or None for a name no key can have, such as ``we\\ird.c``."""
+    """``segments`` as a citation key, or None for a name no key can have:
+    one with a backslash, such as ``we\\ird.c``, or one that is not UTF-8,
+    which the citation file cannot hold."""
     try:
-        return CanonicalPath(segments, kind)
-    except InvalidPath:
+        key = CanonicalPath(segments, kind)
+        key.render().encode("utf-8")
+    except (InvalidPath, UnicodeEncodeError):
         return None
+    return key
 
 
 def _infer_directory_moves(
-    root: Path | str,
+    root: str,
     index_tree: str,
     records: Sequence[tuple[str, list[Segments]]],
     gone: set[Segments],
@@ -456,15 +461,18 @@ def _infer_directory_moves(
 ) -> list[tuple[Segments, Segments]]:
     """Directory moves implied by the renames among the diff ``records``, in first-seen order.
 
-    Each rename nominates the directory pair left once the longest common
-    run of trailing names is cut from both ends. ``old_dir -> new_dir`` is a
-    move when ``old_dir`` is ``gone`` with no file deleted under it, every
-    rename out of ``old_dir`` lands at its rebased path under ``new_dir``,
-    and every staged file under ``new_dir`` is one of those renames or a new
-    file. A ``new_dir`` that already held files is a merge of two
-    directories, and stays file-by-file. Every staged file under a directory
-    of ``new_dirs`` has a record; those under a destination ``HEAD`` had are
-    counted by one ``ls-tree`` of the index's tree.
+    Each rename nominates every directory pair left once some of the common
+    run of trailing names is cut from both ends: ``src/lib/util.c ->
+    vendor/lib/util.c`` nominates ``src/lib -> vendor/lib`` and ``src ->
+    vendor``. ``old_dir -> new_dir`` is a move when ``old_dir`` is ``gone``
+    with no file deleted under it, every rename out of ``old_dir`` lands at
+    its rebased path under ``new_dir``, and every staged file under
+    ``new_dir`` is one of those renames or a new file. A ``new_dir`` that
+    already held files is a merge of two directories, and stays
+    file-by-file. Every staged file under a directory of ``new_dirs`` has a
+    record; those under a destination ``HEAD`` had are counted by one
+    ``ls-tree`` of the index's tree. Only the outermost moves are returned:
+    a move nested in another follows it by prefix.
     """
     renames = [tuple(paths) for status, paths in records if status == "R"]
     moved_out = _count_dirs(old for old, _ in renames)
@@ -479,14 +487,15 @@ def _infer_directory_moves(
         while k < limit and o[-(k + 1)] == n[-(k + 1)]:
             k += 1
             agreeing[o[:-k], n[:-k]] += 1
-        if k:
             candidates.setdefault((o[:-k], n[:-k]))
     moves = [(o, n) for o, n in candidates if o in gone and not deleted[o] and agreeing[o, n] == moved_out[o]]
     listed = sorted({"/".join(n) for _, n in moves if n not in new_dirs})  # destinations HEAD had
     ls_tree = ("--literal-pathspecs", "ls-tree", "-r", "-z", "--name-only", "--full-tree", index_tree, "--", *listed)
     out = _git(root, *ls_tree).stdout if listed else ""
     held = _count_dirs(tuple(f.split("/")) for f in out.split("\0") if f)  # the staged files under each of them
-    return [(o, n) for o, n in moves if agreeing[o, n] + added[n] == (arrived if n in new_dirs else held)[n]]
+    moves = [(o, n) for o, n in moves if agreeing[o, n] + added[n] == (arrived if n in new_dirs else held)[n]]
+    olds = {o for o, _ in moves}
+    return [(o, n) for o, n in moves if not any(o[:i] in olds for i in range(1, len(o)))]
 
 
 def _count_dirs(files: Iterable[tuple[str, ...]]) -> Counter:
@@ -497,9 +506,7 @@ def _count_dirs(files: Iterable[tuple[str, ...]]) -> Counter:
 # --- Higher-level worktree operations (used by the CLI) ---------------------
 
 
-def run_merge(
-    root: Path | str, other: str, resolver: Resolver | None
-) -> tuple[CitationFile, list[ConflictReport]]:
+def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[CitationFile, list[ConflictReport]]:
     """Citation-aware branch merge in a real worktree, merging once.
 
     ``git merge-tree --write-tree`` merges ``HEAD`` and ``other`` in the
@@ -525,7 +532,6 @@ def run_merge(
     writes only unreferenced objects, so a resolver that gives up or a failed
     step leaves no pending merge behind.
     """
-    root = Path(root)
     if "\n" in other:  # the query takes one name per line
         raise UnknownVersion(f"unknown revision {other!r}")
     query = "".join(f"{rev}^{{{kind}}}\n" for rev in ("HEAD", other) for kind in ("commit", "tree"))
@@ -569,7 +575,7 @@ def run_merge(
         raise EditConflict(f"merge refused: both branches changed {', '.join(conflicted)}")
     base_text, left_text, right_text = _citation_texts_at(root, [base_rev, head_rev, other_rev])
     base_cf, left_cf, right_cf = (
-        parse_citation_text(text, rev)
+        parse_citation_text(text, f"{CITATION_FILE} at revision {rev!r}")
         for text, rev in zip((base_text, left_text, right_text), (base_rev, "HEAD", other))
     )
     worktree_text = citation_file_text(root)
@@ -604,10 +610,7 @@ def run_merge(
 
 
 def run_copy(
-    root: Path | str,
-    src_root: Path | str,
-    src_subtree: CanonicalPath,
-    dst_path: CanonicalPath,
+    root: str, src_root: str, src_subtree: CanonicalPath, dst_path: CanonicalPath
 ) -> tuple[CitationFile, list[CanonicalPath]]:
     """Copy a directory from another checkout and migrate its citations.
 
@@ -621,7 +624,6 @@ def run_copy(
     """
     import shutil  # only copy walks a tree
 
-    root, src_root = Path(root), Path(src_root)
     merged, added = apply_copy(
         load_citation_file(root),
         WorktreeLookup(root),
@@ -630,13 +632,13 @@ def run_copy(
         src_subtree,
         dst_path,
     )
-    dst_fs = root / Path(*dst_path.segments)
+    dst_fs = os.path.join(root, *dst_path.segments)
     if os.path.lexists(dst_fs):  # such as a directory symlink, which the cited tree leaves out
         raise DestinationCollision(f"{dst_path} already exists")
-    src_fs = src_root.joinpath(*src_subtree.segments)
+    src_fs = os.path.join(src_root, *src_subtree.segments)
 
-    def ignore(directory: str, names: list[str]) -> set[str]:
-        ignored = {".git", CITATION_FILE} if Path(directory) == src_root else {".git"}
+    def ignore(directory: str, names: list[str]) -> set[str]:  # copytree names the top as it was given
+        ignored = {".git", CITATION_FILE} if src_subtree.is_root and directory == src_fs else {".git"}
         return ignored.intersection(names)
 
     try:

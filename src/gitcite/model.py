@@ -8,7 +8,7 @@ of its closest ancestor directory.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Set
 
 from .errors import EditConflict, MissingRoot, PathNotInTree
 from .paths import ROOT, CanonicalPath, PathKind, Tree
@@ -63,7 +63,7 @@ class TreeSnapshot(Value, Tree):
     included. Every ancestor of a file or directory is in ``dirs``, and no
     segments are both. A snapshot is built once and then only read;
     :meth:`with_file` and :meth:`with_dir` return a new one. No command
-    builds one; the tests' reference store and the benchmark's tracer use it.
+    builds one; the tests and the benchmark's tracer use it.
     """
 
     __slots__ = ("files", "dirs")
@@ -130,7 +130,7 @@ class TreeSnapshot(Value, Tree):
 
 
 def _missing_dirs(
-    files: Mapping[Segments, str], dirs: AbstractSet[Segments], segments: Segments
+    files: Mapping[Segments, str], dirs: Set[Segments], segments: Segments
 ) -> list[Segments]:
     """The directory ``segments`` and those of its ancestors that ``dirs``
     lacks, nearest first; an :class:`EditConflict` if one of them is a file."""

@@ -15,7 +15,7 @@ thousand files costs one rebuild of the citation file, not one per rename.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .errors import (
     AlreadyCited,

@@ -8,7 +8,7 @@ Equality, hashing, and ordering all follow the rendered form byte-for-byte.
 from __future__ import annotations
 
 import enum
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import InvalidPath, UnknownKind
 from .value import Value
@@ -139,15 +139,14 @@ class Tree:
         return self.kind_of(path.segments) is path.kind
 
 
-def canonicalize(raw: str, kind_hint: PathKind | None = None, tree: Tree | None = None) -> CanonicalPath:
+def canonicalize(raw: str, kind_hint: PathKind | None = None) -> CanonicalPath:
     """Parse ``raw`` (relative or root-anchored) into canonical form.
 
     "." components are dropped; traversal (".."), empty segments, and
     backslash separators are rejected. The node kind comes from a trailing
-    "/" marker if present, then from ``kind_hint``, then from a lookup in
-    ``tree``. A root-anchored input is already in the rendered grammar, so
-    without any of those its missing trailing slash means a file; a relative
-    input with no kind source is an error.
+    "/" marker if present, then from ``kind_hint``. A root-anchored input is
+    already in the rendered grammar, so without either its missing trailing
+    slash means a file; a relative input with no kind source is an error.
     """
     if "\\" in raw:
         raise InvalidPath(f"backslash separators are not allowed: {raw!r}")
@@ -175,14 +174,8 @@ def canonicalize(raw: str, kind_hint: PathKind | None = None, tree: Tree | None 
         return CanonicalPath(tuple(segments), PathKind.DIRECTORY)
     if kind_hint is not None:
         return CanonicalPath(tuple(segments), kind_hint)
-    if tree is not None:
-        kind = tree.kind_of(tuple(segments))
-        if kind is not None:
-            return CanonicalPath(tuple(segments), kind)
     if anchored:
         return CanonicalPath(tuple(segments), PathKind.FILE)
-    if tree is not None:
-        raise UnknownKind(f"{raw!r} is not in the tree, so its kind is unknown")
     raise UnknownKind(f"cannot tell whether {raw!r} is a file or a directory")
 
 

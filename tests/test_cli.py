@@ -152,6 +152,19 @@ class TestEditCommands:
         assert "'../outside.c' is outside the repository" in capsys.readouterr().err
         assert (root / "citation.cite").read_bytes() == before
 
+    def test_a_name_that_is_not_utf8_resolves_but_cannot_be_cited(self, git_repo, monkeypatch, capsys):
+        # Git tracks such a name, but the citation file is UTF-8, so it can hold no key for it.
+        name = os.fsdecode(b"bad\xff.c")
+        root = git_repo()
+        seed(root, {name: "odd"}, {})
+        before = (root / "citation.cite").read_bytes()
+        monkeypatch.chdir(root)
+        assert main(["add", name, "--field", "owner=X"]) == 1
+        assert capsys.readouterr().err == "gitcite: /bad\\xff.c cannot be cited: its name is not UTF-8\n"
+        assert (root / "citation.cite").read_bytes() == before
+        assert main(["gen", name, "--format", "json"]) == 0
+        assert record_from_obj(json.loads(capsys.readouterr().out)) == record("root")
+
     def test_a_field_without_a_value_is_a_usage_error(self, git_repo, monkeypatch, capsys):
         root = git_repo()
         seed(root, {"a.c": "x"}, {})
@@ -974,17 +987,18 @@ class TestCliPlumbing:
 
     def test_importing_the_cli_loads_no_code_generators_and_no_subprocess(self):
         # dataclasses pulls in inspect, ast, dis and tokenize; subprocess pulls in
-        # selectors and signal. Only what importing the CLI adds is checked, since
-        # the interpreter may have loaded some of these at start-up.
+        # selectors and signal; pathlib pulls in fnmatch, urllib.parse and
+        # ipaddress. Only what importing the CLI adds is checked, and ``-S``
+        # keeps ``site`` from loading typing and pathlib at start-up.
         src = str(Path(gitcite.__file__).resolve().parent.parent)
         script = "import sys; before = set(sys.modules); import gitcite.cli; print(*set(sys.modules) - before)"
         proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
         )
         assert proc.returncode == 0, proc.stderr
         added = set(proc.stdout.split())
         assert "gitcite.cli" in added
-        assert not added & {"dataclasses", "inspect", "subprocess"}
+        assert not added & {"dataclasses", "inspect", "subprocess", "typing", "pathlib", "urllib"}
 
     @staticmethod
     def _run_without_git(root: Path, argv: list[str]) -> str:

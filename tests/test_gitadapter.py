@@ -184,6 +184,21 @@ class TestStagedChanges:
         ]
         assert [str(d) for d in deleted] == ["/pkg/", "/pkg/deep/"]
 
+    def test_a_directory_moved_under_another_parent_keeps_its_key(self, git_repo):
+        # The whole common run of trailing names, lib/util.c, nominates src -> vendor,
+        # which fails since src/main.c stays; the shorter run nominates src/lib -> vendor/lib.
+        root = git_repo()
+        seed(root, {"src/lib/util.c": "u", "src/main.c": "m", "vendor/README": "r"}, {"/src/lib/": "lib"})
+        git(root, "mv", "src/lib", "vendor/lib")
+        renames, deleted = staged_changes(root)
+        assert [(str(a), str(b)) for a, b in renames] == [
+            ("/src/lib/", "/vendor/lib/"),
+            ("/src/lib/util.c", "/vendor/lib/util.c"),
+        ]
+        assert [str(d) for d in deleted] == ["/src/lib/"]
+        synced = sync_on_commit(root, renames, deleted)
+        assert [str(k) for k in synced] == ["/", "/vendor/lib/"]
+
     def test_a_sync_lists_no_tree(self, git_repo, monkeypatch):
         # Nothing staged: one rev-parse for HEAD's tree and one write-tree
         # for the index's, which are equal. A directory moved to a new name
@@ -422,10 +437,11 @@ class TestStagedChanges:
         assert renames == [] and [str(d) for d in deleted] == ["/odd/b.c", "/odd/"]
         assert sync_on_commit(root, renames, deleted) == cf.without(from_rendered("/odd/"))
 
-    def test_a_cited_file_renamed_to_a_name_no_key_can_have_loses_its_citation(self, git_repo):
+    @pytest.mark.parametrize("name", ["we\\ird.c", os.fsdecode(b"z\xfe.c")], ids=["backslash", "non-utf8"])
+    def test_a_cited_file_renamed_to_a_name_no_key_can_have_loses_its_citation(self, git_repo, name):
         root = git_repo()
         seed(root, {"a.c": _source("alpha"), "b.c": _source("beta")}, {"/a.c": "a", "/b.c": "b"})
-        git(root, "mv", "a.c", "we\\ird.c")
+        git(root, "mv", "a.c", name)
         renames, deleted = staged_changes(root)
         assert renames == [] and [str(d) for d in deleted] == ["/a.c"]
         synced = sync_on_commit(root, renames, deleted)
@@ -597,5 +613,13 @@ class TestFetch:
     def test_malformed_remote_document(self, http_root):
         served, url = http_root
         (served / "bad.cite").write_text(json.dumps({"no-root": {}}))
-        with pytest.raises(MalformedDocument):
+        with pytest.raises(MalformedDocument) as err:
             fetch_remote_citation_file(f"{url}/bad.cite")
+        assert str(err.value).startswith(f"{url}/bad.cite: invalid path key 'no-root'")
+
+    def test_a_remote_body_that_is_not_utf8_names_the_url(self, http_root, monkeypatch, capsys):
+        served, url = http_root
+        (served / "bad.cite").write_bytes(b'{"/": "\xff"}\n')
+        monkeypatch.chdir(served)  # gen --remote needs no checkout
+        assert main(["gen", "a.c", "--remote", f"{url}/bad.cite"]) == 3
+        assert capsys.readouterr().err.startswith(f"gitcite: cannot read {url}/bad.cite: 'utf-8' codec can't decode")

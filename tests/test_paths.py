@@ -50,12 +50,6 @@ def test_dot_segments_are_dropped():
     assert str(canonicalize("./src/main.c", kind_hint=PathKind.FILE)) == "/src/main.c"
 
 
-def test_kind_from_tree_membership():
-    snap = tree("/src/lib/util.c")
-    assert str(canonicalize("src/lib", tree=snap)) == "/src/lib/"
-    assert str(canonicalize("src/lib/util.c", tree=snap)) == "/src/lib/util.c"
-
-
 @pytest.mark.parametrize("raw", ["a/../b", "..", "a//b", "a\\b"])
 def test_invalid_inputs(raw):
     with pytest.raises(InvalidPath):
@@ -65,8 +59,6 @@ def test_invalid_inputs(raw):
 def test_unknown_kind_without_hint_or_tree():
     with pytest.raises(UnknownKind):
         canonicalize("src/lib")
-    with pytest.raises(UnknownKind):
-        canonicalize("ghost", tree=tree("/real.c"))
 
 
 def test_trailing_slash_contradicting_file_hint():
