@@ -20,7 +20,6 @@ from .errors import (
     FileMissing,
     GitCiteError,
     HttpStatus,
-    InvalidPath,
     IoFailure,
     NetworkFailure,
     NotARepository,
@@ -36,7 +35,7 @@ from .ops import (
     choose_left,
     choose_right,
 )
-from .paths import ROOT, CanonicalPath, PathKind, Tree, canonicalize
+from .paths import CanonicalPath, PathKind, canonicalize
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -70,29 +69,13 @@ def _open_worktree(raw: str) -> tuple[str, gitadapter.WorktreeLookup, CitationFi
     root = find_root()
     tree = gitadapter.WorktreeLookup(root)
     cf = gitadapter.load_citation_file(root)
-    return root, tree, cf, _repo_relative(root, raw, tree=tree)
+    return root, tree, cf, canonicalize(raw, _cwd(root), tree=tree)
 
 
-def _repo_relative(root: str, raw: str, tree: Tree | None = None, kind_hint: PathKind | None = None) -> CanonicalPath:
-    """Turn a user path into a key of the checkout at ``root``.
-
-    Paths are taken relative to the cwd; a leading "/" anchors at the
-    repository root instead of the filesystem root. The kind comes from a
-    trailing "/", "." or "..", then from ``kind_hint``, then from ``tree``;
-    otherwise the path is a file.
-    """
-    base = root if raw.startswith("/") else os.getcwd()
-    rel = os.path.relpath(os.path.normpath(os.path.join(base, raw.lstrip("/"))), root)
-    if rel == os.pardir or rel.startswith(os.pardir + os.sep):
-        raise InvalidPath(f"{raw!r} is outside the repository")
-    if rel == os.curdir:
-        return ROOT
-    segments = tuple(rel.split(os.sep))
-    if raw.endswith("/") or raw in (".", "..") or raw.endswith(("/.", "/..")):
-        return CanonicalPath(segments, PathKind.DIRECTORY)
-    if kind_hint is None and tree is not None:
-        kind_hint = tree.kind_of(segments)
-    return CanonicalPath(segments, kind_hint or PathKind.FILE)
+def _cwd(root: str) -> tuple[str, ...]:
+    """The segments of the cwd below ``root``, where a relative path starts."""
+    rel = os.path.relpath(os.getcwd(), root)
+    return () if rel == os.curdir else tuple(rel.split(os.sep))
 
 
 def _field_pair(text: str) -> tuple[str, str]:
@@ -122,7 +105,7 @@ def _build_record(template: CitationRecord, fields: list[tuple[str, str]], autho
 def cmd_init(args: argparse.Namespace) -> int:
     root = find_root()
     target = gitadapter.citation_file_path(root)
-    if os.path.exists(target):
+    if gitadapter.citation_file_exists(root):
         raise AlreadyInitialized(f"{target} already exists")
     record = gitadapter.default_root_citation(root)
     gitadapter.store_citation_file(root, CitationFile.single(record))
@@ -167,15 +150,12 @@ def cmd_modify(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.remote is not None:
         cf = gitadapter.fetch_remote_citation_file(args.remote)
-        hint = PathKind.DIRECTORY if args.path.endswith("/") else PathKind.FILE
-        path = canonicalize(args.path, kind_hint=hint)
-        record = resolve_from_entries(cf, path)
+        record = resolve_from_entries(cf, canonicalize(args.path))
     elif args.version is not None:
         root = find_root()
         tree = gitadapter.RevisionLookup(root, args.version)
         cf = gitadapter.citation_file_at_revision(root, args.version)
-        path = _repo_relative(root, args.path, tree=tree)
-        record = resolve(cf, tree, path)
+        record = resolve(cf, tree, canonicalize(args.path, _cwd(root), tree=tree))
     else:
         _, tree, cf, path = _open_worktree(args.path)
         record = resolve(cf, tree, path)
@@ -194,7 +174,7 @@ def cmd_copy(args: argparse.Namespace) -> int:
         else:
             src_root = os.path.normpath(os.path.join(os.getcwd(), args.src))
         src_subtree = canonicalize(args.src_subtree, kind_hint=PathKind.DIRECTORY)
-        dst_path = _repo_relative(root, args.dst_path, kind_hint=PathKind.DIRECTORY)
+        dst_path = canonicalize(args.dst_path, _cwd(root), PathKind.DIRECTORY)
         _, added = gitadapter.run_copy(root, src_root, src_subtree, dst_path)
     print(f"copied {src_subtree} -> {dst_path}; migrated {len(added)} citation entries:")
     for key in added:

@@ -10,10 +10,6 @@ class InvalidPath(GitCiteError):
     pass
 
 
-class UnknownKind(GitCiteError):
-    pass
-
-
 class PathNotInTree(GitCiteError):
     def __init__(self, path: object):
         super().__init__(f"{path} is not in the tree")

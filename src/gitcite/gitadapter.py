@@ -45,7 +45,7 @@ from .errors import (
     UnknownVersion,
 )
 from .fileformat import parse, serialize
-from .model import CitationFile, CitationRecord, Segments
+from .model import TEXT_FIELDS, CitationFile, CitationRecord, Segments
 from .ops import (
     ConflictReport,
     Resolver,
@@ -66,11 +66,25 @@ def citation_file_path(worktree_root: str) -> str:
     return os.path.join(worktree_root, CITATION_FILE)
 
 
+def citation_file_exists(worktree_root: str) -> bool:
+    """Whether the worktree has its citation file. Anything else of that name
+    at the top, a symlink, a directory or a FIFO, raises
+    :class:`~gitcite.errors.IoFailure`: no command reads or replaces it."""
+    path = citation_file_path(worktree_root)
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        return False
+    if not stat.S_ISREG(mode):
+        raise IoFailure(f"{path} is not a regular file")
+    return True
+
+
 def citation_file_text(worktree_root: str) -> str:
     """The worktree's citation file as text; an error names the file when it
-    is missing or not UTF-8."""
+    is missing, not a regular file or not UTF-8."""
     path = citation_file_path(worktree_root)
-    if not os.path.isfile(path):
+    if not citation_file_exists(worktree_root):
         raise FileMissing(f"no {CITATION_FILE} at {worktree_root}; run 'gitcite init' there first")
     try:
         with open(path, encoding="utf-8") as text:
@@ -102,15 +116,22 @@ def store_citation_file(worktree_root: str, cf: CitationFile) -> None:
     The bytes go to a new file beside it, which then replaces it with the old
     file's permission bits (``os.replace``). On any error the old file stays
     as it was and the new one is removed. A key that is not UTF-8, as git's
-    names may be, raises :class:`~gitcite.errors.InvalidPath` and writes nothing.
+    names may be, raises :class:`~gitcite.errors.InvalidPath`, and a record
+    field that is not UTF-8 (a byte the command line could not decode) a
+    ``ValueError`` that names the key and the field. Neither writes anything.
     """
     try:
         data = serialize(cf).encode("utf-8")
     except UnicodeEncodeError:
-        for key in cf:
-            if _key(key.segments, key.kind) is None:
-                shown = key.render().encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
-                raise InvalidPath(f"{shown} cannot be cited: its name is not UTF-8") from None
+        for key, entry in cf.items():
+            if (where := _shown(key.render())) != key.render():
+                raise InvalidPath(f"{where} cannot be cited: its name is not UTF-8") from None
+            texts = {name: getattr(entry, name) for name in TEXT_FIELDS}
+            texts["author_list"] = "".join(entry.author_list)
+            texts.update((name, name + value) for name, value in entry.extras.items())  # an extras name counts too
+            for name, text in texts.items():
+                if _shown(text) != text:
+                    raise ValueError(f"{where}: field '{_shown(name)}' is not UTF-8") from None
         raise
     path = citation_file_path(worktree_root)
     temp = os.path.join(worktree_root, f".{CITATION_FILE}.{os.getpid()}.tmp")
@@ -251,10 +272,11 @@ class WorktreeLookup(_PathLookup):
     Git never tracks a path component named ``.git``, so an entry of that
     name is not part of the cited tree, whatever its kind: the repository's
     directory, or the file that points a linked worktree at it. Nor is the
-    citation file at the top; one below it is an ordinary file. A symlink to
-    a directory is left out, and nothing is found through it; any other
-    symlink, broken or not, counts as a file. A path through a file or a
-    missing entry has no kind. No git command runs.
+    citation file at the top; one below it is an ordinary file. A regular
+    file is a file, and so is a symlink, broken or not, unless it points to a
+    directory: that one is left out, and nothing is found through it. A
+    FIFO, socket or device is left out too, as ``git add`` skips it. A path
+    through a file or a missing entry has no kind. No git command runs.
     """
 
     def __init__(self, worktree_root: str) -> None:
@@ -276,9 +298,9 @@ class WorktreeLookup(_PathLookup):
             return None
         if stat.S_ISDIR(mode):
             return PathKind.DIRECTORY
-        if stat.S_ISLNK(mode) and os.path.isdir(full):
-            return None
-        return None if segments == (CITATION_FILE,) else PathKind.FILE
+        if stat.S_ISREG(mode) or stat.S_ISLNK(mode) and not os.path.isdir(full):
+            return None if segments == (CITATION_FILE,) else PathKind.FILE
+        return None  # a FIFO, socket or device, which git does not carry, or a link to a directory
 
 
 class RevisionLookup(_PathLookup):
@@ -452,6 +474,11 @@ def _key(segments: Segments, kind: PathKind) -> CanonicalPath | None:
     return key
 
 
+def _shown(text: str) -> str:
+    """``text`` for a message, each byte that is not UTF-8 written ``\\xNN``."""
+    return text.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
 def _infer_directory_moves(
     root: str,
     index_tree: str,
@@ -534,6 +561,7 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
     """
     if "\n" in other:  # the query takes one name per line
         raise UnknownVersion(f"unknown revision {other!r}")
+    worktree_text = citation_file_text(root)  # before any step that may write
     query = "".join(f"{rev}^{{{kind}}}\n" for rev in ("HEAD", other) for kind in ("commit", "tree"))
     heads = _git(root, "cat-file", "--batch-check=%(objectname)", input=query).stdout.split("\n")
     head_rev, head_tree, other_rev, other_tree = heads[:4]  # an id, or "<name> missing"
@@ -578,7 +606,6 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
         parse_citation_text(text, f"{CITATION_FILE} at revision {rev!r}")
         for text, rev in zip((base_text, left_text, right_text), (base_rev, "HEAD", other))
     )
-    worktree_text = citation_file_text(root)
     if worktree_text != left_text and parse_citation_text(worktree_text) != left_cf:
         raise IoFailure(f"{citation_file_path(root)} has uncommitted changes; commit or discard them first")
 

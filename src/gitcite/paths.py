@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 
-from .errors import InvalidPath, UnknownKind
+from .errors import InvalidPath
 from .value import Value
 
 
@@ -139,44 +139,36 @@ class Tree:
         return self.kind_of(path.segments) is path.kind
 
 
-def canonicalize(raw: str, kind_hint: PathKind | None = None) -> CanonicalPath:
-    """Parse ``raw`` (relative or root-anchored) into canonical form.
+def canonicalize(
+    raw: str, cwd: tuple[str, ...] = (), kind_hint: PathKind | None = None, tree: Tree | None = None
+) -> CanonicalPath:
+    """Parse the path a user typed into a key: the one grammar of every
+    command's path arguments.
 
-    "." components are dropped; traversal (".."), empty segments, and
-    backslash separators are rejected. The node kind comes from a trailing
-    "/" marker if present, then from ``kind_hint``. A root-anchored input is
-    already in the rendered grammar, so without either its missing trailing
-    slash means a file; a relative input with no kind source is an error.
+    A leading "/" anchors ``raw`` at the repository root; otherwise it starts
+    from the ``cwd`` segments. "." and empty segments are dropped, and ".."
+    drops the segment before it; going above the root raises
+    :class:`~gitcite.errors.InvalidPath`. The kind comes from a trailing
+    "/", "." or "..", then from ``kind_hint``, then from ``tree``; otherwise
+    the path is a file.
     """
-    if "\\" in raw:
-        raise InvalidPath(f"backslash separators are not allowed: {raw!r}")
     parts = raw.split("/")
-    anchored = bool(parts) and parts[0] == ""
-    if anchored:
-        parts = parts[1:]
-    trailing_dir = bool(parts) and parts[-1] == ""
-    if trailing_dir:
-        parts = parts[:-1]
-    segments: list[str] = []
+    segments = [] if raw.startswith("/") else list(cwd)
     for part in parts:
-        if part == ".":
-            continue
         if part == "..":
-            raise InvalidPath(f"path escapes the root: {raw!r}")
-        if part == "":
-            raise InvalidPath(f"empty segment in {raw!r}")
-        segments.append(part)
+            if not segments:
+                raise InvalidPath(f"{raw!r} is outside the repository")
+            segments.pop()
+        elif part not in ("", "."):
+            segments.append(part)
     if not segments:
         return ROOT
-    if trailing_dir:
-        if kind_hint is PathKind.FILE:
-            raise InvalidPath(f"{raw!r} has a directory marker but was declared a file")
-        return CanonicalPath(tuple(segments), PathKind.DIRECTORY)
-    if kind_hint is not None:
-        return CanonicalPath(tuple(segments), kind_hint)
-    if anchored:
-        return CanonicalPath(tuple(segments), PathKind.FILE)
-    raise UnknownKind(f"cannot tell whether {raw!r} is a file or a directory")
+    key = tuple(segments)
+    if parts[-1] in ("", ".", ".."):
+        return CanonicalPath(key, PathKind.DIRECTORY)
+    if kind_hint is None and tree is not None:
+        kind_hint = tree.kind_of(key)
+    return CanonicalPath(key, kind_hint or PathKind.FILE)
 
 
 def from_rendered(text: str) -> CanonicalPath:

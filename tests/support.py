@@ -51,7 +51,8 @@ def snapshot_worktree(worktree_root: Path | str) -> TreeSnapshot:
     """Oracle: the whole working tree from one ``os.walk``.
 
     Every entry named ``.git``, a directory or a linked worktree's file, and
-    the root's citation file are left out. Every file digest is ``""``.
+    the root's citation file are left out, and so is a FIFO, socket or
+    device, which git does not carry. Every file digest is ``""``.
     Directories are taken from the walk itself, so a symlink to a directory
     is not descended into and is left out.
     ``gitadapter.WorktreeLookup`` must answer ``kind_of`` exactly as this
@@ -65,9 +66,10 @@ def snapshot_worktree(worktree_root: Path | str) -> TreeSnapshot:
         rel = Path(current).relative_to(root)
         parts = () if rel == Path(".") else rel.parts
         dirs.append(parts)
-        files.update(
-            (parts + (filename,), "")
-            for filename in filenames
-            if filename != ".git" and (parts or filename != CITATION_FILE)
-        )
+        for filename in filenames:
+            full = os.path.join(current, filename)
+            if filename != ".git" and (parts or filename != CITATION_FILE) and (
+                os.path.isfile(full) or os.path.islink(full)
+            ):
+                files[parts + (filename,)] = ""
     return TreeSnapshot.from_files(files, dirs)

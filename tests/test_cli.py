@@ -196,6 +196,42 @@ class TestEditCommands:
         assert load_citation_file(root).get(from_rendered("/a.c")).version_id == "v9"
 
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["add", "a/x.c", "--field", "owner=" + os.fsdecode(b"\xff")], "owner"),
+            (["add", "a/x.c", "--authors", os.fsdecode(b"B\xffob")], "author_list"),
+            (["add", "a/x.c", "--field", os.fsdecode(b"fund\xff") + "=NSF"], "fund\\xff"),
+            (["modify", "a/x.c", "--field", "owner=" + os.fsdecode(b"\xff")], "owner"),
+        ],
+        ids=["add-field", "add-authors", "add-extras-key", "modify-field"],
+    )
+    def test_a_field_that_is_not_utf8_is_named(self, git_repo, monkeypatch, capsys, argv, field):
+        # A byte the command line could not decode reaches the record as a lone surrogate.
+        root = git_repo()
+        seed(root, {"a/x.c": "x"}, {"/a/x.c": "x"} if argv[0] == "modify" else {})
+        before = (root / "citation.cite").read_bytes()
+        monkeypatch.chdir(root)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"gitcite: /a/x.c: field '{field}' is not UTF-8\n"
+        assert (root / "citation.cite").read_bytes() == before
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_a_fifo_is_not_in_the_tree(self, git_repo, monkeypatch, capsys):
+        # git add skips a FIFO, so no commit could carry its citation.
+        root = git_repo()
+        seed(root, {"a.c": "x"}, {})
+        os.mkfifo(root / "fifo")
+        before = (root / "citation.cite").read_bytes()
+        monkeypatch.chdir(root)
+        assert main(["add", "fifo"]) == 1
+        assert capsys.readouterr().err == "gitcite: /fifo is not in the tree\n"
+        assert (root / "citation.cite").read_bytes() == before
+        store_citation_file(root, load_citation_file(root).with_entry(from_rendered("/fifo"), record("f")))
+        assert main(["validate"]) == 1
+        assert "dangling_key" in (out := capsys.readouterr().out) and "/fifo" in out
+
+
 class TestGen:
     def test_gen_at_the_root(self, git_repo, monkeypatch, capsys):
         root = git_repo()
@@ -378,6 +414,27 @@ class TestGen:
             server.server_close()
 
 
+    @pytest.mark.parametrize(
+        "raw, tag", [("a/../b.c", "b"), ("a//x.c", "a"), ("a/.", "a"), ("/a/x.c/..", "a")],
+        ids=["dot-dot", "empty-segment", "trailing-dot", "anchored-dot-dot"],
+    )
+    def test_gen_remote_parses_paths_as_the_worktree_does(self, git_repo, monkeypatch, capsys, raw, tag):
+        root = git_repo()
+        seed(root, {"a/x.c": "x", "b.c": "b"}, {"/a/": "a", "/b.c": "b"})
+        monkeypatch.chdir(root)
+        assert main(["gen", raw, "--format", "json"]) == 0
+        in_worktree = capsys.readouterr().out
+        assert record_from_obj(json.loads(in_worktree)) == record(tag)
+        assert main(["gen", raw, "--format", "json", "--remote", (root / "citation.cite").as_uri()]) == 0
+        assert capsys.readouterr().out == in_worktree
+
+    def test_gen_remote_refuses_a_path_above_the_root(self, tmp_path, monkeypatch, capsys):
+        store_citation_file(tmp_path, CitationFile.single(record("root")))
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "a/../../b.c", "--remote", (tmp_path / "citation.cite").as_uri()]) == 1
+        assert capsys.readouterr().err == "gitcite: 'a/../../b.c' is outside the repository\n"
+
+
 class TestCopy:
     def test_copy_preserves_resolution_and_reports_entries(self, git_repo, monkeypatch, capsys):
         src = git_repo("src")
@@ -440,6 +497,17 @@ class TestCopy:
         assert "No space left" in capsys.readouterr().err
         assert not os.path.lexists(dst / "vendor")
         assert (dst / "citation.cite").read_bytes() == before
+
+    def test_the_source_subtree_takes_the_same_grammar(self, git_repo, monkeypatch, capsys):
+        src = git_repo("src-grammar")
+        seed(src, {"sub/f.c": "f"}, {"/sub/": "sub"})
+        dst = git_repo("dst-grammar")
+        seed(dst, {"app.c": "a"}, {})
+        monkeypatch.chdir(dst)
+        assert main(["copy", str(src), "sub/../sub/", "dst/"]) == 0
+        assert capsys.readouterr().out.startswith("copied /sub/ -> /dst/;")
+        assert load_citation_file(dst).get(from_rendered("/dst/")) == record("sub")
+        assert (dst / "dst" / "f.c").read_text() == "f"
 
     def test_destination_collision(self, git_repo, monkeypatch):
         src = git_repo("src3")
@@ -1204,3 +1272,31 @@ class TestTheCheckoutTop:
         assert capsys.readouterr().err == (
             f"gitcite: no citation.cite at {root.resolve()}; run 'gitcite init' there first\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv", [["gen", "a.c"], ["add", "a.c"], ["del", "/"], ["validate"], ["init"], ["merge", "side"]],
+        ids=["gen", "add", "del", "validate", "init", "merge"],
+    )
+    @pytest.mark.parametrize("entry", ["symlink", "dangling-symlink", "directory"])
+    def test_a_citation_file_that_is_not_a_regular_file_is_left_alone(
+        self, git_repo, monkeypatch, capsys, argv, entry
+    ):
+        root = git_repo()
+        seed(root, {"a.c": "a"}, {})
+        top = root / "citation.cite"
+        text = top.read_text()
+        if entry == "directory":
+            top.unlink()
+            top.mkdir()
+        else:
+            (root / "real.cite").write_text(text)
+            top.unlink()
+            top.symlink_to("real.cite" if entry == "symlink" else "missing.cite")
+        monkeypatch.chdir(root)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"gitcite: {root.resolve()}/citation.cite is not a regular file\n"
+        if entry == "directory":
+            assert top.is_dir() and not any(top.iterdir())
+        else:
+            assert os.readlink(top) == ("real.cite" if entry == "symlink" else "missing.cite")
+            assert (root / "real.cite").read_text() == text

@@ -26,8 +26,8 @@ from conftest import git, init_repo
 from support import record, snapshot_worktree
 
 _NAMES = st.sampled_from(["a", "b.c", ".git", "citation.cite"])
-# A leaf is a file or one of three symlinks; a dict is a directory, maybe empty.
-_LEAF = st.sampled_from(["file", "link-to-file", "link-to-dir", "broken-link"])
+# A leaf is a file, one of three symlinks or a FIFO; a dict is a directory, maybe empty.
+_LEAF = st.sampled_from(["file", "link-to-file", "link-to-dir", "broken-link", *(["fifo"] * hasattr(os, "mkfifo"))])
 _NODE = st.recursive(_LEAF, lambda inner: st.dictionaries(_NAMES, inner, max_size=3), max_leaves=10)
 _WORKTREE = st.dictionaries(_NAMES, _NODE, max_size=4)
 
@@ -42,6 +42,8 @@ def _build(directory: Path, node: dict, outside: Path) -> list[tuple[str, ...]]:
             made += [(name, *sub) for sub in _build(target, child, outside)]
         elif child == "file":
             target.write_text(name)
+        elif child == "fifo":
+            os.mkfifo(target)
         else:
             points_to = {"link-to-file": "file", "link-to-dir": "dir", "broken-link": "missing"}[child]
             target.symlink_to(outside / points_to)

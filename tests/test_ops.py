@@ -366,6 +366,21 @@ def test_the_package_reads_no_environment_and_asks_git_for_no_top():
                 assert "--show-toplevel" not in node.value, source.name
 
 
+def test_only_the_command_line_reads_the_cwd_and_the_path_grammar_uses_no_os():
+    """``paths.canonicalize`` is the one parser of a typed path: string work
+    on segments, starting from the cwd segments that ``cli`` reads."""
+    for source in Path(gitcite.__file__).parent.glob("*.py"):
+        imported = _imported_modules(source)
+        if source.name == "paths.py":
+            assert not {name.split(".")[0] for name in imported} & {"os", "posixpath", "ntpath", "pathlib"}
+        reads_cwd = bool({"os.getcwd", "os.getcwdb"} & imported) or any(
+            isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os"
+            and node.attr in ("getcwd", "getcwdb")
+            for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        )
+        assert reads_cwd == (source.name == "cli.py"), source.name
+
+
 def test_the_identity_model_imports_nothing_from_ops_or_the_adapter():
     """The oracle writes the paper's rules again, so a bug in ops or the
     adapter cannot agree with itself. A name imported from ``gitcite``

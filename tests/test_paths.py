@@ -1,9 +1,12 @@
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+import os
+import re
 
-from gitcite.errors import InvalidPath, UnknownKind
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gitcite.errors import InvalidPath
 from gitcite.paths import ROOT, CanonicalPath, PathKind, canonicalize, from_rendered
 
 from support import tree
@@ -43,6 +46,7 @@ def test_empty_input_is_the_root_whatever_the_hint():
     assert canonicalize("", kind_hint=PathKind.FILE) == ROOT
     assert canonicalize(".", kind_hint=PathKind.DIRECTORY) == ROOT
     assert canonicalize("/") == ROOT
+    assert canonicalize("..", ("a",)) == ROOT
 
 
 def test_dot_segments_are_dropped():
@@ -50,20 +54,75 @@ def test_dot_segments_are_dropped():
     assert str(canonicalize("./src/main.c", kind_hint=PathKind.FILE)) == "/src/main.c"
 
 
-@pytest.mark.parametrize("raw", ["a/../b", "..", "a//b", "a\\b"])
+@pytest.mark.parametrize("raw, key", [("a/../b", "/b"), ("a//b", "/a/b"), ("//a/./b/", "/a/b/"), ("a/b/..", "/a/")])
+def test_traversal_and_empty_segments_are_normalized(raw, key):
+    assert str(canonicalize(raw)) == key
+
+
+@pytest.mark.parametrize("raw", ["..", "a\\b"])
 def test_invalid_inputs(raw):
     with pytest.raises(InvalidPath):
         canonicalize(raw, kind_hint=PathKind.FILE)
 
 
-def test_unknown_kind_without_hint_or_tree():
-    with pytest.raises(UnknownKind):
-        canonicalize("src/lib")
+@pytest.mark.parametrize("raw, cwd", [("..", ()), ("a/../..", ()), ("../../x", ("a",)), ("/../a", ("a",))])
+def test_a_path_above_the_root_is_refused(raw, cwd):
+    with pytest.raises(InvalidPath, match=f"^{re.escape(repr(raw))} is outside the repository$"):
+        canonicalize(raw, cwd)
 
 
-def test_trailing_slash_contradicting_file_hint():
-    with pytest.raises(InvalidPath):
-        canonicalize("src/lib/", kind_hint=PathKind.FILE)
+def test_relative_paths_start_from_the_cwd_and_anchored_ones_from_the_root():
+    assert str(canonicalize("x.c", ("src", "lib"))) == "/src/lib/x.c"
+    assert str(canonicalize("../x.c", ("src", "lib"))) == "/src/x.c"
+    assert str(canonicalize("/x.c", ("src", "lib"))) == "/x.c"
+    assert canonicalize(".", ("src",)) == from_rendered("/src/")
+
+
+def test_the_kind_comes_from_the_marker_then_the_hint_then_the_tree():
+    snapshot = tree("/src/lib/x.c", "/src/main.c")
+    assert str(canonicalize("src/lib")) == "/src/lib"  # no marker, hint or tree: a file
+    assert str(canonicalize("src/lib", tree=snapshot)) == "/src/lib/"
+    assert str(canonicalize("src/lib", kind_hint=PathKind.FILE, tree=snapshot)) == "/src/lib"
+    assert str(canonicalize("src/main.c/", kind_hint=PathKind.FILE, tree=snapshot)) == "/src/main.c/"
+    assert str(canonicalize("src/main.c/..", tree=snapshot)) == "/src/"
+    assert str(canonicalize("src/absent", tree=snapshot)) == "/src/absent"
+
+
+_ROOT_DIR = "/repo-top"  # a directory name that no drawn segment can spell
+
+
+def _by_normpath(raw: str, cwd: tuple[str, ...], snapshot) -> CanonicalPath | None:
+    """Oracle: ``raw`` resolved with ``os.path`` under a synthetic root, None
+    when it lands outside it."""
+    base = _ROOT_DIR if raw.startswith("/") else os.path.join(_ROOT_DIR, *cwd)
+    rel = os.path.relpath(os.path.normpath(os.path.join(base, raw.lstrip("/"))), _ROOT_DIR)
+    if rel == os.pardir or rel.startswith(os.pardir + os.sep):
+        return None
+    if rel == os.curdir:
+        return ROOT
+    segments = tuple(rel.split(os.sep))
+    marked = raw in ("", ".", "..") or raw.endswith(("/", "/.", "/.."))
+    return CanonicalPath(segments, PathKind.DIRECTORY if marked else snapshot.kind_of(segments) or PathKind.FILE)
+
+
+_PARTS = st.lists(st.sampled_from(["a", "b", ".", "..", ""]), max_size=6)
+
+
+@settings(max_examples=300)
+@given(
+    st.tuples(st.sampled_from(["", "/"]), _PARTS, st.sampled_from(["", "/"])).map(
+        lambda t: t[0] + "/".join(t[1]) + t[2]
+    ),
+    st.lists(st.sampled_from(["a", "b"]), max_size=3).map(tuple),
+    st.sampled_from([tree(), tree("/a/b", "/b/a/a"), tree("/a", "/b/b/b")]),
+)
+def test_canonicalize_agrees_with_normpath(raw, cwd, snapshot):
+    expected = _by_normpath(raw, cwd, snapshot)
+    if expected is None:
+        with pytest.raises(InvalidPath, match="is outside the repository"):
+            canonicalize(raw, cwd, tree=snapshot)
+    else:
+        assert canonicalize(raw, cwd, tree=snapshot) == expected
 
 
 def test_equality_follows_rendered_form():
