@@ -12,10 +12,11 @@ committed with plumbing (see :func:`run_merge`).
 Every change to the citation file is one of the operations in
 :mod:`gitcite.ops`; this module only works out from git which of them to
 apply. At commit time that is one :func:`gitcite.ops.carry_keys` of every
-rename and deletion git reports between HEAD and the index, a file that a
-rename overwrote counting as deleted. A merge carries the keys across the
-paths git reports deleted from either head the same way; both find the
-directories that are gone with :func:`_tree_diff`.
+rename and deletion between HEAD's tree and the index's (see
+:func:`_tree_changes`), a file that a rename overwrote counting as deleted.
+A merge carries the keys across the paths git reports deleted from either
+head the same way; both find the directories that are gone with
+:func:`_tree_diff`.
 
 Use one adapter flow per working tree: nothing here locks against
 concurrent mutation of the same checkout. Network fetches and local reads
@@ -58,6 +59,7 @@ from .paths import CanonicalPath, PathKind, Tree
 CITATION_FILE = "citation.cite"
 
 Rename = tuple[CanonicalPath, CanonicalPath]
+DiffRecord = tuple[str, str, str, str, str, list[Segments]]  # see _raw_diff
 TREE = "040000"  # the mode of a directory's entry in git's diff records
 BLOBS = ("100644", "100755", "120000")  # a file's or a symlink's; a submodule's is 160000
 
@@ -384,49 +386,56 @@ def _citation_texts_at(root: str, revs: Sequence[str]) -> list[str]:
 
 
 def staged_changes(root: str) -> tuple[list[Rename], list[CanonicalPath]]:
-    """Rename and delete lists for the staged state vs HEAD.
-
-    ``git write-tree`` writes the index as the tree ``git commit`` would:
-    without intent-to-add entries, and not for an unmerged index, which
-    raises :class:`~gitcite.errors.IoFailure`. With no ``HEAD``, or no
-    change, nothing is diffed. Renames and deletions come from ``git
-    diff-tree -r --raw -B1%/1% -M -z`` of ``HEAD``'s tree and that tree. The
-    break option lets any modified file be a rename source, so swapping two
-    files (``git mv a.c b.c; git mv c.c a.c``) comes out as the renames
-    ``c.c -> a.c`` and ``a.c -> b.c`` instead of ``M a.c``, ``A b.c``, ``D
-    c.c``; the README says why these thresholds and where git still misses a
-    swap. A directory that :func:`_tree_diff` reports gone counts as
-    deleted, as at a merge. So does a file ``HEAD`` had that a rename
-    overwrote (``git mv -f a.c b.c``, which git reports as ``R a.c b.c``
-    alone) and no rename takes away: its record in that diff is ``M`` or
-    ``T`` from a blob's mode. A complete, consistent directory move becomes a
-    directory rename, letting directory citation keys follow by prefix (see
-    :func:`_infer_directory_moves`; a partially moved directory stays
-    file-by-file and a leftover directory key will show up in ``validate``
-    output). The inference runs on path segments, so a tracked name that
-    cannot be a citation key still counts in it; such a name is then left
-    out of both lists, and a rename onto one deletes its source.
-    """
+    """Rename and delete lists for the staged state vs HEAD: :func:`_tree_changes`
+    of ``HEAD``'s tree and the index's, which ``git write-tree`` writes as ``git
+    commit`` would, without intent-to-add entries; an unmerged index raises
+    :class:`~gitcite.errors.IoFailure`. With no ``HEAD`` or no change, nothing is diffed."""
     head = _git(root, "rev-parse", "-q", "--verify", "HEAD^{tree}", check=False)
     if head.returncode != 0:
         return [], []
     head_tree, index_tree = head.stdout.strip(), _git(root, "write-tree").stdout.strip()
     if head_tree == index_tree:
         return [], []
-    out = _git(root, "diff-tree", "-r", "--raw", "-B1%/1%", "-M", "-z", head_tree, index_tree).stdout
-    records = [(status, paths) for status, _, _, paths in _raw_diff(out)]
+    return _tree_changes(root, head_tree, index_tree)
+
+
+def _tree_changes(root: str, old_tree: str, new_tree: str) -> tuple[list[Rename], list[CanonicalPath]]:
+    """The key renames and deletions that carry ``old_tree``'s citations to
+    ``new_tree``, read from ``git diff-tree -r --raw -B1%/1% -M -z``. The
+    break option lets any modified file be a rename source, so swapping two
+    files (``git mv a.c b.c; git mv c.c a.c``) comes out as the renames ``c.c
+    -> a.c`` and ``a.c -> b.c`` instead of ``M a.c``, ``A b.c``, ``D c.c``;
+    the README says why these thresholds. The file moves git leaves unpaired,
+    as it does for files under 400 bytes, come from :func:`_same_blob_moves`.
+    A directory that :func:`_tree_diff` reports gone counts as deleted, as at
+    a merge. So does a file ``old_tree`` had that a rename overwrote (``git
+    mv -f a.c b.c``, which git reports as ``R a.c b.c`` alone) and no rename
+    takes away: its record in that diff is ``M`` or ``T`` from a blob's mode.
+    A complete, consistent directory move becomes a directory rename, letting
+    directory citation keys follow by prefix (see
+    :func:`_infer_directory_moves`, which reads git's renames only; a
+    partially moved directory stays file-by-file and a leftover directory key
+    will show up in ``validate`` output). The inference runs on path
+    segments, so a tracked name that cannot be a citation key still counts in
+    it; such a name is then left out of both lists, and a rename onto one
+    deletes its source."""
+    out = _git(root, "diff-tree", "-r", "--raw", "-B1%/1%", "-M", "-z", old_tree, new_tree).stdout
+    diff = list(_raw_diff(out))
+    records = [(status, paths) for status, *_, paths in diff]
     renames = [tuple(paths) for status, paths in records if status == "R"]
-    deleted = [paths[0] for status, paths in records if status == "D"]
-    trees = list(_tree_diff(root, [(head_tree, index_tree)])) if renames or deleted else []
-    moved_in = {new for _, new in renames}.difference(old for old, _ in renames)
-    deleted += [path for status, mode, _, (path,) in trees if status in "MT" and mode in BLOBS and path in moved_in]
-    gone = {path for status, mode, _, (path,) in trees if status == "D" and mode == TREE}  # directories HEAD had
-    new_dirs = {path for status, _, mode, (path,) in trees if status == "A" and mode == TREE}  # and HEAD had not
-    dir_moves = _infer_directory_moves(root, index_tree, records, gone, new_dirs)
+    moves = renames + _same_blob_moves(diff)
+    moved_out = {old for old, _ in moves}
+    deleted = [paths[0] for status, paths in records if status == "D" and paths[0] not in moved_out]
+    trees = list(_tree_diff(root, [(old_tree, new_tree)])) if moves or deleted else []
+    moved_in = {new for _, new in moves} - moved_out
+    deleted += [path for status, mode, *_, (path,) in trees if status in "MT" and mode in BLOBS and path in moved_in]
+    gone = {path for status, mode, *_, (path,) in trees if status == "D" and mode == TREE}  # directories old_tree had
+    new_dirs = {path for status, _, mode, *_, (path,) in trees if status == "A" and mode == TREE}  # and it had not
+    dir_moves = _infer_directory_moves(root, new_tree, renames, records, gone, new_dirs)
     key_renames: list[Rename] = []
     key_deleted = [key for path in deleted if (key := _key(path, PathKind.FILE))]
-    for kind, moves in ((PathKind.DIRECTORY, dir_moves), (PathKind.FILE, renames)):
-        for old, new in moves:
+    for kind, pairs in ((PathKind.DIRECTORY, dir_moves), (PathKind.FILE, moves)):
+        for old, new in pairs:
             old_key, new_key = _key(old, kind), _key(new, kind)
             if old_key and new_key:
                 key_renames.append((old_key, new_key))
@@ -436,7 +445,33 @@ def staged_changes(root: str) -> tuple[list[Rename], list[CanonicalPath]]:
     return key_renames, key_deleted
 
 
-def _tree_diff(root: str, pairs: Sequence[tuple[str, str]]) -> Iterator[tuple[str, str, str, list[Segments]]]:
+def _same_blob_moves(records: Sequence[DiffRecord]) -> list[tuple[Segments, Segments]]:
+    """The file moves git left unpaired among the diff ``records``, matched
+    by exact blob id. Git never breaks a file under 400 bytes, so an
+    overwrite of one (``git mv -f a.c b.c``) reads ``D a.c``, ``M b.c``, and
+    a swap ``M a.c``, ``A b.c``, ``D c.c``. A deleted file moves to the added
+    or modified file whose new id is its old one. A modified file is a source
+    only when its old id is the new id of exactly one other record and its
+    new id the old id of exactly one other, as in a swap or a rotation; a
+    file copied and then edited keeps its path. An id that more than one
+    source or more than one destination holds pairs nothing. Git's own ``R``
+    and ``C`` records are not paired again, nor is a record whose id stayed
+    (a mode change)."""
+    changed = [
+        (status, old, new, paths[0]) for status, _, _, old, new, paths in records if status in "ADM" and old != new
+    ]
+    before = Counter(old for status, old, _, _ in changed if status != "A")  # the changed paths' old ids
+    after = Counter(new for status, _, new, _ in changed if status != "D")  # and their new ones
+    taker = {new: path for status, _, new, path in changed if status != "D"}
+    sources = [
+        (old, path) for status, old, new, path in changed
+        if status == "D" or status == "M" and after[old] == before[new] == 1
+    ]
+    given = Counter(old for old, _ in sources)
+    return [(path, taker[old]) for old, path in sources if given[old] == after[old] == 1]
+
+
+def _tree_diff(root: str, pairs: Sequence[tuple[str, str]]) -> Iterator[DiffRecord]:
     """The records of one ``git diff-tree --stdin -r -t --no-renames`` of
     each pair of trees. ``-t`` gives a directory a record of its own: one is
     gone when its record is ``D`` from the mode ``TREE``. Renames stay off:
@@ -446,20 +481,20 @@ def _tree_diff(root: str, pairs: Sequence[tuple[str, str]]) -> Iterator[tuple[st
     return _raw_diff(_git(root, "diff-tree", "--stdin", "-r", "-t", "--no-renames", "--raw", "-z", input=query).stdout)
 
 
-def _raw_diff(out: str) -> Iterator[tuple[str, str, str, list[Segments]]]:
+def _raw_diff(out: str) -> Iterator[DiffRecord]:
     """Each record of git's ``--raw -z`` diff output: its status letter, its
-    old and new modes (``TREE`` for a directory, ``000000`` for no entry)
-    and its paths as segments, two for a rename or copy. ``diff-tree
-    --stdin`` writes a ``<tree> <tree>`` line per pair, even an equal one,
-    glued to the next record's metadata, which holds no newline; such lines
-    are skipped."""
+    old and new modes (``TREE`` for a directory, ``000000`` for no entry),
+    its old and new object ids and its paths as segments, two for a rename
+    or copy. ``diff-tree --stdin`` writes a ``<tree> <tree>`` line per pair,
+    even an equal one, glued to the next record's metadata, which holds no
+    newline; such lines are skipped."""
     tokens = iter(out.split("\0"))
     for token in tokens:
         meta = token.rpartition("\n")[2]
         if not meta:  # a trailing pair line, or the end
             continue
-        old_mode, new_mode, _, _, status = meta[1:].split(" ")
-        yield status[0], old_mode, new_mode, [tuple(next(tokens).split("/")) for _ in range(1 + (status[0] in "RC"))]
+        *modes_and_ids, status = meta[1:].split(" ")
+        yield status[0], *modes_and_ids, [tuple(next(tokens).split("/")) for _ in range(1 + (status[0] in "RC"))]
 
 
 def _key(segments: Segments, kind: PathKind) -> CanonicalPath | None:
@@ -481,27 +516,27 @@ def _shown(text: str) -> str:
 
 def _infer_directory_moves(
     root: str,
-    index_tree: str,
+    new_tree: str,
+    renames: Sequence[tuple[Segments, Segments]],
     records: Sequence[tuple[str, list[Segments]]],
     gone: set[Segments],
     new_dirs: set[Segments],
 ) -> list[tuple[Segments, Segments]]:
-    """Directory moves implied by the renames among the diff ``records``, in first-seen order.
+    """Directory moves implied by git's file ``renames``, in first-seen order.
 
     Each rename nominates every directory pair left once some of the common
     run of trailing names is cut from both ends: ``src/lib/util.c ->
     vendor/lib/util.c`` nominates ``src/lib -> vendor/lib`` and ``src ->
     vendor``. ``old_dir -> new_dir`` is a move when ``old_dir`` is ``gone``
     with no file deleted under it, every rename out of ``old_dir`` lands at
-    its rebased path under ``new_dir``, and every staged file under
-    ``new_dir`` is one of those renames or a new file. A ``new_dir`` that
+    its rebased path under ``new_dir``, and every file under ``new_dir`` in
+    ``new_tree`` is one of those renames or a new file. A ``new_dir`` that
     already held files is a merge of two directories, and stays
-    file-by-file. Every staged file under a directory of ``new_dirs`` has a
-    record; those under a destination ``HEAD`` had are counted by one
-    ``ls-tree`` of the index's tree. Only the outermost moves are returned:
-    a move nested in another follows it by prefix.
+    file-by-file. Every file under a directory of ``new_dirs`` has one of the
+    diff ``records``; those under a destination the old tree had are counted
+    by one ``ls-tree`` of ``new_tree``. Only the outermost moves are
+    returned: a move nested in another follows it by prefix.
     """
-    renames = [tuple(paths) for status, paths in records if status == "R"]
     moved_out = _count_dirs(old for old, _ in renames)
     deleted = _count_dirs(paths[0] for status, paths in records if status == "D")
     added = _count_dirs(paths[0] for status, paths in records if status == "A")
@@ -516,10 +551,10 @@ def _infer_directory_moves(
             agreeing[o[:-k], n[:-k]] += 1
             candidates.setdefault((o[:-k], n[:-k]))
     moves = [(o, n) for o, n in candidates if o in gone and not deleted[o] and agreeing[o, n] == moved_out[o]]
-    listed = sorted({"/".join(n) for _, n in moves if n not in new_dirs})  # destinations HEAD had
-    ls_tree = ("--literal-pathspecs", "ls-tree", "-r", "-z", "--name-only", "--full-tree", index_tree, "--", *listed)
+    listed = sorted({"/".join(n) for _, n in moves if n not in new_dirs})  # destinations the old tree had
+    ls_tree = ("--literal-pathspecs", "ls-tree", "-r", "-z", "--name-only", "--full-tree", new_tree, "--", *listed)
     out = _git(root, *ls_tree).stdout if listed else ""
-    held = _count_dirs(tuple(f.split("/")) for f in out.split("\0") if f)  # the staged files under each of them
+    held = _count_dirs(tuple(f.split("/")) for f in out.split("\0") if f)  # the new tree's files under each of them
     moves = [(o, n) for o, n in moves if agreeing[o, n] + added[n] == (arrived if n in new_dirs else held)[n]]
     olds = {o for o, _ in moves}
     return [(o, n) for o, n in moves if not any(o[:i] in olds for i in range(1, len(o)))]
@@ -617,7 +652,7 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
             top_entries.append(entry)
     deleted = [
         key
-        for status, old_mode, _, (path,) in _tree_diff(root, [(head_tree, merged_tree), (other_tree, merged_tree)])
+        for status, old_mode, *_, (path,) in _tree_diff(root, [(head_tree, merged_tree), (other_tree, merged_tree)])
         if status == "D" and (key := _key(path, PathKind.DIRECTORY if old_mode == TREE else PathKind.FILE))
     ]
     merged_cf, conflicts = merge_citation_files(base_cf, left_cf, right_cf, resolver)

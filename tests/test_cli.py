@@ -301,6 +301,26 @@ class TestGen:
         monkeypatch.chdir(root)
         assert main(["gen", "ghost.c"]) == 1
 
+    @pytest.mark.parametrize(
+        "name, code, err",
+        [
+            ("we\\ird.c", 1, "gitcite: segment 'we\\\\ird.c' contains a separator\n"),
+            (os.fsdecode(b"bad\xff.c"), 0, ""),
+        ],
+        ids=["backslash", "non-utf8"],
+    )
+    def test_gen_of_a_tracked_name_no_key_can_have(self, git_repo, monkeypatch, capsys, name, code, err):
+        # A backslash is a separator in a typed path, so that name cannot be
+        # typed at all; a name that is not UTF-8 resolves to its ancestor's record.
+        root = git_repo()
+        seed(root, {"a.c": "a", name: "odd"}, {})
+        monkeypatch.chdir(root)
+        assert main(["gen", name, "--format", "json"]) == code
+        out, got = capsys.readouterr()
+        assert got == err
+        if code == 0:
+            assert record_from_obj(json.loads(out)) == record("root")
+
     @pytest.mark.parametrize("raw", ["src/nope.c", "src/a.c/"], ids=["absent", "file-as-directory"])
     def test_a_path_not_in_the_tree_is_reported_as_such(self, git_repo, monkeypatch, capsys, raw):
         root = git_repo()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gitcite import CitationFile, gitadapter, resolve
+from gitcite import CitationFile, gitadapter, resolve, validate
 from gitcite.cli import main
 from gitcite.errors import (
     FileMissing,
@@ -32,7 +32,7 @@ from gitcite.gitadapter import (
     store_citation_file,
     sync_on_commit,
 )
-from gitcite.ops import choose_left, choose_right, merge_citation_files
+from gitcite.ops import carry_keys, choose_left, choose_right, merge_citation_files
 from gitcite.paths import ROOT, PathKind, from_rendered
 
 from conftest import git, init_repo
@@ -59,6 +59,15 @@ def _source(tag: str) -> str:
     splits a modification of a file under 400 bytes into a rename source."""
     header = "".join(f"#include <common{i}.h>\n" for i in range(30))
     return header + "".join(f"{tag} line {i}\n" for i in range(12))
+
+
+def _small(tag: str) -> str:
+    """A file under 400 bytes: git reports its swap or overwrite as
+    modified, added and deleted files, and the sync pairs them by blob id."""
+    return "".join(f"{tag} line {i}\n" for i in range(8))
+
+
+CONTENTS = pytest.mark.parametrize("content", [_source, _small], ids=["source", "small"])
 
 
 def _recorded_git_calls(monkeypatch) -> list:
@@ -315,9 +324,10 @@ class TestStagedChanges:
         assert [str(k) for k in synced.keys()] == ["/", "/alpha/"]
         assert resolve(synced, snapshot_worktree(root), from_rendered("/alpha/y.c")) == record("A")
 
-    def test_a_swap_of_two_cited_files_moves_both_records(self, git_repo):
+    @CONTENTS
+    def test_a_swap_of_two_cited_files_moves_both_records(self, git_repo, content):
         root = git_repo()
-        seed(root, {"a.c": _source("alpha"), "c.c": _source("gamma")}, {"/a.c": "a", "/c.c": "c"})
+        seed(root, {"a.c": content("alpha"), "c.c": content("gamma")}, {"/a.c": "a", "/c.c": "c"})
         git(root, "mv", "a.c", "b.c")
         git(root, "mv", "c.c", "a.c")
         renames, deleted = staged_changes(root)
@@ -327,6 +337,43 @@ class TestStagedChanges:
         snap = snapshot_worktree(root)
         assert resolve(synced, snap, from_rendered("/b.c")) == record("a")
         assert resolve(synced, snap, from_rendered("/a.c")) == record("c")
+
+    @CONTENTS
+    def test_a_rotation_of_three_cited_files_moves_every_record(self, git_repo, content):
+        root = git_repo()
+        files = {name: content(name) for name in ("a.c", "b.c", "c.c")}
+        seed(root, files, {"/a.c": "a", "/b.c": "b", "/c.c": "c"})
+        for old, new in (("a.c", "t.c"), ("c.c", "a.c"), ("b.c", "c.c"), ("t.c", "b.c")):
+            git(root, "mv", old, new)
+        renames, deleted = staged_changes(root)
+        assert sorted((str(a), str(b)) for a, b in renames) == [("/a.c", "/b.c"), ("/b.c", "/c.c"), ("/c.c", "/a.c")]
+        assert deleted == []
+        synced = sync_on_commit(root, renames, deleted)
+        assert [(str(k), v) for k, v in synced.items()][1:] == [
+            ("/a.c", record("c")),
+            ("/b.c", record("a")),
+            ("/c.c", record("b")),
+        ]
+
+    def test_a_swap_of_two_files_with_identical_contents_changes_no_key(self, git_repo):
+        # The trees are equal, so nothing tells the two files apart.
+        root = git_repo()
+        cf = seed(root, {"a.c": _small("same"), "c.c": _small("same")}, {"/a.c": "a", "/c.c": "c"})
+        for old, new in (("a.c", "t.c"), ("c.c", "a.c"), ("t.c", "c.c")):
+            git(root, "mv", old, new)
+        assert staged_changes(root) == ([], [])
+        assert sync_on_commit(root) == cf
+
+    def test_content_that_two_deleted_files_held_pairs_with_neither(self, git_repo):
+        root = git_repo()
+        cites = {"/a.c": "a", "/b.c": "b", "/c.c": "c"}
+        seed(root, {"a.c": _small("same"), "b.c": _small("beta"), "c.c": _small("same")}, cites)
+        git(root, "rm", "-q", "a.c", "c.c")
+        (root / "b.c").write_text(_small("same"))
+        git(root, "add", "-A")
+        renames, deleted = staged_changes(root)
+        assert renames == [] and [str(d) for d in deleted] == ["/a.c", "/c.c"]
+        assert [str(k) for k in sync_on_commit(root, renames, deleted)] == ["/", "/b.c"]
 
     def test_edits_of_cited_files_keep_their_keys(self, git_repo):
         root = git_repo()
@@ -338,13 +385,16 @@ class TestStagedChanges:
         assert (renames, deleted) == ([], [])
         assert sync_on_commit(root, renames, deleted) == cf
 
-    def test_a_copy_then_edit_keeps_the_original_key(self, git_repo):
+    @CONTENTS
+    def test_a_copy_then_edit_keeps_the_original_key(self, git_repo, content):
         # Git reports a rename whose source is still staged as a copy, which
-        # the sync ignores, so the edited original keeps its citation.
+        # the sync ignores, and a small file's copy as added. The original's
+        # new content came from no other file, so it is no move source
+        # either: the edited original keeps its citation.
         root = git_repo()
-        cf = seed(root, {"a.c": _source("alpha")}, {"/a.c": "a"})
-        (root / "a2.c").write_text(_source("alpha"))
-        lines = _source("alpha").splitlines(keepends=True)
+        cf = seed(root, {"a.c": content("alpha")}, {"/a.c": "a"})
+        (root / "a2.c").write_text(content("alpha"))
+        lines = content("alpha").splitlines(keepends=True)
         (root / "a.c").write_text("".join(lines[:3] + lines[6:]))
         git(root, "add", "-A")
         renames, deleted = staged_changes(root)
@@ -353,11 +403,15 @@ class TestStagedChanges:
         assert synced == cf
         assert resolve(synced, snapshot_worktree(root), from_rendered("/a.c")) == record("a")
 
-    @pytest.mark.parametrize("source_cited", [True, False])
-    def test_overwriting_a_cited_file_drops_its_old_record(self, git_repo, source_cited):
+    @pytest.mark.parametrize(
+        "source_cited, content",
+        [(True, _source), (False, _source), (True, _small), (False, _small)],
+        ids=["True", "False", "True-small", "False-small"],
+    )
+    def test_overwriting_a_cited_file_drops_its_old_record(self, git_repo, source_cited, content):
         root = git_repo()
         cites = {"/a.c": "a", "/b.c": "b"} if source_cited else {"/b.c": "b"}
-        seed(root, {"a.c": _source("alpha"), "b.c": _source("beta")}, cites)
+        seed(root, {"a.c": content("alpha"), "b.c": content("beta")}, cites)
         git(root, "mv", "-f", "a.c", "b.c")
         renames, deleted = staged_changes(root)
         assert [(str(a), str(b)) for a, b in renames] == [("/a.c", "/b.c")]
@@ -446,6 +500,29 @@ class TestStagedChanges:
         assert renames == [] and [str(d) for d in deleted] == ["/a.c"]
         synced = sync_on_commit(root, renames, deleted)
         assert [str(k) for k in synced] == ["/", "/b.c"]
+
+    def test_the_reader_carries_keys_across_a_commit_made_without_a_sync(self, git_repo, monkeypatch):
+        root = git_repo()
+        seed(root, {"d3/f1.c": "one\n", "d3/f2.c": "two\n", "other.c": "o\n"}, {"/d3/": "d3"})
+        git(root, "mv", "d3", "e3")
+        git(root, "commit", "-q", "-m", "moved without a sync")
+        cf = load_citation_file(root)
+        found = validate(cf, WorktreeLookup(root))
+        assert [(problem.rule, str(problem.path)) for problem in found] == [("dangling_key", "/d3/")]
+        old_tree, new_tree = (git(root, "rev-parse", f"{rev}^{{tree}}").stdout.strip() for rev in ("HEAD~1", "HEAD"))
+        calls = _recorded_git_calls(monkeypatch)
+        renames, deleted = gitadapter._tree_changes(root, old_tree, new_tree)
+        assert [(str(a), str(b)) for a, b in renames] == [
+            ("/d3/", "/e3/"),
+            ("/d3/f1.c", "/e3/f1.c"),
+            ("/d3/f2.c", "/e3/f2.c"),
+        ]
+        assert [str(d) for d in deleted] == ["/d3/"]
+        assert validate(carry_keys(cf, renames, deleted), WorktreeLookup(root)) == []
+        # The -M diff, the tree diff, and an ls-tree of named destinations only.
+        assert len(calls) <= 3, calls
+        assert all("ls-files" not in args for args in calls), calls
+        assert all(args[args.index("--") + 1 :] for args in calls if "ls-tree" in args), calls
 
     def test_emptied_directory_beside_a_sibling_that_keeps_files(self, git_repo):
         root = git_repo()

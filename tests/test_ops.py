@@ -381,6 +381,33 @@ def test_only_the_command_line_reads_the_cwd_and_the_path_grammar_uses_no_os():
         assert reads_cwd == (source.name == "cli.py"), source.name
 
 
+def test_one_function_asks_git_for_renames_and_one_splits_its_diffs():
+    """Commit-time rules are a function of two trees, ``_tree_changes``, so
+    a commit, a repair of past commits and a merge share them: it makes the
+    package's only rename-detecting (``-M``) git call. Every ``--raw`` diff
+    git prints is split into records by ``_raw_diff`` alone."""
+    flags, asks_renames, reads_raw = [], [], []
+    for source in Path(gitcite.__file__).parent.glob("*.py"):
+        module = ast.parse(source.read_text(encoding="utf-8"))
+        flags += [
+            node for node in ast.walk(module)
+            if isinstance(node, ast.Constant) and str(node.value).startswith(("-M", "--find-renames"))
+        ]
+        for func in ast.walk(module):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for call in ast.walk(func):
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_git":
+                    asks_renames += [func.name for arg in call.args if arg in flags]
+                    reads_raw += [func] if any(getattr(arg, "value", None) == "--raw" for arg in call.args) else []
+    assert len(flags) == 1 and asks_renames == ["_tree_changes"]
+    assert reads_raw
+    for func in reads_raw:
+        called = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+        methods = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
+        assert "_raw_diff" in called and not methods & {"split", "rsplit", "partition", "rpartition"}, func.name
+
+
 def test_the_identity_model_imports_nothing_from_ops_or_the_adapter():
     """The oracle writes the paper's rules again, so a bug in ops or the
     adapter cannot agree with itself. A name imported from ``gitcite``
