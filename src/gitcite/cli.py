@@ -64,12 +64,11 @@ def find_root() -> str:
     return top
 
 
-def _open_worktree(raw: str) -> tuple[str, gitadapter.WorktreeLookup, CitationFile, CanonicalPath]:
-    """The checkout holding the cwd: its root, tree, citation file and ``raw`` as a key."""
+def _open_worktree(raw: str) -> tuple[str, gitadapter.WorktreeLookup, CanonicalPath]:
+    """The checkout holding the cwd: its root, tree and ``raw`` as a key."""
     root = find_root()
     tree = gitadapter.WorktreeLookup(root)
-    cf = gitadapter.load_citation_file(root)
-    return root, tree, cf, canonicalize(raw, _cwd(root), tree=tree)
+    return root, tree, canonicalize(raw, _cwd(root), tree=tree)
 
 
 def _cwd(root: str) -> tuple[str, ...]:
@@ -115,35 +114,41 @@ def cmd_init(args: argparse.Namespace) -> int:
 
 
 def cmd_add(args: argparse.Namespace) -> int:
-    root, tree, cf, path = _open_worktree(args.path)
-    template = resolve(cf, tree, path)  # closest ancestor's record as the draft
-    record = _build_record(template, args.field, args.authors)
-    gitadapter.store_citation_file(root, apply_add(cf, tree, path, record))
+    root, tree, path = _open_worktree(args.path)
+
+    def add(cf: CitationFile) -> CitationFile:
+        template = resolve(cf, tree, path)  # closest ancestor's record as the draft
+        return apply_add(cf, tree, path, _build_record(template, args.field, args.authors))
+
+    cf = gitadapter.update_citation_file(root, add)
     print(f"cited {path}")
-    print(render.as_text(record))
+    print(render.as_text(cf.get(path)))
     return EXIT_OK
 
 
 def cmd_del(args: argparse.Namespace) -> int:
-    root, _, cf, path = _open_worktree(args.path)
-    gitadapter.store_citation_file(root, apply_delete(cf, path))
+    root, _, path = _open_worktree(args.path)
+    gitadapter.update_citation_file(root, lambda cf: apply_delete(cf, path))
     print(f"removed the citation of {path}; it now inherits from its closest ancestor")
     return EXIT_OK
 
 
 def cmd_modify(args: argparse.Namespace) -> int:
-    root, _, cf, path = _open_worktree(args.path)
-    current = cf.get(path)
-    if current is None:
-        raise NotCited(f"{path} has no citation")
-    record = _build_record(current, args.field, args.authors)
-    gitadapter.store_citation_file(root, apply_modify(cf, path, record))
+    root, _, path = _open_worktree(args.path)
+
+    def modify(cf: CitationFile) -> CitationFile:
+        current = cf.get(path)
+        if current is None:
+            raise NotCited(f"{path} has no citation")
+        return apply_modify(cf, path, _build_record(current, args.field, args.authors))
+
+    cf = gitadapter.update_citation_file(root, modify)
     touched = {key for key, _ in args.field or []}
     for name in _REGENERABLE:
         if name in touched:
             print(f"note: {name} is normally derived from repository metadata")
     print(f"updated {path}")
-    print(render.as_text(record))
+    print(render.as_text(cf.get(path)))
     return EXIT_OK
 
 
@@ -157,8 +162,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         cf = gitadapter.citation_file_at_revision(root, args.version)
         record = resolve(cf, tree, canonicalize(args.path, _cwd(root), tree=tree))
     else:
-        _, tree, cf, path = _open_worktree(args.path)
-        record = resolve(cf, tree, path)
+        root, tree, path = _open_worktree(args.path)
+        record = resolve(gitadapter.load_citation_file(root), tree, path)
     print(render.render(record, args.format))
     return EXIT_OK
 

@@ -18,9 +18,12 @@ A merge carries the keys across the paths git reports deleted from either
 head the same way; both find the directories that are gone with
 :func:`_tree_diff`.
 
-Use one adapter flow per working tree: nothing here locks against
-concurrent mutation of the same checkout. Network fetches and local reads
-are safe to run concurrently.
+Every change to the worktree's citation file is one
+:func:`update_citation_file`: read, edit, and write only when the file
+changed, holding the writer lock (:class:`_WriterLock`) from the read to the
+write; :func:`run_merge` holds the same lock. Only ``gitcite init``, which
+creates the file, writes it otherwise. Reads take no lock, and network
+fetches and local reads are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import os
 import re
 import stat
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DestinationCollision,
@@ -121,6 +124,8 @@ def store_citation_file(worktree_root: str, cf: CitationFile) -> None:
     names may be, raises :class:`~gitcite.errors.InvalidPath`, and a record
     field that is not UTF-8 (a byte the command line could not decode) a
     ``ValueError`` that names the key and the field. Neither writes anything.
+    Only :func:`update_citation_file`, under the writer lock, and ``gitcite
+    init``, which creates the file, call it.
     """
     try:
         data = serialize(cf).encode("utf-8")
@@ -152,6 +157,44 @@ def store_citation_file(worktree_root: str, cf: CitationFile) -> None:
         raise IoFailure(f"cannot write {CITATION_FILE}: {exc}") from exc
 
 
+class _WriterLock:
+    """``citation.cite.lock`` beside the citation file, held by one writer
+    from its read to its write. It is created exclusively, as git creates
+    ``index.lock``, and removed on exit. One that already exists raises
+    :class:`~gitcite.errors.IoFailure` before anything is read: another
+    command is writing, or one was killed mid-write, and only the user can
+    tell which, so a stale lock is reported and never broken."""
+
+    def __init__(self, worktree_root: str) -> None:
+        self.path = os.path.join(worktree_root, CITATION_FILE + ".lock")
+
+    def __enter__(self) -> None:
+        try:
+            os.close(os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            raise IoFailure(
+                f"{self.path} exists: another gitcite command is writing {CITATION_FILE}; "
+                "if none is running, remove the lock file"
+            ) from None
+
+    def __exit__(self, *exc_info: object) -> None:
+        os.unlink(self.path)
+
+
+def update_citation_file(worktree_root: str, change: Callable[[CitationFile], CitationFile]) -> CitationFile:
+    """The one read-edit-write of the worktree's citation file: parse it,
+    apply ``change`` and store the result, holding the writer lock
+    throughout. A result equal to the file read writes nothing, so the file
+    keeps its inode and its bytes, a hand edit's included. An error, in
+    ``change`` too, leaves the file as it was. Returns the new file."""
+    with _WriterLock(worktree_root):
+        old = load_citation_file(worktree_root)
+        new = change(old)
+        if new != old:
+            store_citation_file(worktree_root, new)
+    return new
+
+
 def sync_on_commit(
     worktree_root: str, rename_map: Sequence[Rename] = (), deleted: Sequence[CanonicalPath] = ()
 ) -> CitationFile:
@@ -161,12 +204,11 @@ def sync_on_commit(
     change detection (see :func:`staged_changes`). They are applied all at
     once by :func:`gitcite.ops.carry_keys`: keys follow the renames, keys
     under deleted paths are pruned, and the root entry always survives. The
-    new file is stored and returned. A rename onto a key that stays raises
+    new file is returned, and stored by :func:`update_citation_file` when it
+    differs from the old one. A rename onto a key that stays raises
     :class:`~gitcite.errors.InvariantBroken` and leaves the file as it was.
     """
-    cf = carry_keys(load_citation_file(worktree_root), rename_map, deleted)
-    store_citation_file(worktree_root, cf)
-    return cf
+    return update_citation_file(worktree_root, lambda cf: carry_keys(cf, rename_map, deleted))
 
 
 def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
@@ -592,83 +634,88 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
     trusted as ``git merge`` requires (``gpg.minTrustLevel``, else marginal),
     checked before anything is written. Everything before the fast-forward
     writes only unreferenced objects, so a resolver that gives up or a failed
-    step leaves no pending merge behind.
+    step leaves no pending merge behind. The writer lock of
+    :func:`update_citation_file` is held from the read of the worktree's
+    citation file through the fast-forward.
     """
     if "\n" in other:  # the query takes one name per line
         raise UnknownVersion(f"unknown revision {other!r}")
-    worktree_text = citation_file_text(root)  # before any step that may write
-    query = "".join(f"{rev}^{{{kind}}}\n" for rev in ("HEAD", other) for kind in ("commit", "tree"))
-    heads = _git(root, "cat-file", "--batch-check=%(objectname)", input=query).stdout.split("\n")
-    head_rev, head_tree, other_rev, other_tree = heads[:4]  # an id, or "<name> missing"
-    if " " in other_rev:
-        raise UnknownVersion(f"unknown revision {other!r}")
-    if " " in head_rev:
-        raise IoFailure("HEAD has no commit to merge into")
-    base_proc = _git(root, "merge-base", head_rev, other_rev, check=False)
-    if base_proc.returncode != 0:
-        raise NoCommonAncestor(f"HEAD and {other!r} share no history")
-    base_rev = base_proc.stdout.strip()
-    if base_rev == other_rev:
-        return load_citation_file(root), []  # nothing to merge
-    if base_rev == head_rev:
-        _git(root, "merge", "--ff-only", "-q", other_rev)
-        return load_citation_file(root), []
-    settings = dict(  # each of these keys that is set, with its value
-        line.partition(" ")[::2]
-        for line in _git(
-            root, "config", "--type=bool-or-str", "--get-regexp",
-            r"^(commit\.gpgsign|merge\.verifysignatures|gpg\.mintrustlevel)$", check=False,
-        ).stdout.split("\n")
-        if line
-    )
-    if settings.get("merge.verifysignatures") == "true":  # as git merge checks the merged head
-        trust = [] if "gpg.mintrustlevel" in settings else ["-c", "gpg.minTrustLevel=marginal"]
-        verify = _git(root, *trust, "verify-commit", other_rev, check=False)
-        if verify.returncode != 0:
-            raise IoFailure(f"merge.verifySignatures: {other} has no good, trusted signature: {verify.stderr.strip()}")
+    with _WriterLock(root):  # from the worktree read through the fast-forward
+        worktree_text = citation_file_text(root)  # before any step that may write
+        query = "".join(f"{rev}^{{{kind}}}\n" for rev in ("HEAD", other) for kind in ("commit", "tree"))
+        heads = _git(root, "cat-file", "--batch-check=%(objectname)", input=query).stdout.split("\n")
+        head_rev, head_tree, other_rev, other_tree = heads[:4]  # an id, or "<name> missing"
+        if " " in other_rev:
+            raise UnknownVersion(f"unknown revision {other!r}")
+        if " " in head_rev:
+            raise IoFailure("HEAD has no commit to merge into")
+        base_proc = _git(root, "merge-base", head_rev, other_rev, check=False)
+        if base_proc.returncode != 0:
+            raise NoCommonAncestor(f"HEAD and {other!r} share no history")
+        base_rev = base_proc.stdout.strip()
+        if base_rev == other_rev:
+            return load_citation_file(root), []  # nothing to merge
+        if base_rev == head_rev:
+            _git(root, "merge", "--ff-only", "-q", other_rev)
+            return load_citation_file(root), []
+        settings = dict(  # each of these keys that is set, with its value
+            line.partition(" ")[::2]
+            for line in _git(
+                root, "config", "--type=bool-or-str", "--get-regexp",
+                r"^(commit\.gpgsign|merge\.verifysignatures|gpg\.mintrustlevel)$", check=False,
+            ).stdout.split("\n")
+            if line
+        )
+        if settings.get("merge.verifysignatures") == "true":  # as git merge checks the merged head
+            trust = [] if "gpg.mintrustlevel" in settings else ["-c", "gpg.minTrustLevel=marginal"]
+            verify = _git(root, *trust, "verify-commit", other_rev, check=False)
+            if verify.returncode != 0:
+                raise IoFailure(
+                    f"merge.verifySignatures: {other} has no good, trusted signature: {verify.stderr.strip()}"
+                )
 
-    trial = _git(  # prints the merged tree's id, then each conflicted path; exits 1 on a conflict
-        root, "merge-tree", "--write-tree", "--name-only", "--no-messages", "-z", head_rev, other_rev, check=False
-    )
-    if trial.returncode not in (0, 1):
-        raise IoFailure(f"git merge-tree failed: {trial.stderr.strip()}")
-    merged_tree, *conflicted = trial.stdout.split("\0")
-    conflicted = [p for p in conflicted if p and p != CITATION_FILE]
-    if conflicted:
-        raise EditConflict(f"merge refused: both branches changed {', '.join(conflicted)}")
-    base_text, left_text, right_text = _citation_texts_at(root, [base_rev, head_rev, other_rev])
-    base_cf, left_cf, right_cf = (
-        parse_citation_text(text, f"{CITATION_FILE} at revision {rev!r}")
-        for text, rev in zip((base_text, left_text, right_text), (base_rev, "HEAD", other))
-    )
-    if worktree_text != left_text and parse_citation_text(worktree_text) != left_cf:
-        raise IoFailure(f"{citation_file_path(root)} has uncommitted changes; commit or discard them first")
+        trial = _git(  # prints the merged tree's id, then each conflicted path; exits 1 on a conflict
+            root, "merge-tree", "--write-tree", "--name-only", "--no-messages", "-z", head_rev, other_rev, check=False
+        )
+        if trial.returncode not in (0, 1):
+            raise IoFailure(f"git merge-tree failed: {trial.stderr.strip()}")
+        merged_tree, *conflicted = trial.stdout.split("\0")
+        conflicted = [p for p in conflicted if p and p != CITATION_FILE]
+        if conflicted:
+            raise EditConflict(f"merge refused: both branches changed {', '.join(conflicted)}")
+        base_text, left_text, right_text = _citation_texts_at(root, [base_rev, head_rev, other_rev])
+        base_cf, left_cf, right_cf = (
+            parse_citation_text(text, f"{CITATION_FILE} at revision {rev!r}")
+            for text, rev in zip((base_text, left_text, right_text), (base_rev, "HEAD", other))
+        )
+        if worktree_text != left_text and parse_citation_text(worktree_text) != left_cf:
+            raise IoFailure(f"{citation_file_path(root)} has uncommitted changes; commit or discard them first")
 
-    top_entries, mode = [], "100644"
-    for entry in filter(None, _git(root, "ls-tree", "-z", merged_tree).stdout.split("\0")):
-        if entry.partition("\t")[2] == CITATION_FILE:  # the text-merged citation file, replaced below
-            mode = "100755" if entry.startswith("100755 ") else mode
-        else:
-            top_entries.append(entry)
-    deleted = [
-        key
-        for status, old_mode, *_, (path,) in _tree_diff(root, [(head_tree, merged_tree), (other_tree, merged_tree)])
-        if status == "D" and (key := _key(path, PathKind.DIRECTORY if old_mode == TREE else PathKind.FILE))
-    ]
-    merged_cf, conflicts = merge_citation_files(base_cf, left_cf, right_cf, resolver)
-    merged_cf = carry_keys(merged_cf, (), deleted)
+        top_entries, mode = [], "100644"
+        for entry in filter(None, _git(root, "ls-tree", "-z", merged_tree).stdout.split("\0")):
+            if entry.partition("\t")[2] == CITATION_FILE:  # the text-merged citation file, replaced below
+                mode = "100755" if entry.startswith("100755 ") else mode
+            else:
+                top_entries.append(entry)
+        deleted = [
+            key
+            for status, old_mode, *_, (path,) in _tree_diff(root, [(head_tree, merged_tree), (other_tree, merged_tree)])
+            if status == "D" and (key := _key(path, PathKind.DIRECTORY if old_mode == TREE else PathKind.FILE))
+        ]
+        merged_cf, conflicts = merge_citation_files(base_cf, left_cf, right_cf, resolver)
+        merged_cf = carry_keys(merged_cf, (), deleted)
 
-    blob = _git(root, "hash-object", "-w", "--stdin", input=serialize(merged_cf)).stdout.strip()
-    top_entries.append(f"{mode} blob {blob}\t{CITATION_FILE}")
-    tree = _git(root, "mktree", "-z", input="".join(f"{e}\0" for e in top_entries)).stdout.strip()
-    sign = ["-S"] if settings.get("commit.gpgsign") == "true" else []
-    commit = _git(
-        root, "commit-tree", tree, "-p", head_rev, "-p", other_rev, "-m", f"Merge {other}", *sign
-    ).stdout.strip()
-    advance = _git(root, "merge", "--ff-only", "-q", "--no-verify-signatures", commit, check=False)
-    if advance.returncode != 0:
-        raise IoFailure(f"git merge {other} refused: {advance.stderr.strip()}")
-    return merged_cf, conflicts
+        blob = _git(root, "hash-object", "-w", "--stdin", input=serialize(merged_cf)).stdout.strip()
+        top_entries.append(f"{mode} blob {blob}\t{CITATION_FILE}")
+        tree = _git(root, "mktree", "-z", input="".join(f"{e}\0" for e in top_entries)).stdout.strip()
+        sign = ["-S"] if settings.get("commit.gpgsign") == "true" else []
+        commit = _git(
+            root, "commit-tree", tree, "-p", head_rev, "-p", other_rev, "-m", f"Merge {other}", *sign
+        ).stdout.strip()
+        advance = _git(root, "merge", "--ff-only", "-q", "--no-verify-signatures", commit, check=False)
+        if advance.returncode != 0:
+            raise IoFailure(f"git merge {other} refused: {advance.stderr.strip()}")
+        return merged_cf, conflicts
 
 
 def run_copy(
@@ -680,33 +727,35 @@ def run_copy(
     run before any file is copied on disk. Symlinks are copied as links, as
     git carries them. Every entry named ``.git`` and the source top's
     citation file stay behind; a ``citation.cite`` below the top is an
-    ordinary cited file and is copied. If the copy or the citation write
-    fails, the copied directory is removed. Returns the new citation file and
-    the added keys.
+    ordinary cited file and is copied. All of it runs in one
+    :func:`update_citation_file`. If the copy or the citation write fails,
+    the directory this call copied is removed; one that was there before is
+    never touched. Returns the new citation file and the added keys.
     """
     import shutil  # only copy walks a tree
 
-    merged, added = apply_copy(
-        load_citation_file(root),
-        WorktreeLookup(root),
-        load_citation_file(src_root),
-        WorktreeLookup(src_root),
-        src_subtree,
-        dst_path,
-    )
     dst_fs = os.path.join(root, *dst_path.segments)
-    if os.path.lexists(dst_fs):  # such as a directory symlink, which the cited tree leaves out
-        raise DestinationCollision(f"{dst_path} already exists")
     src_fs = os.path.join(src_root, *src_subtree.segments)
 
     def ignore(directory: str, names: list[str]) -> set[str]:  # copytree names the top as it was given
         ignored = {".git", CITATION_FILE} if src_subtree.is_root and directory == src_fs else {".git"}
         return ignored.intersection(names)
 
-    try:
+    added: list[CanonicalPath] = []  # never empty once this call starts creating dst_fs
+
+    def copy(cf: CitationFile) -> CitationFile:
+        src_cf = load_citation_file(src_root)
+        merged, keys = apply_copy(cf, WorktreeLookup(root), src_cf, WorktreeLookup(src_root), src_subtree, dst_path)
+        if os.path.lexists(dst_fs):  # such as a directory symlink, which the cited tree leaves out
+            raise DestinationCollision(f"{dst_path} already exists")
+        added.extend(keys)
         shutil.copytree(src_fs, dst_fs, symlinks=True, ignore=ignore)
-        store_citation_file(root, merged)
+        return merged
+
+    try:
+        merged = update_citation_file(root, copy)
     except BaseException:
-        shutil.rmtree(dst_fs, ignore_errors=True)  # nothing was there before the copy
+        if added:  # nothing was there before this call's copy
+            shutil.rmtree(dst_fs, ignore_errors=True)
         raise
     return merged, added

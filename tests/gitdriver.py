@@ -21,12 +21,12 @@ from gitcite.fileformat import parse, serialize
 from gitcite.gitadapter import (
     CITATION_FILE,
     WorktreeLookup,
-    load_citation_file,
     run_copy,
     run_merge,
     staged_changes,
     store_citation_file,
     sync_on_commit,
+    update_citation_file,
 )
 from gitcite.model import CitationRecord
 from gitcite.ops import ConflictReport, Resolver, apply_add, apply_delete, apply_modify
@@ -107,18 +107,17 @@ class Project:
 
     def cite_add(self, rendered: str, tag: str) -> None:
         path = from_rendered(rendered)
-        cf = load_citation_file(self.root)
-        store_citation_file(self.root, apply_add(cf, WorktreeLookup(self.root), path, record(tag)))
+        update_citation_file(self.root, lambda cf: apply_add(cf, WorktreeLookup(self.root), path, record(tag)))
         self.model.cite(path, record(tag))
 
     def cite_del(self, rendered: str) -> None:
         path = from_rendered(rendered)
-        store_citation_file(self.root, apply_delete(load_citation_file(self.root), path))
+        update_citation_file(self.root, lambda cf: apply_delete(cf, path))
         self.model.uncite(path)
 
     def cite_mod(self, rendered: str, tag: str) -> None:
         path = from_rendered(rendered)
-        store_citation_file(self.root, apply_modify(load_citation_file(self.root), path, record(tag)))
+        update_citation_file(self.root, lambda cf: apply_modify(cf, path, record(tag)))
         self.model.cite(path, record(tag))
 
     def commit(self) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import gitcite
-from gitcite import CitationFile, gitadapter
+from gitcite import CitationFile, cli, gitadapter
 from gitcite.cli import main
+from gitcite.errors import IoFailure
 from gitcite.fileformat import record_from_obj, record_to_obj, serialize
 from gitcite.gitadapter import load_citation_file, store_citation_file
 from gitcite.model import TreeSnapshot, resolve
@@ -536,6 +538,21 @@ class TestCopy:
         seed(dst, {"app.c": "a"}, {})
         monkeypatch.chdir(dst)
         assert main(["copy", str(src), "core/", "app.c/"]) == 1
+
+    def test_a_collision_with_a_directory_leaves_it_and_the_citation_file(self, git_repo, monkeypatch, capsys):
+        # The rollback of a failed copy removes only what the copy created:
+        # unlike a file, a directory at the destination is what it would remove.
+        src = git_repo("src-onto-dir")
+        seed(src, {"sub/f.c": "f"}, {"/sub/": "sub"})
+        dst = git_repo("dst-onto-dir")
+        seed(dst, {"existing/keep.c": "keep"}, {})
+        before = (dst / "citation.cite").read_bytes()
+        monkeypatch.chdir(dst)
+        assert main(["copy", str(src), "sub/", "existing/"]) == 1
+        assert "/existing/ already exists" in capsys.readouterr().err
+        assert os.listdir(dst / "existing") == ["keep.c"]
+        assert (dst / "existing" / "keep.c").read_bytes() == b"keep"
+        assert (dst / "citation.cite").read_bytes() == before
 
 
 def build_conflicted_repo(git_repo) -> Path:
@@ -1320,3 +1337,115 @@ class TestTheCheckoutTop:
         else:
             assert os.readlink(top) == ("real.cite" if entry == "symlink" else "missing.cite")
             assert (root / "real.cite").read_text() == text
+
+
+class TestOneWriter:
+    """Every edit of the citation file is one read-edit-write under the lock
+    file ``citation.cite.lock``, and one that changes no record writes nothing."""
+
+    LOCKED = (
+        "gitcite: {} exists: another gitcite command is writing citation.cite; "
+        "if none is running, remove the lock file\n"
+    )
+
+    def test_a_write_that_changes_nothing_keeps_the_file(self, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        seed(root, {"a.c": "a"}, {})
+        target = root / "citation.cite"
+        owner = load_citation_file(root).get(ROOT).owner
+        monkeypatch.chdir(root)
+        for write in (
+            lambda: main(["modify", ".", "--field", f"owner={owner}"]),
+            lambda: gitadapter.sync_on_commit(root, [], []),
+        ):
+            before = os.stat(target)
+            write()
+            after = os.stat(target)
+            assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        # So a hand edit that changes no record keeps its bytes, and validate still says so.
+        by_hand = json.dumps(json.loads(target.read_text(encoding="utf-8"))).encode()
+        target.write_bytes(by_hand)
+        assert main(["modify", ".", "--field", f"owner={owner}"]) == 0
+        assert target.read_bytes() == by_hand
+        capsys.readouterr()
+        assert main(["validate"]) == 0
+        assert "is not in canonical form" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["add", "a.c", "--field", "owner=X"],
+            ["del", "sub/"],
+            ["modify", ".", "--field", "owner=X"],
+            ["merge", "side", "--ours"],
+            ["copy", "../src", "lib/", "vendor/"],
+        ],
+        ids=["add", "del", "modify", "merge", "copy"],
+    )
+    def test_a_lock_stops_every_writer_and_stays(self, argv, git_repo, monkeypatch, capsys):
+        seed(git_repo("src"), {"lib/l.c": "l"}, {})
+        root = git_repo()
+        seed(root, {"a.c": "a", "sub/s.c": "s"}, {"/sub/": "sub"})
+        git(root, "branch", "side")
+        lock = root / "citation.cite.lock"
+        lock.touch()
+        before = checkout_state(root)
+        monkeypatch.chdir(root)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == self.LOCKED.format(lock)
+        assert checkout_state(root) == before
+        assert lock.exists() and not (root / "vendor").exists()
+
+    def test_a_lock_stops_the_commit_time_sync_and_no_reader(self, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        seed(root, {"a.c": "a"}, {"/a.c": "a"})
+        (root / "citation.cite.lock").touch()
+        before = (root / "citation.cite").read_bytes()
+        with pytest.raises(IoFailure, match="citation.cite.lock exists"):
+            gitadapter.sync_on_commit(root, [], [from_rendered("/a.c")])
+        assert (root / "citation.cite").read_bytes() == before
+        monkeypatch.chdir(root)
+        assert main(["gen", "a.c"]) == 0
+        assert main(["validate"]) == 0
+
+    def test_a_writer_inside_another_writer_is_refused(self, git_repo, monkeypatch, capsys):
+        # The inner add runs between the outer modify's read and its write.
+        # Without the lock it succeeds, and the outer write then drops its key.
+        root = git_repo()
+        seed(root, {"a.c": "a", "b.c": "b"}, {})
+        monkeypatch.chdir(root)
+        build, inner = cli._build_record, []
+
+        def build_after_another_writer(*args):
+            monkeypatch.setattr(cli, "_build_record", build)  # the inner add builds as usual
+            inner.append(main(["add", "b.c", "--field", "owner=inner"]))
+            return build(*args)
+
+        monkeypatch.setattr(cli, "_build_record", build_after_another_writer)
+        assert main(["modify", ".", "--field", "owner=outer"]) == 0
+        assert inner == [3]
+        assert capsys.readouterr().err == self.LOCKED.format(root / "citation.cite.lock")
+        cf = load_citation_file(root)
+        assert cf.get(ROOT).owner == "outer" and from_rendered("/b.c") not in cf
+        assert not (root / "citation.cite.lock").exists()
+
+    def test_racing_writers_keep_every_key_they_report(self, git_repo):
+        # Whatever the interleaving, each add either exits 0 and its key is
+        # in the file, or finds the lock and exits 3.
+        root = git_repo()
+        names = [f"f{i}.c" for i in range(4)]
+        seed(root, dict.fromkeys(names, "x"), {})
+        with contextlib.ExitStack() as stack:
+            procs = [
+                stack.enter_context(subprocess.Popen(
+                    [sys.executable, "-m", "gitcite.cli", "add", name, "--field", f"owner={name}"],
+                    cwd=root, env=_cli_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                ))
+                for name in names
+            ]
+            results = [(proc.communicate(timeout=60)[1].decode(), proc.returncode) for proc in procs]
+        cited = {str(key) for key in load_citation_file(root)}
+        for name, (err, code) in zip(names, results):
+            assert (code, err) in ((0, ""), (3, self.LOCKED.format(root / "citation.cite.lock")))
+            assert (f"/{name}" in cited) == (code == 0)
+        assert not (root / "citation.cite.lock").exists()
