@@ -169,26 +169,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_copy(args: argparse.Namespace) -> int:
-    import tempfile  # only copy needs a scratch directory
-
     root = find_root()
-    with tempfile.TemporaryDirectory(prefix="gitcite-copy-") as scratch:
-        if _looks_remote(args.src):
-            src_root = os.path.join(scratch, "src")
-            gitadapter._git(os.getcwd(), "clone", "--depth", "1", args.src, src_root)
-        else:
-            src_root = os.path.normpath(os.path.join(os.getcwd(), args.src))
-        src_subtree = canonicalize(args.src_subtree, kind_hint=PathKind.DIRECTORY)
-        dst_path = canonicalize(args.dst_path, _cwd(root), PathKind.DIRECTORY)
-        _, added = gitadapter.run_copy(root, src_root, src_subtree, dst_path)
+    src_subtree = canonicalize(args.src_subtree, kind_hint=PathKind.DIRECTORY)
+    dst_path = canonicalize(args.dst_path, _cwd(root), PathKind.DIRECTORY)
+    _, added = gitadapter.run_copy(root, args.src, src_subtree, dst_path)
     print(f"copied {src_subtree} -> {dst_path}; migrated {len(added)} citation entries:")
     for key in added:
         print(f"  {key}")
     return EXIT_OK
-
-
-def _looks_remote(src: str) -> bool:
-    return src.startswith(("http://", "https://", "ssh://", "git@", "file://")) or src.endswith(".git")
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
@@ -287,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_copy = sub.add_parser("copy", help="copy a directory from another repository with its citations")
-    p_copy.add_argument("src", help="source checkout path or clone URL")
+    p_copy.add_argument("src", help="source repository, a path or a URL; its committed HEAD is copied")
     p_copy.add_argument("src_subtree", help="directory inside the source ('/' for the whole tree)")
     p_copy.add_argument("dst_path", help="new directory in this repository")
     p_copy.set_defaults(func=cmd_copy)

@@ -16,7 +16,7 @@ rename and deletion between HEAD's tree and the index's (see
 :func:`_tree_changes`), a file that a rename overwrote counting as deleted.
 A merge carries the keys across the paths git reports deleted from either
 head the same way; both find the directories that are gone with
-:func:`_tree_diff`.
+:func:`_tree_diff`. A copy fetches its source's ``HEAD`` and reads it in with ``git read-tree``.
 
 Every change to the worktree's citation file is one
 :func:`update_citation_file`: read, edit, and write only when the file
@@ -253,7 +253,8 @@ def _git(root: str, *args: str, check: bool = True, input: str | None = None):
     proc.stdout = proc.stdout.decode("utf-8", "surrogateescape")
     proc.stderr = proc.stderr.decode("utf-8", "surrogateescape")
     if check and proc.returncode != 0:
-        raise IoFailure(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
+        message = proc.stderr.strip().partition("\n")[0]  # the lines after git's message are advice
+        raise IoFailure(f"git {' '.join(args)} failed: {message}")
     return proc
 
 
@@ -389,40 +390,42 @@ def _require_tree(root: str, rev: str) -> None:
         raise UnknownVersion(f"unknown revision {rev!r}")
 
 
-def citation_file_at_revision(root: str, rev: str) -> CitationFile:
+def citation_file_at_revision(root: str, rev: str, where: str = "") -> CitationFile:
     """The citation file committed at ``rev``. Only when it is missing does
     one more git call tell a revision that is not a tree apart
     (:class:`~gitcite.errors.UnknownVersion`) from a tree without the file
-    (:class:`~gitcite.errors.FileMissing`)."""
+    (:class:`~gitcite.errors.FileMissing`). An error names it as ``where``."""
+    where = where or f"revision {rev!r}"
     try:
-        (text,) = _citation_texts_at(root, [rev])
+        (text,) = _citation_texts_at(root, [rev], [where])
     except FileMissing:
         _require_tree(root, rev)
         raise
-    return parse_citation_text(text, f"{CITATION_FILE} at revision {rev!r}")
+    return parse_citation_text(text, f"{CITATION_FILE} at {where}")
 
 
-def _citation_texts_at(root: str, revs: Sequence[str]) -> list[str]:
+def _citation_texts_at(root: str, revs: Sequence[str], wheres: Sequence[str]) -> list[str]:
     """The citation file's text at each of ``revs``, read with one ``git
     cat-file --batch``. A revision without the file as a blob (or one that
     does not resolve) raises :class:`~gitcite.errors.FileMissing`; a file
-    that is not UTF-8 raises :class:`~gitcite.errors.IoFailure`."""
-    for rev in revs:
+    that is not UTF-8 raises :class:`~gitcite.errors.IoFailure`. An error
+    names a revision as its entry of ``wheres``."""
+    for rev, where in zip(revs, wheres):
         if "\n" in rev:  # the query takes one name per line
-            raise FileMissing(f"no {CITATION_FILE} at revision {rev!r}")
+            raise FileMissing(f"no {CITATION_FILE} at {where}")
     query = "".join(f"{rev}:{CITATION_FILE}\n" for rev in revs)
     out = _git(root, "cat-file", "--batch", input=query).stdout.encode("utf-8", "surrogateescape")
     texts, pos = [], 0
-    for rev in revs:  # each object is "<id> <type> <size>\n<content>\n", or "<name> missing\n"
+    for where in wheres:  # each object is "<id> <type> <size>\n<content>\n", or "<name> missing\n"
         end = out.index(b"\n", pos)
         header = out[pos:end].split(b" ")
         if len(header) != 3 or header[1] != b"blob":
-            raise FileMissing(f"no {CITATION_FILE} at revision {rev!r}")
+            raise FileMissing(f"no {CITATION_FILE} at {where}")
         pos = end + 1 + int(header[2])
         try:  # a citation file must be UTF-8
             texts.append(out[end + 1 : pos].decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise IoFailure(f"cannot read {CITATION_FILE} at revision {rev!r}: {exc}") from exc
+            raise IoFailure(f"cannot read {CITATION_FILE} at {where}: {exc}") from exc
         pos += 1
     return texts
 
@@ -610,6 +613,17 @@ def _count_dirs(files: Iterable[tuple[str, ...]]) -> Counter:
 # --- Higher-level worktree operations (used by the CLI) ---------------------
 
 
+def _top_entries(root: str, tree: str) -> tuple[list[str], str]:
+    """``tree``'s top entries (``ls-tree -z``) but the citation file's, and its mode, 100755 or 100644."""
+    entries, mode = [], "100644"
+    for entry in filter(None, _git(root, "ls-tree", "-z", tree).stdout.split("\0")):
+        if entry.partition("\t")[2] == CITATION_FILE:
+            mode = "100755" if entry.startswith("100755 ") else mode
+        else:
+            entries.append(entry)
+    return entries, mode
+
+
 def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[CitationFile, list[ConflictReport]]:
     """Citation-aware branch merge in a real worktree, merging once.
 
@@ -683,20 +697,13 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
         conflicted = [p for p in conflicted if p and p != CITATION_FILE]
         if conflicted:
             raise EditConflict(f"merge refused: both branches changed {', '.join(conflicted)}")
-        base_text, left_text, right_text = _citation_texts_at(root, [base_rev, head_rev, other_rev])
-        base_cf, left_cf, right_cf = (
-            parse_citation_text(text, f"{CITATION_FILE} at revision {rev!r}")
-            for text, rev in zip((base_text, left_text, right_text), (base_rev, "HEAD", other))
-        )
-        if worktree_text != left_text and parse_citation_text(worktree_text) != left_cf:
+        wheres = [f"revision {rev!r}" for rev in (base_rev, "HEAD", other)]
+        texts = _citation_texts_at(root, [base_rev, head_rev, other_rev], wheres)
+        base_cf, left_cf, right_cf = (parse_citation_text(t, f"{CITATION_FILE} at {w}") for t, w in zip(texts, wheres))
+        if worktree_text != texts[1] and parse_citation_text(worktree_text) != left_cf:
             raise IoFailure(f"{citation_file_path(root)} has uncommitted changes; commit or discard them first")
 
-        top_entries, mode = [], "100644"
-        for entry in filter(None, _git(root, "ls-tree", "-z", merged_tree).stdout.split("\0")):
-            if entry.partition("\t")[2] == CITATION_FILE:  # the text-merged citation file, replaced below
-                mode = "100755" if entry.startswith("100755 ") else mode
-            else:
-                top_entries.append(entry)
+        top_entries, mode = _top_entries(root, merged_tree)  # but the text-merged citation file, replaced below
         deleted = [
             key
             for status, old_mode, *_, (path,) in _tree_diff(root, [(head_tree, merged_tree), (other_tree, merged_tree)])
@@ -719,43 +726,47 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
 
 
 def run_copy(
-    root: str, src_root: str, src_subtree: CanonicalPath, dst_path: CanonicalPath
+    root: str, src: str, src_subtree: CanonicalPath, dst_path: CanonicalPath
 ) -> tuple[CitationFile, list[CanonicalPath]]:
-    """Copy a directory from another checkout and migrate its citations.
-
-    The citations migrate by :func:`gitcite.ops.apply_copy`, whose checks
-    run before any file is copied on disk. Symlinks are copied as links, as
-    git carries them. Every entry named ``.git`` and the source top's
-    citation file stay behind; a ``citation.cite`` below the top is an
-    ordinary cited file and is copied. All of it runs in one
-    :func:`update_citation_file`. If the copy or the citation write fails,
-    the directory this call copied is removed; one that was there before is
-    never touched. Returns the new citation file and the added keys.
-    """
-    import shutil  # only copy walks a tree
-
-    dst_fs = os.path.join(root, *dst_path.segments)
-    src_fs = os.path.join(src_root, *src_subtree.segments)
-
-    def ignore(directory: str, names: list[str]) -> set[str]:  # copytree names the top as it was given
-        ignored = {".git", CITATION_FILE} if src_subtree.is_root and directory == src_fs else {".git"}
-        return ignored.intersection(names)
-
-    added: list[CanonicalPath] = []  # never empty once this call starts creating dst_fs
+    """Copy a directory of the committed ``HEAD`` of the repository ``src``, a
+    path (from the working directory) or a URL as ``git fetch`` reads it, and
+    migrate its citations. One fetch writes its objects here, unreferenced;
+    the source's citation file and tree are read at that commit, and
+    :func:`gitcite.ops.apply_copy` checks and migrates the citations before
+    any file is written. Inside one :func:`update_citation_file`, ``git
+    read-tree --prefix -u`` then writes and stages the subtree as git holds
+    it, with its modes and symlinks: nothing ignored, untracked or
+    uncommitted, nor the source's top citation file. If the citation write
+    fails, ``git rm`` takes out what read-tree wrote. Returns the new
+    citation file and the added keys."""
+    fetch = _git(  # run where ``src`` was typed, into this repository
+        ".", f"--git-dir={os.path.join(root, '.git')}", "fetch", "-q", "--no-tags", "--no-auto-maintenance",
+        "--no-recurse-submodules", "--end-of-options", src, "HEAD", check=False,
+    )
+    if fetch.returncode != 0:
+        message = fetch.stderr.strip().partition("\n")[0]
+        raise IoFailure(f"cannot fetch the HEAD of {src!r}: {message}")
+    commit = _git(root, "rev-parse", "--verify", "-q", "FETCH_HEAD^{commit}").stdout.strip()
+    src_cf = citation_file_at_revision(root, commit, f"the HEAD of {src!r}")
+    dst_dir = "/".join(dst_path.segments) + "/"
+    added: list[CanonicalPath] = []  # never empty once read-tree has written the destination
 
     def copy(cf: CitationFile) -> CitationFile:
-        src_cf = load_citation_file(src_root)
-        merged, keys = apply_copy(cf, WorktreeLookup(root), src_cf, WorktreeLookup(src_root), src_subtree, dst_path)
-        if os.path.lexists(dst_fs):  # such as a directory symlink, which the cited tree leaves out
+        merged, keys = apply_copy(cf, WorktreeLookup(root), src_cf, RevisionLookup(root, commit), src_subtree, dst_path)
+        if os.path.lexists(os.path.join(root, *dst_path.segments)):  # such as a directory symlink
             raise DestinationCollision(f"{dst_path} already exists")
+        tree = f"{commit}:{'/'.join(src_subtree.segments)}"
+        if src_subtree.is_root:  # the source's tree without its citation file
+            entries = "".join(f"{entry}\0" for entry in _top_entries(root, commit)[0])
+            tree = _git(root, "mktree", "-z", input=entries).stdout.strip()
+        _git(root, "read-tree", f"--prefix={dst_dir}", "-u", tree)
         added.extend(keys)
-        shutil.copytree(src_fs, dst_fs, symlinks=True, ignore=ignore)
         return merged
 
     try:
         merged = update_citation_file(root, copy)
     except BaseException:
-        if added:  # nothing was there before this call's copy
-            shutil.rmtree(dst_fs, ignore_errors=True)
+        if added:  # nothing was there before this call's read-tree
+            _git(root, "--literal-pathspecs", "rm", "-r", "-q", "-f", "--", dst_dir, check=False)
         raise
     return merged, added

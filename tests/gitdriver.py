@@ -165,7 +165,7 @@ class Project:
         self._clean()
         source._clean()
         sub, dst = from_rendered(src_subtree), from_rendered(dst_path)
-        run_copy(self.root, source.root, sub, dst)
+        run_copy(self.root, str(source.root), sub, dst)
         self._commit_on_disk(f"import {src_subtree}")
         self.model.copy(source.model.work, sub, dst)
         self.model.commit()

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -491,6 +492,8 @@ class TestCopy:
         (src / "core").mkdir()
         (src / "core" / "dangling").symlink_to("no-such-target")
         (src / "core" / "outside").symlink_to(elsewhere, target_is_directory=True)
+        (src / "core" / "run.sh").write_text("#!/bin/sh\n")
+        (src / "core" / "run.sh").chmod(0o755)
         seed(src, {"core/f.c": "f"}, {"/core/": "core"})
         dst = git_repo("dst-links")
         seed(dst, {"app.c": "a"}, {})
@@ -499,26 +502,140 @@ class TestCopy:
         assert os.readlink(dst / "vendor" / "dangling") == "no-such-target"
         assert os.readlink(dst / "vendor" / "outside") == str(elsewhere)
         assert (dst / "vendor" / "f.c").read_text() == "f"
+        assert git(dst, "ls-files", "-s", "vendor/run.sh").stdout.startswith("100755 ")
+        assert os.stat(dst / "vendor" / "run.sh").st_mode & 0o111 == 0o111
         assert load_citation_file(dst).get(from_rendered("/vendor/")) == record("core")
 
-    def test_a_failed_copy_leaves_no_files_and_the_citation_file(self, git_repo, monkeypatch, capsys):
-        import shutil
-
+    @pytest.mark.parametrize("fault", ["citation-write", "index-lock"])
+    def test_a_failed_copy_leaves_no_files_and_the_citation_file(self, git_repo, monkeypatch, capsys, fault):
         src = git_repo("src-fail")
         seed(src, {"core/f2": "f2", "core/deep/g.c": "g"}, {"/core/": "core"})
         dst = git_repo("dst-fail")
         seed(dst, {"app.c": "a"}, {})
-        before = (dst / "citation.cite").read_bytes()
-
-        def refuse(*args, **kwargs):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(shutil, "copyfile", refuse)  # what copytree's copy2 calls per file
+        before = checkout_state(dst)
+        lock = dst / ".git" / "index.lock"
+        if fault == "citation-write":  # store_citation_file creates this name exclusively, after read-tree ran
+            (dst / f".citation.cite.{os.getpid()}.tmp").touch()
+        else:  # git refuses read-tree while the index is locked
+            lock.touch()
         monkeypatch.chdir(dst)
         assert main(["copy", str(src), "core/", "vendor/"]) == 3
-        assert "No space left" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("gitcite: ") and err.count("\n") == 1, err
+        lock.unlink(missing_ok=True)
         assert not os.path.lexists(dst / "vendor")
+        assert checkout_state(dst) == before
+
+    def test_only_what_the_source_committed_is_copied_and_staged(self, git_repo, monkeypatch, capsys):
+        src = git_repo("src1")
+        (src / ".gitignore").write_text("build/\n")
+        seed(src, {"lib/a.c": "a", "lib/b.c": "b"}, {"/lib/a.c": "a"})
+        (src / "lib" / "build").mkdir()
+        (src / "lib" / "build" / "o.o").write_text("ignored")
+        (src / "lib" / "untracked.tmp").write_text("untracked")
+        (src / "lib" / "b.c").write_text("an uncommitted edit")
+        dst = git_repo("dst1")
+        seed(dst, {"app.c": "a"}, {})
+        monkeypatch.chdir(dst)
+        assert main(["copy", "../src1", "lib/", "vendor/"]) == 0
+        assert sorted(p.name for p in (dst / "vendor").iterdir()) == ["a.c", "b.c"]
+        assert (dst / "vendor" / "b.c").read_text() == "b"
+        assert git(dst, "diff", "--cached", "--name-only").stdout.split() == ["vendor/a.c", "vendor/b.c"]
+        assert git(dst, "status", "--porcelain").stdout.splitlines() == [
+            " M citation.cite", "A  vendor/a.c", "A  vendor/b.c"
+        ]
+        assert load_citation_file(dst).get(from_rendered("/vendor/a.c")) == record("a")
+        capsys.readouterr()
+        assert main(["validate"]) == 0
+
+    def test_a_source_that_starts_with_a_dash_is_never_an_option(self, git_repo, monkeypatch, capsys, tmp_path):
+        dst = git_repo("dst-dash")
+        seed(dst, {"app.c": "a"}, {})
+        before = (dst / "citation.cite").read_bytes()
+        monkeypatch.chdir(dst)
+        assert main(["copy", "--", "--upload-pack=touch MARKER", "sub/", "dst/"]) != 0
+        err = capsys.readouterr().err
+        assert err.startswith("gitcite: ") and err.count("\n") == 1, err
+        assert not list(tmp_path.rglob("MARKER"))
         assert (dst / "citation.cite").read_bytes() == before
+
+    def test_a_path_a_url_and_a_relative_path_copy_alike(self, git_repo, monkeypatch):
+        src = git_repo("lib.git")  # a checkout whose name ends in .git
+        seed(src, {"sub/f.c": "f", "sub/deep/g.c": "g"}, {"/sub/deep/": "deep"})
+        results = []
+        for name, cwd, source in [
+            ("by-path", ".", str(src)), ("by-url", ".", src.as_uri()), ("relative", "d1/d2", "../../../lib.git")
+        ]:
+            dst = git_repo(name)
+            seed(dst, {"d1/d2/x.c": "x"}, {})
+            refs = git(dst, "for-each-ref").stdout
+            monkeypatch.chdir(dst / cwd)
+            assert main(["copy", source, "sub/", "/vendor/"]) == 0
+            results.append(((dst / "citation.cite").read_bytes(), git(dst, "diff", "--cached", "--name-only").stdout))
+            assert not (dst / ".git" / "shallow").exists()
+            assert git(dst, "for-each-ref").stdout == refs
+        assert results[0] == results[1] == results[2]
+        assert results[0][1].split() == ["vendor/deep/g.c", "vendor/f.c"]
+
+    @pytest.mark.parametrize(
+        "cite, code, says",
+        [(None, 3, "no citation.cite at the HEAD of '../bad'"), (b"{", 1, "citation.cite at the HEAD of '../bad': ")],
+        ids=["missing", "malformed"],
+    )
+    def test_a_bad_source_citation_file_is_named_by_the_source(self, git_repo, monkeypatch, capsys, cite, code, says):
+        src = git_repo("bad")
+        (src / "sub").mkdir()
+        (src / "sub" / "f.c").write_text("f")
+        if cite is not None:
+            (src / "citation.cite").write_bytes(cite)
+        git(src, "add", "-A")
+        git(src, "commit", "-q", "-m", "no good citation file")
+        dst = git_repo("dst-bad")
+        seed(dst, {"app.c": "a"}, {})
+        before = checkout_state(dst)
+        monkeypatch.chdir(dst)
+        assert main(["copy", "../bad", "sub/", "vendor/"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"gitcite: {says}") and err.count("\n") == 1, err
+        assert not re.search(r"[0-9a-f]{40}", err), err
+        assert checkout_state(dst) == before
+
+    def test_a_source_with_no_commit_is_an_environment_error(self, git_repo, monkeypatch, capsys):
+        git_repo("empty")
+        dst = git_repo("dst-empty")
+        seed(dst, {"app.c": "a"}, {})
+        before = checkout_state(dst)
+        monkeypatch.chdir(dst)
+        assert main(["copy", "../empty", "sub/", "vendor/"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gitcite: cannot fetch the HEAD of '../empty': ") and err.count("\n") == 1, err
+        assert checkout_state(dst) == before
+
+    @pytest.mark.parametrize("files", [2, 40])
+    def test_copy_runs_a_fixed_number_of_git_commands(self, git_repo, monkeypatch, files):
+        # The fetch, the fetched commit, the source's citation file, the
+        # source subtree's entry, and read-tree; a root copy adds the ls-tree
+        # and mktree of the source's top without its citation file.
+        src = git_repo("src-cost")
+        seed(src, {f"sub/d{i % 3}/f{i}.c": str(i) for i in range(files)}, {"/sub/d1/": "d1"})
+        dst = git_repo("dst-cost")
+        seed(dst, {"app.c": "a"}, {})
+        calls = []
+        real_git = gitadapter._git
+
+        def counted(at, *args, **kwargs):
+            calls.append(args)
+            return real_git(at, *args, **kwargs)
+
+        monkeypatch.setattr(gitadapter, "_git", counted)
+        monkeypatch.chdir(dst)
+        assert main(["copy", "../src-cost", "sub/", "vendor/"]) == 0
+        assert len(calls) == 5, calls
+        del calls[:]
+        assert main(["copy", "../src-cost", "/", "whole/"]) == 0
+        assert len(calls) == 7, calls
+        assert [args[0] for args in calls].count("mktree") == 1, calls
+        assert len(git(dst, "diff", "--cached", "--name-only").stdout.split()) == 2 * files
 
     def test_the_source_subtree_takes_the_same_grammar(self, git_repo, monkeypatch, capsys):
         src = git_repo("src-grammar")

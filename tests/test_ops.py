@@ -433,6 +433,24 @@ def test_one_function_reads_edits_and_writes_the_citation_file():
     assert len(lock_names) == 1
 
 
+def test_copy_reads_its_source_from_git_alone():
+    """A copy writes what git holds at the source's ``HEAD``, through
+    ``read-tree``: no module walks or copies a directory (``shutil``) or
+    makes a scratch checkout (``tempfile``), and only ``run_copy`` hands
+    ``read-tree`` to git."""
+    reads_trees = []
+    for source in Path(gitcite.__file__).parent.glob("*.py"):
+        assert not {"shutil", "tempfile"} & {name.split(".")[0] for name in _imported_modules(source)}, source.name
+        for top in ast.parse(source.read_text(encoding="utf-8")).body:  # a function, or a class and its methods
+            for func in top.body if isinstance(top, ast.ClassDef) else [top]:
+                reads_trees += [
+                    func.name for call in ast.walk(func)
+                    if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_git"
+                    and any(getattr(arg, "value", None) == "read-tree" for arg in call.args)
+                ]
+    assert reads_trees == ["run_copy"]
+
+
 def test_the_identity_model_imports_nothing_from_ops_or_the_adapter():
     """The oracle writes the paper's rules again, so a bug in ops or the
     adapter cannot agree with itself. A name imported from ``gitcite``
