@@ -15,16 +15,7 @@ import os
 import sys
 
 from . import fileformat, gitadapter, render
-from .errors import (
-    AlreadyInitialized,
-    FileMissing,
-    GitCiteError,
-    HttpStatus,
-    IoFailure,
-    NetworkFailure,
-    NotARepository,
-    NotCited,
-)
+from .errors import GitCiteError, IoFailure
 from .model import RECORD_FIELDS, REQUIRED_FIELDS, TEXT_FIELDS, CitationFile, CitationRecord
 from .model import resolve, resolve_from_entries, validate
 from .ops import (
@@ -45,9 +36,7 @@ EXIT_INTERRUPT = 130  # 128 + SIGINT, as a shell reports a command stopped by Ct
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports git writing to a closed pipe
 
 # UnicodeDecodeError is a ValueError, so this tuple is caught first.
-_ENV_ERRORS = (
-    IoFailure, NetworkFailure, HttpStatus, NotARepository, FileMissing, OSError, UnicodeDecodeError
-)
+_ENV_ERRORS = (IoFailure, OSError, UnicodeDecodeError)
 _REGENERABLE = tuple(name for name in TEXT_FIELDS if name not in REQUIRED_FIELDS)  # drafted from the head commit
 
 
@@ -59,7 +48,7 @@ def find_root() -> str:
     top = cwd = os.path.realpath(os.getcwd())
     while not os.path.exists(os.path.join(top, ".git")):
         if top == os.sep:
-            raise NotARepository(f"{cwd} is not inside a git repository")
+            raise IoFailure(f"{cwd} is not inside a git repository")
         top = os.path.dirname(top)
     return top
 
@@ -105,7 +94,7 @@ def cmd_init(args: argparse.Namespace) -> int:
     root = find_root()
     target = gitadapter.citation_file_path(root)
     if gitadapter.citation_file_exists(root):
-        raise AlreadyInitialized(f"{target} already exists")
+        raise GitCiteError(f"{target} already exists")
     record = gitadapter.default_root_citation(root)
     gitadapter.store_citation_file(root, CitationFile.single(record))
     print(f"created {target}; edit the draft with 'gitcite modify .':")
@@ -139,7 +128,7 @@ def cmd_modify(args: argparse.Namespace) -> int:
     def modify(cf: CitationFile) -> CitationFile:
         current = cf.get(path)
         if current is None:
-            raise NotCited(f"{path} has no citation")
+            raise GitCiteError(f"{path} has no citation")
         return apply_modify(cf, path, _build_record(current, args.field, args.authors))
 
     cf = gitadapter.update_citation_file(root, modify)

@@ -1,72 +1,26 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+An error's class decides the command line's exit status: an
+:class:`IoFailure` (the file system, git or the network failed) exits 3, and
+any other :class:`GitCiteError` (a domain error) exits 1. A subclass exists
+only where code catches it by name or where it builds the one message of
+several raise sites; every other error is raised as one of the two.
+"""
 
 
 class GitCiteError(Exception):
-    """Base class for every domain error raised by this package."""
+    """Base class for every error raised by this package; a domain error unless an :class:`IoFailure`."""
 
 
-# Paths and resolution.
+class IoFailure(GitCiteError):
+    """The environment failed: a file, git or the network."""
+
+
+class FileMissing(IoFailure):
+    pass
+
+
 class InvalidPath(GitCiteError):
-    pass
-
-
-class PathNotInTree(GitCiteError):
-    def __init__(self, path: object):
-        super().__init__(f"{path} is not in the tree")
-
-
-class MissingRoot(GitCiteError):
-    pass
-
-
-# Citation edits.
-class AlreadyCited(GitCiteError):
-    pass
-
-
-class NotCited(GitCiteError):
-    pass
-
-
-class RootUndeletable(GitCiteError):
-    pass
-
-
-class UnknownVersion(GitCiteError):
-    pass
-
-
-class MissingMetadata(GitCiteError):
-    pass
-
-
-# Tree edits, copies and merges.
-class EditConflict(GitCiteError):
-    pass
-
-
-class InvariantBroken(GitCiteError):
-    """A post-operation consistency check failed; this is a defect, not user error."""
-
-
-class SubtreeMissing(GitCiteError):
-    pass
-
-
-class DestinationCollision(GitCiteError):
-    pass
-
-
-class NoCommonAncestor(GitCiteError):
-    pass
-
-
-class UnresolvedConflict(GitCiteError):
-    pass
-
-
-# On-disk documents, the working tree, and the network.
-class FileMissing(GitCiteError):
     pass
 
 
@@ -79,25 +33,6 @@ class MalformedDocument(GitCiteError):
         self.column = column
 
 
-class IoFailure(GitCiteError):
-    pass
-
-
-class NetworkFailure(GitCiteError):
-    pass
-
-
-class HttpStatus(GitCiteError):
-    def __init__(self, code: int, url: str):
-        super().__init__(f"HTTP {code} for {url}")
-        self.code = code
-        self.url = url
-
-
-# Command-line surface.
-class AlreadyInitialized(GitCiteError):
-    pass
-
-
-class NotARepository(GitCiteError):
-    pass
+class PathNotInTree(GitCiteError):
+    def __init__(self, path: object):
+        super().__init__(f"{path} is not in the tree")

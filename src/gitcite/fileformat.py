@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import InvalidPath, MalformedDocument, MissingRoot
+from .errors import InvalidPath, MalformedDocument
 from .model import RECORD_FIELDS, REQUIRED_FIELDS, TEXT_FIELDS, CitationFile, CitationRecord
 from .paths import ROOT, CanonicalPath, from_rendered
 
@@ -88,5 +88,5 @@ def parse(text: str, require_root: bool = True) -> CitationFile:
             raise MalformedDocument(f"invalid path key {key_text!r}: {exc}") from exc
         entries[path] = record_from_obj(obj, where=f"entry {key_text!r}")
     if require_root and ROOT not in entries:
-        raise MissingRoot("the document has no '/' entry")
+        raise MalformedDocument("the document has no '/' entry")
     return CitationFile(entries)

@@ -34,20 +34,7 @@ import stat
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from .errors import (
-    DestinationCollision,
-    EditConflict,
-    FileMissing,
-    HttpStatus,
-    InvalidPath,
-    IoFailure,
-    MalformedDocument,
-    MissingMetadata,
-    MissingRoot,
-    NetworkFailure,
-    NoCommonAncestor,
-    UnknownVersion,
-)
+from .errors import FileMissing, GitCiteError, InvalidPath, IoFailure, MalformedDocument
 from .fileformat import parse, serialize
 from .model import TEXT_FIELDS, CitationFile, CitationRecord, Segments
 from .ops import (
@@ -102,7 +89,7 @@ def parse_citation_text(text: str, where: str = CITATION_FILE, *, require_root: 
     """Parse the text of a citation file; a malformed document's error names ``where`` it came from."""
     try:
         return parse(text, require_root)
-    except (MalformedDocument, MissingRoot) as exc:
+    except MalformedDocument as exc:
         raise type(exc)(f"{where}: {exc}") from exc
 
 
@@ -205,8 +192,8 @@ def sync_on_commit(
     once by :func:`gitcite.ops.carry_keys`: keys follow the renames, keys
     under deleted paths are pruned, and the root entry always survives. The
     new file is returned, and stored by :func:`update_citation_file` when it
-    differs from the old one. A rename onto a key that stays raises
-    :class:`~gitcite.errors.InvariantBroken` and leaves the file as it was.
+    differs from the old one. A rename onto a key that stays raises a
+    :class:`~gitcite.errors.GitCiteError` and leaves the file as it was.
     """
     return update_citation_file(worktree_root, lambda cf: carry_keys(cf, rename_map, deleted))
 
@@ -223,9 +210,9 @@ def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
             body = response.read()
     except urllib.error.HTTPError as exc:
         exc.close()  # an HTTPError holds the response and its socket open
-        raise HttpStatus(exc.code, url) from exc
+        raise IoFailure(f"HTTP {exc.code} for {url}") from exc
     except (urllib.error.URLError, OSError, ValueError) as exc:
-        raise NetworkFailure(f"cannot fetch {url}: {exc}") from exc
+        raise IoFailure(f"cannot fetch {url}: {exc}") from exc
     try:
         text = body.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -263,7 +250,7 @@ def default_root_citation(top: str) -> CitationRecord:
 
     Owner and repository name come from the origin URL when one is set,
     falling back to ``user.name`` and the worktree directory name; with no
-    owner either way it raises :class:`~gitcite.errors.MissingMetadata`. The
+    owner either way it raises :class:`~gitcite.errors.GitCiteError`. The
     locator is the origin URL or a ``file://`` URL of the worktree. Version
     id and date are the head commit's. The authors are the distinct commit
     authors, oldest first, or the owner alone before the first commit.
@@ -274,7 +261,7 @@ def default_root_citation(top: str) -> CitationRecord:
     if not owner:
         owner = _git(top, "config", "user.name", check=False).stdout.strip()
     if not owner:
-        raise MissingMetadata("owner is required for the default citation: set an origin remote or user.name")
+        raise GitCiteError("owner is required for the default citation: set an origin remote or user.name")
     log = _git(top, "log", "--reverse", "--format=%h%x00%cI%x00%aN", check=False)  # fails with no commit
     commits = [line.split("\0") for line in log.stdout.split("\n") if line] if log.returncode == 0 else []
     head_id, head_date, _ = commits[-1] if commits else ("", "", "")
@@ -356,7 +343,7 @@ class RevisionLookup(_PathLookup):
     A tree is a directory; a blob (symlinks included) or a commit (a
     submodule) is a file. The citation file at the top is left out. A
     revision git cannot resolve to a tree raises
-    :class:`~gitcite.errors.UnknownVersion`.
+    :class:`~gitcite.errors.GitCiteError`.
     """
 
     def __init__(self, root: str, rev: str) -> None:
@@ -385,15 +372,15 @@ class RevisionLookup(_PathLookup):
 
 
 def _require_tree(root: str, rev: str) -> None:
-    """Raise :class:`~gitcite.errors.UnknownVersion` unless git resolves ``rev`` to a tree."""
+    """Raise :class:`~gitcite.errors.GitCiteError` unless git resolves ``rev`` to a tree."""
     if _git(root, "rev-parse", "--verify", "-q", f"{rev}^{{tree}}", check=False).returncode:
-        raise UnknownVersion(f"unknown revision {rev!r}")
+        raise GitCiteError(f"unknown revision {rev!r}")
 
 
 def citation_file_at_revision(root: str, rev: str, where: str = "") -> CitationFile:
     """The citation file committed at ``rev``. Only when it is missing does
     one more git call tell a revision that is not a tree apart
-    (:class:`~gitcite.errors.UnknownVersion`) from a tree without the file
+    (:class:`~gitcite.errors.GitCiteError`) from a tree without the file
     (:class:`~gitcite.errors.FileMissing`). An error names it as ``where``."""
     where = where or f"revision {rev!r}"
     try:
@@ -630,7 +617,7 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
     ``git merge-tree --write-tree`` merges ``HEAD`` and ``other`` in the
     object store only. If it reports a conflict in any path but the citation
     file (content, modify/delete, add/add, ...),
-    :class:`~gitcite.errors.EditConflict` names the paths and nothing is
+    a :class:`~gitcite.errors.GitCiteError` names the paths and nothing is
     written. Otherwise the citation file is rebuilt from the base/ours/theirs
     documents by :func:`gitcite.ops.merge_citation_files` instead of being
     text-merged, and :func:`gitcite.ops.carry_keys` drops the keys of the
@@ -653,19 +640,19 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
     citation file through the fast-forward.
     """
     if "\n" in other:  # the query takes one name per line
-        raise UnknownVersion(f"unknown revision {other!r}")
+        raise GitCiteError(f"unknown revision {other!r}")
     with _WriterLock(root):  # from the worktree read through the fast-forward
         worktree_text = citation_file_text(root)  # before any step that may write
         query = "".join(f"{rev}^{{{kind}}}\n" for rev in ("HEAD", other) for kind in ("commit", "tree"))
         heads = _git(root, "cat-file", "--batch-check=%(objectname)", input=query).stdout.split("\n")
         head_rev, head_tree, other_rev, other_tree = heads[:4]  # an id, or "<name> missing"
         if " " in other_rev:
-            raise UnknownVersion(f"unknown revision {other!r}")
+            raise GitCiteError(f"unknown revision {other!r}")
         if " " in head_rev:
             raise IoFailure("HEAD has no commit to merge into")
         base_proc = _git(root, "merge-base", head_rev, other_rev, check=False)
         if base_proc.returncode != 0:
-            raise NoCommonAncestor(f"HEAD and {other!r} share no history")
+            raise GitCiteError(f"HEAD and {other!r} share no history")
         base_rev = base_proc.stdout.strip()
         if base_rev == other_rev:
             return load_citation_file(root), []  # nothing to merge
@@ -696,7 +683,7 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
         merged_tree, *conflicted = trial.stdout.split("\0")
         conflicted = [p for p in conflicted if p and p != CITATION_FILE]
         if conflicted:
-            raise EditConflict(f"merge refused: both branches changed {', '.join(conflicted)}")
+            raise GitCiteError(f"merge refused: both branches changed {', '.join(conflicted)}")
         wheres = [f"revision {rev!r}" for rev in (base_rev, "HEAD", other)]
         texts = _citation_texts_at(root, [base_rev, head_rev, other_rev], wheres)
         base_cf, left_cf, right_cf = (parse_citation_text(t, f"{CITATION_FILE} at {w}") for t, w in zip(texts, wheres))
@@ -754,7 +741,7 @@ def run_copy(
     def copy(cf: CitationFile) -> CitationFile:
         merged, keys = apply_copy(cf, WorktreeLookup(root), src_cf, RevisionLookup(root, commit), src_subtree, dst_path)
         if os.path.lexists(os.path.join(root, *dst_path.segments)):  # such as a directory symlink
-            raise DestinationCollision(f"{dst_path} already exists")
+            raise GitCiteError(f"{dst_path} already exists")
         tree = f"{commit}:{'/'.join(src_subtree.segments)}"
         if src_subtree.is_root:  # the source's tree without its citation file
             entries = "".join(f"{entry}\0" for entry in _top_entries(root, commit)[0])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Set
 
-from .errors import EditConflict, MissingRoot, PathNotInTree
+from .errors import GitCiteError, PathNotInTree
 from .paths import ROOT, CanonicalPath, PathKind, Tree
 from .value import Value
 
@@ -85,7 +85,7 @@ class TreeSnapshot(Value, Tree):
         """
         file_map = dict(files)
         if () in file_map:
-            raise EditConflict("a directory already exists at /")
+            raise GitCiteError("a directory already exists at /")
         dir_set: set[Segments] = {()}
         for segments in file_map:
             dir_set.update(_missing_dirs(file_map, dir_set, segments[:-1]))
@@ -116,15 +116,15 @@ class TreeSnapshot(Value, Tree):
     def with_file(self, path: CanonicalPath, digest: str = "") -> "TreeSnapshot":
         """Set the file at ``path``, creating intermediate directories."""
         if not path.is_file:
-            raise EditConflict(f"{path} is not a file path")
+            raise GitCiteError(f"{path} is not a file path")
         if path.segments in self.dirs:
-            raise EditConflict(f"a directory already exists at {path}")
+            raise GitCiteError(f"a directory already exists at {path}")
         missing = _missing_dirs(self.files, self.dirs, path.segments[:-1])
         return TreeSnapshot({**self.files, path.segments: digest}, self.dirs.union(missing))
 
     def with_dir(self, path: CanonicalPath) -> "TreeSnapshot":
         if not path.is_dir or path.is_root:
-            raise EditConflict(f"{path} is not a directory path")
+            raise GitCiteError(f"{path} is not a directory path")
         missing = _missing_dirs(self.files, self.dirs, path.segments)
         return TreeSnapshot(self.files, self.dirs.union(missing))
 
@@ -133,11 +133,11 @@ def _missing_dirs(
     files: Mapping[Segments, str], dirs: Set[Segments], segments: Segments
 ) -> list[Segments]:
     """The directory ``segments`` and those of its ancestors that ``dirs``
-    lacks, nearest first; an :class:`EditConflict` if one of them is a file."""
+    lacks, nearest first; a :class:`GitCiteError` if one of them is a file."""
     missing = []
     while segments not in dirs:
         if segments in files:
-            raise EditConflict(f"/{'/'.join(segments)} is a file, not a directory")
+            raise GitCiteError(f"/{'/'.join(segments)} is a file, not a directory")
         missing.append(segments)
         segments = segments[:-1]
     return missing
@@ -236,7 +236,7 @@ def resolve_from_entries(cf: CitationFile, path: CanonicalPath) -> CitationRecor
         record = cf.get(ancestor)
         if record is not None:
             return record
-    raise MissingRoot(f"no entry covers {path}; the root entry is required")
+    raise GitCiteError(f"no entry covers {path}; the root entry is required")
 
 
 def resolve(cf: CitationFile, tree: Tree, path: CanonicalPath) -> CitationRecord:

@@ -17,17 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 
-from .errors import (
-    AlreadyCited,
-    DestinationCollision,
-    EditConflict,
-    InvariantBroken,
-    NotCited,
-    PathNotInTree,
-    RootUndeletable,
-    SubtreeMissing,
-    UnresolvedConflict,
-)
+from .errors import GitCiteError, PathNotInTree
 from .model import CitationFile, CitationRecord, resolve
 from .paths import CanonicalPath, Tree
 from .value import Value
@@ -38,23 +28,23 @@ def apply_add(cf: CitationFile, tree: Tree, path: CanonicalPath, record: Citatio
     if not tree.contains(path):
         raise PathNotInTree(path)
     if path in cf:
-        raise AlreadyCited(f"{path} already has a citation; modify it instead")
+        raise GitCiteError(f"{path} already has a citation; modify it instead")
     return cf.with_entry(path, record)
 
 
 def apply_delete(cf: CitationFile, path: CanonicalPath) -> CitationFile:
     """Remove an explicit citation; the subtree falls back to the next ancestor."""
     if path.is_root:
-        raise RootUndeletable("the root citation cannot be deleted")
+        raise GitCiteError("the root citation cannot be deleted")
     if path not in cf:
-        raise NotCited(f"{path} has no citation")
+        raise GitCiteError(f"{path} has no citation")
     return cf.without(path)
 
 
 def apply_modify(cf: CitationFile, path: CanonicalPath, record: CitationRecord) -> CitationFile:
     """Replace an explicit citation; the active domain is unchanged."""
     if path not in cf:
-        raise NotCited(f"{path} has no citation")
+        raise GitCiteError(f"{path} has no citation")
     return cf.with_entry(path, record)
 
 
@@ -80,7 +70,7 @@ def carry_keys(
     directory with the deepest ``old`` path covering it. A key that no rename
     moves is dropped when a deleted path covers it: a deleted file its own
     key, a deleted directory every key at or below it. The root entry stays.
-    Two keys that land on one path raise :class:`InvariantBroken`; nothing
+    Two keys that land on one path raise :class:`GitCiteError`; nothing
     is overwritten. The cost is one pass over the keys, each walking its own
     depth, and one sort.
     """
@@ -106,7 +96,7 @@ def carry_keys(
             if covered and not key.is_root:
                 continue
         if moved in entries:
-            raise InvariantBroken(f"key rewrite puts two entries at {moved}")
+            raise GitCiteError(f"key rewrite puts two entries at {moved}")
         entries[moved] = record
     return CitationFile(entries)
 
@@ -129,14 +119,14 @@ def apply_copy(
     file and the added keys, sorted.
     """
     if not src_subtree.is_dir or not src_tree.contains(src_subtree):
-        raise SubtreeMissing(f"{src_subtree} is not a directory of the source")
+        raise GitCiteError(f"{src_subtree} is not a directory of the source")
     if not dst_path.is_dir or dst_path.is_root:
-        raise DestinationCollision(f"{dst_path} is not a valid destination directory")
+        raise GitCiteError(f"{dst_path} is not a valid destination directory")
     if tree.kind_of(dst_path.segments) is not None:
-        raise DestinationCollision(f"{dst_path} already exists")
+        raise GitCiteError(f"{dst_path} already exists")
     parent = dst_path.parent()
     if not tree.contains(parent):
-        raise EditConflict(f"destination parent {parent} does not exist")
+        raise GitCiteError(f"destination parent {parent} does not exist")
     entries = cf.as_dict()
     added = {dst_path}
     for key, record in src_cf.items():
@@ -210,7 +200,7 @@ def merge_citation_files(
     key that one side deleted and the other changed keeps the changed record
     (a modify outlives a delete). A key both sides changed to different
     records goes to the resolver, and no answer raises
-    :class:`UnresolvedConflict`. No key is pruned here: the caller drops the
+    :class:`GitCiteError`. No key is pruned here: the caller drops the
     keys of paths the merge deleted with :func:`carry_keys`.
     """
     merged: dict[CanonicalPath, CitationRecord] = {}
@@ -225,7 +215,7 @@ def merge_citation_files(
                 pending = ConflictReport(key, from_left, from_right)
                 record = resolver(pending) if resolver is not None else None
                 if record is None:
-                    raise UnresolvedConflict(f"unresolved citation conflict at {key}")
+                    raise GitCiteError(f"unresolved citation conflict at {key}")
                 conflicts.append(ConflictReport(key, from_left, from_right, record))
         if record is not None:
             merged[key] = record

@@ -16,7 +16,7 @@ from typing import Mapping
 import pytest
 
 from gitcite import CitationFile, validate
-from gitcite.errors import EditConflict
+from gitcite.errors import GitCiteError
 from gitcite.fileformat import parse, serialize
 from gitcite.gitadapter import (
     CITATION_FILE,
@@ -138,15 +138,17 @@ class Project:
     def merge(self, other: str, choices: dict[str, str] | None = None) -> bool:
         """Merge ``other`` on disk and in the model; returns whether both refused it.
 
-        A merge the adapter refuses with :class:`EditConflict` must be refused
-        by the model too, and then neither branch may move.
+        A merge the adapter refuses (a ``merge refused`` error) must be
+        refused by the model too, and then neither branch may move.
         """
         self._clean()
         choices = choices or {}
         refs = git(self.root, "rev-parse", "HEAD", other).stdout
         try:
             _, adapter_conflicts = run_merge(self.root, other, scripted_resolver(choices))
-        except EditConflict:
+        except GitCiteError as exc:
+            if not str(exc).startswith("merge refused"):
+                raise
             with pytest.raises(MergeRefused):
                 self.model.merge(other, choices)
             assert git(self.root, "rev-parse", "HEAD", other).stdout == refs

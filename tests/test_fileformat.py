@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gitcite import CitationFile, CitationRecord
-from gitcite.errors import MalformedDocument, MissingRoot
+from gitcite.errors import MalformedDocument
 from gitcite.fileformat import parse, record_from_obj, record_to_obj, serialize
 from gitcite.paths import ROOT, from_rendered
 
@@ -106,7 +106,7 @@ def test_malformed_documents(text):
 
 def test_document_without_root_entry():
     text = '{"/a": {"owner": "o", "repo_name": "r", "locator": "u"}}'
-    with pytest.raises(MissingRoot):
+    with pytest.raises(MalformedDocument, match="^the document has no '/' entry$"):
         parse(text)
     assert from_rendered("/a") in parse(text, require_root=False)
 

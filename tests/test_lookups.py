@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from gitcite import gitadapter
 from gitcite.cli import main
-from gitcite.errors import UnknownVersion
+from gitcite.errors import GitCiteError
 from gitcite.gitadapter import RevisionLookup, WorktreeLookup, store_citation_file
 from gitcite.model import CitationFile, TreeSnapshot
 from gitcite.paths import PathKind
@@ -125,7 +125,7 @@ def test_revision_lookup_matches_the_ls_tree_listing(git_repo, monkeypatch, caps
     assert main(["gen", "vendor/sub", "--version", "HEAD"]) == 0
     assert "owner-root" in capsys.readouterr().out
     for segments in [(), ("a.c",)]:
-        with pytest.raises(UnknownVersion):
+        with pytest.raises(GitCiteError, match="^unknown revision 'no-such-rev'$"):
             RevisionLookup(root, "no-such-rev").kind_of(segments)
 
 

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gitcite import CitationFile, CitationRecord, resolve, validate
-from gitcite.errors import EditConflict, MissingRoot, PathNotInTree
+from gitcite.errors import GitCiteError, PathNotInTree
 from gitcite.model import DANGLING_KEY, KIND_MISMATCH, MISSING_ROOT, TreeSnapshot, resolve_from_entries
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 
 import randgen
 from support import record, resolve_by_walking, tree
+
+# The messages of a tree edit that puts a file where a directory is, or the reverse.
+TREE_CLASH = "^(a directory already exists at |.* is not a (file|directory) path$|.* is a file, not a directory$)"
 
 
 class TestCitationRecord:
@@ -57,9 +61,9 @@ class TestTreeSnapshot:
         snap = tree("/a/one.c")
         snap = snap.with_file(from_rendered("/a/two.c"), "d2").with_dir(from_rendered("/b/c/"))
         assert [str(p) for p in snap.paths()] == ["/", "/a/", "/a/one.c", "/a/two.c", "/b/", "/b/c/"]
-        with pytest.raises(EditConflict):
+        with pytest.raises(GitCiteError, match="^/a/one.c is a file, not a directory$"):
             snap.with_file(from_rendered("/a/one.c/x.c"))
-        with pytest.raises(EditConflict):
+        with pytest.raises(GitCiteError, match="^/a/one.c is a file, not a directory$"):
             snap.with_dir(from_rendered("/a/one.c/"))
 
 
@@ -84,8 +88,8 @@ def test_bulk_build_matches_folding_single_edits(file_entries, dir_segments):
     dirs = [CanonicalPath(segs, PathKind.DIRECTORY) for segs in dir_segments]
     try:
         expected = _fold_single_edits(files, dirs)
-    except EditConflict:
-        with pytest.raises(EditConflict):
+    except GitCiteError:
+        with pytest.raises(GitCiteError, match=TREE_CLASH):
             TreeSnapshot.from_files(dict(file_entries), dir_segments)
         return
     assert TreeSnapshot.from_files(dict(file_entries), dir_segments) == expected
@@ -118,10 +122,10 @@ def test_single_edits_match_building_the_edited_path_list(data):
     if not invalid:
         try:
             expected = TreeSnapshot.from_files(files, dirs)
-        except EditConflict:
+        except GitCiteError:
             invalid = True  # the edited path list clashes: a file where a directory must be
     if invalid:
-        with pytest.raises(EditConflict):
+        with pytest.raises(GitCiteError, match=TREE_CLASH):
             apply()
     else:
         assert apply() == expected
@@ -131,7 +135,7 @@ def _resolve_by_scanning(cf: CitationFile, path: CanonicalPath) -> CitationRecor
     """Reference: the deepest of all keys that cover ``path``."""
     covering = [key for key in cf if key.covers(path)]
     if not covering:
-        raise MissingRoot(str(path))
+        raise GitCiteError(f"no entry covers {path}; the root entry is required")
     return cf.get(max(covering, key=lambda key: len(key.segments)))
 
 
@@ -145,8 +149,8 @@ def test_ancestor_lookup_matches_scanning_every_key(keys, with_root, path):
     cf = CitationFile({key: record(str(key)) for key in keys + ([ROOT] if with_root else [])})
     try:
         expected = _resolve_by_scanning(cf, path)
-    except MissingRoot:
-        with pytest.raises(MissingRoot):
+    except GitCiteError as exc:
+        with pytest.raises(GitCiteError, match=re.escape(str(exc))):
             resolve_from_entries(cf, path)
         return
     assert resolve_from_entries(cf, path) == expected
@@ -164,7 +168,7 @@ class TestBulkBuild:
         ],
     )
     def test_clashes_and_wrong_kinds_are_edit_conflicts(self, files, dirs):
-        with pytest.raises(EditConflict):
+        with pytest.raises(GitCiteError, match=TREE_CLASH):
             TreeSnapshot.from_files(dict.fromkeys(files, ""), dirs)
 
 
@@ -198,7 +202,7 @@ class TestResolve:
 
     def test_missing_root_entry_fails_resolution(self):
         cf = CitationFile({from_rendered("/a/"): record("a")})
-        with pytest.raises(MissingRoot):
+        with pytest.raises(GitCiteError, match="^no entry covers /b.c; the root entry is required$"):
             resolve(cf, tree("/b.c"), from_rendered("/b.c"))
 
     def test_matches_walk_oracle_on_random_instances(self):

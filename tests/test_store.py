@@ -13,7 +13,7 @@ import random
 import pytest
 
 from gitcite import CitationFile
-from gitcite.errors import DestinationCollision, EditConflict, SubtreeMissing
+from gitcite.errors import GitCiteError
 from gitcite.fileformat import serialize
 from gitcite.model import TreeSnapshot
 from gitcite.paths import ROOT, from_rendered
@@ -167,11 +167,11 @@ class TestCopyCite:
         src_tree = tree("/core/f2", "/other.c")
         src_cf = CitationFile.single(record("lib"))
         dst_tree, dst_cf = tree("/app.c"), CitationFile.single(record("root"))
-        with pytest.raises(SubtreeMissing):
+        with pytest.raises(GitCiteError, match="^/ghost/ is not a directory of the source$"):
             apply_copy(dst_cf, dst_tree, src_cf, src_tree, from_rendered("/ghost/"), from_rendered("/v/"))
-        with pytest.raises(DestinationCollision):
+        with pytest.raises(GitCiteError, match="^/app.c/ already exists$"):
             apply_copy(dst_cf, dst_tree, src_cf, src_tree, from_rendered("/core/"), from_rendered("/app.c/"))
-        with pytest.raises(EditConflict):
+        with pytest.raises(GitCiteError, match="^destination parent /no/ does not exist$"):
             apply_copy(dst_cf, dst_tree, src_cf, src_tree, from_rendered("/core/"), from_rendered("/no/v/"))
 
 
