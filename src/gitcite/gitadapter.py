@@ -130,8 +130,9 @@ def store_citation_file(worktree_root: str, cf: CitationFile) -> None:
     path = citation_file_path(worktree_root)
     temp = os.path.join(worktree_root, f".{CITATION_FILE}.{os.getpid()}.tmp")
     try:
+        out = open(temp, "xb")  # exclusive: never writes through, nor removes, a file planted there
         try:
-            with open(temp, "xb") as out:  # exclusive: never writes through a planted link
+            with out:
                 out.write(data)
                 if os.path.exists(path):
                     os.fchmod(out.fileno(), stat.S_IMODE(os.stat(path).st_mode))
@@ -724,8 +725,9 @@ def run_copy(
     read-tree --prefix -u`` then writes and stages the subtree as git holds
     it, with its modes and symlinks: nothing ignored, untracked or
     uncommitted, nor the source's top citation file. If the citation write
-    fails, ``git rm`` takes out what read-tree wrote. Returns the new
-    citation file and the added keys."""
+    fails, ``git rm`` takes out what read-tree wrote, and the directories it
+    leaves empty (a submodule's, say) are removed, deepest first. Returns
+    the new citation file and the added keys."""
     fetch = _git(  # run where ``src`` was typed, into this repository
         ".", f"--git-dir={os.path.join(root, '.git')}", "fetch", "-q", "--no-tags", "--no-auto-maintenance",
         "--no-recurse-submodules", "--end-of-options", src, "HEAD", check=False,
@@ -755,5 +757,10 @@ def run_copy(
     except BaseException:
         if added:  # nothing was there before this call's read-tree
             _git(root, "--literal-pathspecs", "rm", "-r", "-q", "-f", "--", dst_dir, check=False)
+            for current, _, _ in os.walk(os.path.join(root, *dst_path.segments), topdown=False):
+                try:
+                    os.rmdir(current)
+                except OSError:  # not empty: left as it is
+                    pass
         raise
     return merged, added

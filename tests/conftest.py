@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from gitcite import gitadapter
+
 
 @pytest.fixture(autouse=True, scope="session")
 def hermetic_git():
@@ -51,3 +53,17 @@ def git_repo(tmp_path):
         return init_repo(tmp_path / name, origin=origin)
 
     return make
+
+
+@pytest.fixture
+def git_calls(monkeypatch) -> list[tuple[str, ...]]:
+    """The arguments of every git call gitcite makes during the test, in order."""
+    calls: list[tuple[str, ...]] = []
+    real_git = gitadapter._git
+
+    def counted(root, *args, **kwargs):
+        calls.append(args)
+        return real_git(root, *args, **kwargs)
+
+    monkeypatch.setattr(gitadapter, "_git", counted)
+    return calls

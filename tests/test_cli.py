@@ -72,24 +72,16 @@ class TestInit:
 
     @pytest.mark.parametrize("origin, most", [("https://example.com/alice/proj.git", 2), (None, 3)],
                              ids=["origin", "no-origin"])
-    def test_init_runs_few_git_commands(self, git_repo, monkeypatch, origin, most):
+    def test_init_runs_few_git_commands(self, git_repo, git_calls, monkeypatch, origin, most):
         # The origin URL, user.name only without an owner, one log. The top
         # is found without git.
         root = git_repo(origin=origin)
         (root / "a.c").write_text("x")
         git(root, "add", "-A")
         git(root, "commit", "-q", "-m", "first")
-        calls = []
-        real_git = gitadapter._git
-
-        def counted(at, *args, **kwargs):
-            calls.append(args)
-            return real_git(at, *args, **kwargs)
-
-        monkeypatch.setattr(gitadapter, "_git", counted)
         monkeypatch.chdir(root)
         assert main(["init"]) == 0
-        assert len(calls) <= most, calls
+        assert len(git_calls) <= most, git_calls
 
 
 class TestEditCommands:
@@ -523,8 +515,29 @@ class TestCopy:
         err = capsys.readouterr().err
         assert err.startswith("gitcite: ") and err.count("\n") == 1, err
         lock.unlink(missing_ok=True)
+        (dst / f".citation.cite.{os.getpid()}.tmp").unlink(missing_ok=True)  # planted, so left in place
         assert not os.path.lexists(dst / "vendor")
         assert checkout_state(dst) == before
+
+    def test_a_failed_copy_of_a_submodule_leaves_no_directory(self, git_repo, monkeypatch, capsys):
+        # read-tree checks a submodule out as an empty directory, which git rm leaves.
+        src = git_repo("src-gitlink")
+        seed(src, {"lib/a.c": "a"}, {})
+        git(src, "update-index", "--add", "--cacheinfo", f"160000,{'1' * 40},lib/inner")
+        git(src, "commit", "-q", "-m", "a submodule")
+        dst = git_repo("dst-gitlink")
+        seed(dst, {"app.c": "a"}, {})
+        before = checkout_state(dst)
+        monkeypatch.chdir(dst)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", lambda *args: (_ for _ in ()).throw(OSError("injected")))
+            assert main(["copy", str(src), "lib/", "vendor/"]) == 3
+        err = capsys.readouterr().err
+        assert err == "gitcite: cannot write citation.cite: injected\n", err
+        assert not os.path.lexists(dst / "vendor")
+        assert checkout_state(dst) == before
+        assert main(["copy", str(src), "lib/", "vendor/"]) == 0
+        assert git(dst, "ls-files", "-s", "vendor/inner").stdout.startswith("160000 ")
 
     def test_only_what_the_source_committed_is_copied_and_staged(self, git_repo, monkeypatch, capsys):
         src = git_repo("src1")
@@ -612,7 +625,7 @@ class TestCopy:
         assert checkout_state(dst) == before
 
     @pytest.mark.parametrize("files", [2, 40])
-    def test_copy_runs_a_fixed_number_of_git_commands(self, git_repo, monkeypatch, files):
+    def test_copy_runs_a_fixed_number_of_git_commands(self, git_repo, git_calls, monkeypatch, files):
         # The fetch, the fetched commit, the source's citation file, the
         # source subtree's entry, and read-tree; a root copy adds the ls-tree
         # and mktree of the source's top without its citation file.
@@ -620,21 +633,13 @@ class TestCopy:
         seed(src, {f"sub/d{i % 3}/f{i}.c": str(i) for i in range(files)}, {"/sub/d1/": "d1"})
         dst = git_repo("dst-cost")
         seed(dst, {"app.c": "a"}, {})
-        calls = []
-        real_git = gitadapter._git
-
-        def counted(at, *args, **kwargs):
-            calls.append(args)
-            return real_git(at, *args, **kwargs)
-
-        monkeypatch.setattr(gitadapter, "_git", counted)
         monkeypatch.chdir(dst)
         assert main(["copy", "../src-cost", "sub/", "vendor/"]) == 0
-        assert len(calls) == 5, calls
-        del calls[:]
+        assert len(git_calls) == 5, git_calls
+        git_calls.clear()
         assert main(["copy", "../src-cost", "/", "whole/"]) == 0
-        assert len(calls) == 7, calls
-        assert [args[0] for args in calls].count("mktree") == 1, calls
+        assert len(git_calls) == 7, git_calls
+        assert [args[0] for args in git_calls].count("mktree") == 1, git_calls
         assert len(git(dst, "diff", "--cached", "--name-only").stdout.split()) == 2 * files
 
     def test_the_source_subtree_takes_the_same_grammar(self, git_repo, monkeypatch, capsys):
@@ -851,7 +856,7 @@ class TestMerge:
         assert out.count("not a valid record") == prompts - 1
         assert load_citation_file(root).get(from_rendered("/shared.c")) == edited
 
-    def test_merge_runs_few_git_commands(self, git_repo, monkeypatch):
+    def test_merge_runs_few_git_commands(self, git_repo, git_calls, monkeypatch):
         # One cat-file for both heads' commits and trees, the merge base, the
         # config read, merge-tree (the one merge), one cat-file for the three
         # citation files, the merged tree's root entries, one diff-tree for
@@ -859,24 +864,17 @@ class TestMerge:
         # fast-forward. The top is found without git. Nothing lists the whole
         # tree or builds a snapshot of it.
         root = build_conflicted_repo(git_repo)
-        calls = []
-        real_git = gitadapter._git
-
-        def counted(at, *args, **kwargs):
-            calls.append(args)
-            return real_git(at, *args, **kwargs)
 
         def no_tree(*args, **kwargs):
             raise AssertionError("gitcite merge built a TreeSnapshot")
 
-        monkeypatch.setattr(gitadapter, "_git", counted)
         monkeypatch.setattr(TreeSnapshot, "from_files", no_tree)
         monkeypatch.chdir(root)
         assert main(["merge", "side", "--ours"]) == 0
-        assert len(calls) <= 11, calls
-        assert [args[0] for args in calls].count("merge-tree") == 1, calls
-        assert all({"--no-commit", "commit", "add", "ls-files", "show"}.isdisjoint(args) for args in calls), calls
-        assert not [args for args in calls if args[0] == "ls-tree" and "-r" in args], calls
+        assert len(git_calls) <= 11, git_calls
+        assert [args[0] for args in git_calls].count("merge-tree") == 1, git_calls
+        assert all({"--no-commit", "commit", "add", "ls-files", "show"}.isdisjoint(args) for args in git_calls), git_calls
+        assert not [args for args in git_calls if args[0] == "ls-tree" and "-r" in args], git_calls
 
     @pytest.mark.parametrize(
         "other", ["no-such-branch", "-q", "side\nHEAD", "side:side.c"], ids=["missing", "dash", "newline", "blob"]
@@ -948,7 +946,9 @@ class TestMerge:
         [(("a.c", "theirs"), ("a.c", "ours")), (("a.c", None), ("a.c", "ours")), (("new.c", "theirs"), ("new.c", "ours"))],
         ids=["content", "modify-delete", "add-add"],
     )
-    def test_a_content_conflict_refuses_the_merge(self, git_repo, monkeypatch, capsys, side_change, main_change):
+    def test_a_content_conflict_refuses_the_merge(
+        self, git_repo, git_calls, monkeypatch, capsys, side_change, main_change
+    ):
         root = git_repo("refused-conflict")
         seed(root, {"a.c": "base", "b.c": "b"}, {"/a.c": "a"})
         git(root, "checkout", "-q", "-b", "side")
@@ -962,20 +962,12 @@ class TestMerge:
             git(root, "commit", "-q", "-m", branch)
 
         before = checkout_state(root)
-        calls = []
-        real_git = gitadapter._git
-
-        def counted(at, *args, **kwargs):
-            calls.append(args)
-            return real_git(at, *args, **kwargs)
-
-        monkeypatch.setattr(gitadapter, "_git", counted)
         monkeypatch.chdir(root)
         assert main(["merge", "side", "--ours"]) == 1
         assert f"both branches changed {main_change[0]}" in capsys.readouterr().err
         assert checkout_state(root) == before  # and no MERGE_HEAD, as after every TestMerge test
         # The heads, the merge base, the config read and merge-tree; nothing after the refusal.
-        assert "merge" not in [args[0] for args in calls] and len(calls) <= 4, calls
+        assert "merge" not in [args[0] for args in git_calls] and len(git_calls) <= 4, git_calls
 
     def test_a_merge_commits_neither_untracked_files_nor_unstaged_edits(self, git_repo, monkeypatch):
         root = git_repo("local-work")
@@ -1512,6 +1504,20 @@ class TestOneWriter:
         assert capsys.readouterr().err == self.LOCKED.format(lock)
         assert checkout_state(root) == before
         assert lock.exists() and not (root / "vendor").exists()
+
+    def test_a_planted_temporary_file_fails_the_write_and_stays(self, git_repo, monkeypatch, capsys):
+        # The write creates its temporary file exclusively; one already there is not its own to remove.
+        root = git_repo()
+        seed(root, {"a.c": "a"}, {})
+        planted = root / f".citation.cite.{os.getpid()}.tmp"
+        planted.write_bytes(b"not ours")
+        before = (root / "citation.cite").read_bytes()
+        monkeypatch.chdir(root)
+        assert main(["add", "a.c", "--field", "owner=X"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gitcite: cannot write citation.cite: ") and err.count("\n") == 1, err
+        assert planted.read_bytes() == b"not ours"
+        assert (root / "citation.cite").read_bytes() == before
 
     def test_a_lock_stops_the_commit_time_sync_and_no_reader(self, git_repo, monkeypatch, capsys):
         root = git_repo()

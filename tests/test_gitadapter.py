@@ -63,19 +63,6 @@ def _small(tag: str) -> str:
 CONTENTS = pytest.mark.parametrize("content", [_source, _small], ids=["source", "small"])
 
 
-def _recorded_git_calls(monkeypatch) -> list:
-    """The arguments of every git call the adapter makes from now on."""
-    calls = []
-    real_git = gitadapter._git
-
-    def counted(at, *args, **kwargs):
-        calls.append(args)
-        return real_git(at, *args, **kwargs)
-
-    monkeypatch.setattr(gitadapter, "_git", counted)
-    return calls
-
-
 class TestLoadStore:
     def test_store_then_load_is_identity(self, tmp_path):
         cf = CitationFile.single(record("r"))
@@ -201,21 +188,20 @@ class TestStagedChanges:
         synced = sync_on_commit(root, renames, deleted)
         assert [str(k) for k in synced] == ["/", "/vendor/lib/"]
 
-    def test_a_sync_lists_no_tree(self, git_repo, monkeypatch):
+    def test_a_sync_lists_no_tree(self, git_repo, git_calls):
         # Nothing staged: one rev-parse for HEAD's tree and one write-tree
         # for the index's, which are equal. A directory moved to a new name
         # adds the diffs, and still nothing lists the index or a tree.
         root = git_repo()
         seed(root, {"pkg/a.c": "a", "pkg/deep/b.c": "b", "other.c": "o"}, {})
-        calls = _recorded_git_calls(monkeypatch)
         assert staged_changes(root) == ([], [])
-        assert len(calls) <= 2, calls
-        assert all({"ls-files", "ls-tree", "diff"}.isdisjoint(args) for args in calls), calls
-        calls.clear()
+        assert len(git_calls) <= 2, git_calls
+        assert all({"ls-files", "ls-tree", "diff"}.isdisjoint(args) for args in git_calls), git_calls
+        git_calls.clear()
         git(root, "mv", "pkg", "moved")
         renames, _ = staged_changes(root)
         assert (str(renames[0][0]), str(renames[0][1])) == ("/pkg/", "/moved/")
-        assert all({"ls-files", "ls-tree"}.isdisjoint(args) for args in calls), calls
+        assert all({"ls-files", "ls-tree"}.isdisjoint(args) for args in git_calls), git_calls
 
     @pytest.mark.parametrize(
         "first, renamed_b, deleted",
@@ -436,15 +422,14 @@ class TestStagedChanges:
         assert [str(k) for k in synced] == ["/", "/a.c"]
         assert synced.get(from_rendered("/a.c")) == record("c")
 
-    def test_an_overwriting_rename_asks_git_nothing_more(self, git_repo, monkeypatch):
+    def test_an_overwriting_rename_asks_git_nothing_more(self, git_repo, git_calls):
         # The overwritten file comes from the tree diff the sync reads anyway.
         root = git_repo()
         seed(root, {"a.c": _source("alpha"), "b.c": _source("beta")}, {"/a.c": "a", "/b.c": "b"})
         git(root, "mv", "-f", "a.c", "b.c")
-        calls = _recorded_git_calls(monkeypatch)
         synced = sync_on_commit(root, *staged_changes(root))
         assert synced.get(from_rendered("/b.c")) == record("a")
-        assert all("cat-file" not in args for args in calls), calls
+        assert all("cat-file" not in args for args in git_calls), git_calls
 
     def test_renaming_onto_a_stale_key_still_raises(self, git_repo):
         root = git_repo()
@@ -494,7 +479,7 @@ class TestStagedChanges:
         synced = sync_on_commit(root, renames, deleted)
         assert [str(k) for k in synced] == ["/", "/b.c"]
 
-    def test_the_reader_carries_keys_across_a_commit_made_without_a_sync(self, git_repo, monkeypatch):
+    def test_the_reader_carries_keys_across_a_commit_made_without_a_sync(self, git_repo, git_calls):
         root = git_repo()
         seed(root, {"d3/f1.c": "one\n", "d3/f2.c": "two\n", "other.c": "o\n"}, {"/d3/": "d3"})
         git(root, "mv", "d3", "e3")
@@ -503,7 +488,6 @@ class TestStagedChanges:
         found = validate(cf, WorktreeLookup(root))
         assert [(problem.rule, str(problem.path)) for problem in found] == [("dangling_key", "/d3/")]
         old_tree, new_tree = (git(root, "rev-parse", f"{rev}^{{tree}}").stdout.strip() for rev in ("HEAD~1", "HEAD"))
-        calls = _recorded_git_calls(monkeypatch)
         renames, deleted = gitadapter._tree_changes(root, old_tree, new_tree)
         assert [(str(a), str(b)) for a, b in renames] == [
             ("/d3/", "/e3/"),
@@ -513,9 +497,9 @@ class TestStagedChanges:
         assert [str(d) for d in deleted] == ["/d3/"]
         assert validate(carry_keys(cf, renames, deleted), WorktreeLookup(root)) == []
         # The -M diff, the tree diff, and an ls-tree of named destinations only.
-        assert len(calls) <= 3, calls
-        assert all("ls-files" not in args for args in calls), calls
-        assert all(args[args.index("--") + 1 :] for args in calls if "ls-tree" in args), calls
+        assert len(git_calls) <= 3, git_calls
+        assert all("ls-files" not in args for args in git_calls), git_calls
+        assert all(args[args.index("--") + 1 :] for args in git_calls if "ls-tree" in args), git_calls
 
     def test_emptied_directory_beside_a_sibling_that_keeps_files(self, git_repo):
         root = git_repo()

@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gitcite import gitadapter
 from gitcite.cli import main
 from gitcite.errors import GitCiteError
 from gitcite.gitadapter import RevisionLookup, WorktreeLookup, store_citation_file
@@ -190,17 +189,10 @@ def test_gen_file_costs_the_same_lstats_on_both_sizes(checkouts, monkeypatch):
 
 
 @pytest.mark.parametrize("size", ["small", "large"])
-def test_gen_at_a_revision_runs_one_ls_tree(checkouts, size, monkeypatch):
+def test_gen_at_a_revision_runs_one_ls_tree(checkouts, size, git_calls, monkeypatch):
     monkeypatch.chdir(checkouts[size])
     _no_walking(monkeypatch)
-    real_git, commands = gitadapter._git, []
-
-    def counting_git(root, *args, **kwargs):
-        commands.append(args)
-        return real_git(root, *args, **kwargs)
-
-    monkeypatch.setattr(gitadapter, "_git", counting_git)
     assert main(["gen", "d3/f7.c", "--version", "HEAD"]) == 0
-    listings = [args for args in commands if "ls-tree" in args]
+    listings = [args for args in git_calls if "ls-tree" in args]
     assert len(listings) == 1
     assert "-r" not in listings[0]
