@@ -90,7 +90,7 @@ def parse_citation_text(text: str, where: str = CITATION_FILE, *, require_root: 
     try:
         return parse(text, require_root)
     except MalformedDocument as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
+        raise MalformedDocument(f"{where}: {exc}") from exc
 
 
 def load_citation_file(worktree_root: str) -> CitationFile:
