@@ -38,6 +38,8 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports git writing to a closed pip
 # UnicodeDecodeError is a ValueError, so this tuple is caught first.
 _ENV_ERRORS = (IoFailure, OSError, UnicodeDecodeError)
 _REGENERABLE = tuple(name for name in TEXT_FIELDS if name not in REQUIRED_FIELDS)  # drafted from the head commit
+# Every C0 control character but tab, written as repr writes it, so that an error is one line.
+_ESCAPES = {code: repr(chr(code))[1:-1] for code in range(32) if chr(code) != "\t"}
 
 
 def find_root() -> str:
@@ -296,10 +298,10 @@ def main(argv: list[str] | None = None) -> int:
         print("gitcite: interrupted", file=sys.stderr)
         return EXIT_INTERRUPT
     except _ENV_ERRORS as exc:
-        print(f"gitcite: {exc}", file=sys.stderr)
+        print(f"gitcite: {str(exc).translate(_ESCAPES)}", file=sys.stderr)
         return EXIT_ENV
     except (GitCiteError, ValueError) as exc:
-        print(f"gitcite: {exc}", file=sys.stderr)
+        print(f"gitcite: {str(exc).translate(_ESCAPES)}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

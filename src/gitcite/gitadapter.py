@@ -21,9 +21,10 @@ head the same way; both find the directories that are gone with
 Every change to the worktree's citation file is one
 :func:`update_citation_file`: read, edit, and write only when the file
 changed, holding the writer lock (:class:`_WriterLock`) from the read to the
-write; :func:`run_merge` holds the same lock. Only ``gitcite init``, which
-creates the file, writes it otherwise. Reads take no lock, and network
-fetches and local reads are safe to run concurrently.
+write. The new bytes go into the lock file, which is then renamed over the
+citation file, so a write creates no other file. ``gitcite init`` writes
+through the same lock, and :func:`run_merge` holds it. Reads take no lock,
+and network fetches and local reads are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -103,70 +104,73 @@ def load_citation_file(worktree_root: str) -> CitationFile:
 
 
 def store_citation_file(worktree_root: str, cf: CitationFile) -> None:
-    """Write exactly the canonical bytes; equal inputs give identical files.
-
-    The bytes go to a new file beside it, which then replaces it with the old
-    file's permission bits (``os.replace``). On any error the old file stays
-    as it was and the new one is removed. A key that is not UTF-8, as git's
-    names may be, raises :class:`~gitcite.errors.InvalidPath`, and a record
-    field that is not UTF-8 (a byte the command line could not decode) a
-    ``ValueError`` that names the key and the field. Neither writes anything.
-    Only :func:`update_citation_file`, under the writer lock, and ``gitcite
-    init``, which creates the file, call it.
-    """
-    try:
-        data = serialize(cf).encode("utf-8")
-    except UnicodeEncodeError:
-        for key, entry in cf.items():
-            if (where := _shown(key.render())) != key.render():
-                raise InvalidPath(f"{where} cannot be cited: its name is not UTF-8") from None
-            texts = {name: getattr(entry, name) for name in TEXT_FIELDS}
-            texts["author_list"] = "".join(entry.author_list)
-            texts.update((name, name + value) for name, value in entry.extras.items())  # an extras name counts too
-            for name, text in texts.items():
-                if _shown(text) != text:
-                    raise ValueError(f"{where}: field '{_shown(name)}' is not UTF-8") from None
-        raise
-    path = citation_file_path(worktree_root)
-    temp = os.path.join(worktree_root, f".{CITATION_FILE}.{os.getpid()}.tmp")
-    try:
-        out = open(temp, "xb")  # exclusive: never writes through, nor removes, a file planted there
-        try:
-            with out:
-                out.write(data)
-                if os.path.exists(path):
-                    os.fchmod(out.fileno(), stat.S_IMODE(os.stat(path).st_mode))
-            os.replace(temp, path)
-        except BaseException:
-            if os.path.lexists(temp):
-                os.unlink(temp)
-            raise
-    except OSError as exc:
-        raise IoFailure(f"cannot write {CITATION_FILE}: {exc}") from exc
+    """Write ``cf`` as the worktree's citation file through the writer lock
+    (see :meth:`_WriterLock.commit`). Only ``gitcite init``, which creates
+    the file, calls it; every edit is one :func:`update_citation_file`."""
+    with _WriterLock(worktree_root) as lock:
+        lock.commit(cf)
 
 
 class _WriterLock:
     """``citation.cite.lock`` beside the citation file, held by one writer
-    from its read to its write. It is created exclusively, as git creates
-    ``index.lock``, and removed on exit. One that already exists raises
-    :class:`~gitcite.errors.IoFailure` before anything is read: another
-    command is writing, or one was killed mid-write, and only the user can
-    tell which, so a stale lock is reported and never broken."""
+    from its read to its write, and the file its new bytes go into, as git's
+    ``index.lock`` is. It is created exclusively, mode 0o666 less the umask.
+    One that already exists raises :class:`~gitcite.errors.IoFailure` before
+    anything is read: another command is writing, or one was killed
+    mid-write, and only the user can tell which, so a stale lock is reported
+    and never broken. On exit the lock is removed unless :meth:`commit`
+    renamed it over the citation file."""
 
     def __init__(self, worktree_root: str) -> None:
-        self.path = os.path.join(worktree_root, CITATION_FILE + ".lock")
+        self.target = citation_file_path(worktree_root)
+        self.path = self.target + ".lock"
+        self.committed = False  # after the rename the name may be another writer's lock
 
-    def __enter__(self) -> None:
+    def __enter__(self) -> _WriterLock:
         try:
-            os.close(os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            self.file = open(self.path, "xb")
         except FileExistsError:
             raise IoFailure(
                 f"{self.path} exists: another gitcite command is writing {CITATION_FILE}; "
                 "if none is running, remove the lock file"
             ) from None
+        return self
+
+    def commit(self, cf: CitationFile) -> None:
+        """Write exactly the canonical bytes of ``cf`` into the lock, give it
+        the old file's permission bits and rename it over the citation file
+        (``os.replace``); equal inputs give identical files. On any error the
+        old file stays as it was. A key that is not UTF-8, as git's names may
+        be, raises :class:`~gitcite.errors.InvalidPath`, and a record field
+        that is not UTF-8 (a byte the command line could not decode) a
+        ``ValueError`` that names the key and the field."""
+        try:
+            data = serialize(cf).encode("utf-8")
+        except UnicodeEncodeError:
+            for key, entry in cf.items():
+                if (where := _shown(key.render())) != key.render():
+                    raise InvalidPath(f"{where} cannot be cited: its name is not UTF-8") from None
+                texts = {name: getattr(entry, name) for name in TEXT_FIELDS}
+                texts["author_list"] = "".join(entry.author_list)
+                texts.update((name, name + value) for name, value in entry.extras.items())  # an extras name counts too
+                for name, text in texts.items():
+                    if _shown(text) != text:
+                        raise ValueError(f"{where}: field '{_shown(name)}' is not UTF-8") from None
+            raise
+        try:
+            with self.file as out:
+                out.write(data)
+                if os.path.exists(self.target):
+                    os.fchmod(out.fileno(), stat.S_IMODE(os.stat(self.target).st_mode))
+            os.replace(self.path, self.target)
+        except OSError as exc:
+            raise IoFailure(f"cannot write {CITATION_FILE}: {exc}") from exc
+        self.committed = True
 
     def __exit__(self, *exc_info: object) -> None:
-        os.unlink(self.path)
+        self.file.close()
+        if not self.committed:
+            os.unlink(self.path)
 
 
 def update_citation_file(worktree_root: str, change: Callable[[CitationFile], CitationFile]) -> CitationFile:
@@ -175,11 +179,11 @@ def update_citation_file(worktree_root: str, change: Callable[[CitationFile], Ci
     throughout. A result equal to the file read writes nothing, so the file
     keeps its inode and its bytes, a hand edit's included. An error, in
     ``change`` too, leaves the file as it was. Returns the new file."""
-    with _WriterLock(worktree_root):
+    with _WriterLock(worktree_root) as lock:
         old = load_citation_file(worktree_root)
         new = change(old)
         if new != old:
-            store_citation_file(worktree_root, new)
+            lock.commit(new)
     return new
 
 
@@ -358,6 +362,8 @@ class RevisionLookup(_PathLookup):
         if segments == (CITATION_FILE,):
             return None
         path_text = "/".join(segments)
+        if "\0" in path_text:  # no git path holds one, and no argument can
+            return None
         proc = _git(
             self._root, "--literal-pathspecs", "ls-tree", "--full-tree", "-z",
             self._rev, "--", path_text, check=False,
@@ -601,15 +607,19 @@ def _count_dirs(files: Iterable[tuple[str, ...]]) -> Counter:
 # --- Higher-level worktree operations (used by the CLI) ---------------------
 
 
-def _top_entries(root: str, tree: str) -> tuple[list[str], str]:
-    """``tree``'s top entries (``ls-tree -z``) but the citation file's, and its mode, 100755 or 100644."""
+def _with_citation(root: str, tree: str, blob: str | None = None) -> str:
+    """``tree`` with its top citation file replaced by ``blob``, in the old
+    entry's mode (100755, else 100644), or left out when ``blob`` is None:
+    one ``ls-tree`` and one ``mktree``."""
     entries, mode = [], "100644"
     for entry in filter(None, _git(root, "ls-tree", "-z", tree).stdout.split("\0")):
         if entry.partition("\t")[2] == CITATION_FILE:
             mode = "100755" if entry.startswith("100755 ") else mode
         else:
-            entries.append(entry)
-    return entries, mode
+            entries.append(f"{entry}\0")
+    if blob is not None:
+        entries.append(f"{mode} blob {blob}\t{CITATION_FILE}\0")
+    return _git(root, "mktree", "-z", input="".join(entries)).stdout.strip()
 
 
 def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[CitationFile, list[ConflictReport]]:
@@ -691,7 +701,6 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
         if worktree_text != texts[1] and parse_citation_text(worktree_text) != left_cf:
             raise IoFailure(f"{citation_file_path(root)} has uncommitted changes; commit or discard them first")
 
-        top_entries, mode = _top_entries(root, merged_tree)  # but the text-merged citation file, replaced below
         deleted = [
             key
             for status, old_mode, *_, (path,) in _tree_diff(root, [(head_tree, merged_tree), (other_tree, merged_tree)])
@@ -701,8 +710,7 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
         merged_cf = carry_keys(merged_cf, (), deleted)
 
         blob = _git(root, "hash-object", "-w", "--stdin", input=serialize(merged_cf)).stdout.strip()
-        top_entries.append(f"{mode} blob {blob}\t{CITATION_FILE}")
-        tree = _git(root, "mktree", "-z", input="".join(f"{e}\0" for e in top_entries)).stdout.strip()
+        tree = _with_citation(root, merged_tree, blob)  # in place of the text-merged citation file
         sign = ["-S"] if settings.get("commit.gpgsign") == "true" else []
         commit = _git(
             root, "commit-tree", tree, "-p", head_rev, "-p", other_rev, "-m", f"Merge {other}", *sign
@@ -746,8 +754,7 @@ def run_copy(
             raise GitCiteError(f"{dst_path} already exists")
         tree = f"{commit}:{'/'.join(src_subtree.segments)}"
         if src_subtree.is_root:  # the source's tree without its citation file
-            entries = "".join(f"{entry}\0" for entry in _top_entries(root, commit)[0])
-            tree = _git(root, "mktree", "-z", input=entries).stdout.strip()
+            tree = _with_citation(root, commit)
         _git(root, "read-tree", f"--prefix={dst_dir}", "-u", tree)
         added.extend(keys)
         return merged

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from gitcite import gitadapter
+from gitcite import CitationFile, gitadapter
+from gitcite.paths import ROOT, from_rendered
+
+from support import record
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -43,6 +46,21 @@ def init_repo(root: Path, *, origin: str | None = None) -> Path:
     if origin:
         git(root, "remote", "add", "origin", origin)
     return root
+
+
+def seed(root: Path, files: dict[str, str], cites: dict[str, str]) -> CitationFile:
+    """Write ``files``, then a citation file of ``record("root")`` at the
+    root and ``record(tag)`` at each rendered key of ``cites``, and commit
+    them all."""
+    for rel, content in files.items():
+        target = root / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(content)
+    cf = CitationFile({ROOT: record("root"), **{from_rendered(k): record(tag) for k, tag in cites.items()}})
+    gitadapter.store_citation_file(root, cf)
+    git(root, "add", "-A")
+    git(root, "commit", "-q", "-m", "seed")
+    return cf
 
 
 @pytest.fixture

@@ -21,23 +21,9 @@ from gitcite.gitadapter import load_citation_file, store_citation_file
 from gitcite.model import TreeSnapshot, resolve
 from gitcite.paths import ROOT, from_rendered
 
-from conftest import git
+from conftest import git, seed
 from identity_model import Model, citation_file
 from support import record, resolve_by_walking, snapshot_worktree
-
-
-def seed(root: Path, files: dict[str, str], cites: dict[str, str]) -> CitationFile:
-    for rel, content in files.items():
-        target = root / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(content)
-    cf = CitationFile(
-        {ROOT: record("root"), **{from_rendered(k): record(tag) for k, tag in cites.items()}}
-    )
-    store_citation_file(root, cf)
-    git(root, "add", "-A")
-    git(root, "commit", "-q", "-m", "seed")
-    return cf
 
 
 class TestInit:
@@ -69,6 +55,15 @@ class TestInit:
     def test_outside_a_repository(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["init"]) == 3
+
+    def test_init_creates_the_file_with_the_umask_and_leaves_no_lock(self, git_repo, monkeypatch):
+        root = git_repo(origin="https://example.com/alice/proj.git")
+        monkeypatch.chdir(root)
+        umask = os.umask(0)
+        os.umask(umask)
+        assert main(["init"]) == 0
+        assert (root / "citation.cite").stat().st_mode & 0o777 == 0o666 & ~umask
+        assert git(root, "status", "--porcelain").stdout == "?? citation.cite\n"
 
     @pytest.mark.parametrize("origin, most", [("https://example.com/alice/proj.git", 2), (None, 3)],
                              ids=["origin", "no-origin"])
@@ -506,16 +501,16 @@ class TestCopy:
         seed(dst, {"app.c": "a"}, {})
         before = checkout_state(dst)
         lock = dst / ".git" / "index.lock"
-        if fault == "citation-write":  # store_citation_file creates this name exclusively, after read-tree ran
-            (dst / f".citation.cite.{os.getpid()}.tmp").touch()
-        else:  # git refuses read-tree while the index is locked
-            lock.touch()
         monkeypatch.chdir(dst)
-        assert main(["copy", str(src), "core/", "vendor/"]) == 3
+        with monkeypatch.context() as patch:
+            if fault == "citation-write":  # the lock's rename over citation.cite, after read-tree ran
+                patch.setattr(os, "replace", lambda *args: (_ for _ in ()).throw(OSError("injected")))
+            else:  # git refuses read-tree while the index is locked
+                lock.touch()
+            assert main(["copy", str(src), "core/", "vendor/"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("gitcite: ") and err.count("\n") == 1, err
         lock.unlink(missing_ok=True)
-        (dst / f".citation.cite.{os.getpid()}.tmp").unlink(missing_ok=True)  # planted, so left in place
         assert not os.path.lexists(dst / "vendor")
         assert checkout_state(dst) == before
 
@@ -934,7 +929,8 @@ class TestMerge:
         cite = (root / "citation.cite").read_bytes()
         monkeypatch.chdir(root)
         assert main(["merge", "side", "--ours"]) == 3
-        assert "new.c" in capsys.readouterr().err
+        err = capsys.readouterr().err  # git's message and advice, escaped into one line
+        assert err.startswith("gitcite: git merge side refused: ") and "new.c" in err and err.count("\n") == 1, err
         assert git(root, "rev-parse", "HEAD").stdout == head
         assert not (root / ".git" / "MERGE_HEAD").exists()
         assert (root / "new.c").read_text() == "untracked"
@@ -1505,18 +1501,37 @@ class TestOneWriter:
         assert checkout_state(root) == before
         assert lock.exists() and not (root / "vendor").exists()
 
-    def test_a_planted_temporary_file_fails_the_write_and_stays(self, git_repo, monkeypatch, capsys):
-        # The write creates its temporary file exclusively; one already there is not its own to remove.
-        root = git_repo()
-        seed(root, {"a.c": "a"}, {})
-        planted = root / f".citation.cite.{os.getpid()}.tmp"
-        planted.write_bytes(b"not ours")
-        before = (root / "citation.cite").read_bytes()
+    def test_a_lock_stops_init_too(self, git_repo, monkeypatch, capsys):
+        root = git_repo(origin="https://example.com/alice/proj.git")
+        lock = root / "citation.cite.lock"
+        lock.touch()
         monkeypatch.chdir(root)
-        assert main(["add", "a.c", "--field", "owner=X"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("gitcite: cannot write citation.cite: ") and err.count("\n") == 1, err
-        assert planted.read_bytes() == b"not ours"
+        assert main(["init"]) == 3
+        assert capsys.readouterr() == ("", self.LOCKED.format(lock))
+        assert git(root, "status", "--porcelain").stdout == "?? citation.cite.lock\n"
+        assert lock.read_bytes() == b""
+
+    def test_a_killed_writer_leaves_only_the_lock_holding_the_new_file(self, git_repo, monkeypatch, capsys):
+        # The new bytes go into the lock, which is renamed over citation.cite:
+        # killed at the rename, a writer leaves no other file behind.
+        root = git_repo()
+        seed(root, {"a.c": "a", "b.c": "b"}, {})
+        before = (root / "citation.cite").read_bytes()
+        killed_at_the_rename = (
+            "import os, signal, sys\n"
+            "os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "from gitcite.cli import main\n"
+            "sys.exit(main(['add', 'a.c', '--field', 'owner=X']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", killed_at_the_rename], cwd=root, env=_cli_env(), capture_output=True)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        lock = root / "citation.cite.lock"
+        assert (root / "citation.cite").read_bytes() == before
+        assert git(root, "status", "--porcelain", "--untracked-files=all").stdout == "?? citation.cite.lock\n"
+        assert gitadapter.parse_citation_text(lock.read_text(encoding="utf-8")).get(from_rendered("/a.c")).owner == "X"
+        monkeypatch.chdir(root)
+        assert main(["add", "b.c", "--field", "owner=Y"]) == 3
+        assert capsys.readouterr().err == self.LOCKED.format(lock)
         assert (root / "citation.cite").read_bytes() == before
 
     def test_a_lock_stops_the_commit_time_sync_and_no_reader(self, git_repo, monkeypatch, capsys):

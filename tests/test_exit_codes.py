@@ -89,14 +89,14 @@ def _top_state(root: Path) -> tuple[object, ...]:
 
 _SEGMENTS = st.sampled_from([
     "a.c", "sub", "s.c", "citation.cite", "target", "t.c", "fifo", "dangling", "dirlink", ".git", "new.c",
-    ".", "..", "", "bad\udcff.c", "nul\x00.c",
+    ".", "..", "", "bad\udcff.c", "nul\x00.c", "new\nline.c",
 ])
 
 
 @st.composite
 def _paths(draw) -> str:
     """A path as a user might type it: relative or absolute, empty, escaping
-    the top, not UTF-8, holding a NUL, or ending in '/'."""
+    the top, not UTF-8, holding a NUL or a newline, or ending in '/'."""
     text = "/".join(draw(st.lists(_SEGMENTS, max_size=3)))
     text = draw(st.sampled_from(["", "/", "../", "/tmp/"])) + text
     return text + "/" if draw(st.booleans()) else text
@@ -169,3 +169,10 @@ def test_every_command_ends_in_a_documented_exit_code(checkouts, top, cwd, argv)
     finally:
         if before[0] == "file" and _top_state(root) != before:
             (root / "citation.cite").write_bytes(before[1])
+
+
+@pytest.mark.parametrize("version", [[], ["--version", "HEAD"]], ids=["worktree", "revision"])
+def test_a_path_holding_a_nul_is_named_on_one_line(checkouts, version):
+    # No git path holds a NUL, so its lookup asks git nothing; the message escapes it.
+    code, out, err = _run(["gen", "nul\x00.c", *version], checkouts["canonical"])
+    assert (code, out, err) == (1, "", "gitcite: /nul\\x00.c is not in the tree\n")

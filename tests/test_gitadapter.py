@@ -28,23 +28,9 @@ from gitcite.gitadapter import (
 from gitcite.ops import carry_keys, choose_left, choose_right, merge_citation_files
 from gitcite.paths import ROOT, PathKind, from_rendered
 
-from conftest import git, init_repo
+from conftest import git, init_repo, seed
 from identity_model import Model, citation_file
 from support import record, snapshot_worktree
-
-
-def seed(root: Path, files: dict[str, str], cites: dict[str, str]) -> CitationFile:
-    for rel, content in files.items():
-        target = root / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(content)
-    cf = CitationFile(
-        {ROOT: record("root"), **{from_rendered(k): record(tag) for k, tag in cites.items()}}
-    )
-    store_citation_file(root, cf)
-    git(root, "add", "-A")
-    git(root, "commit", "-q", "-m", "seed")
-    return cf
 
 
 def _source(tag: str) -> str:

@@ -402,10 +402,12 @@ def test_one_function_asks_git_for_renames_and_one_splits_its_diffs():
 
 def test_one_function_reads_edits_and_writes_the_citation_file():
     """``update_citation_file`` is the one read-edit-write, under the writer
-    lock: only it and ``init``, which creates the file, call
-    ``store_citation_file``, the one ``os.replace``. The lock file's name is
-    built in one function, so every writer takes the same lock."""
-    replaces, stores, lock_names = [], [], set()
+    lock. The lock file holds the new bytes: its ``commit``, which
+    ``update_citation_file`` and ``store_citation_file`` alone call, makes
+    the one ``os.replace``, and only ``init``, which creates the file, calls
+    ``store_citation_file``. The lock file's name is built in one function,
+    so every writer takes the same lock."""
+    replaces, commits, stores, lock_names = [], [], [], set()
     for source in Path(gitcite.__file__).parent.glob("*.py"):
         module = ast.parse(source.read_text(encoding="utf-8"))
         for func in ast.walk(module):
@@ -414,14 +416,17 @@ def test_one_function_reads_edits_and_writes_the_citation_file():
             for node in ast.walk(func):
                 if isinstance(node, ast.Attribute) and node.attr == "replace" and getattr(node.value, "id", "") == "os":
                     replaces.append(func.name)
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "commit":
+                    commits.append(func.name)
                 if isinstance(node, ast.Call) and "store_citation_file" in (
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)
                 ):
                     stores.append(func.name)
                 if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.endswith(".lock"):
                     lock_names.add(func.name)
-    assert replaces == ["store_citation_file"]
-    assert sorted(stores) == ["cmd_init", "update_citation_file"]
+    assert replaces == ["commit"]
+    assert sorted(commits) == ["store_citation_file", "update_citation_file"]
+    assert stores == ["cmd_init"]
     assert len(lock_names) == 1
 
 
