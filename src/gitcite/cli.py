@@ -4,15 +4,18 @@ Every command but ``gen --remote`` acts on one checkout: the git worktree
 holding the cwd, whose top :func:`find_root` finds, and the citation file at
 that top. Exit codes: 0 success, 1 domain error, 2 usage error, 3
 environment or I/O error, 130 interrupted (Ctrl-C), 141 stdout closed by its
-reader. ``gen`` and ``validate`` never modify any file.
+reader. ``gen`` and ``validate`` never modify any file. :data:`COMMANDS` is
+the one description of the command line: :func:`parse_args` reads argv by
+it, and ``-h`` prints it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from collections.abc import Callable, Sequence
 
 from . import fileformat, gitadapter, render
 from .errors import GitCiteError, IoFailure
@@ -68,17 +71,10 @@ def _cwd(root: str) -> tuple[str, ...]:
     return () if rel == os.curdir else tuple(rel.split(os.sep))
 
 
-def _field_pair(text: str) -> tuple[str, str]:
-    key, sep, value = text.partition("=")
-    if not sep or not key:
-        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
-    return key, value
-
-
-def _build_record(template: CitationRecord, fields: list[tuple[str, str]], authors: str | None) -> CitationRecord:
+def _build_record(template: CitationRecord, fields: Sequence[tuple[str, str]], authors: str | None) -> CitationRecord:
     values = {name: getattr(template, name) for name in RECORD_FIELDS}
     values["extras"] = extras = dict(template.extras)
-    for key, value in fields or []:
+    for key, value in fields:
         if key in TEXT_FIELDS:
             values[key] = value
         elif key in ("author_list", "authors"):
@@ -92,24 +88,21 @@ def _build_record(template: CitationRecord, fields: list[tuple[str, str]], autho
     return CitationRecord(**values)
 
 
-def cmd_init(args: argparse.Namespace) -> int:
+def cmd_init() -> int:
     root = find_root()
-    target = gitadapter.citation_file_path(root)
-    if gitadapter.citation_file_exists(root):
-        raise GitCiteError(f"{target} already exists")
     record = gitadapter.default_root_citation(root)
-    gitadapter.store_citation_file(root, CitationFile.single(record))
-    print(f"created {target}; edit the draft with 'gitcite modify .':")
+    gitadapter.create_citation_file(root, CitationFile.single(record))
+    print(f"created {gitadapter.citation_file_path(root)}; edit the draft with 'gitcite modify .':")
     print(gitadapter.citation_file_text(root), end="")
     return EXIT_OK
 
 
-def cmd_add(args: argparse.Namespace) -> int:
-    root, tree, path = _open_worktree(args.path)
+def cmd_add(path: str, field: Sequence[tuple[str, str]] = (), authors: str | None = None) -> int:
+    root, tree, path = _open_worktree(path)
 
     def add(cf: CitationFile) -> CitationFile:
         template = resolve(cf, tree, path)  # closest ancestor's record as the draft
-        return apply_add(cf, tree, path, _build_record(template, args.field, args.authors))
+        return apply_add(cf, tree, path, _build_record(template, field, authors))
 
     cf = gitadapter.update_citation_file(root, add)
     print(f"cited {path}")
@@ -117,24 +110,24 @@ def cmd_add(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_del(args: argparse.Namespace) -> int:
-    root, _, path = _open_worktree(args.path)
+def cmd_del(path: str) -> int:
+    root, _, path = _open_worktree(path)
     gitadapter.update_citation_file(root, lambda cf: apply_delete(cf, path))
     print(f"removed the citation of {path}; it now inherits from its closest ancestor")
     return EXIT_OK
 
 
-def cmd_modify(args: argparse.Namespace) -> int:
-    root, _, path = _open_worktree(args.path)
+def cmd_modify(path: str, field: Sequence[tuple[str, str]] = (), authors: str | None = None) -> int:
+    root, _, path = _open_worktree(path)
 
     def modify(cf: CitationFile) -> CitationFile:
         current = cf.get(path)
         if current is None:
             raise GitCiteError(f"{path} has no citation")
-        return apply_modify(cf, path, _build_record(current, args.field, args.authors))
+        return apply_modify(cf, path, _build_record(current, field, authors))
 
     cf = gitadapter.update_citation_file(root, modify)
-    touched = {key for key, _ in args.field or []}
+    touched = {key for key, _ in field}
     for name in _REGENERABLE:
         if name in touched:
             print(f"note: {name} is normally derived from repository metadata")
@@ -143,42 +136,42 @@ def cmd_modify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    if args.remote is not None:
-        cf = gitadapter.fetch_remote_citation_file(args.remote)
-        record = resolve_from_entries(cf, canonicalize(args.path))
-    elif args.version is not None:
+def cmd_gen(path: str, version: str | None = None, remote: str | None = None, format: str = "text") -> int:
+    if remote is not None:
+        cf = gitadapter.fetch_remote_citation_file(remote)
+        record = resolve_from_entries(cf, canonicalize(path))
+    elif version is not None:
         root = find_root()
-        tree = gitadapter.RevisionLookup(root, args.version)
-        cf = gitadapter.citation_file_at_revision(root, args.version)
-        record = resolve(cf, tree, canonicalize(args.path, _cwd(root), tree=tree))
+        tree = gitadapter.RevisionLookup(root, version)
+        cf = gitadapter.citation_file_at_revision(root, version)
+        record = resolve(cf, tree, canonicalize(path, _cwd(root), tree=tree))
     else:
-        root, tree, path = _open_worktree(args.path)
-        record = resolve(gitadapter.load_citation_file(root), tree, path)
-    print(render.render(record, args.format))
+        root, tree, key = _open_worktree(path)
+        record = resolve(gitadapter.load_citation_file(root), tree, key)
+    print(render.render(record, format))
     return EXIT_OK
 
 
-def cmd_copy(args: argparse.Namespace) -> int:
+def cmd_copy(src: str, src_subtree: str, dst_path: str) -> int:
     root = find_root()
-    src_subtree = canonicalize(args.src_subtree, kind_hint=PathKind.DIRECTORY)
-    dst_path = canonicalize(args.dst_path, _cwd(root), PathKind.DIRECTORY)
-    _, added = gitadapter.run_copy(root, args.src, src_subtree, dst_path)
+    src_subtree = canonicalize(src_subtree, kind_hint=PathKind.DIRECTORY)
+    dst_path = canonicalize(dst_path, _cwd(root), PathKind.DIRECTORY)
+    _, added = gitadapter.run_copy(root, src, src_subtree, dst_path)
     print(f"copied {src_subtree} -> {dst_path}; migrated {len(added)} citation entries:")
     for key in added:
         print(f"  {key}")
     return EXIT_OK
 
 
-def cmd_merge(args: argparse.Namespace) -> int:
+def cmd_merge(other_branch: str, ours: bool = False, theirs: bool = False, interactive: bool = False) -> int:
     root = find_root()
-    if args.ours:
+    if ours:
         resolver = choose_left
-    elif args.theirs:
+    elif theirs:
         resolver = choose_right
     else:
         resolver = _interactive_resolver()
-    merged, conflicts = gitadapter.run_merge(root, args.other_branch, resolver)
+    merged, conflicts = gitadapter.run_merge(root, other_branch, resolver)
     print(f"merged citation file has {len(merged)} entries; {len(conflicts)} conflicts resolved")
     for report in conflicts:
         print(f"  {report.key}: {report.resolution}")
@@ -212,7 +205,7 @@ def _interactive_resolver():
     return _resolve
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate() -> int:
     root = find_root()
     text = gitadapter.citation_file_text(root)
     cf = gitadapter.parse_citation_text(text, require_root=False)
@@ -228,67 +221,159 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gitcite",
-        description="Attach citations to files and directories and resolve them by closest ancestor.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("init", help="create the citation file with a default root citation").set_defaults(
-        func=cmd_init
-    )
-
-    def edit_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("path", help="file or directory (directories end with '/')")
-        p.add_argument("--field", action="append", type=_field_pair, metavar="KEY=VALUE",
-                       help="set a record field; unknown keys become extras")
-        p.add_argument("--authors", help="comma-separated author list")
-
-    p_add = sub.add_parser("add", help="attach a citation to an uncited path")
-    edit_args(p_add)
-    p_add.set_defaults(func=cmd_add)
-
-    p_del = sub.add_parser("del", help="remove an explicit citation")
-    p_del.add_argument("path")
-    p_del.set_defaults(func=cmd_del)
-
-    p_mod = sub.add_parser("modify", help="replace an explicit citation")
-    edit_args(p_mod)
-    p_mod.set_defaults(func=cmd_modify)
-
-    p_gen = sub.add_parser("gen", help="print the resolved citation of a path")
-    p_gen.add_argument("path")
-    source = p_gen.add_mutually_exclusive_group()
-    source.add_argument("--version", help="resolve at a historical revision")
-    source.add_argument("--remote", metavar="URL", help="resolve against a remote citation file")
-    p_gen.add_argument("--format", choices=render.FORMATS, default="text")
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_copy = sub.add_parser("copy", help="copy a directory from another repository with its citations")
-    p_copy.add_argument("src", help="source repository, a path or a URL; its committed HEAD is copied")
-    p_copy.add_argument("src_subtree", help="directory inside the source ('/' for the whole tree)")
-    p_copy.add_argument("dst_path", help="new directory in this repository")
-    p_copy.set_defaults(func=cmd_copy)
-
-    p_merge = sub.add_parser("merge", help="merge a branch, resolving citation conflicts")
-    p_merge.add_argument("other_branch")
-    pick = p_merge.add_mutually_exclusive_group()
-    pick.add_argument("--ours", action="store_true", help="keep this branch's record on conflicts")
-    pick.add_argument("--theirs", action="store_true", help="take the other branch's record on conflicts")
-    pick.add_argument("--interactive", action="store_true", help="prompt for each conflict (default)")
-    p_merge.set_defaults(func=cmd_merge)
-
-    sub.add_parser("validate", help="check the citation file against the working tree").set_defaults(
-        func=cmd_validate
-    )
-    return parser
+class UsageError(Exception):
+    """A command line that :data:`COMMANDS` does not accept (exit 2)."""
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+_PATH = ("path", "file or directory (directories end with '/')")
+_EDITS = (
+    ("--field", "KEY=VALUE", "set a record field; unknown keys become extras; may repeat"),
+    ("--authors", "A,B", "comma-separated author list"),
+)
+# Each command: its function, a one-line help, its positionals (name, help)
+# in order, its options (flag, metavar, help; a switch has no metavar) and
+# the options of it that exclude each other. An option left out takes the
+# function's default. --field is the one option that may repeat.
+COMMANDS: dict[str, tuple[Callable[..., int], str, tuple, tuple, tuple[str, ...]]] = {
+    "init": (cmd_init, "create the citation file with a default root citation", (), (), ()),
+    "add": (cmd_add, "attach a citation to an uncited path", (_PATH,), _EDITS, ()),
+    "del": (cmd_del, "remove an explicit citation", (_PATH,), (), ()),
+    "modify": (cmd_modify, "replace an explicit citation", (_PATH,), _EDITS, ()),
+    "gen": (cmd_gen, "print the resolved citation of a path", (_PATH,), (
+        ("--version", "REV", "resolve at a historical revision"),
+        ("--remote", "URL", "resolve against a remote citation file"),
+        ("--format", "FORMAT", f"one of {', '.join(render.FORMATS)} (default: text)"),
+    ), ("--version", "--remote")),
+    "copy": (cmd_copy, "copy a directory from another repository with its citations", (
+        ("src", "source repository, a path or a URL; its committed HEAD is copied"),
+        ("src_subtree", "directory inside the source ('/' for the whole tree)"),
+        ("dst_path", "new directory in this repository"),
+    ), (), ()),
+    "merge": (cmd_merge, "merge a branch, resolving citation conflicts", (("other_branch", "the branch to merge"),), (
+        ("--ours", None, "keep this branch's record on conflicts"),
+        ("--theirs", None, "take the other branch's record on conflicts"),
+        ("--interactive", None, "prompt for each conflict (default)"),
+    ), ("--ours", "--theirs", "--interactive")),
+    "validate": (cmd_validate, "check the citation file against the working tree", (), (), ()),
+}
+_HELP = ("-h", "--help")
+_NUMBER = r"^-\d+$|^-\d*\.\d+$"  # a word that reads as a negative number; compiled only once one is read
+
+
+def _is_option(word: str, flags: Sequence[str]) -> bool:
+    """Whether ``word`` is meant as an option: one of ``flags``, alone or
+    before ``=``, or a word starting with '-' other than '-' itself, a
+    negative number or a word holding a space."""
+    if word.partition("=")[0] in flags:
+        return True
+    return word[:1] == "-" and word != "-" and " " not in word and not re.match(_NUMBER, word)
+
+
+def parse_args(argv: Sequence[str]) -> tuple[Callable[..., int], dict[str, object]]:
+    """The function of the command ``argv`` names and its keyword arguments,
+    read by :data:`COMMANDS`; for ``-h``, a function that prints the help.
+
+    Options and positionals may come in any order; ``--opt=value`` and
+    ``--opt value`` are the same, each ``--field`` adds a pair while any
+    other repeated option's last value counts, and every word after ``--``
+    is a positional. Options must be spelled out. Anything else raises :class:`UsageError`: an unknown command or
+    option, a missing or an extra argument, a missing or misplaced value,
+    or two options that exclude each other. An unknown option or an extra
+    argument is reported at the end, so a ``-h`` after it still helps.
+    """
+    if not argv:
+        raise UsageError("no command given; 'gitcite -h' lists the commands")
+    name, rest = argv[0], iter(argv[1:])
+    if name in _HELP:
+        return _show, {"text": _overview()}
+    if name not in COMMANDS:
+        raise UsageError(f"unknown command {name!r}; 'gitcite -h' lists the commands")
+    func, _, positionals, options, exclusive = COMMANDS[name]
+    metavars = {flag: metavar for flag, metavar, _ in options}
+    flags = (*metavars, *_HELP)
+    values: dict[str, object] = {}
+    words: list[str] = []
+    unknown: list[str] = []
+    chosen = None  # the option given of those that exclude each other
+    for word in rest:
+        if word == "--":
+            words.extend(rest)
+            break
+        if not _is_option(word, flags):
+            words.append(word)
+            continue
+        flag, eq, value = word.partition("=")
+        if flag not in flags:
+            unknown.append(word)
+            continue
+        if eq and (flag in _HELP or metavars[flag] is None):
+            raise UsageError(f"{name}: {flag} takes no value")
+        if flag in _HELP:
+            return _show, {"text": _command_help(name)}
+        if metavars[flag] is None:
+            value = True
+        elif not eq:
+            value = next(rest, None)
+            if value is None or _is_option(value, flags):
+                raise UsageError(f"{name}: {flag} needs a value")
+        if flag in exclusive:
+            if chosen not in (None, flag):
+                raise UsageError(f"{name}: {chosen} and {flag} exclude each other")
+            chosen = flag
+        if flag == "--field":
+            key, sep, text = value.partition("=")
+            if not sep or not key:
+                raise UsageError(f"{name}: --field expected KEY=VALUE, got {value!r}")
+            value = [*values.get("field", ()), (key, text)]
+        elif flag == "--format" and value not in render.FORMATS:
+            raise UsageError(f"{name}: --format must be one of {', '.join(render.FORMATS)}, not {value!r}")
+        values[flag[2:]] = value
+    if len(words) < len(positionals):
+        raise UsageError(f"{name}: missing {positionals[len(words)][0].upper()}")
+    if unknown:
+        raise UsageError(f"{name}: unknown option {unknown[0]!r}")
+    if len(words) > len(positionals):
+        raise UsageError(f"{name}: unexpected argument {words[len(positionals)]!r}")
+    values.update((positional, word) for (positional, _), word in zip(positionals, words))
+    return func, values
+
+
+def _show(text: str) -> int:
+    print(text)
+    return EXIT_OK
+
+
+def _overview() -> str:
+    width = max(map(len, COMMANDS))
+    lines = ["usage: gitcite COMMAND [ARGUMENTS]", "",
+             "Attach citations to files and directories and resolve them by closest ancestor.", "", "commands:"]
+    lines += (f"  {name:<{width}}  {spec[1]}" for name, spec in COMMANDS.items())
+    lines += ["", "'gitcite COMMAND -h' describes the arguments of a command."]
+    return "\n".join(lines)
+
+
+def _command_help(name: str) -> str:
+    _, help_text, positionals, options, exclusive = COMMANDS[name]
+    shown = {flag: f"{flag} {metavar}" if metavar else flag for flag, metavar, _ in options}
+    usage = [f"usage: gitcite {name}", *(positional.upper() for positional, _ in positionals)]
+    if exclusive:
+        usage.append(f"[{' | '.join(shown[flag] for flag in exclusive)}]")
+    usage += (f"[{shown[flag]}]" for flag in shown if flag not in exclusive)
+    rows = [(positional.upper(), text) for positional, text in positionals]
+    rows += ((shown[flag], text) for flag, _, text in options)
+    rows.append(("-h, --help", "print this help"))
+    width = max(len(left) for left, _ in rows)
+    return "\n".join([" ".join(usage), "", help_text, "", *(f"  {left:<{width}}  {text}" for left, text in rows)])
+
+
+def main(argv: Sequence[str] | None = None) -> int:
     try:
-        code = args.func(args)
+        func, values = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(f"gitcite: {str(exc).translate(_ESCAPES)}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        code = func(**values)
         sys.stdout.flush()  # a closed stdout shows here, not at exit
         return code
     except BrokenPipeError:  # the reader went away (``gitcite gen f | head -1``): quiet, as git is

@@ -4,71 +4,92 @@ The document is a single UTF-8 JSON object mapping rendered paths to record
 objects. Keys are sorted bytewise, record fields appear in a fixed order,
 indentation is two spaces, and the file ends with one newline. Equal
 citation files therefore always serialize to identical bytes, which keeps
-diffs small and makes text-merging the file unnecessary.
+diffs small and makes text-merging the file unnecessary. The text is the
+one ``json.dumps(doc, indent=2, ensure_ascii=False)`` writes, built here
+directly because that call runs json's pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring as _quote  # the C quoting of json.dumps(..., ensure_ascii=False)
 
 from .errors import InvalidPath, MalformedDocument
 from .model import RECORD_FIELDS, REQUIRED_FIELDS, TEXT_FIELDS, CitationFile, CitationRecord
 from .paths import ROOT, CanonicalPath, from_rendered
 
-
-def record_to_obj(record: CitationRecord) -> dict[str, object]:
-    obj = {name: getattr(record, name) for name in RECORD_FIELDS}
-    obj["author_list"], obj["extras"] = list(record.author_list), dict(record.extras)
-    return obj
+_FIELDS = frozenset(RECORD_FIELDS)
 
 
 def record_from_obj(obj: object, where: str = "record") -> CitationRecord:
     """Parse one record object. Unknown string fields land in extras."""
     if not isinstance(obj, dict):
         raise MalformedDocument(f"{where} must be an object")
-    data = dict(obj)
-
-    def take_str(name: str, required: bool) -> str:
-        if name not in data:
-            if required:
-                raise MalformedDocument(f"{where} is missing {name!r}")
-            return ""
-        value = data.pop(name)
-        if not isinstance(value, str):
+    texts = []
+    for name in TEXT_FIELDS:
+        value = obj.get(name)
+        if isinstance(value, str):
+            texts.append(value)
+        elif name in obj:
             raise MalformedDocument(f"{where}: {name!r} must be a string")
-        return value
-
-    fields = {name: take_str(name, required=name in REQUIRED_FIELDS) for name in TEXT_FIELDS}
-    authors = data.pop("author_list", [])
+        elif name in REQUIRED_FIELDS:
+            raise MalformedDocument(f"{where} is missing {name!r}")
+        else:
+            texts.append("")
+    authors = obj.get("author_list", [])
     if not isinstance(authors, list) or not all(isinstance(a, str) for a in authors):
         raise MalformedDocument(f"{where}: 'author_list' must be a list of strings")
-    extras = data.pop("extras", {})
+    extras = obj.get("extras", {})
     if not isinstance(extras, dict):
         raise MalformedDocument(f"{where}: 'extras' must be an object")
-    extras = dict(extras)
-    for name, value in data.items():  # unknown fields
-        if not isinstance(value, str):
-            raise MalformedDocument(f"{where}: unknown field {name!r} must be a string")
-        if name in extras:
-            raise MalformedDocument(f"{where}: field {name!r} collides with an extras key")
-        extras[name] = value
+    if not obj.keys() <= _FIELDS:
+        for name, value in obj.items():  # the unknown fields, in file order
+            if name in _FIELDS:
+                continue
+            if not isinstance(value, str):
+                raise MalformedDocument(f"{where}: unknown field {name!r} must be a string")
+            if name in extras:
+                raise MalformedDocument(f"{where}: field {name!r} collides with an extras key")
+            extras = {**extras, name: value}  # a new dict: the parsed object stays as it was
     try:
-        return CitationRecord(author_list=tuple(authors), extras=extras, **fields)
+        return CitationRecord(*texts, author_list=authors, extras=extras)
     except ValueError as exc:
         raise MalformedDocument(f"{where}: {exc}") from exc
 
 
+def _record_json(record: CitationRecord, pad: str = "") -> str:
+    """``record`` as ``json.dumps(indent=2, ensure_ascii=False)`` writes its
+    object, each line after the first indented by ``pad``."""
+    inner = pad + "  "
+    item = ",\n" + inner + "  "
+    lines = [f'{inner}"{name}": {_quote(getattr(record, name))}' for name in TEXT_FIELDS]
+    if record.author_list:
+        lines.append(f'{inner}"author_list": [\n{inner}  {item.join(map(_quote, record.author_list))}\n{inner}]')
+    else:
+        lines.append(f'{inner}"author_list": []')
+    if record.extras:
+        pairs = item.join(f"{_quote(key)}: {_quote(value)}" for key, value in record.extras.items())
+        lines.append(f'{inner}"extras": {{\n{inner}  {pairs}\n{inner}}}')
+    else:
+        lines.append(f'{inner}"extras": {{}}')
+    return "{\n" + ",\n".join(lines) + f"\n{pad}}}"
+
+
 def serialize(cf: CitationFile) -> str:
-    doc = {str(key): record_to_obj(record) for key, record in cf.items()}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    if not cf:
+        return "{}\n"
+    entries = ",\n".join(f"  {_quote(key.render())}: {_record_json(record, '  ')}" for key, record in cf.items())
+    return "{\n" + entries + "\n}\n"
 
 
 def _no_duplicates(pairs: list[tuple[str, object]]) -> dict[str, object]:
-    obj: dict[str, object] = {}
-    for key, value in pairs:
-        if key in obj:
-            raise MalformedDocument(f"duplicate key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise MalformedDocument(f"duplicate key {key!r}")
+            seen.add(key)
     return obj
 
 

@@ -23,8 +23,9 @@ Every change to the worktree's citation file is one
 changed, holding the writer lock (:class:`_WriterLock`) from the read to the
 write. The new bytes go into the lock file, which is then renamed over the
 citation file, so a write creates no other file. ``gitcite init`` writes
-through the same lock, and :func:`run_merge` holds it. Reads take no lock,
-and network fetches and local reads are safe to run concurrently.
+through the same lock (:func:`create_citation_file`), and :func:`run_merge`
+holds it. Reads take no lock, and network fetches and local reads are safe
+to run concurrently.
 """
 
 from __future__ import annotations
@@ -103,11 +104,15 @@ def load_citation_file(worktree_root: str) -> CitationFile:
     return parse_citation_text(citation_file_text(worktree_root))
 
 
-def store_citation_file(worktree_root: str, cf: CitationFile) -> None:
-    """Write ``cf`` as the worktree's citation file through the writer lock
-    (see :meth:`_WriterLock.commit`). Only ``gitcite init``, which creates
-    the file, calls it; every edit is one :func:`update_citation_file`."""
+def create_citation_file(worktree_root: str, cf: CitationFile) -> None:
+    """Write ``cf`` as the worktree's new citation file through the writer
+    lock (see :meth:`_WriterLock.commit`). A citation file found once the
+    lock is held, another ``gitcite init``'s say, raises
+    :class:`~gitcite.errors.GitCiteError` and stays as it is. Only ``init``
+    calls it; every edit is one :func:`update_citation_file`."""
     with _WriterLock(worktree_root) as lock:
+        if citation_file_exists(worktree_root):
+            raise GitCiteError(f"{citation_file_path(worktree_root)} already exists")
         lock.commit(cf)
 
 
@@ -380,7 +385,7 @@ class RevisionLookup(_PathLookup):
 
 def _require_tree(root: str, rev: str) -> None:
     """Raise :class:`~gitcite.errors.GitCiteError` unless git resolves ``rev`` to a tree."""
-    if _git(root, "rev-parse", "--verify", "-q", f"{rev}^{{tree}}", check=False).returncode:
+    if "\0" in rev or _git(root, "rev-parse", "--verify", "-q", f"{rev}^{{tree}}", check=False).returncode:
         raise GitCiteError(f"unknown revision {rev!r}")
 
 
@@ -405,7 +410,7 @@ def _citation_texts_at(root: str, revs: Sequence[str], wheres: Sequence[str]) ->
     that is not UTF-8 raises :class:`~gitcite.errors.IoFailure`. An error
     names a revision as its entry of ``wheres``."""
     for rev, where in zip(revs, wheres):
-        if "\n" in rev:  # the query takes one name per line
+        if "\n" in rev or "\0" in rev:  # the query takes one name per line, and git reads a NUL as its end
             raise FileMissing(f"no {CITATION_FILE} at {where}")
     query = "".join(f"{rev}:{CITATION_FILE}\n" for rev in revs)
     out = _git(root, "cat-file", "--batch", input=query).stdout.encode("utf-8", "surrogateescape")
@@ -650,7 +655,7 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
     :func:`update_citation_file` is held from the read of the worktree's
     citation file through the fast-forward.
     """
-    if "\n" in other:  # the query takes one name per line
+    if "\n" in other or "\0" in other:  # the query takes one name per line, and git reads a NUL as its end
         raise GitCiteError(f"unknown revision {other!r}")
     with _WriterLock(root):  # from the worktree read through the fast-forward
         worktree_text = citation_file_text(root)  # before any step that may write
@@ -736,6 +741,8 @@ def run_copy(
     fails, ``git rm`` takes out what read-tree wrote, and the directories it
     leaves empty (a submodule's, say) are removed, deepest first. Returns
     the new citation file and the added keys."""
+    if "\0" in src:  # no path or URL holds one, and no argument can
+        raise IoFailure(f"cannot fetch the HEAD of {src!r}: a name holding a NUL names no repository")
     fetch = _git(  # run where ``src`` was typed, into this repository
         ".", f"--git-dir={os.path.join(root, '.git')}", "fetch", "-q", "--no-tags", "--no-auto-maintenance",
         "--no-recurse-submodules", "--end-of-options", src, "HEAD", check=False,

@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import json
 import re
 
-from .fileformat import record_to_obj
+from .fileformat import _record_json
 from .model import CitationRecord
 
 FORMATS = ("text", "json", "bibtex")
 
 
 def as_json(record: CitationRecord) -> str:
-    return json.dumps(record_to_obj(record), indent=2, ensure_ascii=False)
+    return _record_json(record)
 
 
 def as_text(record: CitationRecord) -> str:

@@ -9,7 +9,7 @@ import pytest
 from gitcite import CitationFile, gitadapter
 from gitcite.paths import ROOT, from_rendered
 
-from support import record
+from support import record, store_citation_file
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -57,7 +57,7 @@ def seed(root: Path, files: dict[str, str], cites: dict[str, str]) -> CitationFi
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(content)
     cf = CitationFile({ROOT: record("root"), **{from_rendered(k): record(tag) for k, tag in cites.items()}})
-    gitadapter.store_citation_file(root, cf)
+    store_citation_file(root, cf)
     git(root, "add", "-A")
     git(root, "commit", "-q", "-m", "seed")
     return cf

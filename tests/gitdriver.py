@@ -24,7 +24,6 @@ from gitcite.gitadapter import (
     run_copy,
     run_merge,
     staged_changes,
-    store_citation_file,
     sync_on_commit,
     update_citation_file,
 )
@@ -34,7 +33,7 @@ from gitcite.paths import from_rendered
 
 from conftest import git, init_repo
 from identity_model import MergeRefused, Model, citation_file, file_paths
-from support import record, snapshot_worktree
+from support import record, snapshot_worktree, store_citation_file
 
 
 def _sha(content: str) -> str:

@@ -6,8 +6,8 @@ import os
 from pathlib import Path
 
 from gitcite import CitationFile, CitationRecord
-from gitcite.model import TreeSnapshot
-from gitcite.gitadapter import CITATION_FILE
+from gitcite.model import RECORD_FIELDS, TreeSnapshot
+from gitcite.gitadapter import CITATION_FILE, _WriterLock
 from gitcite.paths import CanonicalPath, from_rendered
 
 
@@ -23,6 +23,21 @@ def record(tag: str, **overrides) -> CitationRecord:
     )
     fields.update(overrides)
     return CitationRecord(**fields)
+
+
+def store_citation_file(worktree_root: Path | str, cf: CitationFile) -> None:
+    """Write ``cf`` over the worktree's citation file, as every command
+    writes it: through the writer lock, whose ``commit`` writes the
+    canonical bytes."""
+    with _WriterLock(str(worktree_root)) as lock:
+        lock.commit(cf)
+
+
+def record_to_obj(record: CitationRecord) -> dict[str, object]:
+    """``record`` as the JSON object the citation file holds for it, fields in file order."""
+    obj = {name: getattr(record, name) for name in RECORD_FIELDS}
+    obj["author_list"], obj["extras"] = list(record.author_list), dict(record.extras)
+    return obj
 
 
 def resolve_by_walking(cf: CitationFile, path: CanonicalPath) -> CitationRecord:

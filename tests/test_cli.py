@@ -16,14 +16,14 @@ import gitcite
 from gitcite import CitationFile, cli, gitadapter
 from gitcite.cli import main
 from gitcite.errors import IoFailure
-from gitcite.fileformat import record_from_obj, record_to_obj, serialize
-from gitcite.gitadapter import load_citation_file, store_citation_file
+from gitcite.fileformat import record_from_obj, serialize
+from gitcite.gitadapter import load_citation_file
 from gitcite.model import TreeSnapshot, resolve
 from gitcite.paths import ROOT, from_rendered
 
 from conftest import git, seed
 from identity_model import Model, citation_file
-from support import record, resolve_by_walking, snapshot_worktree
+from support import record, record_to_obj, resolve_by_walking, snapshot_worktree, store_citation_file
 
 
 class TestInit:
@@ -51,6 +51,26 @@ class TestInit:
         before = (root / "citation.cite").read_bytes()
         assert main(["init"]) == 1
         assert (root / "citation.cite").read_bytes() == before
+
+    def test_of_two_overlapping_inits_the_second_to_lock_writes_nothing(self, git_repo, monkeypatch, capsys):
+        # A second init runs to the end while the first drafts its record: the
+        # first then finds the file under the lock, exits 1 and replaces nothing.
+        root = git_repo(origin="https://example.com/alice/proj.git")
+        cite = os.path.join(os.path.realpath(root), "citation.cite")
+        monkeypatch.chdir(root)
+        draft, inner = gitadapter.default_root_citation, {}
+
+        def overlapped(top: str):
+            if not inner:
+                inner["code"] = None  # the nested init drafts with the real function
+                inner["code"], inner["inode"] = main(["init"]), os.stat(cite).st_ino
+            return draft(top)
+
+        monkeypatch.setattr(gitadapter, "default_root_citation", overlapped)
+        assert main(["init"]) == 1
+        assert capsys.readouterr().err == f"gitcite: {cite} already exists\n"
+        assert inner["code"] == 0 and os.stat(cite).st_ino == inner["inode"]
+        assert git(root, "status", "--porcelain").stdout == "?? citation.cite\n"
 
     def test_outside_a_repository(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -159,10 +179,8 @@ class TestEditCommands:
         root = git_repo()
         seed(root, {"a.c": "x"}, {})
         monkeypatch.chdir(root)
-        with pytest.raises(SystemExit) as err:
-            main(["add", "a.c", "--field", "novalue"])
-        assert err.value.code == 2
-        assert "expected KEY=VALUE" in capsys.readouterr().err
+        assert main(["add", "a.c", "--field", "novalue"]) == 2
+        assert capsys.readouterr() == ("", "gitcite: add: --field expected KEY=VALUE, got 'novalue'\n")
 
     @pytest.mark.parametrize(
         "field, hint", [("author_list=x", "with --authors"), ("extras=x", "as --field KEY=VALUE directly")]
@@ -344,10 +362,8 @@ class TestGen:
         root = git_repo()
         seed(root, {"a.c": "x"}, {})
         monkeypatch.chdir(root)
-        with pytest.raises(SystemExit) as err:
-            main(["gen", "a.c", "--version", "HEAD", "--remote", "http://127.0.0.1:9/citation.cite"])
-        assert err.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
+        assert main(["gen", "a.c", "--version", "HEAD", "--remote", "http://127.0.0.1:9/citation.cite"]) == 2
+        assert capsys.readouterr() == ("", "gitcite: gen: --version and --remote exclude each other\n")
 
     @pytest.mark.parametrize("rev", ["", "HEAD:a.c", "blob"], ids=["empty", "path-at-revision", "blob-id"])
     def test_a_version_that_is_not_a_tree_is_an_unknown_revision(self, git_repo, monkeypatch, capsys, rev):
@@ -357,6 +373,27 @@ class TestGen:
         rev = git(root, "rev-parse", "HEAD:a.c").stdout.strip() if rev == "blob" else rev
         assert main(["gen", "a.c", "--version", rev]) == 1
         assert capsys.readouterr().err == f"gitcite: unknown revision {rev!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["gen", ".", "--version", "HEAD\x00"], 1, "unknown revision 'HEAD\\x00'"),
+            (["merge", "HEAD\x00", "--ours"], 1, "unknown revision 'HEAD\\x00'"),
+            (["copy", "x\x00y", "sub/", "dst/"], 3,
+             "cannot fetch the HEAD of 'x\\x00y': a name holding a NUL names no repository"),
+        ],
+        ids=["gen-version", "merge", "copy"],
+    )
+    def test_a_name_holding_a_nul_is_refused_before_any_git_call(
+        self, git_repo, git_calls, monkeypatch, capsys, argv, code, message
+    ):
+        # Git reads a NUL as the end of a name, and no argument can hold one.
+        root = git_repo()
+        seed(root, {"a.c": "x"}, {})
+        monkeypatch.chdir(root)
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", f"gitcite: {message}\n")
+        assert git_calls == []
 
     def test_a_commit_without_the_citation_file_is_an_environment_error(self, git_repo, monkeypatch, capsys):
         root = git_repo()
@@ -1178,10 +1215,11 @@ class TestValidate:
 
 
 class TestCliPlumbing:
-    def test_usage_errors_exit_2(self):
-        with pytest.raises(SystemExit) as err:
-            main(["definitely-not-a-command"])
-        assert err.value.code == 2
+    def test_usage_errors_exit_2(self, capsys):
+        assert main(["definitely-not-a-command"]) == 2
+        assert capsys.readouterr() == (
+            "", "gitcite: unknown command 'definitely-not-a-command'; 'gitcite -h' lists the commands\n"
+        )
 
     @staticmethod
     def _loaded_by_importing_the_cli(module: str) -> bool:
@@ -1198,8 +1236,9 @@ class TestCliPlumbing:
     def test_importing_the_cli_loads_no_code_generators_and_no_subprocess(self):
         # dataclasses pulls in inspect, ast, dis and tokenize; subprocess pulls in
         # selectors and signal; pathlib pulls in fnmatch, urllib.parse and
-        # ipaddress. Only what importing the CLI adds is checked, and ``-S``
-        # keeps ``site`` from loading typing and pathlib at start-up.
+        # ipaddress; argparse pulls in gettext. Only what importing the CLI
+        # adds is checked, and ``-S`` keeps ``site`` from loading typing and
+        # pathlib at start-up.
         src = str(Path(gitcite.__file__).resolve().parent.parent)
         script = "import sys; before = set(sys.modules); import gitcite.cli; print(*set(sys.modules) - before)"
         proc = subprocess.run(
@@ -1208,7 +1247,7 @@ class TestCliPlumbing:
         assert proc.returncode == 0, proc.stderr
         added = set(proc.stdout.split())
         assert "gitcite.cli" in added
-        assert not added & {"dataclasses", "inspect", "subprocess", "typing", "pathlib", "urllib"}
+        assert not added & {"dataclasses", "inspect", "subprocess", "typing", "pathlib", "urllib", "argparse", "gettext"}
 
     @staticmethod
     def _run_without_git(root: Path, argv: list[str]) -> str:

@@ -1,7 +1,7 @@
-"""The exit-code contract as a property: whatever path a user types, in a
-checkout holding entries git does not carry and a citation file that may be
-broken, ``gitcite`` ends in a documented exit code with at most one line of
-explanation, and leaves the citation file as it was or parseable."""
+"""The exit-code contract as a property: whatever command line a user types,
+in a checkout holding entries git does not carry and a citation file that
+may be broken, ``gitcite`` ends in a documented exit code with at most one
+line of explanation, and leaves the citation file as it was or parseable."""
 
 from __future__ import annotations
 
@@ -18,11 +18,10 @@ from hypothesis import given, settings, strategies as st
 from gitcite import CitationFile
 from gitcite.cli import main
 from gitcite.fileformat import parse, serialize
-from gitcite.gitadapter import store_citation_file
 from gitcite.paths import ROOT, from_rendered
 
 from conftest import git, init_repo
-from support import record
+from support import record, store_citation_file
 
 COMMITTED = CitationFile(
     {ROOT: record("root"), from_rendered("/a.c"): record("a"), from_rendered("/sub/"): record("sub")}
@@ -111,14 +110,34 @@ _EDITS = st.lists(
 ).map(lambda options: [word for option in options for word in option])
 
 
+# Each fails before it writes: a source that is no repository, or a name holding a NUL.
+_COPY_SOURCES = st.sampled_from(["no-such-repo", "x\x00y"])
+_REVISIONS = st.sampled_from(["HEAD", "no-such-rev", "HEAD\x00", "\x00", "a\nb"])
+_USAGE = st.sampled_from([
+    [], ["nope"], [""], ["-x"], ["nul\x00"], ["gen"], ["gen", "a.c", "--version"], ["gen", "a.c", "--format"],
+    ["gen", "a.c", "--format", "xml"], ["add", "a.c", "--field"], ["modify", "a.c", "--authors"],
+    ["gen", "a.c", "--vers", "HEAD"], ["merge", "HEAD", "--ours", "--theirs"], ["copy", "x"], ["del", "a.c", "b.c"],
+])
+
+
 @st.composite
 def _argvs(draw) -> list[str]:
-    command = draw(st.sampled_from(["gen", "gen-version", "add", "modify", "del", "validate"]))
+    command = draw(st.sampled_from(
+        ["gen", "gen-version", "add", "modify", "del", "validate", "merge", "copy", "help", "usage"]
+    ))
     if command == "validate":
         return ["validate"]
+    if command == "usage":
+        return draw(_USAGE)
+    if command == "help":
+        return draw(st.sampled_from([["-h"], ["--help"], ["gen", "-h"], ["merge", "HEAD", "--help"]]))
+    if command == "merge":
+        return ["merge", draw(_REVISIONS), *draw(st.sampled_from([[], ["--ours"], ["--theirs"]]))]
     path = draw(_paths())
+    if command == "copy":
+        return ["copy", draw(_COPY_SOURCES), draw(st.sampled_from(["sub", "/"])), path]
     if command == "gen-version":
-        return ["gen", path, "--version", "HEAD"]
+        return ["gen", path, "--version", draw(_REVISIONS)]
     if command in ("add", "modify"):
         return [command, path, *draw(_EDITS)]
     return [command, path]
@@ -134,11 +153,7 @@ def _run(argv: list[str], cwd: Path) -> tuple[int, str, str]:
     os.chdir(cwd)
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's usage error, and nothing else
-                assert exc.code == 2, argv
-                code = 2
+            code = main(argv)
             stdout.flush()
             stderr.flush()
     finally:
@@ -154,8 +169,10 @@ def test_every_command_ends_in_a_documented_exit_code(checkouts, top, cwd, argv)
     try:
         code, out, err = _run(argv, root / cwd)
         assert code in (0, 1, 2, 3), (argv, code, err)
+        one_line = err.startswith("gitcite: ") and err.count("\n") == 1 and err.endswith("\n")
+        if code == 2:  # a usage error: one line, before anything runs
+            assert out == "" and one_line, (argv, err)
         if code in (1, 3):
-            one_line = err.startswith("gitcite: ") and err.count("\n") == 1 and err.endswith("\n")
             if argv[0] == "validate" and code == 1 and not one_line:  # the inconsistencies, on stdout
                 warning = f"{os.path.realpath(root)}/citation.cite is not in canonical form; was it edited by hand?\n"
                 assert out and err in ("", warning), (out, err)

@@ -9,11 +9,13 @@ from hypothesis import given, strategies as st
 
 from gitcite import CitationFile, CitationRecord
 from gitcite.errors import MalformedDocument
-from gitcite.fileformat import parse, record_from_obj, record_to_obj, serialize
-from gitcite.paths import ROOT, from_rendered
+from gitcite.fileformat import parse, record_from_obj, serialize
+from gitcite.model import RECORD_FIELDS
+from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
+from gitcite.render import as_json
 
 import randgen
-from support import record
+from support import record, record_to_obj
 
 MINIMAL = """{
   "/": {
@@ -87,21 +89,38 @@ def test_parse_reports_position_for_broken_json():
     assert err.value.line is not None
 
 
+_R = '"owner": "o", "repo_name": "r", "locator": "u"'
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "[]",
-        '{"no-slash": {"owner": "o", "repo_name": "r", "locator": "u"}}',
-        '{"/": "not an object"}',
-        '{"/": {"repo_name": "r", "locator": "u"}}',
-        '{"/": {"owner": "", "repo_name": "r", "locator": "u"}}',
-        '{"/": {"owner": "o", "repo_name": "r", "locator": "u", "author_list": "not-a-list"}}',
-        '{"/": {"owner": "o", "repo_name": "r", "locator": "u", "mystery": 3}}',
+        ("[]", "the top level must be a single object of path -> record entries"),
+        ('{"no-slash": {%s}}' % _R, "invalid path key 'no-slash': rendered path must start with '/': 'no-slash'"),
+        ('{"/a//b": {%s}}' % _R, "invalid path key '/a//b': empty path segment"),
+        ('{"/": "not an object"}', "entry '/' must be an object"),
+        ('{"/": {"repo_name": "r", "locator": "u"}}', "entry '/' is missing 'owner'"),
+        ('{"/": {"locator": 5, "author_list": 3}}', "entry '/' is missing 'owner'"),
+        ('{"/": {"owner": 1, "repo_name": "r", "locator": "u"}}', "entry '/': 'owner' must be a string"),
+        ('{"/": {%s, "date": null}}' % _R, "entry '/': 'date' must be a string"),
+        ('{"/": {%s, "author_list": "not-a-list"}}' % _R, "entry '/': 'author_list' must be a list of strings"),
+        ('{"/": {%s, "author_list": ["a", 2]}}' % _R, "entry '/': 'author_list' must be a list of strings"),
+        ('{"/": {%s, "extras": []}}' % _R, "entry '/': 'extras' must be an object"),
+        ('{"/": {%s, "mystery": 3}}' % _R, "entry '/': unknown field 'mystery' must be a string"),
+        ('{"/": {%s, "zeta": 1, "alpha": 2}}' % _R, "entry '/': unknown field 'zeta' must be a string"),
+        ('{"/": {%s, "extras": {"k": "1"}, "k": "2"}}' % _R, "entry '/': field 'k' collides with an extras key"),
+        ('{"/": {"owner": "", "repo_name": "r", "locator": "u"}}', "entry '/': owner must be non-empty"),
+        ('{"/": {%s, "extras": {"k": 1}}}' % _R, "entry '/': extras must map strings to strings"),
+        ('{"/": {%s, "extras": {"owner": "x"}}}' % _R, "entry '/': extras key 'owner' shadows a named field"),
+        ('{"/": {%s}, "/": {%s}}' % (_R, _R), "duplicate key '/'"),
+        ('{"/": {%s, "owner": "p"}}' % _R, "duplicate key 'owner'"),
+        ('{"/": ', "Expecting value (line 1, column 7)"),
     ],
 )
-def test_malformed_documents(text):
-    with pytest.raises(MalformedDocument):
+def test_malformed_documents(text, message):
+    with pytest.raises(MalformedDocument) as err:
         parse(text)
+    assert str(err.value) == message
 
 
 def test_document_without_root_entry():
@@ -148,6 +167,43 @@ RECORDS = st.builds(
 @given(RECORDS)
 def test_record_object_round_trip(rec):
     assert record_from_obj(record_to_obj(rec)) == rec
+
+
+# Any character, plus those json escapes or passes through as they are:
+# quotes, backslashes, control characters, a line separator and lone surrogates.
+_CHARS = st.one_of(st.characters(), st.sampled_from('"\\\n\r\t\b\f\x00\x1f\x7f\u2028\udcff\ud800é猫😀'))
+_TEXTS = st.text(_CHARS, max_size=6)
+_SEGMENTS = st.text(_CHARS.filter(lambda c: c not in "/\\"), min_size=1, max_size=4).filter(
+    lambda s: s not in (".", "..")
+)
+ANY_RECORDS = st.builds(
+    CitationRecord,
+    owner=_TEXTS.filter(bool),
+    repo_name=_TEXTS.filter(bool),
+    locator=_TEXTS.filter(bool),
+    version_id=_TEXTS,
+    date=_TEXTS,
+    author_list=st.lists(_TEXTS, max_size=3),
+    extras=st.dictionaries(_TEXTS.filter(lambda k: k not in RECORD_FIELDS), _TEXTS, max_size=3),
+)
+ANY_KEYS = st.one_of(
+    st.builds(CanonicalPath, st.lists(_SEGMENTS, max_size=3).map(tuple), st.just(PathKind.DIRECTORY)),
+    st.builds(CanonicalPath, st.lists(_SEGMENTS, min_size=1, max_size=3).map(tuple), st.just(PathKind.FILE)),
+)
+
+
+@given(st.dictionaries(ANY_KEYS, ANY_RECORDS, max_size=4))
+def test_serialize_writes_the_bytes_json_dumps_writes(entries):
+    # The oracle is the call serialize replaced; the empty file is one input.
+    cf = CitationFile(entries)
+    doc = {key.render(): record_to_obj(rec) for key, rec in cf.items()}
+    assert serialize(cf) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    for rec in entries.values():
+        assert as_json(rec) == json.dumps(record_to_obj(rec), indent=2, ensure_ascii=False)
+
+
+def test_serialize_of_an_empty_file_is_an_empty_object():
+    assert serialize(CitationFile()) == "{}\n"
 
 
 def test_single_added_entry_diffs_minimally():

@@ -22,7 +22,6 @@ from gitcite.gitadapter import (
     load_citation_file,
     run_merge,
     staged_changes,
-    store_citation_file,
     sync_on_commit,
 )
 from gitcite.ops import carry_keys, choose_left, choose_right, merge_citation_files
@@ -30,7 +29,7 @@ from gitcite.paths import ROOT, PathKind, from_rendered
 
 from conftest import git, init_repo, seed
 from identity_model import Model, citation_file
-from support import record, snapshot_worktree
+from support import record, snapshot_worktree, store_citation_file
 
 
 def _source(tag: str) -> str:

@@ -17,12 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from gitcite.cli import main
 from gitcite.errors import GitCiteError
-from gitcite.gitadapter import RevisionLookup, WorktreeLookup, store_citation_file
+from gitcite.gitadapter import RevisionLookup, WorktreeLookup
 from gitcite.model import CitationFile, TreeSnapshot
 from gitcite.paths import PathKind
 
 from conftest import git, init_repo
-from support import record, snapshot_worktree
+from support import record, snapshot_worktree, store_citation_file
 
 _NAMES = st.sampled_from(["a", "b.c", ".git", "citation.cite"])
 # A leaf is a file, one of three symlinks or a FIFO; a dict is a directory, maybe empty.

@@ -24,14 +24,13 @@ from gitcite.gitadapter import (
     RevisionLookup,
     citation_file_at_revision,
     default_root_citation,
-    store_citation_file,
     sync_on_commit,
 )
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 
 import randgen
 from conftest import git
-from support import record, resolve_by_walking, tree
+from support import record, resolve_by_walking, store_citation_file, tree
 
 TREE = tree("/f1", "/f2", "/sub/a.c", "/sub/b.c")
 ROOT_ONLY = CitationFile.single(record("root"))
@@ -403,11 +402,11 @@ def test_one_function_asks_git_for_renames_and_one_splits_its_diffs():
 def test_one_function_reads_edits_and_writes_the_citation_file():
     """``update_citation_file`` is the one read-edit-write, under the writer
     lock. The lock file holds the new bytes: its ``commit``, which
-    ``update_citation_file`` and ``store_citation_file`` alone call, makes
+    ``update_citation_file`` and ``create_citation_file`` alone call, makes
     the one ``os.replace``, and only ``init``, which creates the file, calls
-    ``store_citation_file``. The lock file's name is built in one function,
+    ``create_citation_file``. The lock file's name is built in one function,
     so every writer takes the same lock."""
-    replaces, commits, stores, lock_names = [], [], [], set()
+    replaces, commits, creates, lock_names = [], [], [], set()
     for source in Path(gitcite.__file__).parent.glob("*.py"):
         module = ast.parse(source.read_text(encoding="utf-8"))
         for func in ast.walk(module):
@@ -418,15 +417,15 @@ def test_one_function_reads_edits_and_writes_the_citation_file():
                     replaces.append(func.name)
                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "commit":
                     commits.append(func.name)
-                if isinstance(node, ast.Call) and "store_citation_file" in (
+                if isinstance(node, ast.Call) and "create_citation_file" in (
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)
                 ):
-                    stores.append(func.name)
+                    creates.append(func.name)
                 if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.endswith(".lock"):
                     lock_names.add(func.name)
     assert replaces == ["commit"]
-    assert sorted(commits) == ["store_citation_file", "update_citation_file"]
-    assert stores == ["cmd_init"]
+    assert sorted(commits) == ["create_citation_file", "update_citation_file"]
+    assert creates == ["cmd_init"]
     assert len(lock_names) == 1
 
 
