@@ -233,13 +233,24 @@ def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
 # --- Git plumbing -----------------------------------------------------------
 
 
-def _git(root: str, *args: str, check: bool = True, input: str | None = None):
-    """Run git and return its ``subprocess.CompletedProcess``. Its output is
-    decoded as Python decodes file names: a byte that is not UTF-8 becomes a
-    lone surrogate, which encodes back to the same byte when the text is
-    handed to git or the file system again. ``input`` is encoded the same
-    way. Nothing else is translated, so a ``\\r`` in a file name stays one.
-    ``subprocess`` is imported on the first call: most commands run no git."""
+# The git commands whose exit 1 is an answer: no such revision (``rev-parse --verify -q``)
+# or setting (``config``), no merge base, a conflicted ``merge-tree --write-tree``, a bad signature.
+_ANSWERS_ON_1 = frozenset({"rev-parse", "config", "merge-base", "merge-tree", "verify-commit"})
+
+
+def _git(root: str, *args: str, input: str | None = None, failure: str = ""):
+    """Run git and return its ``subprocess.CompletedProcess``; the one place
+    that reads git's exit code. Exit 0 returns, and so does exit 1 of a
+    command in :data:`_ANSWERS_ON_1`, which only those callers read. Any other
+    exit, git's fatal 128 above all, raises :class:`~gitcite.errors.IoFailure`
+    with ``failure`` (by default ``git <args> failed``) and git's first stderr
+    line, with the tab-indented paths under it but not the advice after. The
+    command is the first argument past git's own options (``-c`` takes a
+    ``name=value``). Output is decoded as Python decodes file names: a byte
+    that is not UTF-8 becomes a lone surrogate, which encodes back to the same
+    byte when handed to git or the file system again. ``input`` is encoded the
+    same way, and a ``\\r`` in a file name stays one. ``subprocess`` is
+    imported on the first call: most commands run no git."""
     import subprocess
 
     proc = subprocess.run(
@@ -249,9 +260,10 @@ def _git(root: str, *args: str, check: bool = True, input: str | None = None):
     )
     proc.stdout = proc.stdout.decode("utf-8", "surrogateescape")
     proc.stderr = proc.stderr.decode("utf-8", "surrogateescape")
-    if check and proc.returncode != 0:
-        message = proc.stderr.strip().partition("\n")[0]  # the lines after git's message are advice
-        raise IoFailure(f"git {' '.join(args)} failed: {message}")
+    command = next(word for word in args if word[:1] != "-" and "=" not in word)
+    if proc.returncode and (proc.returncode != 1 or command not in _ANSWERS_ON_1):
+        message = re.match(r".*(?:\n\t.*)*", proc.stderr.strip()).group()
+        raise IoFailure(f"{failure or 'git ' + ' '.join(args) + ' failed'}: {message}")
     return proc
 
 
@@ -265,15 +277,15 @@ def default_root_citation(top: str) -> CitationRecord:
     id and date are the head commit's. The authors are the distinct commit
     authors, oldest first, or the owner alone before the first commit.
     """
-    origin = _git(top, "config", "--get", "remote.origin.url", check=False).stdout.strip()
+    origin = _git(top, "config", "--get", "remote.origin.url").stdout.strip()
     match = re.search(r"[:/]([^/:]+)/([^/:]+?)(?:\.git)?/?$", origin)  # .../<owner>/<name>[.git]
     owner, repo_name = match.groups() if match else (None, None)
     if not owner:
-        owner = _git(top, "config", "user.name", check=False).stdout.strip()
+        owner = _git(top, "config", "user.name").stdout.strip()
     if not owner:
         raise GitCiteError("owner is required for the default citation: set an origin remote or user.name")
-    log = _git(top, "log", "--reverse", "--format=%h%x00%cI%x00%aN", check=False)  # fails with no commit
-    commits = [line.split("\0") for line in log.stdout.split("\n") if line] if log.returncode == 0 else []
+    log = _git(top, "log", "--ignore-missing", "--reverse", "--format=%h%x00%cI%x00%aN", "HEAD")  # empty with no commit
+    commits = [line.split("\0") for line in log.stdout.split("\n") if line]
     head_id, head_date, _ = commits[-1] if commits else ("", "", "")
     if not origin:
         from pathlib import Path  # only the file:// locator needs it, and only here
@@ -369,13 +381,11 @@ class RevisionLookup(_PathLookup):
         path_text = "/".join(segments)
         if "\0" in path_text:  # no git path holds one, and no argument can
             return None
-        proc = _git(
-            self._root, "--literal-pathspecs", "ls-tree", "--full-tree", "-z",
-            self._rev, "--", path_text, check=False,
-        )
-        if proc.returncode != 0:
+        try:
+            proc = _git(self._root, "--literal-pathspecs", "ls-tree", "--full-tree", "-z", self._rev, "--", path_text)
+        except IoFailure:  # an unknown revision is the user's error, not the environment's
             _require_tree(self._root, self._rev)
-            raise IoFailure(f"git ls-tree {self._rev} failed: {proc.stderr.strip()}")
+            raise
         for entry in proc.stdout.split("\0"):
             meta, _, name = entry.partition("\t")
             if name == path_text:
@@ -385,7 +395,7 @@ class RevisionLookup(_PathLookup):
 
 def _require_tree(root: str, rev: str) -> None:
     """Raise :class:`~gitcite.errors.GitCiteError` unless git resolves ``rev`` to a tree."""
-    if "\0" in rev or _git(root, "rev-parse", "--verify", "-q", f"{rev}^{{tree}}", check=False).returncode:
+    if "\0" in rev or _git(root, "rev-parse", "--verify", "-q", f"{rev}^{{tree}}").returncode:
         raise GitCiteError(f"unknown revision {rev!r}")
 
 
@@ -434,8 +444,8 @@ def staged_changes(root: str) -> tuple[list[Rename], list[CanonicalPath]]:
     of ``HEAD``'s tree and the index's, which ``git write-tree`` writes as ``git
     commit`` would, without intent-to-add entries; an unmerged index raises
     :class:`~gitcite.errors.IoFailure`. With no ``HEAD`` or no change, nothing is diffed."""
-    head = _git(root, "rev-parse", "-q", "--verify", "HEAD^{tree}", check=False)
-    if head.returncode != 0:
+    head = _git(root, "rev-parse", "-q", "--verify", "HEAD^{tree}")
+    if head.returncode:
         return [], []
     head_tree, index_tree = head.stdout.strip(), _git(root, "write-tree").stdout.strip()
     if head_tree == index_tree:
@@ -666,8 +676,8 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
             raise GitCiteError(f"unknown revision {other!r}")
         if " " in head_rev:
             raise IoFailure("HEAD has no commit to merge into")
-        base_proc = _git(root, "merge-base", head_rev, other_rev, check=False)
-        if base_proc.returncode != 0:
+        base_proc = _git(root, "merge-base", head_rev, other_rev)
+        if base_proc.returncode:
             raise GitCiteError(f"HEAD and {other!r} share no history")
         base_rev = base_proc.stdout.strip()
         if base_rev == other_rev:
@@ -679,23 +689,20 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
             line.partition(" ")[::2]
             for line in _git(
                 root, "config", "--type=bool-or-str", "--get-regexp",
-                r"^(commit\.gpgsign|merge\.verifysignatures|gpg\.mintrustlevel)$", check=False,
+                r"^(commit\.gpgsign|merge\.verifysignatures|gpg\.mintrustlevel)$",
             ).stdout.split("\n")
             if line
         )
         if settings.get("merge.verifysignatures") == "true":  # as git merge checks the merged head
             trust = [] if "gpg.mintrustlevel" in settings else ["-c", "gpg.minTrustLevel=marginal"]
-            verify = _git(root, *trust, "verify-commit", other_rev, check=False)
-            if verify.returncode != 0:
+            verify = _git(root, *trust, "verify-commit", other_rev)
+            if verify.returncode:
                 raise IoFailure(
                     f"merge.verifySignatures: {other} has no good, trusted signature: {verify.stderr.strip()}"
                 )
 
-        trial = _git(  # prints the merged tree's id, then each conflicted path; exits 1 on a conflict
-            root, "merge-tree", "--write-tree", "--name-only", "--no-messages", "-z", head_rev, other_rev, check=False
-        )
-        if trial.returncode not in (0, 1):
-            raise IoFailure(f"git merge-tree failed: {trial.stderr.strip()}")
+        # merge-tree prints the merged tree's id, then each conflicted path, and exits 1 on a conflict
+        trial = _git(root, "merge-tree", "--write-tree", "--name-only", "--no-messages", "-z", head_rev, other_rev)
         merged_tree, *conflicted = trial.stdout.split("\0")
         conflicted = [p for p in conflicted if p and p != CITATION_FILE]
         if conflicted:
@@ -720,9 +727,7 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
         commit = _git(
             root, "commit-tree", tree, "-p", head_rev, "-p", other_rev, "-m", f"Merge {other}", *sign
         ).stdout.strip()
-        advance = _git(root, "merge", "--ff-only", "-q", "--no-verify-signatures", commit, check=False)
-        if advance.returncode != 0:
-            raise IoFailure(f"git merge {other} refused: {advance.stderr.strip()}")
+        _git(root, "merge", "--ff-only", "-q", "--no-verify-signatures", commit, failure=f"git merge {other} refused")
         return merged_cf, conflicts
 
 
@@ -743,13 +748,10 @@ def run_copy(
     the new citation file and the added keys."""
     if "\0" in src:  # no path or URL holds one, and no argument can
         raise IoFailure(f"cannot fetch the HEAD of {src!r}: a name holding a NUL names no repository")
-    fetch = _git(  # run where ``src`` was typed, into this repository
+    _git(  # run where ``src`` was typed, into this repository
         ".", f"--git-dir={os.path.join(root, '.git')}", "fetch", "-q", "--no-tags", "--no-auto-maintenance",
-        "--no-recurse-submodules", "--end-of-options", src, "HEAD", check=False,
+        "--no-recurse-submodules", "--end-of-options", src, "HEAD", failure=f"cannot fetch the HEAD of {src!r}",
     )
-    if fetch.returncode != 0:
-        message = fetch.stderr.strip().partition("\n")[0]
-        raise IoFailure(f"cannot fetch the HEAD of {src!r}: {message}")
     commit = _git(root, "rev-parse", "--verify", "-q", "FETCH_HEAD^{commit}").stdout.strip()
     src_cf = citation_file_at_revision(root, commit, f"the HEAD of {src!r}")
     dst_dir = "/".join(dst_path.segments) + "/"
@@ -770,7 +772,10 @@ def run_copy(
         merged = update_citation_file(root, copy)
     except BaseException:
         if added:  # nothing was there before this call's read-tree
-            _git(root, "--literal-pathspecs", "rm", "-r", "-q", "-f", "--", dst_dir, check=False)
+            try:  # best effort: the error that got here is the one to report
+                _git(root, "--literal-pathspecs", "rm", "-r", "-q", "-f", "--", dst_dir)
+            except IoFailure:
+                pass
             for current, _, _ in os.walk(os.path.join(root, *dst_path.segments), topdown=False):
                 try:
                     os.rmdir(current)

@@ -205,7 +205,7 @@ def merge_citation_files(
     """
     merged: dict[CanonicalPath, CitationRecord] = {}
     conflicts: list[ConflictReport] = []
-    for key in sorted(base.keys() | left.keys() | right.keys()):
+    for key in sorted(base.keys() | left.keys() | right.keys(), key=CanonicalPath.render):
         from_left, from_right = left.get(key), right.get(key)
         record = three_way(base.get(key), from_left, from_right)
         if record is CONFLICT:

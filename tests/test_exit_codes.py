@@ -1,7 +1,9 @@
 """The exit-code contract as a property: whatever command line a user types,
 in a checkout holding entries git does not carry and a citation file that
 may be broken, ``gitcite`` ends in a documented exit code with at most one
-line of explanation, and leaves the citation file as it was or parseable."""
+line of explanation, and leaves the citation file as it was or parseable.
+And whichever git call fails, a command exits 3 and leaves the checkout as
+it was: no failed git call is read as an answer."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import io
 import json
 import os
 import stat
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -17,10 +20,12 @@ from hypothesis import given, settings, strategies as st
 
 from gitcite import CitationFile
 from gitcite.cli import main
+from gitcite.errors import IoFailure
 from gitcite.fileformat import parse, serialize
+from gitcite.gitadapter import load_citation_file, staged_changes, sync_on_commit
 from gitcite.paths import ROOT, from_rendered
 
-from conftest import git, init_repo
+from conftest import git, init_repo, seed
 from support import record, store_citation_file
 
 COMMITTED = CitationFile(
@@ -193,3 +198,159 @@ def test_a_path_holding_a_nul_is_named_on_one_line(checkouts, version):
     # No git path holds a NUL, so its lookup asks git nothing; the message escapes it.
     code, out, err = _run(["gen", "nul\x00.c", *version], checkouts["canonical"])
     assert (code, out, err) == (1, "", "gitcite: /nul\\x00.c is not in the tree\n")
+
+
+# --- Every git call failing in turn ------------------------------------------
+
+
+def _failing_git(monkeypatch, k: int) -> list[list[str]]:
+    """Make the ``k``-th git call of gitcite fail as git fails fatally, with
+    exit 128 and ``fatal: injected``, without running it; every other call
+    runs. Returns the calls made, so a run that makes fewer than ``k`` is one
+    that no fault reached. ``_git`` runs git through ``subprocess.run``, so it
+    reads the injected exit as it reads any other."""
+    calls: list[list[str]] = []
+    real_run = subprocess.run
+
+    def run(argv, **kwargs):
+        calls.append(argv)
+        if len(calls) == k:
+            return subprocess.CompletedProcess(argv, 128, b"", b"fatal: injected\n")
+        return real_run(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", run)
+    return calls
+
+
+def _state(root: Path) -> tuple[object, ...]:
+    """What a failed command must leave as it was: ``HEAD``, the index, ``git
+    status``, the citation file's bytes, and no lock or pending merge.
+    ``FETCH_HEAD`` and unreferenced objects do not count."""
+    listings = [git(root, *args, check=False).stdout for args in (
+        ["rev-parse", "HEAD"], ["ls-files", "-s"], ["status", "--porcelain"],
+    )]
+    cite = root / "citation.cite"
+    return (
+        listings, cite.read_bytes() if cite.exists() else None,
+        (root / "citation.cite.lock").exists(), sorted(p.name for p in (root / ".git").glob("MERGE_*")),
+    )
+
+
+def _source(root: Path) -> Path:
+    init_repo(root)
+    seed(root, {"sub/a.c": "a", "sub/deep/b.c": "b", "top.c": "t"}, {"/sub/deep/": "deep"})
+    return root
+
+
+def _merging(root: Path) -> Path:
+    """Both branches changed ``/shared.c``'s record, and each a file of its own."""
+    init_repo(root)
+    seed(root, {"shared.c": "s"}, {"/shared.c": "base"})
+    for branch, new in (("side", ["checkout", "-q", "-b", "side"]), ("main", ["checkout", "-q", "main"])):
+        git(root, *new)
+        (root / f"{branch}.c").write_text(branch)
+        store_citation_file(root, load_citation_file(root).with_entry(from_rendered("/shared.c"), record(branch)))
+        git(root, "add", "-A")
+        git(root, "commit", "-q", "-m", branch)
+    return root
+
+
+def _init(root: Path) -> Path:
+    init_repo(root)  # no origin: the origin, then user.name, then the log
+    git(root, "commit", "-q", "--allow-empty", "-m", "first")
+    return root
+
+
+def _cited(root: Path) -> Path:
+    init_repo(root)
+    seed(root, {"a.c": "a", "d/f.c": "f"}, {"/a.c": "a", "/d/": "d"})
+    return root
+
+
+def _copying(root: Path) -> Path:
+    _source(root.parent / "src")
+    return _cited(root)
+
+
+# Each command, the builder of the checkout it runs in (a copy's source goes
+# beside it), and the number of git calls it makes when nothing fails.
+SWEEP = {
+    "init": (_init, ["init"], 3),
+    "copy-subtree": (_copying, ["copy", "../src", "sub/", "vendor/"], 5),
+    "copy-root": (_copying, ["copy", "../src", "/", "whole/"], 7),
+    "merge": (_merging, ["merge", "side", "--ours"], 11),
+    "gen-version": (_cited, ["gen", "d/f.c", "--version", "HEAD"], 2),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SWEEP))
+def test_every_failed_git_call_exits_3_and_changes_nothing(tmp_path, monkeypatch, scenario):
+    build, argv, n_calls = SWEEP[scenario]
+    root = build(tmp_path / "checkout")
+    before, k = _state(root), 0
+    while True:  # fail the 1st call, the 2nd, ..., until a run that no fault reached
+        k += 1
+        with monkeypatch.context() as patch:
+            calls = _failing_git(patch, k)
+            code, out, err = _run(argv, root)
+        if len(calls) < k:
+            break
+        assert (code, err.count("\n"), err[:9]) == (3, 1, "gitcite: "), (k, calls[k - 1], code, err)
+        assert err.endswith(": fatal: injected\n"), (k, err)
+        assert _state(root) == before, (k, calls[k - 1])
+    assert (code, err, len(calls)) == (0, "", n_calls), (err, calls)
+
+
+def test_every_failed_git_call_of_a_sync_raises(tmp_path, monkeypatch):
+    root = _cited(tmp_path)
+    git(root, "mv", "d", "e")
+    before, k = _state(root), 0
+    while True:
+        k += 1
+        with monkeypatch.context() as patch:
+            calls = _failing_git(patch, k)
+            try:
+                synced = sync_on_commit(str(root), *staged_changes(str(root)))
+            except IoFailure as exc:
+                assert str(exc).endswith(": fatal: injected"), (k, exc)
+            else:
+                assert len(calls) < k, (k, calls[k - 1])
+                break
+        assert _state(root) == before, (k, calls[k - 1])
+    assert len(calls) == 4 and from_rendered("/e/") in synced, calls
+
+
+# --- A malformed git configuration -------------------------------------------
+
+
+@pytest.fixture
+def broken_config(tmp_path) -> Path:
+    """A cited checkout whose ``.git/config`` ends in the line ``[core``, so
+    every git call that reads the configuration exits 128."""
+    root = _cited(tmp_path)
+    git(root, "mv", "d", "e")
+    with open(root / ".git" / "config", "a") as config:
+        config.write("[core\n")
+    return root
+
+
+def test_a_sync_with_a_broken_config_raises(broken_config):
+    with pytest.raises(IoFailure, match=r"^git rev-parse -q --verify HEAD\^\{tree\} failed: fatal: bad config line"):
+        staged_changes(str(broken_config))
+
+
+def test_init_with_a_broken_config_names_git_s_message(broken_config):
+    (broken_config / "citation.cite").unlink()
+    code, out, err = _run(["init"], broken_config)
+    assert (code, out) == (3, "")
+    assert err.startswith("gitcite: git config --get remote.origin.url failed: fatal: bad config line "), err
+    assert err.count("\n") == 1 and not (broken_config / "citation.cite").exists()
+
+
+def test_init_before_the_first_commit_credits_the_owner(tmp_path):
+    root = init_repo(tmp_path)
+    assert _run(["init"], root)[0] == 0
+    drafted = load_citation_file(str(root)).get(ROOT)
+    assert (drafted.owner, drafted.author_list, drafted.version_id, drafted.date) == (
+        "Ada Tester", ("Ada Tester",), "", ""
+    )

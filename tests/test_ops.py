@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gitcite
-from gitcite import CitationFile, resolve, validate
+from gitcite import CitationFile, gitadapter, resolve, validate
 from gitcite.errors import GitCiteError, PathNotInTree
 from gitcite.ops import (
     apply_add,
@@ -298,6 +298,29 @@ def test_sync_builds_a_bounded_number_of_citation_files(tmp_path, monkeypatch):
     assert len(synced) == len(cites) + 1
 
 
+def test_a_merge_renders_each_key_at_most_twice(monkeypatch):
+    # Sorting the key union by comparing paths would render both paths at
+    # every comparison: about 2 n log n renders instead of n.
+    def cites(first: int) -> CitationFile:
+        return CitationFile({ROOT: record("root"), **{
+            from_rendered(f"/pkg/d{i % 7}/f{i:03d}.c"): record(str(i)) for i in range(first, first + 200)
+        }})
+
+    base, left, right = cites(0), cites(50), cites(100)
+    renders = []
+    render = CanonicalPath.render
+
+    def counting(self):
+        renders.append(1)
+        return render(self)
+
+    monkeypatch.setattr(CanonicalPath, "render", counting)
+    merged, conflicts = merge_citation_files(base, left, right)
+    distinct = len(base.keys() | left.keys() | right.keys())
+    assert len(renders) <= 2 * distinct
+    assert [str(key) for key in merged] == sorted(str(key) for key in merged) and not conflicts
+
+
 def _imported_modules(source: Path) -> set[str]:
     """Every module ``source`` imports, a ``from`` import's names included."""
     imported = set()
@@ -397,6 +420,42 @@ def test_one_function_asks_git_for_renames_and_one_splits_its_diffs():
         called = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
         methods = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
         assert "_raw_diff" in called and not methods & {"split", "rsplit", "partition", "rpartition"}, func.name
+
+
+def _git_command(call: ast.Call) -> str:
+    """The git command a ``_git`` call runs, found as ``_git`` finds it: the
+    first constant argument past the root and git's own options."""
+    words = [arg.value for arg in call.args[1:] if isinstance(arg, ast.Constant)]
+    return next((word for word in words if word[:1] != "-" and "=" not in word), "")
+
+
+def test_only_git_reads_an_exit_code_and_exit_1_only_where_it_is_an_answer():
+    """``gitadapter._git`` alone decides what git's exit code means. It
+    returns exit 1 only from the commands whose 1 means "no such thing" or
+    "no", and raises for any other failure; so no call passes ``check=``, and
+    a caller reads ``returncode`` only from one of those commands."""
+    answers = {"rev-parse", "config", "merge-base", "merge-tree", "verify-commit"}
+    read = []
+    for source in Path(gitcite.__file__).parent.glob("*.py"):
+        for func in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef) or func.name == "_git":
+                continue
+            calls = [
+                node for node in ast.walk(func) if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_git"
+            ]
+            assert not [kw for call in calls for kw in call.keywords if kw.arg == "check"], (source.name, func.name)
+            bound = {  # each name bound to a _git call's result, and that call's command
+                node.targets[0].id: _git_command(node.value) for node in ast.walk(func)
+                if isinstance(node, ast.Assign) and node.value in calls and isinstance(node.targets[0], ast.Name)
+            }
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr == "returncode":
+                    of = node.value
+                    command = _git_command(of) if of in calls else bound.get(getattr(of, "id", None))
+                    assert command in answers, (source.name, func.name, ast.unparse(node))
+                    read.append(command)
+    assert sorted(read) == ["merge-base", "rev-parse", "rev-parse", "verify-commit"]
+    assert gitadapter._ANSWERS_ON_1 == answers
 
 
 def test_one_function_reads_edits_and_writes_the_citation_file():
