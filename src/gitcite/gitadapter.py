@@ -241,7 +241,7 @@ _ANSWERS_ON_1 = frozenset({"rev-parse", "config", "merge-base", "merge-tree", "v
 def _git(root: str, *args: str, input: str | None = None, failure: str = ""):
     """Run git and return its ``subprocess.CompletedProcess``; the one place
     that reads git's exit code. Exit 0 returns, and so does exit 1 of a
-    command in :data:`_ANSWERS_ON_1`, which only those callers read. Any other
+    command in :data:`_ANSWERS_ON_1`, whose caller reads it as an answer. Any other
     exit, git's fatal 128 above all, raises :class:`~gitcite.errors.IoFailure`
     with ``failure`` (by default ``git <args> failed``) and git's first stderr
     line, with the tab-indented paths under it but not the advice after. The
