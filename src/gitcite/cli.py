@@ -198,7 +198,7 @@ def _interactive_resolver():
             if answer.startswith("e"):
                 payload = answer[4 if answer.startswith("edit") else 1:].strip() or sys.stdin.readline().strip()
                 try:
-                    return fileformat.record_from_obj(json.loads(payload))
+                    return fileformat.record_from_obj(json.loads(payload, object_pairs_hook=fileformat.no_duplicates))
                 except (ValueError, GitCiteError) as exc:  # keep prompting on a bad record
                     print(f"  not a valid record: {exc}")
 

@@ -1,12 +1,13 @@
 """Canonical on-disk form of a citation file.
 
 The document is a single UTF-8 JSON object mapping rendered paths to record
-objects. Keys are sorted bytewise, record fields appear in a fixed order,
-indentation is two spaces, and the file ends with one newline. Equal
-citation files therefore always serialize to identical bytes, which keeps
-diffs small and makes text-merging the file unnecessary. The text is the
-one ``json.dumps(doc, indent=2, ensure_ascii=False)`` writes, built here
-directly because that call runs json's pure-Python encoder.
+objects. :func:`serialize` sorts the keys bytewise, whatever order the
+``CitationFile`` holds them in, and :func:`parse` keeps the document's order.
+Record fields appear in a fixed order, indentation is two spaces, and the
+file ends with one newline. Equal citation files therefore always serialize
+to identical bytes, which keeps diffs small and makes text-merging the file
+unnecessary. The text is what ``json.dumps(doc, indent=2, ensure_ascii=False)``
+writes, built directly because that call runs json's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -78,11 +79,12 @@ def _record_json(record: CitationRecord, pad: str = "") -> str:
 def serialize(cf: CitationFile) -> str:
     if not cf:
         return "{}\n"
-    entries = ",\n".join(f"  {_quote(key.render())}: {_record_json(record, '  ')}" for key, record in cf.items())
+    rendered = sorted((key.render(), record) for key, record in cf.items())  # distinct texts: no record compared
+    entries = ",\n".join(f"  {_quote(text)}: {_record_json(record, '  ')}" for text, record in rendered)
     return "{\n" + entries + "\n}\n"
 
 
-def _no_duplicates(pairs: list[tuple[str, object]]) -> dict[str, object]:
+def no_duplicates(pairs: list[tuple[str, object]]) -> dict[str, object]:
     obj = dict(pairs)
     if len(obj) != len(pairs):
         seen: set[str] = set()
@@ -96,7 +98,7 @@ def _no_duplicates(pairs: list[tuple[str, object]]) -> dict[str, object]:
 def parse(text: str, require_root: bool = True) -> CitationFile:
     """Parse a citation-file document; strict about structure and key form."""
     try:
-        data = json.loads(text, object_pairs_hook=_no_duplicates)
+        data = json.loads(text, object_pairs_hook=no_duplicates)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(exc.msg, line=exc.lineno, column=exc.colno) from exc
     if not isinstance(data, dict):

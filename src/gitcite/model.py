@@ -146,9 +146,9 @@ def _missing_dirs(
 class CitationFile:
     """A partial map from canonical paths to citation records.
 
-    Entries iterate in rendered-path byte order, which makes serialization
-    and comparison deterministic. Instances are immutable; the ``with_*``
-    methods return updated copies.
+    Entries iterate in the order they were given, which equality ignores;
+    :func:`~gitcite.fileformat.serialize` puts the keys in canonical order.
+    Instances are immutable: ``with_entry`` and ``without`` return copies.
     """
 
     __slots__ = ("_entries",)
@@ -157,10 +157,7 @@ class CitationFile:
         self,
         entries: Mapping[CanonicalPath, CitationRecord] | Iterable[tuple[CanonicalPath, CitationRecord]] = (),
     ):
-        pairs = entries.items() if isinstance(entries, Mapping) else entries
-        self._entries: dict[CanonicalPath, CitationRecord] = dict(
-            sorted(pairs, key=lambda kv: str(kv[0]))
-        )
+        self._entries: dict[CanonicalPath, CitationRecord] = dict(entries)
 
     @classmethod
     def single(cls, record: CitationRecord) -> "CitationFile":
@@ -188,14 +185,14 @@ class CitationFile:
         return dict(self._entries)
 
     def with_entry(self, path: CanonicalPath, record: CitationRecord) -> "CitationFile":
-        entries = dict(self._entries)
-        entries[path] = record
-        return CitationFile(entries)
+        updated = CitationFile(self._entries)
+        updated._entries[path] = record
+        return updated
 
     def without(self, path: CanonicalPath) -> "CitationFile":
-        entries = dict(self._entries)
-        del entries[path]
-        return CitationFile(entries)
+        updated = CitationFile(self._entries)
+        del updated._entries[path]
+        return updated
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CitationFile):
@@ -251,7 +248,7 @@ def validate(cf: CitationFile, tree: Tree) -> list[Inconsistency]:
 
     Clean means: the root entry exists, every key names a node of the tree,
     and every key's kind matches the node's kind. The empty list is the only
-    clean answer; repair is left to the caller.
+    clean answer; repair is left to the caller. Issues are sorted by key.
     """
     issues: list[Inconsistency] = []
     if ROOT not in cf:
@@ -264,4 +261,4 @@ def validate(cf: CitationFile, tree: Tree) -> list[Inconsistency]:
             issues.append(Inconsistency(DANGLING_KEY, key, "no such path in the tree"))
         elif kind is not key.kind:
             issues.append(Inconsistency(KIND_MISMATCH, key, f"key is a {key.kind.value}, tree has a {kind.value}"))
-    return issues
+    return sorted(issues, key=lambda issue: issue.path.render())

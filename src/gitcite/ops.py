@@ -72,7 +72,7 @@ def carry_keys(
     key, a deleted directory every key at or below it. The root entry stays.
     Two keys that land on one path raise :class:`GitCiteError`; nothing
     is overwritten. The cost is one pass over the keys, each walking its own
-    depth, and one sort.
+    depth.
     """
     file_moves: dict[CanonicalPath, CanonicalPath] = {}
     dir_moves: dict[tuple[str, ...], tuple[CanonicalPath, CanonicalPath]] = {}

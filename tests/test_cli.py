@@ -874,8 +874,14 @@ class TestMerge:
 
     @pytest.mark.parametrize(
         "script, prompts",
-        [("e {}", 1), ("edit {}", 1), ("edit\n{}", 1), ("e\n{}", 1), ("edit {\"owner\": 1}\nedit {}", 2)],
-        ids=["e-inline", "edit-inline", "edit-next-line", "e-next-line", "bad-record-then-edit"],
+        [
+            ("e {}", 1), ("edit {}", 1), ("edit\n{}", 1), ("e\n{}", 1), ("edit {\"owner\": 1}\nedit {}", 2),
+            ('edit {"owner": "a", "owner": "b", "repo_name": "r", "locator": "u"}\nedit {}', 2),
+        ],
+        ids=[
+            "e-inline", "edit-inline", "edit-next-line", "e-next-line", "bad-record-then-edit",
+            "duplicate-field-then-edit",
+        ],
     )
     def test_an_edited_record_settles_the_conflict(self, git_repo, monkeypatch, capsys, script, prompts):
         root = build_conflicted_repo(git_repo)
@@ -1197,6 +1203,22 @@ class TestValidate:
         assert main(["validate"]) == 1
         out = capsys.readouterr().out
         assert "dangling_key" in out and "/gone.c" in out
+
+    def test_issues_are_printed_in_key_order_whatever_the_file_order(self, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        seed(root, {"a": "x"}, {})
+        obj = record_to_obj(record("r"))
+        by_hand = {"/z.c": obj, "/a/": obj, "/": obj, "/m.c": obj}  # /a/ names the file /a
+        (root / "citation.cite").write_text(json.dumps(by_hand, indent=2) + "\n", encoding="utf-8")
+        monkeypatch.chdir(root)
+        assert main(["validate"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            "kind_mismatch: /a/ (key is a directory, tree has a file)",
+            "dangling_key: /m.c (no such path in the tree)",
+            "dangling_key: /z.c (no such path in the tree)",
+        ]
+        assert "is not in canonical form" in err
 
     def test_git_is_never_cited_in_a_linked_worktree(self, git_repo, monkeypatch, capsys):
         # There .git is a file naming the repository, and git never tracks it.

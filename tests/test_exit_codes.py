@@ -8,6 +8,7 @@ it was: no failed git call is read as an answer."""
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gitcite import CitationFile
+from gitcite import CitationFile, gitadapter
 from gitcite.cli import main
 from gitcite.errors import IoFailure
 from gitcite.fileformat import parse, serialize
@@ -318,6 +319,79 @@ def test_every_failed_git_call_of_a_sync_raises(tmp_path, monkeypatch):
                 break
         assert _state(root) == before, (k, calls[k - 1])
     assert len(calls) == 4 and from_rendered("/e/") in synced, calls
+
+
+# --- Every OS call of the citation file's write failing in turn -------------
+
+
+def _failing_write(monkeypatch, k: int) -> list[str]:
+    """Make the ``k``-th OS call of the writer lock fail with an injected
+    ``OSError``: the lock's exclusive ``open``, the ``write`` into it, the
+    ``os.stat`` and ``os.fchmod`` that copy the old file's permission bits,
+    and the ``os.replace`` over the citation file. Returns the calls made, by
+    name. Only ``gitadapter``'s own names are patched, so ``os.path.exists``
+    still stats for real."""
+    calls: list[str] = []
+
+    def fault(name: str) -> None:
+        calls.append(name)
+        if len(calls) == k:
+            raise OSError(errno.EIO, f"injected {name} fault")
+
+    class Writer(io.BufferedWriter):
+        def write(self, data):
+            fault("write")
+            return super().write(data)
+
+    def lock_open(path, mode="r", *args, **kwargs):
+        if mode != "xb":
+            return open(path, mode, *args, **kwargs)
+        fault("open")
+        return Writer(io.FileIO(path, "xb"))
+
+    class Os:
+        def __getattr__(self, name):
+            real = getattr(os, name)
+            if name not in ("stat", "fchmod", "replace"):
+                return real
+
+            def call(*args, **kwargs):
+                fault(name)
+                return real(*args, **kwargs)
+
+            return call
+
+    monkeypatch.setattr(gitadapter, "open", lock_open, raising=False)
+    monkeypatch.setattr(gitadapter, "os", Os())
+    return calls
+
+
+# Each command, the builder of its checkout, and the OS calls of its write.
+WRITES = {
+    "add": (_cited, ["add", "d/f.c", "--field", "owner=X"], ["open", "write", "stat", "fchmod", "replace"]),
+    "del": (_cited, ["del", "a.c"], ["open", "write", "stat", "fchmod", "replace"]),
+    "modify": (_cited, ["modify", "a.c", "--field", "owner=X"], ["open", "write", "stat", "fchmod", "replace"]),
+    "init": (_init, ["init"], ["open", "write", "replace"]),  # no old file, so no permission bits to copy
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(WRITES))
+def test_every_failed_write_call_exits_3_and_keeps_the_file(tmp_path, monkeypatch, scenario):
+    build, argv, os_calls = WRITES[scenario]
+    root = build(tmp_path / "checkout")
+    before, k = _state(root), 0
+    while True:  # fail the 1st call, the 2nd, ..., until a run that no fault reached
+        k += 1
+        with monkeypatch.context() as patch:
+            calls = _failing_write(patch, k)
+            code, out, err = _run(argv, root)
+        if len(calls) < k:
+            break
+        assert (code, err.count("\n"), err[:9]) == (3, 1, "gitcite: "), (k, calls, code, err)
+        assert f"injected {calls[k - 1]} fault" in err, (k, err)
+        assert _state(root) == before, (k, calls)
+    assert (code, err, calls) == (0, "", os_calls)
+    assert _state(root) != before
 
 
 # --- A malformed git configuration -------------------------------------------

@@ -196,10 +196,23 @@ ANY_KEYS = st.one_of(
 def test_serialize_writes_the_bytes_json_dumps_writes(entries):
     # The oracle is the call serialize replaced; the empty file is one input.
     cf = CitationFile(entries)
-    doc = {key.render(): record_to_obj(rec) for key, rec in cf.items()}
+    doc = dict(sorted((key.render(), record_to_obj(rec)) for key, rec in cf.items()))
     assert serialize(cf) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
     for rec in entries.values():
         assert as_json(rec) == json.dumps(record_to_obj(rec), indent=2, ensure_ascii=False)
+
+
+@given(st.dictionaries(ANY_KEYS, ANY_RECORDS, max_size=5), st.data())
+def test_the_written_bytes_do_not_depend_on_the_key_order(entries, data):
+    # serialize alone orders the keys: a file built, or a document parsed, in
+    # any order writes the canonical bytes, and parse keeps the document's order.
+    canonical = serialize(CitationFile(entries))
+    permuted = data.draw(st.permutations(list(entries.items())))
+    assert serialize(CitationFile(permuted)) == canonical
+    shuffled = {key.render(): record_to_obj(rec) for key, rec in permuted}
+    parsed = parse(json.dumps(shuffled, indent=2, ensure_ascii=False), require_root=False)
+    assert parsed == CitationFile(entries) and serialize(parsed) == canonical
+    assert list(parsed) == [key for key, _ in permuted]
 
 
 def test_serialize_of_an_empty_file_is_an_empty_object():

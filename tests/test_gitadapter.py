@@ -313,11 +313,11 @@ class TestStagedChanges:
         assert sorted((str(a), str(b)) for a, b in renames) == [("/a.c", "/b.c"), ("/b.c", "/c.c"), ("/c.c", "/a.c")]
         assert deleted == []
         synced = sync_on_commit(root, renames, deleted)
-        assert [(str(k), v) for k, v in synced.items()][1:] == [
-            ("/a.c", record("c")),
-            ("/b.c", record("a")),
-            ("/c.c", record("b")),
-        ]
+        assert {str(k): v for k, v in synced.items() if not k.is_root} == {
+            "/a.c": record("c"),
+            "/b.c": record("a"),
+            "/c.c": record("b"),
+        }
 
     def test_a_swap_of_two_files_with_identical_contents_changes_no_key(self, git_repo):
         # The trees are equal, so nothing tells the two files apart.

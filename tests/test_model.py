@@ -260,16 +260,3 @@ class TestValidate:
             assert validate(cf, snap) == []
             for node in snap.paths():
                 resolve(cf, snap, node)  # must not raise
-
-
-@given(st.data())
-def test_citation_file_iterates_in_rendered_byte_order(data):
-    names = data.draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4))
-    entries = {ROOT: record("root")}
-    snap = TreeSnapshot()
-    for i, name in enumerate(names):
-        path = from_rendered(f"/{name}{i}")
-        entries[path] = record(str(i))
-    cf = CitationFile(entries)
-    keys = [str(k) for k in cf.keys()]
-    assert keys == sorted(keys)
