@@ -45,6 +45,17 @@ _REGENERABLE = tuple(name for name in TEXT_FIELDS if name not in REQUIRED_FIELDS
 _ESCAPES = {code: repr(chr(code))[1:-1] for code in range(32) if chr(code) != "\t"}
 
 
+def _printable(message: object) -> str:
+    """``message`` as one line that prints whatever it holds: a control
+    character as in :data:`_ESCAPES`, a byte of a name that is not UTF-8 (a
+    lone surrogate, as Python decodes it) as ``\\xNN``, any other as ``\\uXXXX``."""
+    def escape(match: re.Match) -> str:  # U+DC80 to U+DCFF stand for the bytes 0x80 to 0xFF
+        code = ord(match[0])
+        return f"\\x{code - 0xDC00:02x}" if 0xDC80 <= code <= 0xDCFF else f"\\u{code:04x}"
+
+    return re.sub("[\ud800-\udfff]", escape, str(message).translate(_ESCAPES))
+
+
 def find_root() -> str:
     """The top of the git worktree holding the cwd: the nearest ancestor with
     a ``.git`` entry, the repository's directory or the file of a linked
@@ -91,9 +102,9 @@ def _build_record(template: CitationRecord, fields: Sequence[tuple[str, str]], a
 def cmd_init() -> int:
     root = find_root()
     record = gitadapter.default_root_citation(root)
-    gitadapter.create_citation_file(root, CitationFile.single(record))
+    data = gitadapter.create_citation_file(root, CitationFile.single(record))
     print(f"created {gitadapter.citation_file_path(root)}; edit the draft with 'gitcite modify .':")
-    print(gitadapter.citation_file_text(root), end="")
+    print(data.decode("utf-8"), end="")
     return EXIT_OK
 
 
@@ -207,10 +218,9 @@ def _interactive_resolver():
 
 def cmd_validate() -> int:
     root = find_root()
-    text = gitadapter.citation_file_text(root)
-    cf = gitadapter.parse_citation_text(text, require_root=False)
-    if fileformat.serialize(cf) != text:
-        path = gitadapter.citation_file_path(root)
+    data, path = gitadapter.citation_file_bytes(root), gitadapter.citation_file_path(root)
+    cf = gitadapter.decode_citation_file(data, path, require_root=False)
+    if gitadapter.encode_citation_file(cf) != data:
         print(f"{path} is not in canonical form; was it edited by hand?", file=sys.stderr)
     issues = validate(cf, gitadapter.WorktreeLookup(root))
     for issue in issues:
@@ -370,7 +380,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         func, values = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
-        print(f"gitcite: {str(exc).translate(_ESCAPES)}", file=sys.stderr)
+        print(f"gitcite: {_printable(exc)}", file=sys.stderr)
         return EXIT_USAGE
     try:
         code = func(**values)
@@ -383,10 +393,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("gitcite: interrupted", file=sys.stderr)
         return EXIT_INTERRUPT
     except _ENV_ERRORS as exc:
-        print(f"gitcite: {str(exc).translate(_ESCAPES)}", file=sys.stderr)
+        print(f"gitcite: {_printable(exc)}", file=sys.stderr)
         return EXIT_ENV
     except (GitCiteError, ValueError) as exc:
-        print(f"gitcite: {str(exc).translate(_ESCAPES)}", file=sys.stderr)
+        print(f"gitcite: {_printable(exc)}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

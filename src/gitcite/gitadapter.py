@@ -18,14 +18,11 @@ A merge carries the keys across the paths git reports deleted from either
 head the same way; both find the directories that are gone with
 :func:`_tree_diff`. A copy fetches its source's ``HEAD`` and reads it in with ``git read-tree``.
 
-Every change to the worktree's citation file is one
-:func:`update_citation_file`: read, edit, and write only when the file
-changed, holding the writer lock (:class:`_WriterLock`) from the read to the
-write. The new bytes go into the lock file, which is then renamed over the
-citation file, so a write creates no other file. ``gitcite init`` writes
-through the same lock (:func:`create_citation_file`), and :func:`run_merge`
-holds it. Reads take no lock, and network fetches and local reads are safe
-to run concurrently.
+Every change to the worktree's citation file holds the writer lock
+(:class:`_WriterLock`); reads take none. Every version of the file a command
+writes, here or as a merge's blob, is made by :func:`encode_citation_file`,
+and every one it reads, in the worktree, at a revision or at a URL, by
+:func:`decode_citation_file`, so each file written reads back.
 """
 
 from __future__ import annotations
@@ -74,46 +71,69 @@ def citation_file_exists(worktree_root: str) -> bool:
     return True
 
 
-def citation_file_text(worktree_root: str) -> str:
-    """The worktree's citation file as text; an error names the file when it
-    is missing, not a regular file or not UTF-8."""
-    path = citation_file_path(worktree_root)
+def citation_file_bytes(worktree_root: str) -> bytes:
+    """The worktree's citation file's bytes; an error names the file."""
     if not citation_file_exists(worktree_root):
         raise FileMissing(f"no {CITATION_FILE} at {worktree_root}; run 'gitcite init' there first")
+    with open(citation_file_path(worktree_root), "rb") as file:
+        return file.read()
+
+
+def encode_citation_file(cf: CitationFile) -> bytes:
+    """The one encoder of the citation file: :func:`~gitcite.fileformat.serialize`,
+    then strict UTF-8, so equal inputs give identical bytes. A key that is not
+    UTF-8, as git's names may be, raises :class:`~gitcite.errors.InvalidPath`,
+    and a field holding a lone surrogate (as a byte the command line could not
+    decode does) a ``ValueError`` that names the key and the field."""
     try:
-        with open(path, encoding="utf-8") as text:
-            return text.read()
+        return serialize(cf).encode("utf-8")
+    except UnicodeEncodeError:
+        for key, entry in cf.items():
+            texts = [(None, key.render()), *((name, getattr(entry, name)) for name in TEXT_FIELDS)]
+            texts += [("author_list", "".join(entry.author_list)), *((n, n + v) for n, v in entry.extras.items())]
+            for name, text in texts:  # an extras entry's text holds its name too
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError:
+                    if name is None:
+                        raise InvalidPath(f"{key} cannot be cited: its name is not UTF-8") from None
+                    raise ValueError(f"{key}: field '{name}' is not UTF-8") from None
+        raise
+
+
+def decode_citation_file(data: bytes, where: str, require_root: bool = True) -> CitationFile:
+    """The one decoder of the citation file: ``data`` as strict UTF-8, parsed
+    by :func:`~gitcite.fileformat.parse`. An error names the file as
+    ``where``: :class:`~gitcite.errors.IoFailure` for bytes that are not
+    UTF-8, else :class:`~gitcite.errors.MalformedDocument`, raised too for a
+    ``\\u`` escape :func:`encode_citation_file` cannot write back."""
+    try:
+        cf = parse(data.decode("utf-8"), require_root)
+        if b"\\u" in data:  # only an escape holds a lone surrogate
+            encode_citation_file(cf)
     except UnicodeDecodeError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-
-
-def parse_citation_text(text: str, where: str = CITATION_FILE, *, require_root: bool = True) -> CitationFile:
-    """Parse the text of a citation file; a malformed document's error names ``where`` it came from."""
-    try:
-        return parse(text, require_root)
-    except MalformedDocument as exc:
+        raise IoFailure(f"cannot read {where}: {exc}") from exc
+    except (GitCiteError, ValueError) as exc:
         raise MalformedDocument(f"{where}: {exc}") from exc
+    return cf
 
 
 def load_citation_file(worktree_root: str) -> CitationFile:
-    """Parse the worktree's citation file.
-
-    A document that parses but is not in canonical form is accepted as it
-    is; ``gitcite validate`` is the command that warns about it.
-    """
-    return parse_citation_text(citation_file_text(worktree_root))
+    """The worktree's citation file, accepted as it is when it parses but is
+    not in canonical form; ``gitcite validate`` is the command that warns."""
+    return decode_citation_file(citation_file_bytes(worktree_root), citation_file_path(worktree_root))
 
 
-def create_citation_file(worktree_root: str, cf: CitationFile) -> None:
+def create_citation_file(worktree_root: str, cf: CitationFile) -> bytes:
     """Write ``cf`` as the worktree's new citation file through the writer
-    lock (see :meth:`_WriterLock.commit`). A citation file found once the
-    lock is held, another ``gitcite init``'s say, raises
+    lock (see :meth:`_WriterLock.commit`) and return its bytes. A citation
+    file found once the lock is held, another ``gitcite init``'s say, raises
     :class:`~gitcite.errors.GitCiteError` and stays as it is. Only ``init``
     calls it; every edit is one :func:`update_citation_file`."""
     with _WriterLock(worktree_root) as lock:
         if citation_file_exists(worktree_root):
             raise GitCiteError(f"{citation_file_path(worktree_root)} already exists")
-        lock.commit(cf)
+        return lock.commit(cf)
 
 
 class _WriterLock:
@@ -141,27 +161,11 @@ class _WriterLock:
             ) from None
         return self
 
-    def commit(self, cf: CitationFile) -> None:
-        """Write exactly the canonical bytes of ``cf`` into the lock, give it
-        the old file's permission bits and rename it over the citation file
-        (``os.replace``); equal inputs give identical files. On any error the
-        old file stays as it was. A key that is not UTF-8, as git's names may
-        be, raises :class:`~gitcite.errors.InvalidPath`, and a record field
-        that is not UTF-8 (a byte the command line could not decode) a
-        ``ValueError`` that names the key and the field."""
-        try:
-            data = serialize(cf).encode("utf-8")
-        except UnicodeEncodeError:
-            for key, entry in cf.items():
-                if (where := _shown(key.render())) != key.render():
-                    raise InvalidPath(f"{where} cannot be cited: its name is not UTF-8") from None
-                texts = {name: getattr(entry, name) for name in TEXT_FIELDS}
-                texts["author_list"] = "".join(entry.author_list)
-                texts.update((name, name + value) for name, value in entry.extras.items())  # an extras name counts too
-                for name, text in texts.items():
-                    if _shown(text) != text:
-                        raise ValueError(f"{where}: field '{_shown(name)}' is not UTF-8") from None
-            raise
+    def commit(self, cf: CitationFile) -> bytes:
+        """Write the bytes :func:`encode_citation_file` makes of ``cf`` into the lock,
+        give it the old file's permission bits, rename it over the citation file
+        (``os.replace``) and return the bytes. On any error the old file stays."""
+        data = encode_citation_file(cf)
         try:
             with self.file as out:
                 out.write(data)
@@ -171,6 +175,7 @@ class _WriterLock:
         except OSError as exc:
             raise IoFailure(f"cannot write {CITATION_FILE}: {exc}") from exc
         self.committed = True
+        return data
 
     def __exit__(self, *exc_info: object) -> None:
         self.file.close()
@@ -223,11 +228,7 @@ def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
         raise IoFailure(f"HTTP {exc.code} for {url}") from exc
     except (urllib.error.URLError, OSError, ValueError) as exc:
         raise IoFailure(f"cannot fetch {url}: {exc}") from exc
-    try:
-        text = body.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IoFailure(f"cannot read {url}: {exc}") from exc
-    return parse_citation_text(text, url)
+    return decode_citation_file(body, url)
 
 
 # --- Git plumbing -----------------------------------------------------------
@@ -238,7 +239,7 @@ def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
 _ANSWERS_ON_1 = frozenset({"rev-parse", "config", "merge-base", "merge-tree", "verify-commit"})
 
 
-def _git(root: str, *args: str, input: str | None = None, failure: str = ""):
+def _git(root: str, *args: str, input: str | bytes | None = None, failure: str = ""):
     """Run git and return its ``subprocess.CompletedProcess``; the one place
     that reads git's exit code. Exit 0 returns, and so does exit 1 of a
     command in :data:`_ANSWERS_ON_1`, whose caller reads it as an answer. Any other
@@ -248,16 +249,15 @@ def _git(root: str, *args: str, input: str | None = None, failure: str = ""):
     command is the first argument past git's own options (``-c`` takes a
     ``name=value``). Output is decoded as Python decodes file names: a byte
     that is not UTF-8 becomes a lone surrogate, which encodes back to the same
-    byte when handed to git or the file system again. ``input`` is encoded the
-    same way, and a ``\\r`` in a file name stays one. ``subprocess`` is
-    imported on the first call: most commands run no git."""
+    byte when handed to git or the file system again. A text ``input`` is
+    encoded the same way, and a ``\\r`` in a file name stays one; a bytes
+    ``input`` goes to git as it is. ``subprocess`` is imported on the first
+    call: most commands run no git."""
     import subprocess
 
-    proc = subprocess.run(
-        ["git", "-C", root, *args],
-        capture_output=True,
-        input=None if input is None else input.encode("utf-8", "surrogateescape"),
-    )
+    if isinstance(input, str):
+        input = input.encode("utf-8", "surrogateescape")
+    proc = subprocess.run(["git", "-C", root, *args], capture_output=True, input=input)
     proc.stdout = proc.stdout.decode("utf-8", "surrogateescape")
     proc.stderr = proc.stderr.decode("utf-8", "surrogateescape")
     command = next(word for word in args if word[:1] != "-" and "=" not in word)
@@ -406,37 +406,32 @@ def citation_file_at_revision(root: str, rev: str, where: str = "") -> CitationF
     (:class:`~gitcite.errors.FileMissing`). An error names it as ``where``."""
     where = where or f"revision {rev!r}"
     try:
-        (text,) = _citation_texts_at(root, [rev], [where])
+        (data,) = _citation_blobs_at(root, [rev], [where])
     except FileMissing:
         _require_tree(root, rev)
         raise
-    return parse_citation_text(text, f"{CITATION_FILE} at {where}")
+    return decode_citation_file(data, f"{CITATION_FILE} at {where}")
 
 
-def _citation_texts_at(root: str, revs: Sequence[str], wheres: Sequence[str]) -> list[str]:
-    """The citation file's text at each of ``revs``, read with one ``git
-    cat-file --batch``. A revision without the file as a blob (or one that
-    does not resolve) raises :class:`~gitcite.errors.FileMissing`; a file
-    that is not UTF-8 raises :class:`~gitcite.errors.IoFailure`. An error
-    names a revision as its entry of ``wheres``."""
+def _citation_blobs_at(root: str, revs: Sequence[str], wheres: Sequence[str]) -> list[bytes]:
+    """The citation file's bytes at each of ``revs``, read with one ``git
+    cat-file --batch``. A revision without the file as a blob (or one that does
+    not resolve) raises :class:`~gitcite.errors.FileMissing` naming its ``wheres`` entry."""
     for rev, where in zip(revs, wheres):
         if "\n" in rev or "\0" in rev:  # the query takes one name per line, and git reads a NUL as its end
             raise FileMissing(f"no {CITATION_FILE} at {where}")
     query = "".join(f"{rev}:{CITATION_FILE}\n" for rev in revs)
     out = _git(root, "cat-file", "--batch", input=query).stdout.encode("utf-8", "surrogateescape")
-    texts, pos = [], 0
+    blobs, pos = [], 0
     for where in wheres:  # each object is "<id> <type> <size>\n<content>\n", or "<name> missing\n"
         end = out.index(b"\n", pos)
         header = out[pos:end].split(b" ")
         if len(header) != 3 or header[1] != b"blob":
             raise FileMissing(f"no {CITATION_FILE} at {where}")
         pos = end + 1 + int(header[2])
-        try:  # a citation file must be UTF-8
-            texts.append(out[end + 1 : pos].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise IoFailure(f"cannot read {CITATION_FILE} at {where}: {exc}") from exc
+        blobs.append(out[end + 1 : pos])
         pos += 1
-    return texts
+    return blobs
 
 
 def staged_changes(root: str) -> tuple[list[Rename], list[CanonicalPath]]:
@@ -563,11 +558,6 @@ def _key(segments: Segments, kind: PathKind) -> CanonicalPath | None:
     return key
 
 
-def _shown(text: str) -> str:
-    """``text`` for a message, each byte that is not UTF-8 written ``\\xNN``."""
-    return text.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
-
-
 def _infer_directory_moves(
     root: str,
     new_tree: str,
@@ -667,8 +657,8 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
     """
     if "\n" in other or "\0" in other:  # the query takes one name per line, and git reads a NUL as its end
         raise GitCiteError(f"unknown revision {other!r}")
-    with _WriterLock(root):  # from the worktree read through the fast-forward
-        worktree_text = citation_file_text(root)  # before any step that may write
+    with _WriterLock(root) as lock:  # from the worktree read through the fast-forward
+        worktree_bytes = citation_file_bytes(root)  # before any step that may write
         query = "".join(f"{rev}^{{{kind}}}\n" for rev in ("HEAD", other) for kind in ("commit", "tree"))
         heads = _git(root, "cat-file", "--batch-check=%(objectname)", input=query).stdout.split("\n")
         head_rev, head_tree, other_rev, other_tree = heads[:4]  # an id, or "<name> missing"
@@ -708,10 +698,10 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
         if conflicted:
             raise GitCiteError(f"merge refused: both branches changed {', '.join(conflicted)}")
         wheres = [f"revision {rev!r}" for rev in (base_rev, "HEAD", other)]
-        texts = _citation_texts_at(root, [base_rev, head_rev, other_rev], wheres)
-        base_cf, left_cf, right_cf = (parse_citation_text(t, f"{CITATION_FILE} at {w}") for t, w in zip(texts, wheres))
-        if worktree_text != texts[1] and parse_citation_text(worktree_text) != left_cf:
-            raise IoFailure(f"{citation_file_path(root)} has uncommitted changes; commit or discard them first")
+        blobs = _citation_blobs_at(root, [base_rev, head_rev, other_rev], wheres)
+        base_cf, left_cf, right_cf = (decode_citation_file(b, f"{CITATION_FILE} at {w}") for b, w in zip(blobs, wheres))
+        if worktree_bytes != blobs[1] and decode_citation_file(worktree_bytes, lock.target) != left_cf:
+            raise IoFailure(f"{lock.target} has uncommitted changes; commit or discard them first")
 
         deleted = [
             key
@@ -721,7 +711,7 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
         merged_cf, conflicts = merge_citation_files(base_cf, left_cf, right_cf, resolver)
         merged_cf = carry_keys(merged_cf, (), deleted)
 
-        blob = _git(root, "hash-object", "-w", "--stdin", input=serialize(merged_cf)).stdout.strip()
+        blob = _git(root, "hash-object", "-w", "--stdin", input=encode_citation_file(merged_cf)).stdout.strip()
         tree = _with_citation(root, merged_tree, blob)  # in place of the text-merged citation file
         sign = ["-S"] if settings.get("commit.gpgsign") == "true" else []
         commit = _git(

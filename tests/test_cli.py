@@ -421,7 +421,7 @@ class TestGen:
         (root / "citation.cite").write_text(prefix + text[:cut], encoding="utf-8")
         monkeypatch.chdir(root)
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"gitcite: citation.cite: {error}\n"
+        assert capsys.readouterr().err == f"gitcite: {root / 'citation.cite'}: {error}\n"
 
     def test_a_malformed_citation_file_at_a_revision_is_named_with_it(self, git_repo, monkeypatch, capsys):
         root = git_repo()
@@ -1589,7 +1589,7 @@ class TestOneWriter:
         lock = root / "citation.cite.lock"
         assert (root / "citation.cite").read_bytes() == before
         assert git(root, "status", "--porcelain", "--untracked-files=all").stdout == "?? citation.cite.lock\n"
-        assert gitadapter.parse_citation_text(lock.read_text(encoding="utf-8")).get(from_rendered("/a.c")).owner == "X"
+        assert gitadapter.decode_citation_file(lock.read_bytes(), str(lock)).get(from_rendered("/a.c")).owner == "X"
         monkeypatch.chdir(root)
         assert main(["add", "b.c", "--field", "owner=Y"]) == 3
         assert capsys.readouterr().err == self.LOCKED.format(lock)
@@ -1648,3 +1648,125 @@ class TestOneWriter:
             assert (code, err) in ((0, ""), (3, self.LOCKED.format(root / "citation.cite.lock")))
             assert (f"/{name}" in cited) == (code == 0)
         assert not (root / "citation.cite.lock").exists()
+
+
+def hold_escape(root: Path, escape: bytes, key: bytes = b"/a.c") -> None:
+    """Put the JSON ``escape`` at the end of ``key``'s owner in the worktree's
+    citation file, as a hand edit or a tool other than gitcite could."""
+    cite = root / "citation.cite"
+    data = cite.read_bytes()
+    start = data.index(b'"' + key + b'": {')
+    owner = data.index(b'"owner": "', start) + len(b'"owner": "')
+    cite.write_bytes(data[:owner] + data[owner:].replace(b'"', escape + b'"', 1))
+
+
+class TestEveryFileReadCanBeWrittenBack:
+    """A citation file is read only when every text in it can be written back
+    as UTF-8: a ``\\u`` escape of a lone surrogate, which JSON allows, is
+    refused wherever the file comes from, in one line that names the file,
+    the key and the field. Nothing is written."""
+
+    FIELD = "/a.c: field 'owner' is not UTF-8"
+
+    def test_a_merge_refuses_a_branch_holding_one_and_writes_nothing(self, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        seed(root, {"a.c": "a", "b.c": "b"}, {"/a.c": "a"})
+        git(root, "checkout", "-q", "-b", "side")
+        hold_escape(root, rb"\udcff")
+        git(root, "commit", "-q", "-am", "side")
+        git(root, "checkout", "-q", "main")
+        (root / "b.c").write_text("main")
+        git(root, "commit", "-q", "-am", "main")
+        before = checkout_state(root)
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == 1
+        assert capsys.readouterr() == ("", f"gitcite: citation.cite at revision 'side': {self.FIELD}\n")
+        assert checkout_state(root) == before
+        assert not (root / "citation.cite.lock").exists()
+        assert not list((root / ".git").glob("MERGE_*"))
+
+    def test_a_merge_refuses_an_edited_record_holding_one(self, git_repo, monkeypatch, capsys):
+        # The merged file is written by the encoder, so the edit prompt cannot put the byte 0xff in a commit.
+        root = build_conflicted_repo(git_repo)
+        before = checkout_state(root)
+        monkeypatch.chdir(root)
+        monkeypatch.setattr("sys.stdin", io.StringIO('e {"owner": "\\udcff", "repo_name": "r", "locator": "u"}\n'))
+        assert main(["merge", "side", "--interactive"]) == 1
+        assert capsys.readouterr().err == "gitcite: /shared.c: field 'owner' is not UTF-8\n"
+        assert checkout_state(root) == before
+        assert not (root / "citation.cite.lock").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["gen", "a.c"], ["add", "b.c"], ["del", "a.c"], ["validate"]], ids=["gen", "add", "del", "validate"]
+    )
+    @pytest.mark.parametrize("escape", [rb"\udcff", rb"\ud800"], ids=["escaped-byte", "lone-surrogate"])
+    def test_a_worktree_file_holding_one_is_refused(self, git_repo, monkeypatch, capsys, argv, escape):
+        root = git_repo()
+        seed(root, {"a.c": "a", "b.c": "b"}, {"/a.c": "a"})
+        hold_escape(root, escape)
+        before = (root / "citation.cite").read_bytes()
+        monkeypatch.chdir(root)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"gitcite: {root / 'citation.cite'}: {self.FIELD}\n")
+        assert (root / "citation.cite").read_bytes() == before
+
+    def test_a_copy_from_a_source_holding_one_leaves_nothing(self, git_repo, monkeypatch, capsys):
+        src = git_repo("src")
+        seed(src, {"a.c": "a", "core/f.c": "f"}, {"/a.c": "a", "/core/": "core"})
+        hold_escape(src, rb"\udcff")
+        git(src, "commit", "-q", "-am", "escape")
+        dst = git_repo("dst")
+        seed(dst, {"app.c": "a"}, {})
+        before = checkout_state(dst)
+        monkeypatch.chdir(dst)
+        assert main(["copy", str(src), "core/", "vendor/"]) == 1
+        assert capsys.readouterr() == ("", f"gitcite: citation.cite at the HEAD of {str(src)!r}: {self.FIELD}\n")
+        assert checkout_state(dst) == before
+        assert not (dst / "vendor").exists()
+
+    def test_validate_warns_about_a_crlf_file(self, git_repo, monkeypatch, capsys):
+        # The file is compared as bytes, so line ends that git's autocrlf wrote are not canonical.
+        root = git_repo()
+        seed(root, {"a.c": "a"}, {})
+        cite = root / "citation.cite"
+        cite.write_bytes(cite.read_bytes().replace(b"\n", b"\r\n"))
+        monkeypatch.chdir(root)
+        assert main(["validate"]) == 0
+        assert capsys.readouterr() == (
+            "citation file is consistent with the working tree\n",
+            f"{cite} is not in canonical form; was it edited by hand?\n",
+        )
+
+    @pytest.mark.parametrize(
+        "argv, file, error",
+        [
+            (["gen", os.fsdecode(b"no\xffpe.c")], False, "/no\\xffpe.c is not in the tree"),
+            (["del", os.fsdecode(b"no\xffpe.c")], True, "/no\\xffpe.c has no citation"),
+        ],
+        ids=["gen", "del"],
+    )
+    def test_a_name_that_is_not_utf8_shows_each_byte_one_way(self, git_repo, monkeypatch, capsys, argv, file, error):
+        root = git_repo()
+        seed(root, {argv[1]: "x"} if file else {}, {})
+        monkeypatch.chdir(root)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"gitcite: {error}\n")
+
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            (b'"extras": {}', rb'"extras": {"x\ud800": "v"}', "/a.c: field 'x\\ud800' is not UTF-8"),
+            (b'"/a.c"', rb'"/bad\udcff.c"', "/bad\\xff.c cannot be cited: its name is not UTF-8"),
+        ],
+        ids=["extras-name", "key"],
+    )
+    def test_what_is_refused_is_named_in_the_message(self, git_repo, monkeypatch, capsys, old, new, error):
+        # A lone surrogate that stands for a byte shows as \xNN, any other as \uXXXX.
+        root = git_repo()
+        seed(root, {"a.c": "a"}, {"/a.c": "a"})
+        cite = root / "citation.cite"
+        data = cite.read_bytes()
+        cite.write_bytes(data[: data.index(b'"/a.c"')] + data[data.index(b'"/a.c"') :].replace(old, new, 1))
+        monkeypatch.chdir(root)
+        assert main(["gen", "a.c"]) == 1
+        assert capsys.readouterr() == ("", f"gitcite: {cite}: {error}\n")

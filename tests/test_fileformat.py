@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gitcite import CitationFile, CitationRecord
-from gitcite.errors import MalformedDocument
+from gitcite.errors import InvalidPath, MalformedDocument
 from gitcite.fileformat import parse, record_from_obj, serialize
+from gitcite.gitadapter import decode_citation_file, encode_citation_file
 from gitcite.model import RECORD_FIELDS
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 from gitcite.render import as_json
@@ -200,6 +201,23 @@ def test_serialize_writes_the_bytes_json_dumps_writes(entries):
     assert serialize(cf) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
     for rec in entries.values():
         assert as_json(rec) == json.dumps(record_to_obj(rec), indent=2, ensure_ascii=False)
+
+
+@given(st.dictionaries(ANY_KEYS, ANY_RECORDS, max_size=4))
+def test_the_decoder_reads_exactly_what_the_encoder_can_write(entries):
+    # json.dumps(ensure_ascii=True) escapes every character that is not
+    # ASCII, a lone surrogate too. The file the document holds is what a
+    # plain parse returns: there a high and a low surrogate side by side read
+    # as one character, as JSON says.
+    doc = json.dumps({key.render(): record_to_obj(rec) for key, rec in entries.items()}, ensure_ascii=True)
+    held = parse(doc, require_root=False)
+    try:
+        encode_citation_file(held)
+    except (InvalidPath, ValueError):
+        with pytest.raises(MalformedDocument, match="^the document: "):
+            decode_citation_file(doc.encode("ascii"), "the document", require_root=False)
+    else:
+        assert decode_citation_file(doc.encode("ascii"), "the document", require_root=False) == held
 
 
 @given(st.dictionaries(ANY_KEYS, ANY_RECORDS, max_size=5), st.data())

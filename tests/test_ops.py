@@ -512,6 +512,31 @@ def test_one_function_reads_edits_and_writes_the_citation_file():
     assert len(lock_names) == 1
 
 
+def test_one_encoder_makes_and_one_decoder_reads_the_citation_file():
+    """``fileformat.serialize`` has one caller, the encoder, and
+    ``fileformat.parse`` one, the decoder, so every version of the file a
+    command writes (the worktree's, a merge's blob) and every one it reads
+    (the worktree's, a revision's, a URL's) is made or read by the same code.
+    No ``open`` in the package reads or writes text: the file is compared as bytes."""
+    callers: dict[str, list[str]] = {"serialize": [], "parse": []}
+    modes = []
+    for source in Path(gitcite.__file__).parent.glob("*.py"):
+        for func in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for call in ast.walk(func):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                if name in callers and getattr(getattr(call.func, "value", None), "id", "fileformat") == "fileformat":
+                    callers[name].append(func.name)
+                if name == "open" and isinstance(call.func, ast.Name):
+                    mode = [*call.args[1:2], *(kw.value for kw in call.keywords if kw.arg == "mode")]
+                    modes.append(mode[0].value if mode and isinstance(mode[0], ast.Constant) else "r")
+    assert callers == {"serialize": ["encode_citation_file"], "parse": ["decode_citation_file"]}
+    assert modes and all("b" in mode for mode in modes), modes
+
+
 def test_copy_reads_its_source_from_git_alone():
     """A copy writes what git holds at the source's ``HEAD``, through
     ``read-tree``: no module walks or copies a directory (``shutil``) or
