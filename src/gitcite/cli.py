@@ -154,7 +154,7 @@ def cmd_gen(path: str, version: str | None = None, remote: str | None = None, fo
     elif version is not None:
         root = find_root()
         tree = gitadapter.RevisionLookup(root, version)
-        cf = gitadapter.citation_file_at_revision(root, version)
+        cf = tree.citation_file()
         record = resolve(cf, tree, canonicalize(path, _cwd(root), tree=tree))
     else:
         root, tree, key = _open_worktree(path)

@@ -234,9 +234,8 @@ def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
 # --- Git plumbing -----------------------------------------------------------
 
 
-# The git commands whose exit 1 is an answer: no such revision (``rev-parse --verify -q``)
-# or setting (``config``), no merge base, a conflicted ``merge-tree --write-tree``, a bad signature.
-_ANSWERS_ON_1 = frozenset({"rev-parse", "config", "merge-base", "merge-tree", "verify-commit"})
+# The git commands whose exit 1 is an answer: no such setting, no merge base, a conflict, a bad signature.
+_ANSWERS_ON_1 = frozenset({"config", "merge-base", "merge-tree", "verify-commit"})
 
 
 def _git(root: str, *args: str, input: str | bytes | None = None, failure: str = ""):
@@ -358,34 +357,38 @@ class WorktreeLookup(_PathLookup):
 
 
 class RevisionLookup(_PathLookup):
-    """The tree committed at ``rev``, one ``git ls-tree <rev> -- <path>`` per path.
+    """The tree committed at ``rev``, read with its citation file by one
+    :func:`_objects` call (a ``rev`` that is no tree raises
+    :class:`~gitcite.errors.GitCiteError`), then one ``git ls-tree <tree> --
+    <path>`` per path, so a ref that moves meanwhile changes nothing.
 
     The kind comes from the entry in its parent tree, so the object itself is
     never read: a submodule's commit lives in its own repository, not here.
     A tree is a directory; a blob (symlinks included) or a commit (a
-    submodule) is a file. The citation file at the top is left out. A
-    revision git cannot resolve to a tree raises
-    :class:`~gitcite.errors.GitCiteError`.
+    submodule) is a file. The citation file at the top is left out.
     """
 
     def __init__(self, root: str, rev: str) -> None:
         super().__init__()
-        self._root, self._rev = root, rev
+        tree, self._blob = _objects(root, [f"{rev}^{{tree}}", f"{rev}^{{tree}}:{CITATION_FILE}"])
+        if tree is None:
+            raise GitCiteError(f"unknown revision {rev!r}")
+        self._root, self._rev, self.tree = root, rev, tree[0]
+
+    def citation_file(self, where: str = "") -> CitationFile:
+        """The citation file in this tree; an error names it as ``where``, by default ``revision '<rev>'``."""
+        where = where or f"revision {self._rev!r}"
+        return decode_citation_file(_citation_blob(self._blob, where), f"{CITATION_FILE} at {where}")
 
     def _lookup(self, segments: Segments) -> PathKind | None:
         if not segments:
-            _require_tree(self._root, self._rev)
             return PathKind.DIRECTORY
         if segments == (CITATION_FILE,):
             return None
         path_text = "/".join(segments)
         if "\0" in path_text:  # no git path holds one, and no argument can
             return None
-        try:
-            proc = _git(self._root, "--literal-pathspecs", "ls-tree", "--full-tree", "-z", self._rev, "--", path_text)
-        except IoFailure:  # an unknown revision is the user's error, not the environment's
-            _require_tree(self._root, self._rev)
-            raise
+        proc = _git(self._root, "--literal-pathspecs", "ls-tree", "--full-tree", "-z", self.tree, "--", path_text)
         for entry in proc.stdout.split("\0"):
             meta, _, name = entry.partition("\t")
             if name == path_text:
@@ -393,45 +396,39 @@ class RevisionLookup(_PathLookup):
         return None
 
 
-def _require_tree(root: str, rev: str) -> None:
-    """Raise :class:`~gitcite.errors.GitCiteError` unless git resolves ``rev`` to a tree."""
-    if "\0" in rev or _git(root, "rev-parse", "--verify", "-q", f"{rev}^{{tree}}").returncode:
-        raise GitCiteError(f"unknown revision {rev!r}")
+def citation_file_at_revision(root: str, rev: str) -> CitationFile:
+    """The citation file committed at ``rev``: see :meth:`RevisionLookup.citation_file`."""
+    return RevisionLookup(root, rev).citation_file()
 
 
-def citation_file_at_revision(root: str, rev: str, where: str = "") -> CitationFile:
-    """The citation file committed at ``rev``. Only when it is missing does
-    one more git call tell a revision that is not a tree apart
-    (:class:`~gitcite.errors.GitCiteError`) from a tree without the file
-    (:class:`~gitcite.errors.FileMissing`). An error names it as ``where``."""
-    where = where or f"revision {rev!r}"
-    try:
-        (data,) = _citation_blobs_at(root, [rev], [where])
-    except FileMissing:
-        _require_tree(root, rev)
-        raise
-    return decode_citation_file(data, f"{CITATION_FILE} at {where}")
+def _unnameable(name: str) -> bool:  # cat-file reads one name a line, and git ends a name at a NUL
+    return "\n" in name or "\0" in name
 
 
-def _citation_blobs_at(root: str, revs: Sequence[str], wheres: Sequence[str]) -> list[bytes]:
-    """The citation file's bytes at each of ``revs``, read with one ``git
-    cat-file --batch``. A revision without the file as a blob (or one that does
-    not resolve) raises :class:`~gitcite.errors.FileMissing` naming its ``wheres`` entry."""
-    for rev, where in zip(revs, wheres):
-        if "\n" in rev or "\0" in rev:  # the query takes one name per line, and git reads a NUL as its end
-            raise FileMissing(f"no {CITATION_FILE} at {where}")
-    query = "".join(f"{rev}:{CITATION_FILE}\n" for rev in revs)
-    out = _git(root, "cat-file", "--batch", input=query).stdout.encode("utf-8", "surrogateescape")
-    blobs, pos = [], 0
-    for where in wheres:  # each object is "<id> <type> <size>\n<content>\n", or "<name> missing\n"
-        end = out.index(b"\n", pos)
-        header = out[pos:end].split(b" ")
-        if len(header) != 3 or header[1] != b"blob":
-            raise FileMissing(f"no {CITATION_FILE} at {where}")
-        pos = end + 1 + int(header[2])
-        blobs.append(out[end + 1 : pos])
-        pos += 1
-    return blobs
+def _objects(root: str, names: Sequence[str]) -> list[tuple[str, str, bytes] | None]:
+    """The one reader of git's objects: each of ``names`` as its id, type and
+    content, by one ``git cat-file --batch`` reading them on stdin (never as
+    options), or None if git resolves none or, unasked, it is :func:`_unnameable`."""
+    query = "".join(f"{name}\n" for name in names if not _unnameable(name))
+    out = _git(root, "cat-file", "--batch", input=query).stdout.encode("utf-8", "surrogateescape") if query else b""
+    objects, pos = [], 0
+    for name in names:  # each object is "<id> <type> <size>\n<content>\n", else "<name> missing\n"
+        obj = None
+        if not _unnameable(name):
+            end = out.index(b"\n", pos)
+            header, pos = out[pos:end].split(b" "), end + 1
+            if header[-1].isdigit():  # else "missing" or "ambiguous"
+                size = int(header[-1])
+                obj, pos = (header[0].decode(), header[1].decode(), out[pos : pos + size]), pos + size + 1
+        objects.append(obj)
+    return objects
+
+
+def _citation_blob(obj: tuple[str, str, bytes] | None, where: str) -> bytes:
+    """``obj``'s content; :class:`~gitcite.errors.FileMissing` naming ``where`` if it is no blob."""
+    if obj is None or obj[1] != "blob":
+        raise FileMissing(f"no {CITATION_FILE} at {where}")
+    return obj[2]
 
 
 def staged_changes(root: str) -> tuple[list[Rename], list[CanonicalPath]]:
@@ -439,10 +436,10 @@ def staged_changes(root: str) -> tuple[list[Rename], list[CanonicalPath]]:
     of ``HEAD``'s tree and the index's, which ``git write-tree`` writes as ``git
     commit`` would, without intent-to-add entries; an unmerged index raises
     :class:`~gitcite.errors.IoFailure`. With no ``HEAD`` or no change, nothing is diffed."""
-    head = _git(root, "rev-parse", "-q", "--verify", "HEAD^{tree}")
-    if head.returncode:
+    (head,) = _objects(root, ["HEAD^{tree}"])
+    if head is None:
         return [], []
-    head_tree, index_tree = head.stdout.strip(), _git(root, "write-tree").stdout.strip()
+    head_tree, index_tree = head[0], _git(root, "write-tree").stdout.strip()
     if head_tree == index_tree:
         return [], []
     return _tree_changes(root, head_tree, index_tree)
@@ -632,8 +629,8 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
 
     ``git merge-tree --write-tree`` merges ``HEAD`` and ``other`` in the
     object store only. If it reports a conflict in any path but the citation
-    file (content, modify/delete, add/add, ...),
-    a :class:`~gitcite.errors.GitCiteError` names the paths and nothing is
+    file (content, modify/delete, add/add, ...), a
+    :class:`~gitcite.errors.GitCiteError` names the paths and nothing is
     written. Otherwise the citation file is rebuilt from the base/ours/theirs
     documents by :func:`gitcite.ops.merge_citation_files` instead of being
     text-merged, and :func:`gitcite.ops.carry_keys` drops the keys of the
@@ -641,39 +638,39 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
     a key whose path neither head has stays, for ``validate`` to report. Its
     canonical bytes replace the citation entry of the merged tree, ``git
     commit-tree`` commits that tree with both parents (signed when
-    ``commit.gpgSign`` is set; no commit hook runs), and ``git merge
-    --ff-only`` moves ``HEAD``, the index and the worktree to it in one step.
-    A citation file that differs from ``HEAD``'s, whose edit the rebuild would
+    ``commit.gpgSign`` is set; no commit hook runs), and ``git merge --ff-only
+    --no-autostash`` moves ``HEAD``, the index and the worktree to it in one
+    step, never stashing a local edit (a local edit in the way, a staged
+    change on a merged path or an untracked file makes git refuse it). A
+    citation file that differs from ``HEAD``'s, whose edit the rebuild would
     lose, raises :class:`~gitcite.errors.IoFailure` and touches nothing, as
-    does the fast-forward when git refuses it (a local edit, a staged change
-    on a merged path or an untracked file in the way). With
-    ``merge.verifySignatures`` set, ``other`` must carry a good signature
-    trusted as ``git merge`` requires (``gpg.minTrustLevel``, else marginal),
-    checked before anything is written. Everything before the fast-forward
-    writes only unreferenced objects, so a resolver that gives up or a failed
-    step leaves no pending merge behind. The writer lock of
-    :func:`update_citation_file` is held from the read of the worktree's
-    citation file through the fast-forward.
+    does the fast-forward when git refuses it. With ``merge.verifySignatures``
+    set, ``other`` must carry a good signature trusted as ``git merge``
+    requires (``gpg.minTrustLevel``, else marginal), checked before anything
+    is written. Everything before the fast-forward writes only unreferenced
+    objects, so a resolver that gives up or a failed step leaves no pending
+    merge behind. The writer lock of :func:`update_citation_file` is held from
+    the read of the worktree's citation file through the fast-forward.
     """
-    if "\n" in other or "\0" in other:  # the query takes one name per line, and git reads a NUL as its end
+    if _unnameable(other):
         raise GitCiteError(f"unknown revision {other!r}")
     with _WriterLock(root) as lock:  # from the worktree read through the fast-forward
         worktree_bytes = citation_file_bytes(root)  # before any step that may write
-        query = "".join(f"{rev}^{{{kind}}}\n" for rev in ("HEAD", other) for kind in ("commit", "tree"))
-        heads = _git(root, "cat-file", "--batch-check=%(objectname)", input=query).stdout.split("\n")
-        head_rev, head_tree, other_rev, other_tree = heads[:4]  # an id, or "<name> missing"
-        if " " in other_rev:
+        heads = _objects(root, [f"{rev}^{{{kind}}}" for rev in ("HEAD", other) for kind in ("commit", "tree")])
+        if heads[2] is None:
             raise GitCiteError(f"unknown revision {other!r}")
-        if " " in head_rev:
+        if heads[0] is None:
             raise IoFailure("HEAD has no commit to merge into")
+        head_rev, head_tree, other_rev, other_tree = (obj[0] for obj in heads)
         base_proc = _git(root, "merge-base", head_rev, other_rev)
         if base_proc.returncode:
             raise GitCiteError(f"HEAD and {other!r} share no history")
         base_rev = base_proc.stdout.strip()
         if base_rev == other_rev:
             return load_citation_file(root), []  # nothing to merge
+        fast_forward = ("merge", "--ff-only", "-q", "--no-autostash")  # whatever merge.autoStash says
         if base_rev == head_rev:
-            _git(root, "merge", "--ff-only", "-q", other_rev)
+            _git(root, *fast_forward, other_rev)
             return load_citation_file(root), []
         settings = dict(  # each of these keys that is set, with its value
             line.partition(" ")[::2]
@@ -698,7 +695,8 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
         if conflicted:
             raise GitCiteError(f"merge refused: both branches changed {', '.join(conflicted)}")
         wheres = [f"revision {rev!r}" for rev in (base_rev, "HEAD", other)]
-        blobs = _citation_blobs_at(root, [base_rev, head_rev, other_rev], wheres)
+        names = [f"{rev}:{CITATION_FILE}" for rev in (base_rev, head_rev, other_rev)]
+        blobs = [_citation_blob(obj, where) for obj, where in zip(_objects(root, names), wheres)]
         base_cf, left_cf, right_cf = (decode_citation_file(b, f"{CITATION_FILE} at {w}") for b, w in zip(blobs, wheres))
         if worktree_bytes != blobs[1] and decode_citation_file(worktree_bytes, lock.target) != left_cf:
             raise IoFailure(f"{lock.target} has uncommitted changes; commit or discard them first")
@@ -717,7 +715,7 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
         commit = _git(
             root, "commit-tree", tree, "-p", head_rev, "-p", other_rev, "-m", f"Merge {other}", *sign
         ).stdout.strip()
-        _git(root, "merge", "--ff-only", "-q", "--no-verify-signatures", commit, failure=f"git merge {other} refused")
+        _git(root, *fast_forward, "--no-verify-signatures", commit, failure=f"git merge {other} refused")
         return merged_cf, conflicts
 
 
@@ -727,7 +725,8 @@ def run_copy(
     """Copy a directory of the committed ``HEAD`` of the repository ``src``, a
     path (from the working directory) or a URL as ``git fetch`` reads it, and
     migrate its citations. One fetch writes its objects here, unreferenced;
-    the source's citation file and tree are read at that commit, and
+    a :class:`RevisionLookup` of ``FETCH_HEAD`` reads the tree every later
+    step reads, and its citation file, and
     :func:`gitcite.ops.apply_copy` checks and migrates the citations before
     any file is written. Inside one :func:`update_citation_file`, ``git
     read-tree --prefix -u`` then writes and stages the subtree as git holds
@@ -742,18 +741,18 @@ def run_copy(
         ".", f"--git-dir={os.path.join(root, '.git')}", "fetch", "-q", "--no-tags", "--no-auto-maintenance",
         "--no-recurse-submodules", "--end-of-options", src, "HEAD", failure=f"cannot fetch the HEAD of {src!r}",
     )
-    commit = _git(root, "rev-parse", "--verify", "-q", "FETCH_HEAD^{commit}").stdout.strip()
-    src_cf = citation_file_at_revision(root, commit, f"the HEAD of {src!r}")
+    fetched = RevisionLookup(root, "FETCH_HEAD")
+    src_cf = fetched.citation_file(f"the HEAD of {src!r}")
     dst_dir = "/".join(dst_path.segments) + "/"
     added: list[CanonicalPath] = []  # never empty once read-tree has written the destination
 
     def copy(cf: CitationFile) -> CitationFile:
-        merged, keys = apply_copy(cf, WorktreeLookup(root), src_cf, RevisionLookup(root, commit), src_subtree, dst_path)
+        merged, keys = apply_copy(cf, WorktreeLookup(root), src_cf, fetched, src_subtree, dst_path)
         if os.path.lexists(os.path.join(root, *dst_path.segments)):  # such as a directory symlink
             raise GitCiteError(f"{dst_path} already exists")
-        tree = f"{commit}:{'/'.join(src_subtree.segments)}"
+        tree = f"{fetched.tree}:{'/'.join(src_subtree.segments)}"
         if src_subtree.is_root:  # the source's tree without its citation file
-            tree = _with_citation(root, commit)
+            tree = _with_citation(root, fetched.tree)
         _git(root, "read-tree", f"--prefix={dst_dir}", "-u", tree)
         added.extend(keys)
         return merged

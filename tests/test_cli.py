@@ -405,6 +405,28 @@ class TestGen:
         assert main(["gen", "a.c", "--version", "HEAD~1"]) == 3
         assert capsys.readouterr().err == "gitcite: no citation.cite at revision 'HEAD~1'\n"
 
+    @pytest.mark.parametrize(
+        "rev, code, message",
+        [
+            ("no-such-rev", 1, "unknown revision 'no-such-rev'"),
+            ("HEAD~1", 3, "no citation.cite at revision 'HEAD~1'"),
+        ],
+        ids=["unknown-revision", "no-citation-file"],
+    )
+    def test_a_version_that_gives_no_citation_file_asks_git_once(
+        self, git_repo, git_calls, monkeypatch, capsys, rev, code, message
+    ):
+        # One cat-file reads the revision's tree and its citation file together.
+        root = git_repo()
+        (root / "a.c").write_text("x")
+        git(root, "add", "a.c")
+        git(root, "commit", "-q", "-m", "before the citation file")
+        seed(root, {}, {})
+        monkeypatch.chdir(root)
+        assert main(["gen", "a.c", "--version", rev]) == code
+        assert capsys.readouterr() == ("", f"gitcite: {message}\n")
+        assert len(git_calls) == 1, git_calls
+
     @pytest.mark.parametrize("argv", [["gen", "a.c"], ["validate"]], ids=["gen", "validate"])
     @pytest.mark.parametrize(
         "prefix, cut, error",
@@ -658,19 +680,20 @@ class TestCopy:
 
     @pytest.mark.parametrize("files", [2, 40])
     def test_copy_runs_a_fixed_number_of_git_commands(self, git_repo, git_calls, monkeypatch, files):
-        # The fetch, the fetched commit, the source's citation file, the
-        # source subtree's entry, and read-tree; a root copy adds the ls-tree
-        # and mktree of the source's top without its citation file.
+        # The fetch, one cat-file for the fetched tree and its citation file,
+        # the source subtree's entry, and read-tree; a root copy reads the
+        # ls-tree and mktree of the source's top without its citation file
+        # instead of the subtree's entry.
         src = git_repo("src-cost")
         seed(src, {f"sub/d{i % 3}/f{i}.c": str(i) for i in range(files)}, {"/sub/d1/": "d1"})
         dst = git_repo("dst-cost")
         seed(dst, {"app.c": "a"}, {})
         monkeypatch.chdir(dst)
         assert main(["copy", "../src-cost", "sub/", "vendor/"]) == 0
-        assert len(git_calls) == 5, git_calls
+        assert len(git_calls) == 4, git_calls
         git_calls.clear()
         assert main(["copy", "../src-cost", "/", "whole/"]) == 0
-        assert len(git_calls) == 7, git_calls
+        assert len(git_calls) == 5, git_calls
         assert [args[0] for args in git_calls].count("mktree") == 1, git_calls
         assert len(git(dst, "diff", "--cached", "--name-only").stdout.split()) == 2 * files
 
@@ -1022,6 +1045,33 @@ class TestMerge:
         assert git(root, "ls-tree", "--name-only", "HEAD").stdout.split() == ["b.c", "c.c", "citation.cite", "src"]
         assert (root / "src" / "a.c").read_text() == "a, edited"
         assert load_citation_file(root).get(from_rendered("/b.c")) == record("side")
+
+    @pytest.mark.parametrize("main_commits", [False, True], ids=["fast-forward", "merge-commit"])
+    def test_a_local_edit_in_the_way_refuses_the_merge_under_auto_stash(
+        self, git_repo, monkeypatch, capsys, main_commits
+    ):
+        # With merge.autoStash, git merge would stash the edit, move HEAD and
+        # pop the stash into conflict markers; the fast-forward never stashes.
+        root = git_repo("auto-stash")
+        seed(root, {"f.c": "f"}, {})
+        git(root, "checkout", "-q", "-b", "side")
+        (root / "f.c").write_text("f, side")
+        git(root, "commit", "-q", "-a", "-m", "side")
+        git(root, "checkout", "-q", "main")
+        if main_commits:
+            (root / "c.c").write_text("main")
+            git(root, "add", "-A")
+            git(root, "commit", "-q", "-m", "main")
+        git(root, "config", "merge.autoStash", "true")
+        (root / "f.c").write_text("f, local")
+        before = checkout_state(root)
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gitcite: ") and err.count("\n") == 1, err
+        assert checkout_state(root) == before
+        assert (root / "f.c").read_text() == "f, local"
+        assert git(root, "stash", "list").stdout == ""
 
     def test_an_uncommitted_citation_edit_stops_the_merge(self, git_repo, monkeypatch, capsys):
         root = git_repo("local-cite")

@@ -277,8 +277,8 @@ def _copying(root: Path) -> Path:
 # beside it), and the number of git calls it makes when nothing fails.
 SWEEP = {
     "init": (_init, ["init"], 3),
-    "copy-subtree": (_copying, ["copy", "../src", "sub/", "vendor/"], 5),
-    "copy-root": (_copying, ["copy", "../src", "/", "whole/"], 7),
+    "copy-subtree": (_copying, ["copy", "../src", "sub/", "vendor/"], 4),
+    "copy-root": (_copying, ["copy", "../src", "/", "whole/"], 5),
     "merge": (_merging, ["merge", "side", "--ours"], 11),
     "gen-version": (_cited, ["gen", "d/f.c", "--version", "HEAD"], 2),
 }
@@ -409,7 +409,7 @@ def broken_config(tmp_path) -> Path:
 
 
 def test_a_sync_with_a_broken_config_raises(broken_config):
-    with pytest.raises(IoFailure, match=r"^git rev-parse -q --verify HEAD\^\{tree\} failed: fatal: bad config line"):
+    with pytest.raises(IoFailure, match=r"^git cat-file --batch failed: fatal: bad config line"):
         staged_changes(str(broken_config))
 
 

@@ -174,7 +174,7 @@ class TestStagedChanges:
         assert [str(k) for k in synced] == ["/", "/vendor/lib/"]
 
     def test_a_sync_lists_no_tree(self, git_repo, git_calls):
-        # Nothing staged: one rev-parse for HEAD's tree and one write-tree
+        # Nothing staged: one cat-file for HEAD's tree and one write-tree
         # for the index's, which are equal. A directory moved to a new name
         # adds the diffs, and still nothing lists the index or a tree.
         root = git_repo()
@@ -407,14 +407,23 @@ class TestStagedChanges:
         assert [str(k) for k in synced] == ["/", "/a.c"]
         assert synced.get(from_rendered("/a.c")) == record("c")
 
-    def test_an_overwriting_rename_asks_git_nothing_more(self, git_repo, git_calls):
-        # The overwritten file comes from the tree diff the sync reads anyway.
+    def test_an_overwriting_rename_asks_git_nothing_more(self, git_repo, monkeypatch):
+        # The overwritten file comes from the tree diff the sync reads anyway:
+        # the one object the sync reads is HEAD's tree, and no blob.
         root = git_repo()
         seed(root, {"a.c": _source("alpha"), "b.c": _source("beta")}, {"/a.c": "a", "/b.c": "b"})
         git(root, "mv", "-f", "a.c", "b.c")
+        read, real_git = [], gitadapter._git
+
+        def reading(root, *args, **kwargs):
+            if "cat-file" in args:
+                read.append(kwargs["input"])
+            return real_git(root, *args, **kwargs)
+
+        monkeypatch.setattr(gitadapter, "_git", reading)
         synced = sync_on_commit(root, *staged_changes(root))
         assert synced.get(from_rendered("/b.c")) == record("a")
-        assert all("cat-file" not in args for args in git_calls), git_calls
+        assert read == ["HEAD^{tree}\n"]
 
     def test_renaming_onto_a_stale_key_still_raises(self, git_repo):
         root = git_repo()

@@ -458,7 +458,7 @@ def test_only_git_reads_an_exit_code_and_exit_1_only_where_it_is_an_answer():
     returns exit 1 only from the commands whose 1 means "no such thing" or
     "no", and raises for any other failure; so no call passes ``check=``, and
     a caller reads ``returncode`` only from one of those commands."""
-    answers = {"rev-parse", "config", "merge-base", "merge-tree", "verify-commit"}
+    answers = {"config", "merge-base", "merge-tree", "verify-commit"}
     read = []
     for source in Path(gitcite.__file__).parent.glob("*.py"):
         for func in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
@@ -478,8 +478,28 @@ def test_only_git_reads_an_exit_code_and_exit_1_only_where_it_is_an_answer():
                     command = _git_command(of) if of in calls else bound.get(getattr(of, "id", None))
                     assert command in answers, (source.name, func.name, ast.unparse(node))
                     read.append(command)
-    assert sorted(read) == ["merge-base", "rev-parse", "rev-parse", "verify-commit"]
+    assert sorted(read) == ["merge-base", "verify-commit"]
     assert gitadapter._ANSWERS_ON_1 == answers
+
+
+def test_one_function_reads_git_s_objects():
+    """``gitadapter._objects`` is the one reader of git's objects: it alone
+    passes ``cat-file`` to ``_git``, and so every revision a command reads,
+    a branch, ``FETCH_HEAD`` or ``HEAD`` at commit time, is resolved by it.
+    No ``rev-parse`` is left to resolve one another way."""
+    readers = []
+    for source in Path(gitcite.__file__).parent.glob("*.py"):
+        module = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(module):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert "rev-parse" not in node.value, source.name
+        readers += [
+            func.name for func in ast.walk(module) if isinstance(func, ast.FunctionDef)
+            for call in ast.walk(func)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "_git"
+            and _git_command(call) == "cat-file"
+        ]
+    assert readers == ["_objects"]
 
 
 def test_one_function_reads_edits_and_writes_the_citation_file():
