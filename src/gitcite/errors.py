@@ -16,21 +16,8 @@ class IoFailure(GitCiteError):
     """The environment failed: a file, git or the network."""
 
 
-class FileMissing(IoFailure):
-    pass
-
-
 class InvalidPath(GitCiteError):
     pass
-
-
-class MalformedDocument(GitCiteError):
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
-        self.line = line
-        self.column = column
 
 
 class PathNotInTree(GitCiteError):

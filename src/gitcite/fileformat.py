@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring as _quote  # the C quoting of json.dumps(..., ensure_ascii=False)
 
-from .errors import InvalidPath, MalformedDocument
+from .errors import GitCiteError, InvalidPath
 from .model import RECORD_FIELDS, REQUIRED_FIELDS, TEXT_FIELDS, CitationFile, CitationRecord
 from .paths import ROOT, CanonicalPath, from_rendered
 
@@ -25,37 +25,37 @@ _FIELDS = frozenset(RECORD_FIELDS)
 def record_from_obj(obj: object, where: str = "record") -> CitationRecord:
     """Parse one record object. Unknown string fields land in extras."""
     if not isinstance(obj, dict):
-        raise MalformedDocument(f"{where} must be an object")
+        raise GitCiteError(f"{where} must be an object")
     texts = []
     for name in TEXT_FIELDS:
         value = obj.get(name)
         if isinstance(value, str):
             texts.append(value)
         elif name in obj:
-            raise MalformedDocument(f"{where}: {name!r} must be a string")
+            raise GitCiteError(f"{where}: {name!r} must be a string")
         elif name in REQUIRED_FIELDS:
-            raise MalformedDocument(f"{where} is missing {name!r}")
+            raise GitCiteError(f"{where} is missing {name!r}")
         else:
             texts.append("")
     authors = obj.get("author_list", [])
     if not isinstance(authors, list) or not all(isinstance(a, str) for a in authors):
-        raise MalformedDocument(f"{where}: 'author_list' must be a list of strings")
+        raise GitCiteError(f"{where}: 'author_list' must be a list of strings")
     extras = obj.get("extras", {})
     if not isinstance(extras, dict):
-        raise MalformedDocument(f"{where}: 'extras' must be an object")
+        raise GitCiteError(f"{where}: 'extras' must be an object")
     if not obj.keys() <= _FIELDS:
         for name, value in obj.items():  # the unknown fields, in file order
             if name in _FIELDS:
                 continue
             if not isinstance(value, str):
-                raise MalformedDocument(f"{where}: unknown field {name!r} must be a string")
+                raise GitCiteError(f"{where}: unknown field {name!r} must be a string")
             if name in extras:
-                raise MalformedDocument(f"{where}: field {name!r} collides with an extras key")
+                raise GitCiteError(f"{where}: field {name!r} collides with an extras key")
             extras = {**extras, name: value}  # a new dict: the parsed object stays as it was
     try:
         return CitationRecord(*texts, author_list=authors, extras=extras)
     except ValueError as exc:
-        raise MalformedDocument(f"{where}: {exc}") from exc
+        raise GitCiteError(f"{where}: {exc}") from exc
 
 
 def _record_json(record: CitationRecord, pad: str = "") -> str:
@@ -90,7 +90,7 @@ def no_duplicates(pairs: list[tuple[str, object]]) -> dict[str, object]:
         seen: set[str] = set()
         for key, _ in pairs:
             if key in seen:
-                raise MalformedDocument(f"duplicate key {key!r}")
+                raise GitCiteError(f"duplicate key {key!r}")
             seen.add(key)
     return obj
 
@@ -100,16 +100,16 @@ def parse(text: str, require_root: bool = True) -> CitationFile:
     try:
         data = json.loads(text, object_pairs_hook=no_duplicates)
     except json.JSONDecodeError as exc:
-        raise MalformedDocument(exc.msg, line=exc.lineno, column=exc.colno) from exc
+        raise GitCiteError(f"{exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
     if not isinstance(data, dict):
-        raise MalformedDocument("the top level must be a single object of path -> record entries")
+        raise GitCiteError("the top level must be a single object of path -> record entries")
     entries: dict[CanonicalPath, CitationRecord] = {}
     for key_text, obj in data.items():
         try:
             path = from_rendered(key_text)
         except InvalidPath as exc:
-            raise MalformedDocument(f"invalid path key {key_text!r}: {exc}") from exc
+            raise GitCiteError(f"invalid path key {key_text!r}: {exc}") from exc
         entries[path] = record_from_obj(obj, where=f"entry {key_text!r}")
     if require_root and ROOT not in entries:
-        raise MalformedDocument("the document has no '/' entry")
+        raise GitCiteError("the document has no '/' entry")
     return CitationFile(entries)

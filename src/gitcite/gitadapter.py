@@ -27,13 +27,14 @@ and every one it reads, in the worktree, at a revision or at a URL, by
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import stat
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from .errors import FileMissing, GitCiteError, InvalidPath, IoFailure, MalformedDocument
+from .errors import GitCiteError, InvalidPath, IoFailure
 from .fileformat import parse, serialize
 from .model import TEXT_FIELDS, CitationFile, CitationRecord, Segments
 from .ops import (
@@ -74,7 +75,7 @@ def citation_file_exists(worktree_root: str) -> bool:
 def citation_file_bytes(worktree_root: str) -> bytes:
     """The worktree's citation file's bytes; an error names the file."""
     if not citation_file_exists(worktree_root):
-        raise FileMissing(f"no {CITATION_FILE} at {worktree_root}; run 'gitcite init' there first")
+        raise IoFailure(f"no {CITATION_FILE} at {worktree_root}; run 'gitcite init' there first")
     with open(citation_file_path(worktree_root), "rb") as file:
         return file.read()
 
@@ -105,7 +106,7 @@ def decode_citation_file(data: bytes, where: str, require_root: bool = True) -> 
     """The one decoder of the citation file: ``data`` as strict UTF-8, parsed
     by :func:`~gitcite.fileformat.parse`. An error names the file as
     ``where``: :class:`~gitcite.errors.IoFailure` for bytes that are not
-    UTF-8, else :class:`~gitcite.errors.MalformedDocument`, raised too for a
+    UTF-8, else a :class:`~gitcite.errors.GitCiteError`, raised too for a
     ``\\u`` escape :func:`encode_citation_file` cannot write back."""
     try:
         cf = parse(data.decode("utf-8"), require_root)
@@ -114,7 +115,7 @@ def decode_citation_file(data: bytes, where: str, require_root: bool = True) -> 
     except UnicodeDecodeError as exc:
         raise IoFailure(f"cannot read {where}: {exc}") from exc
     except (GitCiteError, ValueError) as exc:
-        raise MalformedDocument(f"{where}: {exc}") from exc
+        raise GitCiteError(f"{where}: {exc}") from exc
     return cf
 
 
@@ -213,15 +214,15 @@ def sync_on_commit(
     return update_citation_file(worktree_root, lambda cf: carry_keys(cf, rename_map, deleted))
 
 
-def fetch_remote_citation_file(url: str, timeout: float = 10.0) -> CitationFile:
-    """GET ``url`` and parse the body as a citation-file document; an error in it names ``url``."""
+def fetch_remote_citation_file(url: str) -> CitationFile:
+    """GET ``url``, waiting 10 s at most, and parse the body as a citation file; an error names ``url``."""
     # Imported here: urllib.request pulls in ssl, http.client and email,
     # which only this command needs.
     import urllib.error
     import urllib.request
 
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
+        with urllib.request.urlopen(url, timeout=10.0) as response:
             body = response.read()
     except urllib.error.HTTPError as exc:
         exc.close()  # an HTTPError holds the response and its socket open
@@ -329,7 +330,9 @@ class WorktreeLookup(_PathLookup):
     file is a file, and so is a symlink, broken or not, unless it points to a
     directory: that one is left out, and nothing is found through it. A
     FIFO, socket or device is left out too, as ``git add`` skips it. A path
-    through a file or a missing entry has no kind. No git command runs.
+    through a file, a missing entry or a name too long for the file system
+    has no kind; any other failure of ``os.lstat``, such as a directory it
+    may not search, raises. No git command runs.
     """
 
     def __init__(self, worktree_root: str) -> None:
@@ -347,7 +350,11 @@ class WorktreeLookup(_PathLookup):
         full = os.path.join(self._root, *segments)
         try:
             mode = os.lstat(full).st_mode
-        except (OSError, ValueError):  # missing, unreadable, or a name no file can have
+        except (FileNotFoundError, NotADirectoryError, ValueError):  # missing, or a NUL no name can hold
+            return None
+        except OSError as exc:  # a name too long is missing too; any other failure is the environment's
+            if exc.errno != errno.ENAMETOOLONG:
+                raise
             return None
         if stat.S_ISDIR(mode):
             return PathKind.DIRECTORY
@@ -376,7 +383,8 @@ class RevisionLookup(_PathLookup):
         self._root, self._rev, self.tree = root, rev, tree[0]
 
     def citation_file(self, where: str = "") -> CitationFile:
-        """The citation file in this tree; an error names it as ``where``, by default ``revision '<rev>'``."""
+        """The citation file in this tree, an :class:`~gitcite.errors.IoFailure` if none; an
+        error names it as ``where``, by default ``revision '<rev>'``."""
         where = where or f"revision {self._rev!r}"
         return decode_citation_file(_citation_blob(self._blob, where), f"{CITATION_FILE} at {where}")
 
@@ -394,11 +402,6 @@ class RevisionLookup(_PathLookup):
             if name == path_text:
                 return PathKind.DIRECTORY if meta.split()[1] == "tree" else PathKind.FILE
         return None
-
-
-def citation_file_at_revision(root: str, rev: str) -> CitationFile:
-    """The citation file committed at ``rev``: see :meth:`RevisionLookup.citation_file`."""
-    return RevisionLookup(root, rev).citation_file()
 
 
 def _unnameable(name: str) -> bool:  # cat-file reads one name a line, and git ends a name at a NUL
@@ -425,9 +428,9 @@ def _objects(root: str, names: Sequence[str]) -> list[tuple[str, str, bytes] | N
 
 
 def _citation_blob(obj: tuple[str, str, bytes] | None, where: str) -> bytes:
-    """``obj``'s content; :class:`~gitcite.errors.FileMissing` naming ``where`` if it is no blob."""
+    """``obj``'s content; :class:`~gitcite.errors.IoFailure` naming ``where`` if it is no blob."""
     if obj is None or obj[1] != "blob":
-        raise FileMissing(f"no {CITATION_FILE} at {where}")
+        raise IoFailure(f"no {CITATION_FILE} at {where}")
     return obj[2]
 
 

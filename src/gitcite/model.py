@@ -98,21 +98,6 @@ class TreeSnapshot(Value, Tree):
             return PathKind.DIRECTORY
         return PathKind.FILE if segments in self.files else None
 
-    def digest_at(self, path: CanonicalPath) -> str:
-        digest = self.files.get(path.segments) if path.is_file else None
-        if digest is None:
-            raise PathNotInTree(path)
-        return digest
-
-    def paths(self) -> list[CanonicalPath]:
-        """Every node of the tree, root included, in rendered order."""
-        nodes = [CanonicalPath(s, PathKind.DIRECTORY) for s in self.dirs]
-        nodes += (CanonicalPath(s, PathKind.FILE) for s in self.files)
-        return sorted(nodes, key=str)
-
-    def file_paths(self) -> list[CanonicalPath]:
-        return [p for p in self.paths() if p.is_file]
-
     def with_file(self, path: CanonicalPath, digest: str = "") -> "TreeSnapshot":
         """Set the file at ``path``, creating intermediate directories."""
         if not path.is_file:

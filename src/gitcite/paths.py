@@ -71,10 +71,6 @@ class CanonicalPath(Value):
     def is_file(self) -> bool:
         return self.kind is PathKind.FILE
 
-    @property
-    def name(self) -> str:
-        return self.segments[-1] if self.segments else ""
-
     def parent(self) -> CanonicalPath | None:
         """The enclosing directory, or None for the root itself."""
         if self.is_root:
@@ -88,11 +84,6 @@ class CanonicalPath(Value):
             yield node
             node = node.parent()
 
-    def child(self, name: str, kind: PathKind) -> CanonicalPath:
-        if not self.is_dir:
-            raise InvalidPath(f"{self} is not a directory")
-        return CanonicalPath(self.segments + (name,), kind)
-
     def is_within(self, prefix: CanonicalPath) -> bool:
         """True when this path lies inside ``prefix`` (a directory equals itself)."""
         if not prefix.is_dir:
@@ -103,12 +94,6 @@ class CanonicalPath(Value):
         if len(self.segments) == n:
             return self.is_dir
         return True
-
-    def covers(self, node: CanonicalPath) -> bool:
-        """True when a citation entry at this path applies to ``node``."""
-        if self.is_dir:
-            return node.is_within(self)
-        return self == node
 
     def rebased(self, old: CanonicalPath, new: CanonicalPath) -> CanonicalPath:
         """Rewrite the ``old`` prefix of this path to ``new``; the kind is kept."""

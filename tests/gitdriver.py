@@ -33,7 +33,7 @@ from gitcite.paths import from_rendered
 
 from conftest import git, init_repo
 from identity_model import MergeRefused, Model, citation_file, file_paths
-from support import record, snapshot_worktree, store_citation_file
+from support import record, snapshot_worktree, store_citation_file, tree_files
 
 
 def _sha(content: str) -> str:
@@ -72,7 +72,7 @@ class Project:
             f"--- adapter ---\n{disk}\n--- model ---\n{expected}"
         )
         assert validate(parse(disk), WorktreeLookup(self.root)) == []
-        assert [str(p) for p in snapshot_worktree(self.root).file_paths()] == file_paths(self.model.work)
+        assert [str(p) for p in tree_files(snapshot_worktree(self.root))] == file_paths(self.model.work)
 
     def _clean(self) -> None:
         assert self.model.work == self.model.commits[self.model.head], (

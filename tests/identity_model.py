@@ -50,13 +50,19 @@ def citation_file(state: State) -> CitationFile:
     return CitationFile({node.path: node.record for node in state.values() if node.record is not None})
 
 
+def covers(key: CanonicalPath, node: CanonicalPath) -> bool:
+    """True when a citation entry at ``key`` applies to ``node``: the key
+    itself, or anything inside the directory ``key``."""
+    return node.is_within(key) if key.is_dir else key == node
+
+
 def file_paths(state: State) -> list[str]:
     return sorted(str(node.path) for node in state.values() if node.path.is_file)
 
 
 def resolved(state: State, path: CanonicalPath) -> CitationRecord:
     """The record of the deepest cited node at or above ``path``."""
-    covering = [node for node in state.values() if node.record is not None and node.path.covers(path)]
+    covering = [node for node in state.values() if node.record is not None and covers(node.path, path)]
     return max(covering, key=lambda node: len(node.path.segments)).record
 
 
@@ -164,7 +170,7 @@ class Model:
         return next((ident for ident, node in self.work.items() if node.path == path), None)
 
     def _under(self, path: CanonicalPath) -> list[int]:
-        found = [ident for ident, node in self.work.items() if path.covers(node.path)]
+        found = [ident for ident, node in self.work.items() if covers(path, node.path)]
         if not found or path.is_root:
             raise KeyError(f"nothing to change at {path}")
         return found

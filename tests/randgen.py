@@ -9,6 +9,8 @@ from gitcite import CitationFile, CitationRecord
 from gitcite.model import TreeSnapshot
 from gitcite.paths import ROOT, CanonicalPath, PathKind
 
+from support import child, tree_paths
+
 _NAMES = string.ascii_lowercase
 
 
@@ -46,24 +48,24 @@ def rand_tree(rng: random.Random, max_nodes: int = 40) -> TreeSnapshot:
         parent = rng.choice(dirs)
         name = rand_name(rng, used)
         if rng.random() < 0.35:
-            child = parent.child(name, PathKind.DIRECTORY)
-            snap = snap.with_dir(child)
-            dirs.append(child)
+            node = child(parent, name, PathKind.DIRECTORY)
+            snap = snap.with_dir(node)
+            dirs.append(node)
         else:
-            snap = snap.with_file(parent.child(name, PathKind.FILE), digest=f"d{rng.randrange(10**6)}")
-    if not snap.file_paths():
-        snap = snap.with_file(ROOT.child("seed", PathKind.FILE), digest="d0")
+            snap = snap.with_file(child(parent, name, PathKind.FILE), digest=f"d{rng.randrange(10**6)}")
+    if not snap.files:
+        snap = snap.with_file(child(ROOT, "seed", PathKind.FILE), digest="d0")
     return snap
 
 
 def rand_citation_file(rng: random.Random, tree: TreeSnapshot, density: float = 0.25) -> CitationFile:
     """A partial citation file over the tree's nodes; the root is always cited."""
     entries = {ROOT: rand_record(rng)}
-    for path in tree.paths():
+    for path in tree_paths(tree):
         if not path.is_root and rng.random() < density:
             entries[path] = rand_record(rng)
     return CitationFile(entries)
 
 
 def rand_node(rng: random.Random, tree: TreeSnapshot) -> CanonicalPath:
-    return rng.choice(tree.paths())
+    return rng.choice(tree_paths(tree))

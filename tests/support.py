@@ -8,7 +8,7 @@ from pathlib import Path
 from gitcite import CitationFile, CitationRecord
 from gitcite.model import RECORD_FIELDS, TreeSnapshot
 from gitcite.gitadapter import CITATION_FILE, _WriterLock
-from gitcite.paths import CanonicalPath, from_rendered
+from gitcite.paths import CanonicalPath, PathKind, from_rendered
 
 
 def record(tag: str, **overrides) -> CitationRecord:
@@ -60,6 +60,24 @@ def tree(*files: str, dirs: tuple[str, ...] = ()) -> TreeSnapshot:
     return TreeSnapshot.from_files(
         {from_rendered(f).segments: f"digest:{f}" for f in files}, [from_rendered(d).segments for d in dirs]
     )
+
+
+def tree_paths(snap: TreeSnapshot) -> list[CanonicalPath]:
+    """Every node of ``snap``, root included, in rendered order."""
+    nodes = [CanonicalPath(s, PathKind.DIRECTORY) for s in snap.dirs]
+    nodes += (CanonicalPath(s, PathKind.FILE) for s in snap.files)
+    return sorted(nodes, key=str)
+
+
+def tree_files(snap: TreeSnapshot) -> list[CanonicalPath]:
+    """Every file of ``snap``, in rendered order."""
+    return [p for p in tree_paths(snap) if p.is_file]
+
+
+def child(parent: CanonicalPath, name: str, kind: PathKind) -> CanonicalPath:
+    """The node ``name`` of ``kind`` in the directory ``parent``."""
+    assert parent.is_dir, parent
+    return CanonicalPath(parent.segments + (name,), kind)
 
 
 def snapshot_worktree(worktree_root: Path | str) -> TreeSnapshot:

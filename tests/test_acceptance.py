@@ -22,7 +22,7 @@ import randgen
 from gitdriver import run_scenario
 from identity_model import Model, citation_file, resolved
 from scenarios import SCENARIOS
-from support import record, resolve_by_walking
+from support import child, record, resolve_by_walking, tree_files, tree_paths
 
 
 def _ok(label: str) -> None:
@@ -127,12 +127,12 @@ def test_copy_preserves_resolution():
         rng = random.Random(5000 + i)
         src_tree = randgen.rand_tree(rng, max_nodes=25)
         src_cf = randgen.rand_citation_file(rng, src_tree, density=0.35)
-        subtree = rng.choice([p for p in src_tree.paths() if p.is_dir])
+        subtree = rng.choice([p for p in tree_paths(src_tree) if p.is_dir])
         dst_tree = randgen.rand_tree(rng, max_nodes=8)
         dst_cf = randgen.rand_citation_file(rng, dst_tree)
         target = from_rendered(f"/import{i}/")
         cf, _ = apply_copy(dst_cf, dst_tree, src_cf, src_tree, subtree, target)
-        for node in src_tree.paths():
+        for node in tree_paths(src_tree):
             if node.is_within(subtree):
                 moved = node.rebased(subtree, target)
                 assert resolve_from_entries(cf, moved) == resolve(src_cf, src_tree, node)
@@ -146,7 +146,7 @@ def _edited(rng: random.Random, cf: CitationFile, tree: TreeSnapshot, count: int
     """``cf`` after ``count`` random checked adds, deletes and modifies."""
     for _ in range(count):
         roll = rng.random()
-        uncited = [p for p in tree.paths() if p not in cf]
+        uncited = [p for p in tree_paths(tree) if p not in cf]
         cited = [p for p in cf if not p.is_root]
         if roll < 0.4 and uncited:
             cf = apply_add(cf, tree, rng.choice(uncited), randgen.rand_record(rng))
@@ -214,15 +214,15 @@ def test_random_operation_sequences_stay_consistent():
     ops keep the citation file the identity model expects, and it validates."""
     for i in range(200):
         rng = random.Random(11000 + i)
-        model = _model(randgen.rand_record(rng), *map(str, randgen.rand_tree(rng, max_nodes=12).file_paths()))
+        model = _model(randgen.rand_record(rng), *map(str, tree_files(randgen.rand_tree(rng, max_nodes=12))))
         cf = citation_file(model.work)
         for _ in range(30):
             tree = _tree_of(model)
-            dirs = [p for p in tree.paths() if p.is_dir]
-            nodes = [p for p in tree.paths() if not p.is_root]
-            used = {p.name for p in nodes}
+            dirs = [p for p in tree_paths(tree) if p.is_dir]
+            nodes = [p for p in tree_paths(tree) if not p.is_root]
+            used = {p.segments[-1] for p in nodes}
             renames, deleted = [], []
-            uncited = [p for p in tree.paths() if p not in cf]
+            uncited = [p for p in tree_paths(tree) if p not in cf]
             roll = rng.random()
             if roll < 0.3 and uncited:
                 path = rng.choice(uncited)
@@ -237,13 +237,14 @@ def test_random_operation_sequences_stay_consistent():
                 cf = apply_delete(cf, path)
                 model.uncite(path)
             elif roll < 0.7 or not nodes:
-                model.write(rng.choice(dirs).child(randgen.rand_name(rng, used), PathKind.FILE), "d")
+                model.write(child(rng.choice(dirs), randgen.rand_name(rng, used), PathKind.FILE), "d")
             elif roll < 0.8:
                 deleted.append(rng.choice(nodes))
                 model.remove(deleted[0])
             else:
                 old = rng.choice(nodes)
-                new = rng.choice([d for d in dirs if not d.is_within(old)]).child(randgen.rand_name(rng, used), old.kind)
+                outside = [d for d in dirs if not d.is_within(old)]
+                new = child(rng.choice(outside), randgen.rand_name(rng, used), old.kind)
                 renames.append((old, new))
                 model.move(old, new)
             model.commit()

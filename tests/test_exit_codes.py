@@ -428,3 +428,50 @@ def test_init_before_the_first_commit_credits_the_owner(tmp_path):
     assert (drafted.owner, drafted.author_list, drafted.version_id, drafted.date) == (
         "Ada Tester", ("Ada Tester",), "", ""
     )
+
+
+# --- Paths the file system will not look up, and refusals -----------------------
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen", "d/f.c"], ["add", "d/f.c", "--field", "owner=o"], ["validate"]], ids=["gen", "add", "validate"]
+)
+def test_a_directory_lstat_may_not_read_exits_3_and_keeps_the_file(tmp_path, monkeypatch, argv):
+    # Root may search any directory, so the refusal is injected: a failed lookup is no missing path.
+    root = _cited(tmp_path)
+    shut, real_lstat = os.path.realpath(root / "d"), os.lstat
+
+    def lstat(path, *args, **kwargs):
+        if os.fspath(path) == shut:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_lstat(path, *args, **kwargs)
+
+    before = _state(root)
+    monkeypatch.setattr(os, "lstat", lstat)
+    code, out, err = _run(argv, root)
+    assert (code, out, err) == (3, "", f"gitcite: [Errno 13] Permission denied: '{shut}'\n")
+    assert _state(root) == before
+
+
+def test_a_name_too_long_for_the_file_system_is_not_in_the_tree(tmp_path):
+    root = _cited(tmp_path)
+    name = "x" * 300
+    with pytest.raises(OSError) as err:
+        os.lstat(root / name)
+    assert err.value.errno == errno.ENAMETOOLONG
+    assert _run(["gen", name], root) == (1, "", f"gitcite: /{name} is not in the tree\n")
+
+
+def test_a_merge_into_a_branch_with_no_commit_exits_3_and_changes_nothing(tmp_path):
+    root = _merging(tmp_path)
+    git(root, "checkout", "-q", "--orphan", "lonely")
+    before = _state(root)
+    assert _run(["merge", "main", "--ours"], root) == (3, "", "gitcite: HEAD has no commit to merge into\n")
+    assert _state(root) == before
+
+
+def test_a_copy_onto_the_root_exits_1_and_changes_nothing(tmp_path):
+    root = _copying(tmp_path / "checkout")
+    before = _state(root)
+    assert _run(["copy", "../src", "sub/", "/"], root) == (1, "", "gitcite: / is not a valid destination directory\n")
+    assert _state(root) == before

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gitcite import CitationFile, CitationRecord
-from gitcite.errors import InvalidPath, MalformedDocument
+from gitcite.errors import GitCiteError, InvalidPath
 from gitcite.fileformat import parse, record_from_obj, serialize
 from gitcite.gitadapter import decode_citation_file, encode_citation_file
 from gitcite.model import RECORD_FIELDS
@@ -80,14 +80,13 @@ def test_record_fields_appear_in_fixed_order():
 
 def test_duplicate_keys_are_rejected():
     text = '{"/": {"owner": "o", "repo_name": "r", "locator": "u"}, "/": {"owner": "o2", "repo_name": "r", "locator": "u"}}'
-    with pytest.raises(MalformedDocument):
+    with pytest.raises(GitCiteError, match="^duplicate key '/'$"):
         parse(text)
 
 
 def test_parse_reports_position_for_broken_json():
-    with pytest.raises(MalformedDocument) as err:
+    with pytest.raises(GitCiteError, match=r" \(line 1, column 7\)$"):
         parse('{"/": ')
-    assert err.value.line is not None
 
 
 _R = '"owner": "o", "repo_name": "r", "locator": "u"'
@@ -119,14 +118,14 @@ _R = '"owner": "o", "repo_name": "r", "locator": "u"'
     ],
 )
 def test_malformed_documents(text, message):
-    with pytest.raises(MalformedDocument) as err:
+    with pytest.raises(GitCiteError) as err:
         parse(text)
     assert str(err.value) == message
 
 
 def test_document_without_root_entry():
     text = '{"/a": {"owner": "o", "repo_name": "r", "locator": "u"}}'
-    with pytest.raises(MalformedDocument, match="^the document has no '/' entry$"):
+    with pytest.raises(GitCiteError, match="^the document has no '/' entry$"):
         parse(text)
     assert from_rendered("/a") in parse(text, require_root=False)
 
@@ -139,7 +138,7 @@ def test_unknown_record_fields_land_in_extras():
 
 def test_unknown_field_colliding_with_extras_key():
     obj = {"owner": "o", "repo_name": "r", "locator": "u", "extras": {"k": "1"}, "k": "2"}
-    with pytest.raises(MalformedDocument):
+    with pytest.raises(GitCiteError, match="^record: field 'k' collides with an extras key$"):
         record_from_obj(obj)
 
 
@@ -214,7 +213,7 @@ def test_the_decoder_reads_exactly_what_the_encoder_can_write(entries):
     try:
         encode_citation_file(held)
     except (InvalidPath, ValueError):
-        with pytest.raises(MalformedDocument, match="^the document: "):
+        with pytest.raises(GitCiteError, match="^the document: "):
             decode_citation_file(doc.encode("ascii"), "the document", require_root=False)
     else:
         assert decode_citation_file(doc.encode("ascii"), "the document", require_root=False) == held

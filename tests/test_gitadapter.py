@@ -11,12 +11,11 @@ import pytest
 
 from gitcite import CitationFile, gitadapter, resolve, validate
 from gitcite.cli import main
-from gitcite.errors import FileMissing, GitCiteError, IoFailure, MalformedDocument
+from gitcite.errors import GitCiteError, IoFailure
 from gitcite.fileformat import serialize
 from gitcite.gitadapter import (
     RevisionLookup,
     WorktreeLookup,
-    citation_file_at_revision,
     default_root_citation,
     fetch_remote_citation_file,
     load_citation_file,
@@ -29,7 +28,7 @@ from gitcite.paths import ROOT, PathKind, from_rendered
 
 from conftest import git, init_repo, seed
 from identity_model import Model, citation_file
-from support import record, snapshot_worktree, store_citation_file
+from support import record, snapshot_worktree, store_citation_file, tree_paths
 
 
 def _source(tag: str) -> str:
@@ -62,12 +61,13 @@ class TestLoadStore:
         assert (tmp_path / "citation.cite").read_bytes() == first
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileMissing):
+        message = f"no citation.cite at {tmp_path}; run 'gitcite init' there first"
+        with pytest.raises(IoFailure, match=f"^{re.escape(message)}$"):
             load_citation_file(tmp_path)
 
     def test_malformed_file(self, tmp_path):
         (tmp_path / "citation.cite").write_text("{broken")
-        with pytest.raises(MalformedDocument):
+        with pytest.raises(GitCiteError, match="citation.cite: Expecting property name enclosed in double quotes"):
             load_citation_file(tmp_path)
 
     def test_unwritable_target_is_an_io_failure(self, tmp_path):
@@ -137,6 +137,17 @@ class TestSyncOnCommit:
 
 
 class TestStagedChanges:
+    def test_before_the_first_commit_there_is_nothing_to_carry(self, git_repo):
+        root = git_repo()
+        (root / "a.c").write_text("a")
+        store_citation_file(root, CitationFile({ROOT: record("root"), from_rendered("/a.c"): record("a")}))
+        git(root, "add", "-A")
+        before = os.stat(root / "citation.cite"), (root / "citation.cite").read_bytes()
+        assert staged_changes(root) == ([], [])
+        sync_on_commit(root, *staged_changes(root))
+        after = os.stat(root / "citation.cite"), (root / "citation.cite").read_bytes()
+        assert (after[0].st_ino, after[1]) == (before[0].st_ino, before[1])
+
     def test_reports_renames_and_deletes(self, git_repo):
         root = git_repo()
         seed(root, {"keep.c": "k", "old.c": "o", "gone.c": "g"}, {})
@@ -518,9 +529,9 @@ class TestWorktreeAndHistory:
             ("citation.cite",): None,
         }
         snap = snapshot_worktree(root)
-        assert [str(p) for p in snap.paths()] == ["/", "/src/", "/src/a.c"]
-        assert all(lookup.contains(p) for p in snap.paths())
-        assert snap.digest_at(from_rendered("/src/a.c")) == ""  # contents are never read
+        assert [str(p) for p in tree_paths(snap)] == ["/", "/src/", "/src/a.c"]
+        assert all(lookup.contains(p) for p in tree_paths(snap))
+        assert snap.files == {("src", "a.c"): ""}  # contents are never read
 
     def test_tree_and_citation_file_at_a_revision(self, git_repo):
         root = git_repo()
@@ -533,13 +544,13 @@ class TestWorktreeAndHistory:
         old_tree = RevisionLookup(root, first_rev)
         candidates = [ROOT, *map(from_rendered, ["/a.c", "/a.c/", "/b.c", "/citation.cite"])]
         assert [str(p) for p in candidates if old_tree.contains(p)] == ["/", "/a.c"]
-        assert citation_file_at_revision(root, first_rev) == first_cf
-        assert from_rendered("/b.c") in citation_file_at_revision(root, "HEAD")
+        assert old_tree.citation_file() == first_cf
+        assert from_rendered("/b.c") in RevisionLookup(root, "HEAD").citation_file()
         with pytest.raises(GitCiteError, match="^unknown revision 'not-a-rev'$"):
             RevisionLookup(root, "not-a-rev").kind_of(("a.c",))
         for bad_rev in ["not-a-rev", "HEAD:citation.cite\nHEAD"]:  # the second would ask for two objects
             with pytest.raises(GitCiteError, match=f"^{re.escape(f'unknown revision {bad_rev!r}')}$"):
-                citation_file_at_revision(root, bad_rev)
+                RevisionLookup(root, bad_rev).citation_file()
 
     def test_a_citation_file_at_a_revision_must_be_utf8(self, git_repo):
         root = git_repo()
@@ -548,7 +559,7 @@ class TestWorktreeAndHistory:
         cite.write_bytes(cite.read_bytes().replace(b"owner-root", b"owner-\xff"))
         git(root, "commit", "-q", "-a", "-m", "not UTF-8")
         with pytest.raises(IoFailure, match="citation.cite at revision 'HEAD'"):
-            citation_file_at_revision(root, "HEAD")
+            RevisionLookup(root, "HEAD").citation_file()
 
     def test_default_root_citation_matches_direct_git_queries(self, git_repo):
         root = git_repo(origin="https://example.com/carol/widget.git")
@@ -655,12 +666,12 @@ class TestFetch:
 
     def test_unreachable_host(self):
         with pytest.raises(IoFailure, match="^cannot fetch http://127.0.0.1:1/citation.cite: "):
-            fetch_remote_citation_file("http://127.0.0.1:1/citation.cite", timeout=0.5)
+            fetch_remote_citation_file("http://127.0.0.1:1/citation.cite")
 
     def test_malformed_remote_document(self, http_root):
         served, url = http_root
         (served / "bad.cite").write_text(json.dumps({"no-root": {}}))
-        with pytest.raises(MalformedDocument) as err:
+        with pytest.raises(GitCiteError) as err:
             fetch_remote_citation_file(f"{url}/bad.cite")
         assert str(err.value).startswith(f"{url}/bad.cite: invalid path key 'no-root'")
 

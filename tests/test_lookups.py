@@ -22,7 +22,7 @@ from gitcite.model import CitationFile, TreeSnapshot
 from gitcite.paths import PathKind
 
 from conftest import git, init_repo
-from support import record, snapshot_worktree, store_citation_file
+from support import record, snapshot_worktree, store_citation_file, tree_paths
 
 _NAMES = st.sampled_from(["a", "b.c", ".git", "citation.cite"])
 # A leaf is a file, one of three symlinks or a FIFO; a dict is a directory, maybe empty.
@@ -72,7 +72,7 @@ def test_worktree_lookup_matches_the_walk(layout, extra):
         oracle, lookup = snapshot_worktree(root), WorktreeLookup(root)
         for segments in sorted(queries):
             assert lookup.kind_of(segments) is oracle.kind_of(segments), segments
-        for path in oracle.paths():
+        for path in tree_paths(oracle):
             assert lookup.contains(path)
 
 
@@ -111,7 +111,7 @@ def test_revision_lookup_matches_the_ls_tree_listing(git_repo, monkeypatch, caps
     git(root, "commit", "-q", "-m", "second")
     revs = [head, "HEAD"]
     oracles = {rev: _tree_from_ls_tree(root, rev) for rev in revs}
-    made = {p.segments for tree in oracles.values() for p in tree.paths()}
+    made = {p.segments for tree in oracles.values() for p in tree_paths(tree)}
     extra = [("citation.cite",), ("nope",), ("link", "b.c"), ("a.c", "x"), ("vendor", "sub", "f")]
     queries = _queries(sorted(made), extra)
     for rev in revs:

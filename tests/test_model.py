@@ -12,7 +12,8 @@ from gitcite.model import DANGLING_KEY, KIND_MISMATCH, MISSING_ROOT, TreeSnapsho
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 
 import randgen
-from support import record, resolve_by_walking, tree
+from identity_model import covers
+from support import record, resolve_by_walking, tree, tree_paths
 
 # The messages of a tree edit that puts a file where a directory is, or the reverse.
 TREE_CLASH = "^(a directory already exists at |.* is not a (file|directory) path$|.* is a file, not a directory$)"
@@ -55,12 +56,12 @@ class TestTreeSnapshot:
 
     def test_paths_are_sorted_and_complete(self):
         snap = tree("/b/x.c", "/a.c")
-        assert [str(p) for p in snap.paths()] == ["/", "/a.c", "/b/", "/b/x.c"]
+        assert [str(p) for p in tree_paths(snap)] == ["/", "/a.c", "/b/", "/b/x.c"]
 
     def test_structural_edits(self):
         snap = tree("/a/one.c")
         snap = snap.with_file(from_rendered("/a/two.c"), "d2").with_dir(from_rendered("/b/c/"))
-        assert [str(p) for p in snap.paths()] == ["/", "/a/", "/a/one.c", "/a/two.c", "/b/", "/b/c/"]
+        assert [str(p) for p in tree_paths(snap)] == ["/", "/a/", "/a/one.c", "/a/two.c", "/b/", "/b/c/"]
         with pytest.raises(GitCiteError, match="^/a/one.c is a file, not a directory$"):
             snap.with_file(from_rendered("/a/one.c/x.c"))
         with pytest.raises(GitCiteError, match="^/a/one.c is a file, not a directory$"):
@@ -107,7 +108,7 @@ def _trees(draw) -> TreeSnapshot:
 @given(st.data())
 def test_single_edits_match_building_the_edited_path_list(data):
     snap = data.draw(_trees())
-    path = data.draw(st.one_of(st.sampled_from(snap.paths()), st.just(ROOT), _kinded_path))
+    path = data.draw(st.one_of(st.sampled_from(tree_paths(snap)), st.just(ROOT), _kinded_path))
     # The edited path list; directories are dict keys too.
     files, dirs = dict(snap.files), dict.fromkeys(s for s in snap.dirs if s)
     if data.draw(st.booleans()):
@@ -133,7 +134,7 @@ def test_single_edits_match_building_the_edited_path_list(data):
 
 def _resolve_by_scanning(cf: CitationFile, path: CanonicalPath) -> CitationRecord:
     """Reference: the deepest of all keys that cover ``path``."""
-    covering = [key for key in cf if key.covers(path)]
+    covering = [key for key in cf if covers(key, path)]
     if not covering:
         raise GitCiteError(f"no entry covers {path}; the root entry is required")
     return cf.get(max(covering, key=lambda key: len(key.segments)))
@@ -220,13 +221,13 @@ class TestResolve:
         for _ in range(25):
             snap = randgen.rand_tree(rng, max_nodes=25)
             cf = randgen.rand_citation_file(rng, snap, density=0.15)
-            targets = [p for p in snap.paths() if p.is_dir and p not in cf]
+            targets = [p for p in tree_paths(snap) if p.is_dir and p not in cf]
             if not targets:
                 continue
             q = rng.choice(targets)
             new_rec = randgen.rand_record(rng)
             updated = cf.with_entry(q, new_rec)
-            for node in snap.paths():
+            for node in tree_paths(snap):
                 before = resolve(cf, snap, node)
                 after = resolve(updated, snap, node)
                 if after != before:
@@ -258,5 +259,5 @@ class TestValidate:
             snap = randgen.rand_tree(rng, max_nodes=20)
             cf = randgen.rand_citation_file(rng, snap)
             assert validate(cf, snap) == []
-            for node in snap.paths():
+            for node in tree_paths(snap):
                 resolve(cf, snap, node)  # must not raise

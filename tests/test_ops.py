@@ -4,6 +4,7 @@ import ast
 import importlib
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,6 @@ from gitcite.ops import (
 )
 from gitcite.gitadapter import (
     RevisionLookup,
-    citation_file_at_revision,
     default_root_citation,
     sync_on_commit,
 )
@@ -31,7 +31,8 @@ from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 
 import randgen
 from conftest import git
-from support import record, resolve_by_walking, store_citation_file, tree
+from identity_model import covers
+from support import child, record, resolve_by_walking, store_citation_file, tree, tree_paths
 
 TREE = tree("/f1", "/f2", "/sub/a.c", "/sub/b.c")
 ROOT_ONLY = CitationFile.single(record("root"))
@@ -68,11 +69,11 @@ class TestDelCite:
             apply_delete(ROOT_ONLY, ROOT)
 
     def test_add_then_delete_restores_resolution_everywhere(self):
-        before = {str(p): resolve(ROOT_ONLY, TREE, p) for p in TREE.paths()}
+        before = {str(p): resolve(ROOT_ONLY, TREE, p) for p in tree_paths(TREE)}
         sub = from_rendered("/sub/")
         cf = apply_delete(apply_add(ROOT_ONLY, TREE, sub, record("sub")), sub)
         assert cf == ROOT_ONLY
-        assert {str(p): resolve(cf, TREE, p) for p in TREE.paths()} == before
+        assert {str(p): resolve(cf, TREE, p) for p in tree_paths(TREE)} == before
 
     def test_nested_delete_falls_back_to_grandparent(self):
         target = from_rendered("/sub/a.c")
@@ -93,7 +94,7 @@ class TestModifyCite:
     def test_modify_root_changes_every_inheriting_node(self):
         cited = apply_add(ROOT_ONLY, TREE, from_rendered("/sub/"), record("sub"))
         cf = apply_modify(cited, ROOT, record("newroot"))
-        for path in TREE.paths():
+        for path in tree_paths(TREE):
             assert resolve(cf, TREE, path) == resolve_by_walking(cf, path)
         assert resolve(cf, TREE, from_rendered("/f1")) == record("newroot")
         assert resolve(cf, TREE, from_rendered("/sub/a.c")) == record("sub")
@@ -113,7 +114,8 @@ class TestGuards:
             git(root, "commit", "-q", "-m", "step")
 
         def gen(rev, path):
-            return resolve(citation_file_at_revision(root, rev), RevisionLookup(root, rev), from_rendered(path))
+            lookup = RevisionLookup(root, rev)
+            return resolve(lookup.citation_file(), lookup, from_rendered(path))
 
         assert gen("HEAD~1", "/f1") == record("root")
         assert gen("HEAD", "/f1") == record("f1")
@@ -131,7 +133,7 @@ class TestGuards:
         cf = CitationFile.single(randgen.rand_record(rng))
         for path, rec in randgen.rand_citation_file(rng, snap).items():
             cf = apply_add(cf, snap, path, rec) if not path.is_root else cf
-        for node in snap.paths():
+        for node in tree_paths(snap):
             assert resolve(cf, snap, node) == resolve_by_walking(cf, node)
 
 
@@ -163,7 +165,7 @@ def test_rewrite_onto_an_existing_key_raises(old, new):
 
 
 def _overlap(p: CanonicalPath, q: CanonicalPath) -> bool:
-    return p.covers(q) or q.covers(p)
+    return covers(p, q) or covers(q, p)
 
 
 _path = st.tuples(
@@ -203,7 +205,7 @@ def test_simultaneous_rewrite_matches_folding_one_pair_calls(keys, moves):
 )
 def test_a_rotation_gives_the_same_file_in_either_order(a, b, c):
     a, b, c = from_rendered(a), from_rendered(b), from_rendered(c)
-    inner = a.child("x.c", PathKind.FILE) if a.is_dir else a
+    inner = child(a, "x.c", PathKind.FILE) if a.is_dir else a
     cf = CitationFile({ROOT: record("root"), a: record("a"), b: record("b"), inner: record("inner")})
     forward = carry_keys(cf, [(a, b), (b, c)])
     assert forward == carry_keys(cf, [(b, c), (a, b)])
@@ -242,8 +244,8 @@ def test_a_moved_key_is_never_dropped_and_an_unmoved_one_only_when_deleted(keys,
     ]
     cf = CitationFile({ROOT: record("root"), **{key: record(str(key)) for key in keys}})
     carried = carry_keys(cf, renames, deleted)
-    moved = {key for key in cf.keys() if any(old.covers(key) for old in olds)}
-    kept = {key for key in cf.keys() - moved if key.is_root or not any(d.covers(key) for d in deleted)}
+    moved = {key for key in cf.keys() if any(covers(old, key) for old in olds)}
+    kept = {key for key in cf.keys() - moved if key.is_root or not any(covers(d, key) for d in deleted)}
     origin = {record.owner: key for key, record in cf.items()}  # every key has its own record
     assert sorted(origin[record.owner] for _, record in carried.items()) == sorted(moved | kept)
     assert ROOT in kept and all(carried.get(key) == cf.get(key) for key in kept)
@@ -573,6 +575,64 @@ def test_copy_reads_its_source_from_git_alone():
                     and any(getattr(arg, "value", None) == "read-tree" for arg in call.args)
                 ]
     assert reads_trees == ["run_copy"]
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is used in ``tree``, as a name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_definition_in_the_package_has_a_user():
+    """The package holds only what runs: every module-level function and
+    class, and every method but a dunder, is used outside its own
+    definition in ``src/gitcite``, exported in ``gitcite.__all__``, or named
+    by the benchmark, whose tracer looks the tree builders up by string.
+    Test-only helpers live in ``tests/``."""
+    modules = [ast.parse(source.read_text(encoding="utf-8")) for source in Path(gitcite.__file__).parent.glob("*.py")]
+    used = sum(map(_references, modules), Counter())
+    named = set(gitcite.__all__)  # exported, or named by the benchmark as code or as a string
+    for source in Path(__file__).parents[1].joinpath("perfbench").glob("*.py"):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        named |= set(_references(tree)) | {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    definitions = []
+    for module in modules:
+        for top in module.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append(top)
+            if isinstance(top, ast.ClassDef):
+                definitions += [
+                    f for f in top.body if isinstance(f, ast.FunctionDef) and not re.fullmatch("__.*__", f.name)
+                ]
+    unused = [d.name for d in definitions if used[d.name] == _references(d)[d.name] and d.name not in named]
+    assert unused == []
+
+
+def test_each_error_class_is_caught_by_name_or_builds_its_message():
+    """``errors.py``'s rule: beside ``GitCiteError`` and ``IoFailure``,
+    which decide the exit code, a class exists only where the package catches
+    it by name, in an ``except`` clause or a tuple one names, or where its
+    own ``__init__`` builds the one message of several raise sites."""
+    caught = set()
+    for source in Path(gitcite.__file__).parent.glob("*.py"):
+        module = ast.parse(source.read_text(encoding="utf-8"))
+        tuples = {  # each module-level name bound to a tuple, such as cli._ENV_ERRORS
+            node.targets[0].id: node.value.elts for node in module.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+            and isinstance(node.targets[0], ast.Name)
+        }
+        for handler in ast.walk(module):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+                kinds += [kind for name in kinds if isinstance(name, ast.Name) for kind in tuples.get(name.id, [])]
+                caught |= {kind.id for kind in kinds if isinstance(kind, ast.Name)}
+    errors = ast.parse(Path(gitcite.__file__).with_name("errors.py").read_text(encoding="utf-8"))
+    for cls in errors.body:
+        if isinstance(cls, ast.ClassDef) and cls.name not in ("GitCiteError", "IoFailure"):
+            builds = any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in cls.body)
+            assert cls.name in caught or builds, cls.name
 
 
 def test_the_identity_model_imports_nothing_from_ops_or_the_adapter():

@@ -146,16 +146,12 @@ def test_parent_chain_ends_at_root():
     assert ROOT.parent() is None
 
 
-def test_is_within_and_covers():
+def test_is_within():
     d = from_rendered("/a/")
     assert from_rendered("/a/x.c").is_within(d)
     assert d.is_within(d)
     assert not from_rendered("/a").is_within(d)  # file named like the directory
     assert not from_rendered("/ab/x.c").is_within(d)
-    assert d.covers(from_rendered("/a/b/c"))
-    assert not from_rendered("/a/x.c").covers(from_rendered("/a/x.c/y"))
-    assert from_rendered("/a/x.c").covers(from_rendered("/a/x.c"))
-    assert ROOT.covers(from_rendered("/anything"))
 
 
 def test_rebased_rewrites_prefixes():

@@ -20,8 +20,8 @@ from gitcite.paths import ROOT, from_rendered
 from gitcite.ops import ConflictReport, apply_copy, merge_citation_files
 
 import randgen
-from identity_model import MergeRefused, Model, citation_file, file_paths, resolved
-from support import record, tree
+from identity_model import MergeRefused, Model, citation_file, covers, file_paths, resolved
+from support import record, tree, tree_files, tree_paths
 
 
 def repo_with(files: tuple[str, ...], cites: dict[str, str] = ()) -> Model:
@@ -39,6 +39,13 @@ def repo_with(files: tuple[str, ...], cites: dict[str, str] = ()) -> Model:
 
 def keys(model: Model) -> set[str]:
     return {str(k) for k in citation_file(model.work).keys()}
+
+
+def test_a_key_covers_itself_and_what_its_directory_holds():
+    assert covers(from_rendered("/a/"), from_rendered("/a/b/c"))
+    assert not covers(from_rendered("/a/x.c"), from_rendered("/a/x.c/y"))
+    assert covers(from_rendered("/a/x.c"), from_rendered("/a/x.c"))
+    assert covers(ROOT, from_rendered("/anything"))
 
 
 class TestCommit:
@@ -150,16 +157,16 @@ class TestCopyCite:
         rng = random.Random(99)
         for _ in range(40):
             src_tree = TreeSnapshot.from_files(randgen.rand_tree(rng, max_nodes=25).files)  # the dirs git keeps
-            src = repo_with(tuple(map(str, src_tree.file_paths())))
+            src = repo_with(tuple(map(str, tree_files(src_tree))))
             for path, rec in randgen.rand_citation_file(rng, src_tree).items():
                 src.cite(path, rec)
             src.commit()
-            subtree = rng.choice([p for p in src_tree.paths() if p.is_dir])
+            subtree = rng.choice([p for p in tree_paths(src_tree) if p.is_dir])
             dst = repo_with(("/app.c",))
             target = from_rendered("/imported/")
             dst.copy(src.work, subtree, target)
             dst.commit()
-            for node in src_tree.paths():
+            for node in tree_paths(src_tree):
                 if node.is_within(subtree):
                     assert resolved(dst.work, node.rebased(subtree, target)) == resolved(src.work, node)
 
