@@ -366,13 +366,16 @@ class WorktreeLookup(_PathLookup):
 class RevisionLookup(_PathLookup):
     """The tree committed at ``rev``, read with its citation file by one
     :func:`_objects` call (a ``rev`` that is no tree raises
-    :class:`~gitcite.errors.GitCiteError`), then one ``git ls-tree <tree> --
-    <path>`` per path, so a ref that moves meanwhile changes nothing.
+    :class:`~gitcite.errors.GitCiteError`), then one more per path, of its
+    parent directory (:func:`_tree_name`) in that tree, so a ref that moves
+    meanwhile changes nothing.
 
     The kind comes from the entry in its parent tree, so the object itself is
     never read: a submodule's commit lives in its own repository, not here.
-    A tree is a directory; a blob (symlinks included) or a commit (a
-    submodule) is a file. The citation file at the top is left out.
+    Mode ``40000`` is a directory; any other (a file, a symlink, a
+    submodule) is a file. A parent that is missing or no tree, as one through
+    a file or a submodule is, holds nothing. The citation file at the top is
+    left out.
     """
 
     def __init__(self, root: str, rev: str) -> None:
@@ -391,38 +394,48 @@ class RevisionLookup(_PathLookup):
     def _lookup(self, segments: Segments) -> PathKind | None:
         if not segments:
             return PathKind.DIRECTORY
-        if segments == (CITATION_FILE,):
+        if segments == (CITATION_FILE,) or "\0" in "".join(segments):  # no git path holds a NUL
             return None
-        path_text = "/".join(segments)
-        if "\0" in path_text:  # no git path holds one, and no argument can
+        (parent,) = _objects(self._root, [_tree_name(self.tree, segments[:-1])])
+        if parent is None or parent[1] != "tree":
             return None
-        proc = _git(self._root, "--literal-pathspecs", "ls-tree", "--full-tree", "-z", self.tree, "--", path_text)
-        for entry in proc.stdout.split("\0"):
-            meta, _, name = entry.partition("\t")
-            if name == path_text:
-                return PathKind.DIRECTORY if meta.split()[1] == "tree" else PathKind.FILE
+        data, pos, leaf = parent[2], 0, segments[-1].encode("utf-8", "surrogateescape")
+        while pos < len(data):  # each entry is "<mode> <name>\0<id>", the id in binary
+            space = data.index(b" ", pos)
+            end = data.index(b"\0", space)
+            if data[space + 1 : end] == leaf:
+                return PathKind.DIRECTORY if data[pos:space] == b"40000" else PathKind.FILE
+            pos = end + 1 + len(self.tree) // 2
         return None
 
 
-def _unnameable(name: str) -> bool:  # cat-file reads one name a line, and git ends a name at a NUL
-    return "\n" in name or "\0" in name
+def _tree_name(tree: str, segments: Segments) -> str:
+    """The object name of the directory ``segments`` in ``tree``: ``<tree>:``
+    for the top, else ``<tree>:<path>/``. An object name is never read as a
+    pathspec, and the ``/`` keeps git from reading a name such as
+    ``v-g1a2b3c4`` as ``git describe`` output naming another object."""
+    return f"{tree}:" + "".join(f"{segment}/" for segment in segments)
 
 
 def _objects(root: str, names: Sequence[str]) -> list[tuple[str, str, bytes] | None]:
     """The one reader of git's objects: each of ``names`` as its id, type and
-    content, by one ``git cat-file --batch`` reading them on stdin (never as
-    options), or None if git resolves none or, unasked, it is :func:`_unnameable`."""
-    query = "".join(f"{name}\n" for name in names if not _unnameable(name))
-    out = _git(root, "cat-file", "--batch", input=query).stdout.encode("utf-8", "surrogateescape") if query else b""
+    content, by one ``git cat-file --batch -z`` reading them on stdin (never
+    as options) with a NUL after each, so a name may hold a newline; None if
+    git resolves none or, unasked, it holds a NUL, which ends a name."""
+    query = "".join(f"{name}\0" for name in names if "\0" not in name)
+    out = _git(root, "cat-file", "--batch", "-z", input=query).stdout.encode("utf-8", "surrogateescape") if query else b""
     objects, pos = [], 0
     for name in names:  # each object is "<id> <type> <size>\n<content>\n", else "<name> missing\n"
         obj = None
-        if not _unnameable(name):
-            end = out.index(b"\n", pos)
-            header, pos = out[pos:end].split(b" "), end + 1
-            if header[-1].isdigit():  # else "missing" or "ambiguous"
-                size = int(header[-1])
-                obj, pos = (header[0].decode(), header[1].decode(), out[pos : pos + size]), pos + size + 1
+        if "\0" not in name:
+            echo = name.encode("utf-8", "surrogateescape") + b" "  # the name may hold a newline
+            answer = next((a for a in (b"missing\n", b"ambiguous\n") if out.startswith(echo + a, pos)), None)
+            if answer:
+                pos += len(echo) + len(answer)
+            else:
+                end = out.index(b"\n", pos)
+                (oid, kind, size), pos = out[pos:end].split(b" "), end + 1
+                obj, pos = (oid.decode(), kind.decode(), out[pos : pos + int(size)]), pos + int(size) + 1
         objects.append(obj)
     return objects
 
@@ -578,8 +591,9 @@ def _infer_directory_moves(
     already held files is a merge of two directories, and stays
     file-by-file. Every file under a directory of ``new_dirs`` has one of the
     diff ``records``; those under a destination the old tree had are counted
-    by one ``ls-tree`` of ``new_tree``. Only the outermost moves are
-    returned: a move nested in another follows it by prefix.
+    by one ``ls-tree -r`` each of that directory's tree object. Only the
+    outermost moves are returned: a move nested in another follows it by
+    prefix.
     """
     moved_out = _count_dirs(old for old, _ in renames)
     deleted = _count_dirs(paths[0] for status, paths in records if status == "D")
@@ -595,10 +609,10 @@ def _infer_directory_moves(
             agreeing[o[:-k], n[:-k]] += 1
             candidates.setdefault((o[:-k], n[:-k]))
     moves = [(o, n) for o, n in candidates if o in gone and not deleted[o] and agreeing[o, n] == moved_out[o]]
-    listed = sorted({"/".join(n) for _, n in moves if n not in new_dirs})  # destinations the old tree had
-    ls_tree = ("--literal-pathspecs", "ls-tree", "-r", "-z", "--name-only", "--full-tree", new_tree, "--", *listed)
-    out = _git(root, *ls_tree).stdout if listed else ""
-    held = _count_dirs(tuple(f.split("/")) for f in out.split("\0") if f)  # the new tree's files under each of them
+    held = {  # the new tree's files under each destination the old tree had
+        n: _git(root, "ls-tree", "-r", "-z", "--name-only", _tree_name(new_tree, n)).stdout.count("\0")
+        for n in dict.fromkeys(n for _, n in moves if n not in new_dirs)
+    }
     moves = [(o, n) for o, n in moves if agreeing[o, n] + added[n] == (arrived if n in new_dirs else held)[n]]
     olds = {o for o, _ in moves}
     return [(o, n) for o, n in moves if not any(o[:i] in olds for i in range(1, len(o)))]
@@ -655,7 +669,7 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
     merge behind. The writer lock of :func:`update_citation_file` is held from
     the read of the worktree's citation file through the fast-forward.
     """
-    if _unnameable(other):
+    if "\0" in other:  # no revision name holds one
         raise GitCiteError(f"unknown revision {other!r}")
     with _WriterLock(root) as lock:  # from the worktree read through the fast-forward
         worktree_bytes = citation_file_bytes(root)  # before any step that may write
@@ -735,9 +749,10 @@ def run_copy(
     read-tree --prefix -u`` then writes and stages the subtree as git holds
     it, with its modes and symlinks: nothing ignored, untracked or
     uncommitted, nor the source's top citation file. If the citation write
-    fails, ``git rm`` takes out what read-tree wrote, and the directories it
-    leaves empty (a submodule's, say) are removed, deepest first. Returns
-    the new citation file and the added keys."""
+    fails, ``git update-index --force-remove`` takes the entries of the tree
+    read-tree read out of the index, and the files and directories under the
+    destination, which did not exist before, are removed, deepest first.
+    Returns the new citation file and the added keys."""
     if "\0" in src:  # no path or URL holds one, and no argument can
         raise IoFailure(f"cannot fetch the HEAD of {src!r}: a name holding a NUL names no repository")
     _git(  # run where ``src`` was typed, into this repository
@@ -747,27 +762,37 @@ def run_copy(
     fetched = RevisionLookup(root, "FETCH_HEAD")
     src_cf = fetched.citation_file(f"the HEAD of {src!r}")
     dst_dir = "/".join(dst_path.segments) + "/"
-    added: list[CanonicalPath] = []  # never empty once read-tree has written the destination
+    added: list[CanonicalPath] = []
+    written: list[str] = []  # the tree read-tree wrote at the destination, once it has
 
     def copy(cf: CitationFile) -> CitationFile:
         merged, keys = apply_copy(cf, WorktreeLookup(root), src_cf, fetched, src_subtree, dst_path)
         if os.path.lexists(os.path.join(root, *dst_path.segments)):  # such as a directory symlink
             raise GitCiteError(f"{dst_path} already exists")
-        tree = f"{fetched.tree}:{'/'.join(src_subtree.segments)}"
+        tree = _tree_name(fetched.tree, src_subtree.segments)
         if src_subtree.is_root:  # the source's tree without its citation file
             tree = _with_citation(root, fetched.tree)
         _git(root, "read-tree", f"--prefix={dst_dir}", "-u", tree)
+        written.append(tree)
         added.extend(keys)
         return merged
 
     try:
         merged = update_citation_file(root, copy)
     except BaseException:
-        if added:  # nothing was there before this call's read-tree
+        if written:  # nothing was at the destination before this call's read-tree
+            names = []
             try:  # best effort: the error that got here is the one to report
-                _git(root, "--literal-pathspecs", "rm", "-r", "-q", "-f", "--", dst_dir)
+                listing = _git(root, "ls-tree", "-r", "-z", "--name-only", written[0]).stdout
+                names = [dst_dir + name for name in listing.split("\0") if name]
+                _git(root, "update-index", "--force-remove", "-z", "--stdin", input="".join(f"{n}\0" for n in names))
             except IoFailure:
                 pass
+            for name in names:
+                try:
+                    os.unlink(os.path.join(root, name))
+                except OSError:  # a submodule's empty directory, removed below
+                    pass
             for current, _, _ in os.walk(os.path.join(root, *dst_path.segments), topdown=False):
                 try:
                     os.rmdir(current)

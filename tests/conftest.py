@@ -30,8 +30,15 @@ def hermetic_git():
         yield
 
 
+# Git's global pathspec settings. A run may export one for gitcite's own git
+# calls, which name objects only; the tests' own calls, which pass paths,
+# drop them, so a path they pass is read as git reads it by default.
+PATHSPEC_SETTINGS = ("GIT_ICASE_PATHSPECS", "GIT_GLOB_PATHSPECS", "GIT_NOGLOB_PATHSPECS", "GIT_LITERAL_PATHSPECS")
+
+
 def git(root: Path, *args: str, check: bool = True) -> subprocess.CompletedProcess:
-    proc = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+    env = {name: value for name, value in os.environ.items() if name not in PATHSPEC_SETTINGS}
+    proc = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True, env=env)
     if check and proc.returncode != 0:
         raise AssertionError(f"git {' '.join(args)} failed:\n{proc.stderr}")
     return proc

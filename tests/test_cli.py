@@ -530,6 +530,19 @@ class TestCopy:
         assert resolve(cf, snapshot_worktree(dst), from_rendered("/imported/f2")) == record("root")
         assert (dst / "imported/f2").read_text() == "f2"
 
+    def test_a_directory_named_like_describe_output_is_the_one_copied(self, git_repo, monkeypatch):
+        # v-g<abbreviation> is git describe output for the tree the abbreviation names.
+        src = git_repo("src-described")
+        seed(src, {"a.c": "a"}, {})
+        name = "v-g" + git(src, "rev-parse", "HEAD^{tree}").stdout[:7]
+        seed(src, {f"{name}/f.c": "f"}, {f"/{name}/": "v"})
+        dst = git_repo("dst-described")
+        seed(dst, {"app.c": "a"}, {})
+        monkeypatch.chdir(dst)
+        assert main(["copy", str(src), f"{name}/", "vendor/"]) == 0
+        assert git(dst, "ls-files", "vendor").stdout == "vendor/f.c\n"
+        assert load_citation_file(dst).get(from_rendered("/vendor/")) == record("v")
+
     def test_symlinks_are_copied_as_links(self, git_repo, monkeypatch, tmp_path):
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()

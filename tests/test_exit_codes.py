@@ -26,7 +26,7 @@ from gitcite.fileformat import parse, serialize
 from gitcite.gitadapter import load_citation_file, staged_changes, sync_on_commit
 from gitcite.paths import ROOT, from_rendered
 
-from conftest import git, init_repo, seed
+from conftest import PATHSPEC_SETTINGS, git, init_repo, seed
 from support import record, store_citation_file
 
 COMMITTED = CitationFile(
@@ -372,6 +372,9 @@ WRITES = {
     "del": (_cited, ["del", "a.c"], ["open", "write", "stat", "fchmod", "replace"]),
     "modify": (_cited, ["modify", "a.c", "--field", "owner=X"], ["open", "write", "stat", "fchmod", "replace"]),
     "init": (_init, ["init"], ["open", "write", "replace"]),  # no old file, so no permission bits to copy
+    # After read-tree wrote the destination, which each fault must take out again.
+    "copy-subtree": (_copying, ["copy", "../src", "sub/", "vendor/"], ["open", "write", "stat", "fchmod", "replace"]),
+    "copy-root": (_copying, ["copy", "../src", "/", "whole/"], ["open", "write", "stat", "fchmod", "replace"]),
 }
 
 
@@ -409,7 +412,7 @@ def broken_config(tmp_path) -> Path:
 
 
 def test_a_sync_with_a_broken_config_raises(broken_config):
-    with pytest.raises(IoFailure, match=r"^git cat-file --batch failed: fatal: bad config line"):
+    with pytest.raises(IoFailure, match=r"^git cat-file --batch -z failed: fatal: bad config line"):
         staged_changes(str(broken_config))
 
 
@@ -475,3 +478,67 @@ def test_a_copy_onto_the_root_exits_1_and_changes_nothing(tmp_path):
     before = _state(root)
     assert _run(["copy", "../src", "sub/", "/"], root) == (1, "", "gitcite: / is not a valid destination directory\n")
     assert _state(root) == before
+
+
+# --- A user's global pathspec setting -----------------------------------------
+
+
+@contextlib.contextmanager
+def _pathspec_setting(setting: str | None):
+    """Only ``setting`` of git's global pathspec settings set to 1, or none."""
+    with pytest.MonkeyPatch.context() as env:
+        for name in PATHSPEC_SETTINGS:
+            env.delenv(name, raising=False)
+        if setting:
+            env.setenv(setting, "1")
+        yield
+
+
+def _synced(root: Path) -> object:
+    """The library sync of the staged changes: its renames, deletions and
+    the citation file's bytes, or the message of the failure."""
+    try:
+        renames, deleted = staged_changes(str(root))
+        sync_on_commit(str(root), renames, deleted)
+    except IoFailure as exc:
+        return str(exc)
+    return [(str(a), str(b)) for a, b in renames], [str(d) for d in deleted], (root / "citation.cite").read_bytes()
+
+
+def _pathspec_runs(base: Path, setting: str | None) -> list[object]:
+    """What gitcite prints, exits with and writes in checkouts built under
+    ``base``, its own calls alone made under ``setting``: ``gen --version``
+    of a file, a directory, an absent path and a directory holding a
+    newline; a copy of a subtree and of ``/``; and the sync of a directory
+    moved onto ``b*`` and onto ``:b``, which a pattern would read as
+    taking in a sibling."""
+    runs: list[object] = []
+    cited = init_repo(base / "cited")
+    seed(cited, {"a.c": "a", "d/f.c": "f", "new\nline/g.c": "g"}, {"/d/": "d"})
+    for path in ("d/f.c", "d", "nope.c", "new\nline"):
+        with _pathspec_setting(setting):
+            runs.append(_run(["gen", path, "--version", "HEAD"], cited))
+    copying = _copying(base / "copy")
+    for argv in (["copy", "../src", "sub/", "vendor/"], ["copy", "../src", "/", "whole/"]):
+        with _pathspec_setting(setting):
+            runs.append(_run(argv, copying))
+    runs += [git(copying, *args).stdout for args in (["ls-files", "-s"], ["status", "--porcelain"])]
+    runs.append((copying / "citation.cite").read_bytes())
+    for name, sibling in (("b*", "bx"), (":b", "b")):
+        root = init_repo(base / f"sync-{sibling}")
+        lines = "".join(f"#include <common{i}.h>\n" for i in range(30))  # over 400 bytes: a rename source
+        seed(root, {"a/x.c": lines + "alpha\n", f"{name}/x.c": lines + "dest\n", f"{sibling}/y.c": "other\n"}, {"/a/": "a"})
+        git(root, "--literal-pathspecs", "rm", "-r", "-q", name)
+        git(root, "--literal-pathspecs", "mv", "a", name)
+        with _pathspec_setting(setting):
+            runs.append(_synced(root))
+    return runs
+
+
+@pytest.mark.parametrize("setting", PATHSPEC_SETTINGS)
+def test_a_pathspec_setting_changes_nothing_gitcite_does(tmp_path, setting):
+    # gitcite names git's objects, which git never reads as pathspecs.
+    unset = _pathspec_runs(tmp_path / "unset", None)
+    assert [run[0] for run in unset[:6]] == [0, 0, 1, 0, 0, 0], unset
+    assert [run[0][0] for run in unset[-2:]] == [("/a/", "/b*/"), ("/a/", "/:b/")], unset
+    assert _pathspec_runs(tmp_path / "set", setting) == unset

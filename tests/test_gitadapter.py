@@ -434,7 +434,7 @@ class TestStagedChanges:
         monkeypatch.setattr(gitadapter, "_git", reading)
         synced = sync_on_commit(root, *staged_changes(root))
         assert synced.get(from_rendered("/b.c")) == record("a")
-        assert read == ["HEAD^{tree}\n"]
+        assert read == ["HEAD^{tree}\0"]
 
     def test_renaming_onto_a_stale_key_still_raises(self, git_repo):
         root = git_repo()
@@ -504,7 +504,7 @@ class TestStagedChanges:
         # The -M diff, the tree diff, and an ls-tree of named destinations only.
         assert len(git_calls) <= 3, git_calls
         assert all("ls-files" not in args for args in git_calls), git_calls
-        assert all(args[args.index("--") + 1 :] for args in git_calls if "ls-tree" in args), git_calls
+        assert all(args[-1].startswith(f"{new_tree}:") for args in git_calls if "ls-tree" in args), git_calls
 
     def test_emptied_directory_beside_a_sibling_that_keeps_files(self, git_repo):
         root = git_repo()

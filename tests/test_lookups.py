@@ -96,9 +96,16 @@ def test_revision_lookup_matches_the_ls_tree_listing(git_repo, monkeypatch, caps
     git(other, "add", "f")
     git(other, "commit", "-q", "-m", "other")
     foreign = git(other, "rev-parse", "HEAD").stdout.strip()
-    for rel in ["a.c", "src/b.c", "src/deep/c.c", "src/citation.cite", "doc/x:y.md"]:
+    # Names a pattern or git's revision syntax would read as more than
+    # themselves: a newline, a glob, pathspec magic, and ``git describe``
+    # output whose abbreviation names another object, the blob of a.c.
+    (root / "a.c").write_text("a.c")
+    described = "v-g" + git(root, "hash-object", "-w", "a.c").stdout[:7]
+    for rel in ["src/b.c", "src/deep/c.c", "src/citation.cite", "doc/x:y.md", "new\nline/d.c", ":b/e.c", "b*/f.c"]:
         (root / rel).parent.mkdir(parents=True, exist_ok=True)
         (root / rel).write_text(rel)
+    (root / described).mkdir()
+    (root / described / "g.c").write_text("g")
     (root / "link").symlink_to("src")  # git stores a symlink as a blob
     store_citation_file(root, CitationFile.single(record("root")))
     git(root, "add", "-A")
@@ -189,10 +196,9 @@ def test_gen_file_costs_the_same_lstats_on_both_sizes(checkouts, monkeypatch):
 
 
 @pytest.mark.parametrize("size", ["small", "large"])
-def test_gen_at_a_revision_runs_one_ls_tree(checkouts, size, git_calls, monkeypatch):
+def test_gen_at_a_revision_reads_two_objects_and_lists_no_tree(checkouts, size, git_calls, monkeypatch):
+    # The revision's tree and citation file, then the path's parent directory.
     monkeypatch.chdir(checkouts[size])
     _no_walking(monkeypatch)
     assert main(["gen", "d3/f7.c", "--version", "HEAD"]) == 0
-    listings = [args for args in git_calls if "ls-tree" in args]
-    assert len(listings) == 1
-    assert "-r" not in listings[0]
+    assert [args[0] for args in git_calls] == ["cat-file", "cat-file"], git_calls

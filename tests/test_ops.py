@@ -504,6 +504,25 @@ def test_one_function_reads_git_s_objects():
     assert readers == ["_objects"]
 
 
+def test_no_git_call_passes_a_pathspec():
+    """Git is asked about revisions by object name only (``<tree>:<dir>/``),
+    which git never reads as a pathspec, so a user's ``GIT_*_PATHSPECS``
+    changes nothing. No module that calls ``_git`` holds ``--``, which starts
+    the paths, or a flag that only a pathspec needs, even in an argument
+    tuple spliced into a call."""
+    pathspec_words = {"--", "--literal-pathspecs", "--full-tree"}
+    callers = 0
+    for source in Path(gitcite.__file__).parent.glob("*.py"):
+        module = ast.parse(source.read_text(encoding="utf-8"))
+        if not any(isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_git" for node in ast.walk(module)):
+            continue
+        callers += 1
+        for node in ast.walk(module):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert node.value not in pathspec_words, (source.name, node.lineno, node.value)
+    assert callers
+
+
 def test_one_function_reads_edits_and_writes_the_citation_file():
     """``update_citation_file`` is the one read-edit-write, under the writer
     lock. The lock file holds the new bytes: its ``commit``, which
