@@ -366,9 +366,9 @@ class WorktreeLookup(_PathLookup):
 class RevisionLookup(_PathLookup):
     """The tree committed at ``rev``, read with its citation file by one
     :func:`_objects` call (a ``rev`` that is no tree raises
-    :class:`~gitcite.errors.GitCiteError`), then one more per path, of its
-    parent directory (:func:`_tree_name`) in that tree, so a ref that moves
-    meanwhile changes nothing.
+    :class:`~gitcite.errors.GitCiteError`) and kept as ``tree``, then one more
+    per path below the top, of its parent directory (:func:`_tree_name`) in
+    that tree, so a ref that moves meanwhile changes nothing.
 
     The kind comes from the entry in its parent tree, so the object itself is
     never read: a submodule's commit lives in its own repository, not here.
@@ -380,10 +380,10 @@ class RevisionLookup(_PathLookup):
 
     def __init__(self, root: str, rev: str) -> None:
         super().__init__()
-        tree, self._blob = _objects(root, [f"{rev}^{{tree}}", f"{rev}^{{tree}}:{CITATION_FILE}"])
-        if tree is None:
+        self.tree, self._blob = _objects(root, [f"{rev}^{{tree}}", f"{rev}^{{tree}}:{CITATION_FILE}"])
+        if self.tree is None:
             raise GitCiteError(f"unknown revision {rev!r}")
-        self._root, self._rev, self.tree = root, rev, tree[0]
+        self._root, self._rev = root, rev
 
     def citation_file(self, where: str = "") -> CitationFile:
         """The citation file in this tree, an :class:`~gitcite.errors.IoFailure` if none; an
@@ -396,17 +396,24 @@ class RevisionLookup(_PathLookup):
             return PathKind.DIRECTORY
         if segments == (CITATION_FILE,) or "\0" in "".join(segments):  # no git path holds a NUL
             return None
-        (parent,) = _objects(self._root, [_tree_name(self.tree, segments[:-1])])
+        (parent,) = _objects(self._root, [_tree_name(self.tree[0], segments[:-1])]) if segments[:-1] else [self.tree]
         if parent is None or parent[1] != "tree":
             return None
-        data, pos, leaf = parent[2], 0, segments[-1].encode("utf-8", "surrogateescape")
-        while pos < len(data):  # each entry is "<mode> <name>\0<id>", the id in binary
-            space = data.index(b" ", pos)
-            end = data.index(b"\0", space)
-            if data[space + 1 : end] == leaf:
-                return PathKind.DIRECTORY if data[pos:space] == b"40000" else PathKind.FILE
-            pos = end + 1 + len(self.tree) // 2
-        return None
+        leaf = segments[-1].encode("utf-8", "surrogateescape")
+        mode = next((mode for mode, name, _ in _tree_entries(parent[2], len(parent[0]) // 2) if name == leaf), None)
+        return None if mode is None else PathKind.DIRECTORY if mode == b"40000" else PathKind.FILE
+
+
+def _tree_entries(data: bytes, id_size: int) -> Iterator[tuple[bytes, bytes, slice]]:
+    """The one parser of a tree object's content: each entry's mode, name and
+    byte span. An entry is ``<mode> <name>\\0<id>``, the id ``id_size`` bytes of
+    binary, half as many as its hex digits: 20 for SHA-1, 32 for SHA-256."""
+    start = 0
+    while start < len(data):
+        space = data.index(b" ", start)
+        nul = data.index(b"\0", space)
+        yield data[start:space], data[space + 1 : nul], slice(start, nul + 1 + id_size)
+        start = nul + 1 + id_size
 
 
 def _tree_name(tree: str, segments: Segments) -> str:
@@ -626,19 +633,18 @@ def _count_dirs(files: Iterable[tuple[str, ...]]) -> Counter:
 # --- Higher-level worktree operations (used by the CLI) ---------------------
 
 
-def _with_citation(root: str, tree: str, blob: str | None = None) -> str:
-    """``tree`` with its top citation file replaced by ``blob``, in the old
-    entry's mode (100755, else 100644), or left out when ``blob`` is None:
-    one ``ls-tree`` and one ``mktree``."""
-    entries, mode = [], "100644"
-    for entry in filter(None, _git(root, "ls-tree", "-z", tree).stdout.split("\0")):
-        if entry.partition("\t")[2] == CITATION_FILE:
-            mode = "100755" if entry.startswith("100755 ") else mode
-        else:
-            entries.append(f"{entry}\0")
-    if blob is not None:
-        entries.append(f"{mode} blob {blob}\t{CITATION_FILE}\0")
-    return _git(root, "mktree", "-z", input="".join(entries)).stdout.strip()
+def _with_citation(root: str, tree: tuple[str, str, bytes], blob: str | None = None) -> str:
+    """``tree``, an object as :func:`_objects` reads it, with its top citation
+    file's entry pointed at ``blob``, in mode 100755 if it had that mode, else
+    100644, or cut out when ``blob`` is None; written by one ``hash-object``,
+    which refuses a malformed tree. The name stays, so the entries keep git's order."""
+    data = tree[2]
+    for mode, name, span in _tree_entries(data, len(tree[0]) // 2):
+        if name == CITATION_FILE.encode():
+            mode = b"100755" if mode == b"100755" else b"100644"
+            entry = b"" if blob is None else b"%s %s\0%s" % (mode, name, bytes.fromhex(blob))
+            data = data[: span.start] + entry + data[span.stop :]
+    return _git(root, "hash-object", "-w", "-t", "tree", "--stdin", input=data).stdout.strip()
 
 
 def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[CitationFile, list[ConflictReport]]:
@@ -713,7 +719,8 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
             raise GitCiteError(f"merge refused: both branches changed {', '.join(conflicted)}")
         wheres = [f"revision {rev!r}" for rev in (base_rev, "HEAD", other)]
         names = [f"{rev}:{CITATION_FILE}" for rev in (base_rev, head_rev, other_rev)]
-        blobs = [_citation_blob(obj, where) for obj, where in zip(_objects(root, names), wheres)]
+        *cites, merged = _objects(root, [*names, merged_tree])
+        blobs = [_citation_blob(obj, where) for obj, where in zip(cites, wheres)]
         base_cf, left_cf, right_cf = (decode_citation_file(b, f"{CITATION_FILE} at {w}") for b, w in zip(blobs, wheres))
         if worktree_bytes != blobs[1] and decode_citation_file(worktree_bytes, lock.target) != left_cf:
             raise IoFailure(f"{lock.target} has uncommitted changes; commit or discard them first")
@@ -727,7 +734,7 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
         merged_cf = carry_keys(merged_cf, (), deleted)
 
         blob = _git(root, "hash-object", "-w", "--stdin", input=encode_citation_file(merged_cf)).stdout.strip()
-        tree = _with_citation(root, merged_tree, blob)  # in place of the text-merged citation file
+        tree = _with_citation(root, merged, blob)  # in place of the text-merged citation file
         sign = ["-S"] if settings.get("commit.gpgsign") == "true" else []
         commit = _git(
             root, "commit-tree", tree, "-p", head_rev, "-p", other_rev, "-m", f"Merge {other}", *sign
@@ -769,7 +776,7 @@ def run_copy(
         merged, keys = apply_copy(cf, WorktreeLookup(root), src_cf, fetched, src_subtree, dst_path)
         if os.path.lexists(os.path.join(root, *dst_path.segments)):  # such as a directory symlink
             raise GitCiteError(f"{dst_path} already exists")
-        tree = _tree_name(fetched.tree, src_subtree.segments)
+        tree = _tree_name(fetched.tree[0], src_subtree.segments)
         if src_subtree.is_root:  # the source's tree without its citation file
             tree = _with_citation(root, fetched.tree)
         _git(root, "read-tree", f"--prefix={dst_dir}", "-u", tree)

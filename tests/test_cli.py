@@ -522,6 +522,8 @@ class TestCopy:
     def test_copy_whole_tree_from_a_clone_url(self, git_repo, monkeypatch):
         src = git_repo("src2")
         seed(src, {"f2": "f2"}, {})
+        (src / "citation.cite").chmod(0o755)  # left behind whatever its mode
+        git(src, "commit", "-q", "-am", "executable")
         dst = git_repo("dst2")
         seed(dst, {"app.c": "a"}, {})
         monkeypatch.chdir(dst)
@@ -529,6 +531,8 @@ class TestCopy:
         cf = load_citation_file(dst)
         assert resolve(cf, snapshot_worktree(dst), from_rendered("/imported/f2")) == record("root")
         assert (dst / "imported/f2").read_text() == "f2"
+        assert git(dst, "diff", "--cached", "--name-only").stdout.split() == ["imported/f2"]
+        assert not os.path.lexists(dst / "imported" / "citation.cite")
 
     def test_a_directory_named_like_describe_output_is_the_one_copied(self, git_repo, monkeypatch):
         # v-g<abbreviation> is git describe output for the tree the abbreviation names.
@@ -590,7 +594,8 @@ class TestCopy:
         # read-tree checks a submodule out as an empty directory, which git rm leaves.
         src = git_repo("src-gitlink")
         seed(src, {"lib/a.c": "a"}, {})
-        git(src, "update-index", "--add", "--cacheinfo", f"160000,{'1' * 40},lib/inner")
+        gitlink = "1" * len(git(src, "rev-parse", "HEAD").stdout.strip())  # as long as this hash's ids
+        git(src, "update-index", "--add", "--cacheinfo", f"160000,{gitlink},lib/inner")
         git(src, "commit", "-q", "-m", "a submodule")
         dst = git_repo("dst-gitlink")
         seed(dst, {"app.c": "a"}, {})
@@ -694,21 +699,22 @@ class TestCopy:
     @pytest.mark.parametrize("files", [2, 40])
     def test_copy_runs_a_fixed_number_of_git_commands(self, git_repo, git_calls, monkeypatch, files):
         # The fetch, one cat-file for the fetched tree and its citation file,
-        # the source subtree's entry, and read-tree; a root copy reads the
-        # ls-tree and mktree of the source's top without its citation file
-        # instead of the subtree's entry.
+        # whose top entries answer for sub/, and read-tree; a deeper subtree
+        # costs one cat-file of its parent's tree, and a root copy one
+        # hash-object of the source's top without its citation file.
         src = git_repo("src-cost")
         seed(src, {f"sub/d{i % 3}/f{i}.c": str(i) for i in range(files)}, {"/sub/d1/": "d1"})
         dst = git_repo("dst-cost")
         seed(dst, {"app.c": "a"}, {})
         monkeypatch.chdir(dst)
-        assert main(["copy", "../src-cost", "sub/", "vendor/"]) == 0
-        assert len(git_calls) == 4, git_calls
-        git_calls.clear()
-        assert main(["copy", "../src-cost", "/", "whole/"]) == 0
-        assert len(git_calls) == 5, git_calls
-        assert [args[0] for args in git_calls].count("mktree") == 1, git_calls
-        assert len(git(dst, "diff", "--cached", "--name-only").stdout.split()) == 2 * files
+        for subtree, dst_dir, n_calls in [("sub/", "vendor/", 3), ("sub/d1/", "deep/", 4), ("/", "whole/", 4)]:
+            git_calls.clear()
+            assert main(["copy", "../src-cost", subtree, dst_dir]) == 0
+            assert len(git_calls) == n_calls, (subtree, git_calls)
+            assert not {"mktree", "ls-tree"} & {args[0] for args in git_calls}, git_calls
+        assert [args[0] for args in git_calls].count("hash-object") == 1, git_calls
+        staged = git(dst, "diff", "--cached", "--name-only").stdout.split()
+        assert len(staged) == 2 * files + len([i for i in range(files) if i % 3 == 1]), staged
 
     def test_the_source_subtree_takes_the_same_grammar(self, git_repo, monkeypatch, capsys):
         src = git_repo("src-grammar")
@@ -933,10 +939,10 @@ class TestMerge:
     def test_merge_runs_few_git_commands(self, git_repo, git_calls, monkeypatch):
         # One cat-file for both heads' commits and trees, the merge base, the
         # config read, merge-tree (the one merge), one cat-file for the three
-        # citation files, the merged tree's root entries, one diff-tree for
-        # the paths each head lost, hash-object, mktree, commit-tree and the
-        # fast-forward. The top is found without git. Nothing lists the whole
-        # tree or builds a snapshot of it.
+        # citation files and the merged tree, one diff-tree for the paths each
+        # head lost, a hash-object for the citation file and one for the tree
+        # holding it, commit-tree and the fast-forward. The top is found
+        # without git. Nothing lists a tree or builds a snapshot of it.
         root = build_conflicted_repo(git_repo)
 
         def no_tree(*args, **kwargs):
@@ -945,10 +951,10 @@ class TestMerge:
         monkeypatch.setattr(TreeSnapshot, "from_files", no_tree)
         monkeypatch.chdir(root)
         assert main(["merge", "side", "--ours"]) == 0
-        assert len(git_calls) <= 11, git_calls
+        assert len(git_calls) <= 10, git_calls
         assert [args[0] for args in git_calls].count("merge-tree") == 1, git_calls
         assert all({"--no-commit", "commit", "add", "ls-files", "show"}.isdisjoint(args) for args in git_calls), git_calls
-        assert not [args for args in git_calls if args[0] == "ls-tree" and "-r" in args], git_calls
+        assert not {"mktree", "ls-tree"} & {args[0] for args in git_calls}, git_calls
 
     @pytest.mark.parametrize(
         "other", ["no-such-branch", "-q", "side\nHEAD", "side:side.c"], ids=["missing", "dash", "newline", "blob"]
@@ -1163,7 +1169,8 @@ class TestMerge:
         git(root, "config", "gpg.program", str(fake_gpg))
         monkeypatch.chdir(root)
         assert main(["merge", "side", "--ours"]) == 0
-        assert "gpgsig -----BEGIN PGP SIGNATURE-----" in git(root, "cat-file", "commit", "HEAD").stdout
+        header = "gpgsig-sha256" if len(git(root, "rev-parse", "HEAD").stdout.strip()) == 64 else "gpgsig"
+        assert f"{header} -----BEGIN PGP SIGNATURE-----" in git(root, "cat-file", "commit", "HEAD").stdout
 
     @pytest.mark.parametrize("gpg_sign", ["true", "false"], ids=["gpgsign", "no-gpgsign"])
     @pytest.mark.parametrize("side_signed", [True, False], ids=["signed-side", "unsigned-side"])
@@ -1239,6 +1246,33 @@ class TestMerge:
         assert (root / name).read_text() == "odd"
         assert git(root, "status", "--porcelain").stdout == ""
         assert len(git(root, "log", "-1", "--format=%P").stdout.split()) == 2
+
+    @pytest.mark.parametrize("kind, mode", [("executable", "100755"), ("symlink", "100644")])
+    def test_the_merged_citation_file_is_a_regular_file_keeping_its_x_bit(self, git_repo, monkeypatch, kind, mode):
+        # A symlink whose target is citation JSON reads as a citation file at
+        # a revision; the merge commits the merged bytes as a regular file.
+        root = git_repo(f"merge-{kind}")
+        seed(root, {"a.c": "a"}, {})
+        if kind == "executable":
+            (root / "citation.cite").chmod(0o755)
+            git(root, "commit", "-q", "-am", "executable")
+        diverge(root, "b.c", "c.c")
+        if kind == "executable":  # both heads edit the file, so the merged bytes are gitcite's, not git's
+            store_citation_file(root, load_citation_file(root).with_entry(from_rendered("/c.c"), record("main")))
+            git(root, "commit", "-q", "-am", "cite c.c")
+        else:
+            git(root, "checkout", "-q", "side")
+            text = (root / "citation.cite").read_text()
+            (root / "citation.cite").unlink()
+            (root / "citation.cite").symlink_to(text)
+            git(root, "commit", "-q", "-am", "a symlink")
+            git(root, "checkout", "-q", "main")
+        monkeypatch.chdir(root)
+        assert main(["merge", "side", "--ours"]) == 0
+        assert git(root, "ls-tree", "HEAD", "citation.cite").stdout.startswith(f"{mode} blob "), kind
+        assert load_citation_file(root).get(from_rendered("/b.c")) == record("side")
+        assert git(root, "status", "--porcelain").stdout == ""
+        assert main(["validate"]) == 0, kind
 
 
 def _cli_env(**extra: str) -> dict[str, str]:

@@ -277,9 +277,9 @@ def _copying(root: Path) -> Path:
 # beside it), and the number of git calls it makes when nothing fails.
 SWEEP = {
     "init": (_init, ["init"], 3),
-    "copy-subtree": (_copying, ["copy", "../src", "sub/", "vendor/"], 4),
-    "copy-root": (_copying, ["copy", "../src", "/", "whole/"], 5),
-    "merge": (_merging, ["merge", "side", "--ours"], 11),
+    "copy-subtree": (_copying, ["copy", "../src", "sub/", "vendor/"], 3),
+    "copy-root": (_copying, ["copy", "../src", "/", "whole/"], 4),
+    "merge": (_merging, ["merge", "side", "--ours"], 10),
     "gen-version": (_cited, ["gen", "d/f.c", "--version", "HEAD"], 2),
 }
 

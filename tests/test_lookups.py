@@ -111,7 +111,8 @@ def test_revision_lookup_matches_the_ls_tree_listing(git_repo, monkeypatch, caps
     git(root, "add", "-A")
     git(root, "commit", "-q", "-m", "first")
     head = git(root, "rev-parse", "HEAD").stdout.strip()
-    git(root, "update-index", "--add", "--cacheinfo", f"160000,{foreign},vendor/sub")
+    for gitlink in ["vendor/sub", "topsub"]:  # a depth-1 path is answered from the top tree already read
+        git(root, "update-index", "--add", "--cacheinfo", f"160000,{foreign},{gitlink}")
     assert git(root, "cat-file", "-e", foreign, check=False).returncode != 0
     git(root, "rm", "-q", "-r", "src/deep")
     git(root, "mv", "a.c", "src/a.c")
@@ -119,7 +120,7 @@ def test_revision_lookup_matches_the_ls_tree_listing(git_repo, monkeypatch, caps
     revs = [head, "HEAD"]
     oracles = {rev: _tree_from_ls_tree(root, rev) for rev in revs}
     made = {p.segments for tree in oracles.values() for p in tree_paths(tree)}
-    extra = [("citation.cite",), ("nope",), ("link", "b.c"), ("a.c", "x"), ("vendor", "sub", "f")]
+    extra = [("citation.cite",), ("nope",), ("link", "b.c"), ("a.c", "x"), ("vendor", "sub", "f"), ("topsub", "f")]
     queries = _queries(sorted(made), extra)
     for rev in revs:
         lookup = RevisionLookup(root, rev)
@@ -127,6 +128,7 @@ def test_revision_lookup_matches_the_ls_tree_listing(git_repo, monkeypatch, caps
             assert lookup.kind_of(segments) is oracles[rev].kind_of(segments), (rev, segments)
     assert RevisionLookup(root, "HEAD").kind_of(("vendor", "sub")) is PathKind.FILE
     assert RevisionLookup(root, "HEAD").kind_of(("vendor",)) is PathKind.DIRECTORY
+    assert RevisionLookup(root, "HEAD").kind_of(("topsub",)) is PathKind.FILE
     monkeypatch.chdir(root)
     assert main(["gen", "vendor/sub", "--version", "HEAD"]) == 0
     assert "owner-root" in capsys.readouterr().out
@@ -197,8 +199,12 @@ def test_gen_file_costs_the_same_lstats_on_both_sizes(checkouts, monkeypatch):
 
 @pytest.mark.parametrize("size", ["small", "large"])
 def test_gen_at_a_revision_reads_two_objects_and_lists_no_tree(checkouts, size, git_calls, monkeypatch):
-    # The revision's tree and citation file, then the path's parent directory.
+    # The revision's tree and citation file, then the path's parent directory;
+    # a top-level path's parent is the tree already read.
     monkeypatch.chdir(checkouts[size])
     _no_walking(monkeypatch)
     assert main(["gen", "d3/f7.c", "--version", "HEAD"]) == 0
     assert [args[0] for args in git_calls] == ["cat-file", "cat-file"], git_calls
+    git_calls.clear()
+    assert main(["gen", "d3", "--version", "HEAD"]) == 0
+    assert [args[0] for args in git_calls] == ["cat-file"], git_calls

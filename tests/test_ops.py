@@ -504,6 +504,22 @@ def test_one_function_reads_git_s_objects():
     assert readers == ["_objects"]
 
 
+def test_trees_are_read_as_objects_and_written_by_hash_object():
+    """A tree object is read through ``_objects`` and parsed by
+    ``_tree_entries`` alone, and the one tree gitcite builds is written by
+    ``hash-object``: no ``_git`` call runs ``mktree``, and ``ls-tree`` runs
+    only with ``-r``, to list every file under a directory."""
+    commands = []
+    for source in Path(gitcite.__file__).parent.glob("*.py"):
+        for call in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "_git":
+                words = [arg.value for arg in call.args if isinstance(arg, ast.Constant)]
+                commands.append(_git_command(call))
+                assert commands[-1] != "mktree", (source.name, call.lineno)
+                assert commands[-1] != "ls-tree" or "-r" in words, (source.name, call.lineno)
+    assert "ls-tree" in commands and "hash-object" in commands
+
+
 def test_no_git_call_passes_a_pathspec():
     """Git is asked about revisions by object name only (``<tree>:<dir>/``),
     which git never reads as a pathspec, so a user's ``GIT_*_PATHSPECS``
