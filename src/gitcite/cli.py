@@ -11,6 +11,7 @@ it, and ``-h`` prints it.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -400,5 +401,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_DOMAIN
 
 
+def run() -> None:
+    """:func:`main` as a process (``python -m gitcite.cli``, the ``gitcite``
+    script). Freezing the heap spares the exit's collection a walk of what
+    start-up made; in-process callers of :func:`main` keep a normal collector."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -652,9 +652,9 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
 
     ``git merge-tree --write-tree`` merges ``HEAD`` and ``other`` in the
     object store only. If it reports a conflict in any path but the citation
-    file (content, modify/delete, add/add, ...), a
-    :class:`~gitcite.errors.GitCiteError` names the paths and nothing is
-    written. Otherwise the citation file is rebuilt from the base/ours/theirs
+    file (content, modify/delete, add/add, ...), or the citation file changed
+    type on one head, a :class:`~gitcite.errors.GitCiteError` says so and
+    nothing is written. Otherwise the citation file is rebuilt from the base/ours/theirs
     documents by :func:`gitcite.ops.merge_citation_files` instead of being
     text-merged, and :func:`gitcite.ops.carry_keys` drops the keys of the
     paths ``git diff-tree`` reports deleted from either head, as at a commit;
@@ -715,6 +715,8 @@ def run_merge(root: str, other: str, resolver: Resolver | None) -> tuple[Citatio
         trial = _git(root, "merge-tree", "--write-tree", "--name-only", "--no-messages", "-z", head_rev, other_rev)
         merged_tree, *conflicted = trial.stdout.split("\0")
         conflicted = [p for p in conflicted if p and p != CITATION_FILE]
+        if {f"{CITATION_FILE}~{rev}" for rev in (head_rev, other_rev)} & set(conflicted):  # git's distinct-types rename
+            raise GitCiteError(f"merge refused: {CITATION_FILE} changed type on one branch")
         if conflicted:
             raise GitCiteError(f"merge refused: both branches changed {', '.join(conflicted)}")
         wheres = [f"revision {rev!r}" for rev in (base_rev, "HEAD", other)]

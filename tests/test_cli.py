@@ -1024,8 +1024,13 @@ class TestMerge:
 
     @pytest.mark.parametrize(
         "side_change, main_change",
-        [(("a.c", "theirs"), ("a.c", "ours")), (("a.c", None), ("a.c", "ours")), (("new.c", "theirs"), ("new.c", "ours"))],
-        ids=["content", "modify-delete", "add-add"],
+        [
+            (("a.c", "theirs"), ("a.c", "ours")),
+            (("a.c", None), ("a.c", "ours")),
+            (("new.c", "theirs"), ("new.c", "ours")),
+            (("citation.cite~x", "theirs"), ("citation.cite~x", "ours")),  # named like git's type-change rename
+        ],
+        ids=["content", "modify-delete", "add-add", "tilde-name"],
     )
     def test_a_content_conflict_refuses_the_merge(
         self, git_repo, git_calls, monkeypatch, capsys, side_change, main_change
@@ -1049,6 +1054,27 @@ class TestMerge:
         assert checkout_state(root) == before  # and no MERGE_HEAD, as after every TestMerge test
         # The heads, the merge base, the config read and merge-tree; nothing after the refusal.
         assert "merge" not in [args[0] for args in git_calls] and len(git_calls) <= 4, git_calls
+
+    def test_a_citation_file_that_changed_type_refuses_the_merge_by_its_name(self, git_repo, monkeypatch, capsys):
+        # merge-tree records the distinct-types conflict as citation.cite plus
+        # citation.cite~<one head's commit id>, a path neither head holds.
+        root = git_repo("refused-type-change")
+        seed(root, {"b.c": "b"}, {})
+        git(root, "checkout", "-q", "-b", "side")
+        (root / "cite.json").write_text((root / "citation.cite").read_text())
+        (root / "citation.cite").unlink()
+        (root / "citation.cite").symlink_to("cite.json")
+        git(root, "add", "-A")
+        git(root, "commit", "-q", "-m", "a symlink")
+        git(root, "checkout", "-q", "main")
+        monkeypatch.chdir(root)
+        assert main(["add", "b.c"]) == 0
+        git(root, "commit", "-q", "-am", "cite b.c")
+        capsys.readouterr()
+        before = checkout_state(root)
+        assert main(["merge", "side", "--ours"]) == 1
+        assert capsys.readouterr().err == "gitcite: merge refused: citation.cite changed type on one branch\n"
+        assert checkout_state(root) == before
 
     def test_a_merge_commits_neither_untracked_files_nor_unstaged_edits(self, git_repo, monkeypatch):
         root = git_repo("local-work")
@@ -1414,15 +1440,47 @@ class TestCliPlumbing:
         )
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv, cites, code",
+        [
+            (["gen", "src/a.c", "--format", "json"], {"/src/": "src"}, 0),
+            (["validate"], {"/gone.c": "gone"}, 1),
+            (["nope"], {}, 2),
+            (["gen", "src/a.c"], None, 3),
+        ],
+        ids=["ok", "domain", "usage", "environment"],
+    )
+    def test_each_exit_code_reaches_the_process(self, git_repo, argv, cites, code):
+        # As a shell runs it: `python -m gitcite.cli`, which exits through cli.run.
+        root = git_repo()
+        if cites is None:  # no citation file
+            (root / "src").mkdir()
+            (root / "src" / "a.c").write_text("a")
+        else:
+            seed(root, {"src/a.c": "a"}, cites)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gitcite.cli", *argv], cwd=root, env=_cli_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert (record_from_obj(json.loads(proc.stdout)), proc.stderr) == (record("src"), "")
+        elif code == 1:
+            assert "dangling_key: /gone.c" in proc.stdout
+        else:
+            assert proc.stdout == "" and proc.stderr.startswith("gitcite: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("entry", ["main", "-m"])
     @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-    def test_a_closed_stdout_exits_quietly(self, git_repo, unbuffered):
+    def test_a_closed_stdout_exits_quietly(self, git_repo, unbuffered, entry):
         # As in `gitcite gen src/a.c | true`: the reader is gone before gitcite
-        # writes. Unbuffered, the print fails; buffered, the flush does.
+        # writes. Unbuffered, the print fails; buffered, the flush does. The
+        # process entry point exits through cli.run, after freezing the heap.
         root = git_repo()
         seed(root, {"src/a.c": "a"}, {"/src/": "src"})
         script = "import sys; from gitcite.cli import main; sys.exit(main(['gen', 'src/a.c']))"
+        argv = ["-c", script] if entry == "main" else ["-m", "gitcite.cli", "gen", "src/a.c"]
         with subprocess.Popen(
-            [sys.executable, "-c", script], cwd=root, env=_cli_env(PYTHONUNBUFFERED=unbuffered),
+            [sys.executable, *argv], cwd=root, env=_cli_env(PYTHONUNBUFFERED=unbuffered),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         ) as proc:
             proc.stdout.close()

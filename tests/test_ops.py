@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import importlib
 import random
 import re
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gitcite
-from gitcite import CitationFile, gitadapter, resolve, validate
+from gitcite import CitationFile, cli, gitadapter, resolve, validate
 from gitcite.errors import GitCiteError, PathNotInTree
 from gitcite.fileformat import parse, serialize
 from gitcite.ops import (
@@ -30,7 +31,7 @@ from gitcite.gitadapter import (
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
 
 import randgen
-from conftest import git
+from conftest import git, seed
 from identity_model import covers
 from support import child, record, resolve_by_walking, store_citation_file, tree, tree_paths
 
@@ -668,6 +669,37 @@ def test_each_error_class_is_caught_by_name_or_builds_its_message():
         if isinstance(cls, ast.ClassDef) and cls.name not in ("GitCiteError", "IoFailure"):
             builds = any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in cls.body)
             assert cls.name in caught or builds, cls.name
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(git_repo, monkeypatch):
+    """Only the process entry point ``cli.run`` freezes the heap, so the tests
+    and the traced benchmark, which call ``main`` in-process, keep a normal
+    collector, and a leaked file still warns there."""
+    root = git_repo()
+    seed(root, {"a.c": "a"}, {"/gone.c": "gone"})
+    monkeypatch.chdir(root)
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert [cli.main(argv) for argv in (["gen", "a.c"], ["validate"], ["nope"])] == [0, 1, 2]
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_only_run_freezes_the_heap_and_the_main_block_calls_only_run():
+    freezers, main_blocks = [], []
+    for source in Path(gitcite.__file__).parent.glob("*.py"):
+        for top in ast.parse(source.read_text(encoding="utf-8")).body:
+            name = f"{source.stem}.{getattr(top, 'name', type(top).__name__)}"
+            if any(getattr(node, "attr", getattr(node, "id", None)) == "freeze" for node in ast.walk(top)):
+                freezers.append(name)
+            if isinstance(top, ast.If) and ast.unparse(top.test) == "__name__ == '__main__'":
+                main_blocks.append((name, ast.unparse(top.body)))
+    assert freezers == ["cli.run"]
+    assert main_blocks == [("cli.If", "run()")]
+
+
+def test_the_installed_script_is_the_process_entry_point():
+    # Read as text: Python 3.10 has no tomllib.
+    text = Path(__file__).parents[1].joinpath("pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^gitcite\s*=\s*"([^"]*)"', text, re.M) == ["gitcite.cli:run"]
 
 
 def test_the_identity_model_imports_nothing_from_ops_or_the_adapter():
