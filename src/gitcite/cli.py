@@ -12,9 +12,7 @@ it, and ``-h`` prints it.
 from __future__ import annotations
 
 import gc
-import json
 import os
-import re
 import sys
 from collections.abc import Callable, Sequence
 
@@ -50,6 +48,8 @@ def _printable(message: object) -> str:
     """``message`` as one line that prints whatever it holds: a control
     character as in :data:`_ESCAPES`, a byte of a name that is not UTF-8 (a
     lone surrogate, as Python decodes it) as ``\\xNN``, any other as ``\\uXXXX``."""
+    import re  # only an error prints
+
     def escape(match: re.Match) -> str:  # U+DC80 to U+DCFF stand for the bytes 0x80 to 0xFF
         code = ord(match[0])
         return f"\\x{code - 0xDC00:02x}" if 0xDC80 <= code <= 0xDCFF else f"\\u{code:04x}"
@@ -210,7 +210,7 @@ def _interactive_resolver():
             if answer.startswith("e"):
                 payload = answer[4 if answer.startswith("edit") else 1:].strip() or sys.stdin.readline().strip()
                 try:
-                    return fileformat.record_from_obj(json.loads(payload, object_pairs_hook=fileformat.no_duplicates))
+                    return fileformat.record_from_obj(fileformat.loads(payload))
                 except (ValueError, GitCiteError) as exc:  # keep prompting on a bad record
                     print(f"  not a valid record: {exc}")
 
@@ -277,7 +277,11 @@ def _is_option(word: str, flags: Sequence[str]) -> bool:
     negative number or a word holding a space."""
     if word.partition("=")[0] in flags:
         return True
-    return word[:1] == "-" and word != "-" and " " not in word and not re.match(_NUMBER, word)
+    if word[:1] != "-" or word == "-" or " " in word:
+        return False
+    import re  # only a word like an unknown option or a negative number gets here
+
+    return not re.match(_NUMBER, word)
 
 
 def parse_args(argv: Sequence[str]) -> tuple[Callable[..., int], dict[str, object]]:

@@ -8,12 +8,15 @@ file ends with one newline. Equal citation files therefore always serialize
 to identical bytes, which keeps diffs small and makes text-merging the file
 unnecessary. The text is what ``json.dumps(doc, indent=2, ensure_ascii=False)``
 writes, built directly because that call runs json's pure-Python encoder.
+:func:`loads` reads it with json's C scanner, the one ``json.loads`` runs on
+CPython, without importing ``json``: its closure (``re``, ``enum``) would
+cost every command more than reading the file does.
 """
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring as _quote  # the C quoting of json.dumps(..., ensure_ascii=False)
+from _json import encode_basestring as _quote  # the C quoting of json.dumps(..., ensure_ascii=False)
+from _json import make_scanner
 
 from .errors import GitCiteError, InvalidPath
 from .model import RECORD_FIELDS, REQUIRED_FIELDS, TEXT_FIELDS, CitationFile, CitationRecord
@@ -95,11 +98,50 @@ def no_duplicates(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return obj
 
 
+class _Decoder:
+    """The settings ``_json.make_scanner`` reads, as ``json.JSONDecoder``
+    holds them for ``json.loads(text, object_pairs_hook=no_duplicates)``."""
+
+    strict = True
+    object_hook = None
+    object_pairs_hook = staticmethod(no_duplicates)
+    parse_float = float
+    parse_int = int
+    parse_constant = float  # "NaN", "Infinity" and "-Infinity", read as json's own table reads them
+
+
+_scan = make_scanner(_Decoder())
+_WHITESPACE = " \t\n\r"  # what json skips around the document
+
+
+def loads(text: str) -> object:
+    """``json.loads(text, object_pairs_hook=no_duplicates)``: the same value
+    or the same error, but a document nested too deeply for the scanner
+    raises :class:`~gitcite.errors.GitCiteError`, not ``RecursionError``.
+    Only a failure imports ``json``: the text goes to ``json.loads``, which
+    raises json's own error for it (a BOM, extra data, a syntax error)."""
+    try:
+        value, end = _scan(text, len(text) - len(text.lstrip(_WHITESPACE)))
+        if not text[end:].strip(_WHITESPACE):
+            return value
+    except RecursionError:
+        raise GitCiteError("the document nests too deeply") from None
+    except Exception:  # json's error; before Python 3.12 the scanner cannot build one while json is not loaded
+        pass
+    import json
+
+    return json.loads(text, object_pairs_hook=no_duplicates)
+
+
 def parse(text: str, require_root: bool = True) -> CitationFile:
     """Parse a citation-file document; strict about structure and key form."""
     try:
-        data = json.loads(text, object_pairs_hook=no_duplicates)
-    except json.JSONDecodeError as exc:
+        data = loads(text)
+    except ValueError as exc:
+        from json import JSONDecodeError  # loaded already: loads hands every failure to json.loads
+
+        if not isinstance(exc, JSONDecodeError):
+            raise
         raise GitCiteError(f"{exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
     if not isinstance(data, dict):
         raise GitCiteError("the top level must be a single object of path -> record entries")

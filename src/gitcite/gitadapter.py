@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import errno
 import os
-import re
 import stat
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -262,6 +261,8 @@ def _git(root: str, *args: str, input: str | bytes | None = None, failure: str =
     proc.stderr = proc.stderr.decode("utf-8", "surrogateescape")
     command = next(word for word in args if word[:1] != "-" and "=" not in word)
     if proc.returncode and (proc.returncode != 1 or command not in _ANSWERS_ON_1):
+        import re  # only a failure reads git's stderr
+
         message = re.match(r".*(?:\n\t.*)*", proc.stderr.strip()).group()
         raise IoFailure(f"{failure or 'git ' + ' '.join(args) + ' failed'}: {message}")
     return proc
@@ -277,6 +278,8 @@ def default_root_citation(top: str) -> CitationRecord:
     id and date are the head commit's. The authors are the distinct commit
     authors, oldest first, or the owner alone before the first commit.
     """
+    import re  # only gitcite init drafts a citation
+
     origin = _git(top, "config", "--get", "remote.origin.url").stdout.strip()
     match = re.search(r"[:/]([^/:]+)/([^/:]+?)(?:\.git)?/?$", origin)  # .../<owner>/<name>[.git]
     owner, repo_name = match.groups() if match else (None, None)

@@ -7,16 +7,33 @@ Equality, hashing, and ordering all follow the rendered form byte-for-byte.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Iterator
 
 from .errors import InvalidPath
 from .value import Value
 
 
-class PathKind(enum.Enum):
-    FILE = "file"
-    DIRECTORY = "directory"
+class PathKind:
+    """The kind of a tree node: one of exactly two instances, :data:`FILE`
+    and :data:`DIRECTORY`, compared by ``is``; ``value`` names it in messages.
+    A plain class, as importing ``enum`` costs a command more than this module."""
+
+    __slots__ = ("name", "value")
+    FILE: PathKind
+    DIRECTORY: PathKind
+
+    def __init__(self, name: str, value: str) -> None:
+        self.name, self.value = name, value
+
+    def __repr__(self) -> str:
+        return f"<PathKind.{self.name}: {self.value!r}>"
+
+    def __reduce__(self) -> str:  # copy and pickle give back the same instance
+        return f"PathKind.{self.name}"
+
+
+PathKind.FILE = PathKind("FILE", "file")
+PathKind.DIRECTORY = PathKind("DIRECTORY", "directory")
 
 
 class CanonicalPath(Value):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import re
-
 from .fileformat import _record_json
 from .model import CitationRecord
 
@@ -38,6 +36,8 @@ def one_line(record: CitationRecord) -> str:
 
 
 def _slug(text: str) -> str:
+    import re  # only the BibTeX format needs it
+
     return re.sub(r"[^A-Za-z0-9]+", "-", text).strip("-").lower()
 
 

@@ -458,6 +458,28 @@ class TestGen:
         assert capsys.readouterr().err == "gitcite: citation.cite at revision 'HEAD~1': the document has no '/' entry\n"
         assert main(["gen", "a.c", "--version", "HEAD"]) == 0
 
+    @pytest.mark.parametrize("argv", [["gen", "."], ["validate"], ["add", "a.c"]], ids=["gen", "validate", "add"])
+    def test_a_citation_file_nested_too_deeply_is_named_on_one_line(self, git_repo, monkeypatch, capsys, argv):
+        root = git_repo()
+        seed(root, {"a.c": "x"}, {})
+        (root / "citation.cite").write_text("[" * 100_000)
+        monkeypatch.chdir(root)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"gitcite: {root / 'citation.cite'}: the document nests too deeply\n")
+
+    def test_a_citation_file_nested_too_deeply_at_a_revision_is_named_on_one_line(self, git_repo, monkeypatch, capsys):
+        root = git_repo()
+        seed(root, {"a.c": "x"}, {})
+        text = (root / "citation.cite").read_text()
+        (root / "citation.cite").write_text(text[:-3] + ', "/x": ' + "[" * 100_000 + "]" * 100_000 + "}\n")
+        git(root, "commit", "-q", "-am", "nested")
+        monkeypatch.chdir(root)
+        for argv in (["gen", "."], ["gen", ".", "--version", "HEAD"]):
+            assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"gitcite: {root / 'citation.cite'}: the document nests too deeply",
+                       "gitcite: citation.cite at revision 'HEAD': the document nests too deeply"]
+
     def test_gen_remote(self, git_repo, monkeypatch, capsys, tmp_path):
         import http.server
         import threading
@@ -919,10 +941,11 @@ class TestMerge:
         [
             ("e {}", 1), ("edit {}", 1), ("edit\n{}", 1), ("e\n{}", 1), ("edit {\"owner\": 1}\nedit {}", 2),
             ('edit {"owner": "a", "owner": "b", "repo_name": "r", "locator": "u"}\nedit {}', 2),
+            ('edit {"owner"\nedit {}', 2), ("edit " + "[" * 100_000 + "\nedit {}", 2),
         ],
         ids=[
             "e-inline", "edit-inline", "edit-next-line", "e-next-line", "bad-record-then-edit",
-            "duplicate-field-then-edit",
+            "duplicate-field-then-edit", "broken-json-then-edit", "nested-too-deeply-then-edit",
         ],
     )
     def test_an_edited_record_settles_the_conflict(self, git_repo, monkeypatch, capsys, script, prompts):
@@ -1381,9 +1404,9 @@ class TestCliPlumbing:
     def test_importing_the_cli_loads_no_code_generators_and_no_subprocess(self):
         # dataclasses pulls in inspect, ast, dis and tokenize; subprocess pulls in
         # selectors and signal; pathlib pulls in fnmatch, urllib.parse and
-        # ipaddress; argparse pulls in gettext. Only what importing the CLI
-        # adds is checked, and ``-S`` keeps ``site`` from loading typing and
-        # pathlib at start-up.
+        # ipaddress; argparse pulls in gettext; json pulls in re and enum.
+        # Only what importing the CLI adds is checked, and ``-S`` keeps
+        # ``site`` from loading typing, pathlib, re and enum at start-up.
         src = str(Path(gitcite.__file__).resolve().parent.parent)
         script = "import sys; before = set(sys.modules); import gitcite.cli; print(*set(sys.modules) - before)"
         proc = subprocess.run(
@@ -1392,23 +1415,43 @@ class TestCliPlumbing:
         assert proc.returncode == 0, proc.stderr
         added = set(proc.stdout.split())
         assert "gitcite.cli" in added
-        assert not added & {"dataclasses", "inspect", "subprocess", "typing", "pathlib", "urllib", "argparse", "gettext"}
+        assert not added & {
+            "dataclasses", "inspect", "subprocess", "typing", "pathlib", "urllib", "argparse", "gettext", "json", "re",
+            "enum",
+        }
 
     @staticmethod
-    def _run_without_git(root: Path, argv: list[str]) -> str:
-        """Run ``gitcite argv`` at ``root`` in a new interpreter, which must
-        succeed without loading ``subprocess``, so without running git; its
-        stdout."""
+    def _run_fresh(root: Path, argv: list[str], module: str) -> tuple[int, bool, str]:
+        """Run ``gitcite argv`` at ``root`` in a new interpreter: its exit code,
+        whether it loaded ``module`` that start-up had left unloaded, and its
+        stdout but the last newline or, when it fails, its stderr."""
         script = (
-            "import sys; before = 'subprocess' in sys.modules; from gitcite.cli import main; "
-            f"code = main({argv!r}); print(before, 'subprocess' in sys.modules, file=sys.stderr); "
-            "sys.exit(code)"
+            f"import sys; before = {module!r} in sys.modules; from gitcite.cli import main; "
+            f"code = main({argv!r}); print(before, {module!r} in sys.modules); sys.exit(code)"
         )
         proc = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True, text=True, env=_cli_env())
-        assert proc.returncode == 0, proc.stderr
-        before, after = proc.stderr.split()
-        assert after == before  # loaded only if the interpreter had loaded it at start-up
-        return proc.stdout
+        out, _, flags = proc.stdout.rstrip("\n").rpartition("\n")  # the flags are the last line
+        before, after = flags.split()
+        return proc.returncode, after != before, out if proc.returncode == 0 else proc.stderr
+
+    def _run_without_git(self, root: Path, argv: list[str]) -> str:
+        """Run ``gitcite argv`` at ``root`` in a new interpreter, which must
+        succeed without loading ``subprocess``, so without running git; its
+        stdout but the last newline."""
+        code, loaded, out = self._run_fresh(root, argv, "subprocess")
+        assert (code, loaded) == (0, False), out
+        return out
+
+    @pytest.mark.parametrize("argv", [["gen", "a.c"], ["add", "a.c"], ["validate"]], ids=["gen", "add", "validate"])
+    def test_json_is_loaded_only_to_word_a_parse_error(self, git_repo, argv):
+        root = git_repo()
+        seed(root, {"a.c": "a"}, {})
+        assert self._run_fresh(root, argv, "json")[:2] == (0, False)
+        (root / "citation.cite").write_text("{")
+        code, loaded, err = self._run_fresh(root, argv, "json")
+        assert (code, loaded) == (1, True)
+        message = "Expecting property name enclosed in double quotes (line 1, column 2)"
+        assert err == f"gitcite: {root / 'citation.cite'}: {message}\n"
 
     def test_gen_in_a_checkout_runs_no_git_and_never_loads_subprocess(self, git_repo):
         root = git_repo()

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from gitcite import CitationFile, CitationRecord
 from gitcite.errors import GitCiteError, InvalidPath
-from gitcite.fileformat import parse, record_from_obj, serialize
+from gitcite.fileformat import loads, no_duplicates, parse, record_from_obj, serialize
 from gitcite.gitadapter import decode_citation_file, encode_citation_file
 from gitcite.model import RECORD_FIELDS
 from gitcite.paths import ROOT, CanonicalPath, PathKind, from_rendered
@@ -123,6 +123,15 @@ def test_malformed_documents(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("where", ["", '{"/": {%s}, "/x": ' % _R], ids=["top", "in-an-entry"])
+def test_a_document_nested_too_deeply_is_a_domain_error(where):
+    # json.loads raises RecursionError here; the reader does not retry it.
+    with pytest.raises(GitCiteError, match="^the document nests too deeply$"):
+        parse(where + "[" * 100_000)
+    with pytest.raises(GitCiteError, match="^the document nests too deeply$"):
+        loads(where + "[" * 100_000 + "]" * 100_000 + "}" * bool(where))
+
+
 def test_document_without_root_entry():
     text = '{"/a": {"owner": "o", "repo_name": "r", "locator": "u"}}'
     with pytest.raises(GitCiteError, match="^the document has no '/' entry$"):
@@ -230,6 +239,45 @@ def test_the_written_bytes_do_not_depend_on_the_key_order(entries, data):
     parsed = parse(json.dumps(shuffled, indent=2, ensure_ascii=False), require_root=False)
     assert parsed == CitationFile(entries) and serialize(parsed) == canonical
     assert list(parsed) == [key for key, _ in permuted]
+
+
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXTS,  # floats: NaN and Infinity too
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXTS, inner, max_size=3),
+    max_leaves=8,
+)
+_PAIRS = st.lists(st.tuples(st.sampled_from("ab"), _VALUES), max_size=4)  # a key may repeat
+
+
+@st.composite
+def _json_texts(draw) -> str:
+    """A JSON document as json.dumps writes it, or with a repeated key, or a
+    5000-digit number; maybe truncated, with whitespace json does or does
+    not skip, a BOM or trailing data around it."""
+    doc = draw(st.one_of(
+        st.builds(json.dumps, _VALUES, ensure_ascii=st.booleans(), indent=st.sampled_from([None, 2])),
+        _PAIRS.map(lambda pairs: "{%s}" % ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs)),
+        st.sampled_from(["9" * 5000, '{"n": [-%s]}' % ("9" * 5000), "NaN", "[-Infinity]", "-NaN", ""]),
+    ))
+    if draw(st.booleans()):
+        doc = doc[:draw(st.integers(0, len(doc)))]
+    space = st.text(" \t\n\r\f\v", max_size=3)
+    head = draw(st.sampled_from(["", "", "", "\ufeff"])) + draw(space)
+    return head + doc + draw(space) + draw(st.sampled_from(["", "x", "{}", "0", ",", "\x00"]) | st.text(max_size=2))
+
+
+def _outcome(read, text: str) -> tuple[object, str]:
+    # repr tells 1 from 1.0 and -0.0 from 0.0, keeps key order and equals itself for NaN.
+    try:
+        return "value", repr(read(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(_json_texts())
+def test_the_reader_agrees_with_json_loads(text):
+    oracle = _outcome(lambda t: json.loads(t, object_pairs_hook=no_duplicates), text)
+    assert _outcome(loads, text) == oracle
 
 
 def test_serialize_of_an_empty_file_is_an_empty_object():
